@@ -593,8 +593,9 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
   if (not keep_going) && Spice.Checker.errors findings <> [] then
     failwith "netlist fails lint; aborting (use --keep-going to continue)";
   let sol = Spice.Mna.solve netlist in
-  Format.printf "DC solve: %d CG iterations, residual %.2e@."
-    sol.Spice.Mna.cg_iterations sol.Spice.Mna.residual;
+  Format.printf "DC solve: %d free nodes, nnz(L) %d, residual %.2e@."
+    sol.Spice.Mna.free_nodes sol.Spice.Mna.fill sol.Spice.Mna.residual;
+  let mna_diags = Flow.mna_diags sol in
   (* The fused engine streams resistors straight into columnar
      structures and analyzes those; the boxed path materializes
      [Structure.t] intermediates first and is kept as the reference.
@@ -754,7 +755,8 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
     | None -> []
   in
   let diags =
-    parse_diags @ lint_diags @ r.Flow.diags @ blech_diags @ variation_diags
+    parse_diags @ lint_diags @ mna_diags @ r.Flow.diags @ blech_diags
+    @ variation_diags
   in
   (* Append the ledger record: fingerprint every extracted structure
      (both engines, full list — failed structures are recorded too) and
@@ -1750,7 +1752,7 @@ let verify_cmd =
         (const (fun netlist solution tol ->
              match
                let net = Spice.Parser.parse_file netlist in
-               let sol = Spice.Mna.solve ~tol:1e-12 net in
+               let sol = Spice.Mna.solve net in
                let golden = Spice.Solution_file.parse_file solution in
                Spice.Solution_file.check ~tol ~reference:golden sol
              with

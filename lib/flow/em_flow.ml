@@ -542,6 +542,18 @@ let run_on_structures ?material ?with_maxpath ?jobs ?tuning ?audit structures =
   run_on_compact ?material ?with_maxpath ?jobs ?tuning ?audit ~pipeline:p
     compacts
 
+let mna_diags (sol : Spice.Mna.solution) =
+  let r = sol.Spice.Mna.residual in
+  if r <= Spice.Mna.max_residual then []
+  else
+    [
+      Dg.error ~code:"mna-residual"
+        (Printf.sprintf
+           "DC solve relative residual %.3g exceeds %g: node voltages and \
+            branch currents are not trustworthy"
+           r Spice.Mna.max_residual);
+    ]
+
 let run ?material ?with_maxpath ?jobs ?tuning ?audit
     (grid : Pdn.Grid_gen.generated) =
   let p = Pipeline.create () in

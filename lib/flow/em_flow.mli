@@ -85,6 +85,13 @@ val failed_structures : result -> int
     in {!result.diags}, excluding ["audit-residual"] errors (a strict
     audit flags the numbers, but the structure's analysis completed). *)
 
+val mna_diags : Spice.Mna.solution -> Em_core.Diag.t list
+(** Solver health: one ["mna-residual"] error when the DC solve's
+    relative residual exceeds {!Spice.Mna.max_residual} (or is not a
+    number), else nothing. Theorem 1 needs KCL-consistent currents, so
+    an inaccurate solve must surface as an error, not as a quiet
+    verdict. *)
+
 type tuning = {
   huge_segments : int;
       (** with [jobs > 1], a structure at least this many segments is

@@ -18,26 +18,23 @@ type t = { mutable rev_stages : stage list }
 let create () = { rev_stages = [] }
 
 let run p name f =
-  (* Gc.quick_stat's words counters only refresh at GC points, so a
-     short stage would read as zero allocation; Gc.minor_words reads
-     the allocation pointer and is exact. *)
-  let minor0 = Gc.minor_words () in
-  let gc0 = Gc.quick_stat () in
+  (* Exact per-domain counters plus the Parallel workers the stage
+     waits for: one source, so every delta is >= 0 (Obs.Alloc). *)
+  let a0 = Obs.Alloc.process () in
   let wall0 = Unix.gettimeofday () in
   let cpu0 = Sys.time () in
   let finish error =
     let cpu1 = Sys.time () in
     let wall1 = Unix.gettimeofday () in
-    let gc1 = Gc.quick_stat () in
-    let minor1 = Gc.minor_words () in
+    let a1 = Obs.Alloc.process () in
     let stage =
       {
         name;
         wall_s = wall1 -. wall0;
         cpu_s = cpu1 -. cpu0;
-        minor_words = minor1 -. minor0;
-        major_words = gc1.Gc.major_words -. gc0.Gc.major_words;
-        promoted_words = gc1.Gc.promoted_words -. gc0.Gc.promoted_words;
+        minor_words = a1.Obs.Alloc.minor -. a0.Obs.Alloc.minor;
+        major_words = a1.Obs.Alloc.major -. a0.Obs.Alloc.major;
+        promoted_words = a1.Obs.Alloc.promoted -. a0.Obs.Alloc.promoted;
         error;
       }
     in

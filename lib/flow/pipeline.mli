@@ -2,7 +2,8 @@
 
     A pipeline threads a computation through named stages and records,
     per stage, wall-clock time, CPU time, and GC word counters
-    ([Gc.quick_stat] deltas). The flow driver uses it to report where a
+    ({!Obs.Alloc.process} deltas: the calling domain plus the
+    {!Numerics.Parallel} worker domains the stage ran). The flow driver uses it to report where a
     run spends its time and memory (solve / extract / analyze /
     classify) without hand-rolled timer plumbing at every call site.
 
@@ -11,15 +12,15 @@
     the exported Chrome trace — so the stage report and the trace are
     views of the same measurement.
 
-    Timings are observational: [run] adds two [Gc.quick_stat] calls and
-    two clock reads per stage, which is noise next to any stage worth
+    Timings are observational: [run] adds two counter reads and two
+    clock reads per stage, which is noise next to any stage worth
     measuring. *)
 
 type stage = {
   name : string;
   wall_s : float;          (** elapsed wall-clock seconds *)
   cpu_s : float;           (** processor seconds ([Sys.time]), this domain *)
-  minor_words : float;     (** words allocated in the minor heap *)
+  minor_words : float;     (** words allocated in the minor heap, all domains *)
   major_words : float;     (** words allocated in the major heap *)
   promoted_words : float;  (** minor words that survived into the major heap *)
   error : bool;            (** the stage body raised *)
@@ -30,9 +31,9 @@ val allocated_words : stage -> float
     ([minor + major - promoted], the standard double-count correction). *)
 
 type t
-(** Mutable stage recorder. Not thread-safe: call {!run} from one domain
-    (stages may spawn domains internally; their allocation shows up only
-    in the spawning domain's counters). *)
+(** Mutable stage recorder. Not thread-safe: call {!run} from one domain.
+    Stages may run {!Numerics.Parallel} sections; their worker domains'
+    allocation is added to the stage's counters. *)
 
 val create : unit -> t
 

@@ -1,9 +1,10 @@
 (** Preconditioned conjugate-gradient solver for symmetric
     positive-(semi)definite sparse systems.
 
-    This is the workhorse behind the power-grid DC operating point
-    ({!Spice.Mna}), the finite-volume Korhonen solver ({!Pde}), and the
-    linear-system baseline for steady-state EM stress. A Jacobi (diagonal)
+    This is the workhorse behind the finite-volume Korhonen solver
+    ({!Pde}) and the linear-system baseline for steady-state EM stress,
+    and the independent oracle the tests hold the direct power-grid DC
+    solve ({!Spice.Mna}) against. A Jacobi (diagonal)
     preconditioner is used by default, which is effective on the
     diagonally-dominant conductance Laplacians these applications produce.
 

@@ -1,30 +1,36 @@
 (** Sparse LDL^T (Cholesky) factorization for symmetric positive-definite
     systems, in the style of Davis' LDL: an up-looking factorization
-    driven by the elimination tree, with an optional reverse
-    Cuthill-McKee preordering to keep fill-in low on the banded grid
-    matrices the power-grid solver produces.
+    driven by the elimination tree, under an approximate minimum degree
+    (AMD) preordering that keeps fill low on power-grid conductance
+    matrices.
 
-    Use this when many right-hand sides share one matrix (e.g. IR-drop
-    sensitivity sweeps) or when CG's iteration count blows up; use
-    {!Cg} for very large single-solve systems where the O(fill) memory
-    of a factorization is unwelcome. *)
+    The ordering follows Davis' [cs_amd] (quotient graph,
+    supervariables, element absorption, approximate external degrees)
+    and runs in one flat int workspace of [O(nnz(A) + n)] words, which
+    is garbage before the factor is allocated. The factor itself takes
+    [nnz(L)] ints and floats plus a few [n]-long arrays, and its inner
+    loops work on unboxed floats.
+
+    This is the solver behind {!Spice.Mna}; the factorization can be
+    reused across right-hand sides. *)
 
 type t
 
 type ordering =
   | Natural  (** factorize in the given order *)
-  | Rcm      (** reverse Cuthill-McKee preordering *)
+  | Amd      (** approximate minimum degree preordering *)
 
 exception Not_positive_definite of int
 (** Raised during factorization with the offending pivot's index (in the
-    original numbering). Semidefinite systems (grid Laplacians without a
-    ground connection) raise this: pin a reference first. *)
+    original numbering): a pivot that is not positive, or not finite.
+    Semidefinite systems (grid Laplacians without a ground connection)
+    raise this: pin a reference first. *)
 
 val factorize : ?ordering:ordering -> Sparse.t -> t
 (** The matrix must be square and symmetric (only entries of the lower
     triangle of each row, i.e. column indices [<= row], are read; the
     caller is trusted on symmetry — use {!Sparse.is_symmetric} in tests).
-    Default ordering: [Rcm]. *)
+    Default ordering: [Amd]. *)
 
 val solve : t -> Vector.t -> Vector.t
 (** Solve [A x = b] using the factorization; reusable across many [b]. *)

@@ -77,7 +77,14 @@ let run_slots ~jobs ~local f xs =
       end
       else run_chunk ()
     in
-    let domains = List.init (jobs - 1) (fun w -> Domain.spawn (worker (w + 1))) in
+    let spawned w () =
+      (* Stages count allocation across domains (Obs.Alloc.process). *)
+      let since = Obs.Alloc.domain () in
+      Fun.protect ~finally:(fun () -> Obs.Alloc.record_worker ~since) (worker w)
+    in
+    let domains =
+      List.init (jobs - 1) (fun w -> Domain.spawn (spawned (w + 1)))
+    in
     worker 0 ();
     List.iter Domain.join domains
   end;

@@ -108,6 +108,23 @@ module Builder = struct
     }
 end
 
+let of_csr ~ncols ~row_ptr ~col_idx ~values =
+  let nrows = Array.length row_ptr - 1 in
+  let bad what = invalid_arg ("Sparse.of_csr: " ^ what) in
+  if nrows < 0 || ncols < 0 || row_ptr.(0) <> 0 then bad "row_ptr";
+  let nnz = row_ptr.(nrows) in
+  if Array.length col_idx <> nnz || Array.length values <> nnz then
+    bad "array lengths";
+  for i = 0 to nrows - 1 do
+    if row_ptr.(i + 1) < row_ptr.(i) then bad "row_ptr";
+    for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+      let c = col_idx.(k) in
+      if c < 0 || c >= ncols || (k > row_ptr.(i) && c <= col_idx.(k - 1)) then
+        bad "column indices"
+    done
+  done;
+  { nrows; ncols; row_ptr; col_idx; values }
+
 let nnz m = m.row_ptr.(m.nrows)
 
 let dims m = (m.nrows, m.ncols)

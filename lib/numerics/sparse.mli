@@ -29,6 +29,15 @@ module Builder : sig
   (** Freeze into CSR form, summing duplicates. The builder remains usable. *)
 end
 
+val of_csr :
+  ncols:int -> row_ptr:int array -> col_idx:int array -> values:float array -> t
+(** Adopt CSR arrays assembled elsewhere, without copying: [nrows] is
+    [length row_ptr - 1]. Raises [Invalid_argument] unless [row_ptr]
+    starts at 0 and is non-decreasing, both arrays hold exactly
+    [row_ptr.(nrows)] entries, and each row's columns are in range and
+    strictly increasing. The caller must not mutate the arrays
+    afterwards. *)
+
 val nnz : t -> int
 
 val dims : t -> int * int

@@ -230,11 +230,10 @@ let with_span ?(attrs = []) name f =
     if depth < max_sample_depth then ds.ds_names.(depth) <- name;
     Atomic.set ds.ds_depth (depth + 1);
     let tr = track () in
-    (* [Gc.quick_stat]'s word counters only refresh at GC points, so
-       [Gc.minor_words] (which reads the allocation pointer) supplies
-       the exact minor delta; major/promoted words and collection
-       counts come from the stat record. *)
-    let minor0 = Gc.minor_words () in
+    (* Word counts come from one exact per-domain source ([Alloc],
+       where [Gc.quick_stat]'s words refresh only at GC points);
+       collection counts come from the stat record. *)
+    let a0 = Alloc.domain () in
     let gc0 = Gc.quick_stat () in
     let start_us = Clock.now_us () in
     let finish error =
@@ -242,7 +241,7 @@ let with_span ?(attrs = []) name f =
       Atomic.set ds.ds_depth (max 0 (Atomic.get ds.ds_depth - 1));
       let dur_us = Clock.now_us () -. start_us in
       let gc1 = Gc.quick_stat () in
-      let minor1 = Gc.minor_words () in
+      let a1 = Alloc.domain () in
       record t
         {
           id;
@@ -253,9 +252,9 @@ let with_span ?(attrs = []) name f =
           dur_us;
           error;
           attrs;
-          gc_minor_words = minor1 -. minor0;
-          gc_major_words = gc1.Gc.major_words -. gc0.Gc.major_words;
-          gc_promoted_words = gc1.Gc.promoted_words -. gc0.Gc.promoted_words;
+          gc_minor_words = a1.Alloc.minor -. a0.Alloc.minor;
+          gc_major_words = a1.Alloc.major -. a0.Alloc.major;
+          gc_promoted_words = a1.Alloc.promoted -. a0.Alloc.promoted;
           gc_minor_collections =
             gc1.Gc.minor_collections - gc0.Gc.minor_collections;
           gc_major_collections =

@@ -84,8 +84,8 @@ val with_span : ?attrs:(string * value) list -> string -> (unit -> 'a) -> 'a
 (** [with_span name f] runs [f ()]; when tracing is enabled, the call is
     recorded as a completed span on the calling domain's track, nested
     under the innermost open span of that domain, with the span's GC
-    deltas ([Gc.minor_words] for the exact minor count, [Gc.quick_stat]
-    for the rest) attached. If [f] raises, the span is recorded with
+    deltas ({!Alloc.domain} for the word counts, [Gc.quick_stat] for
+    the collection counts) attached. If [f] raises, the span is recorded with
     [error = true] and the exception propagates. Completed spans are
     also pushed onto the {!Flight} ring when that recorder is on — even
     with no trace sink installed (timed, without ids or GC accounting).

@@ -9,8 +9,8 @@ type analysis = {
   mean_drop : float;
 }
 
-let analyze ?(tol = 1e-10) (grid : Grid_gen.generated) =
-  let sol = Mna.solve ~tol grid.Grid_gen.netlist in
+let analyze (grid : Grid_gen.generated) =
+  let sol = Mna.solve grid.Grid_gen.netlist in
   (* Index node names once. *)
   let index = Hashtbl.create (N.num_nodes grid.Grid_gen.netlist) in
   Array.iteri
@@ -62,9 +62,9 @@ let scale_loads net factor =
 
 type metric = Worst | Mean
 
-let scale_to_ir ?tol ?(metric = Worst) grid ~target =
+let scale_to_ir ?(metric = Worst) grid ~target =
   if target <= 0. then invalid_arg "Irdrop.scale_to_ir: non-positive target";
-  let first = analyze ?tol grid in
+  let first = analyze grid in
   let reading a = match metric with Worst -> a.worst | Mean -> a.mean_drop in
   if reading first <= 0. then
     invalid_arg "Irdrop.scale_to_ir: grid draws no current";
@@ -72,4 +72,4 @@ let scale_to_ir ?tol ?(metric = Worst) grid ~target =
   let scaled =
     { grid with Grid_gen.netlist = scale_loads grid.Grid_gen.netlist factor }
   in
-  (scaled, analyze ?tol scaled)
+  (scaled, analyze scaled)

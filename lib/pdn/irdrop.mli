@@ -17,7 +17,7 @@ type analysis = {
   mean_drop : float;       (** mean over both nets' nodes *)
 }
 
-val analyze : ?tol:float -> Grid_gen.generated -> analysis
+val analyze : Grid_gen.generated -> analysis
 
 val scale_loads : Spice.Netlist.t -> float -> Spice.Netlist.t
 (** Multiply every current source by the factor. *)
@@ -32,7 +32,7 @@ type metric = Worst | Mean
     mean to 5 mV reproduces the paper's current-density ranges. *)
 
 val scale_to_ir :
-  ?tol:float -> ?metric:metric -> Grid_gen.generated -> target:float ->
+  ?metric:metric -> Grid_gen.generated -> target:float ->
   Grid_gen.generated * analysis
 (** Returns the rescaled grid and its (re-solved) analysis; [metric]
     defaults to [Worst]. Raises [Invalid_argument] when the unscaled grid

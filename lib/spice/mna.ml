@@ -1,16 +1,18 @@
 module Sp = Numerics.Sparse
-module Cg = Numerics.Cg
+module Ch = Numerics.Cholesky
 
 type solution = {
   netlist : Netlist.t;
   voltages : float array;
   cg_iterations : int;
   residual : float;
+  free_nodes : int;
+  fill : int;
 }
 
 exception Unsupported of string
 
-type solver = Cg | Cholesky
+let max_residual = 1e-9
 
 (* Representatives after merging zero-ohm shorts. *)
 let short_representatives net =
@@ -33,11 +35,13 @@ let pinned_voltages net uf =
   | Some g -> pinned.(Unionfind.find uf g) <- Some 0.
   | None -> ());
   let sources =
-    Array.to_list net.Netlist.elements
-    |> List.filter_map (function
-         | Netlist.Voltage_source { pos; neg; volts; name } ->
-           Some (Unionfind.find uf pos, Unionfind.find uf neg, volts, name)
-         | Netlist.Resistor _ | Netlist.Current_source _ -> None)
+    Array.fold_right
+      (fun e acc ->
+        match e with
+        | Netlist.Voltage_source { pos; neg; volts; name } ->
+          (Unionfind.find uf pos, Unionfind.find uf neg, volts, name) :: acc
+        | Netlist.Resistor _ | Netlist.Current_source _ -> acc)
+      net.Netlist.elements []
   in
   if sources <> [] && net.Netlist.ground = None then
     raise (Unsupported "voltage sources without a ground node");
@@ -71,107 +75,269 @@ let pinned_voltages net uf =
     sources;
   pinned
 
-let solve ?(tol = 1e-10) ?max_iter ?(solver = Cg) net =
+type system = {
+  matrix : Sp.t;
+  rhs : float array;
+  row_of_node : int array;
+  fixed : float array;
+}
+
+(* Sort one row's (column, value) pairs by column, in place. Rows are
+   short (a grid node has a handful of neighbours), so insertion sort;
+   a long row falls back to a general sort. *)
+let sort_row cols vals lo hi =
+  if hi - lo <= 32 then
+    for p = lo + 1 to hi - 1 do
+      let c = cols.(p) and v = vals.(p) in
+      let q = ref (p - 1) in
+      while !q >= lo && cols.(!q) > c do
+        cols.(!q + 1) <- cols.(!q);
+        vals.(!q + 1) <- vals.(!q);
+        decr q
+      done;
+      cols.(!q + 1) <- c;
+      vals.(!q + 1) <- v
+    done
+  else begin
+    let order = Array.init (hi - lo) (fun k -> lo + k) in
+    Array.sort (fun a b -> Int.compare cols.(a) cols.(b)) order;
+    let c = Array.map (fun k -> cols.(k)) order in
+    let v = Array.map (fun k -> vals.(k)) order in
+    Array.blit c 0 cols lo (hi - lo);
+    Array.blit v 0 vals lo (hi - lo)
+  end
+
+(* Free nodes with no conductive path to a pinned node. Unexcited ones
+   get an identity row (they read 0 V); an excited one is an error,
+   reported with one of its nodes and its size. [tied] marks the rows
+   with a conductance to a pinned node. *)
+let pin_floating net ~row_of_node ~row_ptr ~cols ~vals ~rhs ~tied =
+  let nf = Array.length rhs in
+  let queue = Array.make nf 0 in
+  let tail = ref 0 in
+  for i = 0 to nf - 1 do
+    if Bytes.get tied i <> '\000' then begin
+      queue.(!tail) <- i;
+      incr tail
+    end
+  done;
+  (* Breadth-first from [queue.(from)] up to [!tail], marking with [m]. *)
+  let sweep from m =
+    let head = ref from in
+    while !head < !tail do
+      let i = queue.(!head) in
+      incr head;
+      for p = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+        let j = cols.(p) in
+        if Bytes.get tied j = '\000' then begin
+          Bytes.set tied j m;
+          queue.(!tail) <- j;
+          incr tail
+        end
+      done
+    done
+  in
+  sweep 0 '\001';
+  if !tail < nf then
+    for i = 0 to nf - 1 do
+      if Bytes.get tied i = '\000' then
+        if rhs.(i) <> 0. then begin
+          let from = !tail in
+          Bytes.set tied i '\002';
+          queue.(!tail) <- i;
+          incr tail;
+          sweep from '\002';
+          let size = ref 0 and first = ref (-1) in
+          Array.iteri
+            (fun v r ->
+              if r >= 0 && Bytes.get tied r = '\002' then begin
+                if !first < 0 then first := v;
+                incr size
+              end)
+            row_of_node;
+          raise
+            (Unsupported
+               (Printf.sprintf
+                  "floating subnetwork of %d nodes at %s carries a current \
+                   source but has no conductive path to ground or a supply"
+                  !size
+                  (Netlist.node_name net !first)))
+        end
+        else
+          for p = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+            vals.(p) <- (if cols.(p) = i then 1. else 0.)
+          done
+    done
+
+let assemble net =
   let n = Netlist.num_nodes net in
   if n = 0 then invalid_arg "Mna.solve: empty netlist";
   let uf = short_representatives net in
   let pinned = pinned_voltages net uf in
-  (* Free representative numbering. *)
-  let free_index = Array.make n (-1) in
-  let free_count = ref 0 in
+  if not (Array.exists Option.is_some pinned) then
+    raise (Unsupported "no ground or voltage source to set a reference");
+  (* Rows are the free representatives, in node order; every node maps
+     to its representative's row, or carries its pinned voltage. *)
+  let row_of_node = Array.make n (-1) and fixed = Array.make n 0. in
+  let nf = ref 0 in
   for v = 0 to n - 1 do
     if Unionfind.find uf v = v && pinned.(v) = None then begin
-      free_index.(v) <- !free_count;
-      incr free_count
+      row_of_node.(v) <- !nf;
+      incr nf
     end
   done;
-  let nf = !free_count in
-  let has_reference = Array.exists Option.is_some pinned in
-  if not has_reference then
-    raise (Unsupported "no ground or voltage source to set a reference");
-  let builder = Sp.Builder.create ~expected_nnz:(4 * Array.length net.Netlist.elements) nf nf in
+  for v = 0 to n - 1 do
+    let r = Unionfind.find uf v in
+    match pinned.(r) with
+    | Some volts -> fixed.(v) <- volts
+    | None -> row_of_node.(v) <- row_of_node.(r)
+  done;
+  let nf = !nf in
+  (* Pass 1: row lengths. Every row reserves its diagonal slot first;
+     each resistor between two distinct free rows adds one entry to
+     each. *)
+  let row_ptr = Array.make (nf + 1) 0 in
+  Array.iter
+    (function
+      | Netlist.Resistor { pos; neg; ohms; _ } when ohms > 0. ->
+        let rp = row_of_node.(pos) and rq = row_of_node.(neg) in
+        if rp >= 0 && rq >= 0 && rp <> rq then begin
+          row_ptr.(rp + 1) <- row_ptr.(rp + 1) + 1;
+          row_ptr.(rq + 1) <- row_ptr.(rq + 1) + 1
+        end
+      | Netlist.Resistor _ | Netlist.Current_source _ | Netlist.Voltage_source _
+        -> ())
+    net.Netlist.elements;
+  for i = 0 to nf - 1 do
+    row_ptr.(i + 1) <- row_ptr.(i + 1) + row_ptr.(i) + 1
+  done;
+  let total = row_ptr.(nf) in
+  let cols = Array.make total 0 and vals = Array.make total 0. in
+  let next = Array.make nf 0 in
+  for i = 0 to nf - 1 do
+    cols.(row_ptr.(i)) <- i;
+    next.(i) <- row_ptr.(i) + 1
+  done;
+  (* Pass 2: stamp. *)
   let rhs = Array.make nf 0. in
-  let stamp_conductance p q g =
-    (* p, q are representatives. *)
-    let fp = free_index.(p) and fq = free_index.(q) in
-    (match (fp >= 0, fq >= 0) with
-    | true, true ->
-      Sp.Builder.add builder fp fp g;
-      Sp.Builder.add builder fq fq g;
-      Sp.Builder.add builder fp fq (-.g);
-      Sp.Builder.add builder fq fp (-.g)
-    | true, false ->
-      Sp.Builder.add builder fp fp g;
-      rhs.(fp) <- rhs.(fp) +. (g *. Option.get pinned.(q))
-    | false, true ->
-      Sp.Builder.add builder fq fq g;
-      rhs.(fq) <- rhs.(fq) +. (g *. Option.get pinned.(p))
-    | false, false -> ())
+  let tied = Bytes.make nf '\000' in
+  let stamp_diag r g = vals.(row_ptr.(r)) <- vals.(row_ptr.(r)) +. g in
+  let stamp_off r c g =
+    let s = next.(r) in
+    cols.(s) <- c;
+    vals.(s) <- -.g;
+    next.(r) <- s + 1
   in
   Array.iter
     (function
       | Netlist.Resistor { pos; neg; ohms; _ } when ohms > 0. ->
-        let p = Unionfind.find uf pos and q = Unionfind.find uf neg in
-        if p <> q then stamp_conductance p q (1. /. ohms)
+        let rp = row_of_node.(pos) and rq = row_of_node.(neg) in
+        let g = 1. /. ohms in
+        if rp >= 0 && rq >= 0 then begin
+          if rp <> rq then begin
+            stamp_diag rp g;
+            stamp_diag rq g;
+            stamp_off rp rq g;
+            stamp_off rq rp g
+          end
+        end
+        else if rp >= 0 then begin
+          stamp_diag rp g;
+          rhs.(rp) <- rhs.(rp) +. (g *. fixed.(neg));
+          Bytes.set tied rp '\001'
+        end
+        else if rq >= 0 then begin
+          stamp_diag rq g;
+          rhs.(rq) <- rhs.(rq) +. (g *. fixed.(pos));
+          Bytes.set tied rq '\001'
+        end
       | Netlist.Resistor _ -> () (* shorts already merged *)
       | Netlist.Current_source { pos; neg; amps; _ } ->
         (* amps flows out of [pos] into [neg] through the source. *)
-        let p = Unionfind.find uf pos and q = Unionfind.find uf neg in
-        if free_index.(p) >= 0 then
-          rhs.(free_index.(p)) <- rhs.(free_index.(p)) -. amps;
-        if free_index.(q) >= 0 then
-          rhs.(free_index.(q)) <- rhs.(free_index.(q)) +. amps
+        let rp = row_of_node.(pos) and rq = row_of_node.(neg) in
+        if rp >= 0 then rhs.(rp) <- rhs.(rp) -. amps;
+        if rq >= 0 then rhs.(rq) <- rhs.(rq) +. amps
       | Netlist.Voltage_source _ -> ())
     net.Netlist.elements;
-  let matrix = Sp.Builder.to_csr builder in
-  (* Floating free nodes: no conductance at all. Pin quietly to 0 V when
-     unexcited, reject when a source drives them. *)
-  let diag = Sp.diagonal matrix in
-  let fixup = Sp.Builder.create ~expected_nnz:nf nf nf in
+  (* Sort each row and merge parallel resistors, compacting in place:
+     the write cursor never passes the read cursor. *)
+  let out = ref 0 in
   for i = 0 to nf - 1 do
-    if diag.(i) = 0. then
-      if rhs.(i) = 0. then Sp.Builder.add fixup i i 1.
-      else raise (Unsupported "current source into a floating node")
+    let lo = row_ptr.(i) and hi = row_ptr.(i + 1) in
+    sort_row cols vals lo hi;
+    row_ptr.(i) <- !out;
+    let p = ref lo in
+    while !p < hi do
+      let c = cols.(!p) in
+      let acc = ref vals.(!p) in
+      incr p;
+      while !p < hi && cols.(!p) = c do
+        acc := !acc +. vals.(!p);
+        incr p
+      done;
+      cols.(!out) <- c;
+      vals.(!out) <- !acc;
+      incr out
+    done
   done;
-  let matrix =
-    if Sp.nnz (Sp.Builder.to_csr fixup) = 0 then matrix
-    else Sp.add matrix (Sp.Builder.to_csr fixup)
+  row_ptr.(nf) <- !out;
+  let cols, vals =
+    if !out = total then (cols, vals)
+    else (Array.sub cols 0 !out, Array.sub vals 0 !out)
   in
-  let result =
-    if nf = 0 then
-      { Numerics.Cg.x = [||]; iterations = 0; residual = 0.; converged = true }
-    else begin
-      match solver with
-      | Cg -> Numerics.Cg.solve ?max_iter ~tol matrix rhs
-      | Cholesky ->
-        let x = Numerics.Cholesky.solve (Numerics.Cholesky.factorize matrix) rhs in
-        let r = Sp.mul_vec matrix x in
-        let num = ref 0. and den = ref 1e-300 in
-        Array.iteri
-          (fun i ri ->
-            num := !num +. ((rhs.(i) -. ri) ** 2.);
-            den := !den +. (rhs.(i) ** 2.))
-          r;
-        {
-          Numerics.Cg.x;
-          iterations = 0;
-          residual = sqrt (!num /. !den);
-          converged = true;
-        }
-    end
+  pin_floating net ~row_of_node ~row_ptr ~cols ~vals ~rhs ~tied;
+  {
+    matrix = Sp.of_csr ~ncols:nf ~row_ptr ~col_idx:cols ~values:vals;
+    rhs;
+    row_of_node;
+    fixed;
+  }
+
+(* |b - A x|_2 / |b|_2, or the absolute norm when b = 0. *)
+let relative_residual (a : Sp.t) x b =
+  let num = ref 0. and den = ref 0. in
+  for i = 0 to a.Sp.nrows - 1 do
+    let acc = ref 0. in
+    for p = a.Sp.row_ptr.(i) to a.Sp.row_ptr.(i + 1) - 1 do
+      acc := !acc +. (a.Sp.values.(p) *. x.(a.Sp.col_idx.(p)))
+    done;
+    let r = b.(i) -. !acc in
+    num := !num +. (r *. r);
+    den := !den +. (b.(i) *. b.(i))
+  done;
+  if !den = 0. then sqrt !num else sqrt (!num /. !den)
+
+let solve net =
+  let sys = assemble net in
+  let nf = Array.length sys.rhs in
+  let x, fill =
+    if nf = 0 then ([||], 0)
+    else
+      match Ch.factorize sys.matrix with
+      | f -> (Ch.solve f sys.rhs, Ch.nnz_l f)
+      | exception Ch.Not_positive_definite row ->
+        let node = ref 0 in
+        Array.iteri (fun v r -> if r = row then node := v) sys.row_of_node;
+        raise
+          (Unsupported
+             (Printf.sprintf
+                "conductance matrix is not positive definite at node %s \
+                 (non-finite or non-physical resistance?)"
+                (Netlist.node_name net !node)))
   in
-  let voltages =
-    Array.init n (fun v ->
-        let rep = Unionfind.find uf v in
-        match pinned.(rep) with
-        | Some volts -> volts
-        | None -> result.Cg.x.(free_index.(rep)))
-  in
+  let n = Netlist.num_nodes net in
+  let voltages = Array.make n 0. in
+  for v = 0 to n - 1 do
+    let r = sys.row_of_node.(v) in
+    voltages.(v) <- (if r >= 0 then x.(r) else sys.fixed.(v))
+  done;
   {
     netlist = net;
     voltages;
-    cg_iterations = result.Cg.iterations;
-    residual = result.Cg.residual;
+    cg_iterations = 0;
+    residual = relative_residual sys.matrix x sys.rhs;
+    free_nodes = nf;
+    fill;
   }
 
 let resistor_current sol e =

@@ -92,6 +92,67 @@ let test_explain_malformed_deck () =
       check_one_line_diagnostic ~prefix:"emcheck explain:" r)
 
 (* ---------------------------------------------------------------- *)
+(* analyze: solver health and hostile decks                          *)
+
+let test_analyze_solver_line () =
+  let json = tmp_name "report" ^ ".json" in
+  Fun.protect
+    ~finally:(fun () -> rm_f json)
+    (fun () ->
+      let r = run_cmd (Printf.sprintf "%s analyze %s --json %s" emcheck deck json) in
+      Alcotest.(check int) "exit 0" 0 r.code;
+      let line =
+        List.find_opt
+          (fun l -> String.length l > 10 && String.sub l 0 10 = "DC solve: ")
+          (String.split_on_char '\n' r.out)
+      in
+      match line with
+      | None -> Alcotest.fail "no DC solve line"
+      | Some l ->
+        Scanf.sscanf l "DC solve: %d free nodes, nnz(L) %d, residual %g"
+          (fun free fill residual ->
+            Alcotest.(check bool) "free nodes" true (free > 0);
+            Alcotest.(check bool) "fill" true (fill > 0);
+            Alcotest.(check bool) "residual" true (residual <= 1e-12));
+        let codes =
+          match Ji.list_value (get "diagnostics" (json_of_file json)) with
+          | Some ds ->
+            List.filter_map
+              (fun d -> Option.bind (Ji.member "code" d) Ji.string_value)
+              ds
+          | None -> Alcotest.fail "diagnostics is not a list"
+        in
+        Alcotest.(check bool) "no mna-residual" false
+          (List.mem "mna-residual" codes))
+
+let test_analyze_hostile_solve () =
+  (* A conductance that overflows to infinity, and a floating island a
+     current source drives: each ends in one diagnostic, not a crash. *)
+  List.iter
+    (fun (name, body) ->
+      let bad = tmp_name name ^ ".sp" in
+      Out_channel.with_open_text bad (fun oc -> output_string oc body);
+      Fun.protect
+        ~finally:(fun () -> rm_f bad)
+        (fun () ->
+          let r = run_cmd (Printf.sprintf "%s analyze %s" emcheck bad) in
+          let err = String.trim r.err in
+          Alcotest.(check bool) (name ^ ": nonzero exit") true (r.code <> 0);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: unsupported-netlist diagnostic %S" name err)
+            true
+            (String.starts_with ~prefix:"emcheck: unsupported netlist: " err
+            && not (String.contains err '\n'))))
+    [
+      ( "tiny-r",
+        "* overflowing conductance\nV1 top 0 1.8\nR1 top a 1\nR2 a b 1e-320\n\
+         R3 b 0 1\nI1 a 0 1e-3\n.end\n" );
+      ( "island",
+        "* driven island\nV1 top 0 1.8\nR1 top a 1\nR2 a 0 1\nR3 f1 f2 1\n\
+         I1 f1 f2 1e-3\n.end\n" );
+    ]
+
+(* ---------------------------------------------------------------- *)
 (* record-run -> diff -> history                                     *)
 
 let test_record_diff_history () =
@@ -194,6 +255,11 @@ let suites =
         case "out-of-range index: one line, exit 2" test_explain_out_of_range;
         case "missing deck: one line, exit 2" test_explain_missing_deck;
         case "malformed deck: one line, exit 2" test_explain_malformed_deck;
+      ] );
+    ( "cli.analyze",
+      [
+        case "DC solve line and no residual diagnostic" test_analyze_solver_line;
+        case "hostile solves end in one diagnostic" test_analyze_hostile_solve;
       ] );
     ( "cli.ledger",
       [ slow_case "record-run, diff, history round trip" test_record_diff_history ] );

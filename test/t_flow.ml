@@ -157,7 +157,7 @@ let test_extract_compact_mini_grid () =
   if not (Sys.file_exists path) then Alcotest.skip ()
   else begin
     let netlist = Spice.Parser.parse_file path in
-    let sol = Spice.Mna.solve ~tol:1e-12 netlist in
+    let sol = Spice.Mna.solve netlist in
     check_extraction_equivalence ~tech:Pdn.Tech.ibm_like sol
   end
 
@@ -173,6 +173,39 @@ let test_flow_stages_recorded () =
       Alcotest.(check bool) "nonnegative alloc" true
         (Emflow.Pipeline.allocated_words s >= 0.))
     r.Flow.stages
+
+let test_pipeline_counts_worker_alloc () =
+  (* Four items, each allocating one major-heap array, spread over two
+     domains: the stage must count the worker domain's arrays too. *)
+  let words = 200_000 in
+  let p = Emflow.Pipeline.create () in
+  ignore
+    (Emflow.Pipeline.run p "parallel" (fun () ->
+         Numerics.Parallel.map ~jobs:2
+           (fun _ -> Array.length (Sys.opaque_identity (Array.make words 0)))
+           [| 0; 1; 2; 3 |]));
+  match Emflow.Pipeline.stages p with
+  | [ s ] ->
+    let alloc = Emflow.Pipeline.allocated_words s in
+    Alcotest.(check bool)
+      (Printf.sprintf "all four arrays counted (%.0f words)" alloc)
+      true
+      (alloc >= float_of_int (4 * words))
+  | _ -> Alcotest.fail "one stage expected"
+
+let test_mna_residual_diag () =
+  let sol = Spice.Mna.solve (small_grid ()).Gg.netlist in
+  Alcotest.(check int) "clean solve: no diagnostic" 0
+    (List.length (Flow.mna_diags sol));
+  List.iter
+    (fun residual ->
+      match Flow.mna_diags { sol with Spice.Mna.residual } with
+      | [ d ] ->
+        Alcotest.(check string) "code" "mna-residual" d.Em_core.Diag.code;
+        Alcotest.(check bool) "error" true
+          (d.Em_core.Diag.severity = Em_core.Diag.Error)
+      | _ -> Alcotest.failf "residual %g must give one diagnostic" residual)
+    [ 1e-6; Float.nan ]
 
 let test_pipeline_records_failed_stage () =
   let p = Emflow.Pipeline.create () in
@@ -447,7 +480,7 @@ let test_sample_deck_end_to_end () =
     let findings = Spice.Checker.check netlist in
     Alcotest.(check (list string)) "lint-clean" []
       (List.map (fun f -> f.Spice.Checker.code) findings);
-    let sol = Spice.Mna.solve ~tol:1e-12 netlist in
+    let sol = Spice.Mna.solve netlist in
     (* Golden solution shipped with the deck. *)
     let golden_path = Filename.concat (Filename.dirname path) "mini_grid.solution" in
     (match
@@ -1391,6 +1424,9 @@ let suites =
         case "parallel matches sequential" test_flow_parallel_matches_sequential;
         case "pipeline stages recorded" test_flow_stages_recorded;
         case "pipeline records failed stage" test_pipeline_records_failed_stage;
+        case "pipeline counts worker-domain allocation"
+          test_pipeline_counts_worker_alloc;
+        case "MNA residual out of bounds is an error" test_mna_residual_diag;
       ] );
     ( "flow.fault_isolation",
       [

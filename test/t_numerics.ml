@@ -508,7 +508,7 @@ let test_cholesky_random_spd () =
         check_array_close ~rtol:1e-9 ~atol:1e-12 "second rhs" (Array.make n 1.)
           (Ch.solve f b2)
       done)
-    [ Ch.Natural; Ch.Rcm ]
+    [ Ch.Natural; Ch.Amd ]
 
 let test_cholesky_vs_cg () =
   let rng = Rng.create 67L in
@@ -546,9 +546,9 @@ let test_cholesky_grounded_laplacian () =
   Alcotest.(check bool) "fill bounded on a path" true
     (Ch.nnz_l f <= 2 * n)
 
-let test_cholesky_rcm_reduces_fill () =
-  (* A 2-D grid Laplacian (+I): RCM should not increase fill vs a
-     scrambled natural order. *)
+let test_cholesky_amd_reduces_fill () =
+  (* A 2-D grid Laplacian (+I) under a scrambled numbering: AMD must
+     cut the fill of the natural (scrambled) order. *)
   let rows = 12 and cols = 12 in
   let n = rows * cols in
   let rng = Rng.create 71L in
@@ -572,17 +572,49 @@ let test_cholesky_rcm_reduces_fill () =
   done;
   let a = Sp.Builder.to_csr b in
   let natural = Ch.factorize ~ordering:Ch.Natural a in
-  let rcm = Ch.factorize ~ordering:Ch.Rcm a in
+  let amd = Ch.factorize ~ordering:Ch.Amd a in
   Alcotest.(check bool)
-    (Printf.sprintf "fill: rcm %d vs natural %d" (Ch.nnz_l rcm)
+    (Printf.sprintf "fill: amd %d vs natural %d" (Ch.nnz_l amd)
        (Ch.nnz_l natural))
     true
-    (Ch.nnz_l rcm <= Ch.nnz_l natural);
+    (2 * Ch.nnz_l amd <= Ch.nnz_l natural);
   (* And both solve correctly. *)
   let x_true = Array.init n (fun i -> float_of_int (i mod 7)) in
   let rhs = Sp.mul_vec a x_true in
   check_array_close ~rtol:1e-9 ~atol:1e-10 "scrambled grid" x_true
-    (Ch.solve rcm rhs)
+    (Ch.solve amd rhs);
+  check_array_close ~rtol:1e-9 ~atol:1e-10 "natural order" x_true
+    (Ch.solve natural rhs)
+
+let test_cholesky_amd_degenerate () =
+  (* Empty, 1x1, diagonal-only and a dense row (star centre past the
+     dense threshold, ordered last) all give valid permutations. *)
+  let check_perm name a =
+    let f = Ch.factorize a in
+    let n = Ch.dim f in
+    let p = Ch.ordering_permutation f in
+    Array.sort compare p;
+    Alcotest.(check (array int)) name (Array.init n (fun i -> i)) p;
+    let x_true = Array.init n (fun i -> 1. +. float_of_int i) in
+    check_array_close ~rtol:1e-9 name x_true (Ch.solve f (Sp.mul_vec a x_true))
+  in
+  check_perm "empty" (Sp.Builder.to_csr (Sp.Builder.create 0 0));
+  check_perm "1x1" (Sp.identity 1);
+  check_perm "diagonal" (Sp.identity 7);
+  let n = 300 in
+  let b = Sp.Builder.create n n in
+  for i = 1 to n - 1 do
+    Sp.Builder.add b i i 2.;
+    Sp.Builder.add b 0 0 1.;
+    Sp.Builder.add b 0 i (-1.);
+    Sp.Builder.add b i 0 (-1.)
+  done;
+  Sp.Builder.add b 0 0 1.;
+  let star = Sp.Builder.to_csr b in
+  check_perm "star" star;
+  let f = Ch.factorize star in
+  Alcotest.(check int) "dense centre last" 0 (Ch.ordering_permutation f).(n - 1);
+  Alcotest.(check int) "no fill" (n - 1) (Ch.nnz_l f)
 
 let test_cholesky_permutation_is_permutation () =
   let rng = Rng.create 73L in
@@ -751,7 +783,8 @@ let suites =
         case "agrees with CG" test_cholesky_vs_cg;
         case "rejects non-SPD" test_cholesky_not_spd;
         case "grounded Laplacian" test_cholesky_grounded_laplacian;
-        case "RCM fill on scrambled grid" test_cholesky_rcm_reduces_fill;
+        case "AMD fill on scrambled grid" test_cholesky_amd_reduces_fill;
+        case "AMD on degenerate patterns" test_cholesky_amd_degenerate;
         case "ordering is a permutation" test_cholesky_permutation_is_permutation;
       ] );
     ( "numerics.tridiag",

@@ -287,7 +287,7 @@ let test_mna_wheatstone () =
   N.Builder.add_resistor b ~name:"Rc" "s" "r" 50.;
   N.Builder.add_resistor b ~name:"Rd" "r" "0" 100.;
   N.Builder.add_resistor b ~name:"Rbridge" "l" "r" 10.;
-  let sol = Mna.solve ~tol:1e-13 (N.Builder.finish b) in
+  let sol = Mna.solve (N.Builder.finish b) in
   check_close ~atol:1e-7 "balanced bridge" 0. (Mna.resistor_current sol 5);
   check_close ~rtol:1e-7 "left mid" (10. *. 200. /. 300.)
     (Option.get (Mna.node_voltage sol "l"))
@@ -351,7 +351,7 @@ let test_mna_grid_kcl () =
     N.Builder.add_current_source b name "0" 0.01;
     prev := name
   done;
-  let sol = Mna.solve ~tol:1e-13 (N.Builder.finish b) in
+  let sol = Mna.solve (N.Builder.finish b) in
   (* Element 1 is the first ladder resistor: carries all 0.1 A. *)
   check_close ~rtol:1e-9 "total current" 0.1 (Mna.resistor_current sol 1)
 
@@ -435,8 +435,17 @@ let prop_print_parse_fixpoint seed =
   String.equal text (N.to_string reparsed)
 
 
+(* Independent oracle for the direct solve: Jacobi-CG at a tight
+   tolerance on the same assembled system, mapped back to nodes. *)
+let cg_voltages net =
+  let sys = Mna.assemble net in
+  let x = (Numerics.Cg.solve ~tol:1e-13 sys.Mna.matrix sys.Mna.rhs).Numerics.Cg.x in
+  Array.mapi
+    (fun v r -> if r >= 0 then x.(r) else sys.Mna.fixed.(v))
+    sys.Mna.row_of_node
+
 let test_mna_cholesky_matches_cg () =
-  (* Both solvers on the same grid netlist give the same voltages. *)
+  (* The LDL^T solve and the CG oracle give the same voltages. *)
   let b = N.Builder.create () in
   let rng = Numerics.Rng.create 83L in
   N.Builder.add_voltage_source b "pad" "0" 1.8;
@@ -453,15 +462,177 @@ let test_mna_cholesky_matches_cg () =
   N.Builder.add_resistor b (name 5) (name 40) 0.3;
   N.Builder.add_resistor b (name 12) (name 55) 0.2;
   let net = N.Builder.finish b in
-  let iterative = Mna.solve ~tol:1e-13 ~solver:Mna.Cg net in
-  let direct = Mna.solve ~solver:Mna.Cholesky net in
+  let direct = Mna.solve net in
   Alcotest.(check bool) "direct residual tiny" true
-    (direct.Mna.residual < 1e-10);
+    (direct.Mna.residual < 1e-12);
   Alcotest.(check int) "direct reports 0 iterations" 0
     direct.Mna.cg_iterations;
+  Alcotest.(check int) "free nodes" 60 direct.Mna.free_nodes;
   check_array_close ~rtol:1e-8 ~atol:1e-11 "voltages agree"
-    iterative.Mna.voltages direct.Mna.voltages
+    (cg_voltages net) direct.Mna.voltages
 
+(* A resistor mesh over a rows x cols grid with everything the decks
+   carry: chords, parallel resistors, zero-ohm shorts, pads and loads.
+   The grid keeps it connected to the pads. *)
+let random_mesh seed =
+  let rng = Numerics.Rng.create (Int64.of_int (seed + 977)) in
+  let rows = 3 + Numerics.Rng.int rng 6 and cols = 3 + Numerics.Rng.int rng 6 in
+  let node r c = Printf.sprintf "n1_%d_%d" (r * 100) (c * 100) in
+  let random_node () =
+    node (Numerics.Rng.int rng rows) (Numerics.Rng.int rng cols)
+  in
+  let ohms () = 0.01 +. Numerics.Rng.float rng 1. in
+  let b = N.Builder.create ~title:"mesh" () in
+  for r = 0 to rows - 1 do
+    for c = 0 to cols - 1 do
+      if c + 1 < cols then N.Builder.add_resistor b (node r c) (node r (c + 1)) (ohms ());
+      if r + 1 < rows then N.Builder.add_resistor b (node r c) (node (r + 1) c) (ohms ())
+    done
+  done;
+  for _ = 1 to Numerics.Rng.int rng (rows * cols / 2) do
+    let a = random_node () and z = random_node () in
+    if a <> z then N.Builder.add_resistor b a z (ohms ())
+  done;
+  (* Parallel resistors on grid edges. *)
+  for _ = 1 to Numerics.Rng.int rng 4 do
+    let r = Numerics.Rng.int rng rows and c = Numerics.Rng.int rng (cols - 1) in
+    N.Builder.add_resistor b (node r c) (node r (c + 1)) (ohms ())
+  done;
+  (* Zero-ohm shorts between vertical neighbours. *)
+  for _ = 1 to Numerics.Rng.int rng 3 do
+    let r = Numerics.Rng.int rng (rows - 1) and c = Numerics.Rng.int rng cols in
+    N.Builder.add_resistor b (node r c) (node (r + 1) c) 0.
+  done;
+  for k = 0 to Numerics.Rng.int rng 3 do
+    N.Builder.add_voltage_source b ~name:(Printf.sprintf "V%d" k) (random_node ())
+      "0" 1.8
+  done;
+  for _ = 1 to rows * cols / 2 do
+    N.Builder.add_current_source b (random_node ()) "0"
+      (Numerics.Rng.float rng 1e-2)
+  done;
+  N.Builder.finish b
+
+(* The triplet assembly Mna used before the direct CSR build, on the
+   same row numbering. *)
+let builder_assembly net (sys : Mna.system) =
+  let nf = Array.length sys.Mna.rhs in
+  let b = Numerics.Sparse.Builder.create nf nf in
+  let add = Numerics.Sparse.Builder.add b in
+  let rhs = Array.make nf 0. in
+  let row v = sys.Mna.row_of_node.(v) in
+  Array.iter
+    (function
+      | N.Resistor { pos; neg; ohms; _ } when ohms > 0. ->
+        let fp = row pos and fq = row neg and g = 1. /. ohms in
+        if fp >= 0 && fq >= 0 then begin
+          if fp <> fq then begin
+            add fp fp g;
+            add fq fq g;
+            add fp fq (-.g);
+            add fq fp (-.g)
+          end
+        end
+        else if fp >= 0 then begin
+          add fp fp g;
+          rhs.(fp) <- rhs.(fp) +. (g *. sys.Mna.fixed.(neg))
+        end
+        else if fq >= 0 then begin
+          add fq fq g;
+          rhs.(fq) <- rhs.(fq) +. (g *. sys.Mna.fixed.(pos))
+        end
+      | N.Resistor _ | N.Voltage_source _ -> ()
+      | N.Current_source { pos; neg; amps; _ } ->
+        if row pos >= 0 then rhs.(row pos) <- rhs.(row pos) -. amps;
+        if row neg >= 0 then rhs.(row neg) <- rhs.(row neg) +. amps)
+    net.N.elements;
+  (Numerics.Sparse.Builder.to_csr b, rhs)
+
+let prop_csr_matches_builder seed =
+  let net = random_mesh seed in
+  let sys = Mna.assemble net in
+  let m, rhs = builder_assembly net sys in
+  let a = sys.Mna.matrix in
+  (* Duplicates may be summed in another order: a few ulps apart. *)
+  let close x y =
+    Float.abs (x -. y) <= 4. *. epsilon_float *. Float.max (Float.abs x) (Float.abs y)
+  in
+  let n = Array.length rhs in
+  n > 0
+  && Numerics.Sparse.dims a = Numerics.Sparse.dims m
+  && a.Numerics.Sparse.row_ptr = m.Numerics.Sparse.row_ptr
+  && a.Numerics.Sparse.col_idx = m.Numerics.Sparse.col_idx
+  && Array.for_all2 close a.Numerics.Sparse.values m.Numerics.Sparse.values
+  && sys.Mna.rhs = rhs
+
+let prop_amd_fill seed =
+  let a = (Mna.assemble (random_mesh seed)).Mna.matrix in
+  let n = fst (Numerics.Sparse.dims a) in
+  let amd = Numerics.Cholesky.factorize a in
+  let natural = Numerics.Cholesky.factorize ~ordering:Numerics.Cholesky.Natural a in
+  let p = Numerics.Cholesky.ordering_permutation amd in
+  Array.sort compare p;
+  p = Array.init n (fun i -> i)
+  && Numerics.Cholesky.nnz_l amd <= Numerics.Cholesky.nnz_l natural
+
+let prop_ldl_matches_cg seed =
+  let net = random_mesh seed in
+  let sol = Mna.solve net in
+  let oracle = cg_voltages net in
+  sol.Mna.residual <= 1e-12
+  && Array.for_all2
+       (fun e a -> Float.abs (e -. a) <= 1e-11 +. (1e-8 *. Float.abs e))
+       oracle sol.Mna.voltages
+
+let island b =
+  (* Three nodes in a chain, no path to the pad or ground. *)
+  N.Builder.add_resistor b "fa" "fb" 1.;
+  N.Builder.add_resistor b "fb" "fc" 2.
+
+let test_mna_floating_unexcited () =
+  let b = N.Builder.create () in
+  N.Builder.add_voltage_source b "top" "0" 1.8;
+  N.Builder.add_resistor b "top" "mid" 1.;
+  N.Builder.add_resistor b "mid" "0" 2.;
+  island b;
+  let sol = Mna.solve (N.Builder.finish b) in
+  List.iter
+    (fun n -> check_close (n ^ " pinned at 0 V") 0. (Option.get (Mna.node_voltage sol n)))
+    [ "fa"; "fb"; "fc" ];
+  check_close ~rtol:1e-12 "rest solves" 1.2 (Option.get (Mna.node_voltage sol "mid"));
+  Alcotest.(check bool) "residual" true (sol.Mna.residual < 1e-12)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let test_mna_floating_excited () =
+  let b = N.Builder.create () in
+  N.Builder.add_voltage_source b "top" "0" 1.8;
+  N.Builder.add_resistor b "top" "mid" 1.;
+  N.Builder.add_resistor b "mid" "0" 2.;
+  island b;
+  N.Builder.add_current_source b "fc" "fa" 1e-3;
+  match Mna.solve (N.Builder.finish b) with
+  | exception Mna.Unsupported msg ->
+    Alcotest.(check bool) ("names a node and the size: " ^ msg) true
+      (contains msg "3 nodes"
+      && List.exists (fun n -> contains msg (" " ^ n ^ " ")) [ "fa"; "fb"; "fc" ])
+  | _ -> Alcotest.fail "a driven floating subnetwork must be rejected"
+
+let test_mna_non_finite_conductance () =
+  (* 1 / 1e-320 overflows to infinity: the factorization's pivot check
+     must surface as Unsupported, never as a Cholesky exception. *)
+  let b = N.Builder.create () in
+  N.Builder.add_voltage_source b "top" "0" 1.8;
+  N.Builder.add_resistor b "top" "a" 1.;
+  N.Builder.add_resistor b "a" "b" 1e-320;
+  N.Builder.add_resistor b "b" "0" 1.;
+  match Mna.solve (N.Builder.finish b) with
+  | exception Mna.Unsupported msg ->
+    Alcotest.(check bool) ("says why: " ^ msg) true (contains msg "positive definite")
+  | _ -> Alcotest.fail "a non-finite conductance must be rejected"
 
 (* ---------------------------------------------------------------- *)
 (* Solution files                                                    *)
@@ -481,7 +652,7 @@ let test_solution_roundtrip () =
     s parsed
 
 let test_solution_check () =
-  let sol = Mna.solve ~tol:1e-13 (divider ()) in
+  let sol = Mna.solve (divider ()) in
   let golden = Sf.of_solution sol in
   (match Sf.check ~reference:golden sol with
   | Ok () -> ()
@@ -569,5 +740,14 @@ let suites =
         case "no reference rejected" test_mna_no_reference;
         case "ladder KCL" test_mna_grid_kcl;
         case "Cholesky solver matches CG" test_mna_cholesky_matches_cg;
+        case "floating subnetwork pinned at 0 V" test_mna_floating_unexcited;
+        case "driven floating subnetwork rejected" test_mna_floating_excited;
+        case "non-finite conductance rejected" test_mna_non_finite_conductance;
+        qcheck ~count:200 "CSR assembly equals triplet assembly"
+          QCheck2.Gen.(int_bound 1_000_000) prop_csr_matches_builder;
+        qcheck ~count:200 "AMD order: permutation, fill <= natural"
+          QCheck2.Gen.(int_bound 1_000_000) prop_amd_fill;
+        qcheck ~count:200 "LDL^T voltages match CG"
+          QCheck2.Gen.(int_bound 1_000_000) prop_ldl_matches_cg;
       ] );
   ]
