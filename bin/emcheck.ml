@@ -737,14 +737,21 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
           seed = Int64.of_int mc_seed;
         }
       in
+      (* CPU time and allocation of every domain the engine runs on, so
+         the header says where the phase's time and memory went. *)
+      let cpu0 = Sys.time () and a0 = Obs.Alloc.process () in
       let vr =
         match extracted with
         | `Boxed all -> Emflow.Variation.run ~material ?jobs spec all
         | `Fused all -> Emflow.Variation.run_compact ~material ?jobs spec all
       in
+      let words = Obs.Alloc.words ~since:a0 (Obs.Alloc.process ()) in
+      let cpu1 = Sys.time () in
       Printf.printf
-        "\nMonte-Carlo variation (%d samples/structure, seed %d, %.2fs):\n"
-        mc_samples mc_seed vr.Emflow.Variation.mc_time;
+        "\nMonte-Carlo variation (%d samples/structure, seed %d, %.2fs wall, \
+         %.2fs cpu, %s alloc):\n"
+        mc_samples mc_seed vr.Emflow.Variation.mc_time (cpu1 -. cpu0)
+        (Format.asprintf "%a" Emflow.Pipeline.pp_words words);
       Rp.print (Emflow.Variation.to_table vr.Emflow.Variation.stats);
       Some vr
     end

@@ -30,6 +30,9 @@ val allocated_words : stage -> float
 (** Total words freshly allocated during the stage
     ([minor + major - promoted], the standard double-count correction). *)
 
+val pp_words : Format.formatter -> float -> unit
+(** A word count with a k/M/G unit, e.g. [1.61Mw]. *)
+
 type t
 (** Mutable stage recorder. Not thread-safe: call {!run} from one domain.
     Stages may run {!Numerics.Parallel} sections; their worker domains'

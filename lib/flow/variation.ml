@@ -62,6 +62,12 @@ let structure_seconds =
 let factor rng sigma =
   if sigma <= 0. then 1. else Rng.gaussian_positive rng ~mean:1. ~stddev:sigma
 
+(* [factor], stored into [dst.(i)]: the engine's draws never box a
+   float. *)
+let[@inline] factor_into rng sigma dst i =
+  if sigma <= 0. then dst.(i) <- 1.
+  else Rng.gaussian_positive_into rng ~mean:1. ~stddev:sigma dst i
+
 let perturb_structure rng spec s =
   let g = St.graph s in
   St.make ~num_nodes:(St.num_nodes s)
@@ -111,6 +117,8 @@ type scratch = {
   mutable minb : float array;  (* per sample: min_i b_i *)
   mutable maxb : float array;  (* per sample: max_i b_i *)
   mutable thr : float array;   (* per sample: perturbed threshold *)
+  mutable peak : float array;  (* per sample: finite peak stresses, packed *)
+  fac : float array;           (* the width and thickness factors drawn *)
 }
 
 let scratch_create () =
@@ -118,6 +126,8 @@ let scratch_create () =
     ws = Ss.Workspace.create ();
     whp = [||]; jp = [||]; b = [||];
     acc_a = [||]; acc_q = [||]; minb = [||]; maxb = [||]; thr = [||];
+    peak = [||];
+    fac = Array.make 2 0.;
   }
 
 let grown a len = if Array.length a >= len then a else Array.make len 0.
@@ -130,7 +140,8 @@ let scratch_reserve sc ~segments ~nodes ~block =
   sc.acc_q <- grown sc.acc_q block;
   sc.minb <- grown sc.minb block;
   sc.maxb <- grown sc.maxb block;
-  sc.thr <- grown sc.thr block
+  sc.thr <- grown sc.thr block;
+  sc.peak <- grown sc.peak block
 
 (* Cap the per-domain slab memory at ~32 MB regardless of the sample
    count or structure size: the block shrinks for huge structures. The
@@ -172,6 +183,10 @@ let mc_structure material spec sc rng ~index (cs : Extract.compact_structure) =
   let whp = sc.whp and jp = sc.jp and b = sc.b in
   let acc_a = sc.acc_a and acc_q = sc.acc_q in
   let minb = sc.minb and maxb = sc.maxb and thr = sc.thr in
+  let peak = sc.peak in
+  let fac = sc.fac in
+  let width_sigma = spec.width_sigma in
+  let thickness_sigma = spec.thickness_sigma in
   let s_node = sched.Ss.Schedule.node in
   let s_parent = sched.Ss.Schedule.parent in
   let s_edge = sched.Ss.Schedule.edge in
@@ -185,12 +200,14 @@ let mc_structure material spec sc rng ~index (cs : Extract.compact_structure) =
        thickness factor; then the sample's critical-stress factor. *)
     for s = 0 to bs - 1 do
       for k = 0 to m - 1 do
-        let fw = factor rng spec.width_sigma in
-        let ft = factor rng spec.thickness_sigma in
+        factor_into rng width_sigma fac 0;
+        factor_into rng thickness_sigma fac 1;
+        let fw = fac.(0) and ft = fac.(1) in
         whp.((k * bs) + s) <- widths.(k) *. fw *. (heights.(k) *. ft);
         jp.((k * bs) + s) <- js.(k) /. (fw *. ft)
       done;
-      thr.(s) <- sigma_c *. factor rng spec.crit_sigma
+      factor_into rng spec.crit_sigma fac 0;
+      thr.(s) <- sigma_c *. fac.(0)
     done;
     (* Step 1: replay the recorded BFS across the block. Each lane
        evaluates exactly the floating-point expressions the scalar
@@ -238,20 +255,26 @@ let mc_structure material spec sc rng ~index (cs : Extract.compact_structure) =
     (* Step 4: per-sample verdicts. A lane whose normalization or
        extreme stress is not finite is the vectorized analogue of
        [Steady_state.Degenerate]: counted, excluded from the estimators
-       and from the mortality denominator, never fatal. *)
+       and from the mortality denominator, never fatal. The finite
+       peaks are packed in sample order and fed to the estimators a
+       block at a time, which sees the same sequence as per-sample
+       adds without boxing a float per sample. *)
+    let ok = ref 0 in
     for s = 0 to bs - 1 do
       let qa = acc_q.(s) /. acc_a.(s) in
       let mx = beta *. (qa -. minb.(s)) in
       let mn = beta *. (qa -. maxb.(s)) in
       if Float.is_finite mx && Float.is_finite mn then begin
-        Stats.Online.add online mx;
-        Stats.P2.add q50 mx;
-        Stats.P2.add q90 mx;
-        Stats.P2.add q99 mx;
+        peak.(!ok) <- mx;
+        incr ok;
         if mx >= thr.(s) then incr mortal
       end
       else incr failed
     done;
+    Stats.Online.add_slice online peak 0 !ok;
+    Stats.P2.add_slice q50 peak 0 !ok;
+    Stats.P2.add_slice q90 peak 0 !ok;
+    Stats.P2.add_slice q99 peak 0 !ok;
     remaining := !remaining - bs
   done;
   Obs.Metrics.inc_by samples_total spec.samples;
@@ -272,11 +295,14 @@ let mc_structure material spec sc rng ~index (cs : Extract.compact_structure) =
     q99_max_stress = Stats.P2.quantile q99;
   }
 
-let run_one material spec sc rng ~index (cs : Extract.compact_structure) =
+let run_one material spec sc seed ~index (cs : Extract.compact_structure) =
   Obs.Metrics.inc structures_total;
   let work () =
     Obs.Metrics.time structure_seconds (fun () ->
-        mc_structure material spec sc rng ~index cs)
+        (* The stream is created here, on the worker that draws from
+           it: states allocated side by side by one domain would share
+           cache lines that every draw writes. *)
+        mc_structure material spec sc (Rng.create seed) ~index cs)
   in
   if Obs.Trace.enabled () then
     Obs.Trace.with_span "variation.structure"
@@ -319,15 +345,14 @@ let run_compact ?(material = M.cu_dac21) ?jobs spec structures =
   let t0 = Unix.gettimeofday () in
   let arr = Array.of_list structures in
   let nstruct = Array.length arr in
-  (* One independent stream per structure, split off sequentially in
-     index order before any work is dispatched: the randomness a
+  (* One independent stream per structure, its seed split off
+     sequentially in index order before any work is dispatched
+     ([Rng.split t] is [Rng.create (Rng.int64 t)]): the randomness a
      structure sees is a pure function of (seed, index), so results are
-     bit-identical at every [jobs] and across runs. *)
+     bit-identical at every [jobs], under any hand-out order, and across
+     runs. *)
   let master = Rng.create spec.seed in
-  let rngs = Array.make nstruct master in
-  for i = 0 to nstruct - 1 do
-    rngs.(i) <- Rng.split master
-  done;
+  let seeds = Array.init nstruct (fun _ -> Rng.int64 master) in
   (* Live progress restarts for the Monte-Carlo phase: a long
      [--variation] run would otherwise freeze /healthz at the solve
      phase's final count. Each structure counts when its whole sample
@@ -337,7 +362,7 @@ let run_compact ?(material = M.cu_dac21) ?jobs spec structures =
   let slots =
     Parallel.map_local_result ?jobs ~local:scratch_create
       (fun sc index ->
-        match run_one material spec sc rngs.(index) ~index arr.(index) with
+        match run_one material spec sc seeds.(index) ~index arr.(index) with
         | v ->
           Obs.Runtime.structure_done ();
           v

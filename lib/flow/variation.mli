@@ -29,12 +29,16 @@
 
     {2 Determinism}
 
-    Each structure gets its own {!Numerics.Rng.split} stream, split off
-    sequentially in input order before any work is dispatched; the
-    engine parallelizes across structures only. Results are therefore
-    bit-identical for a fixed [spec] at any [jobs] value, across runs,
-    and at any [block] size (draws are consumed per sample, and no lane
-    reads another lane's data).
+    Each structure gets its own stream, the one {!Numerics.Rng.split}
+    would give: its seed is drawn from the master sequentially in input
+    order before any work is dispatched, and the stream is created from
+    that seed on the worker domain that consumes it. The engine
+    parallelizes across structures only, and workers claim structures
+    dynamically, so which domain runs a structure depends on timing but
+    the draws it sees do not. Results are therefore bit-identical for a
+    fixed [spec] at any [jobs] value, across runs, and at any [block]
+    size (draws are consumed per sample, and no lane reads another
+    lane's data).
 
     {2 Fault isolation}
 

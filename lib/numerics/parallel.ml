@@ -13,10 +13,18 @@ let chunk ~n ~jobs w =
   let len = base + if w < extra then 1 else 0 in
   (lo, len)
 
+(* Items per hand-out: about eight batches per worker, so a worker that
+   drew the expensive items leaves the rest to the others, while one
+   [fetch_and_add] still covers many cheap items. *)
+let batch_size ~n ~jobs = max 1 (n / (8 * jobs))
+
 (* Shared driver: every slot is written exactly once with either the
    value or the exception (plus its backtrace) raised while computing
-   it, so one poisoned item never aborts the rest of its chunk and no
-   synchronization beyond join is needed. *)
+   it, so one poisoned item never aborts the rest of its batch and no
+   synchronization beyond the shared cursor and the join is needed.
+   Workers claim contiguous batches from the cursor until it passes
+   [n]; which worker computes which item depends on timing, but every
+   slot's value depends only on its item and the worker's state. *)
 let run_slots ~jobs ~local f xs =
   let n = Array.length xs in
   let out =
@@ -46,18 +54,26 @@ let run_slots ~jobs ~local f xs =
     done
   end
   else begin
+    let batch = batch_size ~n ~jobs in
+    let cursor = Atomic.make 0 in
     let worker w () =
       (* One state per worker domain, created inside the domain so any
          mutable buffers it holds are never shared. *)
       let state = local () in
-      let lo, len = chunk ~n ~jobs w in
-      let run_chunk () =
+      let run_batches () =
         Obs.Log.debug (fun () ->
-            ( "parallel chunk start",
-              [ ("worker", Obs.Trace.Int w); ("items", Obs.Trace.Int len) ] ));
-        for i = lo to lo + len - 1 do
-          body state i
-        done
+            ( "parallel worker start",
+              [ ("worker", Obs.Trace.Int w); ("batch", Obs.Trace.Int batch) ] ));
+        let rec claim () =
+          let lo = Atomic.fetch_and_add cursor batch in
+          if lo < n then begin
+            for i = lo to min n (lo + batch) - 1 do
+              body state i
+            done;
+            claim ()
+          end
+        in
+        claim ()
       in
       if Obs.Trace.enabled () then begin
         (* Label the lane so the trace viewer shows worker-N rather than a
@@ -72,10 +88,10 @@ let run_slots ~jobs ~local f xs =
           (fun () ->
             Obs.Trace.with_span
               ~attrs:
-                [ ("worker", Obs.Trace.Int w); ("items", Obs.Trace.Int len) ]
-              "parallel.chunk" run_chunk)
+                [ ("worker", Obs.Trace.Int w); ("batch", Obs.Trace.Int batch) ]
+              "parallel.chunk" run_batches)
       end
-      else run_chunk ()
+      else run_batches ()
     in
     let spawned w () =
       (* Stages count allocation across domains (Obs.Alloc.process). *)
@@ -126,7 +142,8 @@ let map ?jobs f xs =
 
 let map_list ?jobs f xs = Array.to_list (map ?jobs f (Array.of_list xs))
 
-(* Static contiguous index ranges, one per worker. The caller's [f] must
+(* Static contiguous index ranges, [jobs] of them, handed to the workers
+   like any other items (batch size 1 here). The caller's [f] must
    only write state disjoint per range (e.g. distinct array slices);
    with that contract the decomposition is free of synchronization
    beyond the final join, and — because the ranges partition [0, n) the

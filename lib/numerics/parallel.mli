@@ -1,10 +1,15 @@
 (** Minimal fork-join parallelism on OCaml 5 domains.
 
-    [map ~jobs f xs] splits the work into contiguous chunks, runs each in
-    its own domain and preserves order. Use for pure, CPU-bound [f] over
-    independent items (per-structure EM analysis, Monte-Carlo samples);
-    the chunking is static, so items should have comparable cost or be
-    numerous enough to average out.
+    [map ~jobs f xs] runs [f] over the items on [jobs] domains and
+    preserves order. Use for pure, CPU-bound [f] over independent items
+    (per-structure EM analysis, Monte-Carlo samples). The items are
+    handed out dynamically: workers claim contiguous batches of about
+    [n / (8 jobs)] items from a shared atomic cursor until none are
+    left, so a few expensive items at the front of [xs] do not pin the
+    whole run to one worker. Which domain computes which item therefore
+    depends on timing; a slot's value must depend only on its item (and,
+    for the [_local] variants, on state that is not observable in the
+    result).
 
     Failure semantics: every slot is computed independently. The
     [*_result] variants capture each item's outcome — value, or
@@ -26,7 +31,8 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 
 val map_local : ?jobs:int -> local:(unit -> 's) -> ('s -> 'a -> 'b) -> 'a array -> 'b array
 (** Like {!map}, but each worker domain first creates its own local state
-    with [local ()] and threads it through every call it makes — the way
+    with [local ()] and threads it through every call it makes on that
+    domain, whichever items it claims — the way
     to give each domain a private scratch workspace (e.g. a
     [Steady_state.Workspace.t]) without any sharing or locking. With
     [jobs <= 1] a single state is created in the calling domain. *)
@@ -56,7 +62,8 @@ val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
 val iter_ranges : ?jobs:int -> n:int -> (lo:int -> hi:int -> unit) -> unit
 (** Run [f ~lo ~hi] over a static partition of [0, n) into (at most)
-    [jobs] contiguous half-open ranges, one per worker domain —
+    [jobs] contiguous half-open ranges, run on up to [jobs] domains (the
+    partition is fixed; only which domain runs a range varies) —
     intra-structure work decomposition for per-element passes (e.g. the
     stress fill of a single huge solve). [f] must confine its writes to
     state disjoint per range; element-wise computations that do not read

@@ -3,7 +3,16 @@
     All synthetic workloads (grid synthesis, current maps, random
     structures) draw from this generator so that every experiment is
     reproducible from a printed seed, independent of the OCaml stdlib
-    [Random] state. *)
+    [Random] state.
+
+    Draws allocate nothing: the state is kept unboxed and every
+    intermediate stays in registers, so only a [float] or [int64]
+    returned across a module boundary is boxed by the caller's
+    compiler. Hot loops use {!gaussian_positive_into}, which stores
+    into an array instead. The stream is fixed, and unchanged since the
+    state was a boxed [int64]: a given seed yields the same values, bit
+    for bit, from every function here, and generated decks and recorded
+    references depend on that. *)
 
 type t
 
@@ -12,7 +21,9 @@ val create : int64 -> t
 
 val split : t -> t
 (** A statistically independent generator derived from (and advancing)
-    [t]; used to give each grid layer / region its own stream. *)
+    [t]; used to give each grid layer / region its own stream.
+    [split t] is [create (int64 t)], so a seed drawn with {!int64} can
+    be turned into the same stream later, on another domain. *)
 
 val int64 : t -> int64
 (** Next raw 64-bit value. *)
@@ -39,6 +50,12 @@ val gaussian_positive : t -> mean:float -> stddev:float -> float
     for [stddev <~ mean / 3]). The number of draws consumed is variable,
     so interleaved streams must not assume a fixed stride. [mean] must
     be > 0 so termination is (probabilistically) guaranteed. *)
+
+val gaussian_positive_into :
+  t -> mean:float -> stddev:float -> float array -> int -> unit
+(** [gaussian_positive_into t ~mean ~stddev dst i] stores
+    [gaussian_positive t ~mean ~stddev] into [dst.(i)], consuming the
+    same draws, without allocating. *)
 
 val exponential : t -> rate:float -> float
 

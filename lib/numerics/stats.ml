@@ -68,24 +68,33 @@ let max_rel_error x y =
   !acc
 
 module Online = struct
-  type t = { mutable n : int; mutable mu : float; mutable m2 : float }
+  (* An all-float record is stored flat, so updating it never boxes;
+     the count is exact as a float up to 2^53. *)
+  type t = { mutable n : float; mutable mu : float; mutable m2 : float }
 
-  let create () = { n = 0; mu = 0.; m2 = 0. }
+  let create () = { n = 0.; mu = 0.; m2 = 0. }
 
   (* Welford's update: numerically stable, one pass, O(1) memory. *)
-  let add t x =
-    t.n <- t.n + 1;
+  let[@inline] push t x =
+    t.n <- t.n +. 1.;
     let d = x -. t.mu in
-    t.mu <- t.mu +. (d /. float_of_int t.n);
+    t.mu <- t.mu +. (d /. t.n);
     t.m2 <- t.m2 +. (d *. (x -. t.mu))
 
-  let count t = t.n
-  let mean t = if t.n = 0 then Float.nan else t.mu
+  let add t x = push t x
+
+  let add_slice t a pos len =
+    for i = pos to pos + len - 1 do
+      push t a.(i)
+    done
+
+  let count t = int_of_float t.n
+  let mean t = if t.n = 0. then Float.nan else t.mu
 
   let variance t =
-    if t.n = 0 then Float.nan
-    else if t.n = 1 then 0.
-    else t.m2 /. float_of_int (t.n - 1)
+    if t.n = 0. then Float.nan
+    else if t.n = 1. then 0.
+    else t.m2 /. (t.n -. 1.)
 
   let stddev t = sqrt (variance t)
 end
@@ -120,7 +129,7 @@ module P2 = struct
 
   let count t = t.n
 
-  let parabolic t i d =
+  let[@inline] parabolic t i d =
     let q = t.q and pos = t.pos in
     q.(i)
     +. d
@@ -132,11 +141,11 @@ module P2 = struct
              *. (q.(i) -. q.(i - 1))
              /. (pos.(i) -. pos.(i - 1))))
 
-  let linear t i d =
+  let[@inline] linear t i d =
     let j = i + int_of_float d in
     t.q.(i) +. (d *. (t.q.(j) -. t.q.(i)) /. (t.pos.(j) -. t.pos.(i)))
 
-  let add t x =
+  let[@inline] push t x =
     if t.n < 5 then begin
       t.first.(t.n) <- x;
       t.n <- t.n + 1;
@@ -184,6 +193,13 @@ module P2 = struct
       done;
       t.n <- t.n + 1
     end
+
+  let add t x = push t x
+
+  let add_slice t a pos len =
+    for i = pos to pos + len - 1 do
+      push t a.(i)
+    done
 
   let quantile t =
     if t.n = 0 then Float.nan

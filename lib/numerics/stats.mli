@@ -40,6 +40,12 @@ module Online : sig
 
   val create : unit -> t
   val add : t -> float -> unit
+
+  val add_slice : t -> float array -> int -> int -> unit
+  (** [add_slice t a pos len] adds [a.(pos)] … [a.(pos + len - 1)] in
+      order, exactly as that many {!add} calls would, without boxing a
+      float per observation. *)
+
   val count : t -> int
 
   val mean : t -> float
@@ -64,6 +70,11 @@ module P2 : sig
   val add : t -> float -> unit
   (** Feed one observation. Behaviour is defined for finite inputs;
       callers must filter NaN/infinite samples first. *)
+
+  val add_slice : t -> float array -> int -> int -> unit
+  (** [add_slice t a pos len] feeds [a.(pos)] … [a.(pos + len - 1)] in
+      order, exactly as that many {!add} calls would, without boxing a
+      float per observation. *)
 
   val count : t -> int
 

@@ -14,6 +14,12 @@ let domain () =
   let promoted = promoted_words () and major = major_words () in
   { minor; promoted = float_of_int promoted; major = float_of_int major }
 
+(* Promoted words would otherwise count twice: as minor allocation and
+   again as major. *)
+let words ~since t =
+  t.minor -. since.minor +. (t.major -. since.major)
+  -. (t.promoted -. since.promoted)
+
 let worker_minor = Atomic.make 0
 let worker_promoted = Atomic.make 0
 let worker_major = Atomic.make 0

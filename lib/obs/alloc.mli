@@ -15,10 +15,14 @@ type t = {
 val domain : unit -> t
 (** The calling domain's cumulative counters. Each field is monotone. *)
 
+val words : since:t -> t -> float
+(** Words freshly allocated between two readings of the same source
+    ([minor + major - promoted]). *)
+
 val record_worker : since:t -> unit
 (** Add the calling domain's growth since [since] (a {!domain} reading
     taken on this domain) to the worker totals. Parallel workers call
-    it when their chunk ends. *)
+    it when they have no items left to claim. *)
 
 val process : unit -> t
 (** {!domain} plus the worker totals recorded so far. Over an interval

@@ -864,6 +864,42 @@ let test_variation_all_degenerate () =
   let st1 = List.nth r.Va.stats 1 in
   Alcotest.(check int) "healthy structure completes" 20 st1.Va.samples_ok
 
+(* The Monte-Carlo loop allocates nothing per segment-sample. What a
+   run does allocate is per structure and per domain (stream, schedule,
+   estimators and the scratch slabs, about 3 x segments x block words),
+   so the per-segment-sample cost is the difference between a run of
+   4000 and one of 2000 samples. The counter is exact, so the bound does
+   not depend on timing. *)
+let test_variation_allocation_free () =
+  let m = 400 in
+  let line =
+    Cc.make ~num_nodes:(m + 1) ~tail:(Array.init m Fun.id)
+      ~head:(Array.init m (fun k -> k + 1))
+      ~length:(Array.make m 10e-6) ~width:(Array.make m 1e-6)
+      ~height:(Array.make m 1e-6)
+      ~j:(Array.init m (fun k -> if k mod 3 = 0 then -1e10 else 2e10))
+  in
+  let structures = [ cs_of_compact line ] in
+  let words samples =
+    let spec = { Va.default_spec with Va.samples } in
+    let a0 = Obs.Alloc.domain () in
+    let r = Va.run_compact ~jobs:1 spec structures in
+    let words = Obs.Alloc.words ~since:a0 (Obs.Alloc.domain ()) in
+    Alcotest.(check int) "all samples ok" samples
+      (List.hd r.Va.stats).Va.samples_ok;
+    words
+  in
+  (* The first run also registers metrics; measure warm runs only. *)
+  ignore (words 1);
+  let w2000 = words 2000 and w4000 = words 4000 in
+  let per = (w4000 -. w2000) /. float_of_int (m * 2000) in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "%.5f words per segment-sample (runs of 2000 and 4000 samples: \
+        %.0f and %.0f words)"
+       per w2000 w4000)
+    true (per < 0.01)
+
 let test_variation_perturbation_preserves_current () =
   let s =
     St.line
@@ -1490,6 +1526,7 @@ let suites =
         case "matches scalar oracle" test_variation_matches_scalar_oracle;
         case "partial degeneracy isolated" test_variation_partial_degenerate_isolated;
         case "all-degenerate structure survives" test_variation_all_degenerate;
+        case "allocation-free sampling" test_variation_allocation_free;
         case "perturbation preserves currents" test_variation_perturbation_preserves_current;
         test_variation_factor_mean_qcheck;
         case "renders" test_variation_table;

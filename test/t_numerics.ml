@@ -471,6 +471,128 @@ let test_rng_split_independent () =
   done;
   Alcotest.(check bool) "independent streams" false !same
 
+(* The generator as it was before its state was unboxed: a boxed
+   [mutable int64] field and closure-based rejection loops. Generated
+   decks, their MD5s and recorded references depend on this exact
+   stream, so the production [Rng] must reproduce it bit for bit. *)
+module Boxed_rng = struct
+  type t = { mutable state : int64 }
+
+  let create seed = { state = seed }
+
+  let golden_gamma = 0x9E3779B97F4A7C15L
+
+  let int64 t =
+    t.state <- Int64.add t.state golden_gamma;
+    let z = t.state in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let split t = create (int64 t)
+
+  let unit_float t =
+    let bits = Int64.shift_right_logical (int64 t) 11 in
+    Int64.to_float bits *. (1. /. 9007199254740992.)
+
+  let float t bound = unit_float t *. bound
+
+  let int t bound =
+    let v = Int64.to_int (Int64.shift_right_logical (int64 t) 2) in
+    v mod bound
+
+  let bool t = Int64.logand (int64 t) 1L = 1L
+
+  let uniform t lo hi = lo +. (unit_float t *. (hi -. lo))
+
+  let gaussian t ~mean ~stddev =
+    let rec nonzero () =
+      let u = unit_float t in
+      if u > 0. then u else nonzero ()
+    in
+    let u1 = nonzero () and u2 = unit_float t in
+    let r = sqrt (-2. *. log u1) in
+    mean +. (stddev *. r *. cos (2. *. Float.pi *. u2))
+
+  let gaussian_positive t ~mean ~stddev =
+    let rec draw () =
+      let x = gaussian t ~mean ~stddev in
+      if x > 0. then x else draw ()
+    in
+    draw ()
+
+  let exponential t ~rate =
+    let rec nonzero () =
+      let u = unit_float t in
+      if u > 0. then u else nonzero ()
+    in
+    -.log (nonzero ()) /. rate
+
+  let shuffle t a =
+    for i = Array.length a - 1 downto 1 do
+      let j = int t (i + 1) in
+      let tmp = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- tmp
+    done
+end
+
+(* Every public draw, interleaved on one stream and on a split child,
+   so a draw that consumed one word too many or too few desynchronizes
+   everything after it. Mean 0.1 / stddev 1 makes gaussian_positive
+   reject about 46% of its normals. *)
+let prop_rng_matches_boxed seed =
+  let bits = Int64.bits_of_float in
+  let a = Rng.create seed and b = Boxed_rng.create seed in
+  let ok = ref true in
+  let same_f x y = if bits x <> bits y then ok := false in
+  let dst = Array.make 3 0. in
+  let round a b =
+    for _ = 1 to 40 do
+      if Rng.int64 a <> Boxed_rng.int64 b then ok := false;
+      same_f (Rng.float a 3.5) (Boxed_rng.float b 3.5);
+      if Rng.int a 1000 <> Boxed_rng.int b 1000 then ok := false;
+      if Rng.bool a <> Boxed_rng.bool b then ok := false;
+      same_f (Rng.uniform a (-2.) 7.) (Boxed_rng.uniform b (-2.) 7.);
+      same_f
+        (Rng.gaussian a ~mean:3. ~stddev:2.)
+        (Boxed_rng.gaussian b ~mean:3. ~stddev:2.);
+      same_f
+        (Rng.gaussian_positive a ~mean:1. ~stddev:0.05)
+        (Boxed_rng.gaussian_positive b ~mean:1. ~stddev:0.05);
+      same_f
+        (Rng.gaussian_positive a ~mean:0.1 ~stddev:1.)
+        (Boxed_rng.gaussian_positive b ~mean:0.1 ~stddev:1.);
+      Rng.gaussian_positive_into a ~mean:0.1 ~stddev:1. dst 1;
+      same_f dst.(1) (Boxed_rng.gaussian_positive b ~mean:0.1 ~stddev:1.);
+      same_f (Rng.exponential a ~rate:2.5) (Boxed_rng.exponential b ~rate:2.5)
+    done;
+    let xs = Array.init 30 Fun.id and ys = Array.init 30 Fun.id in
+    Rng.shuffle a xs;
+    Boxed_rng.shuffle b ys;
+    if xs <> ys then ok := false
+  in
+  round a b;
+  round (Rng.split a) (Boxed_rng.split b);
+  round a b;
+  !ok
+
+(* Draws allocate nothing: the engine's store-into-array entry point and
+   the raw word loop stay on the caller's stack. *)
+let test_rng_draws_allocate_nothing () =
+  let rng = Rng.create 3L in
+  let dst = Array.make 1 0. in
+  let words () = (Obs.Alloc.domain ()).Obs.Alloc.minor in
+  let w0 = words () in
+  for _ = 1 to 100_000 do
+    Rng.gaussian_positive_into rng ~mean:1. ~stddev:0.05 dst 0
+  done;
+  let w1 = words () in
+  Alcotest.(check bool)
+    (Printf.sprintf "gaussian_positive_into: %.0f words" (w1 -. w0))
+    true
+    (w1 -. w0 < 100.)
+
 
 (* ---------------------------------------------------------------- *)
 (* Cholesky                                                          *)
@@ -685,33 +807,81 @@ let test_parallel_map_result_slots () =
         Alcotest.failf "unexpected exception %s" (Printexc.to_string e))
     slots
 
-let test_parallel_map_local_result () =
-  (* Worker state survives a poisoned item: items after the failure in
-     the same chunk still see the domain-local state. *)
-  let slots =
-    Par.map_local_result ~jobs:2
-      ~local:(fun () -> ref 0)
-      (fun acc i ->
-        incr acc;
-        if i = 5 then failwith "boom";
-        i + !acc)
-      (Array.init 12 (fun i -> i))
+(* Worker-local state as the tests observe it: the domain that created
+   it and the items it was threaded through, in call order. *)
+type local_log = { owner : Domain.id; calls : int list ref }
+
+(* The map_local_result contract, whatever the hand-out order: every
+   state is used only on the domain that created it, there are at most
+   [jobs] of them, each item is passed to exactly one state (the
+   poisoned one included), every healthy slot holds its value together
+   with the state that computed it, and slot [fail_at] holds its own
+   failure. [spin i] iterations of busy work make item [i] costly. *)
+let check_local_contract ~jobs ~n ~fail_at ~spin =
+  let states = Atomic.make [] in
+  let rec register st =
+    let seen = Atomic.get states in
+    if not (Atomic.compare_and_set states seen (st :: seen)) then register st
   in
-  Alcotest.(check int) "one failure" 1 (Par.failures slots);
-  (match slots.(5) with
-  | Error (Failure m, _) when m = "boom" -> ()
-  | _ -> Alcotest.fail "slot 5 must carry its failure");
-  (* jobs=2 on 12 items: chunks are [0..5] and [6..11]; every non-failed
-     slot i gets i + (its 1-based position in its chunk). *)
+  let slots =
+    Par.map_local_result ~jobs
+      ~local:(fun () ->
+        let st = { owner = Domain.self (); calls = ref [] } in
+        register st;
+        st)
+      (fun st i ->
+        if Domain.self () <> st.owner then failwith "state crossed domains";
+        st.calls := i :: !(st.calls);
+        let acc = ref 0. in
+        for k = 1 to spin i do
+          acc := !acc +. sqrt (float_of_int k)
+        done;
+        ignore (Sys.opaque_identity !acc);
+        if i = fail_at then failwith "boom";
+        (st, (2 * i) + 1))
+      (Array.init n Fun.id)
+  in
+  let tag = Printf.sprintf "jobs=%d" jobs in
+  let states = Atomic.get states in
+  Alcotest.(check bool) (tag ^ ": at most one state per worker") true
+    (List.length states <= jobs);
+  let owners = List.sort_uniq compare (List.map (fun st -> st.owner) states) in
+  Alcotest.(check int) (tag ^ ": one state per domain")
+    (List.length states) (List.length owners);
+  let handed = List.concat_map (fun st -> !(st.calls)) states in
+  Alcotest.(check (list int)) (tag ^ ": every item handed out once")
+    (List.init n Fun.id) (List.sort compare handed);
+  Alcotest.(check int) (tag ^ ": one failure") 1 (Par.failures slots);
   Array.iteri
     (fun i slot ->
-      if i <> 5 then
-        match slot with
-        | Ok v ->
-          let pos = if i < 6 then i + 1 else i - 6 + 1 in
-          Alcotest.(check int) (Printf.sprintf "slot %d" i) (i + pos) v
-        | Error _ -> Alcotest.failf "slot %d unexpectedly failed" i)
+      match slot with
+      | Error (Failure m, _) when i = fail_at ->
+        Alcotest.(check string) (tag ^ ": failure message") "boom" m
+      | Error (e, _) ->
+        Alcotest.failf "%s: slot %d raised %s" tag i (Printexc.to_string e)
+      | Ok (st, v) ->
+        Alcotest.(check int) (Printf.sprintf "%s: slot %d" tag i) ((2 * i) + 1) v;
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: slot %d's state saw it" tag i)
+          true (List.mem i !(st.calls)))
     slots
+
+let test_parallel_map_local_result () =
+  (* The state survives a poisoned item: later items handed to the same
+     domain keep threading it. *)
+  List.iter
+    (fun jobs -> check_local_contract ~jobs ~n:12 ~fail_at:5 ~spin:(fun _ -> 0))
+    [ 1; 2; 4 ]
+
+let test_parallel_front_loaded () =
+  (* All the cost sits in the first half of the items (the layout of a
+     grid whose big lower-layer structures come first). *)
+  let n = 64 in
+  List.iter
+    (fun jobs ->
+      check_local_contract ~jobs ~n ~fail_at:(n - 1) ~spin:(fun i ->
+          if i < n / 2 then 20_000 else 0))
+    [ 1; 2; 4 ]
 
 let test_parallel_first_error_deterministic () =
   (* Multiple failing slots across different domains: map re-raises the
@@ -813,6 +983,7 @@ let suites =
         case "map_list" test_parallel_list;
         case "map_result per-slot capture" test_parallel_map_result_slots;
         case "map_local_result keeps state" test_parallel_map_local_result;
+        case "front-loaded cost" test_parallel_front_loaded;
         case "first error deterministic" test_parallel_first_error_deterministic;
         case "exception identity preserved" test_parallel_backtrace_preserved;
       ] );
@@ -824,5 +995,9 @@ let suites =
         case "zero-truncated gaussian" test_rng_gaussian_positive;
         case "shuffle permutes" test_rng_shuffle_permutes;
         case "split independence" test_rng_split_independent;
+        qcheck "bit-identical to the boxed splitmix64"
+          QCheck2.Gen.(map Int64.of_int int)
+          prop_rng_matches_boxed;
+        case "draws allocate nothing" test_rng_draws_allocate_nothing;
       ] );
   ]
