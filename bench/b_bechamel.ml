@@ -34,10 +34,10 @@ let tests () =
     inj.(St.num_nodes geom - 1) <- -1e-3;
     (Em_core.Kirchhoff.solve cu geom ~injections:inj).Em_core.Kirchhoff.structure
   in
-  let pg1_structures =
+  let pg1_compacts =
     let grid = Pdn.Grid_gen.generate (Pdn.Grid_gen.ibm_preset ~scale:0.5 Pdn.Grid_gen.Pg1) in
     let sol = Spice.Mna.solve grid.Pdn.Grid_gen.netlist in
-    Emflow.Extract.extract ~tech:grid.Pdn.Grid_gen.tech sol
+    Emflow.Extract.extract_compact ~tech:grid.Pdn.Grid_gen.tech sol
   in
   let fig6_mesh = Emflow.Fig6.mesh in
   [
@@ -48,7 +48,7 @@ let tests () =
            ignore (Empde.Steady.solve_structure ~tol:1e-10 cu fig6_mesh)));
     Test.make ~name:"table2/3 kernel: EM analysis of extracted structures"
       (Staged.stage (fun () ->
-           ignore (Emflow.Em_flow.run_on_structures pg1_structures)));
+           ignore (Emflow.Em_flow.run_on_compact pg1_compacts)));
     Test.make ~name:"scaling: linear-time solve, 10k-edge tree"
       (Staged.stage (fun () -> ignore (Ss.solve cu tree_10k)));
     Test.make ~name:"scaling: naive Eq.(19), 100-edge tree"

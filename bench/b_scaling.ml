@@ -68,7 +68,7 @@ let run cfg =
     Rp.create
       [
         "edges"; "boxed"; "convert"; "columnar"; "speedup"; "seg/s (col.)";
-        "reordered"; "par"; "naive O(VE)"; "lin. system (CG)";
+        "reordered"; "naive O(VE)"; "lin. system (CG)";
       ]
   in
   let rows = ref [] in
@@ -97,20 +97,10 @@ let run cfg =
         (fun nw old -> gathered.(old) <- rsol.Ss.node_stress.(nw))
         reord.Cc.old_of_new;
       assert (bits_equal gathered sol.Ss.node_stress);
-      (* Intra-structure parallel solve (per-subtree Blech expansion,
-         chunked stress fill) — bit-identical on trees by construction. *)
-      let jobs = Numerics.Parallel.recommended_jobs () in
-      let psol, t_par =
-        best_of (reps_for n) (fun () -> Ss.solve_compact_par ~ws ~jobs cu c)
-      in
-      assert (bits_equal psol.Ss.node_stress sol.Ss.node_stress);
       let speedup = t_boxed /. t_compact in
       let segs_per_s = float_of_int n /. t_compact in
       let reordered_per_s = float_of_int n /. t_reordered in
-      let par_per_s = float_of_int n /. t_par in
-      (* Cliff metric: best sequential columnar throughput (plain or
-         reordered). The parallel path measures wall-clock scaling, not
-         cache behavior, so it stays out of the cliff ratio. *)
+      (* Cliff metric: best columnar throughput (plain or reordered). *)
       Hashtbl.replace best_throughput n (Float.max segs_per_s reordered_per_s);
       let naive =
         if n <= naive_cap then begin
@@ -142,7 +132,6 @@ let run cfg =
           Printf.sprintf "%.2fx" speedup;
           Printf.sprintf "%.2e" segs_per_s;
           Rp.seconds_cell t_reordered;
-          Rp.seconds_cell t_par;
           opt_cell naive;
           opt_cell linsys;
         ];
@@ -168,8 +157,6 @@ let run cfg =
             ("reorder_s", J.Float t_reorder);
             ("reordered_solve_s", J.Float t_reordered);
             ("reordered_segments_per_s", J.Float reordered_per_s);
-            ("par_solve_s", J.Float t_par);
-            ("par_segments_per_s", J.Float par_per_s);
             ("naive_s", opt_json naive);
             ("linsys_s", opt_json linsys);
           ]
@@ -178,7 +165,7 @@ let run cfg =
   Rp.print table;
   (* Cache cliff: best columnar throughput at 3k edges over the best at
      30k (lower is better, 1.0 = no cliff). 30k nodes no longer fit in
-     L2, so this ratio tracks how well the reordered/parallel paths hold
+     L2, so this ratio tracks how well the reordered path holds
      throughput once the working set spills. *)
   let cliff =
     match

@@ -118,7 +118,10 @@ let run cfg =
   (match results with
   | (_, grid, _) :: _ ->
     let sol = Spice.Mna.solve grid.Gg.netlist in
-    let structures = Emflow.Extract.extract ~tech:grid.Gg.tech sol in
+    let structures =
+      List.map Emflow.Extract.boxed_view
+        (Emflow.Extract.extract_compact ~tech:grid.Gg.tech sol)
+    in
     print_newline ();
     Printf.printf "Per-layer breakdown (ibmpg1-like):\n";
     Rp.print (Emflow.Layer_report.to_table (Emflow.Layer_report.analyze structures))

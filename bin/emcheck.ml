@@ -240,7 +240,7 @@ let apply_solve_buckets = function
     (try Flow.set_solve_seconds_buckets buckets
      with Invalid_argument msg -> failwith msg)
 
-let audit_config_of ~audit ~audit_tol ~strict_audit ~audit_top ~engine =
+let audit_config_of ~audit ~audit_tol ~strict_audit ~audit_top =
   if not audit then None
   else begin
     if not (Float.is_finite audit_tol) || audit_tol < 0. then
@@ -251,7 +251,6 @@ let audit_config_of ~audit ~audit_tol ~strict_audit ~audit_top ~engine =
         Flow.audit_tol;
         audit_top_k = audit_top;
         audit_strict = strict_audit;
-        audit_engine = (match engine with `Fused -> "fused" | `Boxed -> "boxed");
       }
   end
 
@@ -269,7 +268,7 @@ let record_run_arg =
         ~doc:
           "Append this run to the persistent run ledger in $(docv) \
            (default $(b,emcheck_runs)): one JSONL record carrying the \
-           deck hash, engine/jobs provenance and, per structure, its \
+           deck hash, tech and worker count and, per structure, its \
            content-addressed fingerprint, verdict, signed immortality \
            margin, solve time and diagnostics. Compare archived runs \
            with $(b,emcheck diff) and $(b,emcheck history). Recording \
@@ -542,14 +541,11 @@ let exit_code_of_diags ~strict diags =
 
 let analyze_netlist path tech sigma_t temperature with_maxpath top fix
     json_path html_path keep_going strict max_errors trace_path metrics_path
-    profile_path profile_rate profile_format engine jobs variation mc_samples
-    mc_seed audit audit_tol strict_audit audit_top solve_buckets record_run
-    listen =
+    profile_path profile_rate profile_format jobs variation mc_samples mc_seed
+    audit audit_tol strict_audit audit_top solve_buckets record_run listen =
   let material = material_of ~sigma_t ~temperature in
   apply_solve_buckets solve_buckets;
-  let audit_cfg =
-    audit_config_of ~audit ~audit_tol ~strict_audit ~audit_top ~engine
-  in
+  let audit_cfg = audit_config_of ~audit ~audit_tol ~strict_audit ~audit_top in
   (* Whether the *user* asked for telemetry in the report. --listen also
      enables the metrics registry (the gauges must move for /metrics),
      but must not change the JSON report — the on/off bit-identity
@@ -596,31 +592,14 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
   Format.printf "DC solve: %d free nodes, nnz(L) %d, residual %.2e@."
     sol.Spice.Mna.free_nodes sol.Spice.Mna.fill sol.Spice.Mna.residual;
   let mna_diags = Flow.mna_diags sol in
-  (* The fused engine streams resistors straight into columnar
-     structures and analyzes those; the boxed path materializes
-     [Structure.t] intermediates first and is kept as the reference.
-     Both yield the same structure list order, so diagnostics index
-     identically. *)
-  let extracted, r =
-    match engine with
-    | `Boxed ->
-      let structures = Emflow.Extract.extract ~tech sol in
-      let r =
-        Flow.run_on_structures ~material ~with_maxpath ?jobs ?audit:audit_cfg
-          structures
-      in
-      (`Boxed structures, r)
-    | `Fused ->
-      let p = Emflow.Pipeline.create () in
-      let compacts =
-        Emflow.Pipeline.run p "extract" (fun () ->
-            Emflow.Extract.extract_compact ~tech sol)
-      in
-      let r =
-        Flow.run_on_compact ~material ~with_maxpath ?jobs ?audit:audit_cfg
-          ~pipeline:p compacts
-      in
-      (`Fused compacts, r)
+  let p = Emflow.Pipeline.create () in
+  let compacts =
+    Emflow.Pipeline.run p "extract" (fun () ->
+        Emflow.Extract.extract_compact ~tech sol)
+  in
+  let r =
+    Flow.run_on_compact ~material ~with_maxpath ?jobs ?audit:audit_cfg
+      ~pipeline:p compacts
   in
   Format.printf "%a@.@." Flow.pp_summary r;
   (match audit_cfg with
@@ -666,17 +645,18 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
         | _ -> None)
       r.Flow.diags
   in
-  let healthy l = List.filteri (fun i _ -> not (List.mem i failed_indices)) l in
   let structures =
-    match extracted with
-    | `Boxed structures -> healthy structures
-    | `Fused compacts -> List.map Emflow.Extract.boxed_view (healthy compacts)
+    List.filteri (fun i _ -> not (List.mem i failed_indices)) compacts
+    |> List.map Emflow.Extract.boxed_view
   in
+  (* Each per-structure report solves every structure again, so the
+     table and the JSON share one layer breakdown and one fix plan. *)
+  let layers = Emflow.Layer_report.analyze ~material structures in
+  let plan = lazy (Emflow.Fixer.plan ~material structures) in
   Printf.printf "Per-layer breakdown:\n";
-  Emflow.Report.print
-    (Emflow.Layer_report.to_table (Emflow.Layer_report.analyze ~material structures));
+  Emflow.Report.print (Emflow.Layer_report.to_table layers);
   (if fix then begin
-     let plan = Emflow.Fixer.plan ~material structures in
+     let plan = Lazy.force plan in
      Printf.printf
        "\nFix plan (uniform widening, 10%% safety): %d mortal structures, \
         %.1f um^2 extra metal\n"
@@ -725,7 +705,7 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
     else []
   in
   (* Monte-Carlo process variation runs on the full extracted list, not
-     the healthy subset: the engine isolates degenerate structures
+     the healthy subset: it isolates degenerate structures
      itself, and keeping the input order makes its diagnostics index
      the same structures as the flow's. *)
   let variation_result =
@@ -740,11 +720,7 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
       (* CPU time and allocation of every domain the engine runs on, so
          the header says where the phase's time and memory went. *)
       let cpu0 = Sys.time () and a0 = Obs.Alloc.process () in
-      let vr =
-        match extracted with
-        | `Boxed all -> Emflow.Variation.run ~material ?jobs spec all
-        | `Fused all -> Emflow.Variation.run_compact ~material ?jobs spec all
-      in
+      let vr = Emflow.Variation.run_compact ~material ?jobs spec compacts in
       let words = Obs.Alloc.words ~since:a0 (Obs.Alloc.process ()) in
       let cpu1 = Sys.time () in
       Printf.printf
@@ -766,26 +742,12 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
     @ variation_diags
   in
   (* Append the ledger record: fingerprint every extracted structure
-     (both engines, full list — failed structures are recorded too) and
-     join with the per-structure stats the flow always collects. *)
+     (full list — failed structures are recorded too) and join with the
+     per-structure stats the flow always collects. *)
   (match recording with
   | None -> ()
   | Some rc ->
-    let all_compacts =
-      match extracted with
-      | `Fused compacts -> compacts
-      | `Boxed structures ->
-        List.map
-          (fun (es : Emflow.Extract.em_structure) ->
-            {
-              Emflow.Extract.cs_layer_level = es.Emflow.Extract.layer_level;
-              compact = Em_core.Compact.of_structure es.Emflow.Extract.structure;
-              cs_node_names = es.Emflow.Extract.node_names;
-              cs_element_ids = es.Emflow.Extract.element_ids;
-            })
-          structures
-    in
-    let entries = Lg.entries_of_result ~material all_compacts r in
+    let entries = Lg.entries_of_result ~material compacts r in
     let stats = r.Flow.structure_stats in
     let count p =
       Array.fold_left (fun acc s -> if p s then acc + 1 else acc) 0 stats
@@ -797,7 +759,6 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
         rn_deck = path;
         rn_deck_hash = rc.rc_deck_hash;
         rn_tech = tech.Pdn.Tech.name;
-        rn_engine = (match engine with `Fused -> "fused" | `Boxed -> "boxed");
         rn_jobs = (match jobs with Some j -> max 1 j | None -> 1);
         rn_audited = audit;
         rn_sigma_th_pa = M.effective_critical_stress material;
@@ -830,8 +791,6 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
   (match json_path with
   | None -> ()
   | Some out ->
-    let layers = Emflow.Layer_report.analyze ~material structures in
-    let plan = Emflow.Fixer.plan ~material structures in
     let doc =
       Emflow.Json_out.Obj
         ([
@@ -839,7 +798,7 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
            ("diagnostics", Emflow.Json_out.of_diags diags);
            ("flow", Emflow.Json_out.of_flow_result r);
            ("layers", Emflow.Json_out.of_layer_stats layers);
-           ("fix_plan", Emflow.Json_out.of_fixer_plan plan);
+           ("fix_plan", Emflow.Json_out.of_fixer_plan (Lazy.force plan));
          ]
         @ (match audit_cfg with
           | Some cfg ->
@@ -941,26 +900,14 @@ let analyze_cmd =
             "With $(b,--keep-going): give up (fatal error) after more than \
              $(docv) malformed netlist lines.")
   in
-  let engine =
-    let engine_conv = Arg.enum [ ("fused", `Fused); ("boxed", `Boxed) ] in
-    Arg.(
-      value & opt engine_conv `Fused
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Extraction/analysis engine: $(b,fused) (default) streams \
-             resistors straight into columnar structures; $(b,boxed) \
-             materializes the boxed per-structure intermediates first \
-             (the reference path, bit-identical verdicts).")
-  in
   let jobs =
     Arg.(
       value
       & opt (some int) None
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Parallelize the per-structure EM analysis over $(docv) domains; \
-             huge structures are additionally decomposed $(i,within) the \
-             structure. Defaults to sequential.")
+            "Parallelize the per-structure EM analysis over $(docv) \
+             domains. Defaults to sequential.")
   in
   let variation =
     Arg.(
@@ -995,10 +942,10 @@ let analyze_cmd =
       ret
         (const (fun path tech sigma_t temperature with_maxpath top fix json
                     html keep_going strict max_errors trace_path metrics_path
-                    profile_path profile_rate profile_format engine jobs
-                    variation mc_samples mc_seed audit audit_tol strict_audit
-                    audit_top solve_buckets record_run
-                    log_level log_json flight_dump listen ->
+                    profile_path profile_rate profile_format jobs variation
+                    mc_samples mc_seed audit audit_tol strict_audit audit_top
+                    solve_buckets record_run log_level log_json flight_dump
+                    listen ->
              let finish_log = start_logging ~log_level ~log_json in
              (* The flight recorder is always armed during analyze; its
                 ring surfaces on stderr on failure and is archived to
@@ -1013,7 +960,7 @@ let analyze_cmd =
                  analyze_netlist path tech sigma_t temperature with_maxpath
                    top fix json html keep_going strict max_errors trace_path
                    metrics_path profile_path profile_rate profile_format
-                   engine jobs variation mc_samples mc_seed audit audit_tol
+                   jobs variation mc_samples mc_seed audit audit_tol
                    strict_audit audit_top solve_buckets record_run listen
                with
                | `Ok n ->
@@ -1033,7 +980,7 @@ let analyze_cmd =
         $ path $ tech_arg $ sigma_t_arg $ temperature_arg $ with_maxpath $ top
         $ fix $ json_path $ html_path $ keep_going $ strict $ max_errors
         $ trace_arg $ metrics_arg $ profile_arg $ profile_rate_arg
-        $ profile_format_arg $ engine $ jobs $ variation $ mc_samples
+        $ profile_format_arg $ jobs $ variation $ mc_samples
         $ mc_seed $ audit_arg $ audit_tol_arg $ strict_audit_arg
         $ audit_top_arg $ solve_buckets_arg $ record_run_arg $ log_level_arg
         $ log_json_arg $ flight_dump_arg $ listen_arg))

@@ -63,7 +63,9 @@ let () =
 
   (* Rank structures by stress margin to find the most endangered nets. *)
   let sol = Spice.Mna.solve scaled.Gg.netlist in
-  let structures = Ex.extract ~tech:scaled.Gg.tech sol in
+  let structures =
+    List.map Ex.boxed_view (Ex.extract_compact ~tech:scaled.Gg.tech sol)
+  in
   let ranked =
     structures
     |> List.map (fun es ->

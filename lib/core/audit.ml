@@ -5,20 +5,12 @@
    The exact checks re-evaluate the solver's own floating-point
    expressions — the Schedule replay for the Blech sums, the fixed-order
    segment sweep for A/Q, and [beta *. (q_over_a -. b_i)] for the
-   stresses — against the returned solution. Every production path
-   (boxed, columnar, BFS-reordered, intra-structure parallel) is
-   bit-identical by contract, so any nonzero exact residual is a broken
-   solver path, not rounding. *)
+   stresses — against the returned solution. Every solver path (boxed,
+   columnar, BFS-reordered) is bit-identical by contract, so any nonzero
+   exact residual is a broken solver path, not rounding. *)
 
 module Ss = Steady_state
 module Cc = Compact
-
-type provenance = {
-  engine : string;
-  solver : string;
-  jobs : int;
-  ws_shared : bool;
-}
 
 type contribution = {
   ct_seg : int;
@@ -50,7 +42,7 @@ type t = {
   au_residuals : residuals;
   au_path : contribution array;
   au_top : contribution array;
-  au_provenance : provenance;
+  au_solver : string;
 }
 
 let default_tol = 1e-9
@@ -226,7 +218,7 @@ let top_contributions path k =
     sorted;
   Array.sub sorted 0 (min k (Array.length sorted))
 
-let check ?(index = -1) ?(layer = -1) ?(top_k = default_top_k) ~provenance
+let check ?(index = -1) ?(layer = -1) ?(top_k = default_top_k) ~solver
     material (c : Cc.t) (sol : Ss.solution) =
   if top_k < 0 then invalid_arg "Audit.check: top_k < 0";
   let sched = Ss.Schedule.make ~reference:sol.Ss.reference c in
@@ -260,7 +252,7 @@ let check ?(index = -1) ?(layer = -1) ?(top_k = default_top_k) ~provenance
     au_residuals = residuals;
     au_path = path;
     au_top = top_contributions path top_k;
-    au_provenance = provenance;
+    au_solver = solver;
   }
 
 let exact_residual t =
@@ -463,7 +455,7 @@ let pp ppf t =
      (%.2f%%)@,\
      residuals: blech-replay %.3e, normalization %.3e, telescope %.3e \
      (exact); flux %.3e, mass %.3e (tol); kcl %.3e (info)@,\
-     solver: %s/%s, jobs %d%s@]"
+     solver: %s@]"
     t.au_index t.au_layer t.au_nodes t.au_segments
     (if t.au_immortal then "immortal" else "MORTAL")
     (t.au_max_stress *. 1e-6)
@@ -472,6 +464,4 @@ let pp ppf t =
     (t.au_margin *. 1e-6)
     (100. *. t.au_rel_margin)
     r.blech_replay r.norm_recompute r.stress_telescope r.flux_rel r.mass_rel
-    r.kcl_interior_rel t.au_provenance.engine t.au_provenance.solver
-    t.au_provenance.jobs
-    (if t.au_provenance.ws_shared then " (shared workspace)" else "")
+    r.kcl_interior_rel t.au_solver

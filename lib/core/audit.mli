@@ -4,9 +4,8 @@
     are a deterministic replay of the BFS {!Steady_state.Schedule}, the
     normalization constants [A]/[Q] are one fixed-order sweep over the
     segment columns, and every node stress is
-    [beta * (Q/A - B_i)]. Because every production solver path (boxed,
-    columnar, cache-reordered, intra-structure parallel) is bit-identical
-    by contract, an audit that re-evaluates those same floating-point
+    [beta * (Q/A - B_i)]. Because every solver path (boxed, columnar,
+    BFS-reordered) is bit-identical by contract, an audit that re-evaluates those same floating-point
     expressions against the returned solution must reproduce it {e to
     the bit} — the exact residuals below are [0.0], not merely small,
     on a healthy run, and any nonzero value means a solver path broke
@@ -26,18 +25,8 @@
     segment attribution of the critical Blech path — the tree path from
     the reference to the most stressed node, each step contributing
     [-beta * sign * j * l] to the peak stress — so every verdict can be
-    explained and ranked, and solver-path provenance naming which
-    engine/route produced the solution. *)
-
-(** How the audited solution was produced. *)
-type provenance = {
-  engine : string;  (** extraction engine: ["fused"] / ["boxed"] *)
-  solver : string;
-      (** solve route: ["compact"], ["reordered"] or ["reordered+par"] *)
-  jobs : int;       (** intra-structure domains (1 = sequential) *)
-  ws_shared : bool;
-      (** the solution aliases a reused {!Steady_state.Workspace} *)
-}
+    explained and ranked, and the name of the solve route that produced
+    the solution. *)
 
 (** One step of the critical Blech path, in root-to-peak order. *)
 type contribution = {
@@ -85,7 +74,9 @@ type t = {
       (** the whole critical path, reference to [au_max_node] *)
   au_top : contribution array;
       (** top-k path steps by [|ct_delta|] (largest first) *)
-  au_provenance : provenance;
+  au_solver : string;
+      (** solve route: ["compact"] or ["reordered"] (the BFS-relabeled
+          solve large structures take) *)
 }
 
 val default_tol : float
@@ -99,7 +90,7 @@ val check :
   ?index:int ->
   ?layer:int ->
   ?top_k:int ->
-  provenance:provenance ->
+  solver:string ->
   Material.t ->
   Compact.t ->
   Steady_state.solution ->

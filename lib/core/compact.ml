@@ -319,18 +319,12 @@ let permute c ~order =
   in
   { compact; old_of_new = order; new_of_old }
 
-let reorder ?(strategy = `Bfs) ?root c =
+let reorder ?root c =
   let root = match root with Some r -> r | None -> default_reference c in
-  let order =
-    match strategy with
-    | `Bfs ->
-      Reorder.bfs_order ~num_nodes:c.num_nodes ~offsets:c.offsets
-        ~neighbors:c.adj_nbr ~root
-    | `Rcm ->
-      Reorder.rcm_order ~num_nodes:c.num_nodes ~offsets:c.offsets
-        ~neighbors:c.adj_nbr ~root
-  in
-  permute c ~order
+  permute c
+    ~order:
+      (Reorder.bfs_order ~num_nodes:c.num_nodes ~offsets:c.offsets
+         ~neighbors:c.adj_nbr ~root)
 
 let is_connected c =
   let n = c.num_nodes in

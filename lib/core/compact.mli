@@ -140,14 +140,11 @@ val permute : t -> order:int array -> reordered
     ascending by segment id). Raises [Invalid_argument] when [order] is
     not a permutation of the node ids. *)
 
-val reorder : ?strategy:[ `Bfs | `Rcm ] -> ?root:int -> t -> reordered
-(** {!permute} by {!Reorder.bfs_order} (default) or
-    {!Reorder.rcm_order} from [root] (default {!default_reference}).
-    With [`Bfs] on a connected structure,
+val reorder : ?root:int -> t -> reordered
+(** {!permute} by {!Reorder.bfs_order} from [root] (default
+    {!default_reference}). On a connected structure,
     [Steady_state.solve_compact (reorder c).compact] performs the exact
     floating-point operation sequence of the unpermuted solve started
     at [root] — bit-identical stresses after mapping node ids through
     [old_of_new] — because the BFS from new node 0 replays the original
-    discovery order slot for slot. [`Rcm] minimizes bandwidth instead;
-    it is bit-identical on trees (the discovery tree is forced) but may
-    round differently on meshes. *)
+    discovery order slot for slot. *)

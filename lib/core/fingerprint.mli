@@ -5,8 +5,9 @@
     segment order do not matter, combined with the quantized geometry
     and current columns (and, optionally, run context such as the metal
     layer and the material model). Two extractions of the same physical
-    structure — across runs, extraction engines, node orderings and
-    worker counts — produce the same fingerprint, which is what lets the
+    structure — across runs, extraction routes (reference or
+    streaming), node orderings and worker counts — produce the same
+    fingerprint, which is what lets the
     run ledger track a structure's verdict and margin over time, and
     what a result cache can key on.
 
@@ -26,8 +27,8 @@
 
     It is therefore invariant under:
     {ul
-    {- node relabeling ({!Compact.permute} / {!Compact.reorder} with any
-       strategy) — labels are structural, every multiset is sorted;}
+    {- node relabeling ({!Compact.permute} / {!Compact.reorder}) —
+       labels are structural, every multiset is sorted;}
     {- segment (extraction) order — the final digest hashes a sorted
        multiset of segment tokens;}
     {- reference-direction flips (swapping [tail]/[head] and negating
@@ -35,8 +36,8 @@
        {e outflow} from that node, and each segment token is the
        lexicographic minimum over both orientations;}
     {- anything that does not change the structure's content: the
-       extraction engine (fused/boxed), worker count, solver route,
-       telemetry flags.}
+       extraction route (reference or streaming), worker count, solver
+       route, telemetry flags.}
 
     Any change to a single quantized field — one segment's length,
     width, height or current — changes the fingerprint (up to MD5

@@ -274,159 +274,9 @@ let solve_compact ?reference ?ws material (c : Compact.t) =
   { reference; node_stress = stress; blech_sum = b; volume = !volume; q = !q; beta }
 
 (* ------------------------------------------------------------------ *)
-(* Intra-structure parallel solve                                      *)
-
-(* One ibmpg-scale structure saturates all cores instead of one: the
-   BFS seeds a frontier sequentially, then each pending frontier node's
-   subtree is expanded by a worker domain writing the shared [b] and
-   [reached] columns at indices only it can reach. Bit-identity with
-   [solve_compact] holds because the decomposition is restricted to
-   trees (m = n - 1 and connected): every node's discovery edge — and
-   hence its Blech sum's floating-point expression — is forced by the
-   topology, so neither the partition into subtrees nor the visit order
-   within one can change a single value. The A/Q accumulation (step 2)
-   stays sequential to preserve its summation order; the stress fill
-   (step 3) is per-node independent and parallelizes bit-identically.
-   Anything that is not a tree falls back to the sequential solver. *)
-let solve_compact_par ?reference ?ws ?jobs material (c : Compact.t) =
-  let n = Compact.num_nodes c in
-  let m = Compact.num_segments c in
-  let jobs =
-    match jobs with
-    | Some j when j < 1 -> invalid_arg "Steady_state.solve_compact_par: jobs < 1"
-    | Some j -> j
-    | None -> Numerics.Parallel.recommended_jobs ()
-  in
-  if jobs <= 1 || m <> n - 1 then solve_compact ?reference ?ws material c
-  else begin
-    let beta = Material.beta material in
-    let reference =
-      match reference with
-      | Some r ->
-        if r < 0 || r >= n then
-          invalid_arg "Steady_state.solve_compact_par: reference out of range";
-        r
-      | None -> Compact.default_reference c
-    in
-    let queue, reached, b, stress =
-      match ws with
-      | Some ws -> Workspace.buffers ws n
-      | None ->
-        (Array.make n 0, Array.make n false, Array.make n 0., Array.make n 0.)
-    in
-    let tails = c.Compact.tail in
-    let lengths = c.Compact.length and js = c.Compact.j in
-    let offsets = c.Compact.offsets in
-    let adj_edge = c.Compact.adj_edge and adj_nbr = c.Compact.adj_nbr in
-    b.(reference) <- 0.;
-    reached.(reference) <- true;
-    queue.(0) <- reference;
-    let qhead = ref 0 and qtail = ref 1 in
-    (* Step 1a: sequential BFS until the pending frontier is wide enough
-       to feed every worker several subtrees (for balance), or the whole
-       graph is exhausted (narrow graphs — paths — have no subtree
-       parallelism to harvest; their Blech sums are an inherently
-       sequential prefix chain). *)
-    let target = max 64 (8 * jobs) in
-    while !qhead < !qtail && !qtail - !qhead < target do
-      let v = queue.(!qhead) in
-      incr qhead;
-      for slot = offsets.(v) to offsets.(v + 1) - 1 do
-        let u = adj_nbr.(slot) in
-        if not reached.(u) then begin
-          let e = adj_edge.(slot) in
-          let jhat = if tails.(e) = v then js.(e) else -.js.(e) in
-          b.(u) <- b.(v) +. (jhat *. lengths.(e));
-          reached.(u) <- true;
-          queue.(!qtail) <- u;
-          incr qtail
-        end
-      done
-    done;
-    let pending = !qtail - !qhead in
-    if pending > 0 then begin
-      (* Step 1b: expand the pending subtrees in parallel. On a tree the
-         subtrees below distinct frontier nodes are disjoint (the path
-         back up is blocked by already-reached nodes), so every [b] /
-         [reached] index is written by exactly one domain. *)
-      let roots = Array.sub queue !qhead pending in
-      let expand (stack : int array ref) root =
-        let sp = ref 0 in
-        let push v =
-          let s = !stack in
-          let cap = Array.length s in
-          if !sp = cap then begin
-            let fresh = Array.make (2 * cap) 0 in
-            Array.blit s 0 fresh 0 cap;
-            stack := fresh
-          end;
-          !stack.(!sp) <- v;
-          incr sp
-        in
-        push root;
-        while !sp > 0 do
-          decr sp;
-          let v = !stack.(!sp) in
-          for slot = offsets.(v) to offsets.(v + 1) - 1 do
-            let u = adj_nbr.(slot) in
-            if not reached.(u) then begin
-              let e = adj_edge.(slot) in
-              let jhat = if tails.(e) = v then js.(e) else -.js.(e) in
-              b.(u) <- b.(v) +. (jhat *. lengths.(e));
-              reached.(u) <- true;
-              push u
-            end
-          done
-        done
-      in
-      ignore
-        (Numerics.Parallel.map_local ~jobs
-           ~local:(fun () -> ref (Array.make 1024 0))
-           expand roots
-          : unit array)
-    end;
-    (* [m = n - 1] plus every node reached forces a connected tree (any
-       cycle would leave some node short of edges), which retroactively
-       guarantees the expansion above was race-free; anything else is
-       reported exactly like the sequential solver would. *)
-    let all_reached = ref true in
-    for v = 0 to n - 1 do
-      if not reached.(v) then all_reached := false
-    done;
-    if not !all_reached then
-      invalid_arg "Steady_state.solve_compact_par: structure is disconnected";
-    (* Step 2: sequential A/Q sweep in segment order (summation order is
-       part of the bit-identity contract). *)
-    let whs = c.Compact.wh in
-    let volume = ref 0. and q = ref 0. in
-    for k = 0 to m - 1 do
-      let wh = whs.(k) in
-      let l = lengths.(k) in
-      let j = js.(k) in
-      volume := !volume +. (wh *. l);
-      q := !q +. (wh *. ((j *. l *. l /. 2.) +. (b.(tails.(k)) *. l)))
-    done;
-    (* Step 3: per-node stress fill, chunked across the domains (each
-       value depends only on its own [b] entry). *)
-    let q_over_a = check_normalization ~volume:!volume ~q:!q in
-    if n >= 65536 then
-      Numerics.Parallel.iter_ranges ~jobs ~n (fun ~lo ~hi ->
-          for i = lo to hi - 1 do
-            stress.(i) <- beta *. (q_over_a -. b.(i))
-          done)
-    else
-      for i = 0 to n - 1 do
-        stress.(i) <- beta *. (q_over_a -. b.(i))
-      done;
-    Obs.Metrics.inc solves_total;
-    { reference; node_stress = stress; blech_sum = b; volume = !volume; q = !q; beta }
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Reordered solve                                                     *)
 
-let solve_compact_reordered ?reference ?ws ?jobs ?(strategy = `Bfs) material
-    (c : Compact.t) =
+let solve_compact_reordered ?reference ?ws material (c : Compact.t) =
   let n = Compact.num_nodes c in
   let reference =
     match reference with
@@ -436,14 +286,9 @@ let solve_compact_reordered ?reference ?ws ?jobs ?(strategy = `Bfs) material
       r
     | None -> Compact.default_reference c
   in
-  let r = Compact.reorder ~strategy ~root:reference c in
+  let r = Compact.reorder ~root:reference c in
   let pref = r.Compact.new_of_old.(reference) in
-  let sol =
-    match jobs with
-    | Some j when j > 1 ->
-      solve_compact_par ~reference:pref ?ws ~jobs:j material r.Compact.compact
-    | _ -> solve_compact ~reference:pref ?ws material r.Compact.compact
-  in
+  let sol = solve_compact ~reference:pref ?ws material r.Compact.compact in
   (* Gather the node-indexed columns back to original ids, so callers
      (diagnostics, JSON reports) never see permuted numbering. The
      gather copies, so the result does not alias workspace buffers. *)

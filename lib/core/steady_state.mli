@@ -102,46 +102,16 @@ val solve_compact :
     [solve_compact] through the same workspace — copy them if they must
     outlive it. *)
 
-val solve_compact_par :
-  ?reference:int ->
-  ?ws:Workspace.t ->
-  ?jobs:int ->
-  Material.t ->
-  Compact.t ->
-  solution
-(** Intra-structure parallel {!solve_compact} for one huge connected
-    tree: a sequential BFS seeds a frontier, worker domains expand the
-    pending subtrees into the shared Blech-sum column (disjoint writes
-    — on a tree the subtrees below distinct frontier nodes cannot
-    meet), the A/Q sweep stays sequential, and the stress fill is
-    chunked across the domains. Bit-identical to {!solve_compact}: on a
-    tree every Blech sum's floating-point expression is forced by the
-    topology, and the summation order of A/Q is unchanged.
-
-    [jobs] defaults to {!Numerics.Parallel.recommended_jobs}; with
-    [jobs = 1], or when the structure is not a tree ([m <> n - 1] —
-    meshes need the sequential BFS's deterministic spanning tree), it
-    simply delegates to {!solve_compact}. Raises and workspace aliasing
-    as in {!solve_compact}. *)
-
 val solve_compact_reordered :
-  ?reference:int ->
-  ?ws:Workspace.t ->
-  ?jobs:int ->
-  ?strategy:[ `Bfs | `Rcm ] ->
-  Material.t ->
-  Compact.t ->
-  solution
-(** Cache-aware solve: relabel the nodes with {!Compact.reorder} (from
-    the reference node), solve the permuted structure — through
-    {!solve_compact_par} when [jobs > 1], {!solve_compact} otherwise —
-    and gather [node_stress]/[blech_sum] back to {e original} node ids,
-    so callers and diagnostics never observe the permutation. With the
-    default [`Bfs] strategy the result is bit-identical to
-    {!solve_compact} on any connected structure (the permuted BFS
-    replays the original discovery order); [`Rcm] is bit-identical on
-    trees. The returned arrays are freshly allocated (never alias the
-    workspace). *)
+  ?reference:int -> ?ws:Workspace.t -> Material.t -> Compact.t -> solution
+(** Cache-aware solve for large structures: relabel the nodes in BFS
+    discovery order with {!Compact.reorder} (from the reference node),
+    {!solve_compact} the permuted structure, and gather
+    [node_stress]/[blech_sum] back to {e original} node ids, so callers
+    and diagnostics never observe the permutation. Bit-identical to
+    {!solve_compact} on any connected structure, meshes included: the
+    permuted BFS replays the original discovery order. The returned
+    arrays are freshly allocated (never alias the workspace). *)
 
 val segment_stress : solution -> Structure.t -> int -> float * float
 (** [(sigma_tail, sigma_head)] at a segment's endpoints; by Corollary 2

@@ -57,8 +57,7 @@ let scaling_metrics doc =
                 [
                   "boxed_s"; "convert_s"; "columnar_s";
                   "columnar_segments_per_s"; "reordered_solve_s";
-                  "reordered_segments_per_s"; "par_solve_s";
-                  "par_segments_per_s"; "speedup";
+                  "reordered_segments_per_s"; "speedup";
                 ]
             | None -> []
           end

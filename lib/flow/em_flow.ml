@@ -129,15 +129,11 @@ let gc_minor = gc_gauge "minor"
 let gc_major = gc_gauge "major"
 let gc_promoted = gc_gauge "promoted"
 
-(* Work-decomposition thresholds. [reorder_nodes]: below it a structure
-   fits the cache and the BFS-permutation setup (CSR rebuild + result
-   gather) costs more than it saves. [huge_segments]: at or above it a
-   structure is analyzed alone with intra-structure parallelism (all
-   domains expanding its subtrees) instead of riding the across-structure
-   pool where it would serialize the batch behind one worker. *)
-type tuning = { huge_segments : int; reorder_nodes : int }
-
-let default_tuning = { huge_segments = 100_000; reorder_nodes = 16_384 }
+(* Structures with at least this many nodes take the BFS-reordered
+   solve. Below it a structure fits the cache and the permutation setup
+   (CSR rebuild + result gather) costs more than it saves. DESIGN §8
+   has the measurements. *)
+let reorder_min_nodes = 16_384
 
 (* Numerical-audit configuration ([None] = auditing off, the default:
    the per-structure cost is then one [Option] branch). *)
@@ -145,7 +141,6 @@ type audit_config = {
   audit_tol : float;
   audit_top_k : int;
   audit_strict : bool;
-  audit_engine : string;
 }
 
 let default_audit_config =
@@ -153,7 +148,6 @@ let default_audit_config =
     audit_tol = Au.default_tol;
     audit_top_k = Au.default_top_k;
     audit_strict = false;
-    audit_engine = "fused";
   }
 
 (* Per-structure analysis on the columnar representation: one
@@ -163,23 +157,15 @@ let default_audit_config =
    path expression for expression, so the confusion counts are
    bit-identical.
 
-   Large structures route through the cache-aware reordered solve (and,
-   with [par_jobs > 1], the intra-structure parallel one); both are
-   bit-identical to the plain [solve_compact] and return results in
+   Large structures take the cache-aware reordered solve, which is
+   bit-identical to the plain [solve_compact] and returns results in
    original node ids, so the verdicts cannot depend on which path ran. *)
-let analyze_one material with_maxpath ~tuning ~par_jobs ~audit ~index ws
+let analyze_one material with_maxpath ~audit ~index ws
     (cs : Extract.compact_structure) =
   let c = cs.Extract.compact in
-  let solver, ws_shared =
-    if par_jobs > 1 then ("reordered+par", false)
-    else if Cc.num_nodes c >= tuning.reorder_nodes then ("reordered", false)
-    else ("compact", true)
-  in
+  let reordered = Cc.num_nodes c >= reorder_min_nodes in
   let sol =
-    if par_jobs > 1 then
-      Ss.solve_compact_reordered ~ws ~jobs:par_jobs material c
-    else if Cc.num_nodes c >= tuning.reorder_nodes then
-      Ss.solve_compact_reordered ~ws material c
+    if reordered then Ss.solve_compact_reordered ~ws material c
     else Ss.solve_compact ~ws material c
   in
   (* The audit must run before the finiteness scan can throw and, more
@@ -189,17 +175,11 @@ let analyze_one material with_maxpath ~tuning ~par_jobs ~audit ~index ws
     match audit with
     | None -> None
     | Some cfg ->
-      let provenance =
-        {
-          Au.engine = cfg.audit_engine;
-          solver;
-          jobs = par_jobs;
-          ws_shared;
-        }
-      in
       let a =
         Au.check ~index ~layer:cs.Extract.cs_layer_level
-          ~top_k:cfg.audit_top_k ~provenance material c sol
+          ~top_k:cfg.audit_top_k
+          ~solver:(if reordered then "reordered" else "compact")
+          material c sol
       in
       Au.publish ~tol:cfg.audit_tol a;
       Some a
@@ -262,13 +242,12 @@ let analyze_one material with_maxpath ~tuning ~par_jobs ~audit ~index ws
    its "parallel.chunk" span) and one observation in the latency
    histogram. The trace branch is guarded explicitly so the attrs list
    is never allocated when tracing is off. *)
-let analyze_traced material with_maxpath ~tuning ~par_jobs ~audit ws index
+let analyze_traced material with_maxpath ~audit ws index
     (cs : Extract.compact_structure) =
   let run () =
     Obs.Metrics.time
       (structure_solve_seconds ())
-      (fun () ->
-        analyze_one material with_maxpath ~tuning ~par_jobs ~audit ~index ws cs)
+      (fun () -> analyze_one material with_maxpath ~audit ~index ws cs)
   in
   let traced () =
     if Obs.Trace.enabled () then
@@ -328,7 +307,7 @@ let diag_of_failure i (cs : Extract.compact_structure) e =
    into [p]. [analysis_time] keeps the historical convention: wall time
    when explicitly parallel (CPU time would double-count the workers),
    CPU time otherwise. *)
-let finish_run p ~material ~with_maxpath ~tuning ?jobs ?audit compacts =
+let finish_run p ~material ~with_maxpath ?jobs ?audit compacts =
   let t0 = Sys.time () in
   let wall0 = Unix.gettimeofday () in
   let compacts_arr = Array.of_list compacts in
@@ -340,52 +319,17 @@ let finish_run p ~material ~with_maxpath ~tuning ?jobs ?audit compacts =
   (match audit with
   | Some cfg -> Au.Live.reset ~tol:cfg.audit_tol
   | None -> ());
-  let jobs_resolved = match jobs with Some j -> max 1 j | None -> 1 in
-  let is_huge i =
-    jobs_resolved > 1
-    && Cc.num_segments compacts_arr.(i).Extract.compact >= tuning.huge_segments
-  in
   let slots =
     (* Map over indices rather than the structures themselves so each
        worker can attach the structure's position to its span. Work is
-       decomposed per connected component (each structure is one): huge
-       components are analyzed one at a time with all domains working
-       inside the structure (per-subtree expansion, chunked stress
-       fill), the rest fan out across the domains. Per-slot capture
-       keeps fault isolation identical on both routes. *)
+       decomposed per connected component (each structure is one), and
+       per-slot capture isolates a failing structure from the rest. *)
     Pipeline.run p "analyze" (fun () ->
-        let out =
-          Array.make nstruct
-            (Error (Failure "Em_flow: slot not written", Printexc.get_callstack 0))
-        in
-        let idxs = Array.init nstruct Fun.id in
-        let huge = Array.of_seq (Seq.filter is_huge (Array.to_seq idxs)) in
-        let small =
-          Array.of_seq
-            (Seq.filter (fun i -> not (is_huge i)) (Array.to_seq idxs))
-        in
-        let ws_huge = lazy (Ss.Workspace.create ()) in
-        Array.iter
-          (fun i ->
-            out.(i) <-
-              (match
-                 analyze_traced material with_maxpath ~tuning
-                   ~par_jobs:jobs_resolved ~audit (Lazy.force ws_huge) i
-                   compacts_arr.(i)
-               with
-              | v -> Ok v
-              | exception e -> Error (e, Printexc.get_raw_backtrace ())))
-          huge;
-        let small_slots =
-          Numerics.Parallel.map_local_result ?jobs
-            ~local:(fun () -> Ss.Workspace.create ())
-            (fun ws i ->
-              analyze_traced material with_maxpath ~tuning ~par_jobs:1 ~audit ws
-                i compacts_arr.(i))
-            small
-        in
-        Array.iteri (fun k i -> out.(i) <- small_slots.(k)) small;
-        out)
+        Numerics.Parallel.map_local_result ?jobs
+          ~local:(fun () -> Ss.Workspace.create ())
+          (fun ws i ->
+            analyze_traced material with_maxpath ~audit ws i compacts_arr.(i))
+          (Array.init nstruct Fun.id))
   in
   let diags = ref [] in
   let audits = Array.make nstruct None in
@@ -515,32 +459,12 @@ let make_result p ~counts ~maxpath_counts ~segments ~num_structures
   r
 
 let run_on_compact ?(material = M.cu_dac21) ?(with_maxpath = false) ?jobs
-    ?(tuning = default_tuning) ?audit ?(pipeline = Pipeline.create ()) compacts =
+    ?audit ?(pipeline = Pipeline.create ()) compacts =
   let counts, maxpath_counts, segments, analysis_time, diags, audits, stats =
-    finish_run pipeline ~material ~with_maxpath ~tuning ?jobs ?audit compacts
+    finish_run pipeline ~material ~with_maxpath ?jobs ?audit compacts
   in
   make_result pipeline ~counts ~maxpath_counts ~segments
     ~num_structures:(List.length compacts) ~analysis_time ~diags ~audits ~stats
-
-let run_on_structures ?material ?with_maxpath ?jobs ?tuning ?audit structures =
-  let p = Pipeline.create () in
-  (* Columnarizing shares each graph's CSR arrays, so ingest is a cheap
-     copy of the geometry columns; ids and adjacency order are
-     preserved, keeping results bit-identical to the boxed path. *)
-  let compacts =
-    Pipeline.run p "ingest" (fun () ->
-        List.map
-          (fun (es : Extract.em_structure) ->
-            {
-              Extract.cs_layer_level = es.Extract.layer_level;
-              compact = Cc.of_structure es.Extract.structure;
-              cs_node_names = es.Extract.node_names;
-              cs_element_ids = es.Extract.element_ids;
-            })
-          structures)
-  in
-  run_on_compact ?material ?with_maxpath ?jobs ?tuning ?audit ~pipeline:p
-    compacts
 
 let mna_diags (sol : Spice.Mna.solution) =
   let r = sol.Spice.Mna.residual in
@@ -554,8 +478,7 @@ let mna_diags (sol : Spice.Mna.solution) =
            r Spice.Mna.max_residual);
     ]
 
-let run ?material ?with_maxpath ?jobs ?tuning ?audit
-    (grid : Pdn.Grid_gen.generated) =
+let run ?material ?with_maxpath ?jobs ?audit (grid : Pdn.Grid_gen.generated) =
   let p = Pipeline.create () in
   let sol =
     Pipeline.run p "solve" (fun () -> Spice.Mna.solve grid.Pdn.Grid_gen.netlist)
@@ -564,8 +487,7 @@ let run ?material ?with_maxpath ?jobs ?tuning ?audit
     Pipeline.run p "extract" (fun () ->
         Extract.extract_compact ~tech:grid.Pdn.Grid_gen.tech sol)
   in
-  run_on_compact ?material ?with_maxpath ?jobs ?tuning ?audit ~pipeline:p
-    compacts
+  run_on_compact ?material ?with_maxpath ?jobs ?audit ~pipeline:p compacts
 
 let pp_summary ppf r =
   Format.fprintf ppf

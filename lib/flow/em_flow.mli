@@ -11,7 +11,10 @@
     {!Em_core.Compact.t} path through per-domain
     {!Em_core.Steady_state.Workspace} scratch buffers, so it both
     parallelizes over domains and allocates (near) nothing per
-    structure.
+    structure. A structure of 16,384 nodes or more takes the
+    BFS-reordered solve ({!Em_core.Steady_state.solve_compact_reordered},
+    bit-identical to the plain one); every other structure takes
+    {!Em_core.Steady_state.solve_compact}.
 
     Fault isolation: analysis failures are captured {e per structure} —
     an exception or a degenerate/non-finite stress result in one
@@ -92,19 +95,6 @@ val mna_diags : Spice.Mna.solution -> Em_core.Diag.t list
     an inaccurate solve must surface as an error, not as a quiet
     verdict. *)
 
-type tuning = {
-  huge_segments : int;
-      (** with [jobs > 1], a structure at least this many segments is
-          analyzed with {e intra}-structure parallelism (all domains
-          inside one solve) instead of riding the per-structure fan-out *)
-  reorder_nodes : int;
-      (** sequential runs route structures at least this many nodes
-          through the cache-aware BFS-reordered solve *)
-}
-
-val default_tuning : tuning
-(** [{ huge_segments = 100_000; reorder_nodes = 16_384 }]. *)
-
 (** Numerical-audit configuration. Passing [?audit] turns on
     per-structure {!Em_core.Audit} checks: each successfully analyzed
     structure gets an audit record in {!result.audits}, aggregated into
@@ -120,15 +110,11 @@ type audit_config = {
   audit_strict : bool;
       (** violations become [Error] diagnostics instead of warnings
           (they still never count as {!failed_structures}) *)
-  audit_engine : string;
-      (** provenance label for how structures were extracted,
-          e.g. ["fused"] / ["boxed"] *)
 }
 
 val default_audit_config : audit_config
 (** [{ audit_tol = Em_core.Audit.default_tol; audit_top_k =
-    Em_core.Audit.default_top_k; audit_strict = false; audit_engine =
-    "fused" }]. *)
+    Em_core.Audit.default_top_k; audit_strict = false }]. *)
 
 val default_solve_seconds_buckets : float array
 (** The sub-microsecond-first ladder used for
@@ -146,7 +132,6 @@ val run :
   ?material:Em_core.Material.t ->
   ?with_maxpath:bool ->
   ?jobs:int ->
-  ?tuning:tuning ->
   ?audit:audit_config ->
   Pdn.Grid_gen.generated ->
   result
@@ -156,19 +141,15 @@ val run :
     (the DC solve stays sequential). With [jobs > 1] the reported
     [analysis_time] is wall-clock rather than CPU time.
 
-    Work decomposition under [jobs > 1]: structures with at least
-    [tuning.huge_segments] segments are analyzed one at a time with the
-    domains cooperating {e inside} the solve
-    ({!Em_core.Steady_state.solve_compact_reordered} with per-subtree
-    Blech expansion and a chunked stress fill), everything else fans out
-    across domains as before; both routes keep per-structure fault
-    isolation and produce results bit-identical to a sequential run. *)
+    Work decomposition under [jobs > 1]: each structure is one work
+    item, handed out dynamically across the domains; results are
+    bit-identical to a sequential run, and a failing structure is
+    isolated from the rest at any [jobs]. *)
 
 val run_on_compact :
   ?material:Em_core.Material.t ->
   ?with_maxpath:bool ->
   ?jobs:int ->
-  ?tuning:tuning ->
   ?audit:audit_config ->
   ?pipeline:Pipeline.t ->
   Extract.compact_structure list ->
@@ -176,19 +157,6 @@ val run_on_compact :
 (** The analyze/classify half on already-columnar structures
     (solve/extract times are 0 unless [pipeline] carries prior stages).
     Diagnostic sources index into the given list. *)
-
-val run_on_structures :
-  ?material:Em_core.Material.t ->
-  ?with_maxpath:bool ->
-  ?jobs:int ->
-  ?tuning:tuning ->
-  ?audit:audit_config ->
-  Extract.em_structure list ->
-  result
-(** Compatibility path for callers that already solved and extracted
-    boxed structures: columnarizes them (an extra "ingest" stage) and
-    delegates to {!run_on_compact}. Bit-identical counts to analyzing
-    the boxed structures directly. *)
 
 val pp_summary : Format.formatter -> result -> unit
 (** Totals, confusion counts, one indented line per pipeline stage

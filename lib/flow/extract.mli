@@ -19,7 +19,13 @@ type em_structure = {
 }
 
 val extract : tech:Pdn.Tech.t -> Spice.Mna.solution -> em_structure list
-(** Skips resistors that are vias (endpoints on different layers), shorts
+(** The reference extraction: an independent, straightforward
+    implementation that the extraction-equivalence tests compare
+    {!extract_compact} against. Production callers use
+    {!extract_compact} (plus {!boxed_view} where they need boxed
+    structures).
+
+    Skips resistors that are vias (endpoints on different layers), shorts
     (zero ohms), or touch non-geometric nodes (pads/package). Components
     with fewer than two nodes are dropped. *)
 

@@ -118,7 +118,10 @@ let apply_to_netlist (grid : Pdn.Grid_gen.generated) structures plan =
 let iterate ?(material = M.cu_dac21) ?safety ?(max_rounds = 5) grid =
   let rec loop grid plans rounds =
     let sol = Spice.Mna.solve grid.Pdn.Grid_gen.netlist in
-    let structures = Extract.extract ~tech:grid.Pdn.Grid_gen.tech sol in
+    let structures =
+      List.map Extract.boxed_view
+        (Extract.extract_compact ~tech:grid.Pdn.Grid_gen.tech sol)
+    in
     let p = plan ~material ?safety structures in
     if p.fixes = [] || rounds >= max_rounds then (grid, List.rev (p :: plans))
     else loop (apply_to_netlist grid structures p) (p :: plans) (rounds + 1)

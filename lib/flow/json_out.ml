@@ -225,7 +225,6 @@ let of_contribution (ct : Au.contribution) =
 
 let of_audit ~tol (a : Au.t) =
   let res = a.Au.au_residuals in
-  let prov = a.Au.au_provenance in
   Obj
     [
       ("index", Int a.Au.au_index);
@@ -257,14 +256,7 @@ let of_audit ~tol (a : Au.t) =
       ("critical_path_len", Int (Array.length a.Au.au_path));
       ( "top_contributions",
         List (Stdlib.List.map of_contribution (Array.to_list a.Au.au_top)) );
-      ( "provenance",
-        Obj
-          [
-            ("engine", String prov.Au.engine);
-            ("solver", String prov.Au.solver);
-            ("jobs", Int prov.Au.jobs);
-            ("workspace_shared", Bool prov.Au.ws_shared);
-          ] );
+      ("provenance", Obj [ ("solver", String a.Au.au_solver) ]);
     ]
 
 let of_audit_report ~tol (audits : Au.t option array) =

@@ -26,7 +26,6 @@ type run = {
   rn_deck : string;
   rn_deck_hash : string;
   rn_tech : string;
-  rn_engine : string;
   rn_jobs : int;
   rn_audited : bool;
   rn_sigma_th_pa : float;
@@ -150,7 +149,6 @@ let run_to_json r =
       ("deck", J.String r.rn_deck);
       ("deck_hash", J.String r.rn_deck_hash);
       ("tech", J.String r.rn_tech);
-      ("engine", J.String r.rn_engine);
       ("jobs", J.Int r.rn_jobs);
       ("audited", J.Bool r.rn_audited);
       ("sigma_th_pa", J.Float r.rn_sigma_th_pa);
@@ -234,7 +232,6 @@ let run_of_json j =
     let* rn_deck = get_string "deck" j in
     let* rn_deck_hash = get_string "deck_hash" j in
     let* rn_tech = get_string "tech" j in
-    let* rn_engine = get_string "engine" j in
     let* rn_jobs = get_int "jobs" j in
     let* rn_audited = get_bool "audited" j in
     let* rn_sigma_th_pa = get_float "sigma_th_pa" j in
@@ -260,7 +257,6 @@ let run_of_json j =
         rn_deck;
         rn_deck_hash;
         rn_tech;
-        rn_engine;
         rn_jobs;
         rn_audited;
         rn_sigma_th_pa;

@@ -3,14 +3,14 @@
 
     Every live endpoint and metric sees exactly one process; the ledger
     is the cross-run half of the observability story. `emcheck analyze
-    --record-run [DIR]` appends one {!run} record — deck hash, config /
-    solver-path provenance, and one {!entry} per analyzed structure
+    --record-run [DIR]` appends one {!run} record — deck hash, tech,
+    worker count, and one {!entry} per analyzed structure
     (fingerprint, verdict, signed immortality margin, solve time,
     diagnostic codes, audit worst-residual) — to [DIR/ledger.jsonl].
     `emcheck diff` and `emcheck history` read the archive back and
     match structures across runs by {!Em_core.Fingerprint}, so node
-    renumbering, extraction order, engine choice and worker count never
-    produce spurious drift.
+    renumbering, extraction order and worker count never produce
+    spurious drift.
 
     {2 Format}
 
@@ -52,7 +52,6 @@ type run = {
   rn_deck : string;       (** deck path as given on the command line *)
   rn_deck_hash : string;  (** MD5 of the deck file, hex *)
   rn_tech : string;
-  rn_engine : string;     (** ["fused"] / ["boxed"] *)
   rn_jobs : int;
   rn_audited : bool;
   rn_sigma_th_pa : float; (** effective critical stress analyzed against *)
@@ -85,7 +84,8 @@ val run_to_json : run -> Json_out.t
 
 val run_of_json : Json_out.t -> (run, string) result
 (** Rejects missing/mistyped required fields and unknown schema tags
-    with a descriptive message. *)
+    with a descriptive message. Unknown keys are ignored, so records
+    that still carry the retired ["engine"] key load unchanged. *)
 
 (** {1 Archive} *)
 

@@ -403,18 +403,6 @@ let run_compact ?(material = M.cu_dac21) ?jobs spec structures =
         ] ));
   { stats = !stats; diags = !diags; samples = spec.samples; mc_time }
 
-let run ?material ?jobs spec structures =
-  run_compact ?material ?jobs spec
-    (List.map
-       (fun (es : Extract.em_structure) ->
-         {
-           Extract.cs_layer_level = es.Extract.layer_level;
-           compact = Cc.of_structure es.Extract.structure;
-           cs_node_names = es.Extract.node_names;
-           cs_element_ids = es.Extract.element_ids;
-         })
-       structures)
-
 let to_table stats =
   let sorted =
     List.sort

@@ -106,15 +106,6 @@ val run_compact :
     results. Raises [Invalid_argument] only on an invalid [spec];
     per-structure failures become diagnostics. *)
 
-val run :
-  ?material:Em_core.Material.t ->
-  ?jobs:int ->
-  spec ->
-  Extract.em_structure list ->
-  result
-(** {!run_compact} over columnarized boxed structures (convenience for
-    the boxed pipeline; identical results for identical inputs). *)
-
 val factor : Numerics.Rng.t -> float -> float
 (** One perturbation factor: [1.] when [sigma <= 0.], otherwise a
     zero-truncated Gaussian with mean 1 ({!Numerics.Rng.gaussian_positive}

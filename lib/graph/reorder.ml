@@ -1,11 +1,8 @@
-let check_root ~who ~num_nodes root =
+(* Breadth-first discovery order; components not containing [root] are
+   picked up from the lowest-numbered unvisited node. *)
+let bfs_order ~num_nodes ~offsets ~neighbors ~root =
   if root < 0 || root >= num_nodes then
-    invalid_arg (Printf.sprintf "%s: root %d out of range" who root)
-
-(* Shared BFS skeleton: [enqueue_neighbors] controls the order in which
-   a dequeued node's unvisited neighbors enter the queue. Components
-   not containing [root] are picked up by [next_seed]. *)
-let bfs_with ~num_nodes ~enqueue_neighbors ~next_seed ~root =
+    invalid_arg (Printf.sprintf "Reorder.bfs_order: root %d out of range" root);
   let order = Array.make num_nodes 0 in
   let seen = Array.make num_nodes false in
   let filled = ref 0 in
@@ -15,88 +12,26 @@ let bfs_with ~num_nodes ~enqueue_neighbors ~next_seed ~root =
     order.(!filled) <- v;
     incr filled
   in
+  let next_seed = ref 0 in
   let rec run seed =
     push seed;
     while !qhead < !filled do
       let v = order.(!qhead) in
       incr qhead;
-      enqueue_neighbors ~seen ~push v
-    done;
-    if !filled < num_nodes then run (next_seed ~seen)
-  in
-  if num_nodes > 0 then run root;
-  order
-
-let lowest_unvisited ~seen =
-  let n = Array.length seen in
-  let rec scan v = if v >= n || not seen.(v) then v else scan (v + 1) in
-  let v = scan 0 in
-  assert (v < n);
-  v
-
-let bfs_order ~num_nodes ~offsets ~neighbors ~root =
-  check_root ~who:"Reorder.bfs_order" ~num_nodes root;
-  bfs_with ~num_nodes ~root ~next_seed:lowest_unvisited
-    ~enqueue_neighbors:(fun ~seen ~push v ->
       for slot = offsets.(v) to offsets.(v + 1) - 1 do
         let u = neighbors.(slot) in
         if not seen.(u) then push u
-      done)
-
-let degree ~offsets v = offsets.(v + 1) - offsets.(v)
-
-let rcm_order ~num_nodes ~offsets ~neighbors ~root =
-  check_root ~who:"Reorder.rcm_order" ~num_nodes root;
-  (* Scratch for one node's unvisited neighbors; max degree bounds it. *)
-  let max_deg = ref 0 in
-  for v = 0 to num_nodes - 1 do
-    if degree ~offsets v > !max_deg then max_deg := degree ~offsets v
-  done;
-  let cand = Array.make (max 1 !max_deg) 0 in
-  let cm =
-    bfs_with ~num_nodes ~root
-      ~next_seed:(fun ~seen ->
-        (* Classic RCM seeds later components at a minimum-degree node
-           (ties to the lowest id) — a cheap peripheral-node proxy. *)
-        let best = ref (-1) in
-        Array.iteri
-          (fun v visited ->
-            if
-              (not visited)
-              && (!best < 0 || degree ~offsets v < degree ~offsets !best)
-            then best := v)
-          seen;
-        assert (!best >= 0);
-        !best)
-      ~enqueue_neighbors:(fun ~seen ~push v ->
-        let k = ref 0 in
-        for slot = offsets.(v) to offsets.(v + 1) - 1 do
-          let u = neighbors.(slot) in
-          (* A node can appear in several slots of the same row (parallel
-             edges); dedupe through [seen] by pushing as we sort below,
-             and skip repeats inside the candidate buffer here. *)
-          if not seen.(u) then begin
-            let dup = ref false in
-            for i = 0 to !k - 1 do
-              if cand.(i) = u then dup := true
-            done;
-            if not !dup then begin
-              cand.(!k) <- u;
-              incr k
-            end
-          end
-        done;
-        let sub = Array.sub cand 0 !k in
-        Array.sort
-          (fun a b ->
-            let c = compare (degree ~offsets a) (degree ~offsets b) in
-            if c <> 0 then c else compare a b)
-          sub;
-        Array.iter push sub)
+      done
+    done;
+    if !filled < num_nodes then begin
+      while seen.(!next_seed) do
+        incr next_seed
+      done;
+      run !next_seed
+    end
   in
-  (* Reverse for the bandwidth-reducing labeling. *)
-  let n = num_nodes in
-  Array.init n (fun i -> cm.(n - 1 - i))
+  run root;
+  order
 
 let is_permutation order =
   let n = Array.length order in
@@ -114,13 +49,3 @@ let inverse order =
   let inv = Array.make (Array.length order) 0 in
   Array.iteri (fun new_id old_id -> inv.(old_id) <- new_id) order;
   inv
-
-let bandwidth ~num_nodes ~offsets ~neighbors ~new_of_old =
-  let bw = ref 0 in
-  for v = 0 to num_nodes - 1 do
-    for slot = offsets.(v) to offsets.(v + 1) - 1 do
-      let d = abs (new_of_old.(v) - new_of_old.(neighbors.(slot))) in
-      if d > !bw then bw := d
-    done
-  done;
-  !bw

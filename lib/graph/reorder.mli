@@ -1,15 +1,15 @@
-(** Cache-aware node orderings over a raw CSR adjacency.
+(** Cache-aware node ordering over a raw CSR adjacency.
 
     At power-grid scale the steady-state BFS walks nodes in discovery
     order while the CSR rows live in construction order; when the two
     disagree (random attachment, interleaved stripes) every frontier
     expansion is a cache miss and the columnar solver falls off a
     locality cliff. Relabeling the nodes so that memory order matches
-    (or approximates) traversal order restores streaming access.
+    traversal order restores streaming access.
 
-    Both orderings operate on the bare CSR arrays
+    The ordering operates on the bare CSR arrays
     ([offsets]/[neighbors], as exposed by {!Ugraph} and
-    [Em_core.Compact]) so they can serve the boxed and the columnar
+    [Em_core.Compact]) so it can serve the boxed and the columnar
     representations alike. An ordering is returned as [order] with
     [order.(new_id) = old_id]; {!inverse} turns it into the
     [new_of_old] map used to translate results back to original ids.
@@ -31,28 +31,9 @@ val bfs_order :
     the unpermuted one, meshes included. Raises [Invalid_argument] when
     [root] is out of range. *)
 
-val rcm_order :
-  num_nodes:int -> offsets:int array -> neighbors:int array -> root:int ->
-  int array
-(** Reverse Cuthill–McKee: breadth-first from [root] with each node's
-    unvisited neighbors enqueued by ascending degree (ties by old id),
-    whole order reversed — the classic bandwidth-reducing relabeling.
-    Unlike {!bfs_order} it does not replay the original traversal, so
-    on a graph with cycles the permuted solve may pick a different
-    spanning tree and round differently; on trees (where the discovery
-    tree is forced) any relabeling, RCM included, keeps the solve
-    bit-identical. Raises [Invalid_argument] when [root] is out of
-    range. *)
-
 val inverse : int array -> int array
 (** [inverse order] maps old id -> new id ([inverse.(order.(i)) = i]).
     Raises [Invalid_argument] if [order] is not a permutation. *)
 
 val is_permutation : int array -> bool
 (** Whether the array is a bijection on [0 .. length - 1]. *)
-
-val bandwidth :
-  num_nodes:int -> offsets:int array -> neighbors:int array ->
-  new_of_old:int array -> int
-(** Max [|new_of_old.(u) - new_of_old.(v)|] over all adjacent pairs —
-    the figure RCM minimizes (heuristically); 0 for edgeless graphs. *)

@@ -6,13 +6,6 @@ let clamp_jobs ~who ~n jobs =
   | Some j -> min j n
   | None -> min (recommended_jobs ()) n
 
-(* Balanced contiguous ranges. *)
-let chunk ~n ~jobs w =
-  let base = n / jobs and extra = n mod jobs in
-  let lo = (w * base) + min w extra in
-  let len = base + if w < extra then 1 else 0 in
-  (lo, len)
-
 (* Items per hand-out: about eight batches per worker, so a worker that
    drew the expensive items leaves the rest to the others, while one
    [fetch_and_add] still covers many cheap items. *)
@@ -141,27 +134,3 @@ let map ?jobs f xs =
   unwrap_slots (run_slots ~jobs ~local:(fun () -> ()) (fun () x -> f x) xs)
 
 let map_list ?jobs f xs = Array.to_list (map ?jobs f (Array.of_list xs))
-
-(* Static contiguous index ranges, [jobs] of them, handed to the workers
-   like any other items (batch size 1 here). The caller's [f] must
-   only write state disjoint per range (e.g. distinct array slices);
-   with that contract the decomposition is free of synchronization
-   beyond the final join, and — because the ranges partition [0, n) the
-   same way for any [jobs] — any per-element computation that does not
-   depend on its neighbors produces the same values at every job
-   count. *)
-let iter_ranges ?jobs ~n f =
-  if n < 0 then invalid_arg "Parallel.iter_ranges: negative range";
-  if n > 0 then begin
-    let jobs = clamp_jobs ~who:"Parallel.iter_ranges" ~n jobs in
-    if jobs <= 1 then f ~lo:0 ~hi:n
-    else begin
-      let ranges =
-        Array.init jobs (fun w ->
-            let lo, len = chunk ~n ~jobs w in
-            (lo, lo + len))
-      in
-      ignore
-        (map ~jobs (fun (lo, hi) -> f ~lo ~hi) ranges : unit array)
-    end
-  end

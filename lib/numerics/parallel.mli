@@ -59,14 +59,3 @@ val failures : ('b, exn * Printexc.raw_backtrace) result array -> int
 (** Number of [Error] slots in a [*_result] array. *)
 
 val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-
-val iter_ranges : ?jobs:int -> n:int -> (lo:int -> hi:int -> unit) -> unit
-(** Run [f ~lo ~hi] over a static partition of [0, n) into (at most)
-    [jobs] contiguous half-open ranges, run on up to [jobs] domains (the
-    partition is fixed; only which domain runs a range varies) —
-    intra-structure work decomposition for per-element passes (e.g. the
-    stress fill of a single huge solve). [f] must confine its writes to
-    state disjoint per range; element-wise computations that do not read
-    their neighbors then produce identical results at every job count.
-    [jobs = 1] (or [n <= 1]) runs inline on the calling domain.
-    Exceptions re-raise in the caller, lowest range first. *)

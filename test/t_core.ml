@@ -773,7 +773,7 @@ let test_compact_guards () =
            ~width:[| 1e-6 |] ~height:[| 2e-7 |] ~j:[| 0. |]))
 
 (* ---------------------------------------------------------------- *)
-(* Builder, reordered solve, intra-structure parallel solve           *)
+(* Builder, reordered solve                                           *)
 
 let float_bits_identical a b =
   Array.length a = Array.length b
@@ -841,26 +841,9 @@ let prop_reordered_bit_identical (n, seed) =
   let c = Cc.of_structure (make_tree (n, seed)) in
   let sol = Ss.solve_compact cu c in
   let plain = Array.copy sol.Ss.node_stress in
-  let check strategy =
-    let r = Ss.solve_compact_reordered ~strategy cu c in
-    r.Ss.reference = sol.Ss.reference
-    && float_bits_identical plain r.Ss.node_stress
-  in
-  (* BFS replays the original discovery order on any connected graph;
-     on trees any relabeling (RCM included) forces the same tree. *)
-  check `Bfs && check `Rcm
-
-let prop_par_solve_bit_identical (n, seed) =
-  let c = Cc.of_structure (make_tree (n, seed)) in
-  let plain = Array.copy (Ss.solve_compact cu c).Ss.node_stress in
-  let par = Ss.solve_compact_par ~jobs:4 cu c in
-  float_bits_identical plain par.Ss.node_stress
-
-let prop_reordered_par_bit_identical (n, seed) =
-  let c = Cc.of_structure (make_tree (n, seed)) in
-  let plain = Array.copy (Ss.solve_compact cu c).Ss.node_stress in
-  let both = Ss.solve_compact_reordered ~jobs:4 cu c in
-  float_bits_identical plain both.Ss.node_stress
+  (* BFS replays the original discovery order on any connected graph. *)
+  let r = Ss.solve_compact_reordered cu c in
+  r.Ss.reference = sol.Ss.reference && float_bits_identical plain r.Ss.node_stress
 
 let test_reordered_mesh_bit_identical () =
   (* The BFS-permuted solve replays bit for bit on a cyclic mesh too —
@@ -870,33 +853,16 @@ let test_reordered_mesh_bit_identical () =
   let plain = Array.copy (Ss.solve_compact cu c).Ss.node_stress in
   let r = Ss.solve_compact_reordered cu c in
   Alcotest.(check bool) "mesh stresses bit-identical" true
-    (float_bits_identical plain r.Ss.node_stress);
-  (* Non-tree structures fall back to the sequential solve under the
-     parallel entry point, still bit-identical. *)
-  let par = Ss.solve_compact_par ~jobs:4 cu c in
-  Alcotest.(check bool) "par fallback bit-identical" true
-    (float_bits_identical plain par.Ss.node_stress)
+    (float_bits_identical plain r.Ss.node_stress)
 
-let test_par_solve_guards () =
-  let uniform v = Array.make 2 v in
-  (* A fake tree: m = n - 1 but disconnected (2-cycle + isolated node).
-     The parallel solver must detect it instead of returning garbage. *)
-  let fake =
-    Cc.make ~num_nodes:3 ~tail:[| 0; 1 |] ~head:[| 1; 0 |]
-      ~length:(uniform (U.um 10.)) ~width:(uniform (U.um 1.))
-      ~height:(uniform 2e-7) ~j:(uniform 1e10)
-  in
-  check_raises_invalid "disconnected fake tree" (fun () ->
-      ignore (Ss.solve_compact_par ~jobs:4 cu fake));
+let test_reordered_guards () =
   let c = Cc.of_structure (make_tree (8, 3)) in
-  check_raises_invalid "jobs < 1" (fun () ->
-      ignore (Ss.solve_compact_par ~jobs:0 cu c));
   check_raises_invalid "reference out of range" (fun () ->
       ignore (Ss.solve_compact_reordered ~reference:99 cu c))
 
 let test_reordered_degenerate_propagates () =
   (* Zero-width geometry makes A underflow: Degenerate must surface
-     through the reordered and parallel paths like the plain one. *)
+     through the reordered path like the plain one. *)
   let tiny = Float.min_float in
   let degenerate =
     Cc.make ~num_nodes:2 ~tail:[| 0 |] ~head:[| 1 |] ~length:[| tiny |]
@@ -909,9 +875,7 @@ let test_reordered_degenerate_propagates () =
   in
   expect_degenerate "plain" (fun () -> Ss.solve_compact cu degenerate);
   expect_degenerate "reordered" (fun () ->
-      Ss.solve_compact_reordered cu degenerate);
-  expect_degenerate "par" (fun () ->
-      Ss.solve_compact_par ~jobs:4 cu degenerate)
+      Ss.solve_compact_reordered cu degenerate)
 
 (* ---------------------------------------------------------------- *)
 (* Sensitivity                                                       *)
@@ -1206,9 +1170,6 @@ let test_duty_cycles () =
 
 module Au = Em_core.Audit
 
-let audit_prov solver =
-  { Au.engine = "test"; Au.solver; jobs = 1; ws_shared = false }
-
 (* The audit replays the solver's own floating-point expressions, so on
    every bit-identical production path its exact residuals must be
    exactly 0.0 — not merely small — and the tolerance-gated physical
@@ -1219,17 +1180,13 @@ let prop_audit_exact_zero_all_paths (n, seed) =
   let s = make_tree (n, seed) in
   let c = Cc.of_structure s in
   let check_path solver sol =
-    let a = Au.check ~provenance:(audit_prov solver) cu c sol in
+    let a = Au.check ~solver cu c sol in
     Au.exact_residual a = 0. && Au.violations ~tol:Au.default_tol a = []
   in
   check_path "boxed" (Ss.solve cu s)
   && check_path "compact" (Ss.solve_compact cu c)
   && check_path "compact-ws" (Ss.solve_compact ~ws:compact_ws cu c)
   && check_path "reordered" (Ss.solve_compact_reordered cu c)
-  && check_path "reordered-rcm" (Ss.solve_compact_reordered ~strategy:`Rcm cu c)
-  && check_path "reordered+par" (Ss.solve_compact_reordered ~jobs:4 cu c)
-  && check_path "par-j2" (Ss.solve_compact_par ~jobs:2 cu c)
-  && check_path "par-j4" (Ss.solve_compact_par ~jobs:4 cu c)
 
 (* A single-ulp corruption of any solution array must push an exact
    residual strictly above zero — that is the whole point of gating them
@@ -1252,7 +1209,7 @@ let prop_audit_detects_corruption (n, seed) =
     a.(i) <- Float.succ a.(i);
     a
   in
-  let audit sol' = Au.check ~provenance:(audit_prov "compact") cu c sol' in
+  let audit sol' = Au.check ~solver:"compact" cu c sol' in
   let clean = audit sol in
   let bad_stress = audit { sol with Ss.node_stress = bump sol.Ss.node_stress } in
   let bad_blech = audit { sol with Ss.blech_sum = bump sol.Ss.blech_sum } in
@@ -1270,7 +1227,7 @@ let prop_audit_margin_and_path (n, seed) =
   let s = make_tree (n, seed) in
   let c = Cc.of_structure s in
   let sol = Ss.solve_compact cu c in
-  let a = Au.check ~provenance:(audit_prov "compact") cu c sol in
+  let a = Au.check ~solver:"compact" cu c sol in
   let stress = sol.Ss.node_stress in
   let threshold = M.effective_critical_stress cu in
   let path_sum =
@@ -1290,7 +1247,7 @@ let test_audit_violation_diag () =
   let s = make_tree (17, 42) in
   let c = Cc.of_structure s in
   let sol = Ss.solve_compact cu c in
-  let a = Au.check ~index:3 ~layer:5 ~provenance:(audit_prov "compact") cu c sol in
+  let a = Au.check ~index:3 ~layer:5 ~solver:"compact" cu c sol in
   Alcotest.(check (option string)) "clean solution: no diagnostic" None
     (Option.map
        (fun (d : Em_core.Diag.t) -> d.Em_core.Diag.code)
@@ -1298,7 +1255,7 @@ let test_audit_violation_diag () =
   let corrupted = Array.copy sol.Ss.node_stress in
   corrupted.(0) <- corrupted.(0) +. 1.;
   let bad =
-    Au.check ~index:3 ~layer:5 ~provenance:(audit_prov "compact") cu c
+    Au.check ~index:3 ~layer:5 ~solver:"compact" cu c
       { sol with Ss.node_stress = corrupted }
   in
   (match Au.violation_diag ~strict:false ~tol:Au.default_tol bad with
@@ -1407,15 +1364,10 @@ let suites =
       [
         case "Builder reproduces make (columns + CSR)" test_builder_matches_make;
         case "Builder guards" test_builder_guards;
-        qcheck "reordered solve bit-identical (BFS + RCM)" tree_gen
+        qcheck "reordered solve bit-identical" tree_gen
           prop_reordered_bit_identical;
-        qcheck "parallel solve bit-identical" tree_gen
-          prop_par_solve_bit_identical;
-        qcheck "reordered + parallel bit-identical" tree_gen
-          prop_reordered_par_bit_identical;
-        case "mesh: reordered bit-identical, par falls back"
-          test_reordered_mesh_bit_identical;
-        case "parallel/reordered guards" test_par_solve_guards;
+        case "mesh: reordered bit-identical" test_reordered_mesh_bit_identical;
+        case "reordered guards" test_reordered_guards;
         case "Degenerate propagates through new paths"
           test_reordered_degenerate_propagates;
       ] );

@@ -132,24 +132,65 @@ let segment_multiset_compact css =
     css
   |> List.sort compare
 
+let compact_of_boxed (es : Ex.em_structure) =
+  {
+    Ex.cs_layer_level = es.Ex.layer_level;
+    compact = Cc.of_structure es.Ex.structure;
+    cs_node_names = es.Ex.node_names;
+    cs_element_ids = es.Ex.element_ids;
+  }
+
+(* The reference extraction and the streaming one must agree on every
+   segment, on the flow's verdicts and diagnostics, and on the
+   per-layer report. The two may order the structure list differently,
+   so per-layer lengths may differ in the last ulp from summation
+   order. *)
 let check_extraction_equivalence ~tech sol =
-  let old_ms = segment_multiset_old (Ex.extract ~tech sol) in
-  let new_ms = segment_multiset_compact (Ex.extract_compact ~tech sol) in
+  let boxed = Ex.extract ~tech sol in
+  let fused = Ex.extract_compact ~tech sol in
+  let old_ms = segment_multiset_old boxed in
+  let new_ms = segment_multiset_compact fused in
   Alcotest.(check int) "same segment count" (List.length old_ms)
     (List.length new_ms);
-  Alcotest.(check bool) "identical segment multisets" true (old_ms = new_ms)
-
-let test_extract_compact_equivalent () =
-  let g = small_grid () in
-  let sol = Spice.Mna.solve g.Gg.netlist in
-  check_extraction_equivalence ~tech:g.Gg.tech sol;
-  (* The flow produces identical confusion counts through both paths. *)
-  let r_old = Flow.run_on_structures (Ex.extract ~tech:g.Gg.tech sol) in
-  let r_new = Flow.run_on_compact (Ex.extract_compact ~tech:g.Gg.tech sol) in
+  Alcotest.(check bool) "identical segment multisets" true (old_ms = new_ms);
+  let r_old = Flow.run_on_compact (List.map compact_of_boxed boxed) in
+  let r_new = Flow.run_on_compact fused in
   Alcotest.(check bool) "identical confusion counts" true
     (r_old.Flow.counts = r_new.Flow.counts);
   Alcotest.(check int) "identical segment totals" r_old.Flow.num_segments
-    r_new.Flow.num_segments
+    r_new.Flow.num_segments;
+  let diag_keys (r : Flow.result) =
+    List.sort compare
+      (List.map
+         (fun (d : Em_core.Diag.t) ->
+           (d.Em_core.Diag.severity, d.Em_core.Diag.code, d.Em_core.Diag.message))
+         r.Flow.diags)
+  in
+  Alcotest.(check bool) "identical diagnostics" true
+    (diag_keys r_old = diag_keys r_new);
+  let module Lr = Emflow.Layer_report in
+  let rows_old = Lr.analyze boxed in
+  let rows_new = Lr.analyze (List.map Ex.boxed_view fused) in
+  Alcotest.(check int) "same layers" (List.length rows_old)
+    (List.length rows_new);
+  List.iter2
+    (fun (a : Lr.layer_stats) (b : Lr.layer_stats) ->
+      check_close ~rtol:1e-9 "layer total length" a.Lr.total_length
+        b.Lr.total_length;
+      Alcotest.(check bool)
+        (Printf.sprintf "layer M%d rows agree" a.Lr.level)
+        true
+        ({ a with Lr.total_length = 0. } = { b with Lr.total_length = 0. }))
+    rows_old rows_new
+
+let test_extract_compact_equivalent () =
+  let g = small_grid () in
+  check_extraction_equivalence ~tech:g.Gg.tech (Spice.Mna.solve g.Gg.netlist)
+
+(* A full-scale ibmpg2-class grid (>100k resistors). *)
+let test_extract_compact_equivalent_pg2 () =
+  let g = Gg.generate (Gg.ibm_preset Gg.Pg2) in
+  check_extraction_equivalence ~tech:g.Gg.tech (Spice.Mna.solve g.Gg.netlist)
 
 let test_extract_compact_mini_grid () =
   let path = "../../../data/mini_grid.sp" in
@@ -351,15 +392,15 @@ module Lr = Emflow.Layer_report
 let test_layer_report_totals () =
   let g = small_grid () in
   let sol = Spice.Mna.solve g.Gg.netlist in
-  let structures = Ex.extract ~tech:g.Gg.tech sol in
-  let stats = Lr.analyze structures in
+  let compacts = Ex.extract_compact ~tech:g.Gg.tech sol in
+  let stats = Lr.analyze (List.map Ex.boxed_view compacts) in
   (* Segments and confusion counts partition across layers. *)
   let seg_total = List.fold_left (fun a st -> a + st.Lr.segments) 0 stats in
   Alcotest.(check int) "segments partition" g.Gg.num_wires seg_total;
   let merged =
     List.fold_left (fun a st -> Cl.merge a st.Lr.counts) Cl.empty stats
   in
-  let flow = Flow.run_on_structures structures in
+  let flow = Flow.run_on_compact compacts in
   Alcotest.(check int) "counts merge (tp)" flow.Flow.counts.Cl.tp merged.Cl.tp;
   Alcotest.(check int) "counts merge (fp)" flow.Flow.counts.Cl.fp merged.Cl.fp;
   (* Levels ascend and match the tech's metal levels. *)
@@ -490,8 +531,7 @@ let test_sample_deck_end_to_end () =
      with
     | Ok () -> ()
     | Error m -> Alcotest.failf "golden solution mismatch: %s" m);
-    let structures = Ex.extract ~tech:Pdn.Tech.ibm_like sol in
-    let r = Flow.run_on_structures structures in
+    let r = Flow.run_on_compact (Ex.extract_compact ~tech:Pdn.Tech.ibm_like sol) in
     Alcotest.(check int) "all wires analyzed" 384 r.Flow.num_segments
   end
 
@@ -663,15 +703,13 @@ let stats_bits_equal (a : Va.structure_stats) (b : Va.structure_stats) =
   && bits a.Va.q99_max_stress = bits b.Va.q99_max_stress
 
 let test_variation_zero_sigma_degenerates () =
-  let structures =
-    stressed_structures () |> List.filteri (fun i _ -> i < 6)
-  in
+  let structures = stressed_compacts () |> List.filteri (fun i _ -> i < 6) in
   let spec =
     { Va.default_spec with
       Va.width_sigma = 0.; thickness_sigma = 0.; crit_sigma = 0.;
       samples = 5; seed = 1L }
   in
-  let r = Va.run spec structures in
+  let r = Va.run_compact spec structures in
   Alcotest.(check int) "no diagnostics" 0 (List.length r.Va.diags);
   List.iter
     (fun st ->
@@ -686,11 +724,9 @@ let test_variation_zero_sigma_degenerates () =
     r.Va.stats
 
 let test_variation_probabilities_valid () =
-  let structures =
-    stressed_structures () |> List.filteri (fun i _ -> i < 6)
-  in
+  let structures = stressed_compacts () |> List.filteri (fun i _ -> i < 6) in
   let spec = { Va.default_spec with Va.samples = 50 } in
-  let r = Va.run spec structures in
+  let r = Va.run_compact spec structures in
   List.iter
     (fun st ->
       Alcotest.(check bool) "in [0,1]" true
@@ -705,7 +741,7 @@ let test_variation_probabilities_valid () =
         && st.Va.q90_max_stress <= st.Va.q99_max_stress +. slack))
     r.Va.stats;
   (* Bit-deterministic by seed across runs. *)
-  let again = Va.run spec structures in
+  let again = Va.run_compact spec structures in
   List.iter2
     (fun a b ->
       Alcotest.(check bool) "bit-identical rerun" true (stats_bits_equal a b))
@@ -937,10 +973,8 @@ let test_variation_factor_mean_qcheck =
       true)
 
 let test_variation_table () =
-  let structures =
-    stressed_structures () |> List.filteri (fun i _ -> i < 4)
-  in
-  let r = Va.run { Va.default_spec with Va.samples = 10 } structures in
+  let structures = stressed_compacts () |> List.filteri (fun i _ -> i < 4) in
+  let r = Va.run_compact { Va.default_spec with Va.samples = 10 } structures in
   let rendered = Emflow.Report.render (Va.to_table r.Va.stats) in
   Alcotest.(check bool) "renders" true (String.length rendered > 100);
   Alcotest.(check bool) "has quantile columns" true
@@ -1134,8 +1168,9 @@ let test_html_report () =
   let g = small_grid () in
   let scaled, _ = Ir.scale_to_ir g ~target:0.04 in
   let sol = Spice.Mna.solve scaled.Gg.netlist in
-  let structures = Ex.extract ~tech:scaled.Gg.tech sol in
-  let r = Flow.run_on_structures structures in
+  let compacts = Ex.extract_compact ~tech:scaled.Gg.tech sol in
+  let structures = List.map Ex.boxed_view compacts in
+  let r = Flow.run_on_compact compacts in
   let html =
     Hr.page ~title:"unit test <grid>" ~tech:scaled.Gg.tech ~structures r
   in
@@ -1212,9 +1247,9 @@ let fault_fixture =
      let healthy = Ex.extract_compact ~tech:g.Gg.tech sol in
      (healthy, Flow.run_on_compact healthy))
 
-let check_poisoned_batch ?jobs ?tuning ~pos healthy (clean : Flow.result) =
+let check_poisoned_batch ?jobs ~pos healthy (clean : Flow.result) =
   let dirty =
-    Flow.run_on_compact ?jobs ?tuning (insert_at pos (poison_compact ()) healthy)
+    Flow.run_on_compact ?jobs (insert_at pos (poison_compact ()) healthy)
   in
   (match dirty.Flow.diags with
   | [ d ] ->
@@ -1258,43 +1293,83 @@ let test_flow_fault_isolation_qcheck =
       check_poisoned_batch ~jobs ~pos healthy clean;
       true)
 
-(* Force every structure down the new dispatch routes and require the
-   segment records to stay bit-identical to the plain sequential run:
-   cache-aware reordered solves on sequential runs, and the
-   intra-structure parallel decomposition ("huge" route) under jobs. *)
-let test_flow_tuning_paths_bit_identical () =
-  let healthy, clean = Lazy.force fault_fixture in
-  let reordered =
-    Flow.run_on_compact
-      ~tuning:{ Flow.huge_segments = max_int; reorder_nodes = 1 }
-      healthy
+(* Route by size: a random tree of 20,000 nodes plus one chord parallel
+   to a tree segment (same endpoints, length and current density, so the
+   mesh's currents stay cycle-consistent) sits among the small grid's
+   structures. Only it reaches the reordered solve's 16,384-node
+   threshold. *)
+let big_mesh_compact () =
+  let rng = Numerics.Rng.create 29L in
+  let n = 20_000 in
+  let tree =
+    St.random_tree rng ~num_nodes:n (fun _ ->
+        St.segment
+          ~length:(Numerics.Rng.uniform rng 2e-6 80e-6)
+          ~width:(Numerics.Rng.uniform rng 0.2e-6 2e-6)
+          ~j:(Numerics.Rng.uniform rng (-5e10) 5e10)
+          ())
   in
-  Alcotest.(check int) "reordered run clean" 0
-    (Flow.failed_structures reordered);
-  check_segments_bit_identical clean.Flow.segments reordered.Flow.segments;
-  let intra =
-    Flow.run_on_compact ~jobs:2
-      ~tuning:{ Flow.huge_segments = 1; reorder_nodes = 1 }
-      healthy
-  in
-  Alcotest.(check int) "intra-parallel run clean" 0
-    (Flow.failed_structures intra);
-  check_segments_bit_identical clean.Flow.segments intra.Flow.segments
+  let c = Cc.of_structure tree in
+  let k = Cc.num_segments c / 2 in
+  let chord col x = Array.append col [| x |] in
+  Cc.make ~num_nodes:n
+    ~tail:(chord c.Cc.tail c.Cc.tail.(k))
+    ~head:(chord c.Cc.head c.Cc.head.(k))
+    ~length:(chord c.Cc.length c.Cc.length.(k))
+    ~width:(chord c.Cc.width (2. *. c.Cc.width.(k)))
+    ~height:(chord c.Cc.height c.Cc.height.(k))
+    ~j:(chord c.Cc.j c.Cc.j.(k))
 
-let test_flow_fault_isolation_new_paths () =
-  let healthy, clean = Lazy.force fault_fixture in
-  let n = List.length healthy in
+let test_flow_routes_by_size () =
+  let module Au = Em_core.Audit in
+  let healthy, _ = Lazy.force fault_fixture in
+  let big = cs_of_compact (big_mesh_compact ()) in
+  let big_at = List.length healthy / 2 in
+  let batch = insert_at big_at big healthy in
+  (* Reference: every structure through the plain solve on its own. *)
+  let expected =
+    Array.concat
+      (List.map
+         (fun (cs : Ex.compact_structure) ->
+           let c = cs.Ex.compact in
+           let sol = Em_core.Steady_state.solve_compact M.cu_dac21 c in
+           Array.init (Cc.num_segments c) (fun k ->
+               ( sol.Em_core.Steady_state.node_stress.(c.Cc.tail.(k)),
+                 sol.Em_core.Steady_state.node_stress.(c.Cc.head.(k)) )))
+         batch)
+  in
   List.iter
-    (fun pos ->
-      (* Everything through the intra-parallel "huge" route. *)
-      check_poisoned_batch ~jobs:2
-        ~tuning:{ Flow.huge_segments = 1; reorder_nodes = 1 }
-        ~pos healthy clean;
-      (* Everything through the sequential reordered route. *)
-      check_poisoned_batch
-        ~tuning:{ Flow.huge_segments = max_int; reorder_nodes = 1 }
-        ~pos healthy clean)
-    [ 0; n ]
+    (fun jobs ->
+      let r = Flow.run_on_compact ~jobs ~audit:Flow.default_audit_config batch in
+      Alcotest.(check int) "no diagnostics" 0 (List.length r.Flow.diags);
+      Array.iteri
+        (fun i slot ->
+          match slot with
+          | None -> Alcotest.failf "structure %d was not audited" i
+          | Some (a : Au.t) ->
+            Alcotest.(check string)
+              (Printf.sprintf "structure %d solver" i)
+              (if i = big_at then "reordered" else "compact")
+              a.Au.au_solver;
+            if Au.exact_residual a <> 0. then
+              Alcotest.failf "structure %d: exact residual %g <> 0" i
+                (Au.exact_residual a))
+        r.Flow.audits;
+      Alcotest.(check int) "every segment recorded" (Array.length expected)
+        (Array.length r.Flow.segments);
+      Array.iteri
+        (fun i (tail, head) ->
+          let rc = r.Flow.segments.(i) in
+          if bits rc.Flow.stress_tail <> bits tail
+             || bits rc.Flow.stress_head <> bits head
+          then Alcotest.failf "jobs %d: segment record %d differs" jobs i)
+        expected)
+    [ 1; 2 ];
+  let clean = Flow.run_on_compact batch in
+  let n = List.length batch in
+  List.iter
+    (fun (jobs, pos) -> check_poisoned_batch ~jobs ~pos batch clean)
+    [ (1, 0); (1, n); (2, 0); (2, n) ]
 
 let test_flow_diags_serialized () =
   let healthy, _ = Lazy.force fault_fixture in
@@ -1349,27 +1424,8 @@ let test_flow_audit_end_to_end () =
         | [] -> ()
         | (name, v) :: _ ->
           Alcotest.failf "structure %d: residual violation %s = %g" i name v);
-        Alcotest.(check string) "provenance engine" "fused"
-          a.Au.au_provenance.Au.engine;
-        Alcotest.(check int) "provenance jobs" 1 a.Au.au_provenance.Au.jobs)
-    audited.Flow.audits;
-  (* Audited parallel and reordered routes still agree and are audited. *)
-  let par =
-    Flow.run_on_compact ~jobs:2 ~audit:Flow.default_audit_config
-      ~tuning:{ Flow.huge_segments = 1; reorder_nodes = 1 }
-      healthy
-  in
-  check_segments_bit_identical clean.Flow.segments par.Flow.segments;
-  Array.iter
-    (function
-      | Some (a : Au.t) ->
-        Alcotest.(check string) "huge-route solver" "reordered+par"
-          a.Au.au_provenance.Au.solver;
-        if Au.exact_residual a <> 0. then
-          Alcotest.failf "parallel route: exact residual %g <> 0"
-            (Au.exact_residual a)
-      | None -> Alcotest.fail "parallel route skipped an audit")
-    par.Flow.audits
+        Alcotest.(check string) "solver" "compact" a.Au.au_solver)
+    audited.Flow.audits
 
 let test_flow_audit_fault_isolated () =
   let healthy, _ = Lazy.force fault_fixture in
@@ -1449,6 +1505,8 @@ let suites =
         case "geometry from tech" test_extract_geometry_matches_tech;
         case "currents match MNA branches" test_extract_current_matches_mna;
         case "streaming columnar path equivalent" test_extract_compact_equivalent;
+        case "streaming path equivalent on a full pg2 grid"
+          test_extract_compact_equivalent_pg2;
         case "columnar path on sample deck" test_extract_compact_mini_grid;
       ] );
     ( "flow.em_flow",
@@ -1467,10 +1525,8 @@ let suites =
     ( "flow.fault_isolation",
       [
         case "poisoned batch isolates the offender" test_flow_fault_isolation;
-        case "tuning routes stay bit-identical"
-          test_flow_tuning_paths_bit_identical;
-        case "fault isolation through tuning routes"
-          test_flow_fault_isolation_new_paths;
+        case "large structures take the reordered solve"
+          test_flow_routes_by_size;
         case "diagnostics serialized" test_flow_diags_serialized;
         test_flow_fault_isolation_qcheck;
       ] );

@@ -240,16 +240,10 @@ let test_reorder_permutations_and_inverse () =
   let offsets, neighbors = csr g in
   List.iter
     (fun root ->
-      List.iter
-        (fun f ->
-          let order = f ~num_nodes:6 ~offsets ~neighbors ~root in
-          Alcotest.(check bool) "permutation" true
-            (Reorder.is_permutation order);
-          let inv = Reorder.inverse order in
-          Array.iteri
-            (fun nw old -> Alcotest.(check int) "inverse" nw inv.(old))
-            order)
-        [ Reorder.bfs_order; Reorder.rcm_order ])
+      let order = Reorder.bfs_order ~num_nodes:6 ~offsets ~neighbors ~root in
+      Alcotest.(check bool) "permutation" true (Reorder.is_permutation order);
+      let inv = Reorder.inverse order in
+      Array.iteri (fun nw old -> Alcotest.(check int) "inverse" nw inv.(old)) order)
     [ 0; 3; 5 ]
 
 let test_reorder_inverse_rejects_non_permutation () =
@@ -257,25 +251,6 @@ let test_reorder_inverse_rejects_non_permutation () =
       ignore (Reorder.inverse [| 0; 0 |]));
   check_raises_invalid "out of range" (fun () ->
       ignore (Reorder.inverse [| 1; 2 |]))
-
-let test_reorder_reduces_bandwidth () =
-  (* A path whose labels are scrambled by i -> 37 i mod 64 has bandwidth
-     near n; both orderings must relabel it back to a narrow band. *)
-  let n = 64 in
-  let p i = 37 * i mod n in
-  let g =
-    Ugraph.create ~num_nodes:n (Array.init (n - 1) (fun i -> (p i, p (i + 1), ())))
-  in
-  let offsets, neighbors = csr g in
-  let bw new_of_old = Reorder.bandwidth ~num_nodes:n ~offsets ~neighbors ~new_of_old in
-  let identity_bw = bw (Array.init n Fun.id) in
-  Alcotest.(check bool) "scrambled path is wide" true (identity_bw > 8);
-  List.iter
-    (fun f ->
-      let order = f ~num_nodes:n ~offsets ~neighbors ~root:(p 0) in
-      let rebw = bw (Reorder.inverse order) in
-      Alcotest.(check bool) "narrow band" true (rebw <= 2))
-    [ Reorder.bfs_order; Reorder.rcm_order ]
 
 (* ---------------------------------------------------------------- *)
 (* Unionfind                                                         *)
@@ -335,8 +310,6 @@ let suites =
           test_reorder_permutations_and_inverse;
         case "inverse rejects non-permutations"
           test_reorder_inverse_rejects_non_permutation;
-        case "BFS/RCM squeeze a scrambled path's bandwidth"
-          test_reorder_reduces_bandwidth;
       ] );
     ("graph.unionfind", [ case "union/find/count" test_unionfind ]);
   ]

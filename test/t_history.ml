@@ -125,17 +125,20 @@ let test_metrics_of_obs () =
 
 let test_metrics_of_scaling () =
   let ms = H.metrics_of_result (scaling_doc ()) in
-  (* 9 keys in the full first row + 4 in the second + the top-level
+  (* 7 keys in the full first row + 4 in the second + the top-level
      cliff ratio. Rows missing the newer keys (older results) still
-     extract what they have. *)
-  Alcotest.(check int) "per-size metrics plus cliff" 14 (List.length ms);
+     extract what they have; the retired parallel-solve columns of
+     older results are not metrics. *)
+  Alcotest.(check int) "per-size metrics plus cliff" 12 (List.length ms);
   check_close "per-size key" 2.0e-5 (List.assoc "columnar_s@1000" ms);
   check_close "second row keyed separately" 7.4e-5
     (List.assoc "columnar_s@3000" ms);
   check_close "convert extracted" 2.2e-5 (List.assoc "convert_s@1000" ms);
   check_close "reordered throughput extracted" 5.5e7
     (List.assoc "reordered_segments_per_s@1000" ms);
-  check_close "par solve extracted" 1.9e-5 (List.assoc "par_solve_s@1000" ms);
+  Alcotest.(check bool) "retired par columns ignored" true
+    (List.assoc_opt "par_solve_s@1000" ms = None
+    && List.assoc_opt "par_segments_per_s@1000" ms = None);
   check_close "top-level cliff ratio extracted" 2.1
     (List.assoc "columnar_throughput_cliff_ratio" ms);
   Alcotest.(check bool) "absent keys stay absent" true

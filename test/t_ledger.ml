@@ -45,7 +45,6 @@ let mk_run ?(id = fp_of '0') ?(timestamp = "2026-08-09T00:00:00Z")
     rn_deck = "deck.sp";
     rn_deck_hash = fp_of 'd';
     rn_tech = "ibm-like";
-    rn_engine = "fused";
     rn_jobs = 1;
     rn_audited = false;
     rn_sigma_th_pa = 4.1e7;
@@ -125,6 +124,20 @@ let test_readback_rejects () =
   | Error msg ->
     Alcotest.(check bool) "error names the missing field" true
       (T_obs.contains msg "missing field")
+
+(* Records written before the extraction-engine switch was retired
+   carry an ["engine"] key; the archive must keep loading them. *)
+let test_readback_ignores_engine () =
+  let line =
+    Printf.sprintf
+      {|{"schema":"emledger1","id":"%s","timestamp":"2026-08-09T00:00:00Z","deck":"deck.sp","deck_hash":"%s","tech":"ibm-like","engine":"fused","jobs":1,"audited":false,"sigma_th_pa":41000000,"structures":1,"segments":4,"immortal":1,"mortal":0,"failed":0,"analysis_s":0.125,"entries":[{"fp":"%s","occ":0,"layer":1,"nodes":5,"segments":4,"ok":true,"immortal":true,"margin_pa":250000000,"solve_s":0.000125}]}|}
+      (fp_of '0') (fp_of 'd') (fp_of 'a')
+  in
+  let r = ok_or_fail (Result.bind (Ji.parse line) Lg.run_of_json) in
+  Alcotest.(check bool) "fields read back" true
+    (r = mk_run ~entries:[ mk_entry () ] ());
+  Alcotest.(check bool) "re-serialization drops the engine key" false
+    (T_obs.contains (Jo.to_string (Lg.run_to_json r)) {|"engine"|})
 
 (* ---------------------------------------------------------------- *)
 (* Archive                                                           *)
@@ -432,6 +445,8 @@ let suites =
           test_roundtrip_byte_identical;
         case "readback rejects bad schema and missing fields"
           test_readback_rejects;
+        case "records with a retired engine key still load"
+          test_readback_ignores_engine;
       ] );
     ( "ledger.archive",
       [
