@@ -1,6 +1,5 @@
 module N = Spice.Netlist
 module Mna = Spice.Mna
-module Ibm = Spice.Ibm_format
 module St = Em_core.Structure
 module Cc = Em_core.Compact
 
@@ -18,31 +17,12 @@ type compact_structure = {
   cs_element_ids : int array;
 }
 
-type wire = {
-  elem : int;
-  a : int; (* netlist node id, reference tail *)
-  b : int;
-  length : float;
-  j : float; (* electron current density along a -> b *)
-  width : float;
-  thickness : float;
-}
-
-(* Dense level -> layer lookup. The naive per-resistor scan over
-   [tech.layers] costs O(|R| * layers); metal levels are small
-   non-negative ints, so one array indexed by level makes every lookup
-   O(1). Later table entries win on duplicate levels, matching the
-   old linear scan. *)
+(* Tech layer by metal level, O(1) per lookup; later table entries win
+   on duplicate levels. *)
 let level_lookup tech =
-  let max_level =
-    Array.fold_left
-      (fun acc (l : Pdn.Tech.layer) -> max acc l.Pdn.Tech.level)
-      (-1) tech.Pdn.Tech.layers
-  in
-  let lut = Array.make (max_level + 1) None in
-  Array.iter
-    (fun (l : Pdn.Tech.layer) -> lut.(l.Pdn.Tech.level) <- Some l)
-    tech.Pdn.Tech.layers;
+  let levels = Array.map (fun (l : Pdn.Tech.layer) -> l.Pdn.Tech.level) tech.Pdn.Tech.layers in
+  let lut = Array.make (Array.fold_left max (-1) levels + 1) None in
+  Array.iter (fun (l : Pdn.Tech.layer) -> lut.(l.Pdn.Tech.level) <- Some l) tech.Pdn.Tech.layers;
   lut
 
 let lut_find lut level =
@@ -58,275 +38,56 @@ let segments_extracted =
   Obs.Metrics.counter ~help:"EM segments emitted by extraction"
     "em_segments_extracted_total"
 
-let extract ~tech (sol : Mna.solution) =
-  let net = sol.Mna.netlist in
-  (* Decode every node name once. *)
-  let coords = Array.map Ibm.decode net.N.node_names in
-  let lut = level_lookup tech in
-  (* Pass 1: collect intra-layer wires grouped by metal level. *)
-  let wires_by_level : (int, wire list ref) Hashtbl.t = Hashtbl.create 8 in
-  Array.iteri
-    (fun elem e ->
-      match e with
-      | N.Resistor { pos; neg; ohms; _ } when ohms > 0. -> begin
-        match (coords.(pos), coords.(neg)) with
-        | Some ca, Some cb when ca.Ibm.layer = cb.Ibm.layer -> begin
-          match lut_find lut ca.Ibm.layer with
-          | None -> ()
-          | Some layer ->
-            let length =
-              float_of_int (Ibm.manhattan_distance ca cb) *. nm
-            in
-            if length > 0. then begin
-              (* Width from the resistor value (w = rho l / (R h)): equals
-                 the tech width for as-generated grids and stays
-                 consistent when a repair flow rescales resistances. *)
-              let width =
-                layer.Pdn.Tech.resistivity *. length
-                /. (ohms *. layer.Pdn.Tech.thickness)
-              in
-              let wh = width *. layer.Pdn.Tech.thickness in
-              (* Electron current flows towards higher potential. *)
-              let j =
-                (sol.Mna.voltages.(neg) -. sol.Mna.voltages.(pos))
-                /. (ohms *. wh)
-              in
-              let w =
-                {
-                  elem;
-                  a = pos;
-                  b = neg;
-                  length;
-                  j;
-                  width;
-                  thickness = layer.Pdn.Tech.thickness;
-                }
-              in
-              let bucket =
-                match Hashtbl.find_opt wires_by_level ca.Ibm.layer with
-                | Some r -> r
-                | None ->
-                  let r = ref [] in
-                  Hashtbl.add wires_by_level ca.Ibm.layer r;
-                  r
-              in
-              bucket := w :: !bucket
-            end
-        end
-        | _ -> ()
-      end
-      | N.Resistor _ | N.Current_source _ | N.Voltage_source _ -> ())
-    net.N.elements;
-  (* Pass 2: per level, split into connected components and emit
-     structures. *)
-  let out = ref [] in
-  let levels =
-    Hashtbl.fold (fun level _ acc -> level :: acc) wires_by_level []
-    |> List.sort compare
-  in
-  List.iter
-    (fun level ->
-      let wires = Array.of_list !(Hashtbl.find wires_by_level level) in
-      (* Local dense numbering of the nodes this level touches. *)
-      let local : (int, int) Hashtbl.t = Hashtbl.create (Array.length wires) in
-      let names = ref [] in
-      let n_local = ref 0 in
-      let intern id =
-        match Hashtbl.find_opt local id with
-        | Some i -> i
-        | None ->
-          let i = !n_local in
-          Hashtbl.add local id i;
-          names := net.N.node_names.(id) :: !names;
-          incr n_local;
-          i
-      in
-      Array.iter
-        (fun w ->
-          ignore (intern w.a);
-          ignore (intern w.b))
-        wires;
-      let node_names = Array.of_list (List.rev !names) in
-      let uf = Unionfind.create !n_local in
-      Array.iter
-        (fun w ->
-          ignore
-            (Unionfind.union uf (Hashtbl.find local w.a) (Hashtbl.find local w.b)))
-        wires;
-      (* Component of each wire = component of its tail. *)
-      let comp_wires : (int, wire list ref) Hashtbl.t = Hashtbl.create 64 in
-      Array.iter
-        (fun w ->
-          let c = Unionfind.find uf (Hashtbl.find local w.a) in
-          match Hashtbl.find_opt comp_wires c with
-          | Some r -> r := w :: !r
-          | None -> Hashtbl.add comp_wires c (ref [ w ]))
-        wires;
-      let comps =
-        Hashtbl.fold (fun c r acc -> (c, !r) :: acc) comp_wires []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
-      List.iter
-        (fun (_, comp) ->
-          let comp = Array.of_list comp in
-          (* Dense numbering within the component. *)
-          let cl : (int, int) Hashtbl.t = Hashtbl.create (Array.length comp) in
-          let cnames = ref [] in
-          let nc = ref 0 in
-          let cintern li =
-            match Hashtbl.find_opt cl li with
-            | Some i -> i
-            | None ->
-              let i = !nc in
-              Hashtbl.add cl li i;
-              cnames := node_names.(li) :: !cnames;
-              incr nc;
-              i
-          in
-          let segs =
-            Array.map
-              (fun w ->
-                let a = cintern (Hashtbl.find local w.a) in
-                let b = cintern (Hashtbl.find local w.b) in
-                ( a,
-                  b,
-                  St.segment ~height:w.thickness ~length:w.length ~width:w.width
-                    ~j:w.j () ))
-              comp
-          in
-          let structure = St.make ~num_nodes:!nc segs in
-          out :=
-            {
-              layer_level = level;
-              structure;
-              node_names = Array.of_list (List.rev !cnames);
-              element_ids = Array.map (fun w -> w.elem) comp;
-            }
-            :: !out)
-        comps)
-    levels;
-  let structures = List.rev !out in
-  Obs.Metrics.inc_by structures_extracted (List.length structures);
-  Obs.Metrics.inc_by segments_extracted
-    (List.fold_left (fun acc s -> acc + St.num_segments s.structure) 0 structures);
-  structures
-
-let total_segments structures =
-  List.fold_left
-    (fun acc s -> acc + St.num_segments s.structure)
-    0 structures
-
-(* ------------------------------------------------------------------ *)
-(* Streaming columnar extraction                                       *)
-
-(* Growable structure-of-arrays wire buffer, one per metal level. Wires
-   are appended in netlist element order, so every downstream ordering
-   (segment ids, node interning, element_ids) is ascending-by-element —
-   the same per-component order the list-based [extract] produces after
-   its prepend/re-reverse dance. *)
-type wire_buf = {
-  layer : Pdn.Tech.layer;
-  mutable n : int;
-  mutable w_elem : int array;
-  mutable w_a : int array;
-  mutable w_b : int array;
-  mutable w_len : float array;
-  mutable w_j : float array;
-  mutable w_width : float array;
-}
-
-let wire_buf layer =
-  {
-    layer;
-    n = 0;
-    w_elem = Array.make 16 0;
-    w_a = Array.make 16 0;
-    w_b = Array.make 16 0;
-    w_len = Array.make 16 0.;
-    w_j = Array.make 16 0.;
-    w_width = Array.make 16 0.;
-  }
-
-let wire_buf_push buf ~elem ~a ~b ~len ~j ~width =
-  let cap = Array.length buf.w_elem in
-  if buf.n = cap then begin
-    let grow mk old =
-      let fresh = mk (2 * cap) in
-      Array.blit old 0 fresh 0 cap;
-      fresh
-    in
-    buf.w_elem <- grow (fun c -> Array.make c 0) buf.w_elem;
-    buf.w_a <- grow (fun c -> Array.make c 0) buf.w_a;
-    buf.w_b <- grow (fun c -> Array.make c 0) buf.w_b;
-    buf.w_len <- grow (fun c -> Array.make c 0.) buf.w_len;
-    buf.w_j <- grow (fun c -> Array.make c 0.) buf.w_j;
-    buf.w_width <- grow (fun c -> Array.make c 0.) buf.w_width
-  end;
-  let k = buf.n in
-  buf.w_elem.(k) <- elem;
-  buf.w_a.(k) <- a;
-  buf.w_b.(k) <- b;
-  buf.w_len.(k) <- len;
-  buf.w_j.(k) <- j;
-  buf.w_width.(k) <- width;
-  buf.n <- k + 1
+let manhattan coords p q =
+  abs (coords.((3 * p) + 1) - coords.((3 * q) + 1))
+  + abs (coords.((3 * p) + 2) - coords.((3 * q) + 2))
 
 let extract_compact ~tech (sol : Mna.solution) =
   let net = sol.Mna.netlist in
-  let num_net_nodes = Array.length net.N.node_names in
-  let coords = Array.map Ibm.decode net.N.node_names in
+  let coords = net.N.coords and pos = net.N.pos and neg = net.N.neg in
   let lut = level_lookup tech in
   let num_levels = Array.length lut in
-  (* Pass 1: stream resistors straight into per-level columnar buffers
-     (same filters and formulas as [extract]). *)
-  let bufs : wire_buf option array = Array.make num_levels None in
-  Array.iteri
-    (fun elem e ->
-      match e with
-      | N.Resistor { pos; neg; ohms; _ } when ohms > 0. -> begin
-        match (coords.(pos), coords.(neg)) with
-        | Some ca, Some cb when ca.Ibm.layer = cb.Ibm.layer -> begin
-          match lut_find lut ca.Ibm.layer with
-          | None -> ()
-          | Some layer ->
-            let length = float_of_int (Ibm.manhattan_distance ca cb) *. nm in
-            if length > 0. then begin
-              let width =
-                layer.Pdn.Tech.resistivity *. length
-                /. (ohms *. layer.Pdn.Tech.thickness)
-              in
-              let wh = width *. layer.Pdn.Tech.thickness in
-              let j =
-                (sol.Mna.voltages.(neg) -. sol.Mna.voltages.(pos)) /. (ohms *. wh)
-              in
-              let buf =
-                match bufs.(ca.Ibm.layer) with
-                | Some b -> b
-                | None ->
-                  let b = wire_buf layer in
-                  bufs.(ca.Ibm.layer) <- Some b;
-                  b
-              in
-              wire_buf_push buf ~elem ~a:pos ~b:neg ~len:length ~j ~width
-            end
-        end
-        | _ -> ()
-      end
-      | N.Resistor _ | N.Current_source _ | N.Voltage_source _ -> ())
-    net.N.elements;
+  (* Pass 1: the wires (resistors of positive resistance and length
+     within one tech layer; a name without geometry reads [N.no_layer],
+     which no tech has), counting-sorted by level. The sort is stable,
+     so every later ordering (segment ids, node interning, element ids)
+     is ascending by element. *)
+  let ne = N.num_elements net in
+  let level_of = Array.make ne (-1) in
+  let start = Array.make (num_levels + 1) 0 in
+  for e = 0 to ne - 1 do
+    let level = coords.(3 * pos.(e)) in
+    if N.kind net e = N.Resistor && net.N.values.(e) > 0.
+       && coords.(3 * neg.(e)) = level && lut_find lut level <> None
+       && manhattan coords pos.(e) neg.(e) > 0
+    then begin
+      level_of.(e) <- level;
+      start.(level + 1) <- start.(level + 1) + 1
+    end
+  done;
+  for l = 0 to num_levels - 1 do
+    start.(l + 1) <- start.(l + 1) + start.(l)
+  done;
+  let wires = Array.make start.(num_levels) 0 in
+  let next = Array.sub start 0 num_levels in
+  for e = 0 to ne - 1 do
+    let l = level_of.(e) in
+    if l >= 0 then begin
+      wires.(next.(l)) <- e;
+      next.(l) <- next.(l) + 1
+    end
+  done;
   (* Pass 2: per level, one interning sweep, union-find grouping, then a
-     counting sort by component — all on flat int arrays. [local] maps
-     netlist node id -> level-local id; it is shared across levels and
-     reset by walking the level's wires again, so the cost stays
-     O(wires), not O(netlist nodes * levels). *)
-  let local = Array.make num_net_nodes (-1) in
+     counting sort by component. [local] (netlist node -> level-local id)
+     is reset by walking the level's wires again: O(wires) per level. *)
+  let local = Array.make (N.num_nodes net) (-1) in
   let out = ref [] in
   for level = 0 to num_levels - 1 do
-    match bufs.(level) with
-    | None -> ()
-    | Some buf ->
-      let nw = buf.n in
-      let thickness = buf.layer.Pdn.Tech.thickness in
+    let first = start.(level) and nw = start.(level + 1) - start.(level) in
+    if nw > 0 then begin
+      let layer = Option.get lut.(level) in
+      let thickness = layer.Pdn.Tech.thickness in
+      let tail k = pos.(wires.(first + k)) and head k = neg.(wires.(first + k)) in
       (* Intern endpoints in wire order, tail before head. *)
       let rev_local = Array.make (2 * nw) 0 in
       let n_local = ref 0 in
@@ -335,53 +96,46 @@ let extract_compact ~tech (sol : Mna.solution) =
           local.(id) <- !n_local;
           rev_local.(!n_local) <- id;
           incr n_local
-        end;
-        local.(id)
+        end
       in
       for k = 0 to nw - 1 do
-        ignore (intern buf.w_a.(k));
-        ignore (intern buf.w_b.(k))
+        intern (tail k);
+        intern (head k)
       done;
       let n_local = !n_local in
       let uf = Unionfind.create n_local in
       for k = 0 to nw - 1 do
-        ignore (Unionfind.union uf local.(buf.w_a.(k)) local.(buf.w_b.(k)))
+        ignore (Unionfind.union uf local.(tail k) local.(head k))
       done;
       (* Stable counting sort of wires by component root: preserves the
          ascending element order inside each component. *)
       let root = Array.make nw 0 in
       let count = Array.make n_local 0 in
       for k = 0 to nw - 1 do
-        let r = Unionfind.find uf local.(buf.w_a.(k)) in
+        let r = Unionfind.find uf local.(tail k) in
         root.(k) <- r;
         count.(r) <- count.(r) + 1
       done;
-      let start = Array.make (n_local + 1) 0 in
+      let cstart = Array.make (n_local + 1) 0 in
       for r = 0 to n_local - 1 do
-        start.(r + 1) <- start.(r) + count.(r)
+        cstart.(r + 1) <- cstart.(r) + count.(r)
       done;
       let order = Array.make nw 0 in
       let fill = Array.make n_local 0 in
       for k = 0 to nw - 1 do
         let r = root.(k) in
-        order.(start.(r) + fill.(r)) <- k;
+        order.(cstart.(r) + fill.(r)) <- k;
         fill.(r) <- fill.(r) + 1
       done;
-      (* Per component: dense renumbering by first appearance, then the
-         columns go straight into a [Compact.t]. [comp_node] needs no
-         per-component reset because components partition the level's
-         nodes. *)
+      (* Per component ([comp_node] needs no reset: components partition
+         the level's nodes), segments go into a pre-sized
+         [Compact.Builder]. Width from the resistance (w = rho l / (R h))
+         tracks repairs that rescale it; electron current flows towards
+         higher potential. *)
       let comp_node = Array.make n_local (-1) in
       for r = 0 to n_local - 1 do
         let m = count.(r) in
         if m > 0 then begin
-          let base = start.(r) in
-          (* The component's segments stream straight into a
-             [Compact.Builder] pre-sized by the counting sort: geometry
-             is validated as each segment arrives and node degrees are
-             counted incrementally, so [finish] assembles the CSR in a
-             single fill pass — no boxed intermediate, and none of
-             [Compact.make]'s revalidate-then-recount passes. *)
           let bld = Cc.Builder.create ~expected_segments:m () in
           let elems = Array.make m 0 in
           let cnodes = Array.make (m + 1) 0 in
@@ -395,12 +149,19 @@ let extract_compact ~tech (sol : Mna.solution) =
             comp_node.(li)
           in
           for i = 0 to m - 1 do
-            let k = order.(base + i) in
-            let tail = cintern local.(buf.w_a.(k)) in
-            let head = cintern local.(buf.w_b.(k)) in
-            Cc.Builder.add_segment bld ~tail ~head ~length:buf.w_len.(k)
-              ~width:buf.w_width.(k) ~height:thickness ~j:buf.w_j.(k);
-            elems.(i) <- buf.w_elem.(k)
+            let k = order.(cstart.(r) + i) in
+            let e = wires.(first + k) in
+            let ohms = net.N.values.(e) in
+            let length = float_of_int (manhattan coords pos.(e) neg.(e)) *. nm in
+            let width = layer.Pdn.Tech.resistivity *. length /. (ohms *. thickness) in
+            let j =
+              (sol.Mna.voltages.(neg.(e)) -. sol.Mna.voltages.(pos.(e)))
+              /. (ohms *. (width *. thickness))
+            in
+            let tail = cintern local.(pos.(e)) in
+            let head = cintern local.(neg.(e)) in
+            Cc.Builder.add_segment bld ~tail ~head ~length ~width ~height:thickness ~j;
+            elems.(i) <- e
           done;
           let compact = Cc.Builder.finish bld ~num_nodes:!nc in
           let cs_node_names =
@@ -413,9 +174,10 @@ let extract_compact ~tech (sol : Mna.solution) =
       done;
       (* Reset the shared netlist-id map for the next level. *)
       for k = 0 to nw - 1 do
-        local.(buf.w_a.(k)) <- -1;
-        local.(buf.w_b.(k)) <- -1
+        local.(tail k) <- -1;
+        local.(head k) <- -1
       done
+    end
   done;
   let structures = List.rev !out in
   Obs.Metrics.inc_by structures_extracted (List.length structures);
@@ -428,9 +190,7 @@ let total_compact_segments structures =
 
 (* Boxed view of a fused-path structure, for the ancillary consumers
    (layer report, fix planner, PDE layer) that still read [Structure.t].
-   Node ids, names, segment order and element ids carry over unchanged,
-   so the view is interchangeable with what [extract] would have
-   produced for the same component. *)
+   Node ids, names, segment order and element ids carry over unchanged. *)
 let boxed_view cs =
   {
     layer_level = cs.cs_layer_level;

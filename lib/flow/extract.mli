@@ -18,19 +18,6 @@ type em_structure = {
   element_ids : int array;      (** per segment: netlist element index *)
 }
 
-val extract : tech:Pdn.Tech.t -> Spice.Mna.solution -> em_structure list
-(** The reference extraction: an independent, straightforward
-    implementation that the extraction-equivalence tests compare
-    {!extract_compact} against. Production callers use
-    {!extract_compact} (plus {!boxed_view} where they need boxed
-    structures).
-
-    Skips resistors that are vias (endpoints on different layers), shorts
-    (zero ohms), or touch non-geometric nodes (pads/package). Components
-    with fewer than two nodes are dropped. *)
-
-val total_segments : em_structure list -> int
-
 type compact_structure = {
   cs_layer_level : int;             (** metal level the structure lives on *)
   compact : Em_core.Compact.t;
@@ -40,15 +27,14 @@ type compact_structure = {
 
 val extract_compact :
   tech:Pdn.Tech.t -> Spice.Mna.solution -> compact_structure list
-(** {!extract}, but streaming resistors from the MNA solution directly
-    into columnar {!Em_core.Compact.t} structures: one interning pass
-    over flat wire buffers, a counting sort by connected component, and
-    no intermediate per-wire records or [Structure.t] boxes. Applies the
-    same filters and geometry/current formulas as {!extract} and yields
-    the same per-component node numbering and segment order (segments
-    ascending by netlist element, nodes by first appearance), so the two
-    paths produce identical segment multisets; only the order of the
-    returned list may differ. *)
+(** Wires counting-sorted by metal level, then per level one
+    interning pass, a counting sort by connected component, and no
+    per-wire records or [Structure.t] boxes. Geometry comes from the coordinates the
+    netlist decoded once ({!Spice.Netlist.t.coords}). Skips resistors
+    that are vias (endpoints on different layers), shorts (zero ohms),
+    or touch non-geometric nodes (pads/package). Segments are ascending
+    by netlist element, nodes numbered by first appearance. The tests
+    compare it with an independent boxed reference. *)
 
 val total_compact_segments : compact_structure list -> int
 

@@ -98,22 +98,13 @@ let apply_to_netlist (grid : Pdn.Grid_gen.generated) structures plan =
         arr.(f.index).Extract.element_ids)
     plan.fixes;
   let net = grid.Pdn.Grid_gen.netlist in
-  let builder = N.Builder.create ~title:net.N.title () in
-  Array.iteri
-    (fun idx e ->
-      match e with
-      | N.Resistor { name; pos; neg; ohms } ->
-        let factor = Option.value (Hashtbl.find_opt scale idx) ~default:1. in
-        N.Builder.add_resistor builder ~name (N.node_name net pos)
-          (N.node_name net neg) (ohms *. factor)
-      | N.Current_source { name; pos; neg; amps } ->
-        N.Builder.add_current_source builder ~name (N.node_name net pos)
-          (N.node_name net neg) amps
-      | N.Voltage_source { name; pos; neg; volts } ->
-        N.Builder.add_voltage_source builder ~name (N.node_name net pos)
-          (N.node_name net neg) volts)
-    net.N.elements;
-  { grid with Pdn.Grid_gen.netlist = N.Builder.finish builder }
+  let values =
+    Array.mapi
+      (fun e v ->
+        match Hashtbl.find_opt scale e with Some f -> v *. f | None -> v)
+      net.N.values
+  in
+  { grid with Pdn.Grid_gen.netlist = N.with_values net values }
 
 let iterate ?(material = M.cu_dac21) ?safety ?(max_rounds = 5) grid =
   let rec loop grid plans rounds =

@@ -11,16 +11,11 @@ type analysis = {
 
 let analyze (grid : Grid_gen.generated) =
   let sol = Mna.solve grid.Grid_gen.netlist in
-  (* Index node names once. *)
-  let index = Hashtbl.create (N.num_nodes grid.Grid_gen.netlist) in
-  Array.iteri
-    (fun i name -> Hashtbl.replace index name i)
-    grid.Grid_gen.netlist.N.node_names;
   let worst_vdd = ref 0. and worst_vss = ref 0. in
   let sum = ref 0. and count = ref 0 in
   Hashtbl.iter
     (fun name net ->
-      match Hashtbl.find_opt index name with
+      match N.find_node grid.Grid_gen.netlist name with
       | None -> ()
       | Some i ->
         let v = sol.Mna.voltages.(i) in
@@ -44,21 +39,10 @@ let analyze (grid : Grid_gen.generated) =
   }
 
 let scale_loads net factor =
-  let builder = N.Builder.create ~title:net.N.title () in
-  Array.iter
-    (fun e ->
-      match e with
-      | N.Resistor { name; pos; neg; ohms } ->
-        N.Builder.add_resistor builder ~name (N.node_name net pos)
-          (N.node_name net neg) ohms
-      | N.Current_source { name; pos; neg; amps } ->
-        N.Builder.add_current_source builder ~name (N.node_name net pos)
-          (N.node_name net neg) (amps *. factor)
-      | N.Voltage_source { name; pos; neg; volts } ->
-        N.Builder.add_voltage_source builder ~name (N.node_name net pos)
-          (N.node_name net neg) volts)
-    net.N.elements;
-  N.Builder.finish builder
+  N.with_values net
+    (Array.mapi
+       (fun e v -> if N.kind net e = N.Current_source then v *. factor else v)
+       net.N.values)
 
 type metric = Worst | Mean
 

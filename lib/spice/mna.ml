@@ -18,13 +18,10 @@ let max_residual = 1e-9
 let short_representatives net =
   let n = Netlist.num_nodes net in
   let uf = Unionfind.create n in
-  Array.iter
-    (function
-      | Netlist.Resistor { pos; neg; ohms; _ } when ohms = 0. ->
-        ignore (Unionfind.union uf pos neg)
-      | Netlist.Resistor _ | Netlist.Current_source _ | Netlist.Voltage_source _
-        -> ())
-    net.Netlist.elements;
+  for e = 0 to Netlist.num_elements net - 1 do
+    if Netlist.kind net e = Resistor && net.Netlist.values.(e) = 0. then
+      ignore (Unionfind.union uf net.Netlist.pos.(e) net.Netlist.neg.(e))
+  done;
   uf
 
 (* Propagate pinned voltages through voltage sources until fixpoint. *)
@@ -34,28 +31,26 @@ let pinned_voltages net uf =
   (match net.Netlist.ground with
   | Some g -> pinned.(Unionfind.find uf g) <- Some 0.
   | None -> ());
-  let sources =
-    Array.fold_right
-      (fun e acc ->
-        match e with
-        | Netlist.Voltage_source { pos; neg; volts; name } ->
-          (Unionfind.find uf pos, Unionfind.find uf neg, volts, name) :: acc
-        | Netlist.Resistor _ | Netlist.Current_source _ -> acc)
-      net.Netlist.elements []
-  in
+  let sources = ref [] and find = Unionfind.find uf in
+  for e = Netlist.num_elements net - 1 downto 0 do
+    if Netlist.kind net e = Voltage_source then
+      sources := (find net.Netlist.pos.(e), find net.Netlist.neg.(e), net.Netlist.values.(e), e) :: !sources
+  done;
+  let sources = !sources in
   if sources <> [] && net.Netlist.ground = None then
     raise (Unsupported "voltage sources without a ground node");
   let changed = ref true in
   while !changed do
     changed := false;
     List.iter
-      (fun (p, q, volts, name) ->
+      (fun (p, q, volts, e) ->
         match (pinned.(p), pinned.(q)) with
         | Some vp, Some vq ->
           if Float.abs (vp -. vq -. volts) > 1e-9 *. (Float.abs volts +. 1.) then
             raise
               (Unsupported
-                 (Printf.sprintf "conflicting voltage constraints at %s" name))
+                 (Printf.sprintf "conflicting voltage constraints at %s"
+                    (Netlist.element_name net e)))
         | Some vp, None ->
           pinned.(q) <- Some (vp -. volts);
           changed := true
@@ -66,12 +61,12 @@ let pinned_voltages net uf =
       sources
   done;
   List.iter
-    (fun (p, q, _, name) ->
+    (fun (p, q, _, e) ->
       if pinned.(p) = None || pinned.(q) = None then
         raise
           (Unsupported
              (Printf.sprintf "floating voltage source %s (not pinned to ground)"
-                name)))
+                (Netlist.element_name net e))))
     sources;
   pinned
 
@@ -197,17 +192,18 @@ let assemble net =
      each resistor between two distinct free rows adds one entry to
      each. *)
   let row_ptr = Array.make (nf + 1) 0 in
-  Array.iter
-    (function
-      | Netlist.Resistor { pos; neg; ohms; _ } when ohms > 0. ->
-        let rp = row_of_node.(pos) and rq = row_of_node.(neg) in
-        if rp >= 0 && rq >= 0 && rp <> rq then begin
-          row_ptr.(rp + 1) <- row_ptr.(rp + 1) + 1;
-          row_ptr.(rq + 1) <- row_ptr.(rq + 1) + 1
-        end
-      | Netlist.Resistor _ | Netlist.Current_source _ | Netlist.Voltage_source _
-        -> ())
-    net.Netlist.elements;
+  let ne = Netlist.num_elements net in
+  let pos = net.Netlist.pos and neg = net.Netlist.neg in
+  let values = net.Netlist.values in
+  for e = 0 to ne - 1 do
+    if Netlist.kind net e = Resistor && values.(e) > 0. then begin
+      let rp = row_of_node.(pos.(e)) and rq = row_of_node.(neg.(e)) in
+      if rp >= 0 && rq >= 0 && rp <> rq then begin
+        row_ptr.(rp + 1) <- row_ptr.(rp + 1) + 1;
+        row_ptr.(rq + 1) <- row_ptr.(rq + 1) + 1
+      end
+    end
+  done;
   for i = 0 to nf - 1 do
     row_ptr.(i + 1) <- row_ptr.(i + 1) + row_ptr.(i) + 1
   done;
@@ -228,37 +224,36 @@ let assemble net =
     vals.(s) <- -.g;
     next.(r) <- s + 1
   in
-  Array.iter
-    (function
-      | Netlist.Resistor { pos; neg; ohms; _ } when ohms > 0. ->
-        let rp = row_of_node.(pos) and rq = row_of_node.(neg) in
-        let g = 1. /. ohms in
-        if rp >= 0 && rq >= 0 then begin
-          if rp <> rq then begin
-            stamp_diag rp g;
-            stamp_diag rq g;
-            stamp_off rp rq g;
-            stamp_off rq rp g
-          end
-        end
-        else if rp >= 0 then begin
+  for e = 0 to ne - 1 do
+    let rp = row_of_node.(pos.(e)) and rq = row_of_node.(neg.(e)) in
+    match Netlist.kind net e with
+    | Resistor when values.(e) > 0. ->
+      let g = 1. /. values.(e) in
+      if rp >= 0 && rq >= 0 then begin
+        if rp <> rq then begin
           stamp_diag rp g;
-          rhs.(rp) <- rhs.(rp) +. (g *. fixed.(neg));
-          Bytes.set tied rp '\001'
-        end
-        else if rq >= 0 then begin
           stamp_diag rq g;
-          rhs.(rq) <- rhs.(rq) +. (g *. fixed.(pos));
-          Bytes.set tied rq '\001'
+          stamp_off rp rq g;
+          stamp_off rq rp g
         end
-      | Netlist.Resistor _ -> () (* shorts already merged *)
-      | Netlist.Current_source { pos; neg; amps; _ } ->
-        (* amps flows out of [pos] into [neg] through the source. *)
-        let rp = row_of_node.(pos) and rq = row_of_node.(neg) in
-        if rp >= 0 then rhs.(rp) <- rhs.(rp) -. amps;
-        if rq >= 0 then rhs.(rq) <- rhs.(rq) +. amps
-      | Netlist.Voltage_source _ -> ())
-    net.Netlist.elements;
+      end
+      else if rp >= 0 then begin
+        stamp_diag rp g;
+        rhs.(rp) <- rhs.(rp) +. (g *. fixed.(neg.(e)));
+        Bytes.set tied rp '\001'
+      end
+      else if rq >= 0 then begin
+        stamp_diag rq g;
+        rhs.(rq) <- rhs.(rq) +. (g *. fixed.(pos.(e)));
+        Bytes.set tied rq '\001'
+      end
+    | Resistor -> () (* shorts already merged *)
+    | Current_source ->
+      (* The value flows out of [pos] into [neg] through the source. *)
+      if rp >= 0 then rhs.(rp) <- rhs.(rp) -. values.(e);
+      if rq >= 0 then rhs.(rq) <- rhs.(rq) +. values.(e)
+    | Voltage_source -> ()
+  done;
   (* Sort each row and merge parallel resistors, compacting in place:
      the write cursor never passes the read cursor. *)
   let out = ref 0 in
@@ -341,14 +336,14 @@ let solve net =
   }
 
 let resistor_current sol e =
-  if e < 0 || e >= Array.length sol.netlist.Netlist.elements then
+  let net = sol.netlist in
+  if e < 0 || e >= Netlist.num_elements net then
     invalid_arg "Mna.resistor_current: bad element index";
-  match sol.netlist.Netlist.elements.(e) with
-  | Netlist.Resistor { pos; neg; ohms; _ } ->
-    if ohms = 0. then 0.
-    else (sol.voltages.(pos) -. sol.voltages.(neg)) /. ohms
-  | Netlist.Current_source _ | Netlist.Voltage_source _ ->
-    invalid_arg "Mna.resistor_current: element is not a resistor"
+  if Netlist.kind net e <> Resistor then
+    invalid_arg "Mna.resistor_current: element is not a resistor";
+  let ohms = net.Netlist.values.(e) in
+  if ohms = 0. then 0.
+  else (sol.voltages.(net.Netlist.pos.(e)) -. sol.voltages.(net.Netlist.neg.(e))) /. ohms
 
 let node_voltage sol name =
   Option.map

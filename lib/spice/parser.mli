@@ -1,16 +1,27 @@
-(** Line-oriented parser for the IBM-power-grid-benchmark SPICE subset.
+(** One-pass scanner for the IBM-power-grid-benchmark SPICE subset.
 
-    Grammar per line (case-insensitive leading letter picks the element):
-    - [* ...] comment, blank lines skipped;
-    - [R<id> <node> <node> <value>] resistor;
-    - [I<id> <node> <node> <value>] DC current source;
-    - [V<id> <node> <node> <value>] DC voltage source;
-    - [.op], [.end] and other dot-cards are ignored.
+    The deck is read in one go and scanned line by line (lines end at
+    ['\n']). Per line:
+    - a ['$'] starts an inline comment;
+    - the rest is trimmed of space, ['\t'], ['\n'], ['\r'] and
+      ['\012'] ({!String.trim}'s set);
+    - an empty line, or one starting with ['*'] (comment) or ['.']
+      ([.op], [.end] and other dot-cards), is skipped;
+    - otherwise it splits into fields on space and ['\t'] only, and must
+      have four: [R<id> <node> <node> <value>] (resistor),
+      [I<id> ...] (DC current source) or [V<id> ...] (DC voltage
+      source), the leading letter in either case.
 
     Values accept scientific notation (including [+]-prefixed
     exponents) plus the usual SPICE magnitude suffixes
     ([t g meg k m u n p f]), optionally followed by unit text
-    ("1.2ku", "15.6ma", "3.3megohm", "5v").
+    ("1.2ku", "15.6ma", "3.3megohm", "5v"). A value that overflows to
+    an infinity ("1e999", "1e300t") is rejected like a malformed one.
+
+    Nodes are interned straight from the deck bytes, numbered by first
+    appearance with each element's second node before its first (the
+    rule {!Netlist.Builder} follows); a repeated node costs a hash probe
+    and no allocation.
 
     Two parsing modes:
     - strict ({!parse_string} / {!parse_file}): the first malformed
@@ -31,7 +42,7 @@ val default_max_errors : int
 
 val parse_value : string -> float
 (** Parse a single numeric literal with optional suffix; raises
-    [Failure] on malformed input. *)
+    [Failure] on malformed or non-finite input. *)
 
 val parse_string : ?title:string -> string -> Netlist.t
 (** Raises {!Parse_error} with a 1-based line number on bad input. *)

@@ -152,6 +152,34 @@ let test_analyze_hostile_solve () =
          I1 f1 f2 1e-3\n.end\n" );
     ]
 
+let test_analyze_non_finite_value () =
+  (* An overflowing value on a via line: strict analyze names the line;
+     --keep-going skips it, solves the rest and exits 1 for the error. *)
+  let lines = String.split_on_char '\n' (read_file deck) in
+  let bad = tmp_name "overflow" ^ ".sp" in
+  Out_channel.with_open_text bad (fun oc ->
+      output_string oc
+        (String.concat "\n"
+           (List.mapi
+              (fun i l -> if i = 1 then "R1 n1_11428_10000 n3_11428_10000 1e999" else l)
+              lines)));
+  Fun.protect
+    ~finally:(fun () -> rm_f bad)
+    (fun () ->
+      let r = run_cmd (Printf.sprintf "%s analyze %s" emcheck bad) in
+      let err = String.trim r.err in
+      Alcotest.(check bool) "strict: nonzero exit" true (r.code <> 0);
+      Alcotest.(check bool) ("strict: one diagnostic naming line 2: " ^ err) true
+        (String.starts_with ~prefix:(Printf.sprintf "emcheck: %s:2: non-finite" bad) err
+        && not (String.contains err '\n'));
+      let r = run_cmd (Printf.sprintf "%s analyze %s --keep-going" emcheck bad) in
+      let out = String.split_on_char '\n' r.out in
+      Alcotest.(check int) "keep-going: exit 1 (the skipped line is an error)" 1 r.code;
+      Alcotest.(check bool) "keep-going: line 2 skipped" true
+        (List.mem (Printf.sprintf "%s:2: skipped: non-finite numeric literal \"1e999\"" bad) out);
+      Alcotest.(check bool) "keep-going: the rest is solved" true
+        (List.exists (String.starts_with ~prefix:"DC solve: ") out))
+
 (* ---------------------------------------------------------------- *)
 (* record-run -> diff -> history                                     *)
 
@@ -260,6 +288,7 @@ let suites =
       [
         case "DC solve line and no residual diagnostic" test_analyze_solver_line;
         case "hostile solves end in one diagnostic" test_analyze_hostile_solve;
+        case "overflowing value: a line error" test_analyze_non_finite_value;
       ] );
     ( "cli.ledger",
       [ slow_case "record-run, diff, history round trip" test_record_diff_history ] );

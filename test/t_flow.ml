@@ -31,15 +31,15 @@ let small_grid () =
 let test_extract_covers_all_wires () =
   let g = small_grid () in
   let sol = Spice.Mna.solve g.Gg.netlist in
-  let structures = Ex.extract ~tech:g.Gg.tech sol in
+  let structures = Extract_reference.extract ~tech:g.Gg.tech sol in
   Alcotest.(check int) "every wire becomes a segment" g.Gg.num_wires
-    (Ex.total_segments structures);
+    (Extract_reference.total_segments structures);
   Alcotest.(check bool) "multiple structures" true (List.length structures > 1)
 
 let test_extract_structures_are_connected_and_consistent () =
   let g = small_grid () in
   let sol = Spice.Mna.solve g.Gg.netlist in
-  let structures = Ex.extract ~tech:g.Gg.tech sol in
+  let structures = Extract_reference.extract ~tech:g.Gg.tech sol in
   List.iter
     (fun es ->
       Alcotest.(check bool) "connected" true (St.is_connected es.Ex.structure);
@@ -52,7 +52,7 @@ let test_extract_structures_are_connected_and_consistent () =
 let test_extract_geometry_matches_tech () =
   let g = small_grid () in
   let sol = Spice.Mna.solve g.Gg.netlist in
-  let structures = Ex.extract ~tech:g.Gg.tech sol in
+  let structures = Extract_reference.extract ~tech:g.Gg.tech sol in
   List.iter
     (fun es ->
       let s = es.Ex.structure in
@@ -78,7 +78,7 @@ let test_extract_current_matches_mna () =
      current flows the other way). *)
   let g = small_grid () in
   let sol = Spice.Mna.solve g.Gg.netlist in
-  let structures = Ex.extract ~tech:g.Gg.tech sol in
+  let structures = Extract_reference.extract ~tech:g.Gg.tech sol in
   let checked = ref 0 in
   List.iter
     (fun es ->
@@ -146,7 +146,7 @@ let compact_of_boxed (es : Ex.em_structure) =
    so per-layer lengths may differ in the last ulp from summation
    order. *)
 let check_extraction_equivalence ~tech sol =
-  let boxed = Ex.extract ~tech sol in
+  let boxed = Extract_reference.extract ~tech sol in
   let fused = Ex.extract_compact ~tech sol in
   let old_ms = segment_multiset_old boxed in
   let new_ms = segment_multiset_compact fused in
@@ -417,7 +417,7 @@ let test_layer_report_totals () =
 let test_layer_report_renders () =
   let g = small_grid () in
   let sol = Spice.Mna.solve g.Gg.netlist in
-  let stats = Lr.analyze (Ex.extract ~tech:g.Gg.tech sol) in
+  let stats = Lr.analyze (Extract_reference.extract ~tech:g.Gg.tech sol) in
   let rendered = Emflow.Report.render (Lr.to_table stats) in
   Alcotest.(check bool) "has rows" true (String.length rendered > 200)
 
@@ -425,7 +425,7 @@ let test_layer_report_mortal_consistency () =
   let g = small_grid () in
   let scaled, _ = Ir.scale_to_ir g ~target:0.05 in
   let sol = Spice.Mna.solve scaled.Gg.netlist in
-  let stats = Lr.analyze (Ex.extract ~tech:scaled.Gg.tech sol) in
+  let stats = Lr.analyze (Extract_reference.extract ~tech:scaled.Gg.tech sol) in
   List.iter
     (fun st ->
       Alcotest.(check int) "mortal = TN + FP" st.Lr.mortal_segments
@@ -442,7 +442,7 @@ let stressed_structures () =
   let g = small_grid () in
   let scaled, _ = Ir.scale_to_ir g ~target:0.05 in
   let sol = Spice.Mna.solve scaled.Gg.netlist in
-  Ex.extract ~tech:scaled.Gg.tech sol
+  Extract_reference.extract ~tech:scaled.Gg.tech sol
 
 let test_fixer_plan_and_verify () =
   let structures = stressed_structures () in
@@ -1019,7 +1019,7 @@ module Jm = Emflow.Jmax
 let test_jmax_filter_semantics () =
   let g = small_grid () in
   let sol = Spice.Mna.solve g.Gg.netlist in
-  let structures = Ex.extract ~tech:g.Gg.tech sol in
+  let structures = Extract_reference.extract ~tech:g.Gg.tech sol in
   List.iter
     (fun es ->
       let pass = Jm.filter ~tech:g.Gg.tech es in
@@ -1045,7 +1045,7 @@ let test_jmax_counts_total () =
   let structures = stressed_structures () in
   let c = Jm.compare_against_exact ~tech:Pdn.Tech.ibm_like structures in
   Alcotest.(check int) "covers every segment"
-    (Ex.total_segments structures)
+    (Extract_reference.total_segments structures)
     (Cl.total c)
 
 
@@ -1079,7 +1079,7 @@ let test_fixer_iterate_converges () =
   Alcotest.(check int) "no fixes remain" 0 (List.length final.Fx.fixes);
   (* Confirm independently on the repaired netlist. *)
   let sol = Spice.Mna.solve repaired.Gg.netlist in
-  let structures = Ex.extract ~tech:repaired.Gg.tech sol in
+  let structures = Extract_reference.extract ~tech:repaired.Gg.tech sol in
   List.iter
     (fun es ->
       Alcotest.(check bool) "structure immortal" true

@@ -136,20 +136,15 @@ let test_grid_nets_disjoint () =
   (* No resistor may bridge Vdd and Vss. *)
   let g = Gg.generate small_spec in
   let net = g.Gg.netlist in
-  Array.iter
-    (fun e ->
-      match e with
-      | N.Resistor { pos; neg; _ } -> begin
-        match
-          ( Hashtbl.find_opt g.Gg.node_net (N.node_name net pos),
-            Hashtbl.find_opt g.Gg.node_net (N.node_name net neg) )
-        with
-        | Some a, Some b ->
-          Alcotest.(check bool) "same net" true (a = b)
-        | _ -> ()
-      end
-      | N.Current_source _ | N.Voltage_source _ -> ())
-    net.N.elements
+  for e = 0 to N.num_elements net - 1 do
+    if N.kind net e = N.Resistor then
+      match
+        ( Hashtbl.find_opt g.Gg.node_net (N.node_name net net.N.pos.(e)),
+          Hashtbl.find_opt g.Gg.node_net (N.node_name net net.N.neg.(e)) )
+      with
+      | Some a, Some b -> Alcotest.(check bool) "same net" true (a = b)
+      | _ -> ()
+  done
 
 let test_grid_solvable () =
   let g = Gg.generate small_spec in
@@ -299,13 +294,12 @@ let test_voltage_domains () =
   let g = Gg.generate spec3 in
   (* Three distinct Vdd pad voltages appear (1.8, 1.62, 1.44). *)
   let voltages = Hashtbl.create 8 in
-  Array.iter
-    (fun e ->
-      match e with
-      | N.Voltage_source { volts; _ } when volts > 0. ->
-        Hashtbl.replace voltages (Printf.sprintf "%.3f" volts) ()
-      | N.Voltage_source _ | N.Resistor _ | N.Current_source _ -> ())
-    g.Gg.netlist.N.elements;
+  let net = g.Gg.netlist in
+  Array.iteri
+    (fun e volts ->
+      if N.kind net e = N.Voltage_source && volts > 0. then
+        Hashtbl.replace voltages (Printf.sprintf "%.3f" volts) ())
+    net.N.values;
   Alcotest.(check int) "three Vdd levels" 3 (Hashtbl.length voltages);
   (* Still solvable, and Vdd nodes never exceed their domain supply. *)
   let sol = Spice.Mna.solve g.Gg.netlist in
@@ -323,24 +317,19 @@ let test_voltage_domains () =
      boundary (all same-layer resistor endpoints share a band). *)
   let die_w_nm = int_of_float (spec3.Gg.die_width /. 1e-9) in
   let band = die_w_nm / 3 in
-  Array.iter
-    (fun e ->
-      match e with
-      | N.Resistor { pos; neg; _ } -> begin
-        match
-          ( Spice.Ibm_format.decode (N.node_name g.Gg.netlist pos),
-            Spice.Ibm_format.decode (N.node_name g.Gg.netlist neg) )
-        with
-        | Some a, Some b ->
-          let band_of (c : Spice.Ibm_format.coords) =
-            min 2 (c.Spice.Ibm_format.x / band)
-          in
-          Alcotest.(check bool) "no cross-band wires" true
-            (band_of a = band_of b)
-        | _ -> ()
-      end
-      | N.Current_source _ | N.Voltage_source _ -> ())
-    g.Gg.netlist.N.elements
+  for e = 0 to N.num_elements net - 1 do
+    if N.kind net e = N.Resistor then
+      match
+        ( Spice.Ibm_format.decode (N.node_name net net.N.pos.(e)),
+          Spice.Ibm_format.decode (N.node_name net net.N.neg.(e)) )
+      with
+      | Some a, Some b ->
+        let band_of (c : Spice.Ibm_format.coords) =
+          min 2 (c.Spice.Ibm_format.x / band)
+        in
+        Alcotest.(check bool) "no cross-band wires" true (band_of a = band_of b)
+      | _ -> ()
+  done
 
 let suites =
   [

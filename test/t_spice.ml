@@ -31,6 +31,26 @@ let test_builder_elements () =
   check_raises_invalid "negative R" (fun () ->
       N.Builder.add_resistor b "a" "b" (-1.))
 
+let test_builder_slices_checked () =
+  let b = N.Builder.create () in
+  let text = "R7 a b" in
+  let a = N.Builder.intern b text 3 1 and c = N.Builder.intern b text 5 1 in
+  Alcotest.(check int) "slice interned as its name" a (N.Builder.node b "a");
+  check_raises_invalid "slice past the end" (fun () -> ignore (N.Builder.intern b text 5 2));
+  check_raises_invalid "negative offset" (fun () -> ignore (N.Builder.intern b text (-1) 1));
+  check_raises_invalid "node id past the last" (fun () ->
+      N.Builder.add b N.Resistor text ~off:0 ~len:2 ~pos:a ~neg:2 1.);
+  check_raises_invalid "negative node id" (fun () ->
+      N.Builder.add b N.Current_source text ~off:0 ~len:2 ~pos:(-1) ~neg:c 1.);
+  check_raises_invalid "negative resistance" (fun () ->
+      N.Builder.add b N.Resistor text ~off:0 ~len:2 ~pos:a ~neg:c (-1.));
+  N.Builder.add b N.Resistor text ~off:0 ~len:2 ~pos:a ~neg:c 2.;
+  let net = N.Builder.finish b in
+  Alcotest.(check int) "only the valid element" 1 (N.num_elements net);
+  Alcotest.(check string) "its name" "R7" (N.element_name net 0);
+  check_raises_invalid "use after finish" (fun () ->
+      N.Builder.add b N.Resistor text ~off:0 ~len:2 ~pos:a ~neg:c 2.)
+
 let test_netlist_roundtrip () =
   let b = N.Builder.create ~title:"roundtrip" () in
   N.Builder.add_resistor b ~name:"R1" "n1_0_0" "n1_100_0" 0.5;
@@ -213,6 +233,225 @@ let test_parse_file_roundtrip () =
       close_out oc;
       let net' = P.parse_file path in
       Alcotest.(check int) "resistors" 1 (N.stats net').N.resistors)
+
+(* ---------------------------------------------------------------- *)
+(* Scanner against the old line parser                               *)
+
+let pick rng a = a.(Numerics.Rng.int rng (Array.length a))
+
+(* A random literal: sign, digits, point, exponent (sometimes huge),
+   suffix and unit text in random case, now and then a stray blank. *)
+let random_value rng =
+  let digits n = String.init n (fun _ -> Char.chr (48 + Numerics.Rng.int rng 10)) in
+  let mantissa =
+    match Numerics.Rng.int rng 12 with
+    | 0 | 1 | 2 -> digits (1 + Numerics.Rng.int rng 4)
+    | 3 | 4 | 5 | 6 -> digits (1 + Numerics.Rng.int rng 3) ^ "." ^ digits (Numerics.Rng.int rng 12)
+    | 7 | 8 -> "." ^ digits (1 + Numerics.Rng.int rng 3)
+    | 9 | 10 -> digits (1 + Numerics.Rng.int rng 20)
+    | _ -> pick rng [| "."; ""; "1.2.3"; "+-1"; "0x10"; "nan"; "inf"; "1." |]
+  in
+  let exponent =
+    match Numerics.Rng.int rng 10 with
+    | 0 | 1 | 2 -> pick rng [| "e"; "E" |] ^ pick rng [| ""; "+"; "-" |] ^ digits (1 + Numerics.Rng.int rng 2)
+    | 3 -> pick rng [| "e"; "E+" |] ^ pick rng [| "308"; "309"; "999"; "0400"; "22"; "23" |]
+    | 4 -> pick rng [| "e-"; "E-" |] ^ pick rng [| "300"; "330"; "22"; "23"; "0005" |]
+    | 5 -> pick rng [| "e"; "e+"; "e5e3" |]
+    | _ -> ""
+  in
+  let suffix =
+    pick rng
+      [| ""; ""; ""; ""; ""; ""; "k"; "K"; "meg"; "MEG"; "Meg"; "m"; "M"; "u"; "n"; "p";
+         "f"; "t"; "g"; "ku"; "mA"; "megohm"; "v"; "ev"; "Ohm"; "x1"; "%"; "k3" |]
+  in
+  pick rng [| ""; ""; ""; "-"; "+" |] ^ mantissa ^ exponent ^ suffix
+  ^ pick rng [| ""; ""; ""; ""; "\r"; "\012" |]
+
+let random_node rng =
+  pick rng
+    [| "0"; "n1_0_0"; "n1_100_0"; "n2_100_0"; "N1_0_0"; "n1_00_0"; "pad"; "X17";
+       "n3_1500_280000"; "a\rb"; "n-1_2_3"; "n1_2_3_4"; "n12345678901234567890_1_1" |]
+
+let random_line rng i =
+  let sep () = pick rng [| " "; " "; " "; "\t"; "  "; " \t "; " "; "\t"; "\012" |] in
+  let letter = pick rng [| "R"; "r"; "R"; "R"; "I"; "i"; "I"; "V"; "v"; "V"; "X" |] in
+  let fields =
+    [ letter ^ string_of_int i; random_node rng; random_node rng; random_value rng ]
+  in
+  let fields =
+    match Numerics.Rng.int rng 20 with
+    | 0 -> List.tl fields
+    | 1 -> fields @ [ "extra" ]
+    | _ -> fields
+  in
+  let line =
+    pick rng [| ""; ""; " "; "\t"; "\r" |] ^ String.concat (sep ()) fields
+    ^ pick rng [| ""; ""; " "; "\r"; " $ comment"; "$x y z"; " * tail" |]
+  in
+  match Numerics.Rng.int rng 20 with
+  | 0 -> "* comment " ^ line
+  | 1 -> ".op"
+  | 2 -> pick rng [| ""; "   "; "\r"; "\t\012" |]
+  | 3 -> "$ " ^ line
+  | 4 -> "  .END"
+  | _ -> line
+
+let random_deck seed =
+  let rng = Numerics.Rng.create (Int64.of_int (seed + 4242)) in
+  String.concat (pick rng [| "\n"; "\n"; "\r\n" |])
+    (List.init (1 + Numerics.Rng.int rng 30) (random_line rng))
+
+let same_netlist (a : N.t) (b : N.t) =
+  let bits v = Array.map Int64.bits_of_float v in
+  a.N.node_names = b.N.node_names
+  && Bytes.equal a.N.kinds b.N.kinds
+  && a.N.pos = b.N.pos && a.N.neg = b.N.neg
+  && bits a.N.values = bits b.N.values
+  && List.init (N.num_elements a) (N.element_name a)
+     = List.init (N.num_elements b) (N.element_name b)
+
+(* The oracle accepts an overflowing value that the scanner rejects: on
+   a four-field line whose value overflows, the scanner must report a
+   non-finite literal, and the rest must match the oracle on the deck
+   with those lines blanked. *)
+let prop_scanner_matches_oracle seed =
+  let deck = random_deck seed in
+  let lines = String.split_on_char '\n' deck in
+  let overflows line =
+    let line = List.hd (String.split_on_char '$' line) in
+    match Line_parser.split_fields (String.trim line) with
+    | [ name; _; _; value ] when name.[0] <> '*' && name.[0] <> '.' -> (
+      match Line_parser.parse_value value with
+      | v -> not (Float.is_finite v)
+      | exception Failure _ -> false)
+    | _ -> false
+  in
+  let blanked = String.concat "\n" (List.map (fun l -> if overflows l then "" else l) lines) in
+  let bad_lines =
+    List.concat (List.mapi (fun i l -> if overflows l then [ i + 1 ] else []) lines)
+  in
+  let net, errs = P.parse_string_tolerant ~max_errors:1000 deck in
+  let net', errs' = Line_parser.parse_string_tolerant ~max_errors:1000 blanked in
+  let expected =
+    List.sort compare
+      (List.map (fun (e : P.line_error) -> (e.P.line, e.P.message)) errs'
+      @ List.map (fun l -> (l, "non-finite")) bad_lines)
+  in
+  let got = List.map (fun (e : P.line_error) -> (e.P.line, e.P.message)) errs in
+  let messages_agree =
+    List.length got = List.length expected
+    && List.for_all2
+         (fun (l, m) (l', m') ->
+           l = l'
+           && (m = m'
+              || (m' = "non-finite" && String.starts_with ~prefix:"non-finite numeric literal" m)))
+         got expected
+  in
+  let strict_agree =
+    match (P.parse_string deck, expected) with
+    | net_s, [] -> same_netlist net_s net'
+    | _, _ :: _ -> false
+    | exception P.Parse_error { line; _ } -> (
+      match expected with (l, _) :: _ -> l = line | [] -> false)
+  in
+  same_netlist net net' && messages_agree && strict_agree
+
+let prop_values_match_oracle seed =
+  let rng = Numerics.Rng.create (Int64.of_int seed) in
+  List.for_all
+    (fun s ->
+      match (P.parse_value s, Line_parser.parse_value s) with
+      | v, v' -> Int64.bits_of_float v = Int64.bits_of_float v'
+      | exception Failure m -> (
+        match Line_parser.parse_value s with
+        | v' -> (not (Float.is_finite v')) && String.starts_with ~prefix:"non-finite" m
+        | exception Failure m' -> m = m')
+      | exception _ -> false)
+    (List.init 20 (fun _ -> random_value rng))
+
+let mini_grid =
+  if Sys.file_exists "../data/mini_grid.sp" then "../data/mini_grid.sp" else "data/mini_grid.sp"
+
+let mini_grid_text = lazy (In_channel.with_open_bin mini_grid In_channel.input_all)
+
+let test_data_decks_match_oracle () =
+  Alcotest.(check bool) "mini_grid.sp parses as the oracle does" true
+    (same_netlist (P.parse_file mini_grid) (Line_parser.parse_string (Lazy.force mini_grid_text)))
+
+(* Mutation fuzzer over the sample deck: byte flips, truncation, injected
+   control bytes, comments and hostile values. The strict scanner returns
+   a netlist or a located [Parse_error]; the tolerant one a netlist and
+   at most [max_errors] line errors, or the budget error. Nothing else
+   may escape. *)
+let mutate rng text =
+  let text = ref text in
+  for _ = 0 to Numerics.Rng.int rng 8 do
+    let t = !text in
+    let at = Numerics.Rng.int rng (String.length t + 1) in
+    let splice piece = String.sub t 0 at ^ piece ^ String.sub t at (String.length t - at) in
+    text :=
+      match Numerics.Rng.int rng 4 with
+      | 0 when at < String.length t ->
+        String.mapi (fun i c -> if i = at then Char.chr (Numerics.Rng.int rng 256) else c) t
+      | 1 -> String.sub t 0 at
+      | 2 -> splice (pick rng [| "\000"; "\r"; "\012"; "\t"; "\n"; " $ c"; "$"; " " |])
+      | _ ->
+        splice
+          (pick rng
+             [| " 1e999"; " nan"; " 1e-999"; " 2.5megohm"; " 3ku"; " 1E+400"; " -"; " 5ev";
+                " 1e300t"; " inf"; "\nR9 a b 1e999\n"; "\nI9 a 0 -1e999\n" |])
+  done;
+  !text
+
+let prop_fuzz_mini_grid seed =
+  let rng = Numerics.Rng.create (Int64.of_int (seed + 99)) in
+  let deck = mutate rng (Lazy.force mini_grid_text) in
+  let lines = List.length (String.split_on_char '\n' deck) in
+  let max_errors = Numerics.Rng.int rng 6 in
+  let strict =
+    match P.parse_string deck with
+    | _ -> true
+    | exception P.Parse_error { line; _ } -> 1 <= line && line <= lines
+  in
+  let tolerant =
+    match P.parse_string_tolerant ~max_errors deck with
+    | _, errs ->
+      List.length errs <= max_errors
+      && List.for_all (fun (e : P.line_error) -> 1 <= e.P.line && e.P.line <= lines) errs
+    | exception P.Parse_error { line; message } ->
+      String.starts_with ~prefix:"too many malformed lines" message && line <= lines
+  in
+  strict && tolerant
+
+let test_node_numbering () =
+  (* Each element numbers its second node before its first. *)
+  let net = P.parse_string "R1 a b 1\nR2 c a 2\n" in
+  Alcotest.(check (array string)) "node order" [| "b"; "a"; "c" |] net.N.node_names;
+  let b = N.Builder.create () in
+  N.Builder.add_resistor b "a" "b" 1.;
+  N.Builder.add_resistor b "c" "a" 2.;
+  Alcotest.(check (array string)) "builder order" [| "b"; "a"; "c" |]
+    (N.Builder.finish b).N.node_names;
+  Alcotest.(check (option int)) "find_node" (Some 2) (N.find_node net "c");
+  Alcotest.(check (option int)) "unknown node" None (N.find_node net "d")
+
+let test_non_finite_values () =
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (Printf.sprintf "%S rejected" s) true
+        (match P.parse_value s with
+        | exception Failure m -> String.starts_with ~prefix:"non-finite" m
+        | _ -> false))
+    [ "1e999"; "-1e999"; "1e300t"; "1E+400meg" ];
+  check_close "largest finite" 1e308 (P.parse_value "1e308");
+  (match P.parse_string "V1 a 0 1\nR1 a 0 1e999\n" with
+  | exception P.Parse_error { line = 2; message } ->
+    Alcotest.(check bool) message true (String.starts_with ~prefix:"non-finite" message)
+  | _ -> Alcotest.fail "an overflowing value must fail on its line");
+  let net, errs = P.parse_string_tolerant "V1 a 0 1\nR1 a 0 1e999\nR2 a 0 2\n" in
+  Alcotest.(check (list int)) "skipped line" [ 2 ]
+    (List.map (fun (e : P.line_error) -> e.P.line) errs);
+  Alcotest.(check int) "kept resistors" 1 (N.stats net).N.resistors
 
 (* ---------------------------------------------------------------- *)
 (* IBM format                                                        *)
@@ -521,31 +760,32 @@ let builder_assembly net (sys : Mna.system) =
   let add = Numerics.Sparse.Builder.add b in
   let rhs = Array.make nf 0. in
   let row v = sys.Mna.row_of_node.(v) in
-  Array.iter
-    (function
-      | N.Resistor { pos; neg; ohms; _ } when ohms > 0. ->
-        let fp = row pos and fq = row neg and g = 1. /. ohms in
-        if fp >= 0 && fq >= 0 then begin
-          if fp <> fq then begin
-            add fp fp g;
-            add fq fq g;
-            add fp fq (-.g);
-            add fq fp (-.g)
-          end
-        end
-        else if fp >= 0 then begin
+  for e = 0 to N.num_elements net - 1 do
+    let pos = net.N.pos.(e) and neg = net.N.neg.(e) and v = net.N.values.(e) in
+    match N.kind net e with
+    | N.Resistor when v > 0. ->
+      let fp = row pos and fq = row neg and g = 1. /. v in
+      if fp >= 0 && fq >= 0 then begin
+        if fp <> fq then begin
           add fp fp g;
-          rhs.(fp) <- rhs.(fp) +. (g *. sys.Mna.fixed.(neg))
-        end
-        else if fq >= 0 then begin
           add fq fq g;
-          rhs.(fq) <- rhs.(fq) +. (g *. sys.Mna.fixed.(pos))
+          add fp fq (-.g);
+          add fq fp (-.g)
         end
-      | N.Resistor _ | N.Voltage_source _ -> ()
-      | N.Current_source { pos; neg; amps; _ } ->
-        if row pos >= 0 then rhs.(row pos) <- rhs.(row pos) -. amps;
-        if row neg >= 0 then rhs.(row neg) <- rhs.(row neg) +. amps)
-    net.N.elements;
+      end
+      else if fp >= 0 then begin
+        add fp fp g;
+        rhs.(fp) <- rhs.(fp) +. (g *. sys.Mna.fixed.(neg))
+      end
+      else if fq >= 0 then begin
+        add fq fq g;
+        rhs.(fq) <- rhs.(fq) +. (g *. sys.Mna.fixed.(pos))
+      end
+    | N.Resistor | N.Voltage_source -> ()
+    | N.Current_source ->
+      if row pos >= 0 then rhs.(row pos) <- rhs.(row pos) -. v;
+      if row neg >= 0 then rhs.(row neg) <- rhs.(row neg) +. v
+  done;
   (Numerics.Sparse.Builder.to_csr b, rhs)
 
 let prop_csr_matches_builder seed =
@@ -692,6 +932,7 @@ let suites =
       [
         case "node interning" test_builder_interning;
         case "element construction" test_builder_elements;
+        case "slice interning and add are checked" test_builder_slices_checked;
         case "print/parse roundtrip" test_netlist_roundtrip;
       ] );
     ( "spice.parser",
@@ -707,6 +948,18 @@ let suites =
         case "recovery mode on files" test_parse_tolerant_file;
         case "comments and whitespace" test_parse_comments_and_whitespace;
         case "file roundtrip" test_parse_file_roundtrip;
+        case "node numbering: second node first" test_node_numbering;
+        case "non-finite values are line errors" test_non_finite_values;
+        case "sample deck parses as the oracle does" test_data_decks_match_oracle;
+        qcheck ~count:500 "literals match the line-parser oracle"
+          QCheck2.Gen.(int_bound 1_000_000)
+          prop_values_match_oracle;
+        qcheck ~count:500 "mutated sample decks: a netlist or a located error"
+          QCheck2.Gen.(int_bound 1_000_000)
+          prop_fuzz_mini_grid;
+        qcheck ~count:600 "scanner matches the line-parser oracle"
+          QCheck2.Gen.(int_bound 1_000_000)
+          prop_scanner_matches_oracle;
         qcheck ~count:100 "print/parse fixpoint"
           QCheck2.Gen.(int_bound 1_000_000)
           prop_print_parse_fixpoint;
