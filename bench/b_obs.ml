@@ -77,38 +77,11 @@ let run cfg =
         last_trace := Tr.num_events t;
         r)
   in
-  (* Sampling profiler overhead. Disabled, the sampled domains execute
-     no profiler code at all (stack publication only happens under an
-     enabled trace, and the registry is only ever read by the ticker),
-     so the disabled run re-measures the telemetry-off flow — any ratio
-     away from 1.0 is timer noise, and the paired measurement keeps the
-     regression gate honest about it. Enabled, the ticker runs at the
-     default rate alongside a traced flow; the ratio against the traced
-     baseline isolates the sampler's interference. *)
-  let _, t_profile_off = best_of reps (fun () -> Flow.run_on_compact compacts) in
-  (* Steady-state interference: the ticker runs across the repetitions
-     (start/stop — a domain spawn and join — happen once per profiled
-     process, not once per flow, so they stay outside the clock). *)
-  let sampler = Obs.Profile.start () in
-  let _, t_profile_on =
-    best_of reps (fun () ->
-        let t = Tr.create () in
-        Mx.with_enabled true (fun () ->
-            Tr.with_enabled t (fun () -> Flow.run_on_compact compacts)))
-  in
-  let last_samples = (Obs.Profile.stop sampler).Obs.Profile.total_samples in
-  let last_samples = ref last_samples in
-  let profile_off_ratio = t_profile_off /. t_off in
-  let profile_on_ratio = t_profile_on /. t_trace in
   B_util.note "flow, telemetry off:        %.3fs (best of %d)" t_off reps;
   B_util.note "flow, metrics on:           %.3fs (%.2fx)" t_metrics
     (t_metrics /. t_off);
   B_util.note "flow, metrics + trace on:   %.3fs (%.2fx, %d spans)" t_trace
     (t_trace /. t_off) !last_trace;
-  B_util.note "flow, profiler disabled:    %.3fs (%.2fx vs off — noise floor)"
-    t_profile_off profile_off_ratio;
-  B_util.note "flow, profiler at %.0f Hz:  %.3fs (%.2fx vs traced, %d samples)"
-    Obs.Profile.default_rate_hz t_profile_on profile_on_ratio !last_samples;
   (* Numerical-audit overhead: disabled, the flow executes no audit code
      at all (the option is [None] — one match per structure), so the
      paired disabled run re-measures the plain flow and any drift from
@@ -143,8 +116,8 @@ let run cfg =
      (listener + monitor + scraper all up) differing only in whether
      the scraper actually scrapes: on a single-core host the mere
      existence of extra domains taxes the flow with stop-the-world
-     rendezvous latency (a runtime property, same as the profiler's
-     noise floor above), and pairing cancels that tax so
+     rendezvous latency (a runtime property), and pairing cancels that
+     tax so
      serve_scrape_ratio isolates what serving the scrapes costs — the
      <= 2% design target, gated through bench-history. The
      infrastructure tax itself is recorded as serve_infra_ratio for
@@ -201,27 +174,6 @@ let run cfg =
   B_util.note "flow, /metrics scraped:     %.3fs (%.2fx vs idle server, %d \
                scrapes; <=1.02x target)"
     t_serve serve_ratio serve_scrapes;
-  (* The design cost of one tick (snapshotting every lane's published
-     stack), measured on a live 3-deep stack. Multiplied by the rate
-     this bounds the sampler's own work per second of profiled run; on
-     single-core hosts the measured ratio above can exceed it because
-     every minor-GC stop-the-world must also rendezvous with the ticker
-     domain — a runtime property, not sampler work. *)
-  let snapshot_ns =
-    let t = Tr.create () in
-    Tr.with_enabled t (fun () ->
-        Tr.with_span "a" (fun () ->
-            Tr.with_span "b" (fun () ->
-                Tr.with_span "c" (fun () ->
-                    ns_per_op 100_000 (fun () ->
-                        ignore (Sys.opaque_identity (Tr.stack_snapshots ())))))))
-  in
-  let estimated_profile_pct =
-    Obs.Profile.default_rate_hz *. snapshot_ns *. 1e-9 *. 100.
-  in
-  B_util.note "stack snapshot:             %.1f ns/tick (~%.3f%% of a \
-               profiled second at %.0f Hz)"
-    snapshot_ns estimated_profile_pct Obs.Profile.default_rate_hz;
   (* The disabled fast paths, measured directly: one flag load + branch. *)
   let c = Mx.counter ~help:"bench guard probe" "bench_obs_probe_total" in
   let sink = ref 0 in
@@ -260,11 +212,6 @@ let run cfg =
          ("metrics_on_ratio", J.Float (t_metrics /. t_off));
          ("trace_on_ratio", J.Float (t_trace /. t_off));
          ("trace_spans", J.Int !last_trace);
-         ("profile_off_s", J.Float t_profile_off);
-         ("profile_on_s", J.Float t_profile_on);
-         ("profile_off_ratio", J.Float profile_off_ratio);
-         ("profile_on_ratio", J.Float profile_on_ratio);
-         ("profile_samples", J.Int !last_samples);
          ("audit_off_s", J.Float t_audit_off);
          ("audit_on_s", J.Float t_audit_on);
          ("audit_overhead_ratio", J.Float audit_overhead_ratio);
@@ -274,8 +221,6 @@ let run cfg =
          ("serve_infra_ratio", J.Float infra_ratio);
          ("serve_scrape_ratio", J.Float serve_ratio);
          ("serve_scrapes", J.Int serve_scrapes);
-         ("profile_snapshot_ns", J.Float snapshot_ns);
-         ("estimated_profile_overhead_pct", J.Float estimated_profile_pct);
          ("disabled_counter_inc_ns", J.Float inc_ns);
          ("disabled_span_ns", J.Float span_ns);
          ("estimated_disabled_overhead_pct", J.Float estimated_pct);

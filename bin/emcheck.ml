@@ -213,33 +213,6 @@ let audit_top_arg =
           "Critical-path steps to keep per structure in the audit \
            attribution (largest stress contribution first).")
 
-let solve_buckets_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "solve-buckets" ] ~docv:"S1,S2,..."
-        ~doc:
-          "Override the $(b,em_structure_solve_seconds) histogram bucket \
-           bounds (seconds, strictly increasing; $(b,+Inf) is implicit). \
-           The default ladder starts sub-microsecond to resolve compact \
-           solves.")
-
-let apply_solve_buckets = function
-  | None -> ()
-  | Some spec ->
-    let buckets =
-      String.split_on_char ',' spec
-      |> List.map (fun s ->
-             match float_of_string_opt (String.trim s) with
-             | Some f -> f
-             | None ->
-               failwith
-                 (Printf.sprintf "--solve-buckets: %S is not a number" s))
-      |> Array.of_list
-    in
-    (try Flow.set_solve_seconds_buckets buckets
-     with Invalid_argument msg -> failwith msg)
-
 let audit_config_of ~audit ~audit_tol ~strict_audit ~audit_top =
   if not audit then None
   else begin
@@ -383,7 +356,7 @@ let stop_live live =
     live
 
 (* ------------------------------------------------------------------ *)
-(* Sampling profiler plumbing (emcheck analyze/stats --profile)        *)
+(* Profile plumbing (emcheck analyze/stats --profile)                  *)
 
 let profile_arg =
   Arg.(
@@ -391,19 +364,12 @@ let profile_arg =
     & opt (some string) None
     & info [ "profile" ] ~docv:"FILE"
         ~doc:
-          "Run the sampling profiler during the analysis (a ticker domain \
-           samples every domain's open span stack) and write the aggregated \
-           profile to $(docv) — speedscope JSON by default \
-           (https://www.speedscope.app), or folded stacks for flamegraph.pl \
-           with $(b,--profile-format folded). Implies span tracing for the \
-           run even without $(b,--trace).")
-
-let profile_rate_arg =
-  Arg.(
-    value
-    & opt float Obs.Profile.default_rate_hz
-    & info [ "profile-rate" ] ~docv:"HZ"
-        ~doc:"Sampling rate for $(b,--profile) in Hz (default ~997).")
+          "Write the run's exact span profile to $(docv): every span's \
+           self-time (its duration minus its direct children's) summed \
+           per lane and span path, in microseconds — speedscope JSON by \
+           default (https://www.speedscope.app), or folded stacks for \
+           flamegraph.pl with $(b,--profile-format folded). Implies span \
+           tracing for the run even without $(b,--trace).")
 
 let profile_format_arg =
   let formats = [ ("speedscope", `Speedscope); ("folded", `Folded) ] in
@@ -415,53 +381,46 @@ let profile_format_arg =
           "Profile output format: $(b,speedscope) (JSON, one lane per \
            domain) or $(b,folded) (flamegraph.pl folded stacks).")
 
-(* Install the requested sinks; returns the trace buffer (the caller
-   exports it once the run is over) and the running sampler, if any.
-   --profile implies a trace: the sampler reads the span stacks that
-   only an enabled trace maintains. *)
-let start_telemetry ~trace_path ~metrics_path ~profile_path ~profile_rate =
+(* Install the requested sinks; returns the trace buffer the caller
+   exports once the run is over. --profile implies a trace: the profile
+   is computed from its completed spans. *)
+let start_telemetry ~trace_path ~metrics_path ~profile_path =
   if
     Option.is_some metrics_path || Option.is_some trace_path
     || Option.is_some profile_path
   then Obs.Metrics.set_enabled true;
-  let trace =
-    if Option.is_some trace_path || Option.is_some profile_path then begin
-      let t = Obs.Trace.create () in
-      Obs.Trace.enable t;
-      Some t
-    end
-    else None
-  in
-  let sampler =
-    Option.map (fun _ -> Obs.Profile.start ~rate_hz:profile_rate ()) profile_path
-  in
-  (trace, sampler)
-
-let export_profile ~profile_path ~profile_format trace profile =
-  match (profile_path, profile) with
-  | Some out, Some (p : Obs.Profile.profile) ->
-    let track_names =
-      match trace with Some t -> Obs.Trace.track_names t | None -> []
-    in
-    (match profile_format with
-    | `Folded -> Obs.Profile.write_file out (Obs.Profile.to_folded ~track_names p)
-    | `Speedscope ->
-      Obs.Profile.write_file out
-        (Obs.Profile.to_speedscope ~name:(Filename.basename out) ~track_names p));
-    Printf.printf "Profile (%d samples at %.0f Hz over %.2fs) written to %s%s\n"
-      p.Obs.Profile.total_samples p.Obs.Profile.rate_hz
-      (p.Obs.Profile.duration_us /. 1e6)
-      out
-      (match profile_format with
-      | `Speedscope -> "; open in https://www.speedscope.app"
-      | `Folded -> "; render with flamegraph.pl")
-  | _ -> ()
+  if Option.is_some trace_path || Option.is_some profile_path then begin
+    let t = Obs.Trace.create () in
+    Obs.Trace.enable t;
+    Some t
+  end
+  else None
 
 let write_file path contents =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc contents)
+
+let export_profile ~profile_path ~profile_format trace =
+  match (profile_path, trace) with
+  | Some out, Some t ->
+    let track_names = Obs.Trace.track_names t in
+    let stacks = Obs.Profile.stacks t in
+    write_file out
+      (match profile_format with
+      | `Folded -> Obs.Profile.to_folded ~track_names stacks
+      | `Speedscope ->
+        Obs.Profile.to_speedscope ~name:(Filename.basename out) ~track_names
+          stacks);
+    Printf.printf "Profile (%d spans, %.3fs span wall) written to %s%s\n"
+      (Obs.Trace.num_events t)
+      (Obs.Profile.span_wall_us t /. 1e6)
+      out
+      (match profile_format with
+      | `Speedscope -> "; open in https://www.speedscope.app"
+      | `Folded -> "; render with flamegraph.pl")
+  | _ -> ()
 
 let export_telemetry ~trace_path ~metrics_path trace =
   (match metrics_path with
@@ -479,15 +438,15 @@ let export_telemetry ~trace_path ~metrics_path trace =
   | _ -> ()
 
 (* Top-K hot-path table: exact self-time attribution from the completed
-   spans, with statistical sample counts when the profiler ran. *)
-let print_hot_paths ?profile ~top trace =
-  match Obs.Profile.attribute ?profile trace with
+   spans. *)
+let print_hot_paths ~top trace =
+  match Obs.Profile.attribute trace with
   | [] -> ()
   | paths ->
     let wall_us = Obs.Profile.span_wall_us trace in
     let table =
       Rp.create
-        [ "hot path"; "count"; "samples"; "self ms"; "total ms"; "% wall";
+        [ "hot path"; "count"; "self ms"; "total ms"; "% wall";
           "self alloc Mw" ]
     in
     List.iteri
@@ -497,7 +456,6 @@ let print_hot_paths ?profile ~top trace =
             [
               Obs.Profile.path_to_string h.Obs.Profile.hp_path;
               Rp.int_cell h.Obs.Profile.hp_count;
-              Rp.int_cell h.Obs.Profile.hp_samples;
               Printf.sprintf "%.3f" (h.Obs.Profile.hp_self_us /. 1e3);
               Printf.sprintf "%.3f" (h.Obs.Profile.hp_total_us /. 1e3);
               (if wall_us > 0. then
@@ -539,12 +497,13 @@ let exit_code_of_diags ~strict diags =
   else if strict && Dg.count_warnings diags > 0 then 1
   else 0
 
+exception Lint_abort of string
+
 let analyze_netlist path tech sigma_t temperature with_maxpath top fix
     json_path html_path keep_going strict max_errors trace_path metrics_path
-    profile_path profile_rate profile_format jobs variation mc_samples mc_seed
-    audit audit_tol strict_audit audit_top solve_buckets record_run listen =
+    profile_path profile_format jobs variation mc_samples mc_seed audit
+    audit_tol strict_audit audit_top record_run listen =
   let material = material_of ~sigma_t ~temperature in
-  apply_solve_buckets solve_buckets;
   let audit_cfg = audit_config_of ~audit ~audit_tol ~strict_audit ~audit_top in
   (* Whether the *user* asked for telemetry in the report. --listen also
      enables the metrics registry (the gauges must move for /metrics),
@@ -566,33 +525,37 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
       stop_recording ();
       stop_live live)
   @@ fun () ->
-  let trace, sampler =
-    start_telemetry ~trace_path ~metrics_path ~profile_path ~profile_rate
+  let trace = start_telemetry ~trace_path ~metrics_path ~profile_path in
+  (* Every stage from the deck to the verdicts runs in one pipeline, so
+     the stage table, the trace and the profile all cover parse, lint
+     and the DC solve too. *)
+  let p = Emflow.Pipeline.create () in
+  let netlist, parse_errors =
+    Emflow.Pipeline.run p "parse" (fun () ->
+        if keep_going then Spice.Parser.parse_file_tolerant ~max_errors path
+        else (Spice.Parser.parse_file path, []))
   in
-  let netlist, parse_diags =
-    if keep_going then begin
-      let netlist, errs = Spice.Parser.parse_file_tolerant ~max_errors path in
-      Obs.Metrics.inc_by parse_recoveries (List.length errs);
-      List.iter
-        (fun (e : Spice.Parser.line_error) ->
-          Printf.printf "%s:%d: skipped: %s\n" path e.Spice.Parser.line
-            e.Spice.Parser.message)
-        errs;
-      (netlist, List.map diag_of_parse_error errs)
-    end
-    else (Spice.Parser.parse_file path, [])
-  in
+  Obs.Metrics.inc_by parse_recoveries (List.length parse_errors);
+  List.iter
+    (fun (e : Spice.Parser.line_error) ->
+      Printf.printf "%s:%d: skipped: %s\n" path e.Spice.Parser.line
+        e.Spice.Parser.message)
+    parse_errors;
+  let parse_diags = List.map diag_of_parse_error parse_errors in
   Format.printf "%a@." Spice.Netlist.pp_stats netlist;
-  let findings = Spice.Checker.check netlist in
+  let findings =
+    Emflow.Pipeline.run p "lint" (fun () -> Spice.Checker.check netlist)
+  in
   List.iter (fun f -> Format.printf "%a@." Spice.Checker.pp_finding f) findings;
   let lint_diags = List.map diag_of_finding findings in
   if (not keep_going) && Spice.Checker.errors findings <> [] then
-    failwith "netlist fails lint; aborting (use --keep-going to continue)";
-  let sol = Spice.Mna.solve netlist in
+    raise
+      (Lint_abort
+         "netlist fails lint; aborting (use --keep-going to continue)");
+  let sol = Emflow.Pipeline.run p "solve" (fun () -> Spice.Mna.solve netlist) in
   Format.printf "DC solve: %d free nodes, nnz(L) %d, residual %.2e@."
     sol.Spice.Mna.free_nodes sol.Spice.Mna.fill sol.Spice.Mna.residual;
   let mna_diags = Flow.mna_diags sol in
-  let p = Emflow.Pipeline.create () in
   let compacts =
     Emflow.Pipeline.run p "extract" (fun () ->
         Emflow.Extract.extract_compact ~tech sol)
@@ -778,9 +741,6 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
         (Lg.ledger_path rc.rc_dir)
         (List.length entries)
     | Error msg -> failwith (Printf.sprintf "--record-run: %s" msg)));
-  (* Stop sampling before report emission: the profile feeds the hot-path
-     sample counts in the JSON telemetry and the exported profile file. *)
-  let profile = Option.map Obs.Profile.stop sampler in
   (match html_path with
   | None -> ()
   | Some out ->
@@ -818,7 +778,7 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
            [Obs.Metrics.is_enabled]: --listen enables the registry too
            but must leave the report identical to a no-listen run. *)
         if telemetry_requested then
-          [ ("telemetry", Emflow.Json_out.of_telemetry ?profile ()) ]
+          [ ("telemetry", Emflow.Json_out.of_telemetry ()) ]
         else [])
     in
     let oc = open_out out in
@@ -827,7 +787,7 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
       (fun () -> Emflow.Json_out.to_channel oc doc);
     Printf.printf "JSON report written to %s\n" out);
   export_telemetry ~trace_path ~metrics_path trace;
-  export_profile ~profile_path ~profile_format trace profile;
+  export_profile ~profile_path ~profile_format trace;
   if diags <> [] then begin
     Format.printf "Diagnostics (%a):@." Dg.pp_summary diags;
     List.iter (fun d -> Format.printf "  %a@." Dg.pp d) diags
@@ -942,10 +902,9 @@ let analyze_cmd =
       ret
         (const (fun path tech sigma_t temperature with_maxpath top fix json
                     html keep_going strict max_errors trace_path metrics_path
-                    profile_path profile_rate profile_format jobs variation
-                    mc_samples mc_seed audit audit_tol strict_audit audit_top
-                    solve_buckets record_run log_level log_json flight_dump
-                    listen ->
+                    profile_path profile_format jobs variation mc_samples
+                    mc_seed audit audit_tol strict_audit audit_top record_run
+                    log_level log_json flight_dump listen ->
              let finish_log = start_logging ~log_level ~log_json in
              (* The flight recorder is always armed during analyze; its
                 ring surfaces on stderr on failure and is archived to
@@ -955,22 +914,30 @@ let analyze_cmd =
                dump_flight ~flight_dump ();
                `Error (false, msg)
              in
+             (* A refused deck gets its one-line diagnostic alone: the
+                message names the cause, and the ring would only repeat
+                the intake stages. *)
+             let reject msg =
+               archive_flight ~flight_dump ();
+               `Error (false, msg)
+             in
              let r =
                match
                  analyze_netlist path tech sigma_t temperature with_maxpath
                    top fix json html keep_going strict max_errors trace_path
-                   metrics_path profile_path profile_rate profile_format
-                   jobs variation mc_samples mc_seed audit audit_tol
-                   strict_audit audit_top solve_buckets record_run listen
+                   metrics_path profile_path profile_format jobs variation
+                   mc_samples mc_seed audit audit_tol strict_audit audit_top
+                   record_run listen
                with
                | `Ok n ->
                  if n <> 0 then dump_flight ~flight_dump ()
                  else archive_flight ~flight_dump ();
                  `Ok n
                | exception Spice.Parser.Parse_error { line; message } ->
-                 fail (Printf.sprintf "%s:%d: %s" path line message)
+                 reject (Printf.sprintf "%s:%d: %s" path line message)
                | exception Spice.Mna.Unsupported msg ->
-                 fail ("unsupported netlist: " ^ msg)
+                 reject ("unsupported netlist: " ^ msg)
+               | exception Lint_abort msg -> reject msg
                | exception Failure msg -> fail msg
                | exception Invalid_argument msg -> fail msg
              in
@@ -979,10 +946,9 @@ let analyze_cmd =
              r)
         $ path $ tech_arg $ sigma_t_arg $ temperature_arg $ with_maxpath $ top
         $ fix $ json_path $ html_path $ keep_going $ strict $ max_errors
-        $ trace_arg $ metrics_arg $ profile_arg $ profile_rate_arg
-        $ profile_format_arg $ jobs $ variation $ mc_samples
-        $ mc_seed $ audit_arg $ audit_tol_arg $ strict_audit_arg
-        $ audit_top_arg $ solve_buckets_arg $ record_run_arg $ log_level_arg
+        $ trace_arg $ metrics_arg $ profile_arg $ profile_format_arg $ jobs
+        $ variation $ mc_samples $ mc_seed $ audit_arg $ audit_tol_arg
+        $ strict_audit_arg $ audit_top_arg $ record_run_arg $ log_level_arg
         $ log_json_arg $ flight_dump_arg $ listen_arg))
   in
   Cmd.v
@@ -1479,15 +1445,12 @@ let history_cmd =
    the terminal-only view of what --trace / --metrics / --profile export
    for external tools. *)
 let stats_netlist path tech sigma_t temperature jobs top trace_path
-    metrics_path profile_path profile_rate profile_format =
+    metrics_path profile_path profile_format =
   if top < 1 then invalid_arg "stats: --top must be at least 1";
   let material = material_of ~sigma_t ~temperature in
   let trace = Obs.Trace.create () in
   Obs.Trace.enable trace;
   Obs.Metrics.set_enabled true;
-  let sampler =
-    Option.map (fun _ -> Obs.Profile.start ~rate_hz:profile_rate ()) profile_path
-  in
   let netlist = Spice.Parser.parse_file path in
   let p = Emflow.Pipeline.create () in
   let sol = Emflow.Pipeline.run p "solve" (fun () -> Spice.Mna.solve netlist) in
@@ -1496,7 +1459,6 @@ let stats_netlist path tech sigma_t temperature jobs top trace_path
         Emflow.Extract.extract_compact ~tech sol)
   in
   let r = Flow.run_on_compact ~material ?jobs ~pipeline:p compacts in
-  let profile = Option.map Obs.Profile.stop sampler in
   Format.printf "%a@.@." Flow.pp_summary r;
   let telemetry_notice = "telemetry disabled — run with --trace/--metrics" in
   let bounded name xs =
@@ -1536,7 +1498,7 @@ let stats_netlist path tech sigma_t temperature jobs top trace_path
           ])
       aggs;
     Rp.print span_table);
-  print_hot_paths ?profile ~top trace;
+  print_hot_paths ~top trace;
   (match Obs.Metrics.snapshot () with
   | [] -> Printf.printf "\nMetrics: %s\n" telemetry_notice
   | samples ->
@@ -1560,7 +1522,7 @@ let stats_netlist path tech sigma_t temperature jobs top trace_path
       samples;
     Rp.print metric_table);
   export_telemetry ~trace_path ~metrics_path (Some trace);
-  export_profile ~profile_path ~profile_format (Some trace) profile;
+  export_profile ~profile_path ~profile_format (Some trace);
   (* stats forced the collectors on; don't leak that past the command. *)
   Obs.Trace.disable ();
   Obs.Metrics.set_enabled false;
@@ -1592,14 +1554,13 @@ let stats_cmd =
     Term.(
       ret
         (const (fun path tech sigma_t temperature jobs top trace_path
-                    metrics_path profile_path profile_rate profile_format
-                    log_level log_json ->
+                    metrics_path profile_path profile_format log_level
+                    log_json ->
              let finish_log = start_logging ~log_level ~log_json in
              let r =
                match
                  stats_netlist path tech sigma_t temperature jobs top
-                   trace_path metrics_path profile_path profile_rate
-                   profile_format
+                   trace_path metrics_path profile_path profile_format
                with
                | `Ok n -> `Ok n
                | exception Spice.Parser.Parse_error { line; message } ->
@@ -1612,8 +1573,8 @@ let stats_cmd =
              finish_log ();
              r)
         $ path $ tech_arg $ sigma_t_arg $ temperature_arg $ jobs $ top
-        $ trace_arg $ metrics_arg $ profile_arg $ profile_rate_arg
-        $ profile_format_arg $ log_level_arg $ log_json_arg))
+        $ trace_arg $ metrics_arg $ profile_arg $ profile_format_arg
+        $ log_level_arg $ log_json_arg))
   in
   Cmd.v
     (Cmd.info "stats"

@@ -74,10 +74,8 @@ let obs_metrics doc =
       | Some f -> Some (key, f)
       | None -> None)
     [
-      "off_s"; "metrics_on_ratio"; "trace_on_ratio";
-      "profile_off_ratio"; "profile_on_ratio"; "serve_scrape_ratio";
+      "off_s"; "metrics_on_ratio"; "trace_on_ratio"; "serve_scrape_ratio";
       "audit_overhead_ratio"; "audit_disabled_ratio";
-      "profile_snapshot_ns";
       "disabled_counter_inc_ns"; "disabled_span_ns";
       "estimated_disabled_overhead_pct";
     ]

@@ -74,51 +74,12 @@ let segments_mortal = segments_classified "mortal"
 
 (* Per-structure solve latencies sit well below the generic latency
    ladder's first bound (a compact solve of a few hundred segments runs
-   in hundreds of nanoseconds), so the default buckets start sub-
-   microsecond. The ladder is configurable, but only before the first
-   observation: registration in the default registry is keyed on the
-   metric name, so the first creation freezes the bounds for the
-   process — hence the lazy handle instead of a module-init one. *)
-let default_solve_seconds_buckets =
-  [| 1e-7; 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1. |]
-
-let solve_seconds_buckets = ref default_solve_seconds_buckets
-
-let solve_seconds_handle : Obs.Metrics.histogram option ref = ref None
-
-let set_solve_seconds_buckets buckets =
-  if Array.length buckets = 0 then
-    invalid_arg "Em_flow.set_solve_seconds_buckets: empty bucket ladder";
-  Array.iteri
-    (fun i b ->
-      if not (Float.is_finite b) then
-        invalid_arg "Em_flow.set_solve_seconds_buckets: non-finite bound";
-      if i > 0 && b <= buckets.(i - 1) then
-        invalid_arg
-          "Em_flow.set_solve_seconds_buckets: bounds must be strictly \
-           increasing")
-    buckets;
-  (match !solve_seconds_handle with
-  | Some _ ->
-    invalid_arg
-      "Em_flow.set_solve_seconds_buckets: the em_structure_solve_seconds \
-       histogram already exists; set the buckets before the first analysis"
-  | None -> ());
-  solve_seconds_buckets := Array.copy buckets
-
-let structure_solve_seconds () =
-  match !solve_seconds_handle with
-  | Some h -> h
-  | None ->
-    (* Registration is idempotent on the name, so a racing first call
-       from two domains lands on the same handle. *)
-    let h =
-      Obs.Metrics.histogram ~buckets:!solve_seconds_buckets
-        ~help:"Per-structure analysis latency (solve + segment verdicts)"
-        "em_structure_solve_seconds"
-    in
-    solve_seconds_handle := Some h;
-    h
+   in hundreds of nanoseconds), so the buckets start sub-microsecond. *)
+let structure_solve_seconds =
+  Obs.Metrics.histogram
+    ~buckets:[| 1e-7; 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1. |]
+    ~help:"Per-structure analysis latency (solve + segment verdicts)"
+    "em_structure_solve_seconds"
 
 let gc_gauge which =
   Obs.Metrics.gauge
@@ -245,9 +206,8 @@ let analyze_one material with_maxpath ~audit ~index ws
 let analyze_traced material with_maxpath ~audit ws index
     (cs : Extract.compact_structure) =
   let run () =
-    Obs.Metrics.time
-      (structure_solve_seconds ())
-      (fun () -> analyze_one material with_maxpath ~audit ~index ws cs)
+    Obs.Metrics.time structure_solve_seconds (fun () ->
+        analyze_one material with_maxpath ~audit ~index ws cs)
   in
   let traced () =
     if Obs.Trace.enabled () then
@@ -313,9 +273,6 @@ let finish_run p ~material ~with_maxpath ?jobs ?audit compacts =
   let compacts_arr = Array.of_list compacts in
   let nstruct = Array.length compacts_arr in
   Obs.Runtime.set_structures_total nstruct;
-  (* Create the latency histogram on the main domain before the workers
-     race to, and start a fresh live audit aggregate for the run. *)
-  ignore (structure_solve_seconds () : Obs.Metrics.histogram);
   (match audit with
   | Some cfg -> Au.Live.reset ~tol:cfg.audit_tol
   | None -> ());

@@ -116,18 +116,6 @@ val default_audit_config : audit_config
 (** [{ audit_tol = Em_core.Audit.default_tol; audit_top_k =
     Em_core.Audit.default_top_k; audit_strict = false }]. *)
 
-val default_solve_seconds_buckets : float array
-(** The sub-microsecond-first ladder used for
-    [em_structure_solve_seconds]:
-    [[| 1e-7; 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1. |]]. *)
-
-val set_solve_seconds_buckets : float array -> unit
-(** Replace the [em_structure_solve_seconds] bucket ladder ([+Inf] is
-    implicit, per {!Obs.Metrics.histogram}). Must be called before the
-    first analysis of the process: registration freezes the bounds, so
-    this raises [Invalid_argument] once the histogram exists — and also
-    for an empty, non-finite, or non-increasing ladder. *)
-
 val run :
   ?material:Em_core.Material.t ->
   ?with_maxpath:bool ->

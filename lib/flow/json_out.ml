@@ -149,44 +149,27 @@ let of_hot_path (h : Obs.Profile.hot_path) =
       ("self_us", Float h.Obs.Profile.hp_self_us);
       ("alloc_words", Float h.Obs.Profile.hp_alloc_words);
       ("self_alloc_words", Float h.Obs.Profile.hp_self_alloc_words);
-      ("samples", Int h.Obs.Profile.hp_samples);
     ]
 
 let of_hot_paths hs = List (Stdlib.List.map of_hot_path hs)
 
-let of_profile_summary (p : Obs.Profile.profile) =
-  Obj
-    [
-      ("rate_hz", Float p.Obs.Profile.rate_hz);
-      ("ticks", Int p.Obs.Profile.ticks);
-      ("total_samples", Int p.Obs.Profile.total_samples);
-      ("duration_us", Float p.Obs.Profile.duration_us);
-      ("distinct_stacks", Int (Stdlib.List.length p.Obs.Profile.samples));
-    ]
-
 let take n xs =
   Stdlib.List.filteri (fun i _ -> i < n) xs
 
-let of_telemetry ?(top = 20) ?profile () =
-  let fields =
-    [ ("metrics", of_metrics (Obs.Metrics.snapshot ())) ]
-    @ (match Obs.Trace.current () with
-      | Some trace ->
-        [
-          ("spans", Int (Obs.Trace.num_events trace));
-          ("dropped_spans", Int (Obs.Trace.dropped_spans trace));
-          ("span_summary", of_trace_summary trace);
-          ("span_wall_us", Float (Obs.Profile.span_wall_us trace));
-          ( "hot_paths",
-            of_hot_paths (take top (Obs.Profile.attribute ?profile trace)) );
-        ]
-      | None -> [])
-    @
-    match profile with
-    | Some p -> [ ("profile", of_profile_summary p) ]
-    | None -> []
-  in
-  Obj fields
+let of_telemetry ?(top = 20) () =
+  Obj
+    (("metrics", of_metrics (Obs.Metrics.snapshot ()))
+    ::
+    (match Obs.Trace.current () with
+    | Some trace ->
+      [
+        ("spans", Int (Obs.Trace.num_events trace));
+        ("dropped_spans", Int (Obs.Trace.dropped_spans trace));
+        ("span_summary", of_trace_summary trace);
+        ("span_wall_us", Float (Obs.Profile.span_wall_us trace));
+        ("hot_paths", of_hot_paths (take top (Obs.Profile.attribute trace)));
+      ]
+    | None -> []))
 
 let of_diag_source = function
   | Dg.Global -> Obj [ ("kind", String "global") ]

@@ -41,21 +41,14 @@ val of_hot_path : Obs.Profile.hot_path -> t
 
 val of_hot_paths : Obs.Profile.hot_path list -> t
 (** Per-path exact attribution rows ([path] as an array of span names,
-    [count] / [total_us] / [self_us] / allocation columns / statistical
-    [samples]). *)
+    [count] / [total_us] / [self_us] / allocation columns). *)
 
-val of_profile_summary : Obs.Profile.profile -> t
-(** Sampler run summary: rate, ticks, total samples, window, distinct
-    stacks (the full sample set lives in the folded / speedscope
-    exports, not the report). *)
-
-val of_telemetry : ?top:int -> ?profile:Obs.Profile.profile -> unit -> t
+val of_telemetry : ?top:int -> unit -> t
 (** Snapshot of the default metrics registry plus, when a trace sink is
     installed, its span count (and drops), per-name summary, root wall
     time, and the top [top] (default 20) hot paths by exact self-time —
     embedded in analyze reports so one JSON file carries results and
-    run telemetry. With [profile], hot paths carry sample counts and a
-    [profile] summary object is included. *)
+    run telemetry. *)
 
 val of_audit : tol:float -> Em_core.Audit.t -> t
 (** One structure's audit record: margin/threshold, residuals, the

@@ -72,17 +72,9 @@ let run_slots ~jobs ~local f xs =
         (* Label the lane so the trace viewer shows worker-N rather than a
            bare domain id; worker 0 is the caller's domain ("main"). *)
         if w > 0 then Obs.Trace.name_track (Printf.sprintf "worker-%d" w);
-        Fun.protect
-          ~finally:(fun () ->
-            (* The worker domain dies at join; withdraw its published
-               span stack so the sampling profiler's registry holds
-               only live lanes. *)
-            if w > 0 then Obs.Trace.retire_stack ())
-          (fun () ->
-            Obs.Trace.with_span
-              ~attrs:
-                [ ("worker", Obs.Trace.Int w); ("batch", Obs.Trace.Int batch) ]
-              "parallel.chunk" run_batches)
+        Obs.Trace.with_span
+          ~attrs:[ ("worker", Obs.Trace.Int w); ("batch", Obs.Trace.Int batch) ]
+          "parallel.chunk" run_batches
       end
       else run_batches ()
     in

@@ -1,264 +1,8 @@
-(* Sampling profiler over the per-domain span stacks Trace publishes.
-
-   A dedicated ticker domain wakes at the configured rate and snapshots
-   every registered domain's currently-open span stack
-   (Trace.stack_snapshots — lock-free, allocation-free for the sampled
-   domains). Observations are aggregated in the ticker domain into
-   folded call stacks keyed by (track, span-name path). Alongside the
-   statistical view, [attribute] computes *exact* self-vs-total time
-   (and allocation) per span path from the completed-span buffer:
+(* Exact self-time attribution from the completed-span buffer:
    self = duration - sum of direct children, which telescopes so the
-   self-times of a trace sum to exactly the durations of its roots. *)
-
-type sample = { smp_track : int; smp_stack : string list; smp_count : int }
-
-type profile = {
-  rate_hz : float;
-  ticks : int;
-  total_samples : int;
-  duration_us : float;
-  samples : sample list;
-}
-
-let default_rate_hz = 997.
-
-(* Deterministic sample order: by track, then lexicographically by
-   stack — so folded output and exports are reproducible functions of
-   the observation multiset. *)
-let sort_samples samples =
-  List.sort
-    (fun a b ->
-      match compare a.smp_track b.smp_track with
-      | 0 -> compare a.smp_stack b.smp_stack
-      | c -> c)
-    samples
-
-let profile_of_stacks ?(rate_hz = default_rate_hz) ?(ticks = 0)
-    ?(duration_us = 0.) stacks =
-  let tbl = Hashtbl.create 64 in
-  let order = ref [] in
-  List.iter
-    (fun ((_track, stack) as key) ->
-      if stack <> [] then begin
-        match Hashtbl.find_opt tbl key with
-        | Some r -> incr r
-        | None ->
-          order := key :: !order;
-          Hashtbl.add tbl key (ref 1)
-      end)
-    stacks;
-  let samples =
-    List.rev_map
-      (fun ((track, stack) as key) ->
-        { smp_track = track; smp_stack = stack;
-          smp_count = !(Hashtbl.find tbl key) })
-      !order
-    |> sort_samples
-  in
-  let total = List.fold_left (fun acc s -> acc + s.smp_count) 0 samples in
-  { rate_hz; ticks; total_samples = total; duration_us; samples }
-
-(* ------------------------------------------------------------------ *)
-(* The ticker                                                          *)
-
-(* Observations accumulate in a record shared between the ticker and
-   whoever wants a mid-run snapshot (the /profile live endpoint). The
-   ticker batches its per-tick snapshot list under the mutex in one
-   cheap prepend pass — contention is a non-issue at kHz tick rates —
-   and everything else (aggregation, export) reads a consistent copy
-   under the same lock. *)
-type shared = {
-  sh_mu : Mutex.t;
-  mutable sh_raw : (int * string list) list;  (* newest first *)
-  mutable sh_ticks : int;
-  sh_rate : float;
-  sh_t0_us : float;
-}
-
-type sampler = {
-  s_stop : bool Atomic.t;
-  s_domain : unit Domain.t;
-  s_shared : shared;
-}
-
-let running_flag = Atomic.make false
-
-(* The running sampler's shared state, for [snapshot]. *)
-let live_shared : shared option Atomic.t = Atomic.make None
-
-let is_running () = Atomic.get running_flag
-
-let aggregate_shared sh =
-  Mutex.lock sh.sh_mu;
-  let raw = sh.sh_raw in
-  let ticks = sh.sh_ticks in
-  Mutex.unlock sh.sh_mu;
-  let duration_us = Clock.now_us () -. sh.sh_t0_us in
-  profile_of_stacks ~rate_hz:sh.sh_rate ~ticks ~duration_us raw
-
-let snapshot () = Option.map aggregate_shared (Atomic.get live_shared)
-
-let start ?(rate_hz = default_rate_hz) () =
-  if not (Float.is_finite rate_hz) || rate_hz <= 0. then
-    invalid_arg "Profile.start: rate must be a positive finite frequency";
-  if not (Atomic.compare_and_set running_flag false true) then
-    invalid_arg "Profile.start: a sampler is already running";
-  let stop = Atomic.make false in
-  let period = 1. /. rate_hz in
-  let sh =
-    {
-      sh_mu = Mutex.create ();
-      sh_raw = [];
-      sh_ticks = 0;
-      sh_rate = rate_hz;
-      sh_t0_us = Clock.now_us ();
-    }
-  in
-  Atomic.set live_shared (Some sh);
-  let domain =
-    Domain.spawn (fun () ->
-        let live = ref true in
-        (* Always observe at least once, and exit without sleeping when
-           stopped so [stop] latency is one snapshot, not one period. *)
-        while !live do
-          let obs = Trace.stack_snapshots () in
-          Mutex.lock sh.sh_mu;
-          sh.sh_ticks <- sh.sh_ticks + 1;
-          List.iter (fun o -> sh.sh_raw <- o :: sh.sh_raw) obs;
-          Mutex.unlock sh.sh_mu;
-          if Atomic.get stop then live := false else Unix.sleepf period
-        done)
-  in
-  { s_stop = stop; s_domain = domain; s_shared = sh }
-
-let rate s = s.s_shared.sh_rate
-
-let stop s =
-  Atomic.set s.s_stop true;
-  Domain.join s.s_domain;
-  let p = aggregate_shared s.s_shared in
-  Atomic.set live_shared None;
-  Atomic.set running_flag false;
-  p
-
-(* ------------------------------------------------------------------ *)
-(* Folded-stacks export (flamegraph.pl)                                *)
-
-let lane_name track_names track =
-  match List.assoc_opt track track_names with
-  | Some n -> n
-  | None -> Printf.sprintf "track-%d" track
-
-let to_folded ?(track_names = []) p =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun s ->
-      Buffer.add_string buf
-        (String.concat ";" (lane_name track_names s.smp_track :: s.smp_stack));
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf (string_of_int s.smp_count);
-      Buffer.add_char buf '\n')
-    p.samples;
-  Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* Speedscope export                                                   *)
-
-(* One "sampled" profile per track; frames are shared across profiles
-   and indexed in first-appearance order over the (deterministically
-   sorted) samples. *)
-let to_speedscope ?(name = "emcheck profile") ?(track_names = []) p =
-  let frames = Hashtbl.create 64 in
-  let rev_frame_names = ref [] in
-  let n_frames = ref 0 in
-  let frame_idx fname =
-    match Hashtbl.find_opt frames fname with
-    | Some i -> i
-    | None ->
-      let i = !n_frames in
-      Hashtbl.add frames fname i;
-      rev_frame_names := fname :: !rev_frame_names;
-      incr n_frames;
-      i
-  in
-  let tracks =
-    List.sort_uniq compare (List.map (fun s -> s.smp_track) p.samples)
-  in
-  let per_track =
-    List.map
-      (fun track ->
-        let samples =
-          List.filter (fun s -> s.smp_track = track) p.samples
-        in
-        let indexed =
-          List.map
-            (fun s -> (List.map frame_idx s.smp_stack, s.smp_count))
-            samples
-        in
-        (track, indexed))
-      tracks
-  in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    "{\"$schema\":\"https://www.speedscope.app/file-format-schema.json\",\
-     \"exporter\":\"emcheck\",\"name\":";
-  Jsonx.add_string buf name;
-  Buffer.add_string buf ",\"activeProfileIndex\":0,\"shared\":{\"frames\":[";
-  List.iteri
-    (fun i fname ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "{\"name\":";
-      Jsonx.add_string buf fname;
-      Buffer.add_char buf '}')
-    (List.rev !rev_frame_names);
-  Buffer.add_string buf "]},\"profiles\":[";
-  let emit_profile i (lane, indexed) =
-    if i > 0 then Buffer.add_char buf ',';
-    Buffer.add_string buf "{\"type\":\"sampled\",\"name\":";
-    Jsonx.add_string buf lane;
-    Buffer.add_string buf ",\"unit\":\"none\",\"startValue\":0,\"endValue\":";
-    let total = List.fold_left (fun acc (_, w) -> acc + w) 0 indexed in
-    Buffer.add_string buf (string_of_int total);
-    Buffer.add_string buf ",\"samples\":[";
-    List.iteri
-      (fun j (stack, _) ->
-        if j > 0 then Buffer.add_char buf ',';
-        Buffer.add_char buf '[';
-        List.iteri
-          (fun k idx ->
-            if k > 0 then Buffer.add_char buf ',';
-            Buffer.add_string buf (string_of_int idx))
-          stack;
-        Buffer.add_char buf ']')
-      indexed;
-    Buffer.add_string buf "],\"weights\":[";
-    List.iteri
-      (fun j (_, w) ->
-        if j > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (string_of_int w))
-      indexed;
-    Buffer.add_string buf "]}"
-  in
-  (* Speedscope requires at least one profile; an idle run exports one
-     empty lane rather than an unloadable file. *)
-  (match per_track with
-  | [] -> emit_profile 0 ("main", [])
-  | _ ->
-    List.iteri
-      (fun i (track, indexed) ->
-        emit_profile i (lane_name track_names track, indexed))
-      per_track);
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
-
-let write_file path contents =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc contents)
-
-(* ------------------------------------------------------------------ *)
-(* Exact self-time attribution from the completed-span buffer          *)
+   self-times of a trace sum to exactly the durations of its roots.
+   [attribute] groups spans by name path; [stacks] by (lane, path) for
+   the folded and speedscope exports. *)
 
 type hot_path = {
   hp_path : string list;
@@ -267,29 +11,32 @@ type hot_path = {
   hp_self_us : float;
   hp_alloc_words : float;
   hp_self_alloc_words : float;
-  hp_samples : int;
 }
 
-let span_wall_us t =
-  let by_id = Hashtbl.create 256 in
+type stack = { sk_track : int; sk_path : string list; sk_self_us : float }
+
+(* One completed span with its root-first name path and its exact self
+   time and allocation. *)
+type span = {
+  ev : Trace.event;
+  path : string list;
+  self_us : float;
+  self_alloc : float;
+}
+
+let add_to tbl key v =
+  Hashtbl.replace tbl key
+    (v +. match Hashtbl.find_opt tbl key with Some x -> x | None -> 0.)
+
+let spans t =
   let evs = Trace.events t in
+  let by_id = Hashtbl.create 256 in
   List.iter (fun (e : Trace.event) -> Hashtbl.replace by_id e.Trace.id e) evs;
   (* A span whose parent was evicted by the buffer cap counts as a root:
-     its time is not covered by any surviving ancestor. *)
-  List.fold_left
-    (fun acc (e : Trace.event) ->
-      let is_root =
-        match e.Trace.parent with
-        | None -> true
-        | Some p -> not (Hashtbl.mem by_id p)
-      in
-      if is_root then acc +. e.Trace.dur_us else acc)
-    0. evs
-
-let attribute ?profile t =
-  let evs = Trace.events t in
-  let by_id = Hashtbl.create 256 in
-  List.iter (fun (e : Trace.event) -> Hashtbl.replace by_id e.Trace.id e) evs;
+     no surviving ancestor covers its time. *)
+  let parent_of (e : Trace.event) =
+    Option.bind e.Trace.parent (Hashtbl.find_opt by_id)
+  in
   (* Root-first name path per span, memoized over the parent chain. *)
   let paths = Hashtbl.create 256 in
   let rec path_of (e : Trace.event) =
@@ -297,13 +44,9 @@ let attribute ?profile t =
     | Some p -> p
     | None ->
       let p =
-        match e.Trace.parent with
+        match parent_of e with
         | None -> [ e.Trace.name ]
-        | Some pid -> begin
-          match Hashtbl.find_opt by_id pid with
-          | None -> [ e.Trace.name ] (* parent evicted: treat as root *)
-          | Some parent -> path_of parent @ [ e.Trace.name ]
-        end
+        | Some parent -> path_of parent @ [ e.Trace.name ]
       in
       Hashtbl.replace paths e.Trace.id p;
       p
@@ -311,75 +54,69 @@ let attribute ?profile t =
   (* Direct-children rollups, keyed by parent id. *)
   let child_dur = Hashtbl.create 256 in
   let child_alloc = Hashtbl.create 256 in
-  let bump tbl key v =
-    Hashtbl.replace tbl key
-      (v +. match Hashtbl.find_opt tbl key with Some x -> x | None -> 0.)
-  in
   List.iter
     (fun (e : Trace.event) ->
-      match e.Trace.parent with
-      | Some p when Hashtbl.mem by_id p ->
-        bump child_dur p e.Trace.dur_us;
-        bump child_alloc p (Trace.allocated_words e)
-      | _ -> ())
+      match parent_of e with
+      | Some p ->
+        add_to child_dur p.Trace.id e.Trace.dur_us;
+        add_to child_alloc p.Trace.id (Trace.allocated_words e)
+      | None -> ())
     evs;
-  (* Statistical sample counts by exact stack path (lanes merged: the
-     table aggregates identical paths across workers). *)
-  let sample_counts = Hashtbl.create 64 in
-  (match profile with
-  | None -> ()
-  | Some p ->
-    List.iter
-      (fun s ->
-        let cur =
-          match Hashtbl.find_opt sample_counts s.smp_stack with
-          | Some n -> n
-          | None -> 0
-        in
-        Hashtbl.replace sample_counts s.smp_stack (cur + s.smp_count))
-      p.samples);
-  (* Aggregate by path. *)
-  let agg = Hashtbl.create 64 in
-  let order = ref [] in
-  List.iter
+  List.map
     (fun (e : Trace.event) ->
-      let path = path_of e in
       let sub tbl =
         match Hashtbl.find_opt tbl e.Trace.id with Some v -> v | None -> 0.
       in
-      (* Clamped at zero: nesting guarantees children are contained, so
-         any negative residue is float rounding, not real time. *)
-      let self_us = Float.max 0. (e.Trace.dur_us -. sub child_dur) in
-      let alloc = Trace.allocated_words e in
-      let self_alloc = Float.max 0. (alloc -. sub child_alloc) in
+      (* Clamped at zero: nesting on one monotonic clock guarantees the
+         children are contained, so any negative residue is rounding. *)
+      {
+        ev = e;
+        path = path_of e;
+        self_us = Float.max 0. (e.Trace.dur_us -. sub child_dur);
+        self_alloc = Float.max 0. (Trace.allocated_words e -. sub child_alloc);
+      })
+    evs
+
+let span_wall_us t =
+  let evs = Trace.events t in
+  let ids = Hashtbl.create 256 in
+  List.iter (fun (e : Trace.event) -> Hashtbl.replace ids e.Trace.id ()) evs;
+  List.fold_left
+    (fun acc (e : Trace.event) ->
+      match e.Trace.parent with
+      | Some p when Hashtbl.mem ids p -> acc
+      | _ -> acc +. e.Trace.dur_us)
+    0. evs
+
+let attribute t =
+  let agg = Hashtbl.create 64 in
+  let order = ref [] in
+  List.iter
+    (fun s ->
       let cur =
-        match Hashtbl.find_opt agg path with
+        match Hashtbl.find_opt agg s.path with
         | Some h -> h
         | None ->
-          order := path :: !order;
+          order := s.path :: !order;
           {
-            hp_path = path;
+            hp_path = s.path;
             hp_count = 0;
             hp_total_us = 0.;
             hp_self_us = 0.;
             hp_alloc_words = 0.;
             hp_self_alloc_words = 0.;
-            hp_samples =
-              (match Hashtbl.find_opt sample_counts path with
-              | Some n -> n
-              | None -> 0);
           }
       in
-      Hashtbl.replace agg path
+      Hashtbl.replace agg s.path
         {
           cur with
           hp_count = cur.hp_count + 1;
-          hp_total_us = cur.hp_total_us +. e.Trace.dur_us;
-          hp_self_us = cur.hp_self_us +. self_us;
-          hp_alloc_words = cur.hp_alloc_words +. alloc;
-          hp_self_alloc_words = cur.hp_self_alloc_words +. self_alloc;
+          hp_total_us = cur.hp_total_us +. s.ev.Trace.dur_us;
+          hp_self_us = cur.hp_self_us +. s.self_us;
+          hp_alloc_words = cur.hp_alloc_words +. Trace.allocated_words s.ev;
+          hp_self_alloc_words = cur.hp_self_alloc_words +. s.self_alloc;
         })
-    evs;
+    (spans t);
   List.rev_map (Hashtbl.find agg) !order
   |> List.sort (fun a b ->
          match Float.compare b.hp_self_us a.hp_self_us with
@@ -387,3 +124,107 @@ let attribute ?profile t =
          | c -> c)
 
 let path_to_string path = String.concat ";" path
+
+(* ------------------------------------------------------------------ *)
+(* Per-lane stacks and their exports                                   *)
+
+let stacks t =
+  let tbl = Hashtbl.create 64 in
+  List.iter (fun s -> add_to tbl (s.ev.Trace.track, s.path) s.self_us) (spans t);
+  Hashtbl.fold
+    (fun (track, path) self acc ->
+      { sk_track = track; sk_path = path; sk_self_us = self } :: acc)
+    tbl []
+  |> List.sort compare
+
+let lane_name track_names track =
+  match List.assoc_opt track track_names with
+  | Some n -> n
+  | None -> Printf.sprintf "track-%d" track
+
+let to_folded ?(track_names = []) stacks =
+  let buf = Buffer.create 1024 in
+  (* Round the running total, not each line, so the lines add up to the
+     rounded sum however many there are. *)
+  let exact = ref 0. and emitted = ref 0. in
+  List.iter
+    (fun s ->
+      exact := !exact +. s.sk_self_us;
+      let us = Float.round !exact -. !emitted in
+      if us > 0. then begin
+        emitted := !emitted +. us;
+        Buffer.add_string buf
+          (String.concat ";" (lane_name track_names s.sk_track :: s.sk_path));
+        Buffer.add_string buf (Printf.sprintf " %.0f\n" us)
+      end)
+    (List.sort compare stacks);
+  Buffer.contents buf
+
+(* One "sampled" profile per lane; frames are shared across profiles
+   and indexed in first-appearance order over the sorted stacks. *)
+let to_speedscope ?(name = "emcheck profile") ?(track_names = []) stacks =
+  let stacks = List.sort compare stacks in
+  let frames = Hashtbl.create 64 in
+  let rev_frame_names = ref [] in
+  let frame_idx fname =
+    match Hashtbl.find_opt frames fname with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length frames in
+      Hashtbl.add frames fname i;
+      rev_frame_names := fname :: !rev_frame_names;
+      i
+  in
+  let per_lane =
+    List.sort_uniq compare (List.map (fun s -> s.sk_track) stacks)
+    |> List.map (fun track ->
+           ( lane_name track_names track,
+             List.filter_map
+               (fun s ->
+                 if s.sk_track = track then
+                   Some (List.map frame_idx s.sk_path, s.sk_self_us)
+                 else None)
+               stacks ))
+  in
+  let buf = Buffer.create 4096 in
+  let add_list add xs =
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_char buf ',';
+        add x)
+      xs
+  in
+  Buffer.add_string buf
+    "{\"$schema\":\"https://www.speedscope.app/file-format-schema.json\",\
+     \"exporter\":\"emcheck\",\"name\":";
+  Jsonx.add_string buf name;
+  Buffer.add_string buf ",\"activeProfileIndex\":0,\"shared\":{\"frames\":[";
+  add_list
+    (fun fname ->
+      Buffer.add_string buf "{\"name\":";
+      Jsonx.add_string buf fname;
+      Buffer.add_char buf '}')
+    (List.rev !rev_frame_names);
+  Buffer.add_string buf "]},\"profiles\":[";
+  let add_profile (lane, weighted) =
+    Buffer.add_string buf "{\"type\":\"sampled\",\"name\":";
+    Jsonx.add_string buf lane;
+    Buffer.add_string buf
+      ",\"unit\":\"microseconds\",\"startValue\":0,\"endValue\":";
+    Jsonx.add_float buf (List.fold_left (fun acc (_, w) -> acc +. w) 0. weighted);
+    Buffer.add_string buf ",\"samples\":[";
+    add_list
+      (fun (stack, _) ->
+        Buffer.add_char buf '[';
+        add_list (fun i -> Buffer.add_string buf (string_of_int i)) stack;
+        Buffer.add_char buf ']')
+      weighted;
+    Buffer.add_string buf "],\"weights\":[";
+    add_list (fun (_, w) -> Jsonx.add_float buf w) weighted;
+    Buffer.add_string buf "]}"
+  in
+  (* Speedscope requires at least one profile; an empty trace exports
+     one empty lane rather than an unloadable file. *)
+  add_list add_profile (if per_lane = [] then [ ("main", []) ] else per_lane);
+  Buffer.add_string buf "]}";
+  Buffer.contents buf

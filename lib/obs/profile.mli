@@ -1,99 +1,27 @@
-(** Span-stack sampling profiler and exact self-time attribution.
+(** Exact span profile: self-time attribution from the completed-span
+    buffer.
 
-    Two complementary views of where a run spends its time:
+    Every completed span's {e self} time is its duration minus the sum
+    of its direct children's, with the same rollup for the allocation
+    deltas spans already carry. Parents resolve on the span's own
+    domain, so self-times telescope: summed over a trace they equal the
+    total duration of its root spans ({!span_wall_us}), and "% of wall"
+    columns are well-defined.
+
+    Two views of the same numbers:
 
     {ul
-    {- {e Statistical}: {!start} spawns a dedicated ticker domain that
-       samples every domain's currently-open span stack
-       ({!Trace.stack_snapshots}) at a configurable rate (default
-       ~997 Hz, deliberately not a round divisor of common timer
-       frequencies). The sampled domains pay nothing beyond the span
-       publication {!Trace.with_span} already does when tracing is
-       enabled — sampling never allocates on, locks against, or
-       interrupts the profiled domains. Samples aggregate into folded
-       call stacks keyed by (track, span-name path), exported as
-       [flamegraph.pl]-compatible folded-stacks text ({!to_folded}) or
-       speedscope JSON ({!to_speedscope}).}
-    {- {e Exact}: {!attribute} computes per-path self vs total time
-       from the completed-span buffer: self = duration − Σ direct
-       children, with the same rollup for the allocation deltas spans
-       already carry. Self-times telescope — summed over a trace they
-       equal the total duration of its root spans ({!span_wall_us})
-       exactly, so "% of wall" columns are well-defined.}}
+    {- {!attribute}: per span-name path (lanes merged), self vs total
+       time and allocation — the hot-path table and the report's
+       [telemetry.hot_paths];}
+    {- {!stacks}: self-time per (lane, path), exported as
+       [flamegraph.pl] folded stacks ({!to_folded}) or speedscope JSON
+       ({!to_speedscope}).}}
 
-    Profiling is off unless a sampler is running, and requires tracing
-    to be enabled (stacks are published by {!Trace.with_span}); with no
-    sampler there is no ticker domain and no cost anywhere. *)
+    Both read only the trace, so profiling costs nothing beyond
+    tracing the run. *)
 
-type sample = {
-  smp_track : int;          (** domain (lane) the stack was observed on *)
-  smp_stack : string list;  (** open span names, root first *)
-  smp_count : int;          (** observations of exactly this stack *)
-}
-
-type profile = {
-  rate_hz : float;
-  ticks : int;           (** sampling wakeups, including idle ones *)
-  total_samples : int;   (** Σ [smp_count] — non-empty stacks observed *)
-  duration_us : float;   (** sampling window *)
-  samples : sample list; (** aggregated; sorted by track, then stack *)
-}
-
-val default_rate_hz : float
-(** 997 Hz — prime, so it does not alias against millisecond-periodic
-    work. *)
-
-(** {1 Sampling} *)
-
-type sampler
-
-val start : ?rate_hz:float -> unit -> sampler
-(** Spawn the ticker domain. At most one sampler runs at a time;
-    raises [Invalid_argument] on a second concurrent [start] or a
-    non-positive rate. Sampling observes only domains with spans open
-    under an enabled trace ({!Trace.enable}). *)
-
-val stop : sampler -> profile
-(** Signal the ticker, join it, and return the aggregated profile. *)
-
-val snapshot : unit -> profile option
-(** Aggregate what the running sampler has observed {e so far}
-    ([duration_us] is the window up to now), without stopping it —
-    what the [/profile] live endpoint serves. [None] when no sampler
-    is running. Safe from any domain. *)
-
-val is_running : unit -> bool
-
-val rate : sampler -> float
-
-val profile_of_stacks :
-  ?rate_hz:float -> ?ticks:int -> ?duration_us:float ->
-  (int * string list) list -> profile
-(** Aggregate raw [(track, stack)] observations into a profile —
-    deterministic, used by the ticker itself and by tests; empty stacks
-    are ignored. *)
-
-(** {1 Export} *)
-
-val to_folded : ?track_names:(int * string) list -> profile -> string
-(** One line per aggregated stack: [lane;span;span... count] — the
-    input format of Brendan Gregg's [flamegraph.pl]. Lanes use
-    [track_names] (e.g. {!Trace.track_names}) and fall back to
-    [track-N]. Deterministic: lines are sorted. *)
-
-val to_speedscope :
-  ?name:string -> ?track_names:(int * string) list -> profile -> string
-(** The profile as a speedscope JSON document
-    ({:https://www.speedscope.app}): shared frame table plus one
-    ["sampled"] profile per track (weights are sample counts, unit
-    ["none"]). Always emits at least one profile so the file loads even
-    when nothing was sampled. Strings are escaped/sanitized via
-    {!Jsonx}. *)
-
-val write_file : string -> string -> unit
-(** [write_file path contents] — tiny helper shared by the CLI. *)
-
-(** {1 Exact attribution} *)
+(** {1 Attribution} *)
 
 type hot_path = {
   hp_path : string list;   (** root-first span-name path *)
@@ -102,16 +30,12 @@ type hot_path = {
   hp_self_us : float;      (** total − Σ direct children, clamped ≥ 0 *)
   hp_alloc_words : float;
   hp_self_alloc_words : float;
-  hp_samples : int;        (** statistical samples whose stack equals
-                               the path (0 without a profile) *)
 }
 
-val attribute : ?profile:profile -> Trace.t -> hot_path list
+val attribute : Trace.t -> hot_path list
 (** Per-path rollup over the completed-span buffer, sorted by
     descending self-time (ties by path). A span whose parent was
-    evicted by the buffer cap is treated as a root. With [profile],
-    each path also carries its statistical sample count (lanes
-    merged). *)
+    evicted by the buffer cap is treated as a root. *)
 
 val span_wall_us : Trace.t -> float
 (** Total duration of the trace's root spans — the denominator for
@@ -120,3 +44,33 @@ val span_wall_us : Trace.t -> float
 
 val path_to_string : string list -> string
 (** [";"]-joined rendering used by tables and reports. *)
+
+(** {1 Per-lane profile} *)
+
+type stack = {
+  sk_track : int;          (** domain (lane) the spans ran on *)
+  sk_path : string list;   (** root-first span-name path *)
+  sk_self_us : float;      (** summed self-time of those spans *)
+}
+
+val stacks : Trace.t -> stack list
+(** Self-time grouped by (lane, path), sorted by track, then path. The
+    [sk_self_us] sum to {!span_wall_us}. *)
+
+val to_folded : ?track_names:(int * string) list -> stack list -> string
+(** One line [lane;span;span... µs] per stack, sorted by track, then
+    path — the input format of Brendan Gregg's [flamegraph.pl]. Values
+    are whole microseconds: the rounding remainder carries from line
+    to line, so every line is within 1 µs of its self-time and the
+    lines total the rounded sum of all self-times. A line that would
+    read 0 is left out. Lanes use [track_names] (e.g.
+    {!Trace.track_names}) and fall back to [track-N]. *)
+
+val to_speedscope :
+  ?name:string -> ?track_names:(int * string) list -> stack list -> string
+(** The stacks as a speedscope JSON document
+    ({:https://www.speedscope.app}): shared frame table plus one
+    ["sampled"] profile per lane whose weights are the self-times, in
+    ["microseconds"]. Always emits at least one profile so the file
+    loads even for an empty trace. Strings are escaped/sanitized via
+    {!Jsonx}. *)

@@ -7,11 +7,11 @@
    CLI. Like every obs subsystem it is gated by one global flag, off by
    default: a disabled call is one atomic load and a branch.
 
-   The monitor reuses the Profile ticker pattern: a dedicated domain, a
-   CAS singleton flag, always at least one sample, and a final sample
-   on stop so even sub-period runs publish. Everything a sample reads
-   is an atomic or a [Gc.quick_stat] in the monitor's own domain — the
-   worked-on domains are never touched. *)
+   The monitor is a dedicated domain behind a CAS singleton flag that
+   always takes at least one sample, plus a final sample on stop so
+   even sub-period runs publish. Everything a sample reads is an atomic
+   or a [Gc.quick_stat] in the monitor's own domain — the worked-on
+   domains are never touched. *)
 
 let enabled_flag = Atomic.make false
 
@@ -125,11 +125,6 @@ let g_major_collections =
   Metrics.gauge ~help:"Cumulative major collection cycles"
     "ocaml_gc_major_collections"
 
-let g_span_domains =
-  Metrics.gauge
-    ~help:"Domains currently publishing span stacks (registered lanes)"
-    "obs_span_domains"
-
 let g_structs_done =
   Metrics.gauge ~help:"Structures analyzed so far in the current batch"
     "em_run_structures_done"
@@ -138,30 +133,14 @@ let g_structs_total =
   Metrics.gauge ~help:"Structures the current batch will analyze"
     "em_run_structures_total"
 
-(* Per-track open-span-depth and per-phase gauges are created on first
-   sight (gauge registration is idempotent and mutex-protected; at 1 Hz
-   the cost is irrelevant). The tables remember what exists so stale
-   entries can be zeroed — a phase gauge behaves like a Prometheus
-   "info" metric: the current phase reads 1, every previously seen
-   phase reads 0. *)
-let depth_gauges : (int, Metrics.gauge) Hashtbl.t = Hashtbl.create 8
-
+(* Per-phase gauges are created on first sight (gauge registration is
+   idempotent and mutex-protected; at 1 Hz the cost is irrelevant). The
+   table remembers what exists so stale entries can be zeroed — a phase
+   gauge behaves like a Prometheus "info" metric: the current phase
+   reads 1, every previously seen phase reads 0. *)
 let phase_gauges : (string, Metrics.gauge) Hashtbl.t = Hashtbl.create 8
 
-let tables_mu = Mutex.create ()
-
-let depth_gauge track =
-  match Hashtbl.find_opt depth_gauges track with
-  | Some g -> g
-  | None ->
-    let g =
-      Metrics.gauge
-        ~labels:[ ("track", string_of_int track) ]
-        ~help:"Open trace spans on this domain's lane right now"
-        "obs_open_span_depth"
-    in
-    Hashtbl.replace depth_gauges track g;
-    g
+let phase_mu = Mutex.create ()
 
 let phase_gauge name =
   match Hashtbl.find_opt phase_gauges name with
@@ -185,27 +164,15 @@ let sample_now () =
     (float_of_int stat.Gc.minor_collections);
   Metrics.set_gauge g_major_collections
     (float_of_int stat.Gc.major_collections);
-  let depths = Trace.stack_depths () in
   let sdone, stotal = structures () in
   let cur_phase = phase () in
-  (* The gauge tables are only touched here and the monitor is a CAS
+  (* The gauge table is only touched here and the monitor is a CAS
      singleton, but [sample_now] is also public (tests, pre-scrape
-     refresh), so keep them consistent under a lock. *)
-  Mutex.lock tables_mu;
+     refresh), so keep it consistent under a lock. *)
+  Mutex.lock phase_mu;
   Fun.protect
-    ~finally:(fun () -> Mutex.unlock tables_mu)
+    ~finally:(fun () -> Mutex.unlock phase_mu)
     (fun () ->
-      Metrics.set_gauge g_span_domains (float_of_int (List.length depths));
-      List.iter
-        (fun (track, d) ->
-          Metrics.set_gauge (depth_gauge track) (float_of_int d))
-        depths;
-      (* A lane that retired since the last sample reads 0, not its
-         last depth. *)
-      Hashtbl.iter
-        (fun track g ->
-          if not (List.mem_assoc track depths) then Metrics.set_gauge g 0.)
-        depth_gauges;
       if cur_phase <> "" then
         Metrics.set_gauge (phase_gauge cur_phase) 1.;
       Hashtbl.iter

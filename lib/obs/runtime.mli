@@ -13,14 +13,13 @@
        result-neutral by the same qcheck equivalence property that
        covers the rest of [lib/obs].}
     {- {e Monitor}: {!start} spawns a low-rate background domain
-       (default 1 Hz, the {!Profile} ticker pattern) that republishes
-       the run state plus process gauges — uptime, GC heap and
-       allocation totals, collection counts, live span-publishing
-       domains and their open-span depths — into the default
-       {!Metrics} registry, so a bare [/metrics] scrape shows run
-       progress even with tracing off. Sampling never touches the
-       worked-on domains: everything it reads is an atomic or a
-       [Gc.quick_stat] call in its own domain.}} *)
+       (default 1 Hz) that republishes the run state plus process
+       gauges — uptime, GC heap and allocation totals, collection
+       counts — into the default {!Metrics} registry, so a bare
+       [/metrics] scrape shows run progress even with tracing off.
+       Sampling never touches the worked-on domains: everything it
+       reads is an atomic or a [Gc.quick_stat] call in its own
+       domain.}} *)
 
 val set_enabled : bool -> unit
 (** Globally enable/disable run-state publication. *)

@@ -55,17 +55,12 @@ let default_routes () =
           | None -> empty_trace_json ) );
     ( "/profile",
       fun () ->
-        let track_names =
+        ( "application/json",
           match Trace.current () with
-          | Some tr -> Trace.track_names tr
-          | None -> []
-        in
-        let p =
-          match Profile.snapshot () with
-          | Some p -> p
-          | None -> Profile.profile_of_stacks []
-        in
-        ("application/json", Profile.to_speedscope ~track_names p) );
+          | Some tr ->
+            Profile.to_speedscope ~track_names:(Trace.track_names tr)
+              (Profile.stacks tr)
+          | None -> Profile.to_speedscope [] ) );
     ("/flight", fun () -> ("application/x-ndjson", Flight.to_json_lines ()));
     ("/audit", fun () -> ("application/json", Runtime.audit_json ()));
     ("/runs", fun () -> ("application/json", Runtime.runs_json ()));

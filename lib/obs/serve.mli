@@ -16,9 +16,9 @@
     {- [GET /trace] — Chrome-trace JSON snapshot of the spans completed
        so far ({!Trace.to_chrome_json} of the installed sink; an empty
        trace document when tracing is off);}
-    {- [GET /profile] — speedscope JSON snapshot of the running
-       sampler's observations so far ({!Profile.snapshot}; an empty
-       speedscope document when no sampler runs);}
+    {- [GET /profile] — speedscope JSON of the exact self-times of
+       the spans completed so far ({!Profile.stacks} of the installed
+       sink; an empty speedscope document when tracing is off);}
     {- [GET /flight] — the flight-recorder rings as JSON lines
        ({!Flight.to_json_lines});}
     {- [GET /audit] — the live numerical-audit aggregate

@@ -82,78 +82,18 @@ let with_enabled t f =
   name_track "main";
   Fun.protect ~finally:(fun () -> Atomic.set state prev) f
 
-(* Per-domain stack of open spans: parents are resolved within a
-   domain only, so a worker's spans start a fresh hierarchy on its own
-   track instead of dangling from whatever the spawning domain had
-   open.
-
-   Besides the id stack (private to the owning domain), each domain
-   publishes the *names* of its open spans in a fixed, pre-allocated
-   array plus an atomic depth, so the sampling profiler ([Profile]) can
-   snapshot every domain's stack from its own ticker domain without the
-   sampled domains allocating or synchronizing on their hot paths. The
-   name slots are plain (racy) writes published by the depth store;
-   OCaml's memory model makes a racy read return some previously
-   written string pointer, so the worst a concurrent sample can see is
-   a momentarily stale frame — acceptable for a statistical profile,
-   never a crash. *)
-
-let max_sample_depth = 64
-
-type dstack = {
-  ds_track : int;
-  ds_names : string array; (* slots [0 .. depth-1], root first *)
-  ds_depth : int Atomic.t;
-  mutable ds_ids : int list; (* open span ids, innermost first *)
-}
-
-(* Registry of every domain's published stack, CAS-maintained so the
-   sampler can read it lock-free. Entries are added on a domain's first
-   span and removed by [retire_stack] when a worker domain finishes. *)
-let dstacks : dstack list Atomic.t = Atomic.make []
-
-let rec registry_add d =
-  let cur = Atomic.get dstacks in
-  if not (Atomic.compare_and_set dstacks cur (d :: cur)) then registry_add d
-
-let rec registry_remove d =
-  let cur = Atomic.get dstacks in
-  let next = List.filter (fun d' -> d' != d) cur in
-  if not (Atomic.compare_and_set dstacks cur next) then registry_remove d
-
-let stack_key : dstack Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let d =
-        {
-          ds_track = (Domain.self () :> int);
-          ds_names = Array.make max_sample_depth "";
-          ds_depth = Atomic.make 0;
-          ds_ids = [];
-        }
-      in
-      registry_add d;
-      d)
-
-let retire_stack () = registry_remove (Domain.DLS.get stack_key)
-
-let stack_depths () =
-  List.map
-    (fun ds -> (ds.ds_track, max 0 (Atomic.get ds.ds_depth)))
-    (Atomic.get dstacks)
-
-let stack_snapshots () =
-  List.filter_map
-    (fun ds ->
-      let d = min (Atomic.get ds.ds_depth) max_sample_depth in
-      if d <= 0 then None
-      else Some (ds.ds_track, List.init d (fun i -> ds.ds_names.(i))))
-    (Atomic.get dstacks)
+(* Per-domain stack of open span ids, private to the owning domain:
+   parents are resolved within a domain only, so a worker's spans start
+   a fresh hierarchy on its own track instead of dangling from whatever
+   the spawning domain had open. *)
+let stack_key : int list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
 
 let current_span_id () =
   match Atomic.get state with
   | None -> None
   | Some _ -> begin
-    match (Domain.DLS.get stack_key).ds_ids with
+    match !(Domain.DLS.get stack_key) with
     | [] -> None
     | id :: _ -> Some id
   end
@@ -221,14 +161,9 @@ let with_span ?(attrs = []) name f =
     if Flight.is_enabled () then flight_only_span attrs name f else f ()
   | Some t ->
     let id = Atomic.fetch_and_add t.next_id 1 in
-    let ds = Domain.DLS.get stack_key in
-    let parent = match ds.ds_ids with [] -> None | p :: _ -> Some p in
-    ds.ds_ids <- id :: ds.ds_ids;
-    (* Publish the frame for the sampler: one array store (an existing
-       string pointer, no allocation) and one atomic depth store. *)
-    let depth = Atomic.get ds.ds_depth in
-    if depth < max_sample_depth then ds.ds_names.(depth) <- name;
-    Atomic.set ds.ds_depth (depth + 1);
+    let ids = Domain.DLS.get stack_key in
+    let parent = match !ids with [] -> None | p :: _ -> Some p in
+    ids := id :: !ids;
     let tr = track () in
     (* Word counts come from one exact per-domain source ([Alloc],
        where [Gc.quick_stat]'s words refresh only at GC points);
@@ -237,8 +172,7 @@ let with_span ?(attrs = []) name f =
     let gc0 = Gc.quick_stat () in
     let start_us = Clock.now_us () in
     let finish error =
-      (match ds.ds_ids with _ :: rest -> ds.ds_ids <- rest | [] -> ());
-      Atomic.set ds.ds_depth (max 0 (Atomic.get ds.ds_depth - 1));
+      (match !ids with _ :: rest -> ids := rest | [] -> ());
       let dur_us = Clock.now_us () -. start_us in
       let gc1 = Gc.quick_stat () in
       let a1 = Alloc.domain () in

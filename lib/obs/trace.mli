@@ -7,7 +7,8 @@
     ran on, so parallel workers render as separate lanes in a trace
     viewer. The exporter writes the Chrome trace-event JSON format,
     loadable in Perfetto ({:https://ui.perfetto.dev}) or
-    [chrome://tracing].
+    [chrome://tracing]. {!Profile} derives exact per-path self-times
+    and the folded/speedscope profiles from the same buffer.
 
     Tracing is off by default and gated by one global flag: with no
     trace installed, {!with_span} costs a single atomic load and branch
@@ -56,8 +57,9 @@ val create : ?capacity:int -> unit -> t
     few hundred MB of events at most). Once full, further spans are
     {e dropped}, counted in {!dropped_spans} and the
     [obs_trace_dropped_spans_total] metric, with one {!Log} warning the
-    first time; timing, nesting, and the profiler's stack snapshots
-    keep working. Raises [Invalid_argument] when [capacity < 1]. *)
+    first time; timing and nesting keep working (a kept span whose
+    parent was dropped counts as a root in {!Profile}). Raises
+    [Invalid_argument] when [capacity < 1]. *)
 
 val capacity : t -> int
 
@@ -102,36 +104,6 @@ val track : unit -> int
 val name_track : string -> unit
 (** Label the calling domain's track in the exported trace (e.g.
     ["worker-3"]). First call wins; no-op when tracing is disabled. *)
-
-(** {1 Cross-domain stack snapshots}
-
-    Every domain that opens spans publishes its currently-open span
-    names in a pre-allocated per-domain slot (a fixed array of
-    {!max_sample_depth} string pointers plus an atomic depth), so the
-    sampling profiler ({!Profile}) can read all domains' stacks from a
-    dedicated ticker domain. Publication costs the sampled domain one
-    array store and one atomic store per span boundary and never
-    allocates; a concurrent sample may observe a frame that is one
-    update stale (a plain racy read of an immutable string pointer),
-    which biases nothing measurably at statistical sampling rates. *)
-
-val max_sample_depth : int
-(** Deepest stack prefix the sampler can observe (64); spans nested
-    deeper still trace correctly but are invisible to sampling. *)
-
-val stack_snapshots : unit -> (int * string list) list
-(** One [(track, open span names, root first)] per registered domain
-    with a non-empty stack, read without blocking the owners. *)
-
-val stack_depths : unit -> (int * int) list
-(** One [(track, open-span depth)] per registered domain — including
-    idle ones at depth 0, which {!stack_snapshots} omits. Feeds the
-    {!Runtime} monitor's per-lane depth gauges. *)
-
-val retire_stack : unit -> unit
-(** Unregister the calling domain's published stack. Call from a worker
-    domain about to terminate so the snapshot registry does not
-    accumulate dead entries; the main domain never needs it. *)
 
 val set_drop_warner : (int -> unit) -> unit
 (** Install the callback invoked (with the buffer capacity) the first

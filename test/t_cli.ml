@@ -180,6 +180,36 @@ let test_analyze_non_finite_value () =
       Alcotest.(check bool) "keep-going: the rest is solved" true
         (List.exists (String.starts_with ~prefix:"DC solve: ") out))
 
+let test_analyze_stages () =
+  (* Parse, lint and the DC solve are pipeline stages like the rest: the
+     report lists every stage from deck to verdicts, and the trace (so
+     the profile too) covers the solve. *)
+  let json = tmp_name "stages" ^ ".json" and trace = tmp_name "trace" ^ ".json" in
+  Fun.protect
+    ~finally:(fun () ->
+      rm_f json;
+      rm_f trace)
+    (fun () ->
+      let r =
+        run_cmd
+          (Printf.sprintf "%s analyze %s --json %s --trace %s" emcheck deck json
+             trace)
+      in
+      Alcotest.(check int) "exit 0" 0 r.code;
+      let stages =
+        match Ji.list_value (get "stages" (get "flow" (json_of_file json))) with
+        | Some l -> l
+        | None -> Alcotest.fail "flow.stages is not a list"
+      in
+      Alcotest.(check (list string))
+        "stages in order"
+        [ "parse"; "lint"; "solve"; "extract"; "analyze"; "classify" ]
+        (List.filter_map
+           (fun st -> Option.bind (Ji.member "name" st) Ji.string_value)
+           stages);
+      Alcotest.(check bool) "solve span traced" true
+        (T_obs.contains (read_file trace) {|"name":"solve"|}))
+
 (* ---------------------------------------------------------------- *)
 (* record-run -> diff -> history                                     *)
 
@@ -289,6 +319,7 @@ let suites =
         case "DC solve line and no residual diagnostic" test_analyze_solver_line;
         case "hostile solves end in one diagnostic" test_analyze_hostile_solve;
         case "overflowing value: a line error" test_analyze_non_finite_value;
+        case "parse, lint and solve are pipeline stages" test_analyze_stages;
       ] );
     ( "cli.ledger",
       [ slow_case "record-run, diff, history round trip" test_record_diff_history ] );

@@ -1468,19 +1468,6 @@ let test_flow_audit_json () =
   Alcotest.(check bool) "provenance present" true
     (contains json {|"solver":"|})
 
-let test_solve_buckets_validation () =
-  (* Any flow run above froze the em_structure_solve_seconds ladder for
-     the process, so even a valid replacement must be refused now... *)
-  let _ = Lazy.force fault_fixture in
-  check_raises_invalid "after first analysis" (fun () ->
-      Flow.set_solve_seconds_buckets Flow.default_solve_seconds_buckets);
-  (* ...and malformed ladders are always refused. *)
-  check_raises_invalid "empty" (fun () -> Flow.set_solve_seconds_buckets [||]);
-  check_raises_invalid "non-increasing" (fun () ->
-      Flow.set_solve_seconds_buckets [| 1e-3; 1e-3 |]);
-  check_raises_invalid "non-finite" (fun () ->
-      Flow.set_solve_seconds_buckets [| 1e-3; infinity |])
-
 let test_variation_runtime_progress () =
   let compacts = stressed_compacts () in
   let n = List.length compacts in
@@ -1536,7 +1523,6 @@ let suites =
         case "fault isolation keeps healthy audits"
           test_flow_audit_fault_isolated;
         case "audit report serialization" test_flow_audit_json;
-        case "solve-seconds bucket validation" test_solve_buckets_validation;
         case "variation publishes live progress"
           test_variation_runtime_progress;
       ] );

@@ -7,60 +7,119 @@ module Jin = Emflow.Json_in
 module Jout = Emflow.Json_out
 
 (* ---------------------------------------------------------------- *)
-(* Folded aggregation and export: deterministic on synthetic stacks  *)
+(* Per-lane stacks and the folded export                             *)
+
+let stack track path self =
+  { Pf.sk_track = track; sk_path = path; sk_self_us = self }
 
 let synthetic_stacks =
   [
-    (0, [ "root"; "child" ]);
-    (0, [ "root" ]);
-    (1, [ "root"; "child" ]);
-    (0, [ "root"; "child" ]);
-    (0, []);
-    (* empty stacks are idle observations, dropped *)
-    (1, [ "other" ]);
+    stack 0 [ "root"; "child" ] 2.4;
+    stack 0 [ "root" ] 1.0;
+    stack 1 [ "root"; "child" ] 1.2;
+    stack 1 [ "other" ] 0.7;
   ]
 
-let test_profile_of_stacks () =
-  let p = Pf.profile_of_stacks synthetic_stacks in
-  Alcotest.(check int) "empty stacks ignored" 5 p.Pf.total_samples;
-  Alcotest.(check int) "distinct (track, stack) keys" 4
-    (List.length p.Pf.samples);
-  let counts =
-    List.map (fun s -> (s.Pf.smp_track, s.Pf.smp_stack, s.Pf.smp_count)) p.Pf.samples
-  in
-  Alcotest.(check bool) "sorted by track then stack with summed counts" true
-    (counts
-    = [
-        (0, [ "root" ], 1); (0, [ "root"; "child" ], 2); (1, [ "other" ], 1);
-        (1, [ "root"; "child" ], 1);
-      ])
-
 let test_folded_output () =
-  let p = Pf.profile_of_stacks synthetic_stacks in
-  let folded = Pf.to_folded ~track_names:[ (0, "main"); (1, "worker-1") ] p in
+  let folded =
+    Pf.to_folded ~track_names:[ (0, "main"); (1, "worker-1") ] synthetic_stacks
+  in
+  (* Sorted by lane, then path; the rounding remainder carries, so the
+     lines total round(5.3) = 5 µs and each is within 1 µs of its own
+     self-time. *)
   Alcotest.(check string) "folded lines, lanes resolved"
     "main;root 1\nmain;root;child 2\nworker-1;other 1\nworker-1;root;child 1\n"
     folded;
-  (* Unknown tracks fall back to track-N. *)
-  let fallback = Pf.to_folded (Pf.profile_of_stacks [ (7, [ "x" ]) ]) in
-  Alcotest.(check string) "track fallback" "track-7;x 1\n" fallback
+  (* Unknown tracks fall back to track-N; a line that reads 0 is left
+     out. *)
+  Alcotest.(check string) "track fallback" "track-7;x 3\n"
+    (Pf.to_folded [ stack 7 [ "x" ] 3.2 ]);
+  Alcotest.(check string) "sub-µs total prints nothing" ""
+    (Pf.to_folded [ stack 0 [ "x" ] 0.3 ])
 
 let test_folded_permutation_invariant =
   qcheck ~count:50 "folded output is a function of the observation multiset"
     QCheck2.Gen.(list_size (int_range 0 30) (int_range 0 5))
     (fun picks ->
-      (* Build an observation list by indexing a fixed universe, then
-         compare against the same multiset in sorted order. *)
+      (* Build a stack list by indexing a fixed universe, then compare
+         against the same multiset in sorted order. *)
       let universe =
         [|
-          (0, [ "a" ]); (0, [ "a"; "b" ]); (0, [ "a"; "c" ]); (1, [ "a" ]);
-          (1, [ "d"; "e" ]); (2, [ "f" ]);
+          stack 0 [ "a" ] 1.6; stack 0 [ "a"; "b" ] 0.4; stack 0 [ "a"; "c" ] 2.5;
+          stack 1 [ "a" ] 0.5; stack 1 [ "d"; "e" ] 7.25; stack 2 [ "f" ] 3.;
         |]
       in
-      let obs = List.map (fun i -> universe.(i)) picks in
-      let sorted = List.sort compare obs in
-      Pf.to_folded (Pf.profile_of_stacks obs)
-      = Pf.to_folded (Pf.profile_of_stacks sorted))
+      let stacks = List.map (fun i -> universe.(i)) picks in
+      Pf.to_folded stacks = Pf.to_folded (List.sort compare stacks))
+
+(* Sum of the integer values of a folded export. *)
+let folded_total folded =
+  String.split_on_char '\n' folded
+  |> List.filter (fun l -> l <> "")
+  |> List.fold_left
+       (fun acc line ->
+         let i = String.rindex line ' ' in
+         let v =
+           int_of_string (String.sub line (i + 1) (String.length line - i - 1))
+         in
+         Alcotest.(check bool) "folded value positive" true (v > 0);
+         acc + v)
+       0
+
+(* ---------------------------------------------------------------- *)
+(* Speedscope export: parse back and validate the structure          *)
+
+let get = function Some v -> v | None -> Alcotest.fail "missing JSON member"
+
+let validate_speedscope json_text =
+  let doc = Jin.parse_exn json_text in
+  Alcotest.(check (option string))
+    "$schema" (Some "https://www.speedscope.app/file-format-schema.json")
+    (Option.bind (Jin.member "$schema" doc) Jin.string_value);
+  let frames =
+    get
+      (Option.bind (Jin.member "shared" doc) (fun s ->
+           Option.bind (Jin.member "frames" s) Jin.list_value))
+  in
+  List.iter
+    (fun f ->
+      match Option.bind (Jin.member "name" f) Jin.string_value with
+      | Some _ -> ()
+      | None -> Alcotest.fail "frame without a name")
+    frames;
+  let n_frames = List.length frames in
+  let profiles = get (Option.bind (Jin.member "profiles" doc) Jin.list_value) in
+  Alcotest.(check bool) "at least one profile" true (profiles <> []);
+  List.iter
+    (fun p ->
+      Alcotest.(check (option string))
+        "sampled type" (Some "sampled")
+        (Option.bind (Jin.member "type" p) Jin.string_value);
+      Alcotest.(check (option string))
+        "microsecond weights" (Some "microseconds")
+        (Option.bind (Jin.member "unit" p) Jin.string_value);
+      let samples = get (Option.bind (Jin.member "samples" p) Jin.list_value) in
+      let weights = get (Option.bind (Jin.member "weights" p) Jin.list_value) in
+      Alcotest.(check int) "samples and weights same length"
+        (List.length samples) (List.length weights);
+      List.iter
+        (fun stack ->
+          List.iter
+            (fun idx ->
+              let i = int_of_float (get (Jin.number idx)) in
+              Alcotest.(check bool) "frame index in range" true
+                (i >= 0 && i < n_frames))
+            (get (Jin.list_value stack)))
+        samples;
+      let weight_sum =
+        List.fold_left (fun acc w -> acc +. get (Jin.number w)) 0. weights
+      in
+      Alcotest.(check (float 0.)) "startValue is 0" 0.
+        (get (Option.bind (Jin.member "startValue" p) Jin.number));
+      check_close ~rtol:1e-12 "endValue is the weight sum" weight_sum
+        (get (Option.bind (Jin.member "endValue" p) Jin.number)))
+    profiles;
+  (frames, profiles)
 
 (* ---------------------------------------------------------------- *)
 (* Exact attribution invariants                                      *)
@@ -129,79 +188,123 @@ let test_attribution_invariants () =
   Alcotest.(check bool) "sorted by self desc" true
     (List.sort (fun a b -> Float.compare b a) selfs = selfs)
 
-let test_attribution_sample_counts () =
-  let t = nested_trace () in
-  let p =
-    Pf.profile_of_stacks
-      [
-        (0, [ "root"; "solve"; "cg" ]); (0, [ "root"; "solve"; "cg" ]);
-        (0, [ "root" ]); (3, [ "root"; "solve"; "cg" ]);
-        (0, [ "never"; "traced" ]);
-      ]
+(* Spans on two lanes: the caller's ("main") and a spawned domain
+   named like a Parallel worker. *)
+let two_lane_trace () =
+  let t = Tr.create () in
+  Tr.with_enabled t (fun () ->
+      Tr.with_span "root" (fun () ->
+          Tr.with_span "child" spin;
+          Tr.with_span "child" spin;
+          Domain.join
+            (Domain.spawn (fun () ->
+                 Tr.name_track "worker-1";
+                 Tr.with_span "root" (fun () -> Tr.with_span "child" spin)))));
+  t
+
+let test_stacks_aggregation () =
+  let t = two_lane_trace () in
+  let main = Tr.track () in
+  let stacks = Pf.stacks t in
+  let keys = List.map (fun s -> (s.Pf.sk_track = main, s.Pf.sk_path)) stacks in
+  (* Both "child" spans on main merge into one stack; the worker lane
+     keeps its own copy of the same paths. *)
+  Alcotest.(check int) "one stack per (lane, path)" 4 (List.length stacks);
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) "expected (lane, path)" true (List.mem k keys))
+    [
+      (true, [ "root" ]); (true, [ "root"; "child" ]); (false, [ "root" ]);
+      (false, [ "root"; "child" ]);
+    ];
+  Alcotest.(check bool) "sorted by track, then path" true
+    (List.sort compare stacks = stacks);
+  let self_sum =
+    List.fold_left (fun acc s -> acc +. s.Pf.sk_self_us) 0. stacks
   in
-  let paths = Pf.attribute ~profile:p t in
-  Alcotest.(check int) "samples merged across lanes" 3
-    (find_path paths [ "root"; "solve"; "cg" ]).Pf.hp_samples;
-  Alcotest.(check int) "root samples" 1 (find_path paths [ "root" ]).Pf.hp_samples;
-  Alcotest.(check int) "unsampled path" 0
-    (find_path paths [ "root"; "classify" ]).Pf.hp_samples
+  check_close ~rtol:1e-9 "stacks sum to the root wall" (Pf.span_wall_us t)
+    self_sum;
+  let folded = Pf.to_folded ~track_names:(Tr.track_names t) stacks in
+  Alcotest.(check bool) "worker lane named" true
+    (T_obs.contains folded "worker-1;root;child ");
+  Alcotest.(check bool) "main lane named" true
+    (T_obs.contains folded "main;root;child ")
 
-(* ---------------------------------------------------------------- *)
-(* Speedscope export: parse back and validate the structure          *)
-
-let get = function Some v -> v | None -> Alcotest.fail "missing JSON member"
-
-let validate_speedscope json_text =
-  let doc = Jin.parse_exn json_text in
-  Alcotest.(check (option string))
-    "$schema" (Some "https://www.speedscope.app/file-format-schema.json")
-    (Option.bind (Jin.member "$schema" doc) Jin.string_value);
-  let frames =
-    get
-      (Option.bind (Jin.member "shared" doc) (fun s ->
-           Option.bind (Jin.member "frames" s) Jin.list_value))
+(* The acceptance test for the exact profile: a real two-domain flow
+   run on a pg1-class grid, traced end to end. *)
+let test_flow_identity () =
+  let grid = Pdn.Grid_gen.generate (Pdn.Grid_gen.ibm_preset Pdn.Grid_gen.Pg1) in
+  let t = Tr.create () in
+  ignore (Tr.with_enabled t (fun () -> Emflow.Em_flow.run ~jobs:2 grid));
+  let wall = Pf.span_wall_us t in
+  Alcotest.(check bool) "wall time positive" true (wall > 0.);
+  let paths = Pf.attribute t in
+  let self_sum =
+    List.fold_left (fun acc (h : Pf.hot_path) -> acc +. h.Pf.hp_self_us) 0. paths
+  in
+  check_close ~rtol:1e-9 "sum of self == span wall" wall self_sum;
+  let total p =
+    match List.find_opt (fun (h : Pf.hot_path) -> h.Pf.hp_path = p) paths with
+    | Some h -> h.Pf.hp_total_us
+    | None -> 0.
   in
   List.iter
-    (fun f ->
-      match Option.bind (Jin.member "name" f) Jin.string_value with
-      | Some _ -> ()
-      | None -> Alcotest.fail "frame without a name")
-    frames;
-  let n_frames = List.length frames in
-  let profiles = get (Option.bind (Jin.member "profiles" doc) Jin.list_value) in
-  Alcotest.(check bool) "at least one profile" true (profiles <> []);
-  List.iter
-    (fun p ->
-      Alcotest.(check (option string))
-        "sampled type" (Some "sampled")
-        (Option.bind (Jin.member "type" p) Jin.string_value);
-      let samples = get (Option.bind (Jin.member "samples" p) Jin.list_value) in
-      let weights = get (Option.bind (Jin.member "weights" p) Jin.list_value) in
-      Alcotest.(check int) "samples and weights same length"
-        (List.length samples) (List.length weights);
-      List.iter
-        (fun stack ->
-          List.iter
-            (fun idx ->
-              let i = int_of_float (get (Jin.number idx)) in
-              Alcotest.(check bool) "frame index in range" true
-                (i >= 0 && i < n_frames))
-            (get (Jin.list_value stack)))
-        samples;
-      let weight_sum =
-        List.fold_left (fun acc w -> acc +. get (Jin.number w)) 0. weights
+    (fun (h : Pf.hot_path) ->
+      let name = Pf.path_to_string h.Pf.hp_path in
+      Alcotest.(check bool) (name ^ ": 0 <= self <= total") true
+        (h.Pf.hp_self_us >= 0. && h.Pf.hp_self_us <= h.Pf.hp_total_us);
+      (* Direct children: one more path element. *)
+      let depth = List.length h.Pf.hp_path in
+      let children =
+        List.filter
+          (fun (c : Pf.hot_path) ->
+            List.length c.Pf.hp_path = depth + 1
+            && List.filteri (fun i _ -> i < depth) c.Pf.hp_path = h.Pf.hp_path)
+          paths
       in
-      Alcotest.(check (float 0.)) "startValue is 0" 0.
-        (get (Option.bind (Jin.member "startValue" p) Jin.number));
-      Alcotest.(check (float 1e-9)) "endValue is the weight sum" weight_sum
-        (get (Option.bind (Jin.member "endValue" p) Jin.number)))
-    profiles;
-  (frames, profiles)
+      let child_total =
+        List.fold_left (fun acc c -> acc +. total c.Pf.hp_path) 0. children
+      in
+      Alcotest.(check bool) (name ^ ": total >= direct children") true
+        (h.Pf.hp_total_us >= child_total))
+    paths;
+  Alcotest.(check bool) "the DC solve is a traced stage" true
+    (total [ "solve" ] > 0.);
+  let stacks = Pf.stacks t in
+  Alcotest.(check bool) "two lanes" true
+    (List.length (List.sort_uniq compare (List.map (fun s -> s.Pf.sk_track) stacks))
+    = 2);
+  (* Both exports total the same wall: folded to the rounded µs,
+     speedscope to float rounding. *)
+  Alcotest.(check int) "folded totals the wall" (int_of_float (Float.round wall))
+    (folded_total (Pf.to_folded stacks));
+  let _, profiles = validate_speedscope (Pf.to_speedscope stacks) in
+  let weights =
+    List.fold_left
+      (fun acc p ->
+        acc +. get (Option.bind (Jin.member "endValue" p) Jin.number))
+      0. profiles
+  in
+  check_close ~rtol:1e-9 "speedscope totals the wall" wall weights;
+  (* The report's telemetry carries the same wall and a bounded hot-path
+     table, and no sampler summary. *)
+  let json =
+    Tr.with_enabled t (fun () -> Jout.to_string (Jout.of_telemetry ~top:5 ()))
+  in
+  Alcotest.(check bool) "telemetry JSON well-formed" true
+    (T_obs.json_accepts json);
+  let doc = Jin.parse_exn json in
+  check_close ~rtol:1e-12 "telemetry span wall" wall
+    (get (Option.bind (Jin.member "span_wall_us" doc) Jin.number));
+  let hot = get (Option.bind (Jin.member "hot_paths" doc) Jin.list_value) in
+  Alcotest.(check int) "hot paths bounded by top" 5 (List.length hot);
+  Alcotest.(check bool) "no profile summary" true
+    (Jin.member "profile" doc = None)
 
 let test_speedscope_roundtrip () =
-  let p = Pf.profile_of_stacks synthetic_stacks in
   let json =
-    Pf.to_speedscope ~name:"unit" ~track_names:[ (0, "main"); (1, "w1") ] p
+    Pf.to_speedscope ~name:"unit" ~track_names:[ (0, "main"); (1, "w1") ]
+      synthetic_stacks
   in
   Alcotest.(check bool) "well-formed JSON" true (T_obs.json_accepts json);
   let frames, profiles = validate_speedscope json in
@@ -215,92 +318,18 @@ let test_speedscope_roundtrip () =
   Alcotest.(check (list string)) "lane names" [ "main"; "w1" ] names
 
 let test_speedscope_empty_profile () =
-  let p = Pf.profile_of_stacks [] in
-  let json = Pf.to_speedscope p in
-  let _, profiles = validate_speedscope json in
-  (* An idle run still exports a loadable single empty lane. *)
+  let _, profiles = validate_speedscope (Pf.to_speedscope []) in
+  (* An empty trace still exports a loadable single empty lane. *)
   Alcotest.(check int) "one empty profile" 1 (List.length profiles)
 
 let test_speedscope_hostile_names () =
-  let p =
-    Pf.profile_of_stacks
-      [ (0, [ "bad\xffutf"; "ctrl\x01\"quote\\" ]); (0, [ "λ→∞" ]) ]
+  let stacks =
+    [ stack 0 [ "bad\xffutf"; "ctrl\x01\"quote\\" ] 1.; stack 0 [ "λ→∞" ] 2. ]
   in
-  let json = Pf.to_speedscope ~name:"hostile \xfe name" p in
+  let json = Pf.to_speedscope ~name:"hostile \xfe name" stacks in
   Alcotest.(check bool) "hostile export is well-formed JSON" true
     (T_obs.json_accepts json);
   ignore (validate_speedscope json)
-
-(* ---------------------------------------------------------------- *)
-(* Stack snapshots and the live sampler                              *)
-
-let test_stack_snapshots () =
-  Alcotest.(check (list (pair int (list string))))
-    "no snapshots without tracing" [] (Tr.stack_snapshots ());
-  let t = Tr.create () in
-  Tr.with_enabled t (fun () ->
-      Tr.with_span "outer" (fun () ->
-          Tr.with_span "inner" (fun () ->
-              match Tr.stack_snapshots () with
-              | [ (track, stack) ] ->
-                Alcotest.(check int) "own track" (Tr.track ()) track;
-                Alcotest.(check (list string))
-                  "root-first stack" [ "outer"; "inner" ] stack
-              | l -> Alcotest.failf "expected 1 snapshot, got %d" (List.length l));
-          Alcotest.(check (list (pair int (list string))))
-            "inner popped"
-            [ (Tr.track (), [ "outer" ]) ]
-            (Tr.stack_snapshots ())))
-
-let test_sampler_guards () =
-  check_raises_invalid "zero rate" (fun () -> Pf.start ~rate_hz:0. ());
-  check_raises_invalid "negative rate" (fun () -> Pf.start ~rate_hz:(-1.) ());
-  check_raises_invalid "nan rate" (fun () -> Pf.start ~rate_hz:Float.nan ());
-  let s = Pf.start ~rate_hz:2000. () in
-  Alcotest.(check bool) "running" true (Pf.is_running ());
-  Alcotest.(check (float 0.)) "rate" 2000. (Pf.rate s);
-  check_raises_invalid "double start" (fun () -> Pf.start ());
-  let p = Pf.stop s in
-  Alcotest.(check bool) "stopped" false (Pf.is_running ());
-  Alcotest.(check bool) "ticked at least once" true (p.Pf.ticks >= 1);
-  Alcotest.(check int) "nothing traced, nothing sampled" 0 p.Pf.total_samples
-
-let test_sampler_live () =
-  let t = Tr.create () in
-  let p =
-    Tr.with_enabled t (fun () ->
-        let s = Pf.start ~rate_hz:1000. () in
-        (* Keep a recognizable stack open long enough to be observed on
-           a loaded machine: 1000 Hz over ~80ms of work. *)
-        Tr.with_span "t_profile.busy" (fun () ->
-            let stop_at = Unix.gettimeofday () +. 0.08 in
-            while Unix.gettimeofday () < stop_at do
-              spin ()
-            done);
-        Pf.stop s)
-  in
-  Alcotest.(check bool) "ticker ticked" true (p.Pf.ticks >= 1);
-  Alcotest.(check bool) "sampling window measured" true (p.Pf.duration_us > 0.);
-  (* Every observed stack must be the one we held open. *)
-  List.iter
-    (fun s ->
-      Alcotest.(check (list string))
-        "observed the open span" [ "t_profile.busy" ] s.Pf.smp_stack)
-    p.Pf.samples;
-  (* The telemetry JSON carries the profile summary and hot paths. *)
-  let json =
-    Tr.with_enabled t (fun () ->
-        Jout.to_string (Jout.of_telemetry ~top:5 ~profile:p ()))
-  in
-  Alcotest.(check bool) "telemetry JSON well-formed" true
-    (T_obs.json_accepts json);
-  let doc = Jin.parse_exn json in
-  let telemetry_profile = get (Jin.member "profile" doc) in
-  Alcotest.(check (option (float 0.)))
-    "profile rate surfaced" (Some 1000.)
-    (Option.bind (Jin.member "rate_hz" telemetry_profile) Jin.number);
-  let hot = get (Option.bind (Jin.member "hot_paths" doc) Jin.list_value) in
-  Alcotest.(check bool) "hot paths bounded by top" true (List.length hot <= 5)
 
 (* ---------------------------------------------------------------- *)
 (* Span-buffer cap                                                   *)
@@ -356,32 +385,32 @@ let test_trace_capacity_cap () =
   Alcotest.(check bool) "warning names the condition" true
     (T_obs.contains (List.hd warnings) "trace span buffer full")
 
-let test_trace_cap_keeps_sampling () =
-  (* A full buffer stops recording but not stack publication: the
-     profiler keeps seeing live stacks. *)
+let test_trace_cap_orphan_root () =
+  (* The child completes first and is kept; its parent is dropped. The
+     kept child then counts as a root, so the identity still holds. *)
   let t = Tr.create ~capacity:1 () in
   Tr.with_enabled t (fun () ->
-      Tr.with_span "a" (fun () -> ());
-      Tr.with_span "b" (fun () ->
-          match Tr.stack_snapshots () with
-          | [ (_, stack) ] ->
-            Alcotest.(check (list string)) "stack still published" [ "b" ] stack
-          | l -> Alcotest.failf "expected 1 snapshot, got %d" (List.length l)));
+      Tr.with_span "parent" (fun () -> Tr.with_span "child" spin));
   Alcotest.(check int) "one span kept" 1 (Tr.num_events t);
-  Alcotest.(check int) "one span dropped" 1 (Tr.dropped_spans t)
+  Alcotest.(check int) "one span dropped" 1 (Tr.dropped_spans t);
+  match Pf.attribute t with
+  | [ h ] ->
+    Alcotest.(check (list string)) "child is a root" [ "child" ] h.Pf.hp_path;
+    check_close "self == wall" (Pf.span_wall_us t) h.Pf.hp_self_us
+  | l -> Alcotest.failf "expected 1 path, got %d" (List.length l)
 
 let suites =
   [
     ( "profile.folded",
       [
-        case "aggregation over synthetic stacks" test_profile_of_stacks;
+        case "aggregation over synthetic stacks" test_stacks_aggregation;
         case "folded output and lane naming" test_folded_output;
         test_folded_permutation_invariant;
       ] );
     ( "profile.attribute",
       [
         case "self/total invariants and telescoping" test_attribution_invariants;
-        case "sample counts join on exact path" test_attribution_sample_counts;
+        case "exact identity on a two-domain flow run" test_flow_identity;
       ] );
     ( "profile.speedscope",
       [
@@ -389,15 +418,10 @@ let suites =
         case "empty profile still loads" test_speedscope_empty_profile;
         case "hostile frame names sanitize" test_speedscope_hostile_names;
       ] );
-    ( "profile.sampler",
-      [
-        case "published stacks snapshot" test_stack_snapshots;
-        case "start/stop guards" test_sampler_guards;
-        case "live sampling smoke" test_sampler_live;
-      ] );
     ( "profile.cap",
       [
         case "span buffer cap: count, metric, warn-once" test_trace_capacity_cap;
-        case "cap leaves stack publication alive" test_trace_cap_keeps_sampling;
+        case "dropped parent: kept child counts as a root"
+          test_trace_cap_orphan_root;
       ] );
   ]

@@ -182,7 +182,8 @@ let test_healthz_endpoint () =
 
 let test_snapshot_endpoints () =
   (* /trace, /profile and /flight must answer valid documents even with
-     nothing recording — the scrape-anytime contract. *)
+     nothing recording — the scrape-anytime contract — and /profile
+     must profile a live trace. *)
   with_server (fun server ->
       let port = Sv.port server in
       let tr = http_get ~port "/trace" in
@@ -193,10 +194,21 @@ let test_snapshot_endpoints () =
         (T_obs.contains tr.body {|"traceEvents"|});
       let pr = http_get ~port "/profile" in
       Alcotest.(check int) "profile status" 200 pr.status;
-      Alcotest.(check bool) "profile is valid JSON" true
-        (T_obs.json_accepts (String.trim pr.body));
-      Alcotest.(check bool) "speedscope shape" true
-        (T_obs.contains pr.body {|"$schema"|});
+      ignore (T_profile.validate_speedscope (String.trim pr.body));
+      (* With a live trace, /profile is the exact profile of the spans
+         completed so far. *)
+      let live =
+        Obs.Trace.with_enabled (Obs.Trace.create ()) (fun () ->
+            Obs.Trace.with_span "serve.done" (fun () -> ());
+            Obs.Trace.with_span "serve.open" (fun () ->
+                http_get ~port "/profile"))
+      in
+      Alcotest.(check int) "live profile status" 200 live.status;
+      ignore (T_profile.validate_speedscope (String.trim live.body));
+      Alcotest.(check bool) "completed span profiled" true
+        (T_obs.contains live.body {|"serve.done"|});
+      Alcotest.(check bool) "open span not yet profiled" false
+        (T_obs.contains live.body {|"serve.open"|});
       let fl = http_get ~port "/flight" in
       Alcotest.(check int) "flight status" 200 fl.status;
       Alcotest.(check (option string))
