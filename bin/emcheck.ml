@@ -52,6 +52,19 @@ let material_of ~sigma_t ~temperature =
   let m = M.with_thermal_stress M.cu_dac21 (U.mpa sigma_t) in
   match temperature with None -> m | Some t -> M.with_temperature m t
 
+let jobs_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "j"; "jobs" ] ~docv:"N"
+        ~doc:
+          "Worker domains. The deck scan is cut into up to $(docv) line \
+           ranges, one per domain (a deck under 512 KiB stays whole), and \
+           the per-structure EM analysis and the Monte-Carlo samples are \
+           shared among $(docv) domains. Results are identical at any \
+           $(docv). Without it the scan runs on one domain and the \
+           analysis on every core.")
+
 (* ------------------------------------------------------------------ *)
 (* Telemetry plumbing shared by analyze and stats                      *)
 
@@ -532,8 +545,8 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
   let p = Emflow.Pipeline.create () in
   let netlist, parse_errors =
     Emflow.Pipeline.run p "parse" (fun () ->
-        if keep_going then Spice.Parser.parse_file_tolerant ~max_errors path
-        else (Spice.Parser.parse_file path, []))
+        if keep_going then Spice.Parser.parse_file_tolerant ?jobs ~max_errors path
+        else (Spice.Parser.parse_file ?jobs path, []))
   in
   Obs.Metrics.inc_by parse_recoveries (List.length parse_errors);
   List.iter
@@ -592,65 +605,45 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
          Printf.sprintf ", min margin %+.2f MPa (structure %d)"
            (U.pa_to_mpa !min_margin) !min_idx
        else ""));
-  (* Ancillary reports run on the healthy subset: a structure the flow
-     skipped (degenerate geometry, solver failure) would throw again in
-     the per-structure solves below. *)
-  let failed_indices =
-    List.filter_map
-      (fun (d : Dg.t) ->
-        match d.Dg.source with
-        (* Strict-audit errors flag the numbers but the structure's
-           analysis completed — it stays in the ancillary reports. *)
-        | Dg.Structure { index; _ }
-          when d.Dg.severity = Dg.Error
-               && not (String.equal d.Dg.code "audit-residual") ->
-          Some index
-        | _ -> None)
-      r.Flow.diags
-  in
-  let structures =
-    List.filteri (fun i _ -> not (List.mem i failed_indices)) compacts
-    |> List.map Emflow.Extract.boxed_view
-  in
-  (* Each per-structure report solves every structure again, so the
-     table and the JSON share one layer breakdown and one fix plan. *)
-  let layers = Emflow.Layer_report.analyze ~material structures in
-  let plan = lazy (Emflow.Fixer.plan ~material structures) in
+  (* The reports read the flow's own results; only --fix solves again,
+     to verify the widened structures. *)
+  let layers = Emflow.Layer_report.of_result r in
+  let plan = Emflow.Fixer.plan_of_result ~material compacts r in
   Printf.printf "Per-layer breakdown:\n";
   Emflow.Report.print (Emflow.Layer_report.to_table layers);
   (if fix then begin
-     let plan = Lazy.force plan in
      Printf.printf
        "\nFix plan (uniform widening, 10%% safety): %d mortal structures, \
         %.1f um^2 extra metal\n"
        plan.Emflow.Fixer.mortal_structures
        (plan.Emflow.Fixer.total_extra_area *. 1e12);
      Emflow.Report.print (Emflow.Fixer.to_table plan);
-     if not (Emflow.Fixer.verify ~material structures plan) then
-       Printf.printf "WARNING: fix plan failed verification\n"
+     let analyzed =
+       List.filteri (fun i _ -> r.Flow.structure_stats.(i).Flow.st_ok) compacts
+     in
+     if not
+          (Emflow.Fixer.verify ~material
+             (List.map Emflow.Extract.boxed_view analyzed)
+             plan)
+     then Printf.printf "WARNING: fix plan failed verification\n"
    end);
-  (* Most endangered structures. *)
-  let ranked =
-    structures
-    |> List.map (fun es ->
-           (es, Im.check material es.Emflow.Extract.structure))
-    |> List.sort (fun (_, a) (_, b) -> compare (Im.margin a) (Im.margin b))
-  in
   let table =
     Rp.create [ "layer"; "segments"; "peak MPa"; "margin MPa"; "at node" ]
   in
+  let names = Array.of_list (List.map (fun c -> c.Emflow.Extract.cs_node_names) compacts) in
   List.iteri
-    (fun i (es, report) ->
-      if i < top then
+    (fun rank i ->
+      let st = r.Flow.structure_stats.(i) in
+      if rank < top then
         Rp.add_row table
           [
-            Printf.sprintf "M%d" es.Emflow.Extract.layer_level;
-            Rp.int_cell (St.num_segments es.Emflow.Extract.structure);
-            Printf.sprintf "%.2f" (U.pa_to_mpa report.Im.max_stress);
-            Printf.sprintf "%+.2f" (U.pa_to_mpa (Im.margin report));
-            es.Emflow.Extract.node_names.(report.Im.max_node);
+            Printf.sprintf "M%d" st.Flow.st_layer;
+            Rp.int_cell st.Flow.st_segments;
+            Printf.sprintf "%.2f" (U.pa_to_mpa st.Flow.st_max_stress);
+            Printf.sprintf "%+.2f" (U.pa_to_mpa st.Flow.st_margin);
+            names.(i).(st.Flow.st_peak_node);
           ])
-    ranked;
+    (Flow.ranking r);
   Printf.printf "Most endangered structures:\n";
   Rp.print table;
   let blech_diags =
@@ -746,7 +739,7 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
   | Some out ->
     Emflow.Html_report.write out
       ~title:(Printf.sprintf "EM sign-off: %s" (Filename.basename path))
-      ~material ~tech ~structures r;
+      ~material ~tech ~compacts r;
     Printf.printf "HTML report written to %s\n" out);
   (match json_path with
   | None -> ()
@@ -758,7 +751,7 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
            ("diagnostics", Emflow.Json_out.of_diags diags);
            ("flow", Emflow.Json_out.of_flow_result r);
            ("layers", Emflow.Json_out.of_layer_stats layers);
-           ("fix_plan", Emflow.Json_out.of_fixer_plan (Lazy.force plan));
+           ("fix_plan", Emflow.Json_out.of_fixer_plan plan);
          ]
         @ (match audit_cfg with
           | Some cfg ->
@@ -860,15 +853,6 @@ let analyze_cmd =
             "With $(b,--keep-going): give up (fatal error) after more than \
              $(docv) malformed netlist lines.")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Parallelize the per-structure EM analysis over $(docv) \
-             domains. Defaults to sequential.")
-  in
   let variation =
     Arg.(
       value & flag
@@ -946,7 +930,7 @@ let analyze_cmd =
              r)
         $ path $ tech_arg $ sigma_t_arg $ temperature_arg $ with_maxpath $ top
         $ fix $ json_path $ html_path $ keep_going $ strict $ max_errors
-        $ trace_arg $ metrics_arg $ profile_arg $ profile_format_arg $ jobs
+        $ trace_arg $ metrics_arg $ profile_arg $ profile_format_arg $ jobs_arg
         $ variation $ mc_samples $ mc_seed $ audit_arg $ audit_tol_arg
         $ strict_audit_arg $ audit_top_arg $ record_run_arg $ log_level_arg
         $ log_json_arg $ flight_dump_arg $ listen_arg))
@@ -978,7 +962,7 @@ module Au = Em_core.Audit
    contributions, resolved to netlist node names and element ids. *)
 let explain_netlist path index tech sigma_t temperature audit_tol jobs =
   let material = material_of ~sigma_t ~temperature in
-  let netlist = Spice.Parser.parse_file path in
+  let netlist = Spice.Parser.parse_file ?jobs path in
   let sol = Spice.Mna.solve netlist in
   let compacts = Emflow.Extract.extract_compact ~tech sol in
   let n = List.length compacts in
@@ -1087,12 +1071,6 @@ let explain_cmd =
             "Structure index to explain (the batch position reported by \
              $(b,analyze) diagnostics, audit records and the JSON report).")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker domains for the analysis.")
-  in
   let term =
     Term.(
       ret
@@ -1118,7 +1096,7 @@ let explain_cmd =
              | exception Failure msg -> fail msg
              | exception Invalid_argument msg -> fail msg)
         $ path $ index $ tech_arg $ sigma_t_arg $ temperature_arg
-        $ audit_tol_arg $ jobs))
+        $ audit_tol_arg $ jobs_arg))
   in
   Cmd.v
     (Cmd.info "explain"
@@ -1451,7 +1429,7 @@ let stats_netlist path tech sigma_t temperature jobs top trace_path
   let trace = Obs.Trace.create () in
   Obs.Trace.enable trace;
   Obs.Metrics.set_enabled true;
-  let netlist = Spice.Parser.parse_file path in
+  let netlist = Spice.Parser.parse_file ?jobs path in
   let p = Emflow.Pipeline.create () in
   let sol = Emflow.Pipeline.run p "solve" (fun () -> Spice.Mna.solve netlist) in
   let compacts =
@@ -1535,13 +1513,6 @@ let stats_cmd =
       & pos 0 (some file) None
       & info [] ~docv:"NETLIST" ~doc:"SPICE power-grid netlist to profile.")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains for the analysis stage.")
-  in
   let top =
     Arg.(
       value & opt int 20
@@ -1572,7 +1543,7 @@ let stats_cmd =
              in
              finish_log ();
              r)
-        $ path $ tech_arg $ sigma_t_arg $ temperature_arg $ jobs $ top
+        $ path $ tech_arg $ sigma_t_arg $ temperature_arg $ jobs_arg $ top
         $ trace_arg $ metrics_arg $ profile_arg $ profile_format_arg
         $ log_level_arg $ log_json_arg))
   in
@@ -1664,9 +1635,9 @@ let verify_cmd =
   let term =
     Term.(
       ret
-        (const (fun netlist solution tol ->
+        (const (fun netlist solution tol jobs ->
              match
-               let net = Spice.Parser.parse_file netlist in
+               let net = Spice.Parser.parse_file ?jobs netlist in
                let sol = Spice.Mna.solve net in
                let golden = Spice.Solution_file.parse_file solution in
                Spice.Solution_file.check ~tol ~reference:golden sol
@@ -1680,7 +1651,7 @@ let verify_cmd =
              | exception Failure msg -> `Error (false, msg)
              | exception Spice.Mna.Unsupported msg ->
                `Error (false, "unsupported netlist: " ^ msg))
-        $ netlist_arg $ solution_arg $ tol))
+        $ netlist_arg $ solution_arg $ tol $ jobs_arg))
   in
   Cmd.v
     (Cmd.info "verify"

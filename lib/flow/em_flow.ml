@@ -24,6 +24,7 @@ type structure_stat = {
   st_ok : bool;
   st_immortal : bool;
   st_max_stress : float;
+  st_peak_node : int;
   st_margin : float;
   st_solve_s : float;
 }
@@ -180,10 +181,18 @@ let analyze_one material with_maxpath ~audit ~index ws
           maxpath_immortal = (if with_maxpath then maxpath.(k) else exact);
         })
   in
-  (* Cheap per-structure aggregate for the run ledger: one O(nodes) max
-     scan. The signed margin is threshold - peak stress, positive iff
-     every segment of the structure is exactly immortal. *)
-  let max_stress = Array.fold_left Float.max neg_infinity stress in
+  (* Cheap per-structure aggregate for the run ledger and the reports:
+     one O(nodes) scan for the peak and the first node that reaches it
+     (as [Steady_state.max_stress] picks it). The signed margin is
+     threshold - peak stress, positive iff every segment of the
+     structure is exactly immortal. *)
+  let max_stress = ref neg_infinity and peak = ref 0 in
+  Array.iteri
+    (fun i sigma ->
+      if sigma > stress.(!peak) then peak := i;
+      max_stress := Float.max !max_stress sigma)
+    stress;
+  let max_stress = !max_stress in
   let stat =
     {
       st_layer = cs.Extract.cs_layer_level;
@@ -192,6 +201,7 @@ let analyze_one material with_maxpath ~audit ~index ws
       st_ok = true;
       st_immortal = max_stress < threshold;
       st_max_stress = max_stress;
+      st_peak_node = !peak;
       st_margin = threshold -. max_stress;
       st_solve_s = 0.;
     }
@@ -299,6 +309,7 @@ let finish_run p ~material ~with_maxpath ?jobs ?audit compacts =
       st_ok = false;
       st_immortal = false;
       st_max_stress = Float.nan;
+      st_peak_node = -1;
       st_margin = Float.nan;
       st_solve_s = 0.;
     }
@@ -414,6 +425,12 @@ let make_result p ~counts ~maxpath_counts ~segments ~num_structures
           ("analysis_s", Obs.Trace.Float r.analysis_time);
         ] ));
   r
+
+let ranking r =
+  let stats = r.structure_stats in
+  List.init (Array.length stats) Fun.id
+  |> List.filter (fun i -> stats.(i).st_ok)
+  |> List.stable_sort (fun a b -> Float.compare stats.(a).st_margin stats.(b).st_margin)
 
 let run_on_compact ?(material = M.cu_dac21) ?(with_maxpath = false) ?jobs
     ?audit ?(pipeline = Pipeline.create ()) compacts =

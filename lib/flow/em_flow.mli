@@ -51,6 +51,10 @@ type structure_stat = {
   st_max_stress : float;
       (** peak steady-state stress over the structure's nodes, Pa
           ([nan] when [st_ok = false]) *)
+  st_peak_node : int;
+      (** structure node id of the peak: the first node whose stress is
+          the maximum, as {!Em_core.Steady_state.max_stress} picks it
+          ([-1] when [st_ok = false]) *)
   st_margin : float;
       (** signed immortality margin: effective critical stress minus
           [st_max_stress], Pa — positive iff [st_immortal]
@@ -145,6 +149,11 @@ val run_on_compact :
 (** The analyze/classify half on already-columnar structures
     (solve/extract times are 0 unless [pipeline] carries prior stages).
     Diagnostic sources index into the given list. *)
+
+val ranking : result -> int list
+(** Batch indices of the successfully analyzed structures, most
+    endangered first: ascending {!structure_stat.st_margin}, ties in
+    batch order. The reports' "most endangered structures" tables. *)
 
 val pp_summary : Format.formatter -> result -> unit
 (** Totals, confusion counts, one indented line per pipeline stage

@@ -2,6 +2,7 @@ module M = Em_core.Material
 module St = Em_core.Structure
 module Im = Em_core.Immortality
 module Sens = Em_core.Sensitivity
+module Cc = Em_core.Compact
 
 type fix = {
   index : int;
@@ -26,6 +27,17 @@ let footprint s =
     acc := !acc +. (seg.St.width *. seg.St.length)
   done;
   !acc
+
+(* Mortal structures costliest first; [fixes] come in reverse input
+   order, and the stable sort keeps that order among equal costs. *)
+let of_fixes fixes ~mortal ~immortal =
+  let fixes = List.sort (fun a b -> compare b.extra_area a.extra_area) fixes in
+  {
+    fixes;
+    total_extra_area = List.fold_left (fun a f -> a +. f.extra_area) 0. fixes;
+    mortal_structures = mortal;
+    immortal_structures = immortal;
+  }
 
 let plan ?(material = M.cu_dac21) ?(safety = 1.1) structures =
   if safety < 1. then invalid_arg "Fixer.plan: safety < 1";
@@ -52,15 +64,45 @@ let plan ?(material = M.cu_dac21) ?(safety = 1.1) structures =
           :: !fixes
       end)
     structures;
-  let fixes =
-    List.sort (fun a b -> compare b.extra_area a.extra_area) !fixes
-  in
-  {
-    fixes;
-    total_extra_area = List.fold_left (fun a f -> a +. f.extra_area) 0. fixes;
-    mortal_structures = !mortal;
-    immortal_structures = !immortal;
-  }
+  of_fixes !fixes ~mortal:!mortal ~immortal:!immortal
+
+let plan_of_result ?(material = M.cu_dac21) ?(safety = 1.1) compacts
+    (r : Em_flow.result) =
+  if safety < 1. then invalid_arg "Fixer.plan_of_result: safety < 1";
+  let threshold = M.effective_critical_stress material in
+  let fixes = ref [] in
+  let mortal = ref 0 and immortal = ref 0 in
+  List.iteri
+    (fun i (cs : Extract.compact_structure) ->
+      let st = r.Em_flow.structure_stats.(i) in
+      if not st.Em_flow.st_ok then ()
+      else if st.Em_flow.st_immortal then incr immortal
+      else begin
+        (* [Sensitivity.width_slack] of the flow's own peak stress. *)
+        let slack =
+          if threshold <= 0. then Float.infinity
+          else Float.max 0. (st.Em_flow.st_max_stress /. threshold)
+        in
+        let widen = safety *. slack in
+        let c = cs.Extract.compact in
+        let area = ref 0. in
+        for k = 0 to Cc.num_segments c - 1 do
+          area := !area +. (c.Cc.width.(k) *. c.Cc.length.(k))
+        done;
+        fixes :=
+          {
+            index = !mortal + !immortal;
+            layer = cs.Extract.cs_layer_level;
+            segments = st.Em_flow.st_segments;
+            max_stress = st.Em_flow.st_max_stress;
+            widen;
+            extra_area = (widen -. 1.) *. !area;
+          }
+          :: !fixes;
+        incr mortal
+      end)
+    compacts;
+  of_fixes !fixes ~mortal:!mortal ~immortal:!immortal
 
 let apply_widening s alpha =
   if alpha <= 0. then invalid_arg "Fixer.apply_widening";

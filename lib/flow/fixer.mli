@@ -33,7 +33,19 @@ type plan = {
 val plan :
   ?material:Em_core.Material.t -> ?safety:float ->
   Extract.em_structure list -> plan
-(** [safety] (default 1.1) multiplies the minimum widening factor. *)
+(** [safety] (default 1.1) multiplies the minimum widening factor.
+    Solves every boxed structure again: the reference
+    {!plan_of_result} is tested against. *)
+
+val plan_of_result :
+  ?material:Em_core.Material.t -> ?safety:float ->
+  Extract.compact_structure list -> Em_flow.result -> plan
+(** The same plan from a finished run of the same structures: each
+    mortal structure's widening is [safety] times its peak stress over
+    the critical stress (at least 0), its footprint sums width times
+    length over the compact columns. Nothing is solved again. Structures
+    the run fault-isolated are left out, and [index] counts the others
+    only, so it indexes the list {!plan} and {!verify} take. *)
 
 val apply_widening : Em_core.Structure.t -> float -> Em_core.Structure.t
 (** Widen every segment by the factor at fixed currents (widths scale up,

@@ -1,7 +1,5 @@
 module M = Em_core.Material
 module U = Em_core.Units
-module St = Em_core.Structure
-module Im = Em_core.Immortality
 module Cl = Em_core.Classify
 
 let escape s =
@@ -48,8 +46,7 @@ let num x = ("num", x)
 
 let name x = ("name", x)
 
-let page ~title ?(material = M.cu_dac21) ~tech ~structures
-    (r : Em_flow.result) =
+let page ~title ?(material = M.cu_dac21) ~tech ~compacts (r : Em_flow.result) =
   let buf = Buffer.create 16384 in
   Buffer.add_string buf "<!DOCTYPE html><html><head><meta charset='utf-8'>";
   Buffer.add_string buf
@@ -103,7 +100,7 @@ let page ~title ?(material = M.cu_dac21) ~tech ~structures
        (Scatter.of_result r));
   (* Per-layer breakdown. *)
   Buffer.add_string buf "<h2>Per-layer breakdown</h2>";
-  let stats = Layer_report.analyze ~material structures in
+  let stats = Layer_report.of_result r in
   table buf
     [ "layer"; "structures"; "segments"; "max |j| (A/m^2)"; "max jl (A/um)";
       "max stress (MPa)"; "mortal"; "FP"; "FN" ]
@@ -123,25 +120,21 @@ let page ~title ?(material = M.cu_dac21) ~tech ~structures
        stats);
   (* Endangered structures. *)
   Buffer.add_string buf "<h2>Most endangered structures</h2>";
-  let ranked =
-    structures
-    |> List.map (fun (es : Extract.em_structure) ->
-           (es, Im.check material es.Extract.structure))
-    |> List.sort (fun (_, a) (_, b) -> compare (Im.margin a) (Im.margin b))
-  in
+  let names = Array.of_list (List.map (fun c -> c.Extract.cs_node_names) compacts) in
   table buf
     [ "layer"; "segments"; "peak stress (MPa)"; "margin (MPa)"; "worst node" ]
-    (List.filteri (fun i _ -> i < 12) ranked
-    |> List.map (fun ((es : Extract.em_structure), report) ->
+    (List.filteri (fun i _ -> i < 12) (Em_flow.ranking r)
+    |> List.map (fun i ->
+           let st = r.Em_flow.structure_stats.(i) in
            [
-             name (Printf.sprintf "M%d" es.Extract.layer_level);
-             num (string_of_int (St.num_segments es.Extract.structure));
-             num (Printf.sprintf "%.2f" (U.pa_to_mpa report.Im.max_stress));
-             num (Printf.sprintf "%+.2f" (U.pa_to_mpa (Im.margin report)));
-             name es.Extract.node_names.(report.Im.max_node);
+             name (Printf.sprintf "M%d" st.Em_flow.st_layer);
+             num (string_of_int st.Em_flow.st_segments);
+             num (Printf.sprintf "%.2f" (U.pa_to_mpa st.Em_flow.st_max_stress));
+             num (Printf.sprintf "%+.2f" (U.pa_to_mpa st.Em_flow.st_margin));
+             name names.(i).(st.Em_flow.st_peak_node);
            ]));
   (* Repair plan. *)
-  let plan = Fixer.plan ~material structures in
+  let plan = Fixer.plan_of_result ~material compacts r in
   Buffer.add_string buf "<h2>Repair plan (uniform widening)</h2>";
   if plan.Fixer.fixes = [] then
     Buffer.add_string buf "<p class='ok'>No mortal structures: nothing to fix.</p>"
@@ -168,8 +161,8 @@ let page ~title ?(material = M.cu_dac21) ~tech ~structures
      criterion, DAC'21 reproduction).</p></body></html>";
   Buffer.contents buf
 
-let write path ~title ?material ~tech ~structures r =
+let write path ~title ?material ~tech ~compacts r =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (page ~title ?material ~tech ~structures r))
+    (fun () -> output_string oc (page ~title ?material ~tech ~compacts r))

@@ -7,17 +7,18 @@ val page :
   title:string ->
   ?material:Em_core.Material.t ->
   tech:Pdn.Tech.t ->
-  structures:Extract.em_structure list ->
+  compacts:Extract.compact_structure list ->
   Em_flow.result ->
   string
-(** Render the full report as an HTML document string. *)
+(** Render the full report as an HTML document string, from the result
+    of a run over [compacts] (nothing is solved again). *)
 
 val write :
   string ->
   title:string ->
   ?material:Em_core.Material.t ->
   tech:Pdn.Tech.t ->
-  structures:Extract.em_structure list ->
+  compacts:Extract.compact_structure list ->
   Em_flow.result ->
   unit
 (** [write path ...]. *)

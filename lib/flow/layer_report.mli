@@ -16,9 +16,16 @@ type layer_stats = {
   counts : Em_core.Classify.counts; (** Blech vs exact, this layer only *)
 }
 
+val of_result : Em_flow.result -> layer_stats list
+(** The breakdown of a finished run, read from its segment records and
+    the stats of its successfully analyzed structures: no structure is
+    solved again. Ascending by level. *)
+
 val analyze :
   ?material:Em_core.Material.t -> Extract.em_structure list -> layer_stats list
-(** Ascending by level. *)
+(** The same breakdown by solving every boxed structure again
+    ({!Em_core.Immortality.check} and {!Em_core.Blech.filter}): the
+    reference {!of_result} is tested against. Ascending by level. *)
 
 val to_table : layer_stats list -> Report.t
 

@@ -72,9 +72,6 @@ module Builder : sig
 
   val create : ?title:string -> unit -> t
 
-  val reserve : t -> elements:int -> nodes:int -> unit
-  (** Make room for that many elements and nodes in all. *)
-
   val node : t -> string -> int
   (** Intern a node name (idempotent). *)
 
@@ -104,6 +101,40 @@ module Builder : sig
   val finish : t -> netlist
   (** The netlist takes over the builder's storage; adding to the builder
       afterwards raises [Invalid_argument]. *)
+
+  (** {2 Ranges}
+
+      A deck cut into consecutive line ranges is scanned one builder per
+      range, each on its own domain, then merged into the netlist a
+      single builder would have produced from the whole deck: same node
+      ids, names, coordinates, columns, name arena and [ground], and the
+      same {!find_node} answers (the interning table may hold colliding
+      names in another order). Each range numbers its nodes from 0 by
+      first appearance; the merge gives a later range's new names the
+      next ids in that local order, so a node keeps the id of its first
+      appearance in the deck. *)
+
+  val ranges : ?title:string -> int array -> t array
+  (** [ranges capacities]: one builder per range, builder [r] taking at
+      most [capacities.(r)] elements (more raises [Invalid_argument]).
+      They write into one shared set of columns, so {!merge} copies no
+      element column when every range fills its capacity. Builders of
+      one set may be filled concurrently, each by one domain. *)
+
+  val seal : t -> unit
+  (** Decode the IBM coordinates of the nodes interned so far, in the
+      calling domain (a range's worker), so that {!merge} and {!finish}
+      only copy them. Optional; nodes added later are decoded when the
+      netlist is built. *)
+
+  val merge : ?jobs:int -> t array -> netlist
+  (** The netlist of a whole {!ranges} set, passed in order; it takes
+      over the storage of every builder, as {!finish} does. The lookups
+      of a later range's names in the first range's table run on [jobs]
+      domains (default 1); the rest of the merge is sequential.
+      [merge [| b |]] is [finish b]. Raises [Invalid_argument] when the
+      builders are not consecutive ranges of one set, or one was
+      already finished. *)
 end
 
 (** {1 Statistics and output} *)

@@ -51,6 +51,54 @@ let scale s k hi =
     | 'f' -> 1e-15
     | _ -> 1.
 
+let powers_of_ten =
+  [| 1e0; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11; 1e12; 1e13; 1e14;
+     1e15; 1e16; 1e17; 1e18; 1e19; 1e20; 1e21; 1e22 |]
+
+(* [s.[lo .. hi - 1]] as a plain decimal, [sign digits [. digits]
+   [e sign digits]], without allocating: its digits make an integer
+   [m <= 2^53] and its decimal exponent [e] is within 22, so [m] and
+   [10^|e|] are exact doubles and the one rounding of [m *. 10^e] (or
+   [m /. 10^-e]) is strtod's correctly rounded answer (Clinger's fast
+   path). Nan for any other text: the caller then asks
+   [float_of_string]. *)
+let plain_decimal s lo hi =
+  let signed = lo < hi && (s.[lo] = '+' || s.[lo] = '-') in
+  let k = ref (if signed then lo + 1 else lo) in
+  (* [m] becomes [max_int] once it would pass 2^53; [fraction] counts
+     the digits after the point, -1 before it. *)
+  let m = ref 0 and digits = ref 0 and fraction = ref (-1) and mantissa = ref true in
+  while !mantissa && !k < hi do
+    let c = String.unsafe_get s !k in
+    if is_digit c then begin
+      m := if !m > (1 lsl 53) / 10 then max_int else (10 * !m) + Char.code c - Char.code '0';
+      incr digits;
+      if !fraction >= 0 then incr fraction;
+      incr k
+    end
+    else if c = '.' && !fraction < 0 then begin
+      fraction := 0;
+      incr k
+    end
+    else mantissa := false
+  done;
+  let exponent = ref 0 and ok = ref (!digits > 0 && !m <= 1 lsl 53) in
+  if !k < hi && (s.[!k] = 'e' || s.[!k] = 'E') then begin
+    let first = if !k + 1 < hi && (s.[!k + 1] = '+' || s.[!k + 1] = '-') then !k + 2 else !k + 1 in
+    k := first;
+    while !k < hi && is_digit s.[!k] && !k - first < 4 do
+      exponent := (10 * !exponent) + Char.code s.[!k] - Char.code '0';
+      incr k
+    done;
+    if !k = first then ok := false;
+    if s.[first - 1] = '-' then exponent := - !exponent
+  end;
+  let e = !exponent - max 0 !fraction in
+  if not (!ok && !k = hi && abs e <= 22) then Float.nan
+  else
+    let v = if e >= 0 then float !m *. powers_of_ten.(e) else float !m /. powers_of_ten.(-e) in
+    if signed && s.[lo] = '-' then -.v else v
+
 (* The SPICE literal in [s.[lo .. hi - 1]], blanks trimmed: a number,
    then letters ("1.2ku", "15.6ma", "3.3megohm", "5v"). Nan when
    malformed; an overflow reads as an infinity. *)
@@ -62,7 +110,10 @@ let literal s lo hi =
   let split = numeric s lo hi lo in
   if not (letters s split hi) then Float.nan
   else
-    Option.value (float_of_string_opt (String.sub s lo (split - lo))) ~default:Float.nan
+    let v = plain_decimal s lo split in
+    (if Float.is_nan v then
+       Option.value (float_of_string_opt (String.sub s lo (split - lo))) ~default:Float.nan
+     else v)
     *. scale s split hi
 
 let value_error raw v =
@@ -114,77 +165,135 @@ let scan_line b fields text lo hi =
       end
   end
 
-(* Lines whose first non-blank byte is an element letter: an upper bound
-   on the elements, exact for a clean deck. Sizing the columns by it
-   keeps the builder from doubling them and copying them in [finish]. *)
-let candidates text =
-  let n = String.length text and count = ref 0 and k = ref 0 in
-  while !k < n do
-    while !k < n && text.[!k] <> '\n' && is_blank text.[!k] do incr k done;
-    if !k < n && String.contains "rRiIvV" text.[!k] then incr count;
-    while !k < n && String.unsafe_get text !k <> '\n' do incr k done;
-    incr k
-  done;
-  !count
+(* Decks shorter than two ranges of this many bytes are scanned in one.
+   A 256 KiB range scans in 3-4 ms on one core of a 2-vCPU host; a
+   split adds three parallel sections (count, scan, merge lookups) at
+   0.1-0.5 ms each to spawn and join, plus the merge, and decks under
+   512 KiB measured no faster in two ranges than in one. *)
+let min_range_bytes = 1 lsl 18
 
-(* Every line of [text] in order; [error line message] gets each
-   malformed one. *)
-let scan ~title ~error text =
-  let b = Netlist.Builder.create ~title () in
-  let fields = Array.make 8 0 in
+(* [k + 1] offsets cutting [text] into [k] ranges of about equal size,
+   each inner offset just after a newline (a range may be empty). *)
+let cuts ~jobs text =
   let n = String.length text in
-  let elements = candidates text in
-  Netlist.Builder.reserve b ~elements ~nodes:elements;
+  let k = max 1 (min jobs (n / min_range_bytes)) in
+  let bounds = Array.make (k + 1) n in
+  bounds.(0) <- 0;
+  for r = 1 to k - 1 do
+    let target = max bounds.(r - 1) (r * (n / k)) in
+    bounds.(r) <-
+      (match String.index_from_opt text target '\n' with Some i -> i + 1 | None -> n)
+  done;
+  bounds
+
+(* The first ['\n'] or [stop] byte in [text.[k .. hi - 1]], else [hi]. *)
+let rec eol text ~stop k hi =
+  if k < hi && String.unsafe_get text k <> '\n' && String.unsafe_get text k <> stop then
+    eol text ~stop (k + 1) hi
+  else k
+
+(* Lines of [text.[lo .. hi - 1]] whose first non-blank byte is an
+   element letter: an upper bound on the range's elements, exact for a
+   clean deck, so the shared columns are sized once. *)
+let candidates text lo hi =
+  let rec line k count =
+    if k >= hi then count
+    else
+      match String.unsafe_get text k with
+      | ' ' | '\t' | '\r' | '\012' -> line (k + 1) count
+      | 'r' | 'R' | 'i' | 'I' | 'v' | 'V' -> line (eol text ~stop:'\n' k hi + 1) (count + 1)
+      | _ -> line (eol text ~stop:'\n' k hi + 1) count
+  in
+  line lo 0
+
+(* The lines of one range into [b]: those starting in [lo .. hi - 1],
+   and the empty one at [hi] too for the deck's last range. Stops after
+   more than [budget] malformed lines. Returns the number of lines
+   scanned and the malformed ones, last first, numbered from 1 within
+   the range. *)
+let scan_range ~budget b text lo hi ~last =
+  let fields = Array.make 8 0 and n = String.length text in
+  let stop = if last then hi + 1 else hi in
+  let errors = ref [] and count = ref 0 in
   let rec lines lineno lo =
-    if lo <= n then begin
-      let hi = ref lo and stop = ref (-1) in
-      while !hi < n && String.unsafe_get text !hi <> '\n' do
-        if !stop < 0 && String.unsafe_get text !hi = '$' then stop := !hi;
-        incr hi
-      done;
-      (match scan_line b fields text lo (if !stop < 0 then !hi else !stop) with
+    if lo >= stop || !count > budget then lineno - 1
+    else begin
+      let cut = eol text ~stop:'$' lo n in
+      let hi = if cut < n && text.[cut] = '$' then eol text ~stop:'\n' cut n else cut in
+      (match scan_line b fields text lo cut with
       | None -> ()
-      | Some message -> error lineno message);
-      lines (lineno + 1) (!hi + 1)
+      | Some message ->
+        incr count;
+        errors := (lineno, message) :: !errors);
+      lines (lineno + 1) (hi + 1)
     end
   in
-  lines 1 0;
-  Netlist.Builder.finish b
+  let lines = lines 1 lo in
+  Netlist.Builder.seal b;
+  (lines, !errors)
 
-let strict line message = raise (Parse_error { line; message })
+(* The deck on up to [jobs] domains, one range and one builder each.
+   [check] sees every malformed line, in file order, before the ranges
+   merge; each range stops after more than [budget] of them, so [check]
+   must raise once it has seen that many. *)
+let scan ~jobs ~title ~budget ~check text =
+  let bounds = cuts ~jobs text in
+  let each f =
+    Numerics.Parallel.map ~jobs
+      (fun r -> f r bounds.(r) bounds.(r + 1))
+      (Array.init (Array.length bounds - 1) Fun.id)
+  in
+  let builders = Netlist.Builder.ranges ~title (each (fun _ lo hi -> candidates text lo hi)) in
+  let last = Array.length builders - 1 in
+  let scans =
+    each (fun r lo hi -> scan_range ~budget builders.(r) text lo hi ~last:(r = last))
+  in
+  let errors = ref [] and first = ref 1 in
+  Array.iter
+    (fun (lines, errs) ->
+      List.iter
+        (fun (l, message) -> errors := { line = !first + l - 1; message } :: !errors)
+        (List.rev errs);
+      first := !first + lines)
+    scans;
+  let errors = List.rev !errors in
+  check errors;
+  (Netlist.Builder.merge ~jobs builders, errors)
+
+let strict = function
+  | [] -> ()
+  | { line; message } :: _ -> raise (Parse_error { line; message })
 
 (* Recovery mode: a malformed line becomes a recorded error and the line
    is skipped, until the budget is exhausted — then the parse aborts so
    a wholly-wrong file (a binary, a different format) cannot dribble
    thousands of diagnostics while producing a near-empty netlist. *)
-let tolerant ~max_errors ~title text =
-  let errors = ref [] and count = ref 0 in
-  let error line message =
-    incr count;
-    if !count > max_errors then
-      strict line
-        (Printf.sprintf "too many malformed lines (more than %d); last error: %s"
-           max_errors message);
-    Obs.Log.warn (fun () ->
-        ( "netlist line skipped in recovery mode",
-          [ ("line", Obs.Trace.Int line); ("reason", Obs.Trace.String message) ] ));
-    errors := { line; message } :: !errors
-  in
-  let net = scan ~title ~error text in
-  (net, List.rev !errors)
+let tolerant ~max_errors =
+  List.iteri (fun i { line; message } ->
+      if i >= max_errors then
+        raise
+          (Parse_error
+             { line;
+               message =
+                 Printf.sprintf "too many malformed lines (more than %d); last error: %s"
+                   max_errors message });
+      Obs.Log.warn (fun () ->
+          ( "netlist line skipped in recovery mode",
+            [ ("line", Obs.Trace.Int line); ("reason", Obs.Trace.String message) ] )))
 
-let parse_string ?(title = "parsed netlist") text = scan ~title ~error:strict text
+let parse_string ?(jobs = 1) ?(title = "parsed netlist") text =
+  fst (scan ~jobs ~title ~budget:0 ~check:strict text)
 
-let parse_string_tolerant ?(max_errors = default_max_errors)
+let parse_string_tolerant ?(jobs = 1) ?(max_errors = default_max_errors)
     ?(title = "parsed netlist") text =
   if max_errors < 0 then invalid_arg "Parser.parse_string_tolerant: max_errors < 0";
-  tolerant ~max_errors ~title text
+  scan ~jobs ~title ~budget:max_errors ~check:(tolerant ~max_errors) text
 
 let read path = In_channel.with_open_bin path In_channel.input_all
 
-let parse_file path =
-  scan ~title:(Filename.basename path) ~error:strict (read path)
+let parse_file ?jobs path =
+  parse_string ?jobs ~title:(Filename.basename path) (read path)
 
-let parse_file_tolerant ?(max_errors = default_max_errors) path =
+let parse_file_tolerant ?jobs ?(max_errors = default_max_errors) path =
   if max_errors < 0 then invalid_arg "Parser.parse_file_tolerant: max_errors < 0";
-  tolerant ~max_errors ~title:(Filename.basename path) (read path)
+  parse_string_tolerant ?jobs ~max_errors ~title:(Filename.basename path) (read path)

@@ -23,13 +23,29 @@
     rule {!Netlist.Builder} follows); a repeated node costs a hash probe
     and no allocation.
 
+    With [jobs > 1] the deck is cut at line boundaries into up to
+    [jobs] ranges of about equal size, and each range is scanned by its
+    own {!Netlist.Builder} on its own domain ({!Numerics.Parallel.map}):
+    first a count of its candidate elements, which sizes the shared
+    columns, then the scan itself. The ranges then merge
+    ({!Netlist.Builder.merge}) into the netlist a one-range scan
+    produces, at any [jobs]: same node ids, columns, names and errors.
+    A deck shorter than two ranges of 256 KiB is scanned in one range:
+    below that, spawning domains costs a visible share of the scan.
+    [jobs] defaults to 1; [jobs < 1] raises [Invalid_argument].
+
     Two parsing modes:
     - strict ({!parse_string} / {!parse_file}): the first malformed
       line raises {!Parse_error};
     - recovery ({!parse_string_tolerant} / {!parse_file_tolerant}):
       malformed lines are skipped and recorded as {!line_error}s, up to
       a [max_errors] budget — exceeding the budget raises
-      {!Parse_error}, so a wholly-wrong file still fails fast. *)
+      {!Parse_error}, so a wholly-wrong file still fails fast.
+
+    Both modes report in line order whatever [jobs] is: the strict error
+    is the deck's first malformed line, and recovery mode logs its
+    warnings, keeps its budget and words its abort as a one-range scan
+    does (each range stops early once it alone exceeds the budget). *)
 
 exception Parse_error of { line : int; message : string }
 
@@ -44,19 +60,19 @@ val parse_value : string -> float
 (** Parse a single numeric literal with optional suffix; raises
     [Failure] on malformed or non-finite input. *)
 
-val parse_string : ?title:string -> string -> Netlist.t
+val parse_string : ?jobs:int -> ?title:string -> string -> Netlist.t
 (** Raises {!Parse_error} with a 1-based line number on bad input. *)
 
-val parse_file : string -> Netlist.t
+val parse_file : ?jobs:int -> string -> Netlist.t
 (** [parse_file path]; the title defaults to the file's basename. *)
 
 val parse_string_tolerant :
-  ?max_errors:int -> ?title:string -> string -> Netlist.t * line_error list
+  ?jobs:int -> ?max_errors:int -> ?title:string -> string -> Netlist.t * line_error list
 (** Recovery mode: returns the netlist built from the well-formed lines
     plus the skipped lines in file order. Raises {!Parse_error} when
     more than [max_errors] lines are malformed, [Invalid_argument] when
     [max_errors < 0]. *)
 
 val parse_file_tolerant :
-  ?max_errors:int -> string -> Netlist.t * line_error list
+  ?jobs:int -> ?max_errors:int -> string -> Netlist.t * line_error list
 (** {!parse_string_tolerant} over a file. *)

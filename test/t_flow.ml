@@ -1169,11 +1169,8 @@ let test_html_report () =
   let scaled, _ = Ir.scale_to_ir g ~target:0.04 in
   let sol = Spice.Mna.solve scaled.Gg.netlist in
   let compacts = Ex.extract_compact ~tech:scaled.Gg.tech sol in
-  let structures = List.map Ex.boxed_view compacts in
   let r = Flow.run_on_compact compacts in
-  let html =
-    Hr.page ~title:"unit test <grid>" ~tech:scaled.Gg.tech ~structures r
-  in
+  let html = Hr.page ~title:"unit test <grid>" ~tech:scaled.Gg.tech ~compacts r in
   let contains needle =
     let n = String.length needle in
     let found = ref false in
@@ -1482,6 +1479,69 @@ let test_variation_runtime_progress () =
       Alcotest.(check int) "every structure counted" n sdone);
   Obs.Runtime.reset ()
 
+(* ---------------------------------------------------------------- *)
+(* Reports from the flow's results, against the boxed re-solves      *)
+
+module Im = Em_core.Immortality
+
+let check_reports_match name compacts =
+  let r = Flow.run_on_compact ~jobs:2 compacts in
+  let analyzed =
+    List.filteri (fun i _ -> r.Flow.structure_stats.(i).Flow.st_ok) compacts
+  in
+  let boxed = List.map Ex.boxed_view analyzed in
+  let same what ok = if not ok then Alcotest.failf "%s: %s differ" name what in
+  let layer (st : Lr.layer_stats) =
+    ( (st.Lr.level, st.Lr.structures, st.Lr.segments, st.Lr.mortal_segments, st.Lr.counts),
+      List.map bits [ st.Lr.total_length; st.Lr.max_abs_j; st.Lr.max_jl; st.Lr.max_stress ] )
+  in
+  same "layer statistics"
+    (List.map layer (Lr.of_result r) = List.map layer (Lr.analyze boxed));
+  let plan (p : Fx.plan) =
+    ( (p.Fx.mortal_structures, p.Fx.immortal_structures, bits p.Fx.total_extra_area),
+      List.map
+        (fun (f : Fx.fix) ->
+          ( (f.Fx.index, f.Fx.layer, f.Fx.segments),
+            List.map bits [ f.Fx.max_stress; f.Fx.widen; f.Fx.extra_area ] ))
+        p.Fx.fixes )
+  in
+  let expected = Fx.plan boxed in
+  same "fix plans" (plan (Fx.plan_of_result compacts r) = plan expected);
+  let names = Array.of_list (List.map (fun c -> c.Ex.cs_node_names) compacts) in
+  let ranked =
+    List.map
+      (fun i ->
+        let st = r.Flow.structure_stats.(i) in
+        ( bits st.Flow.st_margin,
+          bits (Em_core.Units.pa_to_mpa st.Flow.st_max_stress),
+          names.(i).(st.Flow.st_peak_node) ))
+      (Flow.ranking r)
+  in
+  let oracle =
+    List.map (fun (es : Ex.em_structure) -> (es, Im.check M.cu_dac21 es.Ex.structure)) boxed
+    |> List.sort (fun (_, a) (_, b) -> compare (Im.margin a) (Im.margin b))
+    |> List.map (fun ((es : Ex.em_structure), rep) ->
+           ( bits (Im.margin rep),
+             bits (Em_core.Units.pa_to_mpa rep.Im.max_stress),
+             es.Ex.node_names.(rep.Im.max_node) ))
+  in
+  same "rankings" (ranked = oracle);
+  expected.Fx.mortal_structures
+
+(* IBM-preset grids scaled to a 5% IR drop, so some structures are
+   mortal and the fix plan is not empty. *)
+let stressed_preset size =
+  let scaled, _ = Ir.scale_to_ir (Gg.generate (Gg.ibm_preset size)) ~target:0.05 in
+  Ex.extract_compact ~tech:scaled.Gg.tech (Spice.Mna.solve scaled.Gg.netlist)
+
+let test_reports_match_oracles () =
+  let pg1 = stressed_preset Gg.Pg1 in
+  Alcotest.(check bool) "pg1 has mortal structures" true (check_reports_match "pg1" pg1 > 0);
+  ignore (check_reports_match "pg1 with a fault-isolated structure"
+            (insert_at (List.length pg1 / 2) (poison_compact ()) pg1));
+  Alcotest.(check bool) "pg2 has mortal structures" true
+    (check_reports_match "pg2" (stressed_preset Gg.Pg2) > 0)
+
 let suites =
   [
     ( "flow.extract",
@@ -1516,6 +1576,11 @@ let suites =
           test_flow_routes_by_size;
         case "diagnostics serialized" test_flow_diags_serialized;
         test_flow_fault_isolation_qcheck;
+      ] );
+    ( "flow.reports",
+      [
+        case "layers, fix plan and ranking match the boxed re-solves"
+          test_reports_match_oracles;
       ] );
     ( "flow.audit",
       [

@@ -214,6 +214,57 @@ let test_load_rejects_malformed () =
         Alcotest.(check bool) "error names file and line" true
           (T_obs.contains msg "ledger.jsonl:2"))
 
+(* Hostile archives: every byte-prefix of a recorded ledger (a write cut
+   short) and every single-byte corruption of it. [Ledger.load] and
+   [Json_in.parse] answer [Ok] or [Error]; neither may raise. *)
+let recorded_ledger =
+  lazy
+    (with_tmp_dir (fun dir ->
+         let entries =
+           [
+             mk_entry ~solve:(0.1 +. 0.2) ();
+             mk_entry ~fp:(fp_of 'b') ~immortal:false ~margin:(-3.75e7)
+               ~residual:(Some 1.5e-12) ~diags:[ "audit-residual" ] ();
+             mk_entry ~fp:(fp_of 'c') ~ok:false ~immortal:false ~margin:Float.nan
+               ~solve:0. ~diags:[ "degenerate-structure" ] ();
+           ]
+         in
+         ok_or_fail (Lg.append ~dir (mk_run ~id:(fp_of '1') ~entries ()));
+         ok_or_fail (Lg.append ~dir (mk_run ~id:(fp_of '2') ()));
+         In_channel.with_open_bin (Lg.ledger_path dir) In_channel.input_all))
+
+let gen_hostile_ledger =
+  let open QCheck2.Gen in
+  let text = Lazy.force recorded_ledger in
+  let n = String.length text in
+  oneof
+    [
+      map (fun k -> String.sub text 0 k) (int_bound n);
+      map2
+        (fun at byte ->
+          String.mapi (fun i c -> if i = at then Char.chr byte else c) text)
+        (int_bound (n - 1)) (int_bound 255);
+    ]
+
+let prop_hostile_ledger text =
+  let answers f = match f () with Ok _ | Error _ -> true | exception _ -> false in
+  with_tmp_dir (fun dir ->
+      Unix.mkdir dir 0o755;
+      Out_channel.with_open_bin (Lg.ledger_path dir) (fun oc ->
+          output_string oc text);
+      answers (fun () -> Lg.load ~dir))
+  && answers (fun () -> Ji.parse text)
+  && List.for_all
+       (fun line -> answers (fun () -> Ji.parse line))
+       (String.split_on_char '\n' text)
+
+let test_every_prefix_loads_or_errs () =
+  let text = Lazy.force recorded_ledger in
+  for k = 0 to String.length text do
+    if not (prop_hostile_ledger (String.sub text 0 k)) then
+      Alcotest.failf "the %d-byte prefix raised" k
+  done
+
 (* ---------------------------------------------------------------- *)
 (* Diff                                                              *)
 
@@ -453,6 +504,10 @@ let suites =
         case "append, load and resolve" test_append_load_resolve;
         case "size-capped rotation" test_rotation;
         case "malformed lines are named errors" test_load_rejects_malformed;
+        case "every byte-prefix of a ledger loads or errs"
+          test_every_prefix_loads_or_errs;
+        qcheck ~count:2000 "hostile ledgers: Ok or Error, never a raise"
+          gen_hostile_ledger prop_hostile_ledger;
       ] );
     ( "ledger.diff",
       [

@@ -369,6 +369,27 @@ let prop_values_match_oracle seed =
       | exception _ -> false)
     (List.init 20 (fun _ -> random_value rng))
 
+(* Plain decimals around the allocation-free reader's limits (digit
+   strings near 2^53, decimal exponents near 22) read as strtod does. *)
+let prop_plain_decimals_exact seed =
+  let rng = Numerics.Rng.create (Int64.of_int seed) in
+  let digits n = String.init n (fun _ -> Char.chr (48 + Numerics.Rng.int rng 10)) in
+  List.for_all
+    (fun _ ->
+      let mantissa =
+        let d = digits (1 + Numerics.Rng.int rng 18) in
+        let at = Numerics.Rng.int rng (String.length d + 1) in
+        String.sub d 0 at ^ "." ^ String.sub d at (String.length d - at)
+      in
+      let s =
+        pick rng [| ""; "-"; "+" |] ^ mantissa
+        ^ pick rng [| ""; "e"; "E" |] ^ string_of_int (Numerics.Rng.int rng 51 - 25)
+      in
+      match float_of_string_opt s with
+      | Some v when Float.is_finite v -> Int64.bits_of_float (P.parse_value s) = Int64.bits_of_float v
+      | _ -> true)
+    (List.init 50 Fun.id)
+
 let mini_grid =
   if Sys.file_exists "../data/mini_grid.sp" then "../data/mini_grid.sp" else "data/mini_grid.sp"
 
@@ -452,6 +473,132 @@ let test_non_finite_values () =
   Alcotest.(check (list int)) "skipped line" [ 2 ]
     (List.map (fun (e : P.line_error) -> e.P.line) errs);
   Alcotest.(check int) "kept resistors" 1 (N.stats net).N.resistors
+
+(* ---------------------------------------------------------------- *)
+(* Range scan: the deck cut into -j line ranges                      *)
+
+(* Every column bit for bit, and the same answer from [find_node] for
+   every name. (The interning tables may hold colliding keys in another
+   order.) *)
+let check_identical msg (a : N.t) (b : N.t) =
+  let bits v = Array.map Int64.bits_of_float v in
+  let same what ok = if not ok then Alcotest.failf "%s: %s differ" msg what in
+  same "titles" (a.N.title = b.N.title);
+  same "node names" (a.N.node_names = b.N.node_names);
+  same "coordinates" (a.N.coords = b.N.coords);
+  same "kinds" (Bytes.equal a.N.kinds b.N.kinds);
+  same "pos" (a.N.pos = b.N.pos);
+  same "neg" (a.N.neg = b.N.neg);
+  same "values" (bits a.N.values = bits b.N.values);
+  same "name arenas" (String.equal a.N.name_arena b.N.name_arena);
+  same "name ends" (a.N.name_end = b.N.name_end);
+  same "ground" (a.N.ground = b.N.ground);
+  Array.iteri
+    (fun v name -> same ("find_node " ^ name) (N.find_node b name = Some v))
+    a.N.node_names;
+  same "find_node of a missing name" (N.find_node b "no such node" = None)
+
+let data_decks () =
+  let dir = if Sys.file_exists "../data" then "../data" else "data" in
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.filter (fun f -> Filename.check_suffix f ".sp")
+  |> List.map (fun f -> Filename.concat dir f)
+
+(* A generated pg1 deck: 1.8 MB, so four jobs cut it into four ranges
+   (a range is at least 256 KiB). *)
+let pg1_deck =
+  lazy
+    (N.to_string
+       (Pdn.Grid_gen.generate (Pdn.Grid_gen.ibm_preset Pdn.Grid_gen.Pg1)).Pdn.Grid_gen.netlist)
+
+let test_ranges_same_netlist () =
+  let decks =
+    ("pg1", Lazy.force pg1_deck)
+    :: List.map (fun p -> (p, In_channel.with_open_bin p In_channel.input_all)) (data_decks ())
+  in
+  Alcotest.(check bool) "pg1 spans four ranges" true
+    (String.length (Lazy.force pg1_deck) >= 4 lsl 18);
+  List.iter
+    (fun (name, text) ->
+      let one = P.parse_string text in
+      List.iter
+        (fun jobs ->
+          check_identical (Printf.sprintf "%s at -j %d" name jobs) one
+            (P.parse_string ~jobs text))
+        [ 2; 3; 4 ])
+    decks;
+  List.iter
+    (fun path -> check_identical path (P.parse_file path) (P.parse_file ~jobs:4 path))
+    (data_decks ())
+
+(* Malformed lines in every range and on both sides of every cut, for
+   two, three and four ranges: a range ends at the first newline at or
+   after [r * (n / k)]. Each corruption overwrites one element letter,
+   so the deck's length and newlines, hence its cuts, stay put. *)
+let corrupted_pg1 =
+  lazy
+    (let deck = Bytes.of_string (Lazy.force pg1_deck) in
+     let n = Bytes.length deck in
+     let line_start k =
+       let k = ref k in
+       while !k > 0 && Bytes.get deck (!k - 1) <> '\n' do decr k done;
+       !k
+     in
+     let next_line k =
+       match Bytes.index_from_opt deck k '\n' with Some i -> i + 1 | None -> n
+     in
+     let corrupt at =
+       let at = line_start at in
+       if at < n && String.contains "RIV" (Bytes.get deck at) then Bytes.set deck at 'X'
+     in
+     List.iter
+       (fun k ->
+         for r = 0 to k - 1 do
+           corrupt ((2 * r + 1) * (n / (2 * k)));
+           if r > 0 then begin
+             let cut = r * (n / k) in
+             corrupt cut;
+             corrupt (next_line cut);
+             corrupt (next_line (next_line cut))
+           end
+         done)
+       [ 2; 3; 4 ];
+     Bytes.to_string deck)
+
+let test_ranges_same_errors () =
+  let deck = Lazy.force corrupted_pg1 in
+  let net, errors = P.parse_string_tolerant ~max_errors:1000 deck in
+  let count = List.length errors in
+  Alcotest.(check bool) "malformed lines injected" true (count >= 12);
+  let outcome ?jobs max_errors =
+    match P.parse_string_tolerant ?jobs ~max_errors deck with
+    | _, errs -> Ok (List.map (fun (e : P.line_error) -> (e.P.line, e.P.message)) errs)
+    | exception P.Parse_error { line; message } -> Error (line, message)
+  in
+  let strict ?jobs () =
+    match P.parse_string ?jobs deck with
+    | _ -> None
+    | exception P.Parse_error { line; message } -> Some (line, message)
+  in
+  List.iter
+    (fun jobs ->
+      let net', errors' = P.parse_string_tolerant ~jobs ~max_errors:1000 deck in
+      check_identical (Printf.sprintf "tolerant at -j %d" jobs) net net';
+      Alcotest.(check bool) (Printf.sprintf "error list at -j %d" jobs) true (errors = errors');
+      List.iter
+        (fun budget ->
+          Alcotest.(check bool)
+            (Printf.sprintf "budget %d at -j %d" budget jobs)
+            true
+            (outcome budget = outcome ~jobs budget))
+        [ 0; 1; 2; 5; count - 1; count ];
+      Alcotest.(check bool) (Printf.sprintf "strict error at -j %d" jobs) true
+        (strict () = strict ~jobs ()))
+    [ 2; 3; 4 ];
+  Alcotest.(check bool) "the budget aborts" true
+    (match outcome 2 with
+    | Error (_, m) -> String.starts_with ~prefix:"too many malformed lines" m
+    | Ok _ -> false)
 
 (* ---------------------------------------------------------------- *)
 (* IBM format                                                        *)
@@ -951,9 +1098,14 @@ let suites =
         case "node numbering: second node first" test_node_numbering;
         case "non-finite values are line errors" test_non_finite_values;
         case "sample deck parses as the oracle does" test_data_decks_match_oracle;
+        case "range count does not change the netlist" test_ranges_same_netlist;
+        case "range count does not change the errors" test_ranges_same_errors;
         qcheck ~count:500 "literals match the line-parser oracle"
           QCheck2.Gen.(int_bound 1_000_000)
           prop_values_match_oracle;
+        qcheck ~count:400 "plain decimals read as strtod does"
+          QCheck2.Gen.(int_bound 1_000_000)
+          prop_plain_decimals_exact;
         qcheck ~count:500 "mutated sample decks: a netlist or a located error"
           QCheck2.Gen.(int_bound 1_000_000)
           prop_fuzz_mini_grid;
