@@ -299,6 +299,9 @@ let of_variation (r : Variation.result) =
   Obj
     [
       ("samples", Int r.Variation.samples);
+      (* Results for a given seed are comparable only within one
+         version of the normal stream. *)
+      ("rng_stream", Int Numerics.Rng.stream_version);
       ("mc_s", Float r.Variation.mc_time);
       ("diagnostics", of_diags r.Variation.diags);
       ( "structures",

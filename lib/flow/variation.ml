@@ -1,5 +1,4 @@
 module M = Em_core.Material
-module St = Em_core.Structure
 module Ss = Em_core.Steady_state
 module Cc = Em_core.Compact
 module Dg = Em_core.Diag
@@ -62,43 +61,24 @@ let structure_seconds =
 let factor rng sigma =
   if sigma <= 0. then 1. else Rng.gaussian_positive rng ~mean:1. ~stddev:sigma
 
-(* [factor], stored into [dst.(i)]: the engine's draws never box a
-   float. *)
-let[@inline] factor_into rng sigma dst i =
-  if sigma <= 0. then dst.(i) <- 1.
-  else Rng.gaussian_positive_into rng ~mean:1. ~stddev:sigma dst i
+(* [len] successive [factor] draws into [dst.(off)] .. : the engine's
+   draws never box a float. *)
+let[@inline] factor_fill rng sigma dst off len =
+  if sigma <= 0. then Array.fill dst off len 1.
+  else Rng.gaussian_positive_fill rng ~mean:1. ~stddev:sigma dst off len
 
-let perturb_structure rng spec s =
-  let g = St.graph s in
-  St.make ~num_nodes:(St.num_nodes s)
-    (Array.init (St.num_segments s) (fun k ->
-         let e = Ugraph.edge g k in
-         let seg = St.seg s k in
-         let fw = factor rng spec.width_sigma in
-         let ft = factor rng spec.thickness_sigma in
-         (* Fixed current through the segment: j scales inversely with
-            the sampled cross-section. *)
-         ( e.Ugraph.tail,
-           e.Ugraph.head,
-           {
-             St.width = seg.St.width *. fw;
-             height = seg.St.height *. ft;
-             length = seg.St.length;
-             current_density = seg.St.current_density /. (fw *. ft);
-           } )))
-
+(* One sample's geometry draws: all [m] width factors, then all [m]
+   thickness factors. *)
 let perturb_compact rng spec (c : Cc.t) =
   let m = Cc.num_segments c in
-  let width = Array.make m 0. in
-  let height = Array.make m 0. in
-  let j = Array.make m 0. in
-  for k = 0 to m - 1 do
-    let fw = factor rng spec.width_sigma in
-    let ft = factor rng spec.thickness_sigma in
-    width.(k) <- c.Cc.width.(k) *. fw;
-    height.(k) <- c.Cc.height.(k) *. ft;
-    j.(k) <- c.Cc.j.(k) /. (fw *. ft)
-  done;
+  let fw = Array.make m 0. and ft = Array.make m 0. in
+  factor_fill rng spec.width_sigma fw 0 m;
+  factor_fill rng spec.thickness_sigma ft 0 m;
+  let width = Array.init m (fun k -> c.Cc.width.(k) *. fw.(k)) in
+  let height = Array.init m (fun k -> c.Cc.height.(k) *. ft.(k)) in
+  (* Fixed current through the segment: j scales inversely with the
+     sampled cross-section. *)
+  let j = Array.init m (fun k -> c.Cc.j.(k) /. (fw.(k) *. ft.(k))) in
   Cc.with_geometry c ~width ~height ~j
 
 (* ------------------------------------------------------------------ *)
@@ -118,7 +98,8 @@ type scratch = {
   mutable maxb : float array;  (* per sample: max_i b_i *)
   mutable thr : float array;   (* per sample: perturbed threshold *)
   mutable peak : float array;  (* per sample: finite peak stresses, packed *)
-  fac : float array;           (* the width and thickness factors drawn *)
+  mutable fw : float array;    (* per segment: one sample's width factors *)
+  mutable ft : float array;    (* per segment: one sample's thickness factors *)
 }
 
 let scratch_create () =
@@ -126,8 +107,7 @@ let scratch_create () =
     ws = Ss.Workspace.create ();
     whp = [||]; jp = [||]; b = [||];
     acc_a = [||]; acc_q = [||]; minb = [||]; maxb = [||]; thr = [||];
-    peak = [||];
-    fac = Array.make 2 0.;
+    peak = [||]; fw = [||]; ft = [||];
   }
 
 let grown a len = if Array.length a >= len then a else Array.make len 0.
@@ -141,7 +121,9 @@ let scratch_reserve sc ~segments ~nodes ~block =
   sc.minb <- grown sc.minb block;
   sc.maxb <- grown sc.maxb block;
   sc.thr <- grown sc.thr block;
-  sc.peak <- grown sc.peak block
+  sc.peak <- grown sc.peak block;
+  sc.fw <- grown sc.fw segments;
+  sc.ft <- grown sc.ft segments
 
 (* Cap the per-domain slab memory at ~32 MB regardless of the sample
    count or structure size: the block shrinks for huge structures. The
@@ -184,7 +166,7 @@ let mc_structure material spec sc rng ~index (cs : Extract.compact_structure) =
   let acc_a = sc.acc_a and acc_q = sc.acc_q in
   let minb = sc.minb and maxb = sc.maxb and thr = sc.thr in
   let peak = sc.peak in
-  let fac = sc.fac in
+  let fw = sc.fw and ft = sc.ft in
   let width_sigma = spec.width_sigma in
   let thickness_sigma = spec.thickness_sigma in
   let s_node = sched.Ss.Schedule.node in
@@ -196,18 +178,19 @@ let mc_structure material spec sc rng ~index (cs : Extract.compact_structure) =
     let bs = min bmax !remaining in
     (* Draws happen sample-by-sample (lane-major), so the stream
        consumed by sample [s] is a function of [s] alone — blocking is
-       invisible to the randomness. Per segment: width factor, then
-       thickness factor; then the sample's critical-stress factor. *)
+       invisible to the randomness. Per sample: the [m] width factors,
+       then the [m] thickness factors, then the critical-stress factor
+       (drawn into the lane's threshold slot). *)
     for s = 0 to bs - 1 do
+      factor_fill rng width_sigma fw 0 m;
+      factor_fill rng thickness_sigma ft 0 m;
       for k = 0 to m - 1 do
-        factor_into rng width_sigma fac 0;
-        factor_into rng thickness_sigma fac 1;
-        let fw = fac.(0) and ft = fac.(1) in
+        let fw = fw.(k) and ft = ft.(k) in
         whp.((k * bs) + s) <- widths.(k) *. fw *. (heights.(k) *. ft);
         jp.((k * bs) + s) <- js.(k) /. (fw *. ft)
       done;
-      factor_into rng spec.crit_sigma fac 0;
-      thr.(s) <- sigma_c *. fac.(0)
+      factor_fill rng spec.crit_sigma thr s 1;
+      thr.(s) <- sigma_c *. thr.(s)
     done;
     (* Step 1: replay the recorded BFS across the block. Each lane
        evaluates exactly the floating-point expressions the scalar

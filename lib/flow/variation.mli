@@ -112,17 +112,13 @@ val factor : Numerics.Rng.t -> float -> float
     — resampled rather than clamped, so the empirical mean stays at 1
     within the negligible truncation bias for practical sigmas). *)
 
-val perturb_structure :
-  Numerics.Rng.t -> spec -> Em_core.Structure.t -> Em_core.Structure.t
-(** One boxed geometry sample (exposed for tests): widths/thicknesses
-    scaled by {!factor} draws, current densities rescaled to preserve
-    each segment's current. *)
-
 val perturb_compact :
   Numerics.Rng.t -> spec -> Em_core.Compact.t -> Em_core.Compact.t
 (** One columnar geometry sample via {!Em_core.Compact.with_geometry}
-    (no CSR rebuild). Consumes the stream exactly as the vectorized
-    engine does for one sample lane — per segment a width then a
+    (no CSR rebuild): widths and thicknesses scaled by {!factor} draws,
+    current densities rescaled to preserve each segment's current.
+    Consumes the stream exactly as the vectorized engine does for one
+    sample lane — every segment's width factor, then every segment's
     thickness factor — so [perturb_compact]-then-[solve_compact] is the
     engine's scalar oracle (the per-sample critical-stress factor is
     drawn after the geometry, by the caller). *)

@@ -936,19 +936,34 @@ let test_variation_allocation_free () =
        per w2000 w4000)
     true (per < 0.01)
 
+(* One sample keeps every segment's current and draws all the width
+   factors, then all the thickness factors: the order the engine's
+   lanes consume the stream in. *)
 let test_variation_perturbation_preserves_current () =
-  let s =
-    St.line
-      [ St.segment ~length:30e-6 ~width:1e-6 ~j:2e10 ();
-        St.segment ~length:20e-6 ~width:0.5e-6 ~j:1e10 () ]
+  let c =
+    Cc.of_structure
+      (St.line
+         [ St.segment ~length:30e-6 ~width:1e-6 ~j:2e10 ();
+           St.segment ~length:20e-6 ~width:0.5e-6 ~j:1e10 ();
+           St.segment ~length:10e-6 ~width:0.8e-6 ~j:(-5e9) () ])
   in
-  let rng = Numerics.Rng.create 3L in
-  let s' = Va.perturb_structure rng Va.default_spec s in
-  for k = 0 to St.num_segments s - 1 do
-    T_helpers.check_close ~rtol:1e-12 "current preserved" (St.current s k)
-      (St.current s' k);
+  let spec = Va.default_spec in
+  let c' = Va.perturb_compact (Numerics.Rng.create 3L) spec c in
+  let replay = Numerics.Rng.create 3L in
+  let m = Cc.num_segments c in
+  let fw = Array.init m (fun _ -> Va.factor replay spec.Va.width_sigma) in
+  let ft = Array.init m (fun _ -> Va.factor replay spec.Va.thickness_sigma) in
+  let bits = Int64.bits_of_float in
+  for k = 0 to m - 1 do
+    let current (c : Cc.t) = c.Cc.j.(k) *. c.Cc.width.(k) *. c.Cc.height.(k) in
+    T_helpers.check_close ~rtol:1e-12 "current preserved" (current c)
+      (current c');
     Alcotest.(check bool) "geometry changed" true
-      ((St.seg s' k).St.width <> (St.seg s k).St.width)
+      (c'.Cc.width.(k) <> c.Cc.width.(k));
+    Alcotest.(check bool) "widths take the first m factors" true
+      (bits c'.Cc.width.(k) = bits (c.Cc.width.(k) *. fw.(k)));
+    Alcotest.(check bool) "thicknesses take the next m" true
+      (bits c'.Cc.height.(k) = bits (c.Cc.height.(k) *. ft.(k)))
   done
 
 (* The clamp-free factor: strictly positive always, mean preserved at

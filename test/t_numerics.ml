@@ -428,13 +428,6 @@ let test_rng_ranges () =
     Alcotest.(check bool) "uniform range" true (u >= -2. && u < 5.)
   done
 
-let test_rng_gaussian_moments () =
-  let rng = Rng.create 5L in
-  let n = 20000 in
-  let xs = Array.init n (fun _ -> Rng.gaussian rng ~mean:3. ~stddev:2.) in
-  check_close ~rtol:0.05 "gauss mean" 3. (Stats.mean xs);
-  check_close ~rtol:0.05 "gauss stddev" 2. (Stats.stddev xs)
-
 let test_rng_gaussian_positive () =
   let rng = Rng.create 6L in
   (* Heavy truncation (mean 1, sigma 2 rejects ~31% of draws): every
@@ -472,9 +465,10 @@ let test_rng_split_independent () =
   Alcotest.(check bool) "independent streams" false !same
 
 (* The generator as it was before its state was unboxed: a boxed
-   [mutable int64] field and closure-based rejection loops. Generated
-   decks, their MD5s and recorded references depend on this exact
-   stream, so the production [Rng] must reproduce it bit for bit. *)
+   [mutable int64] field, [Int64.to_float] uniforms and closure-based
+   rejection loops. Generated decks, their MD5s and recorded references
+   depend on this exact stream, so the production [Rng] must reproduce
+   it bit for bit. *)
 module Boxed_rng = struct
   type t = { mutable state : int64 }
 
@@ -505,14 +499,14 @@ module Boxed_rng = struct
 
   let uniform t lo hi = lo +. (unit_float t *. (hi -. lo))
 
+  (* Stream version 2: one nonzero uniform per normal, mapped through
+     the quantile (itself checked against reference values below). *)
   let gaussian t ~mean ~stddev =
     let rec nonzero () =
       let u = unit_float t in
       if u > 0. then u else nonzero ()
     in
-    let u1 = nonzero () and u2 = unit_float t in
-    let r = sqrt (-2. *. log u1) in
-    mean +. (stddev *. r *. cos (2. *. Float.pi *. u2))
+    mean +. (stddev *. Rng.normal_quantile (nonzero ()))
 
   let gaussian_positive t ~mean ~stddev =
     let rec draw () =
@@ -540,13 +534,20 @@ end
 (* Every public draw, interleaved on one stream and on a split child,
    so a draw that consumed one word too many or too few desynchronizes
    everything after it. Mean 0.1 / stddev 1 makes gaussian_positive
-   reject about 46% of its normals. *)
+   reject about 46% of its normals; the fills cover lengths 0, 1 and
+   several. *)
 let prop_rng_matches_boxed seed =
   let bits = Int64.bits_of_float in
   let a = Rng.create seed and b = Boxed_rng.create seed in
   let ok = ref true in
   let same_f x y = if bits x <> bits y then ok := false in
-  let dst = Array.make 3 0. in
+  let dst = Array.make 7 0. in
+  let fill_matches ~mean ~stddev off len =
+    Rng.gaussian_positive_fill a ~mean ~stddev dst off len;
+    for i = off to off + len - 1 do
+      same_f dst.(i) (Boxed_rng.gaussian_positive b ~mean ~stddev)
+    done
+  in
   let round a b =
     for _ = 1 to 40 do
       if Rng.int64 a <> Boxed_rng.int64 b then ok := false;
@@ -563,8 +564,9 @@ let prop_rng_matches_boxed seed =
       same_f
         (Rng.gaussian_positive a ~mean:0.1 ~stddev:1.)
         (Boxed_rng.gaussian_positive b ~mean:0.1 ~stddev:1.);
-      Rng.gaussian_positive_into a ~mean:0.1 ~stddev:1. dst 1;
-      same_f dst.(1) (Boxed_rng.gaussian_positive b ~mean:0.1 ~stddev:1.);
+      fill_matches ~mean:0.1 ~stddev:1. 1 1;
+      fill_matches ~mean:1. ~stddev:0.05 2 0;
+      fill_matches ~mean:0.1 ~stddev:1. 0 7;
       same_f (Rng.exponential a ~rate:2.5) (Boxed_rng.exponential b ~rate:2.5)
     done;
     let xs = Array.init 30 Fun.id and ys = Array.init 30 Fun.id in
@@ -577,22 +579,137 @@ let prop_rng_matches_boxed seed =
   round a b;
   !ok
 
-(* Draws allocate nothing: the engine's store-into-array entry point and
-   the raw word loop stay on the caller's stack. *)
+(* Draws allocate nothing: the engine's bulk entry point and the raw
+   word loop stay on the caller's stack. *)
 let test_rng_draws_allocate_nothing () =
   let rng = Rng.create 3L in
-  let dst = Array.make 1 0. in
+  let dst = Array.make 1000 0. in
   let words () = (Obs.Alloc.domain ()).Obs.Alloc.minor in
   let w0 = words () in
-  for _ = 1 to 100_000 do
-    Rng.gaussian_positive_into rng ~mean:1. ~stddev:0.05 dst 0
+  for _ = 1 to 1000 do
+    Rng.gaussian_positive_fill rng ~mean:1. ~stddev:0.05 dst 0 1000
   done;
   let w1 = words () in
   Alcotest.(check bool)
-    (Printf.sprintf "gaussian_positive_into: %.0f words" (w1 -. w0))
+    (Printf.sprintf "gaussian_positive_fill: %.0f words for 1e6 draws"
+       (w1 -. w0))
     true
-    (w1 -. w0 < 100.)
+    (w1 -. w0 < 100.);
+  check_raises_invalid "range past the end" (fun () ->
+      Rng.gaussian_positive_fill rng ~mean:1. ~stddev:0.05 dst 999 2);
+  check_raises_invalid "negative offset" (fun () ->
+      Rng.gaussian_positive_fill rng ~mean:1. ~stddev:0.05 dst (-1) 1);
+  check_raises_invalid "non-positive mean" (fun () ->
+      Rng.gaussian_positive_fill rng ~mean:0. ~stddev:1. dst 0 1)
 
+(* AS241 against reference quantiles, to 4 ulp. *)
+let test_rng_normal_quantile_reference () =
+  let ulps a b =
+    Int64.to_float
+      (Int64.abs (Int64.sub (Int64.bits_of_float a) (Int64.bits_of_float b)))
+  in
+  List.iter
+    (fun (p, z) ->
+      let x = Rng.normal_quantile p in
+      if not (Float.sign_bit x = Float.sign_bit z && ulps x z <= 4.) then
+        Alcotest.failf "quantile %g: %.17g, reference %.17g (%.0f ulp)" p x
+          z (ulps x z))
+    [
+      (0.975, 1.959963984540054);
+      (0.9, 1.2815515655446004);
+      (0.999, 3.090232306167813);
+      (1e-10, -6.361340902404056);
+    ];
+  Alcotest.(check (float 0.)) "median" 0. (Rng.normal_quantile 0.5);
+  List.iter
+    (fun p ->
+      check_raises_invalid (Printf.sprintf "p = %g" p) (fun () ->
+          ignore (Rng.normal_quantile p)))
+    [ 0.; 1.; -0.5; Float.nan ]
+
+(* Phi^-1 is odd about 1/2. Uniform draws are multiples of 2^-53, for
+   which 1 - p and p - 1/2 are exact, so on them the symmetry is exact
+   too. Phi(Phi^-1 p) = p, through erfc, checks every branch's
+   coefficients; the sweep crosses all three branches. *)
+let test_rng_normal_quantile_symmetry () =
+  let rng = Rng.create 11L in
+  let worst = ref 0. in
+  let round_trip p =
+    let x = Rng.normal_quantile p in
+    (* The smaller tail, so p near 1 keeps its relative precision. *)
+    let tail = Float.min p (1. -. p) in
+    let rel = Float.abs ((0.5 *. Float.erfc (Float.abs x /. sqrt 2.)) -. tail) /. tail in
+    worst := Float.max !worst (rel /. (1. +. (x *. x)))
+  in
+  let symmetric p =
+    if Int64.bits_of_float (Rng.normal_quantile p)
+       <> Int64.bits_of_float (-.Rng.normal_quantile (1. -. p))
+    then Alcotest.failf "asymmetric at p = %.17g" p;
+    round_trip p
+  in
+  for _ = 1 to 20_000 do
+    let u = Rng.float rng 1. in
+    symmetric (if u = 0. then 0.5 else u)
+  done;
+  (* The branch boundaries, on the 2^-53 grid. *)
+  List.iter
+    (fun p -> symmetric (Float.round (p *. 0x1p53) *. 0x1p-53))
+    [ 0.075; 0.925; 0x1p-53; 0.3; 0.5 +. 0x1p-53 ];
+  (* Deep tail, far past the uniform draws' reach. *)
+  List.iter round_trip [ 1e-12; 1e-100; 1e-300 ];
+  if !worst > 1e-14 then
+    Alcotest.failf "Phi(quantile p) off by %.3g relative" !worst
+
+(* Moments and decile counts of 10^6 draws of N(3, 2^2), standardized.
+   The deciles are the reference quantiles of N(0, 1), so each bin
+   expects 10^5 draws; the chi-square statistic has 9 degrees of
+   freedom, and 27.88 is its 0.999 quantile. *)
+let test_rng_gaussian_moments () =
+  let rng = Rng.create 2026L in
+  let n = 1_000_000 in
+  let deciles =
+    [| -1.2815515655446004; -0.8416212335729143; -0.5244005127080407;
+       -0.2533471031357997; 0.; 0.2533471031357997; 0.5244005127080407;
+       0.8416212335729143; 1.2815515655446004 |]
+  in
+  let bins = Array.make 10 0 in
+  let s1 = ref 0. and s2 = ref 0. and s3 = ref 0. and s4 = ref 0. in
+  for _ = 1 to n do
+    let x = (Rng.gaussian rng ~mean:3. ~stddev:2. -. 3.) /. 2. in
+    s1 := !s1 +. x;
+    s2 := !s2 +. (x *. x);
+    s3 := !s3 +. (x *. x *. x);
+    s4 := !s4 +. (x *. x *. x *. x);
+    let b = ref 0 in
+    while !b < 9 && x >= deciles.(!b) do
+      incr b
+    done;
+    bins.(!b) <- bins.(!b) + 1
+  done;
+  let nf = float_of_int n in
+  let mean = !s1 /. nf in
+  let var = (!s2 /. nf) -. (mean *. mean) in
+  (* Standard errors at 10^6 draws: mean 1e-3, variance 1.4e-3,
+     third moment 3.9e-3, fourth moment 9.8e-3; allow 5 of each. *)
+  let close msg expected actual tol =
+    if Float.abs (actual -. expected) > tol then
+      Alcotest.failf "%s: %.5f, expected %.5f +- %g" msg actual expected tol
+  in
+  close "mean" 0. mean 5e-3;
+  close "variance" 1. var 7e-3;
+  close "third moment" 0. (!s3 /. nf) 0.02;
+  close "fourth moment" 3. (!s4 /. nf) 0.05;
+  let expected = nf /. 10. in
+  let chi2 =
+    Array.fold_left
+      (fun acc c ->
+        let d = float_of_int c -. expected in
+        acc +. (d *. d /. expected))
+      0. bins
+  in
+  if chi2 > 27.88 then
+    Alcotest.failf "decile chi-square %.2f > 27.88 (bins %s)" chi2
+      (String.concat " " (Array.to_list (Array.map string_of_int bins)))
 
 (* ---------------------------------------------------------------- *)
 (* Cholesky                                                          *)
@@ -992,6 +1109,9 @@ let suites =
         case "determinism" test_rng_determinism;
         case "ranges" test_rng_ranges;
         case "gaussian moments" test_rng_gaussian_moments;
+        case "normal quantile reference values" test_rng_normal_quantile_reference;
+        case "normal quantile symmetry and round trip"
+          test_rng_normal_quantile_symmetry;
         case "zero-truncated gaussian" test_rng_gaussian_positive;
         case "shuffle permutes" test_rng_shuffle_permutes;
         case "split independence" test_rng_split_independent;
