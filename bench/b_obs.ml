@@ -110,24 +110,19 @@ let run cfg =
   B_util.note "flow, audit on:             %.3fs (%.2fx vs paired off)"
     t_audit_on audit_overhead_ratio;
   (* Scrape-under-load: the flow with metrics on, the live endpoint
-     server up, the 1 Hz runtime monitor running, and a scraper domain
-     hitting /metrics at ~20 Hz — ~300x a real Prometheus poll (one per
-     15 s). Two paired timings with an *identical* domain topology
-     (listener + monitor + scraper all up) differing only in whether
-     the scraper actually scrapes: on a single-core host the mere
-     existence of extra domains taxes the flow with stop-the-world
-     rendezvous latency (a runtime property), and pairing cancels that
-     tax so
-     serve_scrape_ratio isolates what serving the scrapes costs — the
-     <= 2% design target, gated through bench-history. The
-     infrastructure tax itself is recorded as serve_infra_ratio for
-     visibility, not gated against the 2%. *)
+     server up, and a scraper domain hitting /metrics (each scrape
+     samples the process gauges first) at ~20 Hz — ~300x a real
+     Prometheus poll (one per 15 s). Two paired timings with an
+     *identical* domain topology (listener + scraper both up) differing
+     only in whether the scraper actually scrapes: on a single-core host
+     the mere existence of extra domains taxes the flow with
+     stop-the-world rendezvous latency (a runtime property), and pairing
+     cancels that tax so serve_scrape_ratio isolates what serving the
+     scrapes costs — the <= 2% design target, gated through
+     bench-history. The infrastructure tax itself is recorded as
+     serve_infra_ratio for visibility, not gated against the 2%. *)
   let server = Obs.Serve.start ~port:0 () in
   let srv_port = Obs.Serve.port server in
-  (* main.exe --listen may already run the singleton monitor. *)
-  let monitor =
-    if Obs.Runtime.is_running () then None else Some (Obs.Runtime.start ())
-  in
   let scrape_stop = Atomic.make false in
   let scrape_go = Atomic.make false in
   let scrapes = Atomic.make 0 in
@@ -163,7 +158,6 @@ let run cfg =
   let t_serve_idle = !t_serve_idle and t_serve = !t_serve in
   Atomic.set scrape_stop true;
   Domain.join scraper;
-  Option.iter Obs.Runtime.stop monitor;
   Obs.Serve.stop server;
   let serve_scrapes = Atomic.get scrapes in
   let serve_ratio = t_serve /. t_serve_idle in

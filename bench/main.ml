@@ -96,10 +96,9 @@ let () =
       Obs.Metrics.set_enabled true;
       Obs.Runtime.set_enabled true;
       let server = Obs.Serve.start ~addr ~port () in
-      let monitor = Obs.Runtime.start () in
       Printf.printf "live telemetry on http://%s:%d/\n%!" addr
         (Obs.Serve.port server);
-      Some (server, monitor)
+      Some server
   in
   let run_one = function
     | "fig6" -> B_fig6.run cfg
@@ -134,9 +133,8 @@ let () =
     ~finally:(fun () ->
       match live with
       | None -> ()
-      | Some (server, monitor) ->
+      | Some server ->
         Obs.Serve.stop server;
-        Obs.Runtime.stop monitor;
         Obs.Runtime.set_enabled false;
         Obs.Metrics.set_enabled false)
     (fun () -> List.iter run_one experiments)

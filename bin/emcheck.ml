@@ -3,8 +3,16 @@
    Subcommands:
      analyze   parse a SPICE netlist, solve the DC operating point,
                extract per-layer structures and report immortality
+     explain   one structure's audited margin and critical Blech path
+     diff      compare two recorded runs structure by structure
+     history   per-structure margin or solve-time trend across runs
+     stats     the analysis with span, hot-path and metric tables
      wire      check a single multi-segment wire given on the command line
+     verify    check the DC solver against a golden solution file
      material  print the material model and derived constants
+
+   analyze, explain and stats run the deck -> verdict stages through
+   Em_flow.run_deck and differ only in what they print.
 
    The netlist analysis assumes IBM-benchmark node naming
    (n<layer>_<x>_<y> with nm coordinates) and takes wire geometry from
@@ -156,10 +164,7 @@ let dump_flight ~flight_dump () =
     match flight_dump with
     | None -> ()
     | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> Obs.Flight.dump_json oc);
+      Out_channel.with_open_text path Obs.Flight.dump_json;
       Printf.eprintf "flight recorder dump (%d events) written to %s\n%!"
         (List.length events) path
   end
@@ -170,16 +175,9 @@ let archive_flight ~flight_dump () =
   match flight_dump with
   | None -> ()
   | Some path ->
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> Obs.Flight.dump_json oc);
+    Out_channel.with_open_text path Obs.Flight.dump_json;
     Printf.printf "flight recorder dump (%d events) written to %s\n%!"
       (List.length (Obs.Flight.events ())) path
-
-let parse_recoveries =
-  Obs.Metrics.counter ~help:"Malformed netlist lines skipped in recovery mode"
-    "em_parse_recoveries_total"
 
 (* ------------------------------------------------------------------ *)
 (* Numerical audit plumbing (emcheck analyze --audit, emcheck explain) *)
@@ -327,13 +325,11 @@ let parse_listen spec =
       (Printf.sprintf "--listen %s: expected [ADDR:]PORT with a port in 0..65535"
          spec)
 
-type live = { lv_server : Obs.Serve.t; lv_monitor : Obs.Runtime.monitor }
-
-(* Start the endpoint server plus the 1 Hz process monitor. Metrics and
-   run-state publication must be on for the gauges to move; tracing and
-   profiling stay under their own flags (--trace/--profile), so /trace
-   and /profile serve empty-but-valid documents unless those were also
-   requested. *)
+(* Start the endpoint server. Metrics and run-state publication must be
+   on for the gauges to move (each /metrics scrape samples the process
+   gauges first); tracing and profiling stay under their own flags
+   (--trace/--profile), so /trace and /profile serve empty-but-valid
+   documents unless those were also requested. *)
 let start_live ~listen () =
   match listen with
   | None -> None
@@ -348,24 +344,20 @@ let start_live ~listen () =
           (Printf.sprintf "--listen %s: cannot bind: %s" spec
              (Unix.error_message err))
     in
-    let monitor = Obs.Runtime.start () in
     Printf.printf
       "Live telemetry on http://%s:%d/ (endpoints: /metrics /healthz /trace \
        /profile /flight /audit /runs)\n%!"
       addr (Obs.Serve.port server);
-    Some { lv_server = server; lv_monitor = monitor }
+    Some server
 
-(* Shutdown ordering: the server first (an in-flight scrape finishes;
-   later connections are refused), then the monitor (whose final sample
-   is what a post-run /metrics file would have shown anyway). *)
+(* An in-flight scrape finishes; later connections are refused. *)
 let stop_live live =
   Option.iter
-    (fun { lv_server; lv_monitor } ->
-      Obs.Serve.stop lv_server;
-      Obs.Runtime.stop lv_monitor;
+    (fun server ->
+      Obs.Serve.stop server;
       Obs.Runtime.set_enabled false;
       Printf.printf "Live telemetry server stopped after %d requests\n%!"
-        (Obs.Serve.requests_served lv_server))
+        (Obs.Serve.requests_served server))
     live
 
 (* ------------------------------------------------------------------ *)
@@ -410,10 +402,7 @@ let start_telemetry ~trace_path ~metrics_path ~profile_path =
   else None
 
 let write_file path contents =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc contents)
+  Out_channel.with_open_text path (fun oc -> output_string oc contents)
 
 let export_profile ~profile_path ~profile_format trace =
   match (profile_path, trace) with
@@ -488,18 +477,12 @@ let print_hot_paths ~top trace =
 
 module Dg = Em_core.Diag
 
-let diag_of_parse_error (e : Spice.Parser.line_error) =
-  Dg.error
-    ~source:(Dg.Netlist_line e.Spice.Parser.line)
-    ~code:"parse-error" e.Spice.Parser.message
-
-let diag_of_finding (f : Spice.Checker.finding) =
-  let severity =
-    match f.Spice.Checker.severity with
-    | Spice.Checker.Warning -> Dg.Warning
-    | Spice.Checker.Error -> Dg.Error
-  in
-  Dg.make severity ~code:f.Spice.Checker.code f.Spice.Checker.message
+(* The deck commands' one exception -> one-line message mapping:
+   [`Refused] for a deck the flow will not take, [`Failed] for any other
+   failure. Each command maps these to its own exit code. *)
+let error_of_exn ~path = function
+  | Failure msg | Invalid_argument msg | Sys_error msg -> Some (`Failed msg)
+  | e -> Option.map (fun msg -> `Refused msg) (Flow.refusal ~path e)
 
 (* Exit-code policy: 0 = clean (or warnings only, without [--strict]);
    1 = error diagnostics present, or warnings under [--strict]. Fatal
@@ -510,7 +493,16 @@ let exit_code_of_diags ~strict diags =
   else if strict && Dg.count_warnings diags > 0 then 1
   else 0
 
-exception Lint_abort of string
+(* What the deck load found: skipped lines, netlist size, lint. *)
+let print_deck path (d : Flow.deck) =
+  List.iter
+    (fun (e : Spice.Parser.line_error) ->
+      Printf.printf "%s:%d: skipped: %s\n" path e.Spice.Parser.line
+        e.Spice.Parser.message)
+    d.Flow.parse_errors;
+  Format.printf "%a@." Spice.Netlist.pp_stats d.Flow.netlist;
+  List.iter (fun f -> Format.printf "%a@." Spice.Checker.pp_finding f)
+    d.Flow.findings
 
 let analyze_netlist path tech sigma_t temperature with_maxpath top fix
     json_path html_path keep_going strict max_errors trace_path metrics_path
@@ -539,44 +531,22 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
       stop_live live)
   @@ fun () ->
   let trace = start_telemetry ~trace_path ~metrics_path ~profile_path in
-  (* Every stage from the deck to the verdicts runs in one pipeline, so
-     the stage table, the trace and the profile all cover parse, lint
-     and the DC solve too. *)
-  let p = Emflow.Pipeline.create () in
-  let netlist, parse_errors =
-    Emflow.Pipeline.run p "parse" (fun () ->
-        if keep_going then Spice.Parser.parse_file_tolerant ?jobs ~max_errors path
-        else (Spice.Parser.parse_file ?jobs path, []))
+  (* The deck is shown before the solve, so a refused solve still
+     reports what was read. *)
+  let keep_going = if keep_going then Some max_errors else None in
+  let deck =
+    try Flow.load_deck ?jobs ?keep_going path
+    with Flow.Lint_abort d as e ->
+      print_deck path d;
+      raise e
   in
-  Obs.Metrics.inc_by parse_recoveries (List.length parse_errors);
-  List.iter
-    (fun (e : Spice.Parser.line_error) ->
-      Printf.printf "%s:%d: skipped: %s\n" path e.Spice.Parser.line
-        e.Spice.Parser.message)
-    parse_errors;
-  let parse_diags = List.map diag_of_parse_error parse_errors in
-  Format.printf "%a@." Spice.Netlist.pp_stats netlist;
-  let findings =
-    Emflow.Pipeline.run p "lint" (fun () -> Spice.Checker.check netlist)
+  print_deck path deck;
+  let v =
+    Flow.analyze_deck ~material ~with_maxpath ?jobs ?audit:audit_cfg ~tech deck
   in
-  List.iter (fun f -> Format.printf "%a@." Spice.Checker.pp_finding f) findings;
-  let lint_diags = List.map diag_of_finding findings in
-  if (not keep_going) && Spice.Checker.errors findings <> [] then
-    raise
-      (Lint_abort
-         "netlist fails lint; aborting (use --keep-going to continue)");
-  let sol = Emflow.Pipeline.run p "solve" (fun () -> Spice.Mna.solve netlist) in
+  let { Flow.solution = sol; compacts; result = r; _ } = v in
   Format.printf "DC solve: %d free nodes, nnz(L) %d, residual %.2e@."
     sol.Spice.Mna.free_nodes sol.Spice.Mna.fill sol.Spice.Mna.residual;
-  let mna_diags = Flow.mna_diags sol in
-  let compacts =
-    Emflow.Pipeline.run p "extract" (fun () ->
-        Emflow.Extract.extract_compact ~tech sol)
-  in
-  let r =
-    Flow.run_on_compact ~material ~with_maxpath ?jobs ?audit:audit_cfg
-      ~pipeline:p compacts
-  in
   Format.printf "%a@.@." Flow.pp_summary r;
   (match audit_cfg with
   | None -> ()
@@ -621,11 +591,8 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
      let analyzed =
        List.filteri (fun i _ -> r.Flow.structure_stats.(i).Flow.st_ok) compacts
      in
-     if not
-          (Emflow.Fixer.verify ~material
-             (List.map Emflow.Extract.boxed_view analyzed)
-             plan)
-     then Printf.printf "WARNING: fix plan failed verification\n"
+     if not (Emflow.Fixer.verify ~material analyzed plan) then
+       Printf.printf "WARNING: fix plan failed verification\n"
    end);
   let table =
     Rp.create [ "layer"; "segments"; "peak MPa"; "margin MPa"; "at node" ]
@@ -693,10 +660,7 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
     | Some vr -> vr.Emflow.Variation.diags
     | None -> []
   in
-  let diags =
-    parse_diags @ lint_diags @ mna_diags @ r.Flow.diags @ blech_diags
-    @ variation_diags
-  in
+  let diags = v.Flow.diags @ blech_diags @ variation_diags in
   (* Append the ledger record: fingerprint every extracted structure
      (full list — failed structures are recorded too) and join with the
      per-structure stats the flow always collects. *)
@@ -741,6 +705,9 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
       ~title:(Printf.sprintf "EM sign-off: %s" (Filename.basename path))
       ~material ~tech ~compacts r;
     Printf.printf "HTML report written to %s\n" out);
+  (* The process gauges are sampled when read: here for the --json
+     telemetry object and the --metrics file. *)
+  if telemetry_requested then Obs.Runtime.sample_now ();
   (match json_path with
   | None -> ()
   | Some out ->
@@ -774,10 +741,8 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
           [ ("telemetry", Emflow.Json_out.of_telemetry ()) ]
         else [])
     in
-    let oc = open_out out in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> Emflow.Json_out.to_channel oc doc);
+    Out_channel.with_open_text out (fun oc ->
+        Emflow.Json_out.to_channel oc doc);
     Printf.printf "JSON report written to %s\n" out);
   export_telemetry ~trace_path ~metrics_path trace;
   export_profile ~profile_path ~profile_format trace;
@@ -917,13 +882,16 @@ let analyze_cmd =
                  if n <> 0 then dump_flight ~flight_dump ()
                  else archive_flight ~flight_dump ();
                  `Ok n
-               | exception Spice.Parser.Parse_error { line; message } ->
-                 reject (Printf.sprintf "%s:%d: %s" path line message)
-               | exception Spice.Mna.Unsupported msg ->
-                 reject ("unsupported netlist: " ^ msg)
-               | exception Lint_abort msg -> reject msg
-               | exception Failure msg -> fail msg
-               | exception Invalid_argument msg -> fail msg
+               | exception e -> (
+                 match error_of_exn ~path e with
+                 | Some (`Refused msg) ->
+                   reject
+                     (match e with
+                     | Flow.Lint_abort _ ->
+                       msg ^ "; aborting (use --keep-going to continue)"
+                     | _ -> msg)
+                 | Some (`Failed msg) -> fail msg
+                 | None -> raise e)
              in
              Obs.Flight.set_enabled false;
              finish_log ();
@@ -962,14 +930,6 @@ module Au = Em_core.Audit
    contributions, resolved to netlist node names and element ids. *)
 let explain_netlist path index tech sigma_t temperature audit_tol jobs =
   let material = material_of ~sigma_t ~temperature in
-  let netlist = Spice.Parser.parse_file ?jobs path in
-  let sol = Spice.Mna.solve netlist in
-  let compacts = Emflow.Extract.extract_compact ~tech sol in
-  let n = List.length compacts in
-  if index < 0 || index >= n then
-    failwith
-      (Printf.sprintf "structure index %d out of range (deck has %d structures)"
-         index n);
   let audit =
     {
       Flow.default_audit_config with
@@ -978,8 +938,17 @@ let explain_netlist path index tech sigma_t temperature audit_tol jobs =
       audit_top_k = max_int;
     }
   in
-  let r = Flow.run_on_compact ~material ?jobs ~audit compacts in
-  let cs = List.nth compacts index in
+  let _, v = Flow.run_deck ~material ?jobs ~audit ~tech path in
+  let r = v.Flow.result in
+  let n = List.length v.Flow.compacts in
+  if index < 0 || index >= n then
+    failwith
+      (Printf.sprintf "structure index %d out of range (deck has %d structures)"
+         index n);
+  (* An explanation is only as good as the currents behind it. *)
+  List.iter (fun d -> Format.printf "WARNING: %a@." Dg.pp d)
+    (Flow.mna_diags v.Flow.solution);
+  let cs = List.nth v.Flow.compacts index in
   match r.Flow.audits.(index) with
   | None ->
     let why =
@@ -1088,13 +1057,10 @@ let explain_cmd =
                  jobs
              with
              | r -> r
-             | exception Sys_error msg -> fail msg
-             | exception Spice.Parser.Parse_error { line; message } ->
-               fail (Printf.sprintf "%s:%d: %s" path line message)
-             | exception Spice.Mna.Unsupported msg ->
-               fail ("unsupported netlist: " ^ msg)
-             | exception Failure msg -> fail msg
-             | exception Invalid_argument msg -> fail msg)
+             | exception e -> (
+               match error_of_exn ~path e with
+               | Some (`Refused msg | `Failed msg) -> fail msg
+               | None -> raise e))
         $ path $ index $ tech_arg $ sigma_t_arg $ temperature_arg
         $ audit_tol_arg $ jobs_arg))
   in
@@ -1134,10 +1100,7 @@ let ledger_json_arg =
         ~doc:"Write the machine-readable result to $(docv).")
 
 let write_json_doc path doc =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
+  Out_channel.with_open_text path (fun oc ->
       Emflow.Json_out.to_channel oc doc;
       output_char oc '\n');
   Printf.printf "JSON written to %s\n" path
@@ -1429,76 +1392,57 @@ let stats_netlist path tech sigma_t temperature jobs top trace_path
   let trace = Obs.Trace.create () in
   Obs.Trace.enable trace;
   Obs.Metrics.set_enabled true;
-  let netlist = Spice.Parser.parse_file ?jobs path in
-  let p = Emflow.Pipeline.create () in
-  let sol = Emflow.Pipeline.run p "solve" (fun () -> Spice.Mna.solve netlist) in
-  let compacts =
-    Emflow.Pipeline.run p "extract" (fun () ->
-        Emflow.Extract.extract_compact ~tech sol)
-  in
-  let r = Flow.run_on_compact ~material ?jobs ~pipeline:p compacts in
-  Format.printf "%a@.@." Flow.pp_summary r;
-  let telemetry_notice = "telemetry disabled — run with --trace/--metrics" in
+  let _, v = Flow.run_deck ~material ?jobs ~tech path in
+  Format.printf "%a@.@." Flow.pp_summary v.Flow.result;
   let bounded name xs =
     let n = List.length xs in
     if n > top then Printf.printf "%s (top %d of %d):\n" name top n
     else Printf.printf "%s:\n" name;
     List.filteri (fun i _ -> i < top) xs
   in
-  (match Obs.Trace.aggregate trace with
-  | [] -> Printf.printf "Span summary: %s\n" telemetry_notice
-  | aggs ->
-    let span_table =
-      Rp.create
-        [ "span"; "count"; "total ms"; "max ms"; "alloc Mw"; "minor/major GCs";
-          "errors" ]
-    in
-    (* Busiest spans first so the --top cut keeps the interesting rows. *)
-    let aggs =
-      List.sort
-        (fun (a : Obs.Trace.agg) (b : Obs.Trace.agg) ->
-          Float.compare b.Obs.Trace.total_us a.Obs.Trace.total_us)
-        aggs
-      |> bounded "Span summary"
-    in
-    List.iter
-      (fun (a : Obs.Trace.agg) ->
-        Rp.add_row span_table
-          [
-            a.Obs.Trace.agg_name;
-            Rp.int_cell a.Obs.Trace.count;
-            Printf.sprintf "%.3f" (a.Obs.Trace.total_us /. 1e3);
-            Printf.sprintf "%.3f" (a.Obs.Trace.max_us /. 1e3);
-            Printf.sprintf "%.2f" (a.Obs.Trace.total_allocated_words /. 1e6);
-            Printf.sprintf "%d/%d" a.Obs.Trace.total_minor_collections
-              a.Obs.Trace.total_major_collections;
-            Rp.int_cell a.Obs.Trace.errors;
-          ])
-      aggs;
-    Rp.print span_table);
+  (* The deck's own stages are spans, so neither table is ever empty. *)
+  let span_table =
+    Rp.create
+      [ "span"; "count"; "total ms"; "max ms"; "alloc Mw"; "minor/major GCs";
+        "errors" ]
+  in
+  (* Busiest spans first so the --top cut keeps the interesting rows. *)
+  Obs.Trace.aggregate trace
+  |> List.sort (fun (a : Obs.Trace.agg) (b : Obs.Trace.agg) ->
+         Float.compare b.Obs.Trace.total_us a.Obs.Trace.total_us)
+  |> bounded "Span summary"
+  |> List.iter (fun (a : Obs.Trace.agg) ->
+         Rp.add_row span_table
+           [
+             a.Obs.Trace.agg_name;
+             Rp.int_cell a.Obs.Trace.count;
+             Printf.sprintf "%.3f" (a.Obs.Trace.total_us /. 1e3);
+             Printf.sprintf "%.3f" (a.Obs.Trace.max_us /. 1e3);
+             Printf.sprintf "%.2f" (a.Obs.Trace.total_allocated_words /. 1e6);
+             Printf.sprintf "%d/%d" a.Obs.Trace.total_minor_collections
+               a.Obs.Trace.total_major_collections;
+             Rp.int_cell a.Obs.Trace.errors;
+           ]);
+  Rp.print span_table;
   print_hot_paths ~top trace;
-  (match Obs.Metrics.snapshot () with
-  | [] -> Printf.printf "\nMetrics: %s\n" telemetry_notice
-  | samples ->
-    let metric_table = Rp.create [ "metric"; "labels"; "value" ] in
-    print_newline ();
-    let samples = bounded "Metrics" samples in
-    List.iter
-      (fun (s : Obs.Metrics.sample) ->
-        let labels =
-          String.concat ","
-            (List.map (fun (k, v) -> k ^ "=" ^ v) s.Obs.Metrics.s_labels)
-        in
-        let value =
-          match s.Obs.Metrics.s_kind with
-          | "histogram" ->
-            Printf.sprintf "count=%d sum=%.6gs" s.Obs.Metrics.s_count
-              s.Obs.Metrics.s_value
-          | _ -> Printf.sprintf "%.6g" s.Obs.Metrics.s_value
-        in
-        Rp.add_row metric_table [ s.Obs.Metrics.s_name; labels; value ])
-      samples;
-    Rp.print metric_table);
+  Obs.Runtime.sample_now ();
+  let metric_table = Rp.create [ "metric"; "labels"; "value" ] in
+  print_newline ();
+  bounded "Metrics" (Obs.Metrics.snapshot ())
+  |> List.iter (fun (s : Obs.Metrics.sample) ->
+         let labels =
+           String.concat ","
+             (List.map (fun (k, v) -> k ^ "=" ^ v) s.Obs.Metrics.s_labels)
+         in
+         let value =
+           match s.Obs.Metrics.s_kind with
+           | "histogram" ->
+             Printf.sprintf "count=%d sum=%.6gs" s.Obs.Metrics.s_count
+               s.Obs.Metrics.s_value
+           | _ -> Printf.sprintf "%.6g" s.Obs.Metrics.s_value
+         in
+         Rp.add_row metric_table [ s.Obs.Metrics.s_name; labels; value ]);
+  Rp.print metric_table;
   export_telemetry ~trace_path ~metrics_path (Some trace);
   export_profile ~profile_path ~profile_format (Some trace);
   (* stats forced the collectors on; don't leak that past the command. *)
@@ -1534,12 +1478,10 @@ let stats_cmd =
                    trace_path metrics_path profile_path profile_format
                with
                | `Ok n -> `Ok n
-               | exception Spice.Parser.Parse_error { line; message } ->
-                 `Error (false, Printf.sprintf "%s:%d: %s" path line message)
-               | exception Spice.Mna.Unsupported msg ->
-                 `Error (false, "unsupported netlist: " ^ msg)
-               | exception Failure msg -> `Error (false, msg)
-               | exception Invalid_argument msg -> `Error (false, msg)
+               | exception e -> (
+                 match error_of_exn ~path e with
+                 | Some (`Refused msg | `Failed msg) -> `Error (false, msg)
+                 | None -> raise e)
              in
              finish_log ();
              r)
@@ -1646,11 +1588,10 @@ let verify_cmd =
                print_endline "solution matches";
                `Ok 0
              | Error msg -> `Error (false, msg)
-             | exception Spice.Parser.Parse_error { line; message } ->
-               `Error (false, Printf.sprintf "%s:%d: %s" netlist line message)
-             | exception Failure msg -> `Error (false, msg)
-             | exception Spice.Mna.Unsupported msg ->
-               `Error (false, "unsupported netlist: " ^ msg))
+             | exception e -> (
+               match error_of_exn ~path:netlist e with
+               | Some (`Refused msg | `Failed msg) -> `Error (false, msg)
+               | None -> raise e))
         $ netlist_arg $ solution_arg $ tol $ jobs_arg))
   in
   Cmd.v

@@ -273,11 +273,18 @@ let diag_of_failure i (cs : Extract.compact_structure) e =
        (Cc.num_segments cs.Extract.compact)
        detail)
 
+let stage_cpu p name =
+  List.fold_left
+    (fun acc (s : Pipeline.stage) ->
+      if String.equal s.Pipeline.name name then acc +. s.Pipeline.cpu_s else acc)
+    0. (Pipeline.stages p)
+
 (* Analyze + classify on already-columnar structures, recording stages
    into [p]. [analysis_time] keeps the historical convention: wall time
    when explicitly parallel (CPU time would double-count the workers),
    CPU time otherwise. *)
-let finish_run p ~material ~with_maxpath ?jobs ?audit compacts =
+let run_on_compact ?(material = M.cu_dac21) ?(with_maxpath = false) ?jobs
+    ?audit ?pipeline:(p = Pipeline.create ()) compacts =
   let t0 = Sys.time () in
   let wall0 = Unix.gettimeofday () in
   let compacts_arr = Array.of_list compacts in
@@ -382,16 +389,6 @@ let finish_run p ~material ~with_maxpath ?jobs ?audit compacts =
     | Some j when j > 1 -> Unix.gettimeofday () -. wall0
     | _ -> Sys.time () -. t0
   in
-  (counts, maxpath_counts, segments, analysis_time, diags, audits, stats)
-
-let stage_cpu p name =
-  List.fold_left
-    (fun acc (s : Pipeline.stage) ->
-      if String.equal s.Pipeline.name name then acc +. s.Pipeline.cpu_s else acc)
-    0. (Pipeline.stages p)
-
-let make_result p ~counts ~maxpath_counts ~segments ~num_structures
-    ~analysis_time ~diags ~audits ~stats =
   if Obs.Metrics.is_enabled () then begin
     let sum f =
       List.fold_left (fun acc s -> acc +. f s) 0. (Pipeline.stages p)
@@ -405,7 +402,7 @@ let make_result p ~counts ~maxpath_counts ~segments ~num_structures
       counts;
       maxpath_counts;
       segments;
-      num_structures;
+      num_structures = nstruct;
       num_segments = Array.length segments;
       diags;
       audits;
@@ -432,14 +429,6 @@ let ranking r =
   |> List.filter (fun i -> stats.(i).st_ok)
   |> List.stable_sort (fun a b -> Float.compare stats.(a).st_margin stats.(b).st_margin)
 
-let run_on_compact ?(material = M.cu_dac21) ?(with_maxpath = false) ?jobs
-    ?audit ?(pipeline = Pipeline.create ()) compacts =
-  let counts, maxpath_counts, segments, analysis_time, diags, audits, stats =
-    finish_run pipeline ~material ~with_maxpath ?jobs ?audit compacts
-  in
-  make_result pipeline ~counts ~maxpath_counts ~segments
-    ~num_structures:(List.length compacts) ~analysis_time ~diags ~audits ~stats
-
 let mna_diags (sol : Spice.Mna.solution) =
   let r = sol.Spice.Mna.residual in
   if r <= Spice.Mna.max_residual then []
@@ -452,16 +441,101 @@ let mna_diags (sol : Spice.Mna.solution) =
            r Spice.Mna.max_residual);
     ]
 
-let run ?material ?with_maxpath ?jobs ?audit (grid : Pdn.Grid_gen.generated) =
-  let p = Pipeline.create () in
-  let sol =
-    Pipeline.run p "solve" (fun () -> Spice.Mna.solve grid.Pdn.Grid_gen.netlist)
+(* ------------------------------------------------------------------ *)
+(* Deck -> verdict: the one stage order every caller runs              *)
+
+type deck = {
+  netlist : Spice.Netlist.t;
+  parse_errors : Spice.Parser.line_error list;
+  findings : Spice.Checker.finding list;
+  pipeline : Pipeline.t;
+}
+
+type verdict = {
+  solution : Spice.Mna.solution;
+  compacts : Extract.compact_structure list;
+  result : result;
+  diags : Dg.t list;
+}
+
+exception Lint_abort of deck
+
+let parse_recoveries =
+  Obs.Metrics.counter ~help:"Malformed netlist lines skipped in recovery mode"
+    "em_parse_recoveries_total"
+
+let diag_of_parse_error (e : Spice.Parser.line_error) =
+  Dg.error
+    ~source:(Dg.Netlist_line e.Spice.Parser.line)
+    ~code:"parse-error" e.Spice.Parser.message
+
+let diag_of_finding (f : Spice.Checker.finding) =
+  let severity =
+    match f.Spice.Checker.severity with
+    | Spice.Checker.Warning -> Dg.Warning
+    | Spice.Checker.Error -> Dg.Error
+  in
+  Dg.make severity ~code:f.Spice.Checker.code f.Spice.Checker.message
+
+let load_deck ?jobs ?keep_going path =
+  let pipeline = Pipeline.create () in
+  let netlist, parse_errors =
+    Pipeline.run pipeline "parse" (fun () ->
+        match keep_going with
+        | Some max_errors ->
+          Spice.Parser.parse_file_tolerant ?jobs ~max_errors path
+        | None -> (Spice.Parser.parse_file ?jobs path, []))
+  in
+  Obs.Metrics.inc_by parse_recoveries (List.length parse_errors);
+  let findings =
+    Pipeline.run pipeline "lint" (fun () -> Spice.Checker.check netlist)
+  in
+  let deck = { netlist; parse_errors; findings; pipeline } in
+  if Option.is_none keep_going && Spice.Checker.errors findings <> [] then
+    raise (Lint_abort deck);
+  deck
+
+let of_netlist netlist =
+  { netlist; parse_errors = []; findings = []; pipeline = Pipeline.create () }
+
+let analyze_deck ?material ?with_maxpath ?jobs ?audit ~tech deck =
+  let p = deck.pipeline in
+  let solution =
+    Pipeline.run p "solve" (fun () -> Spice.Mna.solve deck.netlist)
   in
   let compacts =
-    Pipeline.run p "extract" (fun () ->
-        Extract.extract_compact ~tech:grid.Pdn.Grid_gen.tech sol)
+    Pipeline.run p "extract" (fun () -> Extract.extract_compact ~tech solution)
   in
-  run_on_compact ?material ?with_maxpath ?jobs ?audit ~pipeline:p compacts
+  let result =
+    run_on_compact ?material ?with_maxpath ?jobs ?audit ~pipeline:p compacts
+  in
+  let diags =
+    List.map diag_of_parse_error deck.parse_errors
+    @ List.map diag_of_finding deck.findings
+    @ mna_diags solution @ result.diags
+  in
+  { solution; compacts; result; diags }
+
+let run_deck ?material ?with_maxpath ?jobs ?audit ?keep_going ~tech path =
+  let deck = load_deck ?jobs ?keep_going path in
+  (deck, analyze_deck ?material ?with_maxpath ?jobs ?audit ~tech deck)
+
+let run ?material ?with_maxpath ?jobs ?audit (grid : Pdn.Grid_gen.generated) =
+  let v =
+    analyze_deck ?material ?with_maxpath ?jobs ?audit
+      ~tech:grid.Pdn.Grid_gen.tech (of_netlist grid.Pdn.Grid_gen.netlist)
+  in
+  v.result
+
+let refusal ~path = function
+  | Spice.Parser.Parse_error { line; message } ->
+    Some (Printf.sprintf "%s:%d: %s" path line message)
+  | Spice.Mna.Unsupported msg -> Some ("unsupported netlist: " ^ msg)
+  | Lint_abort deck ->
+    let errors = Spice.Checker.errors deck.findings in
+    let codes = List.map (fun f -> f.Spice.Checker.code) errors in
+    Some (Printf.sprintf "netlist fails lint (%s)" (String.concat ", " codes))
+  | _ -> None
 
 let pp_summary ppf r =
   Format.fprintf ppf

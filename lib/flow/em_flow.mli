@@ -4,10 +4,11 @@
     filter on every segment, and tabulate the confusion matrix with the
     exact test as ground truth.
 
-    The flow is organized as {!Pipeline} stages
-    (solve -> extract -> analyze -> classify); each stage's wall/CPU
-    time and GC allocation are recorded in {!result.stages} and printed
-    by {!pp_summary}. Per-structure analysis runs on the columnar
+    The flow is organized as {!Pipeline} stages (parse -> lint in
+    {!load_deck}, solve -> extract -> analyze -> classify in
+    {!analyze_deck}); each stage's wall/CPU time and GC allocation are
+    recorded in {!result.stages} and printed by {!pp_summary}.
+    Per-structure analysis runs on the columnar
     {!Em_core.Compact.t} path through per-domain
     {!Em_core.Steady_state.Workspace} scratch buffers, so it both
     parallelizes over domains and allocates (near) nothing per
@@ -120,6 +121,63 @@ val default_audit_config : audit_config
 (** [{ audit_tol = Em_core.Audit.default_tol; audit_top_k =
     Em_core.Audit.default_top_k; audit_strict = false }]. *)
 
+(** {1 Deck -> verdict} *)
+
+type deck = {
+  netlist : Spice.Netlist.t;
+  parse_errors : Spice.Parser.line_error list;  (** skipped lines *)
+  findings : Spice.Checker.finding list;
+  pipeline : Pipeline.t;  (** parse and lint so far *)
+}
+
+type verdict = {
+  solution : Spice.Mna.solution;
+  compacts : Extract.compact_structure list;
+  result : result;
+  diags : Em_core.Diag.t list;
+      (** parse errors, lint findings, ["mna-residual"], {!result.diags} *)
+}
+
+exception Lint_abort of deck
+(** A lint error without a keep-going budget; the deck rides along. *)
+
+val load_deck : ?jobs:int -> ?keep_going:int -> string -> deck
+(** The ["parse"] and ["lint"] stages of a fresh pipeline. Without
+    [keep_going] a malformed line raises {!Spice.Parser.Parse_error}
+    and a lint error {!Lint_abort}; [~keep_going:n] skips up to [n]
+    malformed lines and keeps lint errors as diagnostics. *)
+
+val of_netlist : Spice.Netlist.t -> deck
+(** An in-memory deck: no parse or lint stage. *)
+
+val analyze_deck :
+  ?material:Em_core.Material.t ->
+  ?with_maxpath:bool ->
+  ?jobs:int ->
+  ?audit:audit_config ->
+  tech:Pdn.Tech.t ->
+  deck ->
+  verdict
+(** The ["solve"], ["extract"], ["analyze"] and ["classify"] stages on
+    the deck's pipeline; raises {!Spice.Mna.Unsupported} on a deck the
+    solver cannot take. *)
+
+val run_deck :
+  ?material:Em_core.Material.t ->
+  ?with_maxpath:bool ->
+  ?jobs:int ->
+  ?audit:audit_config ->
+  ?keep_going:int ->
+  tech:Pdn.Tech.t ->
+  string ->
+  deck * verdict
+(** {!load_deck} then {!analyze_deck}. *)
+
+val refusal : path:string -> exn -> string option
+(** The one-line message for a refused deck: a strict parse error, a
+    {!Lint_abort} (naming the lint codes) or {!Spice.Mna.Unsupported};
+    [None] for any other exception. *)
+
 val run :
   ?material:Em_core.Material.t ->
   ?with_maxpath:bool ->
@@ -127,7 +185,7 @@ val run :
   ?audit:audit_config ->
   Pdn.Grid_gen.generated ->
   result
-(** Solves the DC operating point internally. [material] defaults to
+(** {!analyze_deck} on the generated netlist. [material] defaults to
     {!Em_core.Material.cu_dac21}; [with_maxpath] to [false]; [jobs]
     parallelizes the per-structure EM analysis over that many domains
     (the DC solve stays sequential). With [jobs > 1] the reported

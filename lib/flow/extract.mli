@@ -40,6 +40,6 @@ val total_compact_segments : compact_structure list -> int
 
 val boxed_view : compact_structure -> em_structure
 (** Boxed {!em_structure} view of a fused-path structure (same node
-    ids, names, segment order and element ids), for ancillary consumers
-    that still read {!Em_core.Structure.t} — reports and repair
-    planning, not the verdict hot path. *)
+    ids, names, segment order and element ids), for the boxed oracles
+    the tests and benches compare against; nothing in the library or
+    the CLI reads it. *)

@@ -3,6 +3,7 @@ module St = Em_core.Structure
 module Im = Em_core.Immortality
 module Sens = Em_core.Sensitivity
 module Cc = Em_core.Compact
+module Ss = Em_core.Steady_state
 
 type fix = {
   index : int;
@@ -104,40 +105,33 @@ let plan_of_result ?(material = M.cu_dac21) ?(safety = 1.1) compacts
     compacts;
   of_fixes !fixes ~mortal:!mortal ~immortal:!immortal
 
-let apply_widening s alpha =
+let apply_widening c alpha =
   if alpha <= 0. then invalid_arg "Fixer.apply_widening";
-  let g = St.graph s in
-  St.make ~num_nodes:(St.num_nodes s)
-    (Array.init (St.num_segments s) (fun k ->
-         let e = Ugraph.edge g k in
-         let seg = St.seg s k in
-         ( e.Ugraph.tail,
-           e.Ugraph.head,
-           {
-             seg with
-             St.width = seg.St.width *. alpha;
-             St.current_density = seg.St.current_density /. alpha;
-           } )))
+  Cc.with_geometry c
+    ~width:(Array.map (fun w -> w *. alpha) c.Cc.width)
+    ~height:c.Cc.height
+    ~j:(Array.map (fun j -> j /. alpha) c.Cc.j)
 
-let verify ?(material = M.cu_dac21) structures plan =
-  let arr = Array.of_list structures in
+let verify ?(material = M.cu_dac21) compacts plan =
+  let arr = Array.of_list compacts in
+  let threshold = M.effective_critical_stress material in
   List.for_all
     (fun f ->
-      let s = arr.(f.index).Extract.structure in
-      (Im.check material (apply_widening s f.widen)).Im.structure_immortal)
+      let c = apply_widening arr.(f.index).Extract.compact f.widen in
+      fst (Ss.max_stress (Ss.solve_compact material c)) < threshold)
     plan.fixes
 
 module N = Spice.Netlist
 
-let apply_to_netlist (grid : Pdn.Grid_gen.generated) structures plan =
-  let arr = Array.of_list structures in
+let apply_to_netlist (grid : Pdn.Grid_gen.generated) compacts plan =
+  let arr = Array.of_list compacts in
   (* Per-element resistance scale. *)
   let scale : (int, float) Hashtbl.t = Hashtbl.create 256 in
   List.iter
     (fun f ->
       Array.iter
         (fun elem -> Hashtbl.replace scale elem (1. /. f.widen))
-        arr.(f.index).Extract.element_ids)
+        arr.(f.index).Extract.cs_element_ids)
     plan.fixes;
   let net = grid.Pdn.Grid_gen.netlist in
   let values =
@@ -149,15 +143,19 @@ let apply_to_netlist (grid : Pdn.Grid_gen.generated) structures plan =
   { grid with Pdn.Grid_gen.netlist = N.with_values net values }
 
 let iterate ?(material = M.cu_dac21) ?safety ?(max_rounds = 5) grid =
-  let rec loop grid plans rounds =
-    let sol = Spice.Mna.solve grid.Pdn.Grid_gen.netlist in
-    let structures =
-      List.map Extract.boxed_view
-        (Extract.extract_compact ~tech:grid.Pdn.Grid_gen.tech sol)
+  let rec loop (grid : Pdn.Grid_gen.generated) plans rounds =
+    let v =
+      Em_flow.analyze_deck ~material ~tech:grid.Pdn.Grid_gen.tech
+        (Em_flow.of_netlist grid.Pdn.Grid_gen.netlist)
     in
-    let p = plan ~material ?safety structures in
+    let r = v.Em_flow.result in
+    let p = plan_of_result ~material ?safety v.Em_flow.compacts r in
+    let analyzed =
+      List.filteri (fun i _ -> r.Em_flow.structure_stats.(i).Em_flow.st_ok)
+        v.Em_flow.compacts
+    in
     if p.fixes = [] || rounds >= max_rounds then (grid, List.rev (p :: plans))
-    else loop (apply_to_netlist grid structures p) (p :: plans) (rounds + 1)
+    else loop (apply_to_netlist grid analyzed p) (p :: plans) (rounds + 1)
   in
   loop grid [] 0
 

@@ -45,15 +45,20 @@ val plan_of_result :
     the critical stress (at least 0), its footprint sums width times
     length over the compact columns. Nothing is solved again. Structures
     the run fault-isolated are left out, and [index] counts the others
-    only, so it indexes the list {!plan} and {!verify} take. *)
+    only, so it indexes the list of analyzed structures. *)
 
-val apply_widening : Em_core.Structure.t -> float -> Em_core.Structure.t
+val apply_widening : Em_core.Compact.t -> float -> Em_core.Compact.t
 (** Widen every segment by the factor at fixed currents (widths scale up,
-    current densities scale down); used to verify plans. *)
+    current densities scale down, {!Em_core.Compact.with_geometry});
+    used to verify plans. *)
 
 val verify :
-  ?material:Em_core.Material.t -> Extract.em_structure list -> plan -> bool
-(** True when applying every fix makes its structure immortal. *)
+  ?material:Em_core.Material.t -> Extract.compact_structure list -> plan ->
+  bool
+(** True when applying every fix makes its structure immortal: the peak
+    of {!Em_core.Steady_state.solve_compact} on the widened structure
+    lies below the effective critical stress. The list is the one the
+    plan indexes. *)
 
 val to_table : plan -> Report.t
 
@@ -66,7 +71,7 @@ val to_table : plan -> Report.t
     budget runs out). *)
 
 val apply_to_netlist :
-  Pdn.Grid_gen.generated -> Extract.em_structure list -> plan ->
+  Pdn.Grid_gen.generated -> Extract.compact_structure list -> plan ->
   Pdn.Grid_gen.generated
 (** Rescale the netlist resistors of every fixed structure by
     [1 / widen] (width up, resistance down at fixed length). *)
@@ -74,7 +79,8 @@ val apply_to_netlist :
 val iterate :
   ?material:Em_core.Material.t -> ?safety:float -> ?max_rounds:int ->
   Pdn.Grid_gen.generated -> Pdn.Grid_gen.generated * plan list
-(** Returns the repaired grid and the plan applied in each round
+(** Each round is {!Em_flow.analyze_deck} plus {!plan_of_result}.
+    Returns the repaired grid and the plan applied in each round
     ([max_rounds] defaults to 5; the final plan in the list may still
     contain fixes if the budget ran out — an empty final plan means the
     grid is clean). *)

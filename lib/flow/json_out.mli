@@ -21,50 +21,34 @@ val to_channel : out_channel -> t -> unit
 
 val of_counts : Em_core.Classify.counts -> t
 
-val of_stage : Pipeline.stage -> t
-
 val of_stages : Pipeline.stage list -> t
 (** Per-stage wall/CPU/allocation stats, execution order; each stage
     carries an [error] flag (true when the stage body raised). *)
-
-val of_metric : Obs.Metrics.sample -> t
 
 val of_metrics : Obs.Metrics.sample list -> t
 (** Counters/gauges as [{name; kind; labels; value}]; histograms carry
     [sum] / [count] / cumulative [buckets] ([le] is a number, or the
     string ["+Inf"] for the overflow bucket). *)
 
-val of_trace_summary : Obs.Trace.t -> t
-(** {!Obs.Trace.aggregate} as a list of per-span-name rollups. *)
-
-val of_hot_path : Obs.Profile.hot_path -> t
-
-val of_hot_paths : Obs.Profile.hot_path list -> t
-(** Per-path exact attribution rows ([path] as an array of span names,
-    [count] / [total_us] / [self_us] / allocation columns). *)
-
 val of_telemetry : ?top:int -> unit -> t
 (** Snapshot of the default metrics registry plus, when a trace sink is
-    installed, its span count (and drops), per-name summary, root wall
-    time, and the top [top] (default 20) hot paths by exact self-time —
-    embedded in analyze reports so one JSON file carries results and
-    run telemetry. *)
-
-val of_audit : tol:float -> Em_core.Audit.t -> t
-(** One structure's audit record: margin/threshold, residuals, the
-    violation list gated at [tol], top-k critical-path contributions,
-    and solver-path provenance. *)
+    installed, its span count (and drops), per-name rollups
+    ({!Obs.Trace.aggregate}), root wall time, and the top [top]
+    (default 20) hot paths by exact self-time ([path] as an array of
+    span names, count, total/self microseconds, allocation) — embedded
+    in analyze reports so one JSON file carries results and run
+    telemetry. *)
 
 val of_audit_report : tol:float -> Em_core.Audit.t option array -> t
 (** The ["audit"] object of an audited analyze report: run-level
     aggregates (structures audited, violation count, worst residual,
-    minimum margin) plus one {!of_audit} entry per audited structure. *)
-
-val of_diag : Em_core.Diag.t -> t
-(** Object with [severity] / [code] / [source] / [message]; [severity]
-    uses the stable strings of {!Em_core.Diag.severity_to_string}. *)
+    minimum margin) plus one entry per audited structure (margin and
+    threshold, residuals, the violation list gated at [tol], top-k
+    critical-path contributions, solver-path provenance). *)
 
 val of_diags : Em_core.Diag.t list -> t
+(** Objects with [severity] / [code] / [source] / [message]; [severity]
+    uses the stable strings of {!Em_core.Diag.severity_to_string}. *)
 
 val of_flow_result : Em_flow.result -> t
 (** Confusion matrix, structure/segment counts and timings; the

@@ -71,8 +71,6 @@ let run p name f =
 
 let stages p = List.rev p.rev_stages
 
-let total_wall p = List.fold_left (fun acc s -> acc +. s.wall_s) 0. (stages p)
-
 let pp_words ppf w =
   if w >= 1e9 then Fmt.pf ppf "%.2fGw" (w /. 1e9)
   else if w >= 1e6 then Fmt.pf ppf "%.2fMw" (w /. 1e6)

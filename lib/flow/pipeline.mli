@@ -50,8 +50,6 @@ val run : t -> string -> (unit -> 'a) -> 'a
 val stages : t -> stage list
 (** Stages in execution order. *)
 
-val total_wall : t -> float
-
 val pp_stage : stage Fmt.t
 (** One line: name, wall, cpu, allocated words; failed stages are
     suffixed with [FAILED]. *)

@@ -1,23 +1,20 @@
-(* Live run state + the 1 Hz process monitor feeding /metrics and
-   /healthz (Serve).
+(* Live run state + the process gauges feeding /metrics and /healthz
+   (Serve).
 
    Run-state publication is a handful of atomics written by the flow
    (Pipeline stage starts, Em_flow per-structure completion) and read
-   by whoever asks — the monitor domain, the HTTP listener domain, the
-   CLI. Like every obs subsystem it is gated by one global flag, off by
-   default: a disabled call is one atomic load and a branch.
+   by whoever asks — the HTTP listener domain, the CLI. Like every obs
+   subsystem it is gated by one global flag, off by default: a disabled
+   call is one atomic load and a branch.
 
-   The monitor is a dedicated domain behind a CAS singleton flag that
-   always takes at least one sample, plus a final sample on stop so
-   even sub-period runs publish. Everything a sample reads is an atomic
-   or a [Gc.quick_stat] in the monitor's own domain — the worked-on
-   domains are never touched. *)
+   The process gauges are sampled when they are read ([sample_now]
+   before a /metrics scrape or a metrics export), so no domain runs
+   just to refresh them. A sample reads atomics and a [Gc.quick_stat]
+   on the reading domain — the worked-on domains are never touched. *)
 
 let enabled_flag = Atomic.make false
 
 let set_enabled b = Atomic.set enabled_flag b
-
-let is_enabled () = Atomic.get enabled_flag
 
 let with_enabled b f =
   let prev = Atomic.get enabled_flag in
@@ -104,7 +101,7 @@ let runs_json () =
   | None -> "{\"enabled\":false}"
 
 (* ------------------------------------------------------------------ *)
-(* Monitor gauges                                                      *)
+(* Process and run gauges, sampled on read                             *)
 
 let g_uptime =
   Metrics.gauge ~help:"Seconds since process start" "process_uptime_seconds"
@@ -134,7 +131,8 @@ let g_structs_total =
     "em_run_structures_total"
 
 (* Per-phase gauges are created on first sight (gauge registration is
-   idempotent and mutex-protected; at 1 Hz the cost is irrelevant). The
+   idempotent and mutex-protected; at scrape rate the cost is
+   irrelevant). The
    table remembers what exists so stale entries can be zeroed — a phase
    gauge behaves like a Prometheus "info" metric: the current phase
    reads 1, every previously seen phase reads 0. *)
@@ -166,9 +164,8 @@ let sample_now () =
     (float_of_int stat.Gc.major_collections);
   let sdone, stotal = structures () in
   let cur_phase = phase () in
-  (* The gauge table is only touched here and the monitor is a CAS
-     singleton, but [sample_now] is also public (tests, pre-scrape
-     refresh), so keep it consistent under a lock. *)
+  (* The gauge table is only touched here, but the listener domain and
+     the CLI may sample at once, so keep it consistent under a lock. *)
   Mutex.lock phase_mu;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock phase_mu)
@@ -180,40 +177,3 @@ let sample_now () =
         phase_gauges);
   Metrics.set_gauge g_structs_done (float_of_int sdone);
   Metrics.set_gauge g_structs_total (float_of_int stotal)
-
-(* ------------------------------------------------------------------ *)
-(* The monitor domain                                                  *)
-
-type monitor = { m_stop : bool Atomic.t; m_domain : unit Domain.t }
-
-let default_period_s = 1.0
-
-let running_flag = Atomic.make false
-
-let is_running () = Atomic.get running_flag
-
-let start ?(period_s = default_period_s) () =
-  if not (Float.is_finite period_s) || period_s <= 0. then
-    invalid_arg "Runtime.start: period must be a positive finite duration";
-  if not (Atomic.compare_and_set running_flag false true) then
-    invalid_arg "Runtime.start: a monitor is already running";
-  let stop = Atomic.make false in
-  let domain =
-    Domain.spawn (fun () ->
-        let live = ref true in
-        (* Always sample at least once, and exit without sleeping when
-           stopped so [stop] latency is one sample, not one period. *)
-        while !live do
-          sample_now ();
-          if Atomic.get stop then live := false else Unix.sleepf period_s
-        done)
-  in
-  { m_stop = stop; m_domain = domain }
-
-let stop m =
-  Atomic.set m.m_stop true;
-  Domain.join m.m_domain;
-  (* One final sample so gauges reflect the end state (e.g. structures
-     done = total) even when the run finished mid-period. *)
-  sample_now ();
-  Atomic.set running_flag false

@@ -1,4 +1,4 @@
-(** Live run state and a continuous process monitor.
+(** Live run state and the process gauges.
 
     Two halves, both feeding the live telemetry endpoints ({!Serve}):
 
@@ -12,19 +12,15 @@
        branch, cheap enough for the per-structure hot path and proven
        result-neutral by the same qcheck equivalence property that
        covers the rest of [lib/obs].}
-    {- {e Monitor}: {!start} spawns a low-rate background domain
-       (default 1 Hz) that republishes the run state plus process
-       gauges — uptime, GC heap and allocation totals, collection
-       counts — into the default {!Metrics} registry, so a bare
-       [/metrics] scrape shows run progress even with tracing off.
-       Sampling never touches the worked-on domains: everything it
-       reads is an atomic or a [Gc.quick_stat] call in its own
-       domain.}} *)
+    {- {e Process gauges}: {!sample_now} publishes the run state plus
+       uptime, GC heap and allocation totals and collection counts into
+       the default {!Metrics} registry. Readers call it first (every
+       [/metrics] scrape, the CLI's metrics exports), so no domain runs
+       just to refresh them; it reads only atomics and a
+       [Gc.quick_stat] on the calling domain.}} *)
 
 val set_enabled : bool -> unit
 (** Globally enable/disable run-state publication. *)
-
-val is_enabled : unit -> bool
 
 val with_enabled : bool -> (unit -> 'a) -> 'a
 (** Run with the flag set, restoring the previous value afterwards
@@ -93,26 +89,9 @@ val runs_json : unit -> string
 (** What [GET /runs] serves: the provider's output, or
     [{"enabled":false}] when none is installed. *)
 
-(** {1 Monitor} *)
-
-type monitor
-
-val default_period_s : float
-(** 1 second between samples. *)
-
-val start : ?period_s:float -> unit -> monitor
-(** Spawn the monitor domain. At most one monitor runs at a time;
-    raises [Invalid_argument] on a second concurrent [start] or a
-    non-positive period. Gauges land in the default {!Metrics} registry
-    and therefore require {!Metrics.set_enabled}[ true] to move. *)
-
-val stop : monitor -> unit
-(** Signal the monitor, take one final sample (so short runs still
-    publish), and join the domain. *)
-
-val is_running : unit -> bool
+(** {1 Process gauges} *)
 
 val sample_now : unit -> unit
-(** Publish one sample of every monitor gauge immediately — what the
-    monitor domain does each tick; exposed for tests and for callers
-    that want fresh gauges right before a scrape. *)
+(** Publish one sample of every process and run gauge. Gauges land in
+    the default {!Metrics} registry and therefore require
+    {!Metrics.set_enabled}[ true] to move. Safe from any domain. *)

@@ -45,7 +45,10 @@ let empty_trace_json = "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}"
 
 let default_routes () =
   [
-    ("/metrics", fun () -> (prometheus_content_type, Metrics.to_prometheus ()));
+    ( "/metrics",
+      fun () ->
+        Runtime.sample_now ();
+        (prometheus_content_type, Metrics.to_prometheus ()) );
     ("/healthz", fun () -> ("application/json", healthz_json ()));
     ( "/trace",
       fun () ->

@@ -8,7 +8,8 @@
     {ul
     {- [GET /metrics] — Prometheus text exposition
        ({!Metrics.to_prometheus}, [Content-Type: text/plain;
-       version=0.0.4]) of the default registry;}
+       version=0.0.4]) of the default registry, after one
+       {!Runtime.sample_now} so the process gauges are current;}
     {- [GET /healthz] — JSON liveness: status, uptime, current pipeline
        phase, structures done/total, the ledger [run_id] being recorded
        ([null] unless [--record-run] is active) and [audit_enabled]

@@ -208,7 +208,75 @@ let test_analyze_stages () =
            (fun st -> Option.bind (Ji.member "name" st) Ji.string_value)
            stages);
       Alcotest.(check bool) "solve span traced" true
-        (T_obs.contains (read_file trace) {|"name":"solve"|}))
+        (T_obs.contains (read_file trace) {|"name":"solve"|});
+      (* stats runs the same stages, so its stage lines name them all. *)
+      let r = run_cmd (Printf.sprintf "%s stats %s" emcheck deck) in
+      Alcotest.(check int) "stats exit 0" 0 r.code;
+      let stage_lines =
+        List.filter_map
+          (fun l ->
+            match String.split_on_char ' ' (String.trim l) with
+            | name :: _ when T_obs.contains l "s wall" -> Some name
+            | _ -> None)
+          (String.split_on_char '\n' r.out)
+      in
+      Alcotest.(check (list string))
+        "stats stage lines"
+        [ "parse"; "lint"; "solve"; "extract"; "analyze"; "classify" ]
+        stage_lines)
+
+(* A deck without supplies fails lint: explain and stats refuse it the
+   way analyze does, in one line naming the failing check. *)
+let test_lint_refusal () =
+  let lines = String.split_on_char '\n' (read_file deck) in
+  let bad = tmp_name "nosupply" ^ ".sp" in
+  Out_channel.with_open_text bad (fun oc ->
+      output_string oc
+        (String.concat "\n"
+           (List.filter (fun l -> not (String.starts_with ~prefix:"V" l)) lines)));
+  Fun.protect
+    ~finally:(fun () -> rm_f bad)
+    (fun () ->
+      List.iter
+        (fun (cmd, args, want_code) ->
+          let r = run_cmd (Printf.sprintf "%s %s %s%s" emcheck cmd bad args) in
+          let err = String.trim r.err in
+          (match want_code with
+          | Some c -> Alcotest.(check int) (cmd ^ ": exit code") c r.code
+          | None -> Alcotest.(check bool) (cmd ^ ": nonzero exit") true (r.code <> 0));
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: one line naming no-supply: %S" cmd err)
+            true
+            (T_obs.contains err "no-supply" && not (String.contains err '\n')))
+        [ ("analyze", "", None); ("explain", " 0", Some 2); ("stats", "", None) ])
+
+(* Process gauges are sampled when read: a --metrics file carries the
+   uptime and heap size, not the zeros of a never-run sampler. *)
+let test_metrics_process_gauges () =
+  let prom = tmp_name "metrics" ^ ".prom" in
+  Fun.protect
+    ~finally:(fun () -> rm_f prom)
+    (fun () ->
+      let r =
+        run_cmd (Printf.sprintf "%s analyze %s --metrics %s" emcheck deck prom)
+      in
+      Alcotest.(check int) "exit 0" 0 r.code;
+      let value name =
+        List.find_map
+          (fun l ->
+            match String.split_on_char ' ' l with
+            | [ n; v ] when n = name -> float_of_string_opt v
+            | _ -> None)
+          (String.split_on_char '\n' (read_file prom))
+      in
+      List.iter
+        (fun name ->
+          match value name with
+          | Some v when v > 0. -> ()
+          | v ->
+            Alcotest.failf "%s: expected a positive sample, got %s" name
+              (match v with Some v -> string_of_float v | None -> "none"))
+        [ "process_uptime_seconds"; "ocaml_gc_heap_words" ])
 
 (* ---------------------------------------------------------------- *)
 (* record-run -> diff -> history                                     *)
@@ -320,6 +388,8 @@ let suites =
         case "hostile solves end in one diagnostic" test_analyze_hostile_solve;
         case "overflowing value: a line error" test_analyze_non_finite_value;
         case "parse, lint and solve are pipeline stages" test_analyze_stages;
+        case "lint refusal names the failing check" test_lint_refusal;
+        case "--metrics samples the process gauges" test_metrics_process_gauges;
       ] );
     ( "cli.ledger",
       [ slow_case "record-run, diff, history round trip" test_record_diff_history ] );

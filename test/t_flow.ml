@@ -438,6 +438,14 @@ let test_layer_report_mortal_consistency () =
 
 module Fx = Emflow.Fixer
 
+let compact_of (es : Ex.em_structure) =
+  {
+    Ex.cs_layer_level = es.Ex.layer_level;
+    compact = Cc.of_structure es.Ex.structure;
+    cs_node_names = es.Ex.node_names;
+    cs_element_ids = es.Ex.element_ids;
+  }
+
 let stressed_structures () =
   let g = small_grid () in
   let scaled, _ = Ir.scale_to_ir g ~target:0.05 in
@@ -459,7 +467,8 @@ let test_fixer_plan_and_verify () =
       Alcotest.(check bool) "widen > 1" true (f.Fx.widen > 1.);
       Alcotest.(check bool) "positive cost" true (f.Fx.extra_area > 0.))
     plan.Fx.fixes;
-  Alcotest.(check bool) "plan verifies" true (Fx.verify structures plan);
+  Alcotest.(check bool) "plan verifies" true
+    (Fx.verify (List.map compact_of structures) plan);
   (* Costliest first. *)
   let rec sorted = function
     | a :: (b :: _ as rest) -> a.Fx.extra_area >= b.Fx.extra_area && sorted rest
@@ -477,13 +486,15 @@ let test_fixer_widening_semantics () =
       |]
   in
   let alpha = 2.5 in
-  let widened = Fx.apply_widening s alpha in
-  for k = 0 to St.num_segments s - 1 do
-    T_helpers.check_close ~rtol:1e-12 "current preserved" (St.current s k)
-      (St.current widened k)
+  let c = Cc.of_structure s in
+  let widened = Fx.apply_widening c alpha in
+  let current (c : Cc.t) k = c.Cc.j.(k) *. c.Cc.wh.(k) in
+  for k = 0 to Cc.num_segments c - 1 do
+    T_helpers.check_close ~rtol:1e-12 "current preserved" (current c k)
+      (current widened k)
   done;
-  let before = Em_core.Steady_state.solve M.cu_dac21 s in
-  let after = Em_core.Steady_state.solve M.cu_dac21 widened in
+  let before = Em_core.Steady_state.solve_compact M.cu_dac21 c in
+  let after = Em_core.Steady_state.solve_compact M.cu_dac21 widened in
   Array.iteri
     (fun v sigma ->
       T_helpers.check_close ~rtol:1e-9 ~atol:1e0 "stress scaled"
@@ -1557,6 +1568,101 @@ let test_reports_match_oracles () =
   Alcotest.(check bool) "pg2 has mortal structures" true
     (check_reports_match "pg2" (stressed_preset Gg.Pg2) > 0)
 
+(* The compact verification against the boxed oracle, fix by fix: the
+   planned widening makes the structure immortal in both, and 1% short
+   of the bare slack (0.99 x peak / sigma_crit) leaves it mortal in
+   both, so such a plan is rejected. *)
+let widen_boxed s alpha =
+  St.make ~num_nodes:(St.num_nodes s)
+    (Array.init (St.num_segments s) (fun k ->
+         let tail, head = St.endpoints s k in
+         let seg = St.seg s k in
+         ( tail,
+           head,
+           {
+             seg with
+             St.width = seg.St.width *. alpha;
+             St.current_density = seg.St.current_density /. alpha;
+           } )))
+
+let check_verify_matches_oracle name compacts =
+  let r = Flow.run_on_compact compacts in
+  let analyzed =
+    List.filteri (fun i _ -> r.Flow.structure_stats.(i).Flow.st_ok) compacts
+  in
+  let plan = Fx.plan_of_result compacts r in
+  let arr = Array.of_list analyzed in
+  let sigma_crit = M.effective_critical_stress M.cu_dac21 in
+  if not (Fx.verify analyzed plan) then Alcotest.failf "%s: plan fails verification" name;
+  List.iter
+    (fun (f : Fx.fix) ->
+      let boxed = (Ex.boxed_view arr.(f.Fx.index)).Ex.structure in
+      let short = 0.99 *. f.Fx.max_stress /. sigma_crit in
+      List.iter
+        (fun (widen, immortal) ->
+          let one = { plan with Fx.fixes = [ { f with Fx.widen } ] } in
+          let oracle =
+            (Im.check M.cu_dac21 (widen_boxed boxed widen)).Im.structure_immortal
+          in
+          if Fx.verify analyzed one <> immortal || oracle <> immortal then
+            Alcotest.failf "%s: fix %d at widen %g: compact %b, boxed %b, want %b"
+              name f.Fx.index widen (Fx.verify analyzed one) oracle immortal)
+        [ (f.Fx.widen, true); (short, false) ])
+    plan.Fx.fixes;
+  List.length plan.Fx.fixes
+
+let test_fixer_verify_matches_oracle () =
+  Alcotest.(check bool) "pg1 has fixes" true
+    (check_verify_matches_oracle "pg1" (stressed_preset Gg.Pg1) > 0);
+  Alcotest.(check bool) "pg2 has fixes" true
+    (check_verify_matches_oracle "pg2" (stressed_preset Gg.Pg2) > 0)
+
+(* The library's deck -> verdict diagnostics are the CLI's: on a
+   corrupted deck under a keep-going budget, `analyze --keep-going
+   --json` reports the same list, plus its own Blech false-positive
+   warning. *)
+let test_run_deck_diags_match_cli () =
+  let module Ji = Emflow.Json_in in
+  let bad = Filename.temp_file "t_flow-corrupted" ".sp" in
+  let json = Filename.temp_file "t_flow-corrupted" ".json" in
+  Out_channel.with_open_text bad (fun oc ->
+      output_string oc (T_cli.read_file T_cli.deck);
+      output_string oc "R_bad n1 n2 notanumber\nQ9 a b 5\nR_neg n3 n4 -3\n");
+  Fun.protect
+    ~finally:(fun () ->
+      T_cli.rm_f bad;
+      T_cli.rm_f json)
+    (fun () ->
+      let _, v =
+        Flow.run_deck ~keep_going:Spice.Parser.default_max_errors
+          ~tech:Pdn.Tech.ibm_like bad
+      in
+      Alcotest.(check int) "three skipped lines" 3
+        (List.length
+           (List.filter (fun (d : Em_core.Diag.t) -> d.Em_core.Diag.code = "parse-error")
+              v.Flow.diags));
+      let r =
+        T_cli.run_cmd
+          (Printf.sprintf "%s analyze %s --keep-going --json %s" T_cli.emcheck bad
+             json)
+      in
+      Alcotest.(check int) "analyze exits 1" 1 r.T_cli.code;
+      let cli =
+        match Ji.list_value (T_cli.get "diagnostics" (T_cli.json_of_file json)) with
+        | Some ds ->
+          List.filter
+            (fun d ->
+              Option.bind (Ji.member "code" d) Ji.string_value
+              <> Some "blech-false-positive")
+            ds
+        | None -> Alcotest.fail "diagnostics is not a list"
+      in
+      let lib =
+        Ji.parse_exn (Emflow.Json_out.to_string (Emflow.Json_out.of_diags v.Flow.diags))
+      in
+      Alcotest.(check bool) "same diagnostics, same order" true
+        (Emflow.Json_out.List cli = lib))
+
 let suites =
   [
     ( "flow.extract",
@@ -1583,6 +1689,8 @@ let suites =
         case "pipeline counts worker-domain allocation"
           test_pipeline_counts_worker_alloc;
         case "MNA residual out of bounds is an error" test_mna_residual_diag;
+        case "keep-going deck diagnostics equal the CLI's"
+          test_run_deck_diags_match_cli;
       ] );
     ( "flow.fault_isolation",
       [
@@ -1624,6 +1732,8 @@ let suites =
         case "widening semantics" test_fixer_widening_semantics;
         case "safety guard / monotone cost" test_fixer_safety_guard;
         case "grid repair loop converges" test_fixer_iterate_converges;
+        case "compact verify agrees with the boxed oracle"
+          test_fixer_verify_matches_oracle;
       ] );
     ( "flow.stage2",
       [

@@ -401,6 +401,8 @@ let test_concurrent_scrapes_during_solve () =
       T_obs.check_segments_bit_identical clean.Flow.segments
         scraped.Flow.segments)
 
+(* The process monitor is the gauge sample every /metrics scrape takes
+   on the listener domain. *)
 let test_scrape_equivalence =
   qcheck ~count:4
     "serving + monitor + scrapes leave analysis results bit-identical"
@@ -408,13 +410,9 @@ let test_scrape_equivalence =
     (fun jobs ->
       let compacts, clean = Lazy.force T_obs.equiv_fixture in
       let server = Sv.start ~port:0 () in
-      let monitor =
-        if Rt.is_running () then None else Some (Rt.start ~period_s:0.02 ())
-      in
       let result =
         Fun.protect
           ~finally:(fun () ->
-            Option.iter Rt.stop monitor;
             Sv.stop server;
             Rt.reset ())
           (fun () ->
