@@ -138,9 +138,8 @@ let run cfg =
         done)
   in
   let timed_flow () =
-    Obs.Runtime.with_enabled true (fun () ->
-        B_util.wall (fun () ->
-            Mx.with_enabled true (fun () -> Flow.run_on_compact compacts)))
+    B_util.wall (fun () ->
+        Mx.with_enabled true (fun () -> Flow.run_on_compact compacts))
   in
   (* Interleave idle and scraped repetitions so both best-of timings
      sample the same machine conditions (rendezvous jitter dominates

@@ -116,14 +116,9 @@ let run cfg =
   B_util.note "runtimes stay in seconds-to-minutes at million-edge scale.";
   (* Per-layer view of the smallest grid: where the filter errors live. *)
   (match results with
-  | (_, grid, _) :: _ ->
-    let sol = Spice.Mna.solve grid.Gg.netlist in
-    let structures =
-      List.map Emflow.Extract.boxed_view
-        (Emflow.Extract.extract_compact ~tech:grid.Gg.tech sol)
-    in
+  | (_, _, r) :: _ ->
     print_newline ();
     Printf.printf "Per-layer breakdown (ibmpg1-like):\n";
-    Rp.print (Emflow.Layer_report.to_table (Emflow.Layer_report.analyze structures))
+    Rp.print (Emflow.Layer_report.to_table (Emflow.Layer_report.of_result r))
   | [] -> ());
   results

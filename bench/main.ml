@@ -94,7 +94,6 @@ let () =
           )
       in
       Obs.Metrics.set_enabled true;
-      Obs.Runtime.set_enabled true;
       let server = Obs.Serve.start ~addr ~port () in
       Printf.printf "live telemetry on http://%s:%d/\n%!" addr
         (Obs.Serve.port server);
@@ -135,6 +134,5 @@ let () =
       | None -> ()
       | Some server ->
         Obs.Serve.stop server;
-        Obs.Runtime.set_enabled false;
         Obs.Metrics.set_enabled false)
     (fun () -> List.iter run_one experiments)

@@ -325,18 +325,17 @@ let parse_listen spec =
       (Printf.sprintf "--listen %s: expected [ADDR:]PORT with a port in 0..65535"
          spec)
 
-(* Start the endpoint server. Metrics and run-state publication must be
-   on for the gauges to move (each /metrics scrape samples the process
-   gauges first); tracing and profiling stay under their own flags
-   (--trace/--profile), so /trace and /profile serve empty-but-valid
-   documents unless those were also requested. *)
+(* Start the endpoint server. Metrics must be on for the gauges to move
+   (each /metrics scrape samples the process gauges first); tracing and
+   profiling stay under their own flags (--trace/--profile), so /trace
+   and /profile serve empty-but-valid documents unless those were also
+   requested. *)
 let start_live ~listen () =
   match listen with
   | None -> None
   | Some spec ->
     let addr, port = parse_listen spec in
     Obs.Metrics.set_enabled true;
-    Obs.Runtime.set_enabled true;
     let server =
       try Obs.Serve.start ~addr ~port ()
       with Unix.Unix_error (err, _, _) ->
@@ -355,7 +354,6 @@ let stop_live live =
   Option.iter
     (fun server ->
       Obs.Serve.stop server;
-      Obs.Runtime.set_enabled false;
       Printf.printf "Live telemetry server stopped after %d requests\n%!"
         (Obs.Serve.requests_served server))
     live

@@ -5,9 +5,9 @@
    The exact checks re-evaluate the solver's own floating-point
    expressions — the Schedule replay for the Blech sums, the fixed-order
    segment sweep for A/Q, and [beta *. (q_over_a -. b_i)] for the
-   stresses — against the returned solution. Every solver path (boxed,
-   columnar, BFS-reordered) is bit-identical by contract, so any nonzero
-   exact residual is a broken solver path, not rounding. *)
+   stresses — against the returned solution. The boxed and columnar
+   solves are bit-identical by contract, so any nonzero exact residual
+   is a broken solver, not rounding. *)
 
 module Ss = Steady_state
 module Cc = Compact
@@ -42,7 +42,6 @@ type t = {
   au_residuals : residuals;
   au_path : contribution array;
   au_top : contribution array;
-  au_solver : string;
 }
 
 let default_tol = 1e-9
@@ -85,9 +84,7 @@ let blech_replay_residual (sched : Ss.Schedule.t) (c : Cc.t) b =
 
 (* Recompute A and Q with the solver's exact sweep (segment order,
    expression shape) from the solution's Blech sums. Bit-equal inputs
-   and operations give bit-equal sums on every solver path: the
-   reordered solve preserves segment order and gathers bit-equal [b]
-   values back to original ids. *)
+   and operations give bit-equal sums. *)
 let norm_residual (c : Cc.t) (sol : Ss.solution) =
   let m = Cc.num_segments c in
   let whs = c.Cc.wh and lengths = c.Cc.length and js = c.Cc.j in
@@ -218,7 +215,7 @@ let top_contributions path k =
     sorted;
   Array.sub sorted 0 (min k (Array.length sorted))
 
-let check ?(index = -1) ?(layer = -1) ?(top_k = default_top_k) ~solver
+let check ?(index = -1) ?(layer = -1) ?(top_k = default_top_k)
     material (c : Cc.t) (sol : Ss.solution) =
   if top_k < 0 then invalid_arg "Audit.check: top_k < 0";
   let sched = Ss.Schedule.make ~reference:sol.Ss.reference c in
@@ -252,7 +249,6 @@ let check ?(index = -1) ?(layer = -1) ?(top_k = default_top_k) ~solver
     au_residuals = residuals;
     au_path = path;
     au_top = top_contributions path top_k;
-    au_solver = solver;
   }
 
 let exact_residual t =
@@ -455,7 +451,7 @@ let pp ppf t =
      (%.2f%%)@,\
      residuals: blech-replay %.3e, normalization %.3e, telescope %.3e \
      (exact); flux %.3e, mass %.3e (tol); kcl %.3e (info)@,\
-     solver: %s@]"
+     solver: compact@]"
     t.au_index t.au_layer t.au_nodes t.au_segments
     (if t.au_immortal then "immortal" else "MORTAL")
     (t.au_max_stress *. 1e-6)
@@ -464,4 +460,4 @@ let pp ppf t =
     (t.au_margin *. 1e-6)
     (100. *. t.au_rel_margin)
     r.blech_replay r.norm_recompute r.stress_telescope r.flux_rel r.mass_rel
-    r.kcl_interior_rel t.au_solver
+    r.kcl_interior_rel

@@ -4,8 +4,8 @@
     are a deterministic replay of the BFS {!Steady_state.Schedule}, the
     normalization constants [A]/[Q] are one fixed-order sweep over the
     segment columns, and every node stress is
-    [beta * (Q/A - B_i)]. Because every solver path (boxed, columnar,
-    BFS-reordered) is bit-identical by contract, an audit that re-evaluates those same floating-point
+    [beta * (Q/A - B_i)]. Because the boxed and columnar solves are
+    bit-identical by contract, an audit that re-evaluates those same floating-point
     expressions against the returned solution must reproduce it {e to
     the bit} — the exact residuals below are [0.0], not merely small,
     on a healthy run, and any nonzero value means a solver path broke
@@ -25,8 +25,7 @@
     segment attribution of the critical Blech path — the tree path from
     the reference to the most stressed node, each step contributing
     [-beta * sign * j * l] to the peak stress — so every verdict can be
-    explained and ranked, and the name of the solve route that produced
-    the solution. *)
+    explained and ranked. *)
 
 (** One step of the critical Blech path, in root-to-peak order. *)
 type contribution = {
@@ -74,9 +73,6 @@ type t = {
       (** the whole critical path, reference to [au_max_node] *)
   au_top : contribution array;
       (** top-k path steps by [|ct_delta|] (largest first) *)
-  au_solver : string;
-      (** solve route: ["compact"] or ["reordered"] (the BFS-relabeled
-          solve large structures take) *)
 }
 
 val default_tol : float
@@ -90,7 +86,6 @@ val check :
   ?index:int ->
   ?layer:int ->
   ?top_k:int ->
-  solver:string ->
   Material.t ->
   Compact.t ->
   Steady_state.solution ->

@@ -116,15 +116,16 @@ val total_length : t -> float
 
 val is_connected : t -> bool
 
-(** {1 Cache-aware node reordering}
+(** {1 Node relabeling}
 
     Relabeling the nodes so memory order matches traversal order keeps
     the solver's frontier expansions streaming through the [b]/[stress]
-    columns instead of striding across them — the fix for the
-    throughput cliff between 3k and 30k edges. The permutation is a
-    pure relabeling: segment ids and segment order never change, and
-    the id maps translate node-indexed results back to original ids for
-    diagnostics and reports. *)
+    columns instead of striding across them. No product route relabels:
+    the scaling bench's [reordered] column times this layout experiment
+    against the plain solve, and the fingerprint tests use it to check
+    relabel invariance. The permutation is a pure relabeling: segment
+    ids and segment order never change, and the id maps translate
+    node-indexed results back to original ids. *)
 
 type reordered = {
   compact : t;           (** the relabeled structure *)

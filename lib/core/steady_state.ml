@@ -273,33 +273,6 @@ let solve_compact ?reference ?ws material (c : Compact.t) =
   Obs.Metrics.inc solves_total;
   { reference; node_stress = stress; blech_sum = b; volume = !volume; q = !q; beta }
 
-(* ------------------------------------------------------------------ *)
-(* Reordered solve                                                     *)
-
-let solve_compact_reordered ?reference ?ws material (c : Compact.t) =
-  let n = Compact.num_nodes c in
-  let reference =
-    match reference with
-    | Some r ->
-      if r < 0 || r >= n then
-        invalid_arg "Steady_state.solve_compact_reordered: reference out of range";
-      r
-    | None -> Compact.default_reference c
-  in
-  let r = Compact.reorder ~root:reference c in
-  let pref = r.Compact.new_of_old.(reference) in
-  let sol = solve_compact ~reference:pref ?ws material r.Compact.compact in
-  (* Gather the node-indexed columns back to original ids, so callers
-     (diagnostics, JSON reports) never see permuted numbering. The
-     gather copies, so the result does not alias workspace buffers. *)
-  let inv = r.Compact.new_of_old in
-  let node_stress = Array.make n 0. and blech_sum = Array.make n 0. in
-  for v = 0 to n - 1 do
-    node_stress.(v) <- sol.node_stress.(inv.(v));
-    blech_sum.(v) <- sol.blech_sum.(inv.(v))
-  done;
-  { sol with reference; node_stress; blech_sum }
-
 let segment_stress sol s k =
   let tail, head = Structure.endpoints s k in
   (sol.node_stress.(tail), sol.node_stress.(head))

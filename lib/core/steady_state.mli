@@ -102,17 +102,6 @@ val solve_compact :
     [solve_compact] through the same workspace — copy them if they must
     outlive it. *)
 
-val solve_compact_reordered :
-  ?reference:int -> ?ws:Workspace.t -> Material.t -> Compact.t -> solution
-(** Cache-aware solve for large structures: relabel the nodes in BFS
-    discovery order with {!Compact.reorder} (from the reference node),
-    {!solve_compact} the permuted structure, and gather
-    [node_stress]/[blech_sum] back to {e original} node ids, so callers
-    and diagnostics never observe the permutation. Bit-identical to
-    {!solve_compact} on any connected structure, meshes included: the
-    permuted BFS replays the original discovery order. The returned
-    arrays are freshly allocated (never alias the workspace). *)
-
 val segment_stress : solution -> Structure.t -> int -> float * float
 (** [(sigma_tail, sigma_head)] at a segment's endpoints; by Corollary 2
     the extreme stresses of the segment are attained there. *)

@@ -20,8 +20,6 @@ let pa_to_mpa x = x *. 1e-6
 
 let pa_to_gpa x = x *. 1e-9
 
-let a_per_m2 x = x
-
 let ma_per_cm2 x = x *. 1e10
 
 let a_per_um x = x *. 1e6

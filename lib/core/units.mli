@@ -26,9 +26,6 @@ val pa_to_gpa : float -> float
 
 (** {1 Current density and jl products} *)
 
-val a_per_m2 : float -> float
-(** Identity; included for symmetry when writing tables of constants. *)
-
 val ma_per_cm2 : float -> float
 (** Mega-amp per square centimetre to A/m^2 (1 MA/cm^2 = 1e10 A/m^2). *)
 

@@ -91,12 +91,6 @@ let gc_minor = gc_gauge "minor"
 let gc_major = gc_gauge "major"
 let gc_promoted = gc_gauge "promoted"
 
-(* Structures with at least this many nodes take the BFS-reordered
-   solve. Below it a structure fits the cache and the permutation setup
-   (CSR rebuild + result gather) costs more than it saves. DESIGN §8
-   has the measurements. *)
-let reorder_min_nodes = 16_384
-
 (* Numerical-audit configuration ([None] = auditing off, the default:
    the per-structure cost is then one [Option] branch). *)
 type audit_config = {
@@ -117,19 +111,11 @@ let default_audit_config =
    and the exact endpoint test read the flat columns directly. The
    arithmetic matches [Immortality.check] + [Blech.filter] on the boxed
    path expression for expression, so the confusion counts are
-   bit-identical.
-
-   Large structures take the cache-aware reordered solve, which is
-   bit-identical to the plain [solve_compact] and returns results in
-   original node ids, so the verdicts cannot depend on which path ran. *)
+   bit-identical. *)
 let analyze_one material with_maxpath ~audit ~index ws
     (cs : Extract.compact_structure) =
   let c = cs.Extract.compact in
-  let reordered = Cc.num_nodes c >= reorder_min_nodes in
-  let sol =
-    if reordered then Ss.solve_compact_reordered ~ws material c
-    else Ss.solve_compact ~ws material c
-  in
+  let sol = Ss.solve_compact ~ws material c in
   (* The audit must run before the finiteness scan can throw and, more
      importantly, before the next solve through the same workspace
      overwrites the aliased solution arrays. *)
@@ -139,9 +125,7 @@ let analyze_one material with_maxpath ~audit ~index ws
     | Some cfg ->
       let a =
         Au.check ~index ~layer:cs.Extract.cs_layer_level
-          ~top_k:cfg.audit_top_k
-          ~solver:(if reordered then "reordered" else "compact")
-          material c sol
+          ~top_k:cfg.audit_top_k material c sol
       in
       Au.publish ~tol:cfg.audit_tol a;
       Some a

@@ -12,9 +12,7 @@
     {!Em_core.Compact.t} path through per-domain
     {!Em_core.Steady_state.Workspace} scratch buffers, so it both
     parallelizes over domains and allocates (near) nothing per
-    structure. A structure of 16,384 nodes or more takes the
-    BFS-reordered solve ({!Em_core.Steady_state.solve_compact_reordered},
-    bit-identical to the plain one); every other structure takes
+    structure. Every structure takes
     {!Em_core.Steady_state.solve_compact}.
 
     Fault isolation: analysis failures are captured {e per structure} —

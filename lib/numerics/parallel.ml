@@ -113,16 +113,6 @@ let map_local_result ?jobs ~local f xs =
   let jobs = clamp_jobs ~who:"Parallel.map_local_result" ~n:(Array.length xs) jobs in
   run_slots ~jobs ~local f xs
 
-let map_result ?jobs f xs =
-  let jobs = clamp_jobs ~who:"Parallel.map_result" ~n:(Array.length xs) jobs in
-  run_slots ~jobs ~local:(fun () -> ()) (fun () x -> f x) xs
-
-let map_local ?jobs ~local f xs =
-  let jobs = clamp_jobs ~who:"Parallel.map_local" ~n:(Array.length xs) jobs in
-  unwrap_slots (run_slots ~jobs ~local f xs)
-
 let map ?jobs f xs =
   let jobs = clamp_jobs ~who:"Parallel.map" ~n:(Array.length xs) jobs in
   unwrap_slots (run_slots ~jobs ~local:(fun () -> ()) (fun () x -> f x) xs)
-
-let map_list ?jobs f xs = Array.to_list (map ?jobs f (Array.of_list xs))

@@ -203,17 +203,6 @@ let identity n =
   done;
   Builder.to_csr b
 
-let of_dense d =
-  let nrows = Dense.rows d and ncols = Dense.cols d in
-  let b = Builder.create nrows ncols in
-  for i = 0 to nrows - 1 do
-    for j = 0 to ncols - 1 do
-      let v = Dense.get d i j in
-      if v <> 0. then Builder.add b i j v
-    done
-  done;
-  Builder.to_csr b
-
 let to_dense m =
   let d = Dense.create m.nrows m.ncols in
   iter_entries m (fun i j v -> Dense.add_to d i j v);

@@ -65,8 +65,6 @@ val add_diagonal : t -> Vector.t -> t
 
 val identity : int -> t
 
-val of_dense : Dense.t -> t
-
 val to_dense : t -> Dense.t
 
 val is_symmetric : ?tol:float -> t -> bool

@@ -47,11 +47,6 @@ let sum x =
 
 let scale a x = Array.map (fun xi -> a *. xi) x
 
-let scale_inplace a x =
-  for i = 0 to Array.length x - 1 do
-    x.(i) <- a *. x.(i)
-  done
-
 let add x y =
   check_dims "add" x y;
   Array.mapi (fun i xi -> xi +. y.(i)) x

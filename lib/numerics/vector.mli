@@ -36,8 +36,6 @@ val sum : t -> float
 val scale : float -> t -> t
 (** [scale a x] is a fresh vector [a * x]. *)
 
-val scale_inplace : float -> t -> unit
-
 val add : t -> t -> t
 
 val sub : t -> t -> t

@@ -8,14 +8,6 @@ let level_to_string = function
   | Warn -> "warn"
   | Error -> "error"
 
-let level_of_string s =
-  match String.lowercase_ascii s with
-  | "debug" -> Some Debug
-  | "info" -> Some Info
-  | "warn" | "warning" -> Some Warn
-  | "error" -> Some Error
-  | _ -> None
-
 type output = Channel of out_channel | Buffer of Buffer.t
 
 type t = {

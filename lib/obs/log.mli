@@ -26,10 +26,6 @@ type level = Debug | Info | Warn | Error
 val level_to_string : level -> string
 (** ["debug"] | ["info"] | ["warn"] | ["error"]. *)
 
-val level_of_string : string -> level option
-(** Inverse of {!level_to_string} (case-insensitive); also accepts
-    ["warning"]. *)
-
 type output = Channel of out_channel | Buffer of Buffer.t
 (** Where a sink writes. Channels are flushed after every record (the
     stream must survive a crash); buffer sinks are for tests. *)

@@ -3,23 +3,13 @@
 
    Run-state publication is a handful of atomics written by the flow
    (Pipeline stage starts, Em_flow per-structure completion) and read
-   by whoever asks — the HTTP listener domain, the CLI. Like every obs
-   subsystem it is gated by one global flag, off by default: a disabled
-   call is one atomic load and a branch.
+   by whoever asks — the HTTP listener domain, the CLI. It is always
+   on: a publication is one atomic write, one per stage or structure.
 
    The process gauges are sampled when they are read ([sample_now]
    before a /metrics scrape or a metrics export), so no domain runs
    just to refresh them. A sample reads atomics and a [Gc.quick_stat]
    on the reading domain — the worked-on domains are never touched. *)
-
-let enabled_flag = Atomic.make false
-
-let set_enabled b = Atomic.set enabled_flag b
-
-let with_enabled b f =
-  let prev = Atomic.get enabled_flag in
-  Atomic.set enabled_flag b;
-  Fun.protect ~finally:(fun () -> Atomic.set enabled_flag prev) f
 
 (* ------------------------------------------------------------------ *)
 (* Run state                                                           *)
@@ -34,28 +24,23 @@ let structures_done = Atomic.make 0
 
 let structures_total = Atomic.make 0
 
-let set_phase name =
-  if Atomic.get enabled_flag then Atomic.set phase_state name
+let set_phase name = Atomic.set phase_state name
 
 let phase () = Atomic.get phase_state
 
 let set_structures_total n =
-  if Atomic.get enabled_flag then begin
-    (* Reset done first so a concurrent reader never sees done > total
-       from a previous batch against the new total. *)
-    Atomic.set structures_done 0;
-    Atomic.set structures_total (max 0 n)
-  end
+  (* Reset done first so a concurrent reader never sees done > total
+     from a previous batch against the new total. *)
+  Atomic.set structures_done 0;
+  Atomic.set structures_total (max 0 n)
 
-let structure_done () =
-  if Atomic.get enabled_flag then ignore (Atomic.fetch_and_add structures_done 1)
+let structure_done () = ignore (Atomic.fetch_and_add structures_done 1)
 
 let structures () = (Atomic.get structures_done, Atomic.get structures_total)
 
 (* Ledger correlation: the id of the run being recorded (--record-run),
    surfaced in /healthz so a scraper can join live telemetry with the
-   archived record. Not gated by the enabled flag — installing it is
-   the opt-in, like the providers below. *)
+   archived record. *)
 let run_id_state : string option Atomic.t = Atomic.make None
 
 let set_run_id id = Atomic.set run_id_state id
@@ -73,9 +58,8 @@ let reset () =
 
    The numerical-audit aggregate lives in em_core, which this library
    cannot depend on; the flow (or CLI) registers a snapshot renderer
-   here and the HTTP listener serves whatever it returns. Unlike the
-   run-state atomics this is not gated by the enabled flag: the
-   provider is only installed when auditing was explicitly requested. *)
+   here and the HTTP listener serves whatever it returns. The provider
+   is only installed when auditing was explicitly requested. *)
 
 let audit_provider : (unit -> string) option Atomic.t = Atomic.make None
 

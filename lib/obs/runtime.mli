@@ -7,11 +7,8 @@
        pipeline phase and per-structure progress through a few atomics
        ({!set_phase}, {!set_structures_total}, {!structure_done}), so a
        mid-run [/healthz] probe can answer "where is this run?" without
-       any tracing installed. Publication is gated by one global flag,
-       off by default: a disabled call is a single atomic load and
-       branch, cheap enough for the per-structure hot path and proven
-       result-neutral by the same qcheck equivalence property that
-       covers the rest of [lib/obs].}
+       any tracing installed. Publication is always on: each call is
+       one atomic write, cheap enough for the per-structure hot path.}
     {- {e Process gauges}: {!sample_now} publishes the run state plus
        uptime, GC heap and allocation totals and collection counts into
        the default {!Metrics} registry. Readers call it first (every
@@ -19,30 +16,22 @@
        just to refresh them; it reads only atomics and a
        [Gc.quick_stat] on the calling domain.}} *)
 
-val set_enabled : bool -> unit
-(** Globally enable/disable run-state publication. *)
-
-val with_enabled : bool -> (unit -> 'a) -> 'a
-(** Run with the flag set, restoring the previous value afterwards
-    (also on exceptions). *)
-
 (** {1 Run state} *)
 
 val set_phase : string -> unit
-(** Publish the current pipeline phase (e.g. ["analyze"]); no-op when
-    disabled. {!Pipeline.run} calls this at every stage start. *)
+(** Publish the current pipeline phase (e.g. ["analyze"]).
+    {!Pipeline.run} calls this at every stage start. *)
 
 val phase : unit -> string
-(** The last published phase, [""] if none. Readable regardless of the
-    flag (it simply stays empty when nothing was published). *)
+(** The last published phase, [""] if none. *)
 
 val set_structures_total : int -> unit
 (** Publish the number of structures the current batch will analyze and
-    reset the done counter to 0; no-op when disabled. *)
+    reset the done counter to 0. *)
 
 val structure_done : unit -> unit
-(** Count one structure as finished (successfully or fault-isolated);
-    no-op when disabled. Safe from any domain. *)
+(** Count one structure as finished (successfully or fault-isolated).
+    Safe from any domain. *)
 
 val structures : unit -> int * int
 (** [(done, total)] as last published. *)
@@ -54,8 +43,7 @@ val uptime_s : unit -> float
 val set_run_id : string option -> unit
 (** Publish (or clear) the run-ledger identifier of the recording in
     progress; surfaced as [run_id] in [/healthz] so scrapers can
-    correlate live telemetry with the archived run. Not gated by
-    {!set_enabled}: setting it is already the opt-in. *)
+    correlate live telemetry with the archived run. *)
 
 val run_id : unit -> string option
 
@@ -67,8 +55,7 @@ val reset : unit -> unit
 val set_audit_provider : (unit -> string) option -> unit
 (** Install (or clear, with [None]) the renderer behind [GET /audit].
     The provider returns a complete JSON document and must be safe to
-    call from the listener domain at any instant mid-run. Not gated by
-    {!set_enabled}: installing it is already the opt-in. *)
+    call from the listener domain at any instant mid-run. *)
 
 val audit_json : unit -> string
 (** What [GET /audit] serves: the provider's output, or

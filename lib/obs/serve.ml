@@ -2,8 +2,6 @@
    sequential accept, hostile-input-bounded request parsing. See the
    .mli for the architecture and DESIGN §7 for the rationale. *)
 
-type handler = unit -> string * string
-
 type t = {
   sv_addr : string;
   sv_port : int;
@@ -43,7 +41,10 @@ let healthz_json () =
 
 let empty_trace_json = "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}"
 
-let default_routes () =
+(* [(path, handler)] pairs. A handler returns [(content_type, body)];
+   it is evaluated per request on the listener domain, and an exception
+   turns into a [500]. *)
+let routes () =
   [
     ( "/metrics",
       fun () ->
@@ -260,12 +261,12 @@ let accept_loop ~sock ~stop ~served ~routes ~max_request_bytes
 
 let start ?(addr = "127.0.0.1") ?(max_request_bytes = default_max_request_bytes)
     ?(read_timeout_s = default_read_timeout_s)
-    ?routes ~port () =
+    ~port () =
   if max_request_bytes < 64 then
     invalid_arg "Serve.start: max_request_bytes < 64";
   if not (Float.is_finite read_timeout_s) || read_timeout_s <= 0. then
     invalid_arg "Serve.start: read timeout must be positive";
-  let routes = match routes with Some r -> r | None -> default_routes () in
+  let routes = routes () in
   let inet =
     try Unix.inet_addr_of_string addr
     with Failure _ -> invalid_arg ("Serve.start: bad address " ^ addr)

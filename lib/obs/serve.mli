@@ -48,24 +48,16 @@
 
 type t
 
-type handler = unit -> string * string
-(** A route returns [(content_type, body)]; evaluated per request on
-    the listener domain. An exception turns into a [500]. *)
-
-val default_routes : unit -> (string * handler) list
-(** The six endpoints above, as [(path, handler)] pairs. *)
-
 val start :
   ?addr:string ->
   ?max_request_bytes:int ->
   ?read_timeout_s:float ->
-  ?routes:(string * handler) list ->
   port:int ->
   unit ->
   t
 (** Bind [addr:port] (default address ["127.0.0.1"]; port [0] picks an
     ephemeral port — read it back with {!port}) and spawn the listener
-    domain. [routes] default to {!default_routes}; [max_request_bytes]
+    domain serving the seven endpoints above. [max_request_bytes]
     (default 8192) bounds the request head; [read_timeout_s] (default
     5 s) bounds how long a client may dawdle sending it. Raises
     [Unix.Unix_error] if the address cannot be bound (e.g. port in

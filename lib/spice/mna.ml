@@ -349,5 +349,3 @@ let node_voltage sol name =
   Option.map
     (fun i -> sol.voltages.(i))
     (Netlist.find_node sol.netlist name)
-
-let ir_drop sol ~supply = Array.map (fun v -> supply -. v) sol.voltages

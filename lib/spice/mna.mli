@@ -61,6 +61,3 @@ val resistor_current : solution -> int -> float
     voltages). *)
 
 val node_voltage : solution -> string -> float option
-
-val ir_drop : solution -> supply:float -> float array
-(** Per-node [supply - v]; callers restrict to the relevant net. *)

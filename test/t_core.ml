@@ -773,7 +773,7 @@ let test_compact_guards () =
            ~width:[| 1e-6 |] ~height:[| 2e-7 |] ~j:[| 0. |]))
 
 (* ---------------------------------------------------------------- *)
-(* Builder, reordered solve                                           *)
+(* Builder, node relabelling                                         *)
 
 let float_bits_identical a b =
   Array.length a = Array.length b
@@ -837,45 +837,33 @@ let test_builder_guards () =
   check_raises_invalid "empty builder" (fun () ->
       ignore (Cc.Builder.finish (Cc.Builder.create ()) ~num_nodes:2))
 
+(* Solve on the BFS-relabelled structure, gathered back to original
+   node ids: the invariant the scaling bench's [reordered] column
+   asserts. *)
+let reordered_stress c =
+  let r = Cc.reorder c in
+  let sol = Ss.solve_compact cu r.Cc.compact in
+  let gathered = Array.make (Cc.num_nodes c) 0. in
+  Array.iteri
+    (fun nw old -> gathered.(old) <- sol.Ss.node_stress.(nw))
+    r.Cc.old_of_new;
+  (r.Cc.old_of_new.(sol.Ss.reference), gathered)
+
 let prop_reordered_bit_identical (n, seed) =
   let c = Cc.of_structure (make_tree (n, seed)) in
   let sol = Ss.solve_compact cu c in
   let plain = Array.copy sol.Ss.node_stress in
   (* BFS replays the original discovery order on any connected graph. *)
-  let r = Ss.solve_compact_reordered cu c in
-  r.Ss.reference = sol.Ss.reference && float_bits_identical plain r.Ss.node_stress
+  let reference, gathered = reordered_stress c in
+  reference = sol.Ss.reference && float_bits_identical plain gathered
 
 let test_reordered_mesh_bit_identical () =
-  (* The BFS-permuted solve replays bit for bit on a cyclic mesh too —
+  (* The relabelled solve replays bit for bit on a cyclic mesh too —
      the chord handling rides on the same discovery order. *)
-  let s = consistent_mesh () in
-  let c = Cc.of_structure s in
+  let c = Cc.of_structure (consistent_mesh ()) in
   let plain = Array.copy (Ss.solve_compact cu c).Ss.node_stress in
-  let r = Ss.solve_compact_reordered cu c in
   Alcotest.(check bool) "mesh stresses bit-identical" true
-    (float_bits_identical plain r.Ss.node_stress)
-
-let test_reordered_guards () =
-  let c = Cc.of_structure (make_tree (8, 3)) in
-  check_raises_invalid "reference out of range" (fun () ->
-      ignore (Ss.solve_compact_reordered ~reference:99 cu c))
-
-let test_reordered_degenerate_propagates () =
-  (* Zero-width geometry makes A underflow: Degenerate must surface
-     through the reordered path like the plain one. *)
-  let tiny = Float.min_float in
-  let degenerate =
-    Cc.make ~num_nodes:2 ~tail:[| 0 |] ~head:[| 1 |] ~length:[| tiny |]
-      ~width:[| tiny |] ~height:[| tiny |] ~j:[| 1e10 |]
-  in
-  let expect_degenerate name f =
-    match f () with
-    | exception Ss.Degenerate _ -> ()
-    | _ -> Alcotest.failf "%s: expected Degenerate" name
-  in
-  expect_degenerate "plain" (fun () -> Ss.solve_compact cu degenerate);
-  expect_degenerate "reordered" (fun () ->
-      Ss.solve_compact_reordered cu degenerate)
+    (float_bits_identical plain (snd (reordered_stress c)))
 
 (* ---------------------------------------------------------------- *)
 (* Sensitivity                                                       *)
@@ -1179,14 +1167,13 @@ module Au = Em_core.Audit
 let prop_audit_exact_zero_all_paths (n, seed) =
   let s = make_tree (n, seed) in
   let c = Cc.of_structure s in
-  let check_path solver sol =
-    let a = Au.check ~solver cu c sol in
+  let check_path sol =
+    let a = Au.check cu c sol in
     Au.exact_residual a = 0. && Au.violations ~tol:Au.default_tol a = []
   in
-  check_path "boxed" (Ss.solve cu s)
-  && check_path "compact" (Ss.solve_compact cu c)
-  && check_path "compact-ws" (Ss.solve_compact ~ws:compact_ws cu c)
-  && check_path "reordered" (Ss.solve_compact_reordered cu c)
+  check_path (Ss.solve cu s)
+  && check_path (Ss.solve_compact cu c)
+  && check_path (Ss.solve_compact ~ws:compact_ws cu c)
 
 (* A single-ulp corruption of any solution array must push an exact
    residual strictly above zero — that is the whole point of gating them
@@ -1209,7 +1196,7 @@ let prop_audit_detects_corruption (n, seed) =
     a.(i) <- Float.succ a.(i);
     a
   in
-  let audit sol' = Au.check ~solver:"compact" cu c sol' in
+  let audit sol' = Au.check cu c sol' in
   let clean = audit sol in
   let bad_stress = audit { sol with Ss.node_stress = bump sol.Ss.node_stress } in
   let bad_blech = audit { sol with Ss.blech_sum = bump sol.Ss.blech_sum } in
@@ -1227,7 +1214,7 @@ let prop_audit_margin_and_path (n, seed) =
   let s = make_tree (n, seed) in
   let c = Cc.of_structure s in
   let sol = Ss.solve_compact cu c in
-  let a = Au.check ~solver:"compact" cu c sol in
+  let a = Au.check cu c sol in
   let stress = sol.Ss.node_stress in
   let threshold = M.effective_critical_stress cu in
   let path_sum =
@@ -1247,7 +1234,7 @@ let test_audit_violation_diag () =
   let s = make_tree (17, 42) in
   let c = Cc.of_structure s in
   let sol = Ss.solve_compact cu c in
-  let a = Au.check ~index:3 ~layer:5 ~solver:"compact" cu c sol in
+  let a = Au.check ~index:3 ~layer:5 cu c sol in
   Alcotest.(check (option string)) "clean solution: no diagnostic" None
     (Option.map
        (fun (d : Em_core.Diag.t) -> d.Em_core.Diag.code)
@@ -1255,7 +1242,7 @@ let test_audit_violation_diag () =
   let corrupted = Array.copy sol.Ss.node_stress in
   corrupted.(0) <- corrupted.(0) +. 1.;
   let bad =
-    Au.check ~index:3 ~layer:5 ~solver:"compact" cu c
+    Au.check ~index:3 ~layer:5 cu c
       { sol with Ss.node_stress = corrupted }
   in
   (match Au.violation_diag ~strict:false ~tol:Au.default_tol bad with
@@ -1367,9 +1354,6 @@ let suites =
         qcheck "reordered solve bit-identical" tree_gen
           prop_reordered_bit_identical;
         case "mesh: reordered bit-identical" test_reordered_mesh_bit_identical;
-        case "reordered guards" test_reordered_guards;
-        case "Degenerate propagates through new paths"
-          test_reordered_degenerate_propagates;
       ] );
     ( "core.audit",
       [

@@ -1012,32 +1012,6 @@ let test_variation_table () =
      contains rendered "p99 MPa" && contains rendered "degen")
 
 (* ---------------------------------------------------------------- *)
-(* Profiles                                                          *)
-
-module Pf = Emflow.Profiles
-
-let test_profiles_exact_linearity () =
-  let s =
-    St.line
-      [ St.segment ~length:30e-6 ~width:1e-6 ~j:2e10 ();
-        St.segment ~length:20e-6 ~width:1e-6 ~j:(-1e10) () ]
-  in
-  let sol = Em_core.Steady_state.solve M.cu_dac21 s in
-  let samples = Pf.sample ~points_per_segment:5 sol s in
-  Alcotest.(check int) "count" 10 (List.length samples);
-  (* Endpoints equal node stresses. *)
-  let first = List.hd samples in
-  T_helpers.check_close ~rtol:1e-12 "first sample = tail stress"
-    sol.Em_core.Steady_state.node_stress.(0) first.Pf.stress;
-  (* CSV has a row per sample plus header. *)
-  let csv = Pf.to_csv samples in
-  Alcotest.(check int) "csv rows" 11
-    (List.length (String.split_on_char '\n' (String.trim csv)));
-  T_helpers.check_raises_invalid "needs >= 2 points" (fun () ->
-      ignore (Pf.sample ~points_per_segment:1 sol s))
-
-
-(* ---------------------------------------------------------------- *)
 (* Jmax                                                              *)
 
 module Jm = Emflow.Jmax
@@ -1316,11 +1290,11 @@ let test_flow_fault_isolation_qcheck =
       check_poisoned_batch ~jobs ~pos healthy clean;
       true)
 
-(* Route by size: a random tree of 20,000 nodes plus one chord parallel
-   to a tree segment (same endpoints, length and current density, so the
-   mesh's currents stay cycle-consistent) sits among the small grid's
-   structures. Only it reaches the reordered solve's 16,384-node
-   threshold. *)
+(* A large mesh among small structures: a random tree of 20,000 nodes
+   plus one chord parallel to a tree segment (same endpoints, length and
+   current density, so the mesh's currents stay cycle-consistent) sits
+   among the small grid's structures, far past the largest structure of
+   any workload. *)
 let big_mesh_compact () =
   let rng = Numerics.Rng.create 29L in
   let n = 20_000 in
@@ -1343,7 +1317,7 @@ let big_mesh_compact () =
     ~height:(chord c.Cc.height c.Cc.height.(k))
     ~j:(chord c.Cc.j c.Cc.j.(k))
 
-let test_flow_routes_by_size () =
+let test_flow_large_mesh () =
   let module Au = Em_core.Audit in
   let healthy, _ = Lazy.force fault_fixture in
   let big = cs_of_compact (big_mesh_compact ()) in
@@ -1370,10 +1344,6 @@ let test_flow_routes_by_size () =
           match slot with
           | None -> Alcotest.failf "structure %d was not audited" i
           | Some (a : Au.t) ->
-            Alcotest.(check string)
-              (Printf.sprintf "structure %d solver" i)
-              (if i = big_at then "reordered" else "compact")
-              a.Au.au_solver;
             if Au.exact_residual a <> 0. then
               Alcotest.failf "structure %d: exact residual %g <> 0" i
                 (Au.exact_residual a))
@@ -1446,8 +1416,7 @@ let test_flow_audit_end_to_end () =
         (match Au.violations ~tol:Flow.default_audit_config.Flow.audit_tol a with
         | [] -> ()
         | (name, v) :: _ ->
-          Alcotest.failf "structure %d: residual violation %s = %g" i name v);
-        Alcotest.(check string) "solver" "compact" a.Au.au_solver)
+          Alcotest.failf "structure %d: residual violation %s = %g" i name v))
     audited.Flow.audits
 
 let test_flow_audit_fault_isolated () =
@@ -1495,14 +1464,13 @@ let test_variation_runtime_progress () =
   let compacts = stressed_compacts () in
   let n = List.length compacts in
   let spec = { Va.default_spec with Va.samples = 3; seed = 7L } in
-  Obs.Runtime.with_enabled true (fun () ->
-      Obs.Runtime.reset ();
-      ignore (Va.run_compact spec compacts);
-      Alcotest.(check string) "phase published" "variation"
-        (Obs.Runtime.phase ());
-      let sdone, stotal = Obs.Runtime.structures () in
-      Alcotest.(check int) "total covers the batch" n stotal;
-      Alcotest.(check int) "every structure counted" n sdone);
+  Obs.Runtime.reset ();
+  ignore (Va.run_compact spec compacts);
+  Alcotest.(check string) "phase published" "variation"
+    (Obs.Runtime.phase ());
+  let sdone, stotal = Obs.Runtime.structures () in
+  Alcotest.(check int) "total covers the batch" n stotal;
+  Alcotest.(check int) "every structure counted" n sdone;
   Obs.Runtime.reset ()
 
 (* ---------------------------------------------------------------- *)
@@ -1695,8 +1663,8 @@ let suites =
     ( "flow.fault_isolation",
       [
         case "poisoned batch isolates the offender" test_flow_fault_isolation;
-        case "large structures take the reordered solve"
-          test_flow_routes_by_size;
+        case "large mesh matches per-structure solves"
+          test_flow_large_mesh;
         case "diagnostics serialized" test_flow_diags_serialized;
         test_flow_fault_isolation_qcheck;
       ] );
@@ -1763,7 +1731,6 @@ let suites =
         test_variation_factor_mean_qcheck;
         case "renders" test_variation_table;
       ] );
-    ( "flow.profiles", [ case "exact piecewise-linear samples" test_profiles_exact_linearity ] );
     ( "flow.json",
       [
         case "scalars" test_json_scalars;

@@ -3,7 +3,6 @@ module V = Numerics.Vector
 module D = Numerics.Dense
 module Sp = Numerics.Sparse
 module Cg = Numerics.Cg
-module Tri = Numerics.Tridiag
 module Rng = Numerics.Rng
 module Stats = Numerics.Stats
 
@@ -267,35 +266,6 @@ let test_cg_semidefinite_weighted_gauge () =
   for i = 0 to n - 2 do
     check_close ~rtol:1e-7 ~atol:1e-8 "gradient" 2. (r.Cg.x.(i) -. r.Cg.x.(i + 1))
   done
-
-(* ---------------------------------------------------------------- *)
-(* Tridiag                                                           *)
-
-let test_tridiag_vs_dense () =
-  let rng = Rng.create 23L in
-  for _ = 0 to 4 do
-    let n = 2 + Rng.int rng 20 in
-    let t = Tri.create n in
-    for i = 0 to n - 1 do
-      t.Tri.diag.(i) <- 4. +. Rng.float rng 2.;
-      if i < n - 1 then begin
-        t.Tri.upper.(i) <- Rng.uniform rng (-1.) 1.;
-        t.Tri.lower.(i) <- Rng.uniform rng (-1.) 1.
-      end
-    done;
-    let x_true = Array.init n (fun i -> cos (float_of_int i)) in
-    let b = Tri.mul_vec t x_true in
-    check_array_close ~rtol:1e-9 "thomas" x_true (Tri.solve t b);
-    (* Cross-check against the sparse representation. *)
-    check_array_close ~rtol:1e-10 "to_sparse"
-      (Sp.mul_vec (Tri.to_sparse t) x_true)
-      b
-  done
-
-let test_tridiag_single () =
-  let t = Tri.create 1 in
-  t.Tri.diag.(0) <- 2.;
-  check_array_close "1x1" [| 3. |] (Tri.solve t [| 6. |])
 
 (* ---------------------------------------------------------------- *)
 (* Stats                                                             *)
@@ -898,16 +868,13 @@ let test_parallel_exception_propagates () =
   | exception Failure m -> Alcotest.(check string) "original exn" "boom" m
   | _ -> Alcotest.fail "expected failure"
 
-let test_parallel_list () =
-  Alcotest.(check (list int)) "map_list" [ 2; 3; 4 ]
-    (Par.map_list ~jobs:2 (fun x -> x + 1) [ 1; 2; 3 ])
-
-let test_parallel_map_result_slots () =
+let test_parallel_per_slot_capture () =
   (* One poisoned item per decade: every healthy slot still computes,
      every poisoned slot carries its own exception. *)
   let slots =
-    Par.map_result ~jobs:4
-      (fun i -> if i mod 10 = 3 then failwith (Printf.sprintf "bad %d" i) else 2 * i)
+    Par.map_local_result ~jobs:4 ~local:ignore
+      (fun () i ->
+        if i mod 10 = 3 then failwith (Printf.sprintf "bad %d" i) else 2 * i)
       (Array.init 50 (fun i -> i))
   in
   Alcotest.(check int) "failed slots" 5 (Par.failures slots);
@@ -1074,11 +1041,6 @@ let suites =
         case "AMD on degenerate patterns" test_cholesky_amd_degenerate;
         case "ordering is a permutation" test_cholesky_permutation_is_permutation;
       ] );
-    ( "numerics.tridiag",
-      [
-        case "Thomas vs dense" test_tridiag_vs_dense;
-        case "1x1" test_tridiag_single;
-      ] );
     ( "numerics.stats",
       [
         case "mean/stddev/minmax" test_stats_basics;
@@ -1097,8 +1059,7 @@ let suites =
         case "matches sequential" test_parallel_matches_sequential;
         case "edge cases" test_parallel_edge_cases;
         case "exception propagation" test_parallel_exception_propagates;
-        case "map_list" test_parallel_list;
-        case "map_result per-slot capture" test_parallel_map_result_slots;
+        case "map_local_result per-slot capture" test_parallel_per_slot_capture;
         case "map_local_result keeps state" test_parallel_map_local_result;
         case "front-loaded cost" test_parallel_front_loaded;
         case "first error deterministic" test_parallel_first_error_deterministic;

@@ -144,40 +144,39 @@ let test_healthz_endpoint () =
   with_server (fun server ->
       let port = Sv.port server in
       Rt.reset ();
-      Rt.with_enabled true (fun () ->
-          Rt.set_phase "analyze";
-          Rt.set_structures_total 5;
-          Rt.structure_done ();
-          Rt.structure_done ();
-          let r = http_get ~port "/healthz" in
-          Alcotest.(check int) "status" 200 r.status;
-          Alcotest.(check (option string))
-            "json content type" (Some "application/json")
-            (List.assoc_opt "content-type" r.headers);
-          Alcotest.(check bool) "body is valid JSON" true
-            (T_obs.json_accepts (String.trim r.body));
-          List.iter
-            (fun needle ->
-              Alcotest.(check bool) ("healthz has " ^ needle) true
-                (T_obs.contains r.body needle))
-            [
-              {|"status":"ok"|}; {|"phase":"analyze"|};
-              {|"structures_done":2|}; {|"structures_total":5|};
-              {|"uptime_s":|}; {|"run_id":null|}; {|"audit_enabled":false|};
-            ];
-          (* A recording in progress surfaces its ledger run id. *)
-          Rt.set_run_id (Some "ledger-run-1");
-          Alcotest.(check bool) "healthz carries the live run id" true
+      Rt.set_phase "analyze";
+      Rt.set_structures_total 5;
+      Rt.structure_done ();
+      Rt.structure_done ();
+      let r = http_get ~port "/healthz" in
+      Alcotest.(check int) "status" 200 r.status;
+      Alcotest.(check (option string))
+        "json content type" (Some "application/json")
+        (List.assoc_opt "content-type" r.headers);
+      Alcotest.(check bool) "body is valid JSON" true
+        (T_obs.json_accepts (String.trim r.body));
+      List.iter
+        (fun needle ->
+          Alcotest.(check bool) ("healthz has " ^ needle) true
+            (T_obs.contains r.body needle))
+        [
+          {|"status":"ok"|}; {|"phase":"analyze"|};
+          {|"structures_done":2|}; {|"structures_total":5|};
+          {|"uptime_s":|}; {|"run_id":null|}; {|"audit_enabled":false|};
+        ];
+      (* A recording in progress surfaces its ledger run id. *)
+      Rt.set_run_id (Some "ledger-run-1");
+      Alcotest.(check bool) "healthz carries the live run id" true
+        (T_obs.contains (http_get ~port "/healthz").body
+           {|"run_id":"ledger-run-1"|});
+      (* An installed audit provider flips the healthz flag. *)
+      Rt.set_audit_provider (Some (fun () -> "{}"));
+      Fun.protect
+        ~finally:(fun () -> Rt.set_audit_provider None)
+        (fun () ->
+          Alcotest.(check bool) "healthz reflects a live audit" true
             (T_obs.contains (http_get ~port "/healthz").body
-               {|"run_id":"ledger-run-1"|});
-          (* An installed audit provider flips the healthz flag. *)
-          Rt.set_audit_provider (Some (fun () -> "{}"));
-          Fun.protect
-            ~finally:(fun () -> Rt.set_audit_provider None)
-            (fun () ->
-              Alcotest.(check bool) "healthz reflects a live audit" true
-                (T_obs.contains (http_get ~port "/healthz").body
-                   {|"audit_enabled":true|})));
+               {|"audit_enabled":true|}));
       Rt.reset ())
 
 let test_snapshot_endpoints () =
@@ -375,9 +374,8 @@ let test_concurrent_scrapes_during_solve () =
             Fun.protect
               ~finally:(fun () -> Atomic.set solving false)
               (fun () ->
-                Rt.with_enabled true (fun () ->
-                    Mx.with_enabled true (fun () ->
-                        Flow.run_on_compact ~jobs:2 compacts))))
+                Mx.with_enabled true (fun () ->
+                    Flow.run_on_compact ~jobs:2 compacts)))
       in
       (* Hammer the endpoints while the worker solves; at least one
          scrape of each, more while the solve lasts. *)
@@ -416,15 +414,14 @@ let test_scrape_equivalence =
             Sv.stop server;
             Rt.reset ())
           (fun () ->
-            Rt.with_enabled true (fun () ->
-                Mx.with_enabled true (fun () ->
-                    let r = Flow.run_on_compact ~jobs compacts in
-                    let port = Sv.port server in
-                    Alcotest.(check int) "post-run scrape" 200
-                      (http_get ~port "/metrics").status;
-                    Alcotest.(check int) "post-run health" 200
-                      (http_get ~port "/healthz").status;
-                    r)))
+            Mx.with_enabled true (fun () ->
+                let r = Flow.run_on_compact ~jobs compacts in
+                let port = Sv.port server in
+                Alcotest.(check int) "post-run scrape" 200
+                  (http_get ~port "/metrics").status;
+                Alcotest.(check int) "post-run health" 200
+                  (http_get ~port "/healthz").status;
+                r))
       in
       Alcotest.(check bool) "confusion counts identical" true
         (clean.Flow.counts = result.Flow.counts);

@@ -952,15 +952,30 @@ let prop_csr_matches_builder seed =
   && Array.for_all2 close a.Numerics.Sparse.values m.Numerics.Sparse.values
   && sys.Mna.rhs = rhs
 
-let prop_amd_fill seed =
+let prop_amd_permutation seed =
   let a = (Mna.assemble (random_mesh seed)).Mna.matrix in
   let n = fst (Numerics.Sparse.dims a) in
-  let amd = Numerics.Cholesky.factorize a in
-  let natural = Numerics.Cholesky.factorize ~ordering:Numerics.Cholesky.Natural a in
-  let p = Numerics.Cholesky.ordering_permutation amd in
+  let p = Numerics.Cholesky.ordering_permutation (Numerics.Cholesky.factorize a) in
   Array.sort compare p;
   p = Array.init n (fun i -> i)
-  && Numerics.Cholesky.nnz_l amd <= Numerics.Cholesky.nnz_l natural
+
+(* AMD is a heuristic: on a few tiny random meshes (11-19 free rows) it
+   leaves one or two more fill entries than the natural order. On real
+   grids it cuts fill several-fold; the fill check lives here. *)
+let test_amd_fill_realistic () =
+  List.iter
+    (fun (name, net) ->
+      let a = (Mna.assemble net).Mna.matrix in
+      let nnz ordering = Numerics.Cholesky.nnz_l (Numerics.Cholesky.factorize ~ordering a) in
+      let amd = nnz Numerics.Cholesky.Amd and natural = nnz Numerics.Cholesky.Natural in
+      if not (amd < natural) then
+        Alcotest.failf "%s: AMD fill %d not below natural %d" name amd natural)
+    [
+      ("mini_grid.sp", P.parse_file mini_grid);
+      ( "pg1 x0.3",
+        (Pdn.Grid_gen.generate (Pdn.Grid_gen.ibm_preset ~scale:0.3 Pdn.Grid_gen.Pg1))
+          .Pdn.Grid_gen.netlist );
+    ]
 
 let prop_ldl_matches_cg seed =
   let net = random_mesh seed in
@@ -1150,8 +1165,9 @@ let suites =
         case "non-finite conductance rejected" test_mna_non_finite_conductance;
         qcheck ~count:200 "CSR assembly equals triplet assembly"
           QCheck2.Gen.(int_bound 1_000_000) prop_csr_matches_builder;
-        qcheck ~count:200 "AMD order: permutation, fill <= natural"
-          QCheck2.Gen.(int_bound 1_000_000) prop_amd_fill;
+        qcheck ~count:200 "AMD order: permutation, on random meshes"
+          QCheck2.Gen.(int_bound 1_000_000) prop_amd_permutation;
+        case "AMD fill below natural on realistic grids" test_amd_fill_realistic;
         qcheck ~count:200 "LDL^T voltages match CG"
           QCheck2.Gen.(int_bound 1_000_000) prop_ldl_matches_cg;
       ] );
