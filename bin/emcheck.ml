@@ -68,10 +68,11 @@ let jobs_arg =
         ~doc:
           "Worker domains. The deck scan is cut into up to $(docv) line \
            ranges, one per domain (a deck under 512 KiB stays whole), and \
-           the per-structure EM analysis and the Monte-Carlo samples are \
+           the DC solve's independent nets (VDD, GND, ...), the \
+           per-structure EM analysis and the Monte-Carlo samples are \
            shared among $(docv) domains. Results are identical at any \
-           $(docv). Without it the scan runs on one domain and the \
-           analysis on every core.")
+           $(docv). Without it the scan runs on one domain and the solve \
+           and analysis on every core.")
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry plumbing shared by analyze and stats                      *)
@@ -1578,7 +1579,7 @@ let verify_cmd =
         (const (fun netlist solution tol jobs ->
              match
                let net = Spice.Parser.parse_file ?jobs netlist in
-               let sol = Spice.Mna.solve net in
+               let sol = Spice.Mna.solve ?jobs net in
                let golden = Spice.Solution_file.parse_file solution in
                Spice.Solution_file.check ~tol ~reference:golden sol
              with

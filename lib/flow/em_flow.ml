@@ -485,7 +485,7 @@ let of_netlist netlist =
 let analyze_deck ?material ?with_maxpath ?jobs ?audit ~tech deck =
   let p = deck.pipeline in
   let solution =
-    Pipeline.run p "solve" (fun () -> Spice.Mna.solve deck.netlist)
+    Pipeline.run p "solve" (fun () -> Spice.Mna.solve ?jobs deck.netlist)
   in
   let compacts =
     Pipeline.run p "extract" (fun () -> Extract.extract_compact ~tech solution)

@@ -185,9 +185,9 @@ val run :
   result
 (** {!analyze_deck} on the generated netlist. [material] defaults to
     {!Em_core.Material.cu_dac21}; [with_maxpath] to [false]; [jobs]
-    parallelizes the per-structure EM analysis over that many domains
-    (the DC solve stays sequential). With [jobs > 1] the reported
-    [analysis_time] is wall-clock rather than CPU time.
+    parallelizes the DC solve (one independent net per domain) and the
+    per-structure EM analysis over that many domains. With [jobs > 1]
+    the reported [analysis_time] is wall-clock rather than CPU time.
 
     Work decomposition under [jobs > 1]: each structure is one work
     item, handed out dynamically across the domains; results are

@@ -3,13 +3,16 @@ type ordering = Natural | Amd
 exception Not_positive_definite of int
 
 type t = {
+  lo : int;             (* first row of the factored block *)
   n : int;
-  perm : int array;     (* perm.(new) = old *)
+  perm : int array;     (* perm.(new) = old, relative to [lo] *)
   inv_perm : int array; (* inv_perm.(old) = new *)
   lp : int array;       (* column pointers of L, length n+1 *)
   li : int array;       (* row indices of L *)
   lx : float array;     (* values of L *)
   d : float array;      (* diagonal of D *)
+  ordering_s : float;
+  factor_s : float;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -53,15 +56,16 @@ let tdfs ws j k ~head ~next ~post ~stack =
   done;
   !k
 
-let amd (a : Sparse.t) =
-  let n = a.Sparse.nrows in
+let amd (a : Sparse.t) ~lo ~hi =
+  let n = hi - lo in
   let row_ptr = a.Sparse.row_ptr and col_idx = a.Sparse.col_idx in
   (* The graph of A + A^T without the diagonal, read off the lower
-     triangle (the only part the factorization reads). *)
+     triangle (the only part the factorization reads) of rows
+     [lo, hi), renumbered from 0. *)
   let cnz0 = ref 0 in
   for i = 0 to n - 1 do
-    for p = row_ptr.(i) to row_ptr.(i + 1) - 1 do
-      if col_idx.(p) < i then cnz0 := !cnz0 + 2
+    for p = row_ptr.(lo + i) to row_ptr.(lo + i + 1) - 1 do
+      if col_idx.(p) - lo < i then cnz0 := !cnz0 + 2
     done
   done;
   let cnz0 = !cnz0 in
@@ -72,8 +76,8 @@ let amd (a : Sparse.t) =
   and hhead = seg 8 and last = seg 9 in
   let ws = Array.make (seg 10) 0 in
   for i = 0 to n - 1 do
-    for p = row_ptr.(i) to row_ptr.(i + 1) - 1 do
-      let j = col_idx.(p) in
+    for p = row_ptr.(lo + i) to row_ptr.(lo + i + 1) - 1 do
+      let j = col_idx.(p) - lo in
       if j < i then begin
         ws.(len + i) <- ws.(len + i) + 1;
         ws.(len + j) <- ws.(len + j) + 1
@@ -86,8 +90,8 @@ let amd (a : Sparse.t) =
     ws.(head + k) <- ws.(cp + k)
   done;
   for i = 0 to n - 1 do
-    for p = row_ptr.(i) to row_ptr.(i + 1) - 1 do
-      let j = col_idx.(p) in
+    for p = row_ptr.(lo + i) to row_ptr.(lo + i + 1) - 1 do
+      let j = col_idx.(p) - lo in
       if j < i then begin
         ws.(ws.(head + i)) <- j;
         ws.(head + i) <- ws.(head + i) + 1;
@@ -403,19 +407,36 @@ let amd (a : Sparse.t) =
 (* ------------------------------------------------------------------ *)
 (* Up-looking LDL^T (after Davis' LDL).                                 *)
 
-let factorize ?(ordering = Amd) (a : Sparse.t) =
-  let n, m = Sparse.dims a in
-  if n <> m then invalid_arg "Cholesky.factorize: non-square";
-  (* The ordering's workspace is garbage by the time L is allocated. *)
-  let perm =
-    match ordering with Natural -> Array.init n (fun i -> i) | Amd -> amd a
-  in
-  let inv_perm = Array.make n 0 in
-  Array.iteri (fun new_pos old -> inv_perm.(old) <- new_pos) perm;
+let factorize ?(ordering = Amd) ?range (a : Sparse.t) =
+  let rows, cols = Sparse.dims a in
+  if rows <> cols then invalid_arg "Cholesky.factorize: non-square";
   let row_ptr = a.Sparse.row_ptr
   and col_idx = a.Sparse.col_idx
   and values = a.Sparse.values in
-  (* Row k of the permuted matrix is old row perm.(k); of it, the
+  let lo, hi =
+    match range with
+    | None -> (0, rows)
+    | Some (lo, hi) ->
+      if lo < 0 || hi > rows || lo > hi then
+        invalid_arg "Cholesky.factorize: bad row range";
+      for p = row_ptr.(lo) to row_ptr.(hi) - 1 do
+        if col_idx.(p) < lo || col_idx.(p) >= hi then
+          invalid_arg "Cholesky.factorize: an entry leaves the row range"
+      done;
+      (lo, hi)
+  in
+  let n = hi - lo in
+  let t0 = Obs.Clock.now_us () in
+  (* The ordering's workspace is garbage by the time L is allocated. *)
+  let perm =
+    match ordering with
+    | Natural -> Array.init n (fun i -> i)
+    | Amd -> amd a ~lo ~hi
+  in
+  let t1 = Obs.Clock.now_us () in
+  let inv_perm = Array.make n 0 in
+  Array.iteri (fun new_pos old -> inv_perm.(old) <- new_pos) perm;
+  (* Row k of the permuted block is row lo + perm.(k); of it, the
      entries whose new column is <= k form the lower triangle. *)
   (* Symbolic: elimination tree + column counts. *)
   let parent = Array.make n (-1) in
@@ -423,9 +444,9 @@ let factorize ?(ordering = Amd) (a : Sparse.t) =
   let lnz = Array.make n 0 in
   for k = 0 to n - 1 do
     flag.(k) <- k;
-    let old = perm.(k) in
+    let old = lo + perm.(k) in
     for p = row_ptr.(old) to row_ptr.(old + 1) - 1 do
-      let i = ref inv_perm.(col_idx.(p)) in
+      let i = ref inv_perm.(col_idx.(p) - lo) in
       if !i < k then
         while flag.(!i) <> k do
           if parent.(!i) = -1 then parent.(!i) <- k;
@@ -454,9 +475,9 @@ let factorize ?(ordering = Amd) (a : Sparse.t) =
   for k = 0 to n - 1 do
     let top = ref n in
     flag.(k) <- k;
-    let old = perm.(k) in
+    let old = lo + perm.(k) in
     for p = row_ptr.(old) to row_ptr.(old + 1) - 1 do
-      let i = inv_perm.(col_idx.(p)) in
+      let i = inv_perm.(col_idx.(p) - lo) in
       if i <= k then begin
         y.(i) <- y.(i) +. values.(p);
         let len = ref 0 and i = ref i in
@@ -491,10 +512,22 @@ let factorize ?(ordering = Amd) (a : Sparse.t) =
       fill.(i) <- slot + 1
     done;
     if not (!dk > 0. && Float.is_finite !dk) then
-      raise (Not_positive_definite perm.(k));
+      raise (Not_positive_definite (lo + perm.(k)));
     d.(k) <- !dk
   done;
-  { n; perm; inv_perm; lp; li; lx; d }
+  let t2 = Obs.Clock.now_us () in
+  {
+    lo;
+    n;
+    perm;
+    inv_perm;
+    lp;
+    li;
+    lx;
+    d;
+    ordering_s = (t1 -. t0) *. 1e-6;
+    factor_s = (t2 -. t1) *. 1e-6;
+  }
 
 let dim f = f.n
 
@@ -502,38 +535,48 @@ let nnz_l f = f.lp.(f.n)
 
 let ordering_permutation f = Array.copy f.perm
 
-let solve f b =
-  if Array.length b <> f.n then invalid_arg "Cholesky.solve: dimension mismatch";
-  let n = f.n and lp = f.lp and li = f.li and lx = f.lx in
-  (* x (permuted) = P b *)
-  let x = Array.make n 0. in
+let ordering_seconds f = f.ordering_s
+
+let factor_seconds f = f.factor_s
+
+let solve_into f b x =
+  let n = f.n and lo = f.lo and lp = f.lp and li = f.li and lx = f.lx in
+  if Array.length b < lo + n || Array.length x < lo + n then
+    invalid_arg "Cholesky.solve_into: vector shorter than the row range";
+  (* y (permuted) = P b *)
+  let y = Array.make n 0. in
   for k = 0 to n - 1 do
-    x.(k) <- b.(f.perm.(k))
+    y.(k) <- b.(lo + f.perm.(k))
   done;
-  (* Forward: L z = x (L unit-diagonal, stored by columns). *)
+  (* Forward: L z = y (L unit-diagonal, stored by columns). *)
   for j = 0 to n - 1 do
-    let xj = x.(j) in
-    if xj <> 0. then
+    let yj = y.(j) in
+    if yj <> 0. then
       for p = lp.(j) to lp.(j + 1) - 1 do
         let r = li.(p) in
-        x.(r) <- x.(r) -. (lx.(p) *. xj)
+        y.(r) <- y.(r) -. (lx.(p) *. yj)
       done
   done;
   (* Diagonal. *)
   for j = 0 to n - 1 do
-    x.(j) <- x.(j) /. f.d.(j)
+    y.(j) <- y.(j) /. f.d.(j)
   done;
-  (* Backward: L^T y = x. *)
+  (* Backward: L^T w = y. *)
   for j = n - 1 downto 0 do
-    let acc = ref x.(j) in
+    let acc = ref y.(j) in
     for p = lp.(j) to lp.(j + 1) - 1 do
-      acc := !acc -. (lx.(p) *. x.(li.(p)))
+      acc := !acc -. (lx.(p) *. y.(li.(p)))
     done;
-    x.(j) <- !acc
+    y.(j) <- !acc
   done;
-  (* Un-permute. *)
-  let out = Array.make n 0. in
+  (* Un-permute into the range's slice. *)
   for k = 0 to n - 1 do
-    out.(f.perm.(k)) <- x.(k)
-  done;
-  out
+    x.(lo + f.perm.(k)) <- y.(k)
+  done
+
+let solve f b =
+  if f.lo <> 0 || Array.length b <> f.n then
+    invalid_arg "Cholesky.solve: dimension mismatch";
+  let x = Array.make f.n 0. in
+  solve_into f b x;
+  x

@@ -142,23 +142,24 @@ let flight_of_span ~name ~dur_us ~error attrs =
 
 (* Tracing disabled but the flight recorder on: time the body and leave
    the span in the crash ring, without ids or GC accounting. *)
-let flight_only_span attrs name f =
+let flight_only_span attrs result_attrs name f =
   let start_us = Clock.now_us () in
-  let finish error =
+  let finish error attrs =
     flight_of_span ~name ~dur_us:(Clock.now_us () -. start_us) ~error attrs
   in
   match f () with
   | v ->
-    finish false;
+    finish false (attrs @ result_attrs v);
     v
   | exception e ->
-    finish true;
+    finish true attrs;
     raise e
 
-let with_span ?(attrs = []) name f =
+let with_span ?(attrs = []) ?(result_attrs = fun _ -> []) name f =
   match Atomic.get state with
   | None ->
-    if Flight.is_enabled () then flight_only_span attrs name f else f ()
+    if Flight.is_enabled () then flight_only_span attrs result_attrs name f
+    else f ()
   | Some t ->
     let id = Atomic.fetch_and_add t.next_id 1 in
     let ids = Domain.DLS.get stack_key in
@@ -171,7 +172,7 @@ let with_span ?(attrs = []) name f =
     let a0 = Alloc.domain () in
     let gc0 = Gc.quick_stat () in
     let start_us = Clock.now_us () in
-    let finish error =
+    let finish error attrs =
       (match !ids with _ :: rest -> ids := rest | [] -> ());
       let dur_us = Clock.now_us () -. start_us in
       let gc1 = Gc.quick_stat () in
@@ -198,10 +199,10 @@ let with_span ?(attrs = []) name f =
     in
     (match f () with
     | v ->
-      finish false;
+      finish false (attrs @ result_attrs v);
       v
     | exception e ->
-      finish true;
+      finish true attrs;
       raise e)
 
 let events t =

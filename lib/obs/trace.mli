@@ -82,12 +82,20 @@ val with_enabled : t -> (unit -> 'a) -> 'a
 (** [with_enabled t f] runs [f] with [t] installed, restoring the
     previously installed sink (or none) afterwards, also on exceptions. *)
 
-val with_span : ?attrs:(string * value) list -> string -> (unit -> 'a) -> 'a
+val with_span :
+  ?attrs:(string * value) list ->
+  ?result_attrs:('a -> (string * value) list) ->
+  string ->
+  (unit -> 'a) ->
+  'a
 (** [with_span name f] runs [f ()]; when tracing is enabled, the call is
     recorded as a completed span on the calling domain's track, nested
     under the innermost open span of that domain, with the span's GC
     deltas ({!Alloc.domain} for the word counts, [Gc.quick_stat] for
-    the collection counts) attached. If [f] raises, the span is recorded with
+    the collection counts) attached. [result_attrs] adds attributes
+    computed from [f]'s result (what only the body learns, e.g. sizes
+    or sub-timings); it is not called when tracing and the flight
+    recorder are both off. If [f] raises, the span is recorded with
     [error = true] and the exception propagates. Completed spans are
     also pushed onto the {!Flight} ring when that recorder is on — even
     with no trace sink installed (timed, without ids or GC accounting).

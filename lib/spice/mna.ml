@@ -75,6 +75,7 @@ type system = {
   rhs : float array;
   row_of_node : int array;
   fixed : float array;
+  blocks : int array;
 }
 
 (* Sort one row's (column, value) pairs by column, in place. Rows are
@@ -102,50 +103,33 @@ let sort_row cols vals lo hi =
     Array.blit v 0 vals lo (hi - lo)
   end
 
-(* Free nodes with no conductive path to a pinned node. Unexcited ones
-   get an identity row (they read 0 V); an excited one is an error,
-   reported with one of its nodes and its size. [tied] marks the rows
-   with a conductance to a pinned node. *)
-let pin_floating net ~row_of_node ~row_ptr ~cols ~vals ~rhs ~tied =
-  let nf = Array.length rhs in
-  let queue = Array.make nf 0 in
-  let tail = ref 0 in
-  for i = 0 to nf - 1 do
-    if Bytes.get tied i <> '\000' then begin
-      queue.(!tail) <- i;
-      incr tail
-    end
-  done;
-  (* Breadth-first from [queue.(from)] up to [!tail], marking with [m]. *)
-  let sweep from m =
-    let head = ref from in
-    while !head < !tail do
-      let i = queue.(!head) in
-      incr head;
-      for p = row_ptr.(i) to row_ptr.(i + 1) - 1 do
-        let j = cols.(p) in
-        if Bytes.get tied j = '\000' then begin
-          Bytes.set tied j m;
-          queue.(!tail) <- j;
-          incr tail
-        end
-      done
-    done
+(* The block of row [r]: the [b] with [blocks.(b) <= r < blocks.(b + 1)]. *)
+let block_of_row blocks r =
+  let rec find lo hi =
+    if hi - lo = 1 then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if blocks.(mid) <= r then find mid hi else find lo mid
   in
-  sweep 0 '\001';
-  if !tail < nf then
-    for i = 0 to nf - 1 do
-      if Bytes.get tied i = '\000' then
-        if rhs.(i) <> 0. then begin
-          let from = !tail in
-          Bytes.set tied i '\002';
-          queue.(!tail) <- i;
-          incr tail;
-          sweep from '\002';
+  find 0 (Array.length blocks - 1)
+
+(* A block with no conductance to a pinned node ([tied] is per block)
+   floats. Undriven, its rows become identity rows (they read 0 V);
+   driven, it is an error naming the group of the first driven row in
+   node order of the representatives, by its first node and size. *)
+let pin_floating net uf ~row_of_node ~row_ptr ~cols ~vals ~rhs ~tied ~blocks =
+  if Bytes.exists (fun c -> c = '\000') tied then begin
+    let floating r = Bytes.get tied (block_of_row blocks r) = '\000' in
+    Array.iteri
+      (fun v r ->
+        if r >= 0 && rhs.(r) <> 0. && Unionfind.find uf v = v && floating r
+        then begin
+          let b = block_of_row blocks r in
+          let lo = blocks.(b) and hi = blocks.(b + 1) in
           let size = ref 0 and first = ref (-1) in
           Array.iteri
             (fun v r ->
-              if r >= 0 && Bytes.get tied r = '\002' then begin
+              if r >= lo && r < hi then begin
                 if !first < 0 then first := v;
                 incr size
               end)
@@ -157,12 +141,15 @@ let pin_floating net ~row_of_node ~row_ptr ~cols ~vals ~rhs ~tied =
                    source but has no conductive path to ground or a supply"
                   !size
                   (Netlist.node_name net !first)))
-        end
-        else
-          for p = row_ptr.(i) to row_ptr.(i + 1) - 1 do
-            vals.(p) <- (if cols.(p) = i then 1. else 0.)
-          done
+        end)
+      row_of_node;
+    for i = 0 to Array.length rhs - 1 do
+      if floating i then
+        for p = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+          vals.(p) <- (if cols.(p) = i then 1. else 0.)
+        done
     done
+  end
 
 let assemble net =
   let n = Netlist.num_nodes net in
@@ -171,30 +158,64 @@ let assemble net =
   let pinned = pinned_voltages net uf in
   if not (Array.exists Option.is_some pinned) then
     raise (Unsupported "no ground or voltage source to set a reference");
-  (* Rows are the free representatives, in node order; every node maps
-     to its representative's row, or carries its pinned voltage. *)
-  let row_of_node = Array.make n (-1) and fixed = Array.make n 0. in
-  let nf = ref 0 in
-  for v = 0 to n - 1 do
-    if Unionfind.find uf v = v && pinned.(v) = None then begin
-      row_of_node.(v) <- !nf;
-      incr nf
+  let ne = Netlist.num_elements net in
+  let pos = net.Netlist.pos and neg = net.Netlist.neg in
+  let values = net.Netlist.values in
+  (* Blocks: free representatives joined through positive resistors,
+     i.e. the connected components of the reduced matrix (one per net
+     of a grid). *)
+  let joined = Unionfind.create n in
+  for e = 0 to ne - 1 do
+    if Netlist.kind net e = Resistor && values.(e) > 0. then begin
+      let p = Unionfind.find uf pos.(e) and q = Unionfind.find uf neg.(e) in
+      if p <> q && pinned.(p) = None && pinned.(q) = None then
+        ignore (Unionfind.union joined p q)
     end
   done;
+  (* Rows are the free representatives, block by block (blocks in order
+     of their first node, node order inside a block), so each block is
+     a contiguous row range. Every node maps to its representative's
+     row, or carries its pinned voltage. [row_of_node] holds each
+     representative's block until the rows are numbered. *)
+  let row_of_node = Array.make n (-1) and fixed = Array.make n 0. in
+  let block_of_root = Array.make n (-1) and bounds = Array.make (n + 1) 0 in
+  let nb = ref 0 in
+  for v = 0 to n - 1 do
+    if Unionfind.find uf v = v && pinned.(v) = None then begin
+      let root = Unionfind.find joined v in
+      if block_of_root.(root) < 0 then begin
+        block_of_root.(root) <- !nb;
+        incr nb
+      end;
+      let b = block_of_root.(root) in
+      row_of_node.(v) <- b;
+      bounds.(b + 1) <- bounds.(b + 1) + 1
+    end
+  done;
+  let nb = !nb in
+  for b = 0 to nb - 1 do
+    bounds.(b + 1) <- bounds.(b + 1) + bounds.(b)
+  done;
+  let blocks = Array.sub bounds 0 (nb + 1) in
+  (* [bounds] becomes each block's next row. *)
+  for v = 0 to n - 1 do
+    let b = row_of_node.(v) in
+    if b >= 0 then begin
+      row_of_node.(v) <- bounds.(b);
+      bounds.(b) <- bounds.(b) + 1
+    end
+  done;
+  let nf = blocks.(nb) in
   for v = 0 to n - 1 do
     let r = Unionfind.find uf v in
     match pinned.(r) with
     | Some volts -> fixed.(v) <- volts
     | None -> row_of_node.(v) <- row_of_node.(r)
   done;
-  let nf = !nf in
   (* Pass 1: row lengths. Every row reserves its diagonal slot first;
      each resistor between two distinct free rows adds one entry to
      each. *)
   let row_ptr = Array.make (nf + 1) 0 in
-  let ne = Netlist.num_elements net in
-  let pos = net.Netlist.pos and neg = net.Netlist.neg in
-  let values = net.Netlist.values in
   for e = 0 to ne - 1 do
     if Netlist.kind net e = Resistor && values.(e) > 0. then begin
       let rp = row_of_node.(pos.(e)) and rq = row_of_node.(neg.(e)) in
@@ -216,7 +237,7 @@ let assemble net =
   done;
   (* Pass 2: stamp. *)
   let rhs = Array.make nf 0. in
-  let tied = Bytes.make nf '\000' in
+  let tied = Bytes.make nb '\000' in
   let stamp_diag r g = vals.(row_ptr.(r)) <- vals.(row_ptr.(r)) +. g in
   let stamp_off r c g =
     let s = next.(r) in
@@ -240,12 +261,12 @@ let assemble net =
       else if rp >= 0 then begin
         stamp_diag rp g;
         rhs.(rp) <- rhs.(rp) +. (g *. fixed.(neg.(e)));
-        Bytes.set tied rp '\001'
+        Bytes.set tied (block_of_row blocks rp) '\001'
       end
       else if rq >= 0 then begin
         stamp_diag rq g;
         rhs.(rq) <- rhs.(rq) +. (g *. fixed.(pos.(e)));
-        Bytes.set tied rq '\001'
+        Bytes.set tied (block_of_row blocks rq) '\001'
       end
     | Resistor -> () (* shorts already merged *)
     | Current_source ->
@@ -280,12 +301,13 @@ let assemble net =
     if !out = total then (cols, vals)
     else (Array.sub cols 0 !out, Array.sub vals 0 !out)
   in
-  pin_floating net ~row_of_node ~row_ptr ~cols ~vals ~rhs ~tied;
+  pin_floating net uf ~row_of_node ~row_ptr ~cols ~vals ~rhs ~tied ~blocks;
   {
     matrix = Sp.of_csr ~ncols:nf ~row_ptr ~col_idx:cols ~values:vals;
     rhs;
     row_of_node;
     fixed;
+    blocks;
   }
 
 (* |b - A x|_2 / |b|_2, or the absolute norm when b = 0. *)
@@ -302,24 +324,58 @@ let relative_residual (a : Sp.t) x b =
   done;
   if !den = 0. then sqrt !num else sqrt (!num /. !den)
 
-let solve net =
+let free_nodes_gauge =
+  Obs.Metrics.gauge ~help:"Rows of the reduced MNA system (free nodes)"
+    "mna_free_nodes"
+
+let factor_nnz_gauge =
+  Obs.Metrics.gauge ~help:"Nonzeros of the MNA L factor, over all blocks"
+    "mna_factor_nnz"
+
+let blocks_gauge =
+  Obs.Metrics.gauge ~help:"Independent blocks (nets) of the MNA system"
+    "mna_blocks"
+
+let solve ?jobs net =
   let sys = assemble net in
-  let nf = Array.length sys.rhs in
-  let x, fill =
-    if nf = 0 then ([||], 0)
-    else
-      match Ch.factorize sys.matrix with
-      | f -> (Ch.solve f sys.rhs, Ch.nnz_l f)
-      | exception Ch.Not_positive_definite row ->
-        let node = ref 0 in
-        Array.iteri (fun v r -> if r = row then node := v) sys.row_of_node;
-        raise
-          (Unsupported
-             (Printf.sprintf
-                "conductance matrix is not positive definite at node %s \
-                 (non-finite or non-physical resistance?)"
-                (Netlist.node_name net !node)))
+  let nf = Array.length sys.rhs and blocks = sys.blocks in
+  let x = Array.make nf 0. in
+  (* Every block fills its own slice of [x]; largest first, so the
+     longest factorization starts at once. *)
+  let size b = blocks.(b + 1) - blocks.(b) in
+  let order = Array.init (Array.length blocks - 1) Fun.id in
+  Array.stable_sort (fun a b -> Int.compare (size b) (size a)) order;
+  let factor_block b =
+    Obs.Trace.with_span "spice.mna.block"
+      ~attrs:[ ("rows", Obs.Trace.Int (size b)) ]
+      ~result_attrs:(fun f ->
+        [
+          ("nnz_l", Obs.Trace.Int (Ch.nnz_l f));
+          ("ordering_s", Obs.Trace.Float (Ch.ordering_seconds f));
+          ("factor_s", Obs.Trace.Float (Ch.factor_seconds f));
+        ])
+      (fun () ->
+        let f = Ch.factorize ~range:(blocks.(b), blocks.(b + 1)) sys.matrix in
+        Ch.solve_into f sys.rhs x;
+        f)
+    |> Ch.nnz_l
   in
+  let fill =
+    match Numerics.Parallel.map ?jobs factor_block order with
+    | fills -> Array.fold_left ( + ) 0 fills
+    | exception Ch.Not_positive_definite row ->
+      let node = ref 0 in
+      Array.iteri (fun v r -> if r = row then node := v) sys.row_of_node;
+      raise
+        (Unsupported
+           (Printf.sprintf
+              "conductance matrix is not positive definite at node %s \
+               (non-finite or non-physical resistance?)"
+              (Netlist.node_name net !node)))
+  in
+  Obs.Metrics.set_gauge free_nodes_gauge (float_of_int nf);
+  Obs.Metrics.set_gauge factor_nnz_gauge (float_of_int fill);
+  Obs.Metrics.set_gauge blocks_gauge (float_of_int (Array.length order));
   let n = Netlist.num_nodes net in
   let voltages = Array.make n 0. in
   for v = 0 to n - 1 do

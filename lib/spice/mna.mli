@@ -44,15 +44,32 @@ type system = {
   rhs : Numerics.Vector.t;  (** injected currents, plus pinned neighbours *)
   row_of_node : int array;  (** per node: its row, or [-1] when pinned *)
   fixed : float array;      (** per node: the pinned voltage, else 0 *)
+  blocks : int array;
+      (** row boundaries of the independent blocks: block [b] is rows
+          [\[blocks.(b), blocks.(b+1))], and no entry of the matrix
+          joins two blocks. [blocks.(0) = 0]; the last is the row
+          count. *)
 }
 
 val assemble : Netlist.t -> system
 (** The reduced system {!solve} factors. Rows are the free
-    representatives of merged shorts, in node order. Raises like
-    {!solve}. *)
+    representatives of merged shorts. Representatives joined through
+    positive resistors form a block (one per net: VDD, GND, …); rows
+    are numbered block by block, blocks in the order of their first
+    node and node order inside a block, so the matrix is block
+    diagonal with contiguous blocks. A block with no conductance to a
+    pinned node floats: undriven, its rows are identity rows.
+    Raises like {!solve}. *)
 
-val solve : Netlist.t -> solution
-(** Raises {!Unsupported}; [Invalid_argument] on an empty netlist. *)
+val solve : ?jobs:int -> Netlist.t -> solution
+(** Factors and solves each block on its own, the largest first, on
+    [jobs] domains ({!Numerics.Parallel.map}'s default when omitted).
+    Each block's ordering and factor depend on that block alone, so
+    the voltages are bit-identical at every [jobs]. When tracing, each
+    block is a [spice.mna.block] span with its rows, nnz(L) and
+    ordering and factor seconds; the [mna_free_nodes],
+    [mna_factor_nnz] and [mna_blocks] gauges record the last solve.
+    Raises {!Unsupported}; [Invalid_argument] on an empty netlist. *)
 
 val resistor_current : solution -> int -> float
 (** [resistor_current sol e]: conventional current through element [e]

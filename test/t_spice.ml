@@ -1036,6 +1036,135 @@ let test_mna_non_finite_conductance () =
     Alcotest.(check bool) ("says why: " ^ msg) true (contains msg "positive definite")
   | _ -> Alcotest.fail "a non-finite conductance must be rejected"
 
+(* Random mesh islands, each its own net: 1-4 padded and loaded ones
+   plus up to two unexcited floating ones. Their elements are added in
+   shuffled order, so node order interleaves the islands and the block
+   numbering has rows to move. *)
+let random_islands seed =
+  let rng = Numerics.Rng.create (Int64.of_int (seed + 4049)) in
+  let padded = 1 + Numerics.Rng.int rng 4 and floating = Numerics.Rng.int rng 3 in
+  let elements = ref [] in
+  let push f = elements := f :: !elements in
+  for isl = 0 to padded + floating - 1 do
+    let rows = 2 + Numerics.Rng.int rng 5 and cols = 2 + Numerics.Rng.int rng 5 in
+    let node r c = Printf.sprintf "n%d_%d_%d" (isl + 1) (r * 100) (c * 100) in
+    let random_node () =
+      node (Numerics.Rng.int rng rows) (Numerics.Rng.int rng cols)
+    in
+    let ohms = 0.01 +. Numerics.Rng.float rng 1. in
+    for r = 0 to rows - 1 do
+      for c = 0 to cols - 1 do
+        if c + 1 < cols then
+          push (fun b -> N.Builder.add_resistor b (node r c) (node r (c + 1)) ohms);
+        if r + 1 < rows then
+          push (fun b -> N.Builder.add_resistor b (node r c) (node (r + 1) c) ohms)
+      done
+    done;
+    let a = random_node () and z = random_node () in
+    if a <> z then push (fun b -> N.Builder.add_resistor b a z (2. *. ohms));
+    if Numerics.Rng.bool rng then push (fun b -> N.Builder.add_resistor b (node 0 0) (node 1 0) 0.);
+    if isl < padded then begin
+      let pad = random_node () in
+      push (fun b ->
+          N.Builder.add_voltage_source b ~name:(Printf.sprintf "V%d" isl) pad "0" 1.8);
+      for _ = 1 to rows * cols / 2 do
+        let load = random_node () and amps = Numerics.Rng.float rng 1e-3 in
+        push (fun b -> N.Builder.add_current_source b load "0" amps)
+      done
+    end
+  done;
+  let elements = Array.of_list !elements in
+  Numerics.Rng.shuffle rng elements;
+  let b = N.Builder.create ~title:"islands" () in
+  Array.iter (fun f -> f b) elements;
+  N.Builder.finish b
+
+let prop_blocks_solve_alike seed =
+  let net = random_islands seed in
+  let sys = Mna.assemble net in
+  let a = sys.Mna.matrix and blocks = sys.Mna.blocks in
+  let nb = Array.length blocks - 1 in
+  let partition =
+    nb >= 1
+    && blocks.(0) = 0
+    && blocks.(nb) = Array.length sys.Mna.rhs
+    && List.for_all (fun b -> blocks.(b) < blocks.(b + 1)) (List.init nb Fun.id)
+  in
+  let inside =
+    List.for_all
+      (fun b ->
+        let lo = blocks.(b) and hi = blocks.(b + 1) in
+        let ok = ref true in
+        for p = a.Numerics.Sparse.row_ptr.(lo) to a.Numerics.Sparse.row_ptr.(hi) - 1 do
+          let c = a.Numerics.Sparse.col_idx.(p) in
+          if c < lo || c >= hi then ok := false
+        done;
+        !ok)
+      (List.init nb Fun.id)
+  in
+  let bits v = Array.map Int64.bits_of_float v in
+  let sols = List.map (fun jobs -> Mna.solve ~jobs net) [ 1; 2; 3; 4 ] in
+  let first = List.hd sols in
+  let alike =
+    List.for_all
+      (fun s ->
+        bits s.Mna.voltages = bits first.Mna.voltages && s.Mna.fill = first.Mna.fill)
+      sols
+  in
+  (* One factorization of the whole matrix, mapped back to nodes. *)
+  let x = Numerics.Cholesky.(solve (factorize a) sys.Mna.rhs) in
+  let whole =
+    Array.mapi (fun v r -> if r >= 0 then x.(r) else sys.Mna.fixed.(v)) sys.Mna.row_of_node
+  in
+  let scale = Array.fold_left (fun m v -> Float.max m (Float.abs v)) 0. whole in
+  partition && inside && alike
+  && Array.for_all2
+       (fun w v -> Float.abs (w -. v) <= 1e-12 *. scale)
+       whole first.Mna.voltages
+
+let test_mna_floating_first_driven () =
+  (* Island a holds the first node, but island b's driven node comes
+     before a's: the error names island b, the group of the first
+     driven row in node order. *)
+  let b = N.Builder.create () in
+  N.Builder.add_voltage_source b "top" "0" 1.8;
+  N.Builder.add_resistor b "top" "mid" 1.;
+  N.Builder.add_resistor b "mid" "0" 2.;
+  N.Builder.add_resistor b "a1" "a2" 1.;
+  N.Builder.add_resistor b "b1" "b2" 1.;
+  N.Builder.add_current_source b "b2" "0" 1e-3;
+  N.Builder.add_resistor b "a2" "a3" 1.;
+  N.Builder.add_current_source b "a3" "0" 1e-3;
+  match Mna.solve (N.Builder.finish b) with
+  | exception Mna.Unsupported msg ->
+    Alcotest.(check bool) ("names island b: " ^ msg) true
+      (contains msg "2 nodes at b2 ")
+  | _ -> Alcotest.fail "driven floating subnetworks must be rejected"
+
+let test_mna_non_pd_second_block () =
+  (* Two nets; the second one's 1e-320 ohm resistor is an infinite
+     conductance, whose first pivot is at p. *)
+  let b = N.Builder.create () in
+  N.Builder.add_voltage_source b "top" "0" 1.8;
+  N.Builder.add_resistor b "top" "a" 1.;
+  N.Builder.add_resistor b "a" "b" 1.;
+  N.Builder.add_resistor b "b" "c" 1.;
+  N.Builder.add_resistor b "c" "0" 1.;
+  N.Builder.add_voltage_source b "vdd" "0" 1.;
+  N.Builder.add_resistor b "vdd" "p" 1.;
+  N.Builder.add_resistor b "p" "q" 1e-320;
+  N.Builder.add_resistor b "q" "0" 1.;
+  let net = N.Builder.finish b in
+  Alcotest.(check (array int)) "two blocks" [| 0; 3; 5 |] (Mna.assemble net).Mna.blocks;
+  List.iter
+    (fun jobs ->
+      match Mna.solve ~jobs net with
+      | exception Mna.Unsupported msg ->
+        Alcotest.(check bool) ("names p: " ^ msg) true
+          (contains msg "positive definite at node p ")
+      | _ -> Alcotest.fail "a non-finite conductance must be rejected")
+    [ 1; 2 ]
+
 (* ---------------------------------------------------------------- *)
 (* Solution files                                                    *)
 
@@ -1163,6 +1292,12 @@ let suites =
         case "floating subnetwork pinned at 0 V" test_mna_floating_unexcited;
         case "driven floating subnetwork rejected" test_mna_floating_excited;
         case "non-finite conductance rejected" test_mna_non_finite_conductance;
+        case "driven floating islands: the first driven one is named"
+          test_mna_floating_first_driven;
+        case "non-PD conductance in the second block names its node"
+          test_mna_non_pd_second_block;
+        qcheck ~count:200 "blocks: contiguous, same voltages at any jobs"
+          QCheck2.Gen.(int_bound 1_000_000) prop_blocks_solve_alike;
         qcheck ~count:200 "CSR assembly equals triplet assembly"
           QCheck2.Gen.(int_bound 1_000_000) prop_csr_matches_builder;
         qcheck ~count:200 "AMD order: permutation, on random meshes"
