@@ -1427,7 +1427,16 @@ let stats_netlist path tech sigma_t temperature jobs top trace_path
   Obs.Runtime.sample_now ();
   let metric_table = Rp.create [ "metric"; "labels"; "value" ] in
   print_newline ();
-  bounded "Metrics" (Obs.Metrics.snapshot ())
+  (* Metrics with data first (a nonzero value, or a histogram with
+     observations), each group in registration order, so the --top cut
+     drops the idle ones rather than whatever registered last. *)
+  let live, idle =
+    List.partition
+      (fun (s : Obs.Metrics.sample) ->
+        s.Obs.Metrics.s_value <> 0. || s.Obs.Metrics.s_count > 0)
+      (Obs.Metrics.snapshot ())
+  in
+  bounded "Metrics" (live @ idle)
   |> List.iter (fun (s : Obs.Metrics.sample) ->
          let labels =
            String.concat ","

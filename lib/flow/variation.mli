@@ -38,7 +38,10 @@
     the draws it sees do not. Results are therefore bit-identical for a
     fixed [spec] at any [jobs] value, across runs, and at any [block]
     size (draws are consumed per sample, and no lane reads another
-    lane's data).
+    lane's data). Across releases they repeat only within one normal
+    stream ({!Numerics.Rng.stream_version}, the report's
+    ["rng_stream"]); version 3 draws each normal by ziggurat, one raw
+    word per try.
 
     {2 Fault isolation}
 
@@ -108,9 +111,10 @@ val run_compact :
 
 val factor : Numerics.Rng.t -> float -> float
 (** One perturbation factor: [1.] when [sigma <= 0.], otherwise a
-    zero-truncated Gaussian with mean 1 ({!Numerics.Rng.gaussian_positive}
-    — resampled rather than clamped, so the empirical mean stays at 1
-    within the negligible truncation bias for practical sigmas). *)
+    zero-truncated Gaussian with mean 1 ({!Numerics.Rng.gaussian_positive},
+    the ziggurat of normal stream version 3 — resampled rather than
+    clamped, so the empirical mean stays at 1 within the negligible
+    truncation bias for practical sigmas). *)
 
 val perturb_compact :
   Numerics.Rng.t -> spec -> Em_core.Compact.t -> Em_core.Compact.t

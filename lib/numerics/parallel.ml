@@ -70,7 +70,7 @@ let run_slots ~jobs ~local f xs =
       in
       if Obs.Trace.enabled () then begin
         (* Label the lane so the trace viewer shows worker-N rather than a
-           bare domain id; worker 0 is the caller's domain ("main"). *)
+           bare number; worker 0 is the caller's own lane ("main"). *)
         if w > 0 then Obs.Trace.name_track (Printf.sprintf "worker-%d" w);
         Obs.Trace.with_span
           ~attrs:[ ("worker", Obs.Trace.Int w); ("batch", Obs.Trace.Int batch) ]
@@ -79,6 +79,7 @@ let run_slots ~jobs ~local f xs =
       else run_batches ()
     in
     let spawned w () =
+      Obs.Trace.set_worker_lane w;
       (* Stages count allocation across domains (Obs.Alloc.process). *)
       let since = Obs.Alloc.domain () in
       Fun.protect ~finally:(fun () -> Obs.Alloc.record_worker ~since) (worker w)

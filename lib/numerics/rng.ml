@@ -4,7 +4,8 @@
    state, the mixed word and the derived float stay in registers up to
    the public entry point; only a float or int64 returned across a
    module boundary is boxed, which [gaussian_positive_fill] avoids by
-   storing into the caller's array. *)
+   storing into the caller's array. The normals' slow path is the one
+   call left in a draw loop; it passes no float or int64 either. *)
 type t = Bytes.t
 
 let create seed =
@@ -37,6 +38,10 @@ let[@inline] to_unit w =
   float_of_int (Int64.to_int (Int64.shift_right_logical w 11))
   *. (1. /. 9007199254740992.)
 
+(* [2 (k 2^-53) - 1] in [-1, 1), for [k] the top 53 bits of a word. *)
+let[@inline] signed_unit k =
+  (2. *. (float_of_int k *. (1. /. 9007199254740992.))) -. 1.
+
 let[@inline] unit_float t = to_unit (next t)
 
 (* A uniform draw in (0, 1): zero is redrawn. *)
@@ -65,137 +70,125 @@ let uniform t lo hi =
   if hi < lo then invalid_arg "Rng.uniform: hi < lo";
   lo +. (unit_float t *. (hi -. lo))
 
-(* Wichura's AS241 (PPND16, Applied Statistics 37(3), 1988): the normal
-   quantile to about 1e-16 relative, for p in (0, 1). For
-   |p - 1/2| <= 0.425 (85% of uniform draws) it is one ratio of degree-7
-   polynomials in 0.180625 - (p - 1/2)^2 and calls no libm function;
-   the tails take one [log] and one [sqrt]. Each polynomial is written
-   c0 + r (c1 + r (... + r c7)): the same operations, in the same order,
-   as AS241's Horner form. *)
-let[@inline] ppnd16 p =
-  let q = p -. 0.5 in
-  if Float.abs q <= 0.425 then begin
-    let r = 0.180625 -. (q *. q) in
-    let num =
-      3.3871328727963666080e0
-      +. (r *. (1.3314166789178437745e2
-      +. (r *. (1.9715909503065514427e3
-      +. (r *. (1.3731693765509461125e4
-      +. (r *. (4.5921953931549871457e4
-      +. (r *. (6.7265770927008700853e4
-      +. (r *. (3.3430575583588128105e4
-      +. (r *. 2.5090809287301226727e3)))))))))))))
-    in
-    let den =
-      1.
-      +. (r *. (4.2313330701600911252e1
-      +. (r *. (6.8718700749205790830e2
-      +. (r *. (5.3941960214247511077e3
-      +. (r *. (2.1213794301586595867e4
-      +. (r *. (3.9307895800092710610e4
-      +. (r *. (2.8729085735721942674e4
-      +. (r *. 5.2264952788528545610e3)))))))))))))
-    in
-    q *. num /. den
+(* Normals by Doornik's ZIGNOR (2005), the 128-layer ziggurat of
+   Marsaglia and Tsang (2000). Layer 0 is the base strip with the tail
+   beyond R; layer i >= 1 spans |x| < X.(i) (X.(1) = R, X.(128) = 0),
+   and every layer has area V. [zig_x.(0)] is V / f(R), the width of a
+   rectangle of height f(R) and area V, so the base strip's rectangle
+   test is the same one as every other layer's. *)
+let zig_r = 3.442619855899
+
+let zig_v = 9.91256303526217e-3
+
+let[@inline] density x = exp (-0.5 *. x *. x)
+
+let zig_x =
+  let x = Array.make 129 0. in
+  x.(0) <- zig_v /. density zig_r;
+  x.(1) <- zig_r;
+  for i = 2 to 127 do
+    x.(i) <- sqrt (-2. *. log ((zig_v /. x.(i - 1)) +. density x.(i - 1)))
+  done;
+  x
+
+(* [zig_ratio.(i)] = X.(i+1) / X.(i): |u| below it puts u X.(i) under
+   the layer above, so inside the density without evaluating it. *)
+let zig_ratio = Array.init 128 (fun i -> zig_x.(i + 1) /. zig_x.(i))
+
+(* The try that failed the rectangle test: layer [i] and the 53-bit
+   integer [k] of its word. Stores the standard normal into [dst.(j)]
+   and returns true, or returns false when the wedge rejects and a new
+   try is due. Only ints and the state's bytes cross the call, so
+   nothing boxes; its extra words come from [t], which the caller has
+   brought up to date. *)
+let[@inline never] slow t dst j i k =
+  let u = signed_unit k in
+  if i = 0 then begin
+    (* Marsaglia's tail beyond R: x = ln u1 / R, y = ln u2 until
+       -2y >= x^2, then R - x; the uniforms are in (0, 1]. *)
+    let x = ref 0. and y = ref 0. in
+    let again = ref true in
+    while !again do
+      x := log (1. -. unit_float t) /. zig_r;
+      y := log (1. -. unit_float t);
+      again := -2. *. !y < !x *. !x
+    done;
+    Array.unsafe_set dst j (if u < 0. then !x -. zig_r else zig_r -. !x);
+    true
   end
   else begin
-    let r = sqrt (-.log (if q < 0. then p else 1. -. p)) in
-    let x =
-      if r <= 5. then begin
-        let r = r -. 1.6 in
-        let num =
-          1.42343711074968357734e0
-          +. (r *. (4.63033784615654529590e0
-          +. (r *. (5.76949722146069140550e0
-          +. (r *. (3.64784832476320460504e0
-          +. (r *. (1.27045825245236838258e0
-          +. (r *. (2.41780725177450611770e-1
-          +. (r *. (2.27238449892691845833e-2
-          +. (r *. 7.74545014278341407640e-4)))))))))))))
-        in
-        let den =
-          1.
-          +. (r *. (2.05319162663775882187e0
-          +. (r *. (1.67638483018380384940e0
-          +. (r *. (6.89767334985100004550e-1
-          +. (r *. (1.48103976427480074590e-1
-          +. (r *. (1.51986665636164571966e-2
-          +. (r *. (5.47593808499534494600e-4
-          +. (r *. 1.05075007164441684324e-9)))))))))))))
-        in
-        num /. den
-      end
-      else begin
-        let r = r -. 5. in
-        let num =
-          6.65790464350110377720e0
-          +. (r *. (5.46378491116411436990e0
-          +. (r *. (1.78482653991729133580e0
-          +. (r *. (2.96560571828504891230e-1
-          +. (r *. (2.65321895265761230930e-2
-          +. (r *. (1.24266094738807843860e-3
-          +. (r *. (2.71155556874348757815e-5
-          +. (r *. 2.01033439929228813265e-7)))))))))))))
-        in
-        let den =
-          1.
-          +. (r *. (5.99832206555887937690e-1
-          +. (r *. (1.36929880922735805310e-1
-          +. (r *. (1.48753612908506148525e-2
-          +. (r *. (7.86869131145613259100e-4
-          +. (r *. (1.84631831751005468180e-5
-          +. (r *. (1.42151175831644588870e-7
-          +. (r *. 2.04426310338993978564e-15)))))))))))))
-        in
-        num /. den
-      end
-    in
-    if q < 0. then -.x else x
+    (* The wedge between layer i's rectangle and the density. *)
+    let xi = Array.unsafe_get zig_x i and xi1 = Array.unsafe_get zig_x (i + 1) in
+    let x = u *. xi in
+    let f0 = exp (-0.5 *. ((xi *. xi) -. (x *. x))) in
+    let f1 = exp (-0.5 *. ((xi1 *. xi1) -. (x *. x))) in
+    if f1 +. (unit_float t *. (f0 -. f1)) < 1. then begin
+      Array.unsafe_set dst j x;
+      true
+    end
+    else false
   end
 
-let normal_quantile p =
-  if not (p > 0. && p < 1.) then
-    invalid_arg "Rng.normal_quantile: p must be in (0, 1)";
-  ppnd16 p
+let stream_version = 3
 
-let stream_version = 2
-
-(* One nonzero uniform per normal, through the quantile. *)
-let[@inline] normal t ~mean ~stddev = mean +. (stddev *. ppnd16 (nonzero t))
-
-let gaussian t ~mean ~stddev = normal t ~mean ~stddev
-
-let[@inline] positive t ~mean ~stddev =
-  if not (mean > 0.) then invalid_arg "Rng.gaussian_positive: mean must be > 0";
-  let x = ref (normal t ~mean ~stddev) in
-  while not (!x > 0.) do
-    x := normal t ~mean ~stddev
+(* The one normal core: [len] draws of [mean + stddev * n], n a
+   standard normal, into [dst.(off)] .., redrawn while not positive
+   when [positive]. Each try is one word: the layer from its low 7
+   bits, u in [-1, 1) from its top 53 bits; |u| < ratio.(i) accepts
+   u X.(i) at once (97.2% of tries, and 1.2% end rejected). The state
+   stays in a local for the whole run and is written back to [t] only
+   around the slow path, which leaves its normal in [dst.(j)]. *)
+let[@inline] draw t ~positive ~mean ~stddev dst off len =
+  let z = ref (Bytes.get_int64_ne t 0) in
+  for j = off to off + len - 1 do
+    let x = ref 0. in
+    let again = ref true in
+    while !again do
+      let n = ref 0. in
+      let trying = ref true in
+      while !trying do
+        z := Int64.add !z golden_gamma;
+        let w = mix !z in
+        let i = Int64.to_int w land 127 in
+        let k = Int64.to_int (Int64.shift_right_logical w 11) in
+        let u = signed_unit k in
+        if Float.abs u < Array.unsafe_get zig_ratio i then begin
+          n := u *. Array.unsafe_get zig_x i;
+          trying := false
+        end
+        else begin
+          Bytes.set_int64_ne t 0 !z;
+          if slow t dst j i k then begin
+            n := Array.unsafe_get dst j;
+            trying := false
+          end;
+          z := Bytes.get_int64_ne t 0
+        end
+      done;
+      x := mean +. (stddev *. !n);
+      again := positive && not (!x > 0.)
+    done;
+    Array.unsafe_set dst j !x
   done;
-  !x
+  Bytes.set_int64_ne t 0 !z
 
-let gaussian_positive t ~mean ~stddev = positive t ~mean ~stddev
+let gaussian t ~mean ~stddev =
+  let dst = [| 0. |] in
+  draw t ~positive:false ~mean ~stddev dst 0 1;
+  dst.(0)
 
-(* [len] draws of [positive], with the state in a local for the whole
-   loop: one load and one store of [t] per call instead of per word. *)
+let gaussian_positive t ~mean ~stddev =
+  if not (mean > 0.) then invalid_arg "Rng.gaussian_positive: mean must be > 0";
+  let dst = [| 0. |] in
+  draw t ~positive:true ~mean ~stddev dst 0 1;
+  dst.(0)
+
 let gaussian_positive_fill t ~mean ~stddev dst off len =
   if not (mean > 0.) then
     invalid_arg "Rng.gaussian_positive_fill: mean must be > 0";
   if off < 0 || len < 0 || off > Array.length dst - len then
     invalid_arg "Rng.gaussian_positive_fill: range outside the array";
-  let z = ref (Bytes.get_int64_ne t 0) in
-  for i = off to off + len - 1 do
-    let x = ref 0. in
-    while not (!x > 0.) do
-      let u = ref 0. in
-      while not (!u > 0.) do
-        z := Int64.add !z golden_gamma;
-        u := to_unit (mix !z)
-      done;
-      x := mean +. (stddev *. ppnd16 !u)
-    done;
-    Array.unsafe_set dst i !x
-  done;
-  Bytes.set_int64_ne t 0 !z
+  draw t ~positive:true ~mean ~stddev dst off len
 
 let exponential t ~rate =
   if rate <= 0. then invalid_arg "Rng.exponential: rate must be > 0";

@@ -8,8 +8,10 @@
     Draws allocate nothing: the state is kept unboxed and every
     intermediate stays in registers, so only a [float] or [int64]
     returned across a module boundary is boxed by the caller's
-    compiler. Hot loops use {!gaussian_positive_fill}, which stores
-    into an array instead.
+    compiler. {!gaussian} and {!gaussian_positive} also allocate a
+    one-slot array for the normal core to store into. Hot loops use
+    {!gaussian_positive_fill}, which stores into the caller's array
+    and allocates nothing, slow path included.
 
     The stream is fixed: a given seed yields the same values, bit for
     bit, from every function here, and generated decks and recorded
@@ -17,10 +19,12 @@
     ({!int64}, {!float}, {!int}, {!bool}, {!uniform}, {!exponential},
     {!shuffle}, {!choose}, {!split}) are unchanged since the state was
     a boxed [int64]. The normal draws ({!gaussian},
-    {!gaussian_positive}, {!gaussian_positive_fill}) are versioned by
-    {!stream_version}: version 2 maps one nonzero uniform through
-    {!normal_quantile} per normal; version 1 was Box-Muller, two
-    uniforms per normal, and is gone. *)
+    {!gaussian_positive}, {!gaussian_positive_fill}) share one core and
+    are versioned by {!stream_version}: version 3 is Doornik's ZIGNOR
+    ziggurat, 128 layers, one raw word per try and about 2.8% of tries
+    on a slow path that draws more words. Version 2 mapped one uniform
+    through the AS241 normal quantile and version 1 was Box-Muller; both
+    are gone. *)
 
 type t
 
@@ -47,18 +51,19 @@ val bool : t -> bool
 val uniform : t -> float -> float -> float
 (** [uniform t lo hi] is uniform in [\[lo, hi)]. *)
 
-val normal_quantile : float -> float
-(** [normal_quantile p] is the standard normal quantile [Phi^-1 p],
-    by Wichura's algorithm AS241 (PPND16), accurate to about 1e-16
-    relative. Raises [Invalid_argument] unless [0 < p < 1]. *)
-
 val stream_version : int
-(** The version of the normal stream, [2]. It changes whenever the
+(** The version of the normal stream, [3]. It changes whenever the
     normals drawn from a given seed change. *)
 
 val gaussian : t -> mean:float -> stddev:float -> float
-(** Normal deviate [mean + stddev * normal_quantile u] of one uniform
-    [u] in (0, 1), one raw word per draw ([u = 0] is redrawn). *)
+(** Normal deviate [mean + stddev * n], [n] a standard normal drawn by
+    the 128-layer ziggurat (ZIGNOR; Doornik 2005, Marsaglia and Tsang
+    2000). Each try takes one raw word: its low 7 bits pick the layer
+    [i], its top 53 bits a uniform [u] in [\[-1, 1)], and [u X_i] is
+    accepted when [|u| < X_(i+1) / X_i]. Otherwise layer 0 draws
+    Marsaglia's tail beyond [R = 3.442619855899] and the other layers
+    test the wedge, each uniform one more word; a rejected wedge starts
+    a new try. *)
 
 val gaussian_positive : t -> mean:float -> stddev:float -> float
 (** Zero-truncated normal deviate: draws from {!gaussian} until the

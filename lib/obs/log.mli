@@ -1,7 +1,7 @@
 (** Structured, leveled logging, correlated with the trace.
 
     A log record carries a monotonic timestamp ({!Clock}), a level, the
-    calling domain's track id, the id of the innermost open
+    calling domain's lane ({!Trace.track}), the id of the innermost open
     {!Trace.with_span} (when tracing is enabled), a message, and typed
     key-value fields. Records go to a text sink, a JSON-lines sink, or
     both; independently, every record (regardless of the sink's level

@@ -58,7 +58,22 @@ let enabled () = Atomic.get state <> None
 
 let current () = Atomic.get state
 
-let track () = (Domain.self () :> int)
+(* The worker slot a [Parallel] section gave the calling domain, if
+   any. Sections spawn fresh domains, so keying a worker's spans by its
+   slot rather than its domain id keeps every worker-N on one lane. *)
+let worker_lane : int option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let set_worker_lane w =
+  if w < 1 then invalid_arg "Trace.set_worker_lane: slot < 1";
+  Domain.DLS.set worker_lane (Some w)
+
+(* Domains outside a section take minus their id, so they never share
+   a worker's lane; the main domain (id 0) is lane 0. *)
+let track () =
+  match Domain.DLS.get worker_lane with
+  | Some w -> w
+  | None -> -(Domain.self () :> int)
 
 let name_track name =
   match Atomic.get state with

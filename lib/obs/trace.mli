@@ -3,9 +3,10 @@
 
     A trace is a buffer of completed {e spans}: named, timed intervals
     with attributes, a parent link (the span that was open on the same
-    domain when this one started), and a {e track} — the domain the span
-    ran on, so parallel workers render as separate lanes in a trace
-    viewer. The exporter writes the Chrome trace-event JSON format,
+    domain when this one started), and a {e track} — the lane the span
+    ran on: the main domain, a parallel section's worker slot, or
+    another domain ({!track}) — so parallel workers render as separate
+    lanes in a trace viewer. The exporter writes the Chrome trace-event JSON format,
     loadable in Perfetto ({:https://ui.perfetto.dev}) or
     [chrome://tracing]. {!Profile} derives exact per-path self-times
     and the folded/speedscope profiles from the same buffer.
@@ -32,7 +33,7 @@ type event = {
   id : int;            (** unique per trace, allocation order *)
   parent : int option; (** enclosing span on the same domain, if any *)
   name : string;
-  track : int;         (** domain id the span ran on *)
+  track : int;         (** lane the span ran on ({!track}) *)
   start_us : float;    (** {!Clock.now_us} at span start *)
   dur_us : float;      (** duration, >= 0 *)
   error : bool;        (** the span body raised *)
@@ -107,7 +108,17 @@ val current_span_id : unit -> int option
     enabled — what {!Log} stamps log records with for correlation. *)
 
 val track : unit -> int
-(** The calling domain's track id ([Domain.self] as an integer). *)
+(** The calling domain's track (lane) id: its worker slot [w >= 1]
+    after {!set_worker_lane}, otherwise minus its [Domain.self] id, so
+    the main domain is lane 0 and no domain outside a parallel section
+    shares a worker's lane. *)
+
+val set_worker_lane : int -> unit
+(** [set_worker_lane w] records the calling domain as worker slot [w]
+    of a parallel section: its spans and log records go on lane [w].
+    Every section spawns fresh domains, so this keeps one lane per
+    worker slot however many sections run. Raises [Invalid_argument]
+    when [w < 1] (slot 0 is the calling domain's own lane). *)
 
 val name_track : string -> unit
 (** Label the calling domain's track in the exported trace (e.g.

@@ -225,6 +225,25 @@ let test_analyze_stages () =
         [ "parse"; "lint"; "solve"; "extract"; "analyze"; "classify" ]
         stage_lines)
 
+(* The stats metric table lists metrics with data before idle ones, so
+   the default --top 20 keeps the solve's gauges, registered late. *)
+let test_stats_metric_order () =
+  let r = run_cmd (Printf.sprintf "%s stats %s" emcheck deck) in
+  Alcotest.(check int) "stats exit 0" 0 r.code;
+  (* The rows after the "Metrics (top 20 of N):" heading. *)
+  let rec after = function
+    | [] -> []
+    | l :: rest when String.starts_with ~prefix:"Metrics" l -> rest
+    | _ :: rest -> after rest
+  in
+  let metrics = after (String.split_on_char '\n' r.out) in
+  List.iter
+    (fun gauge ->
+      Alcotest.(check bool)
+        (gauge ^ " in the metric table") true
+        (List.exists (fun l -> T_obs.contains l ("| " ^ gauge ^ " ")) metrics))
+    [ "mna_factor_nnz"; "mna_blocks" ]
+
 (* A deck without supplies fails lint: explain and stats refuse it the
    way analyze does, in one line naming the failing check. *)
 let test_lint_refusal () =
@@ -389,6 +408,7 @@ let suites =
         case "overflowing value: a line error" test_analyze_non_finite_value;
         case "parse, lint and solve are pipeline stages" test_analyze_stages;
         case "lint refusal names the failing check" test_lint_refusal;
+        case "stats lists metrics with data first" test_stats_metric_order;
         case "--metrics samples the process gauges" test_metrics_process_gauges;
       ] );
     ( "cli.ledger",

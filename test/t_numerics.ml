@@ -469,14 +469,52 @@ module Boxed_rng = struct
 
   let uniform t lo hi = lo +. (unit_float t *. (hi -. lo))
 
-  (* Stream version 2: one nonzero uniform per normal, mapped through
-     the quantile (itself checked against reference values below). *)
-  let gaussian t ~mean ~stddev =
-    let rec nonzero () =
-      let u = unit_float t in
-      if u > 0. then u else nonzero ()
+  (* Stream version 3, written apart from [Rng]: Doornik's ZIGNOR with
+     its own tables. Each try is one word (layer from the low 7 bits,
+     u in [-1, 1) from the top 53); a try outside the layer's rectangle
+     takes Marsaglia's tail in layer 0 and the wedge test elsewhere. *)
+  let zig_r = 3.442619855899
+
+  let zig_v = 9.91256303526217e-3
+
+  let density x = exp (-0.5 *. x *. x)
+
+  (* X.(0) = V / f(R), X.(1) = R, X.(i) from the layer below's area,
+     X.(128) = 0. *)
+  let zig_x =
+    let rec up acc prev i =
+      if i = 128 then Array.of_list (List.rev (0. :: acc))
+      else
+        let x = sqrt (-2. *. log ((zig_v /. prev) +. density prev)) in
+        up (x :: acc) x (i + 1)
     in
-    mean +. (stddev *. Rng.normal_quantile (nonzero ()))
+    up [ zig_r; zig_v /. density zig_r ] zig_r 2
+
+  let gaussian t ~mean ~stddev =
+    let rec tail () =
+      let x = log (1. -. unit_float t) /. zig_r in
+      let y = log (1. -. unit_float t) in
+      if -2. *. y >= x *. x then x else tail ()
+    in
+    let rec try_once () =
+      let w = int64 t in
+      let i = Int64.to_int (Int64.logand w 127L) in
+      let u =
+        (2. *. (Int64.to_float (Int64.shift_right_logical w 11)
+                *. (1. /. 9007199254740992.)))
+        -. 1.
+      in
+      let x = u *. zig_x.(i) in
+      if Float.abs u < zig_x.(i + 1) /. zig_x.(i) then x
+      else if i = 0 then
+        let d = tail () in
+        if u < 0. then d -. zig_r else zig_r -. d
+      else
+        let f0 = exp (-0.5 *. ((zig_x.(i) *. zig_x.(i)) -. (x *. x))) in
+        let f1 = exp (-0.5 *. ((zig_x.(i + 1) *. zig_x.(i + 1)) -. (x *. x))) in
+        if f1 +. (unit_float t *. (f0 -. f1)) < 1. then x else try_once ()
+    in
+    mean +. (stddev *. try_once ())
 
   let gaussian_positive t ~mean ~stddev =
     let rec draw () =
@@ -572,63 +610,74 @@ let test_rng_draws_allocate_nothing () =
   check_raises_invalid "non-positive mean" (fun () ->
       Rng.gaussian_positive_fill rng ~mean:0. ~stddev:1. dst 0 1)
 
-(* AS241 against reference quantiles, to 4 ulp. *)
-let test_rng_normal_quantile_reference () =
-  let ulps a b =
-    Int64.to_float
-      (Int64.abs (Int64.sub (Int64.bits_of_float a) (Int64.bits_of_float b)))
+(* The ziggurat's layers all have area V: the base strip is the
+   rectangle [0, R] x [0, f(R)] plus the tail beyond R, and layer i
+   >= 1 is X.(i) wide and f(X.(i+1)) - f(X.(i)) high. The published R
+   and V close the recursion at X.(128) = 9.3e-6 rather than 0, so the
+   top layer holds its area only to 1.2e-9. [prop_rng_matches_boxed]
+   pins the production tables to these, draw by draw. *)
+let test_rng_ziggurat_tables () =
+  let x = Boxed_rng.zig_x and f = Boxed_rng.density in
+  let r = Boxed_rng.zig_r and v = Boxed_rng.zig_v in
+  Alcotest.(check int) "129 edges" 129 (Array.length x);
+  Alcotest.(check (float 0.)) "X.(1) = R" r x.(1);
+  Alcotest.(check (float 0.)) "X.(128) = 0" 0. x.(128);
+  let area name got tol =
+    let rel = Float.abs (got -. v) /. v in
+    if rel > tol then
+      Alcotest.failf "%s: area %.17g, V %.17g (%.2g relative)" name got v rel
   in
-  List.iter
-    (fun (p, z) ->
-      let x = Rng.normal_quantile p in
-      if not (Float.sign_bit x = Float.sign_bit z && ulps x z <= 4.) then
-        Alcotest.failf "quantile %g: %.17g, reference %.17g (%.0f ulp)" p x
-          z (ulps x z))
-    [
-      (0.975, 1.959963984540054);
-      (0.9, 1.2815515655446004);
-      (0.999, 3.090232306167813);
-      (1e-10, -6.361340902404056);
-    ];
-  Alcotest.(check (float 0.)) "median" 0. (Rng.normal_quantile 0.5);
-  List.iter
-    (fun p ->
-      check_raises_invalid (Printf.sprintf "p = %g" p) (fun () ->
-          ignore (Rng.normal_quantile p)))
-    [ 0.; 1.; -0.5; Float.nan ]
-
-(* Phi^-1 is odd about 1/2. Uniform draws are multiples of 2^-53, for
-   which 1 - p and p - 1/2 are exact, so on them the symmetry is exact
-   too. Phi(Phi^-1 p) = p, through erfc, checks every branch's
-   coefficients; the sweep crosses all three branches. *)
-let test_rng_normal_quantile_symmetry () =
-  let rng = Rng.create 11L in
-  let worst = ref 0. in
-  let round_trip p =
-    let x = Rng.normal_quantile p in
-    (* The smaller tail, so p near 1 keeps its relative precision. *)
-    let tail = Float.min p (1. -. p) in
-    let rel = Float.abs ((0.5 *. Float.erfc (Float.abs x /. sqrt 2.)) -. tail) /. tail in
-    worst := Float.max !worst (rel /. (1. +. (x *. x)))
-  in
-  let symmetric p =
-    if Int64.bits_of_float (Rng.normal_quantile p)
-       <> Int64.bits_of_float (-.Rng.normal_quantile (1. -. p))
-    then Alcotest.failf "asymmetric at p = %.17g" p;
-    round_trip p
-  in
-  for _ = 1 to 20_000 do
-    let u = Rng.float rng 1. in
-    symmetric (if u = 0. then 0.5 else u)
+  area "base rectangle" (x.(0) *. f r) 1e-12;
+  area "base strip" ((r *. f r) +. (sqrt (Float.pi /. 2.) *. Float.erfc (r /. sqrt 2.)))
+    1e-12;
+  for i = 1 to 126 do
+    area (Printf.sprintf "layer %d" i) (x.(i) *. (f x.(i + 1) -. f x.(i))) 1e-12
   done;
-  (* The branch boundaries, on the 2^-53 grid. *)
-  List.iter
-    (fun p -> symmetric (Float.round (p *. 0x1p53) *. 0x1p-53))
-    [ 0.075; 0.925; 0x1p-53; 0.3; 0.5 +. 0x1p-53 ];
-  (* Deep tail, far past the uniform draws' reach. *)
-  List.iter round_trip [ 1e-12; 1e-100; 1e-300 ];
-  if !worst > 1e-14 then
-    Alcotest.failf "Phi(quantile p) off by %.3g relative" !worst
+  area "layer 127" (x.(127) *. (f x.(128) -. f x.(127))) 2e-9
+
+(* 4 x 10^6 standard normals against Phi: a chi-square over 32 bins of
+   width 1/4 on [-4, 4] and the two tails beyond (33 degrees of freedom;
+   63.87 is the 0.999 quantile), and the tail-path frequency |x| > R
+   within 5 binomial standard deviations. *)
+let test_rng_ziggurat_distribution () =
+  let rng = Rng.create 31415L in
+  let n = 4_000_000 in
+  let nbins = 34 in
+  let bin x =
+    if x < -4. then 0
+    else if x >= 4. then nbins - 1
+    else 1 + min 31 (int_of_float ((x +. 4.) *. 4.))
+  in
+  let counts = Array.make nbins 0 and beyond_r = ref 0 in
+  for _ = 1 to n do
+    let x = Rng.gaussian rng ~mean:0. ~stddev:1. in
+    counts.(bin x) <- counts.(bin x) + 1;
+    if Float.abs x > Boxed_rng.zig_r then incr beyond_r
+  done;
+  (* Upper tail mass Q(a) = P(X > a), exact in both tails through erfc. *)
+  let q a = 0.5 *. Float.erfc (a /. sqrt 2.) in
+  let mass b =
+    if b = 0 || b = nbins - 1 then q 4.
+    else
+      let lo = -4. +. (float_of_int (b - 1) /. 4.) in
+      q lo -. q (lo +. 0.25)
+  in
+  let nf = float_of_int n in
+  let chi2 = ref 0. in
+  Array.iteri
+    (fun b c ->
+      let e = nf *. mass b in
+      let d = float_of_int c -. e in
+      chi2 := !chi2 +. (d *. d /. e))
+    counts;
+  if !chi2 > 63.87 then
+    Alcotest.failf "chi-square %.2f > 63.87 (bins %s)" !chi2
+      (String.concat " " (Array.to_list (Array.map string_of_int counts)));
+  let p = 2. *. q Boxed_rng.zig_r in
+  let expected = nf *. p and sd = sqrt (nf *. p *. (1. -. p)) in
+  if Float.abs (float_of_int !beyond_r -. expected) > 5. *. sd then
+    Alcotest.failf "|x| > R: %d draws, expected %.0f +- %.0f" !beyond_r
+      expected (5. *. sd)
 
 (* Moments and decile counts of 10^6 draws of N(3, 2^2), standardized.
    The deciles are the reference quantiles of N(0, 1), so each bin
@@ -1107,9 +1156,8 @@ let suites =
         case "determinism" test_rng_determinism;
         case "ranges" test_rng_ranges;
         case "gaussian moments" test_rng_gaussian_moments;
-        case "normal quantile reference values" test_rng_normal_quantile_reference;
-        case "normal quantile symmetry and round trip"
-          test_rng_normal_quantile_symmetry;
+        case "ziggurat tables" test_rng_ziggurat_tables;
+        case "ziggurat distribution" test_rng_ziggurat_distribution;
         case "zero-truncated gaussian" test_rng_gaussian_positive;
         case "shuffle permutes" test_rng_shuffle_permutes;
         case "split independence" test_rng_split_independent;

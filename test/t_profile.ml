@@ -230,6 +230,37 @@ let test_stacks_aggregation () =
   Alcotest.(check bool) "main lane named" true
     (T_obs.contains folded "main;root;child ")
 
+(* Each parallel section spawns fresh domains, but a worker's spans go
+   on its slot's lane, so three sections at -j 3 make three lanes (every
+   worker records one "parallel.chunk" span per section); a domain
+   outside any section gets a lane no worker shares. *)
+let test_worker_lanes () =
+  let t = Tr.create () in
+  let outside =
+    Tr.with_enabled t (fun () ->
+        for _ = 1 to 3 do
+          ignore
+            (Numerics.Parallel.map ~jobs:3 Fun.id (Array.init 6 Fun.id))
+        done;
+        Domain.join
+          (Domain.spawn (fun () ->
+               Tr.with_span "outside" ignore;
+               Tr.track ())))
+  in
+  let lanes name =
+    List.filter (fun (e : Tr.event) -> e.Tr.name = name) (Tr.events t)
+    |> List.map (fun (e : Tr.event) -> e.Tr.track)
+    |> List.sort_uniq compare
+  in
+  Alcotest.(check (list int)) "chunk lanes" [ 0; 1; 2 ] (lanes "parallel.chunk");
+  Alcotest.(check bool) "outside lane is no worker's" true (outside < 0);
+  Alcotest.(check (list int)) "outside span" [ outside ] (lanes "outside");
+  Alcotest.(check (list (pair int string)))
+    "one name per lane"
+    [ (0, "main"); (1, "worker-1"); (2, "worker-2") ]
+    (List.sort compare (Tr.track_names t));
+  check_raises_invalid "slot 0" (fun () -> Tr.set_worker_lane 0)
+
 (* The acceptance test for the exact profile: a real two-domain flow
    run on a pg1-class grid, traced end to end. *)
 let test_flow_identity () =
@@ -271,9 +302,10 @@ let test_flow_identity () =
   Alcotest.(check bool) "the DC solve is a traced stage" true
     (total [ "solve" ] > 0.);
   let stacks = Pf.stacks t in
-  (* A lane is a domain. Each parallel section spawns its own worker:
-     main, the DC solve's (pg1 has two nets) and the EM analysis's. *)
-  Alcotest.(check int) "three lanes" 3
+  (* A lane is a worker slot: main, and worker-1, which the DC solve's
+     section (pg1 has two nets) and the EM analysis's share although
+     each spawns its own domain. *)
+  Alcotest.(check int) "two lanes" 2
     (List.length (List.sort_uniq compare (List.map (fun s -> s.Pf.sk_track) stacks)));
   (* Both exports total the same wall: folded to the rounded µs,
      speedscope to float rounding. *)
@@ -412,6 +444,7 @@ let suites =
       [
         case "self/total invariants and telescoping" test_attribution_invariants;
         case "exact identity on a two-domain flow run" test_flow_identity;
+        case "one lane per worker slot" test_worker_lanes;
       ] );
     ( "profile.speedscope",
       [
