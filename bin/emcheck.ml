@@ -823,8 +823,8 @@ let analyze_cmd =
       & info [ "variation" ]
           ~doc:
             "Monte-Carlo process variation: resample wire geometry and the \
-             critical stress per structure (vectorized over the columnar \
-             representation) and report per-structure mortality \
+             critical stress per structure (one sample at a time on the \
+             columnar representation) and report per-structure mortality \
              probabilities and peak-stress quantiles. Results are \
              bit-identical for a fixed $(b,--mc-seed) at any $(b,--jobs).")
   in

@@ -62,8 +62,8 @@ end
     order depends only on the topology (the CSR slot order), never on
     the geometry columns, so the schedule can be captured once per
     structure and replayed against many perturbed geometries — the
-    vectorized Monte-Carlo variation engine replays it across whole
-    sample blocks. Replaying event [i] as
+    Monte-Carlo variation engine replays it once per sample. Replaying
+    event [i] as
     [b.(node i) = b.(parent i) +. sign i *. j.(edge i) *. l.(edge i)]
     reproduces the solver's Blech sums bit-for-bit for any geometry
     sharing the topology (see {!Compact.with_geometry}). *)

@@ -522,11 +522,8 @@ let refusal ~path = function
   | _ -> None
 
 let pp_summary ppf r =
-  Format.fprintf ppf
-    "@[<v>%d structures, %d segments@,Blech vs exact: %a@,\
-     solve %.2fs, extract %.2fs, EM analysis %.2fs@]"
-    r.num_structures r.num_segments Cl.pp r.counts r.solve_time r.extract_time
-    r.analysis_time;
+  Format.fprintf ppf "@[<v>%d structures, %d segments@,Blech vs exact: %a@]"
+    r.num_structures r.num_segments Cl.pp r.counts;
   (match r.maxpath_counts with
   | Some c -> Format.fprintf ppf "@,max-path vs exact: %a" Cl.pp c
   | None -> ());

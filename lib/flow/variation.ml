@@ -11,13 +11,12 @@ type spec = {
   thickness_sigma : float;
   crit_sigma : float;
   samples : int;
-  block : int;
   seed : int64;
 }
 
 let default_spec =
   { width_sigma = 0.05; thickness_sigma = 0.05; crit_sigma = 0.10;
-    samples = 200; block = 256; seed = 20260707L }
+    samples = 200; seed = 20260707L }
 
 type structure_stats = {
   index : int;
@@ -82,65 +81,42 @@ let perturb_compact rng spec (c : Cc.t) =
   Cc.with_geometry c ~width ~height ~j
 
 (* ------------------------------------------------------------------ *)
-(* Vectorized sampling kernel                                          *)
+(* Sampling kernel                                                     *)
 
-(* Per-domain scratch: the sample-blocked geometry/Blech-sum slabs plus
-   a solver workspace for the nominal check. All grow-only, so a warm
-   domain re-solves thousands of samples with zero allocation. *)
+(* Estimator chunk: finite peaks wait here and reach the estimators
+   [chunk] at a time, the same sequence as per-sample adds without
+   boxing a float per sample. *)
+let chunk = 256
+
+(* Per-domain scratch, O(nodes + segments): one sample's geometry and
+   Blech sums, the estimator chunk, and a solver workspace for the
+   nominal check. The columns are grow-only, so a warm domain
+   re-solves thousands of samples with zero allocation. *)
 type scratch = {
   ws : Ss.Workspace.t;
-  mutable whp : float array;   (* segments x block: perturbed w*h *)
-  mutable jp : float array;    (* segments x block: perturbed j *)
-  mutable b : float array;     (* nodes x block: Blech sums *)
-  mutable acc_a : float array; (* per sample: A accumulator *)
-  mutable acc_q : float array; (* per sample: Q accumulator *)
-  mutable minb : float array;  (* per sample: min_i b_i *)
-  mutable maxb : float array;  (* per sample: max_i b_i *)
-  mutable thr : float array;   (* per sample: perturbed threshold *)
-  mutable peak : float array;  (* per sample: finite peak stresses, packed *)
-  mutable fw : float array;    (* per segment: one sample's width factors *)
-  mutable ft : float array;    (* per segment: one sample's thickness factors *)
+  mutable wh : float array; (* per segment: width factor, then w*h *)
+  mutable jp : float array; (* per segment: thickness factor, then j' *)
+  mutable b : float array;  (* per node: Blech sums *)
+  crit : float array;       (* the sample's critical-stress factor *)
+  peak : float array;       (* finite peaks not yet in the estimators *)
 }
 
 let scratch_create () =
   {
     ws = Ss.Workspace.create ();
-    whp = [||]; jp = [||]; b = [||];
-    acc_a = [||]; acc_q = [||]; minb = [||]; maxb = [||]; thr = [||];
-    peak = [||]; fw = [||]; ft = [||];
+    wh = [||]; jp = [||]; b = [||];
+    crit = [| 0. |];
+    peak = Array.make chunk 0.;
   }
 
 let grown a len = if Array.length a >= len then a else Array.make len 0.
 
-let scratch_reserve sc ~segments ~nodes ~block =
-  sc.whp <- grown sc.whp (segments * block);
-  sc.jp <- grown sc.jp (segments * block);
-  sc.b <- grown sc.b (nodes * block);
-  sc.acc_a <- grown sc.acc_a block;
-  sc.acc_q <- grown sc.acc_q block;
-  sc.minb <- grown sc.minb block;
-  sc.maxb <- grown sc.maxb block;
-  sc.thr <- grown sc.thr block;
-  sc.peak <- grown sc.peak block;
-  sc.fw <- grown sc.fw segments;
-  sc.ft <- grown sc.ft segments
-
-(* Cap the per-domain slab memory at ~32 MB regardless of the sample
-   count or structure size: the block shrinks for huge structures. The
-   per-sample arithmetic never reads another sample's lane, so the
-   block size affects only throughput, never a single result bit. *)
-let scratch_budget_floats = 4_000_000
-
-let block_size spec ~segments ~nodes =
-  max 1
-    (min spec.block (scratch_budget_floats / ((2 * segments) + nodes + 8)))
-
-(* All samples of one structure. One recorded BFS schedule (topology
-   only) is replayed over blocks of perturbed geometry lanes, so the
-   graph traversal cost amortizes over the whole block; per-sample
-   results stream into O(1)-memory estimators. Raises only on
-   structural problems (disconnected topology); a degenerate *sample*
-   is counted and skipped. *)
+(* All samples of one structure, one sample at a time. The BFS
+   schedule is recorded once (topology only) and replayed per sample;
+   every floating-point expression and summation order is the scalar
+   solver's, so each peak is bit-identical to [perturb_compact] then
+   [solve_compact]. Raises only on structural problems (disconnected
+   topology); a degenerate *sample* is counted and skipped. *)
 let mc_structure material spec sc rng ~index (cs : Extract.compact_structure) =
   let c = cs.Extract.compact in
   let n = Cc.num_nodes c and m = Cc.num_segments c in
@@ -156,110 +132,105 @@ let mc_structure material spec sc rng ~index (cs : Extract.compact_structure) =
   let q50 = Stats.P2.create 0.5 in
   let q90 = Stats.P2.create 0.9 in
   let q99 = Stats.P2.create 0.99 in
-  let mortal = ref 0 and failed = ref 0 in
-  let bmax = block_size spec ~segments:m ~nodes:n in
-  scratch_reserve sc ~segments:m ~nodes:n ~block:bmax;
+  sc.wh <- grown sc.wh m;
+  sc.jp <- grown sc.jp m;
+  sc.b <- grown sc.b n;
+  let wh = sc.wh and jp = sc.jp and b = sc.b in
+  let crit = sc.crit and peak = sc.peak in
+  let flush len =
+    Stats.Online.add_slice online peak 0 len;
+    Stats.P2.add_slice q50 peak 0 len;
+    Stats.P2.add_slice q90 peak 0 len;
+    Stats.P2.add_slice q99 peak 0 len
+  in
   let widths = c.Cc.width and heights = c.Cc.height in
   let lengths = c.Cc.length and js = c.Cc.j in
   let tails = c.Cc.tail in
-  let whp = sc.whp and jp = sc.jp and b = sc.b in
-  let acc_a = sc.acc_a and acc_q = sc.acc_q in
-  let minb = sc.minb and maxb = sc.maxb and thr = sc.thr in
-  let peak = sc.peak in
-  let fw = sc.fw and ft = sc.ft in
-  let width_sigma = spec.width_sigma in
-  let thickness_sigma = spec.thickness_sigma in
   let s_node = sched.Ss.Schedule.node in
   let s_parent = sched.Ss.Schedule.parent in
   let s_edge = sched.Ss.Schedule.edge in
   let s_sign = sched.Ss.Schedule.sign in
-  let remaining = ref spec.samples in
-  while !remaining > 0 do
-    let bs = min bmax !remaining in
-    (* Draws happen sample-by-sample (lane-major), so the stream
-       consumed by sample [s] is a function of [s] alone — blocking is
-       invisible to the randomness. Per sample: the [m] width factors,
-       then the [m] thickness factors, then the critical-stress factor
-       (drawn into the lane's threshold slot). *)
-    for s = 0 to bs - 1 do
-      factor_fill rng width_sigma fw 0 m;
-      factor_fill rng thickness_sigma ft 0 m;
-      for k = 0 to m - 1 do
-        let fw = fw.(k) and ft = ft.(k) in
-        whp.((k * bs) + s) <- widths.(k) *. fw *. (heights.(k) *. ft);
-        jp.((k * bs) + s) <- js.(k) /. (fw *. ft)
-      done;
-      factor_fill rng spec.crit_sigma thr s 1;
-      thr.(s) <- sigma_c *. thr.(s)
-    done;
-    (* Step 1: replay the recorded BFS across the block. Each lane
-       evaluates exactly the floating-point expressions the scalar
-       solver would: [sign *. j] is the [jhat] branch bit-for-bit. *)
-    Array.fill b (sched.Ss.Schedule.reference * bs) bs 0.;
-    for i = 0 to Array.length s_node - 1 do
-      let u = s_node.(i) * bs in
-      let v = s_parent.(i) * bs in
-      let e = s_edge.(i) in
-      let sg = s_sign.(i) in
-      let l = lengths.(e) in
-      let er = e * bs in
-      for s = 0 to bs - 1 do
-        b.(u + s) <- b.(v + s) +. (sg *. jp.(er + s) *. l)
-      done
-    done;
-    (* Step 2: A and Q, in segment order (the scalar summation order). *)
-    Array.fill acc_a 0 bs 0.;
-    Array.fill acc_q 0 bs 0.;
+  let reference = sched.Ss.Schedule.reference in
+  (* The one length check the unchecked loops below rely on. The
+     schedule's columns hold [n - 1] entries, and the index columns
+     ([tails], the schedule's nodes and edges) were validated by
+     [Compact.make] and [Schedule.make]. *)
+  if
+    Array.length widths < m || Array.length heights < m
+    || Array.length lengths < m || Array.length js < m
+  then invalid_arg "Variation: compact columns shorter than the structure";
+  let width_sigma = spec.width_sigma in
+  let thickness_sigma = spec.thickness_sigma in
+  let mortal = ref 0 and failed = ref 0 and pending = ref 0 in
+  for _ = 1 to spec.samples do
+    (* Draws, per sample: the [m] width factors, the [m] thickness
+       factors, then the critical-stress factor. *)
+    factor_fill rng width_sigma wh 0 m;
+    factor_fill rng thickness_sigma jp 0 m;
+    factor_fill rng spec.crit_sigma crit 0 1;
+    (* Pass 1, segments: w*h and j' in place of the factors, and A. *)
+    let a = ref 0. in
     for k = 0 to m - 1 do
-      let l = lengths.(k) in
-      let tr = tails.(k) * bs and kr = k * bs in
-      for s = 0 to bs - 1 do
-        let wh = whp.(kr + s) in
-        acc_a.(s) <- acc_a.(s) +. (wh *. l);
-        acc_q.(s) <-
-          acc_q.(s) +. (wh *. ((jp.(kr + s) *. l *. l /. 2.) +. (b.(tr + s) *. l)))
-      done
+      let fw = Array.unsafe_get wh k and ft = Array.unsafe_get jp k in
+      let whk =
+        Array.unsafe_get widths k *. fw *. (Array.unsafe_get heights k *. ft)
+      in
+      Array.unsafe_set wh k whk;
+      Array.unsafe_set jp k (Array.unsafe_get js k /. (fw *. ft));
+      a := !a +. (whk *. Array.unsafe_get lengths k)
     done;
-    (* Step 3: Blech-sum extrema per lane. Rounding is monotone, so
-       beta * (Q/A - min_i b_i) equals the maximum node stress the
-       scalar solver's full scan would return (and the max-b side gives
-       the minimum, which only gates the finiteness check). Float.min /
-       Float.max propagate NaN, so a poisoned lane cannot pass. *)
-    Array.blit b 0 minb 0 bs;
-    Array.blit b 0 maxb 0 bs;
-    for v = 1 to n - 1 do
-      let r = v * bs in
-      for s = 0 to bs - 1 do
-        let x = b.(r + s) in
-        minb.(s) <- Float.min minb.(s) x;
-        maxb.(s) <- Float.max maxb.(s) x
-      done
-    done;
-    (* Step 4: per-sample verdicts. A lane whose normalization or
-       extreme stress is not finite is the vectorized analogue of
-       [Steady_state.Degenerate]: counted, excluded from the estimators
-       and from the mortality denominator, never fatal. The finite
-       peaks are packed in sample order and fed to the estimators a
-       block at a time, which sees the same sequence as per-sample
-       adds without boxing a float per sample. *)
-    let ok = ref 0 in
-    for s = 0 to bs - 1 do
-      let qa = acc_q.(s) /. acc_a.(s) in
-      let mx = beta *. (qa -. minb.(s)) in
-      let mn = beta *. (qa -. maxb.(s)) in
-      if Float.is_finite mx && Float.is_finite mn then begin
-        peak.(!ok) <- mx;
-        incr ok;
-        if mx >= thr.(s) then incr mortal
+    (* Pass 2, the recorded schedule: the Blech sums ([sign *. j] is the
+       solver's [jhat] branch bit for bit) and their extrema. [b] starts
+       at +0 and a rounded sum is -0 only when both operands are, so no
+       sum is -0 and plain comparisons pick the values [Float.min] /
+       [Float.max] would. A NaN sum makes both extrema NaN for good:
+       nothing compares below or above it. *)
+    Array.unsafe_set b reference 0.;
+    let lo = ref 0. and hi = ref 0. in
+    for i = 0 to n - 2 do
+      let e = Array.unsafe_get s_edge i in
+      let x =
+        Array.unsafe_get b (Array.unsafe_get s_parent i)
+        +. (Array.unsafe_get s_sign i *. Array.unsafe_get jp e
+           *. Array.unsafe_get lengths e)
+      in
+      Array.unsafe_set b (Array.unsafe_get s_node i) x;
+      if x < !lo then lo := x
+      else if x > !hi then hi := x
+      else if Float.is_nan x then begin
+        lo := x;
+        hi := x
       end
-      else incr failed
     done;
-    Stats.Online.add_slice online peak 0 !ok;
-    Stats.P2.add_slice q50 peak 0 !ok;
-    Stats.P2.add_slice q90 peak 0 !ok;
-    Stats.P2.add_slice q99 peak 0 !ok;
-    remaining := !remaining - bs
+    (* Pass 3, segments: Q in the solver's summation order. *)
+    let q = ref 0. in
+    for k = 0 to m - 1 do
+      let l = Array.unsafe_get lengths k in
+      q :=
+        !q
+        +. (Array.unsafe_get wh k
+           *. ((Array.unsafe_get jp k *. l *. l /. 2.)
+              +. (Array.unsafe_get b (Array.unsafe_get tails k) *. l)))
+    done;
+    (* The verdict. Rounding is monotone, so beta * (Q/A - min b) is the
+       peak the solver's full node scan returns; the max-b side only
+       gates finiteness. A sample with either side non-finite is the
+       analogue of [Steady_state.Degenerate]: counted, kept out of the
+       estimators and the mortality denominator, never fatal. *)
+    let qa = !q /. !a in
+    let mx = beta *. (qa -. !lo) and mn = beta *. (qa -. !hi) in
+    if Float.is_finite mx && Float.is_finite mn then begin
+      Array.unsafe_set peak !pending mx;
+      incr pending;
+      if mx >= sigma_c *. Array.unsafe_get crit 0 then incr mortal;
+      if !pending = chunk then begin
+        flush chunk;
+        pending := 0
+      end
+    end
+    else incr failed
   done;
+  flush !pending;
   Obs.Metrics.inc_by samples_total spec.samples;
   Obs.Metrics.inc_by samples_degenerate !failed;
   let ok = spec.samples - !failed in
@@ -320,8 +291,7 @@ let diag_of_stats (spec : spec) (st : structure_stats) =
   end
 
 let validate_spec name (spec : spec) =
-  if spec.samples < 1 then invalid_arg (name ^ ": samples < 1");
-  if spec.block < 1 then invalid_arg (name ^ ": block < 1")
+  if spec.samples < 1 then invalid_arg (name ^ ": samples < 1")
 
 let run_compact ?(material = M.cu_dac21) ?jobs spec structures =
   validate_spec "Variation.run_compact" spec;

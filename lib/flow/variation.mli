@@ -1,4 +1,4 @@
-(** Vectorized Monte-Carlo process-variation analysis of EM immortality.
+(** Monte-Carlo process-variation analysis of EM immortality.
 
     The immortality verdict depends on geometry (through [w h] weighting
     and through the current densities [j = I/(w h)] that a fixed load
@@ -14,18 +14,20 @@
 
     {2 Engine}
 
-    The sampler runs on the columnar representation. Per structure, the
-    BFS discovery order is recorded once ({!Em_core.Steady_state.Schedule}
-    — it depends only on the topology) and replayed over blocks of
-    perturbed geometry lanes laid out samples-within-segment, so one
-    traversal of the CSR amortizes over a whole block of samples; each
-    lane evaluates exactly the floating-point expressions the scalar
-    solver would, making every per-sample peak stress bit-identical to a
-    [perturb_compact]-then-[solve_compact] oracle. Per-sample results
-    stream into Welford / P{^2} estimators
-    ({!Numerics.Stats.Online} / {!Numerics.Stats.P2}), so memory is
-    O(structures) — independent of the sample count — and the per-domain
-    scratch slabs are capped (the block shrinks for huge structures).
+    The sampler runs on the columnar representation, one sample at a
+    time. Per structure, the BFS discovery order is recorded once
+    ({!Em_core.Steady_state.Schedule} — it depends only on the
+    topology); each sample then makes three passes over per-domain
+    scratch of O(nodes + segments) floats: the segments (perturbed
+    [w h] and [j], and the volume [A]), the recorded schedule (the
+    Blech sums and their running minimum and maximum), and the
+    segments again (the integral [Q]). Every floating-point expression
+    and summation order is the scalar solver's, so every per-sample
+    peak stress is bit-identical to a
+    [perturb_compact]-then-[solve_compact] oracle. Finite peaks reach
+    Welford / P{^2} estimators ({!Numerics.Stats.Online} /
+    {!Numerics.Stats.P2}) through a fixed 256-slot chunk, so memory is
+    independent of the sample count.
 
     {2 Determinism}
 
@@ -36,17 +38,15 @@
     parallelizes across structures only, and workers claim structures
     dynamically, so which domain runs a structure depends on timing but
     the draws it sees do not. Results are therefore bit-identical for a
-    fixed [spec] at any [jobs] value, across runs, and at any [block]
-    size (draws are consumed per sample, and no lane reads another
-    lane's data). Across releases they repeat only within one normal
-    stream ({!Numerics.Rng.stream_version}, the report's
-    ["rng_stream"]); version 3 draws each normal by ziggurat, one raw
-    word per try.
+    fixed [spec] at any [jobs] value and across runs. Across releases
+    they repeat only within one normal stream
+    ({!Numerics.Rng.stream_version}, the report's ["rng_stream"]);
+    version 3 draws each normal by ziggurat, one raw word per try.
 
     {2 Fault isolation}
 
     A perturbed sample whose normalization [Q/A] or extreme stress is
-    not finite — the vectorized analogue of
+    not finite — the sampler's analogue of
     {!Em_core.Steady_state.Degenerate} — is counted, excluded from the
     estimators and from the mortality denominator, and reported as a
     per-structure ["degenerate-samples"] diagnostic (warning when some
@@ -60,17 +60,11 @@ type spec = {
   thickness_sigma : float;  (** relative 1-sigma of segment thicknesses *)
   crit_sigma : float;       (** relative 1-sigma of the critical stress *)
   samples : int;            (** Monte-Carlo samples per structure, >= 1 *)
-  block : int;
-      (** samples evaluated per CSR traversal, >= 1. A throughput /
-          memory knob only: results are bit-identical at any value. The
-          engine additionally caps the block so per-domain scratch
-          stays within a fixed budget on huge structures. *)
   seed : int64;
 }
 
 val default_spec : spec
-(** 5% width, 5% thickness, 10% critical stress, 200 samples,
-    block 256. *)
+(** 5% width, 5% thickness, 10% critical stress, 200 samples. *)
 
 type structure_stats = {
   index : int;                   (** position in the input list *)
@@ -103,7 +97,7 @@ val run_compact :
   spec ->
   Extract.compact_structure list ->
   result
-(** The vectorized engine. [jobs] (default
+(** The engine. [jobs] (default
     {!Numerics.Parallel.recommended_jobs}) parallelizes across
     structures with per-domain scratch; any value produces bit-identical
     results. Raises [Invalid_argument] only on an invalid [spec];
@@ -121,10 +115,10 @@ val perturb_compact :
 (** One columnar geometry sample via {!Em_core.Compact.with_geometry}
     (no CSR rebuild): widths and thicknesses scaled by {!factor} draws,
     current densities rescaled to preserve each segment's current.
-    Consumes the stream exactly as the vectorized engine does for one
-    sample lane — every segment's width factor, then every segment's
-    thickness factor — so [perturb_compact]-then-[solve_compact] is the
-    engine's scalar oracle (the per-sample critical-stress factor is
+    Consumes the stream exactly as the engine does for one sample —
+    every segment's width factor, then every segment's thickness
+    factor — so [perturb_compact]-then-[solve_compact] is the engine's
+    scalar oracle (the per-sample critical-stress factor is
     drawn after the geometry, by the caller). *)
 
 val to_table : structure_stats list -> Report.t

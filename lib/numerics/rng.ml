@@ -135,40 +135,36 @@ let stream_version = 3
    standard normal, into [dst.(off)] .., redrawn while not positive
    when [positive]. Each try is one word: the layer from its low 7
    bits, u in [-1, 1) from its top 53 bits; |u| < ratio.(i) accepts
-   u X.(i) at once (97.2% of tries, and 1.2% end rejected). The state
-   stays in a local for the whole run and is written back to [t] only
-   around the slow path, which leaves its normal in [dst.(j)]. *)
+   u X.(i) at once (97.2% of tries, and 1.2% end rejected). One loop
+   runs every try: an accepted normal is stored at [j], and [j]
+   advances only when the stored value passes the truncation, so any
+   rejection retries the same slot. The state stays in a local and is
+   written back to [t] only around the slow path, which leaves its
+   normal in [dst.(j)]. *)
 let[@inline] draw t ~positive ~mean ~stddev dst off len =
   let z = ref (Bytes.get_int64_ne t 0) in
-  for j = off to off + len - 1 do
-    let x = ref 0. in
-    let again = ref true in
-    while !again do
-      let n = ref 0. in
-      let trying = ref true in
-      while !trying do
-        z := Int64.add !z golden_gamma;
-        let w = mix !z in
-        let i = Int64.to_int w land 127 in
-        let k = Int64.to_int (Int64.shift_right_logical w 11) in
-        let u = signed_unit k in
-        if Float.abs u < Array.unsafe_get zig_ratio i then begin
-          n := u *. Array.unsafe_get zig_x i;
-          trying := false
-        end
-        else begin
-          Bytes.set_int64_ne t 0 !z;
-          if slow t dst j i k then begin
-            n := Array.unsafe_get dst j;
-            trying := false
-          end;
-          z := Bytes.get_int64_ne t 0
-        end
-      done;
-      x := mean +. (stddev *. !n);
-      again := positive && not (!x > 0.)
-    done;
-    Array.unsafe_set dst j !x
+  let j = ref off in
+  let stop = off + len in
+  while !j < stop do
+    z := Int64.add !z golden_gamma;
+    let w = mix !z in
+    let i = Int64.to_int w land 127 in
+    let k = Int64.to_int (Int64.shift_right_logical w 11) in
+    let u = signed_unit k in
+    if Float.abs u < Array.unsafe_get zig_ratio i then begin
+      let x = mean +. (stddev *. (u *. Array.unsafe_get zig_x i)) in
+      Array.unsafe_set dst !j x;
+      if x > 0. || not positive then incr j
+    end
+    else begin
+      Bytes.set_int64_ne t 0 !z;
+      if slow t dst !j i k then begin
+        let x = mean +. (stddev *. Array.unsafe_get dst !j) in
+        Array.unsafe_set dst !j x;
+        if x > 0. || not positive then incr j
+      end;
+      z := Bytes.get_int64_ne t 0
+    end
   done;
   Bytes.set_int64_ne t 0 !z
 

@@ -13,7 +13,7 @@ let capacity = 256
    boxed events, so a concurrent reader sees either the old or the new
    event of a slot being overwritten, never a torn one. [head] counts
    recorded events forever; the live window is the last [capacity]. *)
-type ring = { buf : event option array; head : int Atomic.t; ring_track : int }
+type ring = { buf : event option array; head : int Atomic.t }
 
 (* Registration of rings is rare (once per domain) and mutex-protected;
    recording itself never takes the lock. Rings of joined domains stay
@@ -24,13 +24,7 @@ let rings_mu = Mutex.create ()
 
 let ring_key : ring Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      let r =
-        {
-          buf = Array.make capacity None;
-          head = Atomic.make 0;
-          ring_track = (Domain.self () :> int);
-        }
-      in
+      let r = { buf = Array.make capacity None; head = Atomic.make 0 } in
       Mutex.lock rings_mu;
       rings := r :: !rings;
       Mutex.unlock rings_mu;
@@ -48,13 +42,13 @@ let with_enabled b f =
   Atomic.set enabled_flag b;
   Fun.protect ~finally:(fun () -> Atomic.set enabled_flag prev) f
 
-let record ~kind ~level ~name detail =
+let record ~track ~kind ~level ~name detail =
   if Atomic.get enabled_flag then begin
     let r = Domain.DLS.get ring_key in
     let e =
       {
         fl_ts_us = Clock.now_us ();
-        fl_track = r.ring_track;
+        fl_track = track;
         fl_kind = kind;
         fl_level = level;
         fl_name = name;

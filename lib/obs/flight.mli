@@ -20,7 +20,7 @@
 
 type event = {
   fl_ts_us : float;  (** {!Clock.now_us} when recorded *)
-  fl_track : int;    (** domain id of the recording domain *)
+  fl_track : int;    (** trace lane of the recording domain ({!Trace.track}) *)
   fl_kind : string;  (** ["log"] or ["span"] *)
   fl_level : string; (** log level, or ["span"] / ["error"] for spans *)
   fl_name : string;  (** log message or span name *)
@@ -39,9 +39,12 @@ val with_enabled : bool -> (unit -> 'a) -> 'a
     (also on exceptions). *)
 
 val record :
+  track:int ->
   kind:string -> level:string -> name:string -> (string * string) list -> unit
 (** Push one event onto the calling domain's ring; no-op when disabled.
-    The timestamp and track are captured here. *)
+    The timestamp is captured here; [track] is the caller's trace lane
+    ({!Trace.track}, which [Flight] cannot call: [Trace] depends on it),
+    so a dump's lanes are the trace's. *)
 
 val events : unit -> event list
 (** Surviving events across all domain rings, oldest first (sorted by

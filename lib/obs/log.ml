@@ -113,7 +113,7 @@ let emit sink level make =
   let track = Trace.track () in
   let span = Trace.current_span_id () in
   if Flight.is_enabled () then
-    Flight.record ~kind:"log" ~level:(level_to_string level) ~name:msg
+    Flight.record ~track ~kind:"log" ~level:(level_to_string level) ~name:msg
       (List.map (fun (k, v) -> (k, Trace.value_to_string v)) fields);
   match sink with
   | Some t when severity level >= severity t.min_level ->

@@ -148,8 +148,8 @@ let dropped_spans t =
 
 let capacity t = t.buf_capacity
 
-let flight_of_span ~name ~dur_us ~error attrs =
-  Flight.record ~kind:"span"
+let flight_of_span ~track ~name ~dur_us ~error attrs =
+  Flight.record ~track ~kind:"span"
     ~level:(if error then "error" else "span")
     ~name
     (("dur_us", Printf.sprintf "%.1f" dur_us)
@@ -160,7 +160,8 @@ let flight_of_span ~name ~dur_us ~error attrs =
 let flight_only_span attrs result_attrs name f =
   let start_us = Clock.now_us () in
   let finish error attrs =
-    flight_of_span ~name ~dur_us:(Clock.now_us () -. start_us) ~error attrs
+    flight_of_span ~track:(track ()) ~name
+      ~dur_us:(Clock.now_us () -. start_us) ~error attrs
   in
   match f () with
   | v ->
@@ -210,7 +211,8 @@ let with_span ?(attrs = []) ?(result_attrs = fun _ -> []) name f =
           gc_major_collections =
             gc1.Gc.major_collections - gc0.Gc.major_collections;
         };
-      if Flight.is_enabled () then flight_of_span ~name ~dur_us ~error attrs
+      if Flight.is_enabled () then
+        flight_of_span ~track:tr ~name ~dur_us ~error attrs
     in
     (match f () with
     | v ->

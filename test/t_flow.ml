@@ -716,8 +716,7 @@ let stats_bits_equal (a : Va.structure_stats) (b : Va.structure_stats) =
 let test_variation_zero_sigma_degenerates () =
   let structures = stressed_compacts () |> List.filteri (fun i _ -> i < 6) in
   let spec =
-    { Va.default_spec with
-      Va.width_sigma = 0.; thickness_sigma = 0.; crit_sigma = 0.;
+    { Va.width_sigma = 0.; thickness_sigma = 0.; crit_sigma = 0.;
       samples = 5; seed = 1L }
   in
   let r = Va.run_compact spec structures in
@@ -758,68 +757,101 @@ let test_variation_probabilities_valid () =
       Alcotest.(check bool) "bit-identical rerun" true (stats_bits_equal a b))
     r.Va.stats again.Va.stats
 
-(* The determinism contract: neither the domain count nor the block
-   size may change a single output bit for a fixed seed. *)
-let test_variation_jobs_block_bit_identical () =
+(* The determinism contract: the domain count may not change a single
+   output bit for a fixed seed. *)
+let test_variation_jobs_bit_identical () =
   let compacts = stressed_compacts () in
   let spec = { Va.default_spec with Va.samples = 40 } in
   let base = Va.run_compact ~jobs:1 spec compacts in
   let par = Va.run_compact ~jobs:4 spec compacts in
-  let blocked =
-    Va.run_compact ~jobs:4 { spec with Va.block = 7 } compacts
-  in
   Alcotest.(check int) "same structure count"
     (List.length base.Va.stats) (List.length par.Va.stats);
   List.iter2
     (fun a b ->
       Alcotest.(check bool) "-j 1 vs -j 4 bit-identical" true
         (stats_bits_equal a b))
-    base.Va.stats par.Va.stats;
-  List.iter2
-    (fun a b ->
-      Alcotest.(check bool) "block size invisible" true (stats_bits_equal a b))
-    base.Va.stats blocked.Va.stats
+    base.Va.stats par.Va.stats
 
-(* The vectorized kernel against its scalar oracle: perturb-one-sample
-   with the same stream, solve with the reference columnar solver, and
-   require identical mortal counts, bit-identical small-count quantiles
-   (P2 is exact at n <= 5), and matching moments. *)
-let test_variation_matches_scalar_oracle () =
-  let compacts = stressed_compacts () |> List.filteri (fun i _ -> i < 4) in
-  let nsamples = 5 in
-  let spec = { Va.default_spec with Va.samples = nsamples } in
+(* A 5 x 5 lattice: 40 segments on 25 nodes, so 16 chords close loops
+   that the BFS tree leaves out. *)
+let mesh_compact () =
+  let side = 5 in
+  let id r c = (r * side) + c in
+  let edges = ref [] in
+  for r = side - 1 downto 0 do
+    for c = side - 1 downto 0 do
+      if r + 1 < side then edges := (id r c, id (r + 1) c) :: !edges;
+      if c + 1 < side then edges := (id r c, id r (c + 1)) :: !edges
+    done
+  done;
+  let edges = Array.of_list !edges in
+  let m = Array.length edges in
+  Cc.make ~num_nodes:(side * side) ~tail:(Array.map fst edges)
+    ~head:(Array.map snd edges)
+    ~length:(Array.init m (fun k -> float_of_int (10 + (k mod 7)) *. 1e-6))
+    ~width:(Array.init m (fun k -> if k mod 3 = 0 then 0.5e-6 else 1e-6))
+    ~height:(Array.make m 1e-6)
+    ~j:(Array.init m (fun k -> (float_of_int ((k mod 5) - 2) *. 1e10) +. 3e9))
+
+(* The kernel against its scalar oracle: perturb one sample with the
+   same stream, solve it with the reference columnar solver, and feed
+   the peaks one [add] at a time to fresh estimators. The mortal count
+   and every estimate must match bit for bit. *)
+let check_variation_oracle spec compacts =
   let r = Va.run_compact ~jobs:1 spec compacts in
   let material = M.cu_dac21 in
   let sigma_c = M.effective_critical_stress material in
+  let nsamples = spec.Va.samples in
   (* Replicate the engine's stream layout: one split per structure, in
      index order. *)
   let master = Numerics.Rng.create spec.Va.seed in
-  let rngs = Array.make (List.length compacts) master in
-  for i = 0 to Array.length rngs - 1 do
-    rngs.(i) <- Numerics.Rng.split master
-  done;
-  List.iteri
+  let bits = Int64.bits_of_float in
+  List.mapi
     (fun i (cs : Ex.compact_structure) ->
-      let rng = rngs.(i) in
+      let rng = Numerics.Rng.split master in
       let st = List.nth r.Va.stats i in
       let maxes = Array.make nsamples 0. in
       let mortal = ref 0 in
+      let online = Numerics.Stats.Online.create () in
+      let qs = List.map Numerics.Stats.P2.create [ 0.5; 0.9; 0.99 ] in
       for s = 0 to nsamples - 1 do
         let c' = Va.perturb_compact rng spec cs.Ex.compact in
         let thr = sigma_c *. Va.factor rng spec.Va.crit_sigma in
         let mx, _ = Vss.max_stress (Vss.solve_compact material c') in
         maxes.(s) <- mx;
+        Numerics.Stats.Online.add online mx;
+        List.iter (fun q -> Numerics.Stats.P2.add q mx) qs;
         if mx >= thr then incr mortal
       done;
       Alcotest.(check int) "all samples ok" nsamples st.Va.samples_ok;
       Alcotest.(check bool) "mortality matches oracle" true
         (st.Va.mortality_probability
         = float_of_int !mortal /. float_of_int nsamples);
-      T_helpers.check_close ~rtol:1e-12 "mean matches oracle"
-        (Numerics.Stats.mean maxes) st.Va.mean_max_stress;
-      T_helpers.check_close ~rtol:1e-9 "std matches oracle"
-        (Numerics.Stats.stddev maxes) st.Va.std_max_stress;
+      Alcotest.(check bool) "mean bit-identical to oracle" true
+        (bits st.Va.mean_max_stress = bits (Numerics.Stats.Online.mean online));
+      Alcotest.(check bool) "std bit-identical to oracle" true
+        (bits st.Va.std_max_stress
+        = bits (Numerics.Stats.Online.stddev online));
+      List.iter2
+        (fun q got ->
+          Alcotest.(check bool) "quantile bit-identical to oracle" true
+            (bits got = bits (Numerics.Stats.P2.quantile q)))
+        qs
+        [ st.Va.q50_max_stress; st.Va.q90_max_stress; st.Va.q99_max_stress ];
+      (maxes, st))
+    compacts
+
+let test_variation_matches_scalar_oracle () =
+  (* Five samples: P2 is exact, the same [Stats.percentile] bits. *)
+  let compacts = stressed_compacts () |> List.filteri (fun i _ -> i < 4) in
+  let spec = { Va.default_spec with Va.samples = 5 } in
+  List.iter
+    (fun (maxes, st) ->
       let bits = Int64.bits_of_float in
+      T_helpers.check_close ~rtol:1e-12 "mean matches batch"
+        (Numerics.Stats.mean maxes) st.Va.mean_max_stress;
+      T_helpers.check_close ~rtol:1e-9 "std matches batch"
+        (Numerics.Stats.stddev maxes) st.Va.std_max_stress;
       Alcotest.(check bool) "q50 bit-identical to exact" true
         (bits st.Va.q50_max_stress
         = bits (Numerics.Stats.percentile maxes 50.));
@@ -829,7 +861,18 @@ let test_variation_matches_scalar_oracle () =
       Alcotest.(check bool) "q99 bit-identical to exact" true
         (bits st.Va.q99_max_stress
         = bits (Numerics.Stats.percentile maxes 99.)))
-    compacts
+    (check_variation_oracle spec compacts);
+  (* A mesh with chords beside two stripes, more samples than one
+     estimator chunk holds, and a width sigma at which about 2% of the
+     width draws are non-positive and redrawn. *)
+  let spec =
+    { Va.default_spec with Va.samples = 600; width_sigma = 0.5; seed = 11L }
+  in
+  let compacts =
+    cs_of_compact (mesh_compact ())
+    :: (stressed_compacts () |> List.filteri (fun i _ -> i < 2))
+  in
+  ignore (check_variation_oracle spec compacts)
 
 (* A structure engineered so a fraction of the perturbed samples
    overflow (the sampled stress scale sits just under max_float):
@@ -913,7 +956,7 @@ let test_variation_all_degenerate () =
 
 (* The Monte-Carlo loop allocates nothing per segment-sample. What a
    run does allocate is per structure and per domain (stream, schedule,
-   estimators and the scratch slabs, about 3 x segments x block words),
+   estimators, and scratch of about 2 x segments + nodes + 256 words),
    so the per-segment-sample cost is the difference between a run of
    4000 and one of 2000 samples. The counter is exact, so the bound does
    not depend on timing. *)
@@ -1722,7 +1765,7 @@ let suites =
       [
         case "zero sigma degenerates" test_variation_zero_sigma_degenerates;
         case "valid probabilities, deterministic" test_variation_probabilities_valid;
-        case "jobs and block bit-identical" test_variation_jobs_block_bit_identical;
+        case "jobs bit-identical" test_variation_jobs_bit_identical;
         case "matches scalar oracle" test_variation_matches_scalar_oracle;
         case "partial degeneracy isolated" test_variation_partial_degenerate_isolated;
         case "all-degenerate structure survives" test_variation_all_degenerate;

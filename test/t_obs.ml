@@ -411,7 +411,7 @@ let test_log_span_correlation () =
 let test_flight_disabled_noop () =
   Fl.set_enabled false;
   Fl.clear ();
-  Fl.record ~kind:"log" ~level:"info" ~name:"dropped" [];
+  Fl.record ~track:0 ~kind:"log" ~level:"info" ~name:"dropped" [];
   Alcotest.(check int) "disabled record drops" 0 (List.length (Fl.events ()))
 
 let test_flight_wraparound () =
@@ -419,7 +419,7 @@ let test_flight_wraparound () =
   let extra = 50 in
   Fl.with_enabled true (fun () ->
       for i = 1 to Fl.capacity + extra do
-        Fl.record ~kind:"log" ~level:"info" ~name:(string_of_int i) []
+        Fl.record ~track:0 ~kind:"log" ~level:"info" ~name:(string_of_int i) []
       done);
   let evs = Fl.events () in
   Alcotest.(check int) "ring keeps exactly capacity" Fl.capacity
@@ -463,9 +463,9 @@ let test_flight_captures_spans_and_low_logs () =
 let test_flight_dump_json () =
   Fl.clear ();
   Fl.with_enabled true (fun () ->
-      Fl.record ~kind:"log" ~level:"warn" ~name:"hostile \xff name"
+      Fl.record ~track:0 ~kind:"log" ~level:"warn" ~name:"hostile \xff name"
         [ ("k", "v\"q") ];
-      Fl.record ~kind:"span" ~level:"span" ~name:"s" []);
+      Fl.record ~track:0 ~kind:"span" ~level:"span" ~name:"s" []);
   let path = Filename.temp_file "t_obs_flight" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)

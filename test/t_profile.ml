@@ -261,6 +261,31 @@ let test_worker_lanes () =
     (List.sort compare (Tr.track_names t));
   check_raises_invalid "slot 0" (fun () -> Tr.set_worker_lane 0)
 
+(* A flight event carries its trace lane, not its domain id: every
+   parallel section spawns fresh domains, so ids would name lanes the
+   trace never shows. A -j 2 run on the sample deck, traced with the
+   recorder on, dumps only lanes its trace has. *)
+let test_flight_lanes_are_trace_lanes () =
+  let path = "../../../data/mini_grid.sp" in
+  let path = if Sys.file_exists path then path else "data/mini_grid.sp" in
+  let t = Tr.create () in
+  Obs.Flight.clear ();
+  Obs.Flight.with_enabled true (fun () ->
+      Tr.with_enabled t (fun () ->
+          ignore
+            (Emflow.Em_flow.run_deck ~jobs:2 ~tech:Pdn.Tech.ibm_like path)));
+  let flight =
+    List.sort_uniq compare
+      (List.map (fun e -> e.Obs.Flight.fl_track) (Obs.Flight.events ()))
+  in
+  Obs.Flight.clear ();
+  let traced =
+    List.sort_uniq compare
+      (List.map (fun (e : Tr.event) -> e.Tr.track) (Tr.events t))
+  in
+  Alcotest.(check (list int)) "trace has main and worker-1" [ 0; 1 ] traced;
+  Alcotest.(check (list int)) "flight lanes are the trace's" traced flight
+
 (* The acceptance test for the exact profile: a real two-domain flow
    run on a pg1-class grid, traced end to end. *)
 let test_flow_identity () =
@@ -445,6 +470,8 @@ let suites =
         case "self/total invariants and telescoping" test_attribution_invariants;
         case "exact identity on a two-domain flow run" test_flow_identity;
         case "one lane per worker slot" test_worker_lanes;
+        case "flight events carry the trace lane"
+          test_flight_lanes_are_trace_lanes;
       ] );
     ( "profile.speedscope",
       [
