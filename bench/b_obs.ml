@@ -25,30 +25,6 @@ let ns_per_op iters f =
   let (), t = B_util.wall (fun () -> for _ = 1 to iters do f () done) in
   t /. float_of_int iters *. 1e9
 
-(* Minimal blocking HTTP GET against the local live-telemetry server:
-   one request, read to EOF (the server always closes). *)
-let http_get port path =
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      let req =
-        Printf.sprintf "GET %s HTTP/1.1\r\nHost: localhost\r\n\r\n" path
-      in
-      ignore (Unix.write_substring sock req 0 (String.length req));
-      let total = ref 0 in
-      let chunk = Bytes.create 4096 in
-      let rec drain () =
-        let n = Unix.read sock chunk 0 4096 in
-        if n > 0 then begin
-          total := !total + n;
-          drain ()
-        end
-      in
-      drain ();
-      !total)
-
 let run cfg =
   B_util.heading "Obs: telemetry overhead guard";
   let size = if cfg.B_util.full then Gg.Pg6 else Gg.Pg2 in
@@ -109,64 +85,6 @@ let run cfg =
     t_audit_off audit_disabled_ratio;
   B_util.note "flow, audit on:             %.3fs (%.2fx vs paired off)"
     t_audit_on audit_overhead_ratio;
-  (* Scrape-under-load: the flow with metrics on, the live endpoint
-     server up, and a scraper domain hitting /metrics (each scrape
-     samples the process gauges first) at ~20 Hz — ~300x a real
-     Prometheus poll (one per 15 s). Two paired timings with an
-     *identical* domain topology (listener + scraper both up) differing
-     only in whether the scraper actually scrapes: on a single-core host
-     the mere existence of extra domains taxes the flow with
-     stop-the-world rendezvous latency (a runtime property), and pairing
-     cancels that tax so serve_scrape_ratio isolates what serving the
-     scrapes costs — the <= 2% design target, gated through
-     bench-history. The infrastructure tax itself is recorded as
-     serve_infra_ratio for visibility, not gated against the 2%. *)
-  let server = Obs.Serve.start ~port:0 () in
-  let srv_port = Obs.Serve.port server in
-  let scrape_stop = Atomic.make false in
-  let scrape_go = Atomic.make false in
-  let scrapes = Atomic.make 0 in
-  let scraper =
-    Domain.spawn (fun () ->
-        while not (Atomic.get scrape_stop) do
-          if Atomic.get scrape_go then begin
-            (try ignore (http_get srv_port "/metrics")
-             with Unix.Unix_error _ -> ());
-            Atomic.incr scrapes
-          end;
-          Unix.sleepf 0.05
-        done)
-  in
-  let timed_flow () =
-    B_util.wall (fun () ->
-        Mx.with_enabled true (fun () -> Flow.run_on_compact compacts))
-  in
-  (* Interleave idle and scraped repetitions so both best-of timings
-     sample the same machine conditions (rendezvous jitter dominates
-     short flows on few-core hosts). *)
-  let t_serve_idle = ref infinity in
-  let t_serve = ref infinity in
-  for _ = 1 to 2 * reps do
-    Atomic.set scrape_go false;
-    let _, ti = timed_flow () in
-    if ti < !t_serve_idle then t_serve_idle := ti;
-    Atomic.set scrape_go true;
-    let _, ts = timed_flow () in
-    if ts < !t_serve then t_serve := ts
-  done;
-  let t_serve_idle = !t_serve_idle and t_serve = !t_serve in
-  Atomic.set scrape_stop true;
-  Domain.join scraper;
-  Obs.Serve.stop server;
-  let serve_scrapes = Atomic.get scrapes in
-  let serve_ratio = t_serve /. t_serve_idle in
-  let infra_ratio = t_serve_idle /. t_metrics in
-  B_util.note "flow, server up (idle):     %.3fs (%.2fx vs metrics on — \
-               domain-topology tax)"
-    t_serve_idle infra_ratio;
-  B_util.note "flow, /metrics scraped:     %.3fs (%.2fx vs idle server, %d \
-               scrapes; <=1.02x target)"
-    t_serve serve_ratio serve_scrapes;
   (* The disabled fast paths, measured directly: one flag load + branch. *)
   let c = Mx.counter ~help:"bench guard probe" "bench_obs_probe_total" in
   let sink = ref 0 in
@@ -209,11 +127,6 @@ let run cfg =
          ("audit_on_s", J.Float t_audit_on);
          ("audit_overhead_ratio", J.Float audit_overhead_ratio);
          ("audit_disabled_ratio", J.Float audit_disabled_ratio);
-         ("serve_idle_s", J.Float t_serve_idle);
-         ("serve_on_s", J.Float t_serve);
-         ("serve_infra_ratio", J.Float infra_ratio);
-         ("serve_scrape_ratio", J.Float serve_ratio);
-         ("serve_scrapes", J.Int serve_scrapes);
          ("disabled_counter_inc_ns", J.Float inc_ns);
          ("disabled_span_ns", J.Float span_ns);
          ("estimated_disabled_overhead_pct", J.Float estimated_pct);

@@ -30,11 +30,7 @@ let usage () =
      options:\n\
     \  --full      paper-scale workloads (pg6 = 1.65M edges)\n\
     \  --scale X   explicit workload scale for the IBM-like grids\n\
-    \  --out DIR   directory for CSV series (default bench_out)\n\
-    \  --listen [ADDR:]PORT\n\
-    \              serve live telemetry (/metrics /healthz /trace /profile\n\
-    \              /flight) for the duration of the experiments — watch a\n\
-    \              long --full run from a browser or Prometheus\n\n\
+    \  --out DIR   directory for CSV series (default bench_out)\n\n\
      history subcommands:\n\
     \  record  [BENCH...] [--out DIR] [--history FILE] [--rev REV] \
      [--timestamp TS]\n\
@@ -52,7 +48,6 @@ let () =
   | _ -> ());
   let experiments = ref [] in
   let cfg = ref B_util.default_config in
-  let listen = ref None in
   let rec parse = function
     | [] -> ()
     | "--full" :: rest ->
@@ -63,9 +58,6 @@ let () =
       parse rest
     | "--out" :: dir :: rest ->
       cfg := { !cfg with B_util.out_dir = dir };
-      parse rest
-    | "--listen" :: spec :: rest ->
-      listen := Some spec;
       parse rest
     | ("--help" | "-h") :: _ ->
       usage ();
@@ -79,26 +71,6 @@ let () =
     match List.rev !experiments with [] | [ "all" ] -> [ "all" ] | es -> es
   in
   let cfg = !cfg in
-  (* Live telemetry for long bench runs: same endpoints as
-     emcheck analyze --listen, up for the whole experiment list. *)
-  let live =
-    match !listen with
-    | None -> None
-    | Some spec ->
-      let addr, port =
-        match String.rindex_opt spec ':' with
-        | None -> ("127.0.0.1", int_of_string spec)
-        | Some i ->
-          ( String.sub spec 0 i,
-            int_of_string (String.sub spec (i + 1) (String.length spec - i - 1))
-          )
-      in
-      Obs.Metrics.set_enabled true;
-      let server = Obs.Serve.start ~addr ~port () in
-      Printf.printf "live telemetry on http://%s:%d/\n%!" addr
-        (Obs.Serve.port server);
-      Some server
-  in
   let run_one = function
     | "fig6" -> B_fig6.run cfg
     | "table2" -> ignore (B_table2.run cfg)
@@ -128,11 +100,4 @@ let () =
       usage ();
       exit 2
   in
-  Fun.protect
-    ~finally:(fun () ->
-      match live with
-      | None -> ()
-      | Some server ->
-        Obs.Serve.stop server;
-        Obs.Metrics.set_enabled false)
-    (fun () -> List.iter run_one experiments)
+  List.iter run_one experiments

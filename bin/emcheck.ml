@@ -183,6 +183,8 @@ let archive_flight ~flight_dump () =
 (* ------------------------------------------------------------------ *)
 (* Numerical audit plumbing (emcheck analyze --audit, emcheck explain) *)
 
+module Au = Em_core.Audit
+
 let audit_arg =
   Arg.(
     value & flag
@@ -195,13 +197,12 @@ let audit_arg =
            $(b,--audit-tol), and attach a signed immortality margin with \
            the top contributing segments of the critical Blech path. \
            Residual violations become diagnostics; the aggregate is \
-           served live at $(b,/audit) under $(b,--listen) and embedded \
-           in the $(b,--json) report.")
+           embedded in the $(b,--json) report.")
 
 let audit_tol_arg =
   Arg.(
     value
-    & opt float Em_core.Audit.default_tol
+    & opt float Au.default_tol
     & info [ "audit-tol" ] ~docv:"REL"
         ~doc:
           "Relative tolerance for the physically-rounded audit residuals \
@@ -219,7 +220,7 @@ let strict_audit_arg =
 let audit_top_arg =
   Arg.(
     value
-    & opt int Em_core.Audit.default_top_k
+    & opt int Au.default_top_k
     & info [ "audit-top" ] ~docv:"K"
         ~doc:
           "Critical-path steps to keep per structure in the audit \
@@ -272,92 +273,16 @@ type recording = {
   rc_run_id : string;
 }
 
-(* Start a recording: derive the run id, publish it to /healthz and
-   install the /runs provider. The ledger record itself is appended
-   once the analysis is done. *)
+(* Start a recording: derive the run id. The ledger record itself is
+   appended once the analysis is done. *)
 let start_recording ~path = function
   | None -> None
   | Some dir ->
     let deck_hash = Digest.to_hex (Digest.file path) in
     let timestamp = iso8601_now () in
-    let run_id = Lg.fresh_run_id ~deck_hash ~timestamp in
-    Obs.Runtime.set_run_id (Some run_id);
-    Obs.Runtime.set_runs_provider
-      (Some (fun () -> Lg.runs_snapshot_json ~dir ~run_id));
     Some
       { rc_dir = dir; rc_deck_hash = deck_hash; rc_timestamp = timestamp;
-        rc_run_id = run_id }
-
-let stop_recording () =
-  Obs.Runtime.set_run_id None;
-  Obs.Runtime.set_runs_provider None
-
-(* ------------------------------------------------------------------ *)
-(* Live telemetry server (emcheck analyze --listen)                    *)
-
-let listen_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "listen" ] ~docv:"[ADDR:]PORT"
-        ~doc:
-          "Serve live telemetry over HTTP while the analysis runs: \
-           $(b,GET /metrics) (Prometheus exposition), $(b,/healthz) \
-           (JSON liveness with pipeline phase and structure progress), \
-           $(b,/trace) (Chrome-trace snapshot), $(b,/profile) \
-           (speedscope snapshot), $(b,/flight) (flight-recorder \
-           dump), $(b,/audit) (live numerical-audit aggregate under \
-           $(b,--audit)) and $(b,/runs) (run-ledger snapshot under \
-           $(b,--record-run)). The address defaults to 127.0.0.1; port 0 picks an \
-           ephemeral port (printed at startup). The server never \
-           changes analysis results.")
-
-let parse_listen spec =
-  let addr, port_s =
-    match String.rindex_opt spec ':' with
-    | None -> ("127.0.0.1", spec)
-    | Some i ->
-      (String.sub spec 0 i, String.sub spec (i + 1) (String.length spec - i - 1))
-  in
-  match int_of_string_opt port_s with
-  | Some p when p >= 0 && p <= 65535 -> (addr, p)
-  | _ ->
-    failwith
-      (Printf.sprintf "--listen %s: expected [ADDR:]PORT with a port in 0..65535"
-         spec)
-
-(* Start the endpoint server. Metrics must be on for the gauges to move
-   (each /metrics scrape samples the process gauges first); tracing and
-   profiling stay under their own flags (--trace/--profile), so /trace
-   and /profile serve empty-but-valid documents unless those were also
-   requested. *)
-let start_live ~listen () =
-  match listen with
-  | None -> None
-  | Some spec ->
-    let addr, port = parse_listen spec in
-    Obs.Metrics.set_enabled true;
-    let server =
-      try Obs.Serve.start ~addr ~port ()
-      with Unix.Unix_error (err, _, _) ->
-        failwith
-          (Printf.sprintf "--listen %s: cannot bind: %s" spec
-             (Unix.error_message err))
-    in
-    Printf.printf
-      "Live telemetry on http://%s:%d/ (endpoints: /metrics /healthz /trace \
-       /profile /flight /audit /runs)\n%!"
-      addr (Obs.Serve.port server);
-    Some server
-
-(* An in-flight scrape finishes; later connections are refused. *)
-let stop_live live =
-  Option.iter
-    (fun server ->
-      Obs.Serve.stop server;
-      Printf.printf "Live telemetry server stopped after %d requests\n%!"
-        (Obs.Serve.requests_served server))
-    live
+        rc_run_id = Lg.fresh_run_id ~deck_hash ~timestamp }
 
 (* ------------------------------------------------------------------ *)
 (* Profile plumbing (emcheck analyze/stats --profile)                  *)
@@ -506,29 +431,15 @@ let print_deck path (d : Flow.deck) =
 let analyze_netlist path tech sigma_t temperature with_maxpath top fix
     json_path html_path keep_going strict max_errors trace_path metrics_path
     profile_path profile_format jobs variation mc_samples mc_seed audit
-    audit_tol strict_audit audit_top record_run listen =
+    audit_tol strict_audit audit_top record_run =
   let material = material_of ~sigma_t ~temperature in
   let audit_cfg = audit_config_of ~audit ~audit_tol ~strict_audit ~audit_top in
-  (* Whether the *user* asked for telemetry in the report. --listen also
-     enables the metrics registry (the gauges must move for /metrics),
-     but must not change the JSON report — the on/off bit-identity
-     contract covers the whole output. *)
+  (* Whether the user asked for telemetry in the report. *)
   let telemetry_requested =
     Option.is_some trace_path || Option.is_some metrics_path
     || Option.is_some profile_path
   in
   let recording = start_recording ~path record_run in
-  let live = start_live ~listen () in
-  (* The /audit endpoint serves the live aggregate only while an audited
-     analysis owns it; any other time it answers {"enabled":false}. *)
-  if audit then
-    Obs.Runtime.set_audit_provider (Some Em_core.Audit.Live.to_json);
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Runtime.set_audit_provider None;
-      stop_recording ();
-      stop_live live)
-  @@ fun () ->
   let trace = start_telemetry ~trace_path ~metrics_path ~profile_path in
   (* The deck is shown before the solve, so a refused solve still
      reports what was read. *)
@@ -550,29 +461,15 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
   (match audit_cfg with
   | None -> ()
   | Some cfg ->
-    let audited = ref 0 and violating = ref 0 in
-    let worst = ref 0. in
-    let min_margin = ref infinity and min_idx = ref (-1) in
-    Array.iter
-      (function
-        | Some (a : Em_core.Audit.t) ->
-          incr audited;
-          if Em_core.Audit.violations ~tol:cfg.Flow.audit_tol a <> [] then
-            incr violating;
-          worst := Float.max !worst (Em_core.Audit.worst_residual a);
-          if a.Em_core.Audit.au_margin < !min_margin then begin
-            min_margin := a.Em_core.Audit.au_margin;
-            min_idx := a.Em_core.Audit.au_index
-          end
-        | None -> ())
-      r.Flow.audits;
+    let su = Au.summarize ~tol:cfg.Flow.audit_tol r.Flow.audits in
     Printf.printf
       "Audit: %d structures, %d residual violations (tol %g), worst residual \
        %.3g%s\n\n"
-      !audited !violating cfg.Flow.audit_tol !worst
-      (if !min_idx >= 0 then
+      su.Au.su_audited su.Au.su_violations cfg.Flow.audit_tol
+      su.Au.su_worst_residual
+      (if su.Au.su_min_margin_index >= 0 then
          Printf.sprintf ", min margin %+.2f MPa (structure %d)"
-           (U.pa_to_mpa !min_margin) !min_idx
+           (U.pa_to_mpa su.Au.su_min_margin) su.Au.su_min_margin_index
        else ""));
   (* The reports read the flow's own results; only --fix solves again,
      to verify the widened structures. *)
@@ -678,7 +575,10 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
         rn_deck = path;
         rn_deck_hash = rc.rc_deck_hash;
         rn_tech = tech.Pdn.Tech.name;
-        rn_jobs = (match jobs with Some j -> max 1 j | None -> 1);
+        rn_jobs =
+          (match jobs with
+          | Some j -> max 1 j
+          | None -> Numerics.Parallel.recommended_jobs ());
         rn_audited = audit;
         rn_sigma_th_pa = M.effective_critical_stress material;
         rn_structures = r.Flow.num_structures;
@@ -686,7 +586,7 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
         rn_immortal = count (fun s -> s.Flow.st_ok && s.Flow.st_immortal);
         rn_mortal = count (fun s -> s.Flow.st_ok && not s.Flow.st_immortal);
         rn_failed = count (fun s -> not s.Flow.st_ok);
-        rn_analysis_s = r.Flow.analysis_time;
+        rn_analysis_s = Flow.stage_wall r "analyze";
         rn_entries = entries;
       }
     in
@@ -733,9 +633,7 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
         @
         (* Embed the run's telemetry when the user asked for it
            (--trace/--metrics/--profile), so one JSON file carries both
-           the verdicts and the run profile. Deliberately not keyed on
-           [Obs.Metrics.is_enabled]: --listen enables the registry too
-           but must leave the report identical to a no-listen run. *)
+           the verdicts and the run profile. *)
         if telemetry_requested then
           [ ("telemetry", Emflow.Json_out.of_telemetry ()) ]
         else [])
@@ -852,7 +750,7 @@ let analyze_cmd =
                     html keep_going strict max_errors trace_path metrics_path
                     profile_path profile_format jobs variation mc_samples
                     mc_seed audit audit_tol strict_audit audit_top record_run
-                    log_level log_json flight_dump listen ->
+                    log_level log_json flight_dump ->
              let finish_log = start_logging ~log_level ~log_json in
              (* The flight recorder is always armed during analyze; its
                 ring surfaces on stderr on failure and is archived to
@@ -875,7 +773,7 @@ let analyze_cmd =
                    top fix json html keep_going strict max_errors trace_path
                    metrics_path profile_path profile_format jobs variation
                    mc_samples mc_seed audit audit_tol strict_audit audit_top
-                   record_run listen
+                   record_run
                with
                | `Ok n ->
                  if n <> 0 then dump_flight ~flight_dump ()
@@ -900,7 +798,7 @@ let analyze_cmd =
         $ trace_arg $ metrics_arg $ profile_arg $ profile_format_arg $ jobs_arg
         $ variation $ mc_samples $ mc_seed $ audit_arg $ audit_tol_arg
         $ strict_audit_arg $ audit_top_arg $ record_run_arg $ log_level_arg
-        $ log_json_arg $ flight_dump_arg $ listen_arg))
+        $ log_json_arg $ flight_dump_arg))
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -920,8 +818,6 @@ let analyze_cmd =
 
 (* ------------------------------------------------------------------ *)
 (* explain                                                             *)
-
-module Au = Em_core.Audit
 
 (* Audit one netlist and render a single structure's record as tables:
    the margin/residual summary, then the critical Blech path from the

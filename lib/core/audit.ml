@@ -311,16 +311,6 @@ let margin_hist =
        audited structure"
     "em_margin_slack"
 
-let g_worst_residual =
-  Obs.Metrics.gauge
-    ~help:"Largest relative audit residual seen in the current run"
-    "em_audit_worst_residual"
-
-let g_min_margin =
-  Obs.Metrics.gauge
-    ~help:"Smallest immortality margin seen in the current run (Pa)"
-    "em_margin_min_pa"
-
 let audited_total =
   Obs.Metrics.counter ~help:"Structures numerically audited"
     "em_structures_audited_total"
@@ -330,118 +320,52 @@ let violations_total =
     ~help:"Audited structures with at least one residual out of bounds"
     "em_audit_violations_total"
 
-module Live = struct
-  type snapshot = {
-    ls_tol : float;
-    ls_audited : int;
-    ls_violations : int;
-    ls_worst_residual : float;
-    ls_worst_residual_index : int;
-    ls_min_margin : float;
-    ls_min_rel_margin : float;
-    ls_min_margin_index : int;
-  }
+type summary = {
+  su_audited : int;
+  su_violations : int;
+  su_worst_residual : float;
+  su_min_margin : float;
+  su_min_rel_margin : float;
+  su_min_margin_index : int;
+}
 
-  let mu = Mutex.create ()
-
-  let state =
-    ref
-      {
-        ls_tol = default_tol;
-        ls_audited = 0;
-        ls_violations = 0;
-        ls_worst_residual = 0.;
-        ls_worst_residual_index = -1;
-        ls_min_margin = infinity;
-        ls_min_rel_margin = infinity;
-        ls_min_margin_index = -1;
-      }
-
-  let locked f =
-    Mutex.lock mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
-
-  let reset ~tol =
-    locked (fun () ->
-        state :=
+let summarize ~tol audits =
+  Array.fold_left
+    (fun s -> function
+      | None -> s
+      | Some t ->
+        let s =
           {
-            ls_tol = tol;
-            ls_audited = 0;
-            ls_violations = 0;
-            ls_worst_residual = 0.;
-            ls_worst_residual_index = -1;
-            ls_min_margin = infinity;
-            ls_min_rel_margin = infinity;
-            ls_min_margin_index = -1;
-          })
-
-  let record ~violated t =
-    let w = worst_residual t in
-    locked (fun () ->
-        let s = !state in
-        let s = { s with ls_audited = s.ls_audited + 1 } in
-        let s =
-          if violated then { s with ls_violations = s.ls_violations + 1 }
-          else s
+            s with
+            su_audited = s.su_audited + 1;
+            su_violations =
+              (s.su_violations + if violations ~tol t = [] then 0 else 1);
+            su_worst_residual = Float.max s.su_worst_residual (worst_residual t);
+          }
         in
-        let s =
-          (* [>=] with a NaN worst is false; promote NaN explicitly so a
-             poisoned audit is impossible to miss in the live view. *)
-          if w > s.ls_worst_residual || Float.is_nan w then
-            {
-              s with
-              ls_worst_residual = w;
-              ls_worst_residual_index = t.au_index;
-            }
-          else s
-        in
-        let s =
-          if t.au_margin < s.ls_min_margin then
-            {
-              s with
-              ls_min_margin = t.au_margin;
-              ls_min_rel_margin = t.au_rel_margin;
-              ls_min_margin_index = t.au_index;
-            }
-          else s
-        in
-        state := s;
-        s)
-
-  let snapshot () = locked (fun () -> !state)
-
-  let to_json () =
-    let s = snapshot () in
-    let buf = Buffer.create 256 in
-    Buffer.add_string buf "{\"enabled\":true,\"tol\":";
-    Obs.Jsonx.add_float buf s.ls_tol;
-    Buffer.add_string buf ",\"structures_audited\":";
-    Buffer.add_string buf (string_of_int s.ls_audited);
-    Buffer.add_string buf ",\"violations\":";
-    Buffer.add_string buf (string_of_int s.ls_violations);
-    Buffer.add_string buf ",\"worst_residual\":";
-    Obs.Jsonx.add_float buf s.ls_worst_residual;
-    Buffer.add_string buf ",\"worst_residual_structure\":";
-    Buffer.add_string buf (string_of_int s.ls_worst_residual_index);
-    Buffer.add_string buf ",\"min_margin_pa\":";
-    Obs.Jsonx.add_float buf s.ls_min_margin;
-    Buffer.add_string buf ",\"min_margin_rel\":";
-    Obs.Jsonx.add_float buf s.ls_min_rel_margin;
-    Buffer.add_string buf ",\"min_margin_structure\":";
-    Buffer.add_string buf (string_of_int s.ls_min_margin_index);
-    Buffer.add_string buf "}\n";
-    Buffer.contents buf
-end
+        if t.au_margin < s.su_min_margin then
+          {
+            s with
+            su_min_margin = t.au_margin;
+            su_min_rel_margin = t.au_rel_margin;
+            su_min_margin_index = t.au_index;
+          }
+        else s)
+    {
+      su_audited = 0;
+      su_violations = 0;
+      su_worst_residual = 0.;
+      su_min_margin = infinity;
+      su_min_rel_margin = infinity;
+      su_min_margin_index = -1;
+    }
+    audits
 
 let publish ~tol t =
-  let violated = violations ~tol t <> [] in
-  let agg = Live.record ~violated t in
   Obs.Metrics.inc audited_total;
-  if violated then Obs.Metrics.inc violations_total;
+  if violations ~tol t <> [] then Obs.Metrics.inc violations_total;
   Obs.Metrics.observe residual_hist (worst_residual t);
-  Obs.Metrics.observe margin_hist t.au_rel_margin;
-  Obs.Metrics.set_gauge g_worst_residual agg.Live.ls_worst_residual;
-  Obs.Metrics.set_gauge g_min_margin agg.Live.ls_min_margin
+  Obs.Metrics.observe margin_hist t.au_rel_margin
 
 let pp ppf t =
   let r = t.au_residuals in

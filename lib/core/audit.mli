@@ -114,36 +114,26 @@ val violation_diag : strict:bool -> tol:float -> t -> Diag.t option
     the out-of-bounds residuals — a warning, or an error when
     [strict]. [None] when {!violations} is empty. *)
 
+(** Run-wide aggregate of one batch's audit records. *)
+type summary = {
+  su_audited : int;         (** records present *)
+  su_violations : int;      (** records with a nonempty {!violations} set *)
+  su_worst_residual : float;
+      (** max {!worst_residual} ([Float.max], so a NaN wins); [0.] when
+          nothing was audited *)
+  su_min_margin : float;    (** Pa; [infinity] when nothing was audited *)
+  su_min_rel_margin : float;
+  su_min_margin_index : int;  (** [au_index] of the first minimum; [-1] if none *)
+}
+
+val summarize : tol:float -> t option array -> summary
+(** Fold a batch's records ([None] slots skipped) in array order. The
+    CLI's audit line, the [--json] [audit] object and the
+    [em_audit_worst_residual] / [em_margin_min_pa] gauges all read it. *)
+
 val publish : tol:float -> t -> unit
 (** Aggregate one record into the shared observability state: the
-    [em_audit_residual] / [em_margin_slack] histograms, the worst-case
-    gauges, the audit counters, and the {!Live} aggregate behind
-    [GET /audit]. Metric updates are no-ops while {!Obs.Metrics} is
-    disabled; the {!Live} aggregate always updates. *)
+    [em_audit_residual] / [em_margin_slack] histograms and the audit
+    counters. No-ops while {!Obs.Metrics} is disabled. *)
 
 val pp : Format.formatter -> t -> unit
-
-(** Mutex-protected run-wide aggregate feeding the live [/audit]
-    endpoint: every {!publish} folds its record in, and a snapshot is
-    consistent at any instant mid-run. *)
-module Live : sig
-  type snapshot = {
-    ls_tol : float;
-    ls_audited : int;
-    ls_violations : int;        (** structures with a nonempty violation set *)
-    ls_worst_residual : float;  (** max {!worst_residual} seen *)
-    ls_worst_residual_index : int;  (** [-1] until something was audited *)
-    ls_min_margin : float;      (** Pa; [infinity] until audited *)
-    ls_min_rel_margin : float;
-    ls_min_margin_index : int;
-  }
-
-  val reset : tol:float -> unit
-  (** Start a fresh aggregate for a run gated at [tol]. *)
-
-  val snapshot : unit -> snapshot
-
-  val to_json : unit -> string
-  (** The snapshot as a JSON object (["enabled": true]); the document
-      served by [GET /audit] when auditing is on. *)
-end

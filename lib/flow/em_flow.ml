@@ -38,9 +38,6 @@ type result = {
   diags : Dg.t list;
   audits : Au.t option array;
   structure_stats : structure_stat array;
-  solve_time : float;
-  extract_time : float;
-  analysis_time : float;
   stages : Pipeline.stage list;
 }
 
@@ -52,6 +49,13 @@ let is_skip_error (d : Dg.t) =
 
 let failed_structures r =
   List.length (List.filter is_skip_error r.diags)
+
+let stage_wall r name =
+  List.fold_left
+    (fun acc (s : Pipeline.stage) ->
+      if String.equal s.Pipeline.name name then acc +. s.Pipeline.wall_s
+      else acc)
+    0. r.stages
 
 (* Flow-level telemetry handles. All updates sit behind the global
    enabled flags (one atomic load + branch each when off). *)
@@ -90,6 +94,16 @@ let gc_gauge which =
 let gc_minor = gc_gauge "minor"
 let gc_major = gc_gauge "major"
 let gc_promoted = gc_gauge "promoted"
+
+let g_worst_residual =
+  Obs.Metrics.gauge
+    ~help:"Largest relative audit residual seen in the current run"
+    "em_audit_worst_residual"
+
+let g_min_margin =
+  Obs.Metrics.gauge
+    ~help:"Smallest immortality margin seen in the current run (Pa)"
+    "em_margin_min_pa"
 
 (* Numerical-audit configuration ([None] = auditing off, the default:
    the per-structure cost is then one [Option] branch). *)
@@ -217,18 +231,10 @@ let analyze_traced material with_maxpath ~audit ws index
         "structure" run
     else run ()
   in
-  (* Live progress counts finished structures, successful or
-     fault-isolated, so /healthz reaches done = total even on decks
-     with failing structures. *)
   let wall0 = Unix.gettimeofday () in
-  match traced () with
-  | records, audit_record, stat ->
-    Obs.Metrics.inc structures_analyzed;
-    Obs.Runtime.structure_done ();
-    (records, audit_record, { stat with st_solve_s = Unix.gettimeofday () -. wall0 })
-  | exception e ->
-    Obs.Runtime.structure_done ();
-    raise e
+  let records, audit_record, stat = traced () in
+  Obs.Metrics.inc structures_analyzed;
+  (records, audit_record, { stat with st_solve_s = Unix.gettimeofday () -. wall0 })
 
 (* Fault isolation: one structure whose analysis threw (degenerate
    geometry, disconnected columns, a solver bug) is recorded as an error
@@ -257,26 +263,12 @@ let diag_of_failure i (cs : Extract.compact_structure) e =
        (Cc.num_segments cs.Extract.compact)
        detail)
 
-let stage_cpu p name =
-  List.fold_left
-    (fun acc (s : Pipeline.stage) ->
-      if String.equal s.Pipeline.name name then acc +. s.Pipeline.cpu_s else acc)
-    0. (Pipeline.stages p)
-
 (* Analyze + classify on already-columnar structures, recording stages
-   into [p]. [analysis_time] keeps the historical convention: wall time
-   when explicitly parallel (CPU time would double-count the workers),
-   CPU time otherwise. *)
+   into [p]. *)
 let run_on_compact ?(material = M.cu_dac21) ?(with_maxpath = false) ?jobs
     ?audit ?pipeline:(p = Pipeline.create ()) compacts =
-  let t0 = Sys.time () in
-  let wall0 = Unix.gettimeofday () in
   let compacts_arr = Array.of_list compacts in
   let nstruct = Array.length compacts_arr in
-  Obs.Runtime.set_structures_total nstruct;
-  (match audit with
-  | Some cfg -> Au.Live.reset ~tol:cfg.audit_tol
-  | None -> ());
   let slots =
     (* Map over indices rather than the structures themselves so each
        worker can attach the structure's position to its span. Work is
@@ -343,7 +335,10 @@ let run_on_compact ?(material = M.cu_dac21) ?(with_maxpath = false) ?jobs
           | Some d -> diags := d :: !diags
           | None -> ())
         | None -> ())
-      audits
+      audits;
+    let su = Au.summarize ~tol:cfg.audit_tol audits in
+    Obs.Metrics.set_gauge g_worst_residual su.Au.su_worst_residual;
+    Obs.Metrics.set_gauge g_min_margin su.Au.su_min_margin
   | None -> ());
   let diags = List.rev !diags in
   let counts, maxpath_counts, segments =
@@ -368,11 +363,6 @@ let run_on_compact ?(material = M.cu_dac21) ?(with_maxpath = false) ?jobs
         let segments = Array.concat (Array.to_list per_structure) in
         (!counts, (if with_maxpath then Some !maxpath_counts else None), segments))
   in
-  let analysis_time =
-    match jobs with
-    | Some j when j > 1 -> Unix.gettimeofday () -. wall0
-    | _ -> Sys.time () -. t0
-  in
   if Obs.Metrics.is_enabled () then begin
     let sum f =
       List.fold_left (fun acc s -> acc +. f s) 0. (Pipeline.stages p)
@@ -391,9 +381,6 @@ let run_on_compact ?(material = M.cu_dac21) ?(with_maxpath = false) ?jobs
       diags;
       audits;
       structure_stats = stats;
-      solve_time = stage_cpu p "solve";
-      extract_time = stage_cpu p "extract";
-      analysis_time;
       stages = Pipeline.stages p;
     }
   in
@@ -403,7 +390,6 @@ let run_on_compact ?(material = M.cu_dac21) ?(with_maxpath = false) ?jobs
           ("structures", Obs.Trace.Int r.num_structures);
           ("segments", Obs.Trace.Int r.num_segments);
           ("failed_structures", Obs.Trace.Int (failed_structures r));
-          ("analysis_s", Obs.Trace.Float r.analysis_time);
         ] ));
   r
 

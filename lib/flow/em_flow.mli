@@ -79,17 +79,20 @@ type result = {
   structure_stats : structure_stat array;
       (** one slot per submitted structure, batch order — always
           populated, including for fault-isolated structures *)
-  solve_time : float;    (** DC operating point, CPU s *)
-  extract_time : float;  (** structure extraction, CPU s *)
-  analysis_time : float; (** EM analysis of all structures, CPU s *)
   stages : Pipeline.stage list;
-      (** per-stage instrumentation, execution order *)
+      (** per-stage instrumentation, execution order: the one timing
+          surface (wall and CPU seconds, words allocated) of the run *)
 }
 
 val failed_structures : result -> int
 (** Number of structures whose analysis was skipped: error diagnostics
     in {!result.diags}, excluding ["audit-residual"] errors (a strict
     audit flags the numbers, but the structure's analysis completed). *)
+
+val stage_wall : result -> string -> float
+(** Wall seconds of the stages of {!result.stages} named [name] ([0.]
+    when none ran), e.g. [stage_wall r "analyze"] for the paper's
+    check alone. *)
 
 val mna_diags : Spice.Mna.solution -> Em_core.Diag.t list
 (** Solver health: one ["mna-residual"] error when the DC solve's
@@ -101,9 +104,9 @@ val mna_diags : Spice.Mna.solution -> Em_core.Diag.t list
 (** Numerical-audit configuration. Passing [?audit] turns on
     per-structure {!Em_core.Audit} checks: each successfully analyzed
     structure gets an audit record in {!result.audits}, aggregated into
-    the [em_audit_*] / [em_margin_*] metrics and the live aggregate
-    behind [GET /audit]; residuals out of tolerance become
-    ["audit-residual"] diagnostics. When omitted (the default) the
+    the [em_audit_*] / [em_margin_*] metrics (the two worst-case gauges
+    are set once per run from {!Em_core.Audit.summarize}); residuals
+    out of tolerance become ["audit-residual"] diagnostics. When omitted (the default) the
     per-structure cost is a single branch. *)
 type audit_config = {
   audit_tol : float;
@@ -186,8 +189,7 @@ val run :
 (** {!analyze_deck} on the generated netlist. [material] defaults to
     {!Em_core.Material.cu_dac21}; [with_maxpath] to [false]; [jobs]
     parallelizes the DC solve (one independent net per domain) and the
-    per-structure EM analysis over that many domains. With [jobs > 1]
-    the reported [analysis_time] is wall-clock rather than CPU time.
+    per-structure EM analysis over that many domains.
 
     Work decomposition under [jobs > 1]: each structure is one work
     item, handed out dynamically across the domains; results are

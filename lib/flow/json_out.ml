@@ -243,33 +243,18 @@ let of_audit ~tol (a : Au.t) =
     ]
 
 let of_audit_report ~tol (audits : Au.t option array) =
+  let su = Au.summarize ~tol audits in
   let recs = Stdlib.List.filter_map Fun.id (Array.to_list audits) in
-  let violations =
-    Stdlib.List.fold_left
-      (fun acc a -> acc + if Au.violations ~tol a = [] then 0 else 1)
-      0 recs
-  in
-  let worst =
-    Stdlib.List.fold_left (fun acc a -> Float.max acc (Au.worst_residual a)) 0. recs
-  in
-  let min_margin, min_rel, min_idx =
-    Stdlib.List.fold_left
-      (fun (m, mr, mi) a ->
-        if a.Au.au_margin < m then
-          (a.Au.au_margin, a.Au.au_rel_margin, a.Au.au_index)
-        else (m, mr, mi))
-      (infinity, infinity, -1) recs
-  in
   Obj
     [
       ("enabled", Bool true);
       ("tol", Float tol);
-      ("structures_audited", Int (Stdlib.List.length recs));
-      ("violations", Int violations);
-      ("worst_residual", Float worst);
-      ("min_margin_pa", Float min_margin);
-      ("min_margin_rel", Float min_rel);
-      ("min_margin_structure", Int min_idx);
+      ("structures_audited", Int su.Au.su_audited);
+      ("violations", Int su.Au.su_violations);
+      ("worst_residual", Float su.Au.su_worst_residual);
+      ("min_margin_pa", Float su.Au.su_min_margin);
+      ("min_margin_rel", Float su.Au.su_min_rel_margin);
+      ("min_margin_structure", Int su.Au.su_min_margin_index);
       ("structures", List (Stdlib.List.map (of_audit ~tol) recs));
     ]
 
@@ -285,13 +270,6 @@ let of_flow_result (r : Em_flow.result) =
         match r.Em_flow.maxpath_counts with
         | Some c -> of_counts c
         | None -> Null );
-      ( "timings_s",
-        Obj
-          [
-            ("solve", Float r.Em_flow.solve_time);
-            ("extract", Float r.Em_flow.extract_time);
-            ("em_analysis", Float r.Em_flow.analysis_time);
-          ] );
       ("stages", of_stages r.Em_flow.stages);
     ]
 

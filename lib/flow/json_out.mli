@@ -41,8 +41,8 @@ val of_telemetry : ?top:int -> unit -> t
 
 val of_audit_report : tol:float -> Em_core.Audit.t option array -> t
 (** The ["audit"] object of an audited analyze report: run-level
-    aggregates (structures audited, violation count, worst residual,
-    minimum margin) plus one entry per audited structure (margin and
+    aggregates ({!Em_core.Audit.summarize}: structures audited,
+    violation count, worst residual, minimum margin) plus one entry per audited structure (margin and
     threshold, residuals, the violation list gated at [tol], top-k
     critical-path contributions, solver-path provenance). *)
 
@@ -51,8 +51,8 @@ val of_diags : Em_core.Diag.t list -> t
     uses the stable strings of {!Em_core.Diag.severity_to_string}. *)
 
 val of_flow_result : Em_flow.result -> t
-(** Confusion matrix, structure/segment counts and timings; the
-    per-segment list is summarized (it can be millions long — use
+(** Confusion matrix, structure/segment counts and the stage table
+    (the report's one timing surface); the per-segment list is summarized (it can be millions long — use
     {!Scatter.write_csv} for the raw series). *)
 
 val of_variation : Variation.result -> t

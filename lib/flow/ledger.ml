@@ -691,32 +691,3 @@ let history_to_json ~metric trends =
                  ])
              trends) );
     ]
-
-(* ------------------------------------------------------------------ *)
-(* Live endpoint. *)
-
-let runs_snapshot_json ~dir ~run_id =
-  let runs = match load ~dir with Ok rs -> rs | Error _ -> [] in
-  let latest =
-    match List.rev runs with
-    | r :: _ ->
-      J.Obj
-        [
-          ("id", J.String r.rn_id);
-          ("timestamp", J.String r.rn_timestamp);
-          ("structures", J.Int r.rn_structures);
-          ("immortal", J.Int r.rn_immortal);
-          ("mortal", J.Int r.rn_mortal);
-          ("failed", J.Int r.rn_failed);
-        ]
-    | [] -> J.Null
-  in
-  J.to_string
-    (J.Obj
-       [
-         ("enabled", J.Bool true);
-         ("run_id", J.String run_id);
-         ("dir", J.String dir);
-         ("runs", J.Int (List.length runs));
-         ("latest", latest);
-       ])

@@ -1,8 +1,8 @@
 (** Persistent run ledger: an append-only JSONL archive of analysis
     runs, keyed by content-addressed structure fingerprints.
 
-    Every live endpoint and metric sees exactly one process; the ledger
-    is the cross-run half of the observability story. `emcheck analyze
+    Every metric and trace sees exactly one process; the ledger is the
+    cross-run half of the observability story. `emcheck analyze
     --record-run [DIR]` appends one {!run} record — deck hash, tech,
     worker count, and one {!entry} per analyzed structure
     (fingerprint, verdict, signed immortality margin, solve time,
@@ -198,11 +198,3 @@ val history : metric:[ `Margin | `Time ] -> run list -> trend list
     appearance. *)
 
 val history_to_json : metric:[ `Margin | `Time ] -> trend list -> Json_out.t
-
-(** {1 Live endpoint} *)
-
-val runs_snapshot_json : dir:string -> run_id:string -> string
-(** The [GET /runs] payload: archive aggregate (run count, newest run's
-    summary) plus the in-flight run's id — installed as the
-    {!Obs.Runtime} runs provider while [--record-run] is active, and
-    evaluated at scrape time so it sees runs recorded meanwhile. *)

@@ -51,9 +51,6 @@ let run p name f =
   in
   Obs.Log.debug (fun () ->
       ("stage start", [ ("stage", Obs.Trace.String name) ]));
-  (* Publish the stage as the live run phase (/healthz, the
-     em_run_phase gauge); one atomic store. *)
-  Obs.Runtime.set_phase name;
   (* The stage doubles as a telemetry span on the calling domain's
      track (the root lane of the trace): the timing reported here and
      the span in the exported trace are the same interval, not two

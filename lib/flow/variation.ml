@@ -306,22 +306,9 @@ let run_compact ?(material = M.cu_dac21) ?jobs spec structures =
      runs. *)
   let master = Rng.create spec.seed in
   let seeds = Array.init nstruct (fun _ -> Rng.int64 master) in
-  (* Live progress restarts for the Monte-Carlo phase: a long
-     [--variation] run would otherwise freeze /healthz at the solve
-     phase's final count. Each structure counts when its whole sample
-     budget is done, successful or fault-isolated. *)
-  Obs.Runtime.set_phase "variation";
-  Obs.Runtime.set_structures_total nstruct;
   let slots =
     Parallel.map_local_result ?jobs ~local:scratch_create
-      (fun sc index ->
-        match run_one material spec sc seeds.(index) ~index arr.(index) with
-        | v ->
-          Obs.Runtime.structure_done ();
-          v
-        | exception e ->
-          Obs.Runtime.structure_done ();
-          raise e)
+      (fun sc index -> run_one material spec sc seeds.(index) ~index arr.(index))
       (Array.init nstruct (fun i -> i))
   in
   (* Per-structure fault isolation: a structure whose Monte-Carlo threw

@@ -111,7 +111,7 @@ let dump ?limit oc =
            (List.map (fun (k, v) -> Printf.sprintf " %s=%s" k v) e.fl_detail)))
     (take_last limit (events ()))
 
-let to_json_lines () =
+let dump_json oc =
   let buf = Buffer.create 256 in
   List.iter
     (fun e ->
@@ -135,6 +135,4 @@ let to_json_lines () =
         e.fl_detail;
       Buffer.add_string buf "}}\n")
     (events ());
-  Buffer.contents buf
-
-let dump_json oc = output_string oc (to_json_lines ())
+  Buffer.output_buffer oc buf

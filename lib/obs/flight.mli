@@ -57,11 +57,8 @@ val dump : ?limit:int -> out_channel -> unit
 (** Human-readable dump, one line per event, oldest first; with
     [limit], only the most recent [limit] events. *)
 
-val to_json_lines : unit -> string
+val dump_json : out_channel -> unit
 (** The same events as JSON lines
     ([{"ts_us":...,"track":...,"kind":...,"level":...,"name":...,
-    "fields":{...}}], one object per line) — what the [/flight] live
-    endpoint serves. Empty string when nothing was recorded. *)
-
-val dump_json : out_channel -> unit
-(** {!to_json_lines} written to a channel. *)
+    "fields":{...}}], one object per line); nothing when nothing was
+    recorded. *)

@@ -13,7 +13,6 @@ let () =
          T_pdn.suites;
          T_flow.suites;
          T_obs.suites;
-         T_serve.suites;
          T_jsonx.suites;
          T_profile.suites;
          T_history.suites;

@@ -361,6 +361,43 @@ let test_record_diff_history () =
       Alcotest.(check bool) "history sees both runs" true
         (T_obs.contains r.out "2 run(s)"))
 
+(* Without -j the solve and analysis run on every core, and the ledger
+   says so; its analysis time is the analyze stage's wall time. *)
+let test_record_run_default_jobs () =
+  let dir = tmp_name "ledger" and json = tmp_name "report" ^ ".json" in
+  Fun.protect
+    ~finally:(fun () ->
+      rm_rf dir;
+      rm_f json)
+    (fun () ->
+      let r =
+        run_cmd
+          (Printf.sprintf "%s analyze %s --record-run %s --json %s" emcheck
+             deck (Filename.quote dir) (Filename.quote json))
+      in
+      Alcotest.(check int) "exit 0" 0 r.code;
+      let run =
+        match
+          String.split_on_char '\n'
+            (read_file (Emflow.Ledger.ledger_path dir))
+        with
+        | line :: _ -> Ji.parse_exn line
+        | [] -> Alcotest.fail "empty ledger"
+      in
+      Alcotest.(check (float 0.)) "jobs = recommended domain count"
+        (float_of_int (Domain.recommended_domain_count ()))
+        (get_num "jobs" run);
+      let analyze =
+        match Ji.list_value (get "stages" (get "flow" (json_of_file json))) with
+        | Some stages ->
+          List.find
+            (fun s -> Ji.string_value (get "name" s) = Some "analyze")
+            stages
+        | None -> Alcotest.fail "flow.stages is not a list"
+      in
+      Alcotest.(check (float 0.)) "analysis_s = analyze stage wall_s"
+        (get_num "wall_s" analyze) (get_num "analysis_s" run))
+
 (* ---------------------------------------------------------------- *)
 (* bench compare: the no-history exit-0 path                         *)
 
@@ -412,7 +449,11 @@ let suites =
         case "--metrics samples the process gauges" test_metrics_process_gauges;
       ] );
     ( "cli.ledger",
-      [ slow_case "record-run, diff, history round trip" test_record_diff_history ] );
+      [
+        slow_case "record-run, diff, history round trip" test_record_diff_history;
+        case "record-run without -j records every core"
+          test_record_run_default_jobs;
+      ] );
     ( "cli.bench",
       [ case "compare without history gates nothing" test_bench_compare_no_history ] );
   ]

@@ -1503,18 +1503,30 @@ let test_flow_audit_json () =
   Alcotest.(check bool) "provenance present" true
     (contains json {|"solver":"|})
 
-let test_variation_runtime_progress () =
-  let compacts = stressed_compacts () in
-  let n = List.length compacts in
-  let spec = { Va.default_spec with Va.samples = 3; seed = 7L } in
-  Obs.Runtime.reset ();
-  ignore (Va.run_compact spec compacts);
-  Alcotest.(check string) "phase published" "variation"
-    (Obs.Runtime.phase ());
-  let sdone, stotal = Obs.Runtime.structures () in
-  Alcotest.(check int) "total covers the batch" n stotal;
-  Alcotest.(check int) "every structure counted" n sdone;
-  Obs.Runtime.reset ()
+(* The run-wide worst-case gauges are set once per audited run, from
+   the same summary the --json audit object reads. *)
+let test_flow_audit_gauges () =
+  let module Ji = Emflow.Json_in in
+  let cfg = Flow.default_audit_config in
+  let _, v =
+    Obs.Metrics.with_enabled true (fun () ->
+        Flow.run_deck ~audit:cfg ~tech:Pdn.Tech.ibm_like T_cli.deck)
+  in
+  let report =
+    Ji.parse_exn
+      (Emflow.Json_out.to_string
+         (Emflow.Json_out.of_audit_report ~tol:cfg.Flow.audit_tol
+            v.Flow.result.Flow.audits))
+  in
+  Alcotest.(check bool) "structures audited" true
+    (T_cli.get_num "structures_audited" report > 0.);
+  let gauge name = Obs.Metrics.gauge_value (Obs.Metrics.gauge ~help:"" name) in
+  Alcotest.(check (float 0.)) "em_audit_worst_residual = worst_residual"
+    (T_cli.get_num "worst_residual" report)
+    (gauge "em_audit_worst_residual");
+  Alcotest.(check (float 0.)) "em_margin_min_pa = min_margin_pa"
+    (T_cli.get_num "min_margin_pa" report)
+    (gauge "em_margin_min_pa")
 
 (* ---------------------------------------------------------------- *)
 (* Reports from the flow's results, against the boxed re-solves      *)
@@ -1722,8 +1734,7 @@ let suites =
         case "fault isolation keeps healthy audits"
           test_flow_audit_fault_isolated;
         case "audit report serialization" test_flow_audit_json;
-        case "variation publishes live progress"
-          test_variation_runtime_progress;
+        case "worst-case gauges equal the report" test_flow_audit_gauges;
       ] );
     ( "flow.scatter",
       [

@@ -452,30 +452,7 @@ let test_entries_of_result () =
       Lg.entries_of_result (List.tl compacts) r)
 
 (* ---------------------------------------------------------------- *)
-(* Live endpoint + metrics                                           *)
-
-let test_runs_snapshot () =
-  with_tmp_dir (fun dir ->
-      let j =
-        Ji.parse_exn (Lg.runs_snapshot_json ~dir ~run_id:"live-run")
-      in
-      Alcotest.(check (option bool)) "enabled" (Some true)
-        (Option.bind (Ji.member "enabled" j) Ji.bool_value);
-      Alcotest.(check (option string)) "run id" (Some "live-run")
-        (Option.bind (Ji.member "run_id" j) Ji.string_value);
-      Alcotest.(check (option (float 0.))) "empty archive" (Some 0.)
-        (Option.bind (Ji.member "runs" j) Ji.number);
-      Alcotest.(check bool) "no latest yet" true
-        (Ji.member "latest" j = Some Jo.Null);
-      ok_or_fail (Lg.append ~dir (mk_run ~id:(fp_of '9') ()));
-      let j =
-        Ji.parse_exn (Lg.runs_snapshot_json ~dir ~run_id:"live-run")
-      in
-      Alcotest.(check (option (float 0.))) "sees the appended run" (Some 1.)
-        (Option.bind (Ji.member "runs" j) Ji.number);
-      let latest = Option.get (Ji.member "latest" j) in
-      Alcotest.(check (option string)) "latest id" (Some (fp_of '9'))
-        (Option.bind (Ji.member "id" latest) Ji.string_value))
+(* Metrics                                                           *)
 
 let test_metrics_registered () =
   let exposition = Obs.Metrics.to_prometheus () in
@@ -519,7 +496,6 @@ let suites =
       [
         case "entries_of_result joins stats and fingerprints"
           test_entries_of_result;
-        case "/runs snapshot provider payload" test_runs_snapshot;
         case "em_ledger_* metrics registered" test_metrics_registered;
       ] );
   ]
