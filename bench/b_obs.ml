@@ -1,9 +1,9 @@
 (* Telemetry overhead guard: the obs subsystem must be effectively free
    when disabled (<2% on the analysis flow) and cheap enough to leave on
-   for profiling runs. Three flow timings on the largest synthetic grid
-   (telemetry off / metrics on / metrics+trace on) plus micro-benchmarks
-   of the disabled fast paths, written to BENCH_obs.json so CI can watch
-   the ratios drift. *)
+   for profiling runs. Flow timings on the largest synthetic grid
+   (telemetry off / metrics on / metrics+trace on / audit off / audit on)
+   plus micro-benchmarks of the disabled fast paths, written to
+   BENCH_obs.json so CI can watch the ratios drift. *)
 
 module Gg = Pdn.Grid_gen
 module Flow = Emflow.Em_flow
@@ -11,15 +11,34 @@ module J = Emflow.Json_out
 module Tr = Obs.Trace
 module Mx = Obs.Metrics
 
-let best_of reps f =
-  let result = ref None in
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let r, t = B_util.wall f in
-    result := Some r;
-    if t < !best then best := t
+(* Best wall time of each arm, with the arms run back to back within
+   every repetition so all of them sample the same machine conditions
+   (a load spike slows one repetition of every arm, not one arm). One
+   untimed pass warms the heap and the worker domains; the starting arm
+   rotates so none always follows the allocation-heavy audit arm, and a
+   full major GC before each timed run leaves no arm paying for the
+   previous one's garbage. A flow run lasts milliseconds at the default
+   scale, so repetitions continue until every arm has run for
+   [min_arm_s] in total, and at least [min_reps] times. *)
+let min_reps = 5
+and min_arm_s = 1.
+
+let interleaved_best arms =
+  let n = Array.length arms in
+  let best = Array.make n infinity and total = Array.make n 0. in
+  Array.iter (fun arm -> arm ()) arms;
+  let reps = ref 0 in
+  while !reps < min_reps || Array.exists (fun t -> t < min_arm_s) total do
+    for k = 0 to n - 1 do
+      let i = (k + !reps) mod n in
+      Gc.full_major ();
+      let (), t = B_util.wall arms.(i) in
+      total.(i) <- total.(i) +. t;
+      if t < best.(i) then best.(i) <- t
+    done;
+    incr reps
   done;
-  (Option.get !result, !best)
+  (best, !reps)
 
 let ns_per_op iters f =
   let (), t = B_util.wall (fun () -> for _ = 1 to iters do f () done) in
@@ -36,54 +55,41 @@ let run cfg =
   let n_segments = Emflow.Extract.total_compact_segments compacts in
   B_util.note "%s x%.2f: %d structures, %d segments" (Gg.ibm_size_name size)
     scale n_structures n_segments;
-  let reps = 3 in
-  let _, t_off = best_of reps (fun () -> Flow.run_on_compact compacts) in
-  let _, t_metrics =
-    best_of reps (fun () ->
-        Mx.with_enabled true (fun () -> Flow.run_on_compact compacts))
-  in
   let last_trace = ref 0 in
-  let _, t_trace =
-    best_of reps (fun () ->
-        let t = Tr.create () in
-        let r =
-          Mx.with_enabled true (fun () ->
-              Tr.with_enabled t (fun () -> Flow.run_on_compact compacts))
-        in
-        last_trace := Tr.num_events t;
-        r)
+  let plain () = ignore (Flow.run_on_compact compacts) in
+  (* Numerical-audit overhead: disabled, the flow executes no audit code
+     at all (the option is [None] — one match per structure), so the
+     audit-off arm re-measures the plain flow and any drift of its ratio
+     from 1.0 is timer noise. Enabled, every structure's solver output is
+     replayed expression-by-expression (Blech sums, norms, telescoping,
+     flux/mass balances) — roughly a second pass over the CSR. *)
+  let best, reps =
+    interleaved_best
+      [|
+        plain;
+        (fun () -> Mx.with_enabled true plain);
+        (fun () ->
+          let t = Tr.create () in
+          Mx.with_enabled true (fun () -> Tr.with_enabled t plain);
+          last_trace := Tr.num_events t);
+        plain;
+        (fun () ->
+          ignore (Flow.run_on_compact ~audit:Flow.default_audit_config compacts));
+      |]
   in
-  B_util.note "flow, telemetry off:        %.3fs (best of %d)" t_off reps;
+  let t_off = best.(0) and t_metrics = best.(1) and t_trace = best.(2) in
+  let t_audit_off = best.(3) and t_audit_on = best.(4) in
+  B_util.note "flow, telemetry off:        %.3fs (best of %d interleaved)" t_off
+    reps;
   B_util.note "flow, metrics on:           %.3fs (%.2fx)" t_metrics
     (t_metrics /. t_off);
   B_util.note "flow, metrics + trace on:   %.3fs (%.2fx, %d spans)" t_trace
     (t_trace /. t_off) !last_trace;
-  (* Numerical-audit overhead: disabled, the flow executes no audit code
-     at all (the option is [None] — one match per structure), so the
-     paired disabled run re-measures the plain flow and any drift from
-     1.0 is timer noise. Enabled, every structure's solver output is
-     replayed expression-by-expression (Blech sums, norms, telescoping,
-     flux/mass balances) — roughly a second pass over the CSR. The
-     repetitions interleave off/on so both best-of timings sample the
-     same machine conditions, and the on/off ratio is what bench-history
-     gates. *)
-  let t_audit_off = ref infinity in
-  let t_audit_on = ref infinity in
-  for _ = 1 to reps do
-    let _, toff = B_util.wall (fun () -> Flow.run_on_compact compacts) in
-    if toff < !t_audit_off then t_audit_off := toff;
-    let _, ton =
-      B_util.wall (fun () ->
-          Flow.run_on_compact ~audit:Flow.default_audit_config compacts)
-    in
-    if ton < !t_audit_on then t_audit_on := ton
-  done;
-  let t_audit_off = !t_audit_off and t_audit_on = !t_audit_on in
   let audit_overhead_ratio = t_audit_on /. t_audit_off in
   let audit_disabled_ratio = t_audit_off /. t_off in
-  B_util.note "flow, audit off (paired):   %.3fs (%.2fx vs off — noise floor)"
+  B_util.note "flow, audit off:            %.3fs (%.2fx vs off — noise floor)"
     t_audit_off audit_disabled_ratio;
-  B_util.note "flow, audit on:             %.3fs (%.2fx vs paired off)"
+  B_util.note "flow, audit on:             %.3fs (%.2fx vs audit off)"
     t_audit_on audit_overhead_ratio;
   (* The disabled fast paths, measured directly: one flag load + branch. *)
   let c = Mx.counter ~help:"bench guard probe" "bench_obs_probe_total" in
@@ -117,6 +123,7 @@ let run cfg =
          ("edges", J.Int (grid.Gg.num_wires + grid.Gg.num_vias));
          ("structures", J.Int n_structures);
          ("segments", J.Int n_segments);
+         ("repetitions", J.Int reps);
          ("off_s", J.Float t_off);
          ("metrics_on_s", J.Float t_metrics);
          ("trace_on_s", J.Float t_trace);

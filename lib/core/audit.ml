@@ -5,9 +5,9 @@
    The exact checks re-evaluate the solver's own floating-point
    expressions — the Schedule replay for the Blech sums, the fixed-order
    segment sweep for A/Q, and [beta *. (q_over_a -. b_i)] for the
-   stresses — against the returned solution. The boxed and columnar
-   solves are bit-identical by contract, so any nonzero exact residual
-   is a broken solver, not rounding. *)
+   stresses — against the returned solution. The solver evaluates the
+   same expressions, so any nonzero exact residual is a broken solver,
+   not rounding. *)
 
 module Ss = Steady_state
 module Cc = Compact
@@ -374,8 +374,7 @@ let pp ppf t =
      max stress %.3f MPa at node %d, threshold %.3f MPa, margin %+.3f MPa \
      (%.2f%%)@,\
      residuals: blech-replay %.3e, normalization %.3e, telescope %.3e \
-     (exact); flux %.3e, mass %.3e (tol); kcl %.3e (info)@,\
-     solver: compact@]"
+     (exact); flux %.3e, mass %.3e (tol); kcl %.3e (info)@]"
     t.au_index t.au_layer t.au_nodes t.au_segments
     (if t.au_immortal then "immortal" else "MORTAL")
     (t.au_max_stress *. 1e-6)

@@ -4,12 +4,12 @@
     are a deterministic replay of the BFS {!Steady_state.Schedule}, the
     normalization constants [A]/[Q] are one fixed-order sweep over the
     segment columns, and every node stress is
-    [beta * (Q/A - B_i)]. Because the boxed and columnar solves are
-    bit-identical by contract, an audit that re-evaluates those same floating-point
-    expressions against the returned solution must reproduce it {e to
-    the bit} — the exact residuals below are [0.0], not merely small,
-    on a healthy run, and any nonzero value means a solver path broke
-    the contract (or memory was corrupted in flight).
+    [beta * (Q/A - B_i)]. Because the solver evaluates exactly these
+    floating-point expressions, an audit that re-evaluates them against
+    the returned solution must reproduce it {e to the bit} — the exact
+    residuals below are [0.0], not merely small, on a healthy run, and
+    any nonzero value means the solver broke the contract (or memory was
+    corrupted in flight).
 
     On top of the exact invariants the audit evaluates the physical
     conservation laws, which hold only up to rounding (and, for meshes,

@@ -258,8 +258,8 @@ let to_structure c =
 
 let degree c v = c.offsets.(v + 1) - c.offsets.(v)
 
-(* Lowest-numbered terminus, any node when there is none — must match
-   Steady_state.default_reference on the boxed path bit-for-bit. *)
+(* Lowest-numbered terminus, node 0 when there is none — the reference
+   the baselines take from [Ugraph.termini]. *)
 let default_reference c =
   let n = c.num_nodes in
   let rec scan v = if v >= n then 0 else if degree c v = 1 then v else scan (v + 1) in

@@ -11,10 +11,10 @@
 
     Conversions to and from {!Structure.t} are lossless (every geometry
     and current value is copied bit-for-bit) and preserve segment ids,
-    node ids, and adjacency order, so both representations produce
-    bit-identical analyses; the baselines and the PDE layer keep
-    consuming [Structure.t] through the converters and thereby keep
-    guarding the columnar path's correctness. *)
+    node ids, and adjacency order. [Compact.t] is the only input of the
+    steady-state solver ({!Steady_state.solve} converts); the baselines
+    and the PDE layer keep consuming [Structure.t] and, being
+    independent algorithms, guard the solver's correctness. *)
 
 type t = {
   num_nodes : int;
@@ -107,7 +107,7 @@ val degree : t -> int -> int
 
 val default_reference : t -> int
 (** Lowest-numbered terminus (degree-1 node), or node 0 when there is
-    none — the same choice {!Steady_state.solve} makes. *)
+    none: the default reference of {!Steady_state.solve_compact}. *)
 
 val volume : t -> float
 (** [sum_k wh_k l_k], the paper's normalization constant [A] (m^3). *)

@@ -34,10 +34,6 @@ let of_solution material s solution =
 let check ?reference material s =
   of_solution material s (Steady_state.solve ?reference material s)
 
-let check_components material s =
-  let solutions, node_component = Steady_state.solve_components material s in
-  (Array.map (of_solution material s) solutions, node_component)
-
 let margin r = r.threshold -. r.max_stress
 
 let pp ppf r =

@@ -21,12 +21,6 @@ val of_solution : Material.t -> Structure.t -> Steady_state.solution -> report
 val check : ?reference:int -> Material.t -> Structure.t -> report
 (** Solve + classify a connected structure. *)
 
-val check_components : Material.t -> Structure.t -> report array * int array
-(** Per-component reports for a possibly disconnected structure, plus the
-    node-to-component map. Segment/node arrays in each report cover the
-    whole structure; entries outside the component are [true]/[nan]-backed
-    and should be read through the component map. *)
-
 val margin : report -> float
 (** [threshold - max_stress]: positive iff immortal; the "distance to
     mortality" in Pa, useful for ranking fixes. *)

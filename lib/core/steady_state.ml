@@ -38,80 +38,6 @@ type solution = {
   beta : float;
 }
 
-let default_reference s =
-  match Ugraph.termini (Structure.graph s) with v :: _ -> v | [] -> 0
-
-(* Solve the component containing [reference]; nodes outside it get nan. *)
-let solve_component material s ~reference =
-  let g = Structure.graph s in
-  let n = Ugraph.num_nodes g in
-  let beta = Material.beta material in
-  let span = Spanning.of_bfs g ~root:reference in
-  let tree = span.Spanning.tree in
-  (* Step 1 (paper Sec. IV): Blech sums along the BFS tree. *)
-  let b = Array.make n Float.nan in
-  b.(reference) <- 0.;
-  ignore
-    (Traversal.fold_tree_edges tree ~init:() ~f:(fun () ~node ~parent ~edge_id ->
-         let seg = Structure.seg s edge_id in
-         let e = Ugraph.edge g edge_id in
-         let jhat =
-           if e.Ugraph.tail = parent then seg.Structure.current_density
-           else -.seg.Structure.current_density
-         in
-         b.(node) <- b.(parent) +. (jhat *. seg.Structure.length)));
-  (* Step 2: A and Q over every edge of the component (chords included).
-     The integral of sigma over a segment is orientation-independent, so
-     each edge is integrated from its reference tail with its own j. *)
-  let volume = ref 0. and q = ref 0. in
-  for k = 0 to Ugraph.num_edges g - 1 do
-    let e = Ugraph.edge g k in
-    if tree.Traversal.reached.(e.Ugraph.tail) then begin
-      let seg = Structure.seg s k in
-      let wh = Structure.cross_section seg in
-      let l = seg.Structure.length in
-      let j = seg.Structure.current_density in
-      volume := !volume +. (wh *. l);
-      q := !q +. (wh *. ((j *. l *. l /. 2.) +. (b.(e.Ugraph.tail) *. l)))
-    end
-  done;
-  (* Step 3: node stresses. *)
-  let q_over_a = check_normalization ~volume:!volume ~q:!q in
-  let node_stress =
-    Array.map
-      (fun bi -> if Float.is_nan bi then Float.nan else beta *. (q_over_a -. bi))
-      b
-  in
-  Obs.Metrics.inc solves_total;
-  { reference; node_stress; blech_sum = b; volume = !volume; q = !q; beta }
-
-let solve ?reference material s =
-  if not (Structure.is_connected s) then
-    invalid_arg
-      "Steady_state.solve: structure is disconnected; use solve_components";
-  let reference =
-    match reference with
-    | Some r ->
-      if r < 0 || r >= Structure.num_nodes s then
-        invalid_arg "Steady_state.solve: reference out of range";
-      r
-    | None -> default_reference s
-  in
-  solve_component material s ~reference
-
-let solve_components material s =
-  let comps = Components.compute (Structure.graph s) in
-  let solutions =
-    Array.init comps.Components.count (fun c ->
-        match Components.nodes_of comps c with
-        | [] -> assert false
-        | root :: _ -> solve_component material s ~reference:root)
-  in
-  (solutions, comps.Components.node_component)
-
-(* ------------------------------------------------------------------ *)
-(* Columnar path                                                       *)
-
 module Workspace = struct
   type t = {
     mutable queue : int array;     (* grow-only *)
@@ -208,10 +134,10 @@ end
 (* The Section-IV one-pass algorithm on the structure-of-arrays layout:
    Blech sums accumulate during the BFS itself (no spanning-tree record,
    no parent arrays), then one sweep over the segment columns builds A
-   and Q, then one sweep over the nodes evaluates the stresses. The
-   arithmetic mirrors [solve_component] expression by expression, and
-   the CSR adjacency preserves [Ugraph]'s incidence order, so results
-   are bit-identical to the boxed path. *)
+   and Q over every segment (chords included: the integral of sigma over
+   a segment is orientation-independent, so each is integrated from its
+   reference tail with its own j), then one sweep over the nodes
+   evaluates the stresses. *)
 let solve_compact ?reference ?ws material (c : Compact.t) =
   let n = Compact.num_nodes c in
   let m = Compact.num_segments c in
@@ -272,6 +198,9 @@ let solve_compact ?reference ?ws material (c : Compact.t) =
   done;
   Obs.Metrics.inc solves_total;
   { reference; node_stress = stress; blech_sum = b; volume = !volume; q = !q; beta }
+
+let solve ?reference material s =
+  solve_compact ?reference material (Compact.of_structure s)
 
 let segment_stress sol s k =
   let tail, head = Structure.endpoints s k in

@@ -14,7 +14,7 @@
     spanning tree (Theorem 1); chord segments still contribute to [A] and
     [Q]. The solution is independent of the reference node and of the
     spanning tree whenever the prescribed currents are cycle-consistent
-    (which {!Structure.validate} checks). *)
+    (which {!Blech_sum.validate} checks). *)
 
 exception Degenerate of string
 (** Raised by the solvers when the normalization [Q / A] is not finite —
@@ -34,18 +34,12 @@ type solution = {
 }
 
 val solve : ?reference:int -> Material.t -> Structure.t -> solution
-(** Raises [Invalid_argument] if the structure is not connected (solve
-    components independently via {!solve_components}) or [reference] is
-    out of range, and {!Degenerate} when the normalization [Q / A] is
+(** [solve_compact ?reference m (Compact.of_structure s)]: the entry
+    point for boxed callers (baselines, examples, sensitivity). Raises
+    [Invalid_argument] if the structure is not connected or [reference]
+    is out of range, and {!Degenerate} when the normalization [Q / A] is
     not finite. The default reference is the lowest-numbered terminus
     (any node when the structure has no terminus). *)
-
-val solve_components : Material.t -> Structure.t -> solution array * int array
-(** [solve_components m s] solves each connected component separately
-    (each conserves its own mass). Returns the per-component solutions and
-    a map from node to component index. Stress arrays in each solution are
-    still indexed by the {e global} node id; entries for nodes outside the
-    component are [nan]. *)
 
 (** Scratch buffers for {!solve_compact}: BFS queue, reached flags, and
     the Blech-sum / stress result columns. Reusing one workspace across a
@@ -87,11 +81,10 @@ end
 
 val solve_compact :
   ?reference:int -> ?ws:Workspace.t -> Material.t -> Compact.t -> solution
-(** {!solve} on the columnar representation: the Blech sums are
-    accumulated during the BFS itself and the [A]/[Q] sweep streams the
-    flat segment columns, so the whole algorithm runs allocation-free on
-    a warm workspace. Produces bit-identical results to
-    [solve material (Compact.to_structure c)].
+(** The steady-state solver: the Blech sums are accumulated during the
+    BFS itself and the [A]/[Q] sweep streams the flat segment columns,
+    so the whole algorithm runs allocation-free on a warm workspace.
+    The default reference is {!Compact.default_reference}.
 
     Raises [Invalid_argument] if the structure is disconnected or
     [reference] is out of range, and {!Degenerate} when [Q / A] is not

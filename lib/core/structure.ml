@@ -90,50 +90,6 @@ let kcl_imbalance t v =
       if e.Ugraph.head = v then acc := !acc +. i else acc := !acc -. i);
   !acc
 
-type violation =
-  | Disconnected
-  | Cycle_mismatch of { chord : int; mismatch : float; scale : float }
-
-(* Blech sum to every node over a spanning tree rooted at [root]. *)
-let tree_blech_sums t (span : Spanning.t) =
-  let b = Array.make (num_nodes t) 0. in
-  ignore
-    (Traversal.fold_tree_edges span.Spanning.tree ~init:()
-       ~f:(fun () ~node ~parent ~edge_id ->
-         let s = seg t edge_id in
-         let e = Ugraph.edge t.g edge_id in
-         let jhat =
-           if e.Ugraph.tail = parent then s.current_density
-           else -.s.current_density
-         in
-         b.(node) <- b.(parent) +. (jhat *. s.length)));
-  b
-
-let validate ?(cycle_rtol = 1e-6) t =
-  let violations = ref [] in
-  if not (is_connected t) then violations := Disconnected :: !violations
-  else begin
-    let span = Spanning.of_bfs t.g ~root:0 in
-    let b = tree_blech_sums t span in
-    let jl_scale =
-      Ugraph.fold_edges (fun _ s acc -> Float.max acc (Float.abs (jl s))) t.g 0.
-    in
-    Array.iter
-      (fun chord ->
-        let e = Ugraph.edge t.g chord in
-        let s = seg t chord in
-        (* Around the fundamental cycle of [chord], Theorem 1 requires
-           B(tail) + j*l = B(head). *)
-        let mismatch =
-          Float.abs (b.(e.Ugraph.tail) +. jl s -. b.(e.Ugraph.head))
-        in
-        if mismatch > cycle_rtol *. Float.max jl_scale 1e-30 then
-          violations :=
-            Cycle_mismatch { chord; mismatch; scale = jl_scale } :: !violations)
-      span.Spanning.chords
-  end;
-  match !violations with [] -> Ok () | vs -> Error (List.rev vs)
-
 let pp ppf t =
   let pp_seg ppf s =
     Format.fprintf ppf "l=%.3gum w=%.3gum h=%.3gum j=%.3gA/m2"

@@ -76,21 +76,6 @@ val kcl_imbalance : t -> int -> float
     arrives than leaves. Zero at every internal node of an electrically
     consistent structure with injections only at termini/vias. *)
 
-(** {1 Validation} *)
-
-type violation =
-  | Disconnected
-  | Cycle_mismatch of { chord : int; mismatch : float; scale : float }
-      (** A fundamental cycle whose signed jl sum does not cancel: the
-          prescribed currents cannot come from any node-voltage assignment
-          (Theorem 1's premise fails) and node stresses would depend on
-          the spanning tree. [mismatch] is the absolute jl residual
-          (A/m), [scale] the largest |jl| on the cycle. *)
-
-val validate : ?cycle_rtol:float -> t -> (unit, violation list) result
-(** Checks connectivity and (for meshes) cycle consistency of the current
-    densities within relative tolerance [cycle_rtol] (default 1e-6). *)
-
 val pp : Format.formatter -> t -> unit
 
 (** {1 Topology builders}

@@ -37,7 +37,8 @@ let generic_metrics doc =
 (* Per-size series from the scaling bench: each row keyed by its edge
    count, so the history compares like against like. Top-level summary
    measurements (e.g. the columnar throughput cliff ratio) ride along
-   through the generic extractor. *)
+   through the generic extractor. Columns of older results that this
+   list lacks are not metrics. *)
 let scaling_metrics doc =
   let per_row =
     match Json_in.member "rows" doc with
@@ -55,9 +56,8 @@ let scaling_metrics doc =
                   | Some f -> Some (key ^ tag, f)
                   | None -> None)
                 [
-                  "boxed_s"; "convert_s"; "columnar_s";
-                  "columnar_segments_per_s"; "reordered_solve_s";
-                  "reordered_segments_per_s"; "speedup";
+                  "convert_s"; "columnar_s"; "columnar_segments_per_s";
+                  "reordered_solve_s"; "reordered_segments_per_s";
                 ]
             | None -> []
           end

@@ -123,9 +123,9 @@ let default_audit_config =
 (* Per-structure analysis on the columnar representation: one
    [solve_compact] through the worker's workspace, then the Blech filter
    and the exact endpoint test read the flat columns directly. The
-   arithmetic matches [Immortality.check] + [Blech.filter] on the boxed
-   path expression for expression, so the confusion counts are
-   bit-identical. *)
+   classification matches [Immortality.check] + [Blech.filter] on a
+   boxed structure expression for expression (both solve through
+   [solve_compact]), so the confusion counts are bit-identical. *)
 let analyze_one material with_maxpath ~audit ~index ws
     (cs : Extract.compact_structure) =
   let c = cs.Extract.compact in

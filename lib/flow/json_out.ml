@@ -239,7 +239,6 @@ let of_audit ~tol (a : Au.t) =
       ("critical_path_len", Int (Array.length a.Au.au_path));
       ( "top_contributions",
         List (Stdlib.List.map of_contribution (Array.to_list a.Au.au_top)) );
-      ("provenance", Obj [ ("solver", String "compact") ]);
     ]
 
 let of_audit_report ~tol (audits : Au.t option array) =

@@ -42,9 +42,9 @@ val of_telemetry : ?top:int -> unit -> t
 val of_audit_report : tol:float -> Em_core.Audit.t option array -> t
 (** The ["audit"] object of an audited analyze report: run-level
     aggregates ({!Em_core.Audit.summarize}: structures audited,
-    violation count, worst residual, minimum margin) plus one entry per audited structure (margin and
-    threshold, residuals, the violation list gated at [tol], top-k
-    critical-path contributions, solver-path provenance). *)
+    violation count, worst residual, minimum margin) plus one entry per
+    audited structure (margin and threshold, residuals, the violation
+    list gated at [tol], top-k critical-path contributions). *)
 
 val of_diags : Em_core.Diag.t list -> t
 (** Objects with [severity] / [code] / [source] / [message]; [severity]

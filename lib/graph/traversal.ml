@@ -6,62 +6,18 @@ type tree = {
   reached : bool array;
 }
 
-type workspace = {
-  mutable w_parent_node : int array;
-  mutable w_parent_edge : int array;
-  mutable w_reached : bool array;
-  mutable w_order : int array;
-  mutable w_queue : int array;
-}
-
-let workspace () =
-  {
-    w_parent_node = [||];
-    w_parent_edge = [||];
-    w_reached = [||];
-    w_order = [||];
-    w_queue = [||];
-  }
-
-(* Grow-only resize; the reused prefix is (re)initialized by the caller. *)
-let ensure ws n =
-  if Array.length ws.w_parent_node < n then begin
-    ws.w_parent_node <- Array.make n (-1);
-    ws.w_parent_edge <- Array.make n (-1);
-    ws.w_reached <- Array.make n false;
-    ws.w_order <- Array.make n (-1);
-    ws.w_queue <- Array.make n 0
-  end
-
-let check_root g root =
+let bfs g ~root =
   if root < 0 || root >= Ugraph.num_nodes g then
-    invalid_arg "Traversal: root out of range"
-
-let bfs ?ws g ~root =
-  check_root g root;
+    invalid_arg "Traversal: root out of range";
   let n = Ugraph.num_nodes g in
-  let parent_node, parent_edge, reached, order, queue =
-    match ws with
-    | None ->
-      ( Array.make n (-1), Array.make n (-1), Array.make n false,
-        Array.make n (-1), Array.make n 0 )
-    | Some ws ->
-      ensure ws n;
-      Array.fill ws.w_parent_node 0 n (-1);
-      Array.fill ws.w_parent_edge 0 n (-1);
-      Array.fill ws.w_reached 0 n false;
-      (ws.w_parent_node, ws.w_parent_edge, ws.w_reached, ws.w_order, ws.w_queue)
-  in
-  let qhead = ref 0 and qtail = ref 0 in
+  let parent_node = Array.make n (-1) and parent_edge = Array.make n (-1) in
+  let reached = Array.make n false and queue = Array.make n 0 in
   reached.(root) <- true;
-  queue.(!qtail) <- root;
-  incr qtail;
-  let count = ref 0 in
+  queue.(0) <- root;
+  let qhead = ref 0 and qtail = ref 1 in
   while !qhead < !qtail do
     let v = queue.(!qhead) in
     incr qhead;
-    order.(!count) <- v;
-    incr count;
     Ugraph.iter_incident g v (fun ~edge_id ~neighbor ->
         if not reached.(neighbor) then begin
           reached.(neighbor) <- true;
@@ -71,58 +27,9 @@ let bfs ?ws g ~root =
           incr qtail
         end)
   done;
-  let order =
-    if !count = Array.length order then order else Array.sub order 0 !count
-  in
+  (* The queue holds every reached node exactly once, in visit order. *)
+  let order = if !qtail = n then queue else Array.sub queue 0 !qtail in
   { root; order; parent_node; parent_edge; reached }
-
-let dfs ?ws g ~root =
-  check_root g root;
-  let n = Ugraph.num_nodes g in
-  let parent_node, parent_edge, reached, order, stack =
-    match ws with
-    | None ->
-      ( Array.make n (-1), Array.make n (-1), Array.make n false,
-        Array.make n (-1), Array.make n 0 )
-    | Some ws ->
-      ensure ws n;
-      Array.fill ws.w_parent_node 0 n (-1);
-      Array.fill ws.w_parent_edge 0 n (-1);
-      Array.fill ws.w_reached 0 n false;
-      (ws.w_parent_node, ws.w_parent_edge, ws.w_reached, ws.w_order, ws.w_queue)
-  in
-  let top = ref 0 in
-  stack.(!top) <- root;
-  incr top;
-  reached.(root) <- true;
-  let count = ref 0 in
-  while !top > 0 do
-    decr top;
-    let v = stack.(!top) in
-    order.(!count) <- v;
-    incr count;
-    (* Push in reverse so neighbors are visited in adjacency order. *)
-    let inc = Ugraph.incident g v in
-    for k = Array.length inc - 1 downto 0 do
-      let edge_id, neighbor = inc.(k) in
-      if not reached.(neighbor) then begin
-        reached.(neighbor) <- true;
-        parent_node.(neighbor) <- v;
-        parent_edge.(neighbor) <- edge_id;
-        stack.(!top) <- neighbor;
-        incr top
-      end
-    done
-  done;
-  let order =
-    if !count = Array.length order then order else Array.sub order 0 !count
-  in
-  { root; order; parent_node; parent_edge; reached }
-
-let component_of g ~root =
-  let t = bfs g ~root in
-  let nodes = Array.to_list t.order in
-  List.sort compare nodes
 
 let fold_tree_edges t ~init ~f =
   Array.fold_left

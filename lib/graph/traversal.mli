@@ -1,9 +1,10 @@
-(** Breadth-first and depth-first traversals.
+(** Breadth-first traversal.
 
-    Both traversals produce the same [tree] record: a visit order, and for
-    every reached node the edge and node through which it was first
-    discovered. This is the "standard traversal" of the paper's §IV step 1,
-    from which Blech sums are accumulated. *)
+    [bfs] produces a [tree] record: a visit order, and for every reached
+    node the edge and node through which it was first discovered. This
+    is the "standard traversal" of the paper's §IV step 1, from which
+    Blech sums are accumulated; on a mesh its parent edges form the
+    spanning tree of Theorem 1 and the remaining edges are the chords. *)
 
 type tree = {
   root : int;
@@ -13,29 +14,12 @@ type tree = {
   reached : bool array;
 }
 
-type workspace
-(** Reusable scratch buffers (parent/order/flag arrays and an int-array
-    queue) for repeated traversals, so a caller visiting many structures
-    allocates per-traversal memory only when the node count grows. *)
-
-val workspace : unit -> workspace
-(** An empty workspace; buffers grow on first use and are kept. *)
-
-val bfs : ?ws:workspace -> _ Ugraph.t -> root:int -> tree
-(** With [?ws], the returned tree's arrays alias the workspace buffers
-    (which may be longer than [num_nodes]; indexing by node stays valid)
-    and are overwritten by the next traversal through the same
-    workspace. *)
-
-val dfs : ?ws:workspace -> _ Ugraph.t -> root:int -> tree
-(** Iterative preorder DFS (no stack-overflow on long paths). Same
-    [?ws] aliasing contract as {!bfs}. *)
-
-val component_of : _ Ugraph.t -> root:int -> int list
-(** Nodes reachable from [root], ascending. *)
+val bfs : _ Ugraph.t -> root:int -> tree
+(** Raises [Invalid_argument] when [root] is out of range. Neighbors are
+    visited in {!Ugraph.iter_incident} (edge-id) order. *)
 
 val fold_tree_edges :
   tree -> init:'acc -> f:('acc -> node:int -> parent:int -> edge_id:int -> 'acc) -> 'acc
 (** Fold over reached non-root nodes in visit order: each step sees the
-    node, its BFS/DFS parent, and the connecting edge. Prefix property: a
+    node, its BFS parent, and the connecting edge. Prefix property: a
     parent is always presented before its children. *)

@@ -77,12 +77,6 @@ let attr g id =
   check_edge_id g id "Ugraph.attr: bad id";
   g.attrs.(id)
 
-let edges g =
-  Array.init (num_edges g) (fun id ->
-      ({ id; tail = g.tails.(id); head = g.heads.(id) }, g.attrs.(id)))
-
-let map_attr f g = { g with attrs = Array.map f g.attrs }
-
 let mapi_attr f g =
   { g with
     attrs =
@@ -90,24 +84,7 @@ let mapi_attr f g =
         (fun id a -> f { id; tail = g.tails.(id); head = g.heads.(id) } a)
         g.attrs }
 
-let other_endpoint g ~edge_id v =
-  check_edge_id g edge_id "Ugraph.other_endpoint: bad id";
-  let t = g.tails.(edge_id) and h = g.heads.(edge_id) in
-  if t = v then h
-  else if h = v then t
-  else invalid_arg "Ugraph.other_endpoint: node not an endpoint"
-
 let check_node g v name = if v < 0 || v >= g.num_nodes then invalid_arg name
-
-let degree g v =
-  check_node g v "Ugraph.degree: bad node";
-  g.offsets.(v + 1) - g.offsets.(v)
-
-let incident g v =
-  check_node g v "Ugraph.incident: bad node";
-  let lo = g.offsets.(v) in
-  Array.init (g.offsets.(v + 1) - lo) (fun k ->
-      (g.adj_edge.(lo + k), g.adj_nbr.(lo + k)))
 
 let iter_incident g v f =
   check_node g v "Ugraph.iter_incident: bad node";

@@ -41,23 +41,7 @@ val head : _ t -> int -> int
 
 val attr : 'a t -> int -> 'a
 
-val edges : 'a t -> (edge * 'a) array
-(** All edges in id order (fresh array). *)
-
-val map_attr : ('a -> 'b) -> 'a t -> 'b t
-
 val mapi_attr : (edge -> 'a -> 'b) -> 'a t -> 'b t
-
-val other_endpoint : _ t -> edge_id:int -> int -> int
-(** [other_endpoint g ~edge_id v] is the endpoint of the edge that is not
-    [v]. Raises [Invalid_argument] if [v] is not an endpoint. *)
-
-val degree : _ t -> int -> int
-
-val incident : _ t -> int -> (int * int) array
-(** [incident g v] lists [(edge_id, neighbor)] pairs for [v], in edge-id
-    order. The array is built fresh from the CSR adjacency on each call;
-    prefer {!iter_incident} on hot paths. *)
 
 val iter_incident : _ t -> int -> (edge_id:int -> neighbor:int -> unit) -> unit
 (** Allocation-free iteration over the CSR incidence range of [v], in

@@ -92,7 +92,7 @@ let test_structure_current_and_kcl () =
 
 let test_structure_validate_connected_tree () =
   let s = St.line [ seg ~l:(U.um 5.) ~w:(U.um 1.) ~j:1e10 () ] in
-  (match St.validate s with
+  (match Bs.validate s with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "single segment should validate")
 
@@ -104,8 +104,8 @@ let test_structure_validate_disconnected () =
         (2, 3, seg ~l:(U.um 5.) ~w:(U.um 1.) ~j:1e10 ());
       |]
   in
-  match St.validate s with
-  | Error [ St.Disconnected ] -> ()
+  match Bs.validate s with
+  | Error [ Bs.Disconnected ] -> ()
   | _ -> Alcotest.fail "expected Disconnected"
 
 let triangle j01 j12 j20 =
@@ -120,13 +120,13 @@ let triangle j01 j12 j20 =
 let test_structure_validate_cycle () =
   (* A uniform circulating current is cycle-INCONSISTENT for stress: the
      jl sums around the loop do not cancel (no potential exists). *)
-  (match St.validate (triangle 1e10 1e10 1e10) with
-  | Error [ St.Cycle_mismatch _ ] -> ()
+  (match Bs.validate (triangle 1e10 1e10 1e10) with
+  | Error [ Bs.Cycle_mismatch _ ] -> ()
   | _ -> Alcotest.fail "circulating current must be flagged");
   (* j20 = -(j01 + j12) pattern that telescopes: e.g. currents from a
      potential V0=2, V1=1, V2=0 (arbitrary units): j01 ~ V1-V0 = -1,
      j12 ~ V2-V1 = -1, j20 ~ V0-V2 = +2. *)
-  match St.validate (triangle (-1e10) (-1e10) 2e10) with
+  match Bs.validate (triangle (-1e10) (-1e10) 2e10) with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "potential-derived currents must validate"
 
@@ -284,26 +284,14 @@ let test_degenerate_volume_rejected () =
   (* The structure itself is valid (all geometry strictly positive)... *)
   Alcotest.(check bool) "connected" true (St.is_connected s);
   Alcotest.(check (float 0.)) "volume underflows" 0. (St.volume s);
-  (* ...but both solvers must refuse to emit nan stresses. *)
-  (match Ss.solve cu s with
+  (* ...but the solver must refuse to emit nan stresses. *)
+  match Ss.solve_compact cu (Em_core.Compact.of_structure s) with
   | exception Ss.Degenerate _ -> ()
   | exception e ->
     Alcotest.failf "expected Degenerate, got %s" (Printexc.to_string e)
   | sol ->
-    Alcotest.failf "boxed solve returned stresses (node 0: %g)"
-      sol.Ss.node_stress.(0));
-  let c = Em_core.Compact.of_structure s in
-  (match Ss.solve_compact cu c with
-  | exception Ss.Degenerate _ -> ()
-  | exception e ->
-    Alcotest.failf "expected Degenerate, got %s" (Printexc.to_string e)
-  | sol ->
-    Alcotest.failf "columnar solve returned stresses (node 0: %g)"
-      sol.Ss.node_stress.(0));
-  (* solve_components funnels through the same kernel. *)
-  match Ss.solve_components cu s with
-  | exception Ss.Degenerate _ -> ()
-  | _ -> Alcotest.fail "solve_components must reject a zero-volume component"
+    Alcotest.failf "solve returned stresses (node 0: %g)"
+      sol.Ss.node_stress.(0)
 
 let test_degenerate_message_names_cause () =
   match Ss.solve cu (degenerate_structure ()) with
@@ -321,26 +309,6 @@ let test_degenerate_message_names_cause () =
       in
       contains "Q/A")
   | _ -> Alcotest.fail "expected Degenerate"
-
-let test_solve_components () =
-  let s =
-    St.make ~num_nodes:4
-      [|
-        (0, 1, seg ~l:(U.um 5.) ~w:(U.um 1.) ~j:1e10 ());
-        (2, 3, seg ~l:(U.um 8.) ~w:(U.um 1.) ~j:(-2e10) ());
-      |]
-  in
-  let sols, node_comp = Ss.solve_components cu s in
-  Alcotest.(check int) "two solutions" 2 (Array.length sols);
-  Alcotest.(check (array int)) "node map" [| 0; 0; 1; 1 |] node_comp;
-  (* Each component behaves like its isolated single segment. *)
-  let expect0 = M.beta cu *. 1e10 *. U.um 5. /. 2. in
-  check_close ~rtol:1e-12 "component 0" expect0 sols.(0).Ss.node_stress.(0);
-  Alcotest.(check bool) "component 0 skips foreign nodes" true
-    (Float.is_nan sols.(0).Ss.node_stress.(2));
-  let expect2 = M.beta cu *. 2e10 *. U.um 8. /. 2. in
-  check_close ~rtol:1e-12 "component 1 (reversed current)" (-.expect2)
-    sols.(1).Ss.node_stress.(2)
 
 (* ---------------------------------------------------------------- *)
 (* Mesh handling and Kirchhoff                                       *)
@@ -360,15 +328,23 @@ let consistent_mesh () =
 
 let test_mesh_validates_and_solves () =
   let s = consistent_mesh () in
-  (match St.validate s with
+  (match Bs.validate s with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "Kirchhoff currents must be cycle-consistent");
   let sol = Ss.solve cu s in
   check_close ~atol:1e-9 "mesh mass conservation" 0. (Ss.mass_residual sol s);
+  (* Chords count in A and Q: the solver's A is the whole volume. *)
+  let c = Em_core.Compact.of_structure s in
+  check_close ~rtol:1e-12 "volume" (St.volume s) sol.Ss.volume;
+  check_close ~rtol:1e-12 "columnar volume" (St.volume s) (Em_core.Compact.volume c);
+  check_close ~rtol:1e-12 "total length" (St.total_length s)
+    (Em_core.Compact.total_length c);
+  Alcotest.(check bool) "connected" true (Em_core.Compact.is_connected c);
   (* Against the independent linear-system solver. *)
   let ls = Linsys.solve cu s in
   check_array_close ~rtol:1e-6 ~atol:1e2 "mesh vs linsys" ls.Ss.node_stress
-    sol.Ss.node_stress
+    sol.Ss.node_stress;
+  check_close ~rtol:1e-6 "mesh Q vs linsys" ls.Ss.q sol.Ss.q
 
 let test_mesh_reference_invariance () =
   let s = consistent_mesh () in
@@ -430,7 +406,14 @@ let test_naive_agrees () =
     let fast = Ss.solve cu s and naive = Naive.solve cu s in
     check_array_close ~rtol:1e-9 ~atol:1e-2
       (Printf.sprintf "naive trial %d" trial)
-      fast.Ss.node_stress naive.Ss.node_stress
+      fast.Ss.node_stress naive.Ss.node_stress;
+    Alcotest.(check int) "reference" naive.Ss.reference fast.Ss.reference;
+    check_close ~rtol:1e-12 "volume" naive.Ss.volume fast.Ss.volume;
+    (* Q can cancel to ~0, so compare beta Q/A in Pa. *)
+    check_close ~rtol:1e-9 ~atol:1e-2 "beta Q/A"
+      (naive.Ss.beta *. naive.Ss.q /. naive.Ss.volume)
+      (fast.Ss.beta *. fast.Ss.q /. fast.Ss.volume);
+    check_close ~atol:1e-9 "mass residual" 0. (Ss.mass_residual fast s)
   done
 
 let test_linsys_agrees_on_trees () =
@@ -441,6 +424,8 @@ let test_linsys_agrees_on_trees () =
     check_array_close ~rtol:1e-6 ~atol:1e3
       (Printf.sprintf "linsys trial %d" trial)
       fast.Ss.node_stress ls.Ss.node_stress;
+    Alcotest.(check int) "reference" ls.Ss.reference fast.Ss.reference;
+    check_close ~rtol:1e-12 "volume" ls.Ss.volume fast.Ss.volume;
     check_close ~atol:1e-8
       (Printf.sprintf "linsys residual %d" trial)
       0.
@@ -571,22 +556,6 @@ let test_immortality_report () =
   Alcotest.(check bool) "immortal structure" true r2.Im.structure_immortal;
   Alcotest.(check bool) "positive margin" true (Im.margin r2 > 0.)
 
-let test_immortality_components () =
-  let jl_crit = M.jl_crit cu in
-  let l = U.um 20. in
-  let s =
-    St.make ~num_nodes:4
-      [|
-        (0, 1, seg ~l ~w:(U.um 1.) ~j:(0.2 *. jl_crit /. l) ());
-        (2, 3, seg ~l ~w:(U.um 1.) ~j:(3. *. jl_crit /. l) ());
-      |]
-  in
-  let reports, node_comp = Im.check_components cu s in
-  Alcotest.(check int) "components" 2 (Array.length reports);
-  Alcotest.(check bool) "first immortal" true reports.(0).Im.structure_immortal;
-  Alcotest.(check bool) "second mortal" false reports.(1).Im.structure_immortal;
-  Alcotest.(check int) "node 3 in component 1" 1 node_comp.(3)
-
 (* ---------------------------------------------------------------- *)
 (* Blech sums                                                        *)
 
@@ -607,7 +576,7 @@ let test_blech_sum_values () =
   check_close ~rtol:1e-12 "B at 2" ((2e10 *. l) -. (1e10 *. l)) b.(2);
   check_close ~rtol:1e-12 "along_path" ((2e10 -. 1e10) *. l)
     (Bs.along_path s ~src:0 ~dst:2);
-  check_close ~rtol:1e-12 "spread" (2e10 *. l) (Bs.spread s)
+  check_close ~rtol:1e-12 "spread" (2e10 *. l) (Maxpath.max_path_jl s)
 
 (* ---------------------------------------------------------------- *)
 (* Property-based tests                                              *)
@@ -692,21 +661,6 @@ module Cc = Em_core.Compact
    structures of many different sizes, exercising the grow/reuse paths. *)
 let compact_ws = Ss.Workspace.create ()
 
-let compact_agrees s =
-  let sol = Ss.solve cu s in
-  let c = Cc.of_structure s in
-  let csol = Ss.solve_compact ~ws:compact_ws cu c in
-  let rel a b = Float.abs (a -. b) <= 1e-9 *. (Float.abs a +. Float.abs b +. 1e-30) in
-  Array.for_all2
-    (fun x y -> Float.abs (x -. y) <= 1e-9 *. (Float.abs x +. 1e3))
-    sol.Ss.node_stress csol.Ss.node_stress
-  && rel sol.Ss.q csol.Ss.q
-  && rel sol.Ss.volume csol.Ss.volume
-  && sol.Ss.reference = csol.Ss.reference
-  && Float.abs (Ss.mass_residual csol s) < 1e-9
-
-let prop_compact_matches_solve (n, seed) = compact_agrees (make_tree (n, seed))
-
 let prop_compact_reference_invariance (n, seed) =
   let s = make_tree (n, seed) in
   let c = Cc.of_structure s in
@@ -720,14 +674,6 @@ let prop_compact_reference_invariance (n, seed) =
       .Ss.node_stress
   in
   Array.for_all2 (fun x y -> Float.abs (x -. y) <= 1e-6 *. (Float.abs x +. 1e3)) a b
-
-let test_compact_mesh () =
-  let s = consistent_mesh () in
-  Alcotest.(check bool) "columnar matches boxed on a mesh" true (compact_agrees s);
-  let c = Cc.of_structure s in
-  check_close ~rtol:1e-12 "volume" (St.volume s) (Cc.volume c);
-  check_close ~rtol:1e-12 "total length" (St.total_length s) (Cc.total_length c);
-  Alcotest.(check bool) "connected" true (Cc.is_connected c)
 
 let test_compact_roundtrip () =
   let s = make_tree (23, 5) in
@@ -1297,7 +1243,6 @@ let suites =
         case "disconnected rejected" test_disconnected_rejected;
         case "degenerate volume rejected" test_degenerate_volume_rejected;
         case "degenerate message names cause" test_degenerate_message_names_cause;
-        case "solve_components" test_solve_components;
       ] );
     ( "core.mesh",
       [
@@ -1320,7 +1265,6 @@ let suites =
         case "traditional Blech filter" test_blech_filter;
         case "classification outcomes" test_classify;
         case "immortality report" test_immortality_report;
-        case "immortality per component" test_immortality_components;
       ] );
     ("core.blech_sum", [ case "signed path sums" test_blech_sum_values ]);
     ( "core.canonical",
@@ -1341,9 +1285,7 @@ let suites =
     ( "core.compact",
       [
         case "roundtrip is lossless" test_compact_roundtrip;
-        case "mesh agrees with boxed solver" test_compact_mesh;
         case "guards" test_compact_guards;
-        qcheck "columnar solve matches boxed" tree_gen prop_compact_matches_solve;
         qcheck "columnar reference invariance" tree_gen
           prop_compact_reference_invariance;
       ] );

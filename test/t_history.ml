@@ -125,11 +125,13 @@ let test_metrics_of_obs () =
 
 let test_metrics_of_scaling () =
   let ms = H.metrics_of_result (scaling_doc ()) in
-  (* 7 keys in the full first row + 4 in the second + the top-level
+  (* 5 keys in the full first row + 2 in the second + the top-level
      cliff ratio. Rows missing the newer keys (older results) still
-     extract what they have; the retired parallel-solve columns of
-     older results are not metrics. *)
-  Alcotest.(check int) "per-size metrics plus cliff" 12 (List.length ms);
+     extract what they have; the retired boxed-solve and parallel-solve
+     columns of older results are not metrics. *)
+  Alcotest.(check int) "per-size metrics plus cliff" 8 (List.length ms);
+  Alcotest.(check bool) "retired boxed column dropped" true
+    (List.assoc_opt "boxed_s@1000" ms = None);
   check_close "per-size key" 2.0e-5 (List.assoc "columnar_s@1000" ms);
   check_close "second row keyed separately" 7.4e-5
     (List.assoc "columnar_s@3000" ms);
