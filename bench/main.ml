@@ -22,7 +22,6 @@ let usage () =
     \  fig8      jpeg/28nm scatter (Fig. 8)\n\
     \  scaling   linear-time vs naive vs linear-system runtimes\n\
     \  ablation  max-path jl heuristic comparison\n\
-    \  nucleation transient nucleation-time curves (extension)\n\
     \  variation process-variation Monte Carlo (extension)\n\
     \  obs       telemetry overhead guard (off vs metrics vs trace)\n\
     \  bechamel  micro-benchmarks of each experiment kernel\n\
@@ -79,7 +78,6 @@ let () =
     | "fig8" -> B_fig8.run cfg
     | "scaling" -> B_scaling.run cfg
     | "ablation" -> B_ablation.run cfg
-    | "nucleation" -> B_nucleation.run cfg
     | "variation" -> B_variation.run cfg
     | "obs" -> B_obs.run cfg
     | "bechamel" -> B_bechamel.run cfg
@@ -91,7 +89,6 @@ let () =
       B_fig8.run cfg;
       B_scaling.run cfg;
       B_ablation.run cfg;
-      B_nucleation.run cfg;
       B_variation.run cfg;
       B_obs.run cfg;
       B_bechamel.run cfg

@@ -191,11 +191,11 @@ let audit_arg =
     & info [ "audit" ]
         ~doc:
           "Audit every structure's steady-state solution at run time: \
-           replay the solver's exact invariants (Blech-sum schedule, \
-           normalization constants, stress telescoping — all gated at \
-           exactly zero), check the physical conservation laws against \
-           $(b,--audit-tol), and attach a signed immortality margin with \
-           the top contributing segments of the critical Blech path. \
+           check the physical conservation laws (Lemma 1 flux balance \
+           per segment, Lemma 3 mass) against $(b,--audit-tol), report \
+           the per-node current balance, and attach a signed immortality \
+           margin with the top contributing segments of the critical \
+           Blech path. \
            Residual violations become diagnostics; the aggregate is \
            embedded in the $(b,--json) report.")
 
@@ -205,9 +205,8 @@ let audit_tol_arg =
     & opt float Au.default_tol
     & info [ "audit-tol" ] ~docv:"REL"
         ~doc:
-          "Relative tolerance for the physically-rounded audit residuals \
-           (flux and mass conservation). The bit-identity residuals are \
-           always gated at exactly 0.")
+          "Relative tolerance for the audit residuals (flux and mass \
+           conservation).")
 
 let strict_audit_arg =
   Arg.(

@@ -86,23 +86,6 @@ let () =
           es.Ex.node_names.(report.Im.max_node))
     ranked;
 
-  (* Stage 2 of the paper's methodology: lifetime analysis of whatever
-     the immortality filter could not clear (kept small here: transient
-     PDE per structure). *)
-  let small =
-    structures
-    |> List.filter (fun es ->
-           Em_core.Structure.num_segments es.Ex.structure <= 25)
-    |> List.filteri (fun i _ -> i < 10)
-  in
-  let s2 = Emflow.Stage2.run ~lifetime:(U.years 10.) small in
-  Format.printf
-    "@.Stage 2 on %d small structures: %d analyzed, %d fail within 10 \
-     years, %d outlive it@."
-    (List.length small) s2.Emflow.Stage2.checked s2.Emflow.Stage2.failing
-    s2.Emflow.Stage2.surviving;
-  Emflow.Report.print (Emflow.Stage2.to_table s2);
-
   (* And the repair price for everything mortal. *)
   let plan = Emflow.Fixer.plan structures in
   Format.printf

@@ -1,13 +1,9 @@
-(* Runtime numerical auditing. See the .mli for the invariant taxonomy
-   (exact / tolerance-gated / informational) and DESIGN §10 for why the
-   exact residuals are compared against literal 0.
+(* Runtime numerical auditing. See the .mli for the residual taxonomy
+   (tolerance-gated / informational) and DESIGN §10.
 
-   The exact checks re-evaluate the solver's own floating-point
-   expressions — the Schedule replay for the Blech sums, the fixed-order
-   segment sweep for A/Q, and [beta *. (q_over_a -. b_i)] for the
-   stresses — against the returned solution. The solver evaluates the
-   same expressions, so any nonzero exact residual is a broken solver,
-   not rounding. *)
+   The gated checks are the paper's physics — Lemma 1 per segment and
+   Lemma 3 over the structure — so they hold for any correct solver.
+   The schedule is built only to walk the critical Blech path. *)
 
 module Ss = Steady_state
 module Cc = Compact
@@ -20,9 +16,6 @@ type contribution = {
 }
 
 type residuals = {
-  blech_replay : float;
-  norm_recompute : float;
-  stress_telescope : float;
   flux_rel : float;
   mass_rel : float;
   kcl_interior_rel : float;
@@ -54,66 +47,8 @@ let tiny = 1e-300
 
 let rel diff scale = Float.abs diff /. Float.max scale tiny
 
-let max_abs a =
-  Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0. a
-
 (* ------------------------------------------------------------------ *)
 (* The checks                                                          *)
-
-(* Replay the recorded BFS over the geometry columns and compare with
-   the solution's Blech sums. [sign *. j *. l] groups as
-   [(sign *. j) *. l], which is the solver's [jhat *. l] branch
-   bit-for-bit ([1. *. x = x], [-1. *. x = -.x] exactly). *)
-let blech_replay_residual (sched : Ss.Schedule.t) (c : Cc.t) b =
-  let n = Cc.num_nodes c in
-  let lengths = c.Cc.length and js = c.Cc.j in
-  let replayed = Array.make n 0. in
-  replayed.(sched.Ss.Schedule.reference) <- 0.;
-  let node = sched.Ss.Schedule.node and parent = sched.Ss.Schedule.parent in
-  let edge = sched.Ss.Schedule.edge and sign = sched.Ss.Schedule.sign in
-  for i = 0 to Array.length node - 1 do
-    let e = edge.(i) in
-    replayed.(node.(i)) <-
-      replayed.(parent.(i)) +. (sign.(i) *. js.(e) *. lengths.(e))
-  done;
-  let worst = ref 0. in
-  for v = 0 to n - 1 do
-    worst := Float.max !worst (Float.abs (replayed.(v) -. b.(v)))
-  done;
-  rel !worst (max_abs b)
-
-(* Recompute A and Q with the solver's exact sweep (segment order,
-   expression shape) from the solution's Blech sums. Bit-equal inputs
-   and operations give bit-equal sums. *)
-let norm_residual (c : Cc.t) (sol : Ss.solution) =
-  let m = Cc.num_segments c in
-  let whs = c.Cc.wh and lengths = c.Cc.length and js = c.Cc.j in
-  let tails = c.Cc.tail and b = sol.Ss.blech_sum in
-  let volume = ref 0. and q = ref 0. in
-  for k = 0 to m - 1 do
-    let wh = whs.(k) in
-    let l = lengths.(k) in
-    let j = js.(k) in
-    volume := !volume +. (wh *. l);
-    q := !q +. (wh *. ((j *. l *. l /. 2.) +. (b.(tails.(k)) *. l)))
-  done;
-  let scale = Float.max (Float.abs sol.Ss.volume) (Float.abs sol.Ss.q) in
-  Float.max
-    (rel (!volume -. sol.Ss.volume) scale)
-    (rel (!q -. sol.Ss.q) scale)
-
-(* Re-evaluate every stress from the solution's own B/Q/A/beta. *)
-let telescope_residual (sol : Ss.solution) =
-  let q_over_a = sol.Ss.q /. sol.Ss.volume in
-  let beta = sol.Ss.beta in
-  let b = sol.Ss.blech_sum and stress = sol.Ss.node_stress in
-  let worst = ref 0. in
-  for v = 0 to Array.length stress - 1 do
-    worst :=
-      Float.max !worst
-        (Float.abs ((beta *. (q_over_a -. b.(v))) -. stress.(v)))
-  done;
-  rel !worst (max_abs stress)
 
 (* Lemma 1 per segment: sigma(x) = sigma_tail - beta j x, so
    sigma_head - sigma_tail + beta j l = 0 — up to rounding on tree
@@ -135,8 +70,8 @@ let flux_residual (c : Cc.t) (sol : Ss.solution) =
   !worst
 
 (* Lemma 3: integral of sigma over the structure is 0. Trapezoid per
-   segment (exact — sigma is linear in x), normalized like
-   [Steady_state.mass_residual]. *)
+   segment (exact — sigma is linear in x), normalized by
+   [A * max |sigma|]. *)
 let mass_residual (c : Cc.t) (sol : Ss.solution) =
   let m = Cc.num_segments c in
   let stress = sol.Ss.node_stress in
@@ -221,9 +156,6 @@ let check ?(index = -1) ?(layer = -1) ?(top_k = default_top_k)
   let sched = Ss.Schedule.make ~reference:sol.Ss.reference c in
   let residuals =
     {
-      blech_replay = blech_replay_residual sched c sol.Ss.blech_sum;
-      norm_recompute = norm_residual c sol;
-      stress_telescope = telescope_residual sol;
       flux_rel = flux_residual c sol;
       mass_rel = mass_residual c sol;
       kcl_interior_rel = kcl_residual c;
@@ -251,13 +183,8 @@ let check ?(index = -1) ?(layer = -1) ?(top_k = default_top_k)
     au_top = top_contributions path top_k;
   }
 
-let exact_residual t =
-  Float.max t.au_residuals.blech_replay
-    (Float.max t.au_residuals.norm_recompute t.au_residuals.stress_telescope)
-
 let worst_residual t =
-  Float.max (exact_residual t)
-    (Float.max t.au_residuals.flux_rel t.au_residuals.mass_rel)
+  Float.max t.au_residuals.flux_rel t.au_residuals.mass_rel
 
 (* NaN-proof gate: [not (r <= bound)] trips on NaN residuals too, so a
    poisoned solution cannot audit clean. *)
@@ -267,9 +194,6 @@ let violations ~tol t =
   let gate name v bound = if not (v <= bound) then out := (name, v) :: !out in
   gate "mass" r.mass_rel tol;
   gate "flux" r.flux_rel tol;
-  gate "stress-telescope" r.stress_telescope 0.;
-  gate "normalization" r.norm_recompute 0.;
-  gate "blech-replay" r.blech_replay 0.;
   !out
 
 let violation_diag ~strict ~tol t =
@@ -373,8 +297,7 @@ let pp ppf t =
     "@[<v>structure %d (M%d): %d nodes, %d segments — %s@,\
      max stress %.3f MPa at node %d, threshold %.3f MPa, margin %+.3f MPa \
      (%.2f%%)@,\
-     residuals: blech-replay %.3e, normalization %.3e, telescope %.3e \
-     (exact); flux %.3e, mass %.3e (tol); kcl %.3e (info)@]"
+     residuals: flux %.3e, mass %.3e (tol); kcl %.3e (info)@]"
     t.au_index t.au_layer t.au_nodes t.au_segments
     (if t.au_immortal then "immortal" else "MORTAL")
     (t.au_max_stress *. 1e-6)
@@ -382,5 +305,4 @@ let pp ppf t =
     (t.au_threshold *. 1e-6)
     (t.au_margin *. 1e-6)
     (100. *. t.au_rel_margin)
-    r.blech_replay r.norm_recompute r.stress_telescope r.flux_rel r.mass_rel
-    r.kcl_interior_rel
+    r.flux_rel r.mass_rel r.kcl_interior_rel

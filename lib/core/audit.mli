@@ -1,24 +1,17 @@
 (** Runtime numerical auditing of steady-state solutions.
 
-    The solver's invariants are exact, not approximate: the Blech sums
-    are a deterministic replay of the BFS {!Steady_state.Schedule}, the
-    normalization constants [A]/[Q] are one fixed-order sweep over the
-    segment columns, and every node stress is
-    [beta * (Q/A - B_i)]. Because the solver evaluates exactly these
-    floating-point expressions, an audit that re-evaluates them against
-    the returned solution must reproduce it {e to the bit} — the exact
-    residuals below are [0.0], not merely small, on a healthy run, and
-    any nonzero value means the solver broke the contract (or memory was
-    corrupted in flight).
-
-    On top of the exact invariants the audit evaluates the physical
-    conservation laws, which hold only up to rounding (and, for meshes,
-    up to the cycle consistency of the prescribed currents): per-segment
-    flux balance [sigma_head - sigma_tail + beta j l = 0] (Lemma 1),
-    the mass-conservation integral (Lemma 3), and per-node current
-    balance from the CSR. These are tolerance-gated; the KCL balance is
-    informational only, because on a real power grid interior nodes
-    legitimately carry via currents out of the structure's plane.
+    The audit checks a solution against the physics it must satisfy,
+    independently of how the solver computed it: per-segment flux
+    balance [sigma_head - sigma_tail + beta j l = 0] (Lemma 1), the
+    mass-conservation integral (Lemma 3), and per-node current balance
+    from the CSR. The first two are tolerance-gated — they hold up to
+    rounding and, on meshes, up to the cycle consistency of the
+    prescribed currents. The KCL balance is informational only, because
+    on a real power grid interior nodes legitimately carry via currents
+    out of the structure's plane. (The solver's arithmetic contract —
+    Blech sums that replay {!Steady_state.Schedule} bit for bit, and
+    stresses equal to [beta * (Q/A - B_i)] — is a tier-1 property, not a
+    runtime check.)
 
     Each audit record also carries the immortality {e margin} (signed
     slack [sigma_th - max sigma], absolute and relative) with a per-
@@ -37,14 +30,6 @@ type contribution = {
 }
 
 type residuals = {
-  blech_replay : float;
-      (** exact: max relative deviation of the schedule-replayed Blech
-          sums from the solution's; [0.0] on every bit-identical path *)
-  norm_recompute : float;
-      (** exact: relative deviation of the recomputed [A] and [Q] *)
-  stress_telescope : float;
-      (** exact: max relative deviation of
-          [beta * (Q/A - B_i)] from [node_stress.(i)] *)
   flux_rel : float;
       (** tolerance-gated: worst per-segment relative flux residual
           [|sigma_head - sigma_tail + beta j l|]; on mesh chords this
@@ -76,8 +61,7 @@ type t = {
 }
 
 val default_tol : float
-(** [1e-9]: relative gate for [flux_rel] / [mass_rel]. The exact
-    residuals are always gated at exactly [0.0]. *)
+(** [1e-9]: relative gate for [flux_rel] / [mass_rel]. *)
 
 val default_top_k : int
 (** [5]. *)
@@ -97,17 +81,14 @@ val check :
     and treats non-finite stresses like the flow does — they surface as
     large residuals, never as exceptions. *)
 
-val exact_residual : t -> float
-(** Max of the three exact residuals; [0.0] on a healthy run. *)
-
 val worst_residual : t -> float
-(** Max of {!exact_residual} and the tolerance-gated residuals — the
-    value aggregated into the [em_audit_residual] histogram. *)
+(** Max of the tolerance-gated residuals [flux_rel] and [mass_rel] —
+    the value aggregated into the [em_audit_residual] histogram. *)
 
 val violations : tol:float -> t -> (string * float) list
-(** Residuals out of bounds: any exact residual above [0.0], and
-    [flux_rel] / [mass_rel] above [tol]. The KCL balance never appears
-    here (informational). Empty on a healthy structure. *)
+(** Residuals out of bounds: [flux_rel] / [mass_rel] above [tol]. The
+    KCL balance never appears here (informational). Empty on a healthy
+    structure. *)
 
 val violation_diag : strict:bool -> tol:float -> t -> Diag.t option
 (** A [Structure]-sourced diagnostic (code ["audit-residual"]) naming

@@ -20,10 +20,6 @@ let to_all_nodes s ~reference =
     invalid_arg "Blech_sum.to_all_nodes: reference out of range";
   of_tree s (Traversal.bfs (Structure.graph s) ~root:reference)
 
-let along_path s ~src ~dst =
-  let b = to_all_nodes s ~reference:src in
-  b.(dst)
-
 type violation =
   | Disconnected
   | Cycle_mismatch of { chord : int; mismatch : float; scale : float }

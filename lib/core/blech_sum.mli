@@ -10,9 +10,6 @@ val to_all_nodes : Structure.t -> reference:int -> float array
 (** Raises [Invalid_argument] when the structure is disconnected or the
     reference is out of range. A/m. *)
 
-val along_path : Structure.t -> src:int -> dst:int -> float
-(** Signed Blech sum from [src] to [dst] along the BFS-tree path. *)
-
 (** {1 Validation} *)
 
 type violation =

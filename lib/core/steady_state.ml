@@ -202,10 +202,6 @@ let solve_compact ?reference ?ws material (c : Compact.t) =
 let solve ?reference material s =
   solve_compact ?reference material (Compact.of_structure s)
 
-let segment_stress sol s k =
-  let tail, head = Structure.endpoints s k in
-  (sol.node_stress.(tail), sol.node_stress.(head))
-
 let extreme_stress cmp sol =
   let best = ref (-1) in
   (* Keep the running best in a ref instead of re-reading
@@ -225,26 +221,3 @@ let extreme_stress cmp sol =
 let max_stress sol = extreme_stress ( > ) sol
 
 let min_stress sol = extreme_stress ( < ) sol
-
-let stress_at sol s ~seg ~x =
-  let segment = Structure.seg s seg in
-  if x < 0. || x > segment.Structure.length then
-    invalid_arg "Steady_state.stress_at: x outside the segment";
-  let tail, _ = Structure.endpoints s seg in
-  sol.node_stress.(tail) -. (sol.beta *. segment.Structure.current_density *. x)
-
-let mass_residual sol s =
-  let acc = ref 0. in
-  let sigma_scale = ref 0. in
-  for k = 0 to Structure.num_segments s - 1 do
-    let segment = Structure.seg s k in
-    let st, sh = segment_stress sol s k in
-    if not (Float.is_nan st || Float.is_nan sh) then begin
-      acc :=
-        !acc
-        +. Structure.cross_section segment *. segment.Structure.length
-           *. (st +. sh) /. 2.;
-      sigma_scale := Float.max !sigma_scale (Float.max (Float.abs st) (Float.abs sh))
-    end
-  done;
-  !acc /. Float.max 1e-300 (sol.volume *. Float.max !sigma_scale 1e-30)

@@ -95,21 +95,7 @@ val solve_compact :
     [solve_compact] through the same workspace — copy them if they must
     outlive it. *)
 
-val segment_stress : solution -> Structure.t -> int -> float * float
-(** [(sigma_tail, sigma_head)] at a segment's endpoints; by Corollary 2
-    the extreme stresses of the segment are attained there. *)
-
 val max_stress : solution -> float * int
 (** Largest node stress and the node attaining it. *)
 
 val min_stress : solution -> float * int
-
-val stress_at : solution -> Structure.t -> seg:int -> x:float -> float
-(** Stress at local coordinate [x] (from the segment's tail) via Lemma 1:
-    [sigma(x) = sigma_tail - beta j x]. Raises [Invalid_argument] when [x]
-    is outside [0, length]. *)
-
-val mass_residual : solution -> Structure.t -> float
-(** [sum_k w_k h_k l_k (sigma_tail + sigma_head) / 2] — the discrete form
-    of Lemma 3's conservation integral, which the exact solution makes 0;
-    exposed for tests (returns the value normalized by [A * max |sigma|]). *)

@@ -110,8 +110,7 @@ val mna_diags : Spice.Mna.solution -> Em_core.Diag.t list
     per-structure cost is a single branch. *)
 type audit_config = {
   audit_tol : float;
-      (** relative gate for the tolerance-gated residuals; the exact
-          (bit-identity) residuals are always gated at [0.0] *)
+      (** relative gate for the flux and mass residuals *)
   audit_top_k : int;  (** critical-path steps kept in [au_top] *)
   audit_strict : bool;
       (** violations become [Error] diagnostics instead of warnings

@@ -223,9 +223,6 @@ let of_audit ~tol (a : Au.t) =
       ( "residuals",
         Obj
           [
-            ("blech_replay", Float res.Au.blech_replay);
-            ("norm_recompute", Float res.Au.norm_recompute);
-            ("stress_telescope", Float res.Au.stress_telescope);
             ("flux_rel", Float res.Au.flux_rel);
             ("mass_rel", Float res.Au.mass_rel);
             ("kcl_interior_rel", Float res.Au.kcl_interior_rel);

@@ -243,7 +243,6 @@ let prop_pde_matches_closed_form (n, seed) =
 (* Analytic transient solution (Korhonen series)                     *)
 
 module An = Empde.Analytic
-module Vg = Empde.Void_growth
 
 let test_analytic_limits () =
   let l = U.um 30. and j = 2e10 in
@@ -362,38 +361,6 @@ let test_transient_nucleation_vs_analytic () =
     check_close ~rtol:0.15 "nucleation times agree" t_exact t_fv
   | _ -> Alcotest.fail "both must nucleate"
 
-(* ---------------------------------------------------------------- *)
-(* Void growth                                                       *)
-
-let test_void_growth_velocity () =
-  let v1 = Vg.drift_velocity cu ~j:1e10 in
-  let v2 = Vg.drift_velocity cu ~j:2e10 in
-  Alcotest.(check bool) "positive" true (v1 > 0.);
-  check_close ~rtol:1e-12 "linear in j" (2. *. v1) v2;
-  check_close ~rtol:1e-12 "sign-independent" v1 (Vg.drift_velocity cu ~j:(-1e10))
-
-let test_void_growth_time () =
-  let t = Vg.growth_time cu ~j:1e10 ~critical_void:50e-9 in
-  Alcotest.(check bool) "finite for j>0" true (Float.is_finite t && t > 0.);
-  Alcotest.(check bool) "infinite for j=0" true
-    (Vg.growth_time cu ~j:0. ~critical_void:50e-9 = Float.infinity);
-  check_raises_invalid "bad void size" (fun () ->
-      ignore (Vg.growth_time cu ~j:1e10 ~critical_void:0.))
-
-let test_void_ttf_phases () =
-  let l = U.um 50. in
-  let jl_crit = M.jl_crit cu in
-  let mortal = Vg.time_to_failure cu ~length:l ~j:(3. *. jl_crit /. l) in
-  (match mortal.Vg.total with
-  | Some total ->
-    Alcotest.(check bool) "total = nucleation + growth" true
-      (total > mortal.Vg.growth
-      && total > Option.get mortal.Vg.nucleation)
-  | None -> Alcotest.fail "mortal wire must fail");
-  let immortal = Vg.time_to_failure cu ~length:l ~j:(0.5 *. jl_crit /. l) in
-  Alcotest.(check bool) "immortal never fails" true (immortal.Vg.total = None)
-
-
 let test_crank_nicolson_second_order () =
   (* theta = 0.5 error falls ~4x when dt halves (vs ~2x for theta = 1). *)
   let l = U.um 30. and j = 2e10 in
@@ -468,12 +435,6 @@ let suites =
         case "theta guard" test_theta_guard;
         case "series nucleation time" test_analytic_nucleation_time;
         case "FV nucleation vs series" test_transient_nucleation_vs_analytic;
-      ] );
-    ( "pde.void_growth",
-      [
-        case "drift velocity" test_void_growth_velocity;
-        case "growth time" test_void_growth_time;
-        case "two-phase TTF" test_void_ttf_phases;
       ] );
     ( "pde.properties",
       [
