@@ -12,8 +12,10 @@ let run cfg =
   let scale = B_util.ibm_scale cfg Gg.Pg6 in
   let spec = Gg.ibm_preset ~scale Gg.Pg6 in
   let grid = Gg.generate spec in
-  let r = Flow.run grid in
-  let points = Sc.of_result r in
+  let v =
+    Flow.analyze_deck ~tech:grid.Gg.tech (Flow.of_netlist grid.Gg.netlist)
+  in
+  let points = Sc.of_result v.Flow.compacts v.Flow.result in
   print_string (Sc.ascii ~jl_crit:(M.jl_crit M.cu_dac21) points);
   print_newline ();
   B_util.note "%s" (Sc.summary points);

@@ -3,6 +3,7 @@
 
 module Op = Pdn.Openpdn
 module Ir = Pdn.Irdrop
+module Gg = Pdn.Grid_gen
 module Flow = Emflow.Em_flow
 module Sc = Emflow.Scatter
 module M = Em_core.Material
@@ -18,8 +19,10 @@ let run cfg =
   let scaled, _ =
     Ir.scale_to_ir ~metric:Ir.Mean grid ~target:(B_util.table3_ir_target circuit)
   in
-  let r = Flow.run scaled in
-  let points = Sc.of_result r in
+  let v =
+    Flow.analyze_deck ~tech:scaled.Gg.tech (Flow.of_netlist scaled.Gg.netlist)
+  in
+  let points = Sc.of_result v.Flow.compacts v.Flow.result in
   print_string (Sc.ascii ~jl_crit:(M.jl_crit M.cu_dac21) points);
   print_newline ();
   B_util.note "%s" (Sc.summary points);

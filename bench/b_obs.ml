@@ -40,6 +40,12 @@ let interleaved_best arms =
   done;
   (best, !reps)
 
+(* One pass of [interleaved_best] swings a ratio by more than the
+   history gate's 15% (a load spike can land on one arm's best run), so
+   a row holds each figure's median over [passes] passes, the ratios
+   taken within each pass. *)
+let passes = 3
+
 let ns_per_op iters f =
   let (), t = B_util.wall (fun () -> for _ = 1 to iters do f () done) in
   t /. float_of_int iters *. 1e9
@@ -63,30 +69,39 @@ let run cfg =
      from 1.0 is timer noise. Enabled, every structure's solver output is
      replayed expression-by-expression (Blech sums, norms, telescoping,
      flux/mass balances) — roughly a second pass over the CSR. *)
-  let best, reps =
-    interleaved_best
-      [|
-        plain;
-        (fun () -> Mx.with_enabled true plain);
-        (fun () ->
-          let t = Tr.create () in
-          Mx.with_enabled true (fun () -> Tr.with_enabled t plain);
-          last_trace := Tr.num_events t);
-        plain;
-        (fun () ->
-          ignore (Flow.run_on_compact ~audit:Flow.default_audit_config compacts));
-      |]
+  let runs =
+    Array.init passes (fun _ ->
+        interleaved_best
+          [|
+            plain;
+            (fun () -> Mx.with_enabled true plain);
+            (fun () ->
+              let t = Tr.create () in
+              Mx.with_enabled true (fun () -> Tr.with_enabled t plain);
+              last_trace := Tr.num_events t);
+            plain;
+            (fun () ->
+              ignore
+                (Flow.run_on_compact ~audit:Flow.default_audit_config compacts));
+          |])
   in
-  let t_off = best.(0) and t_metrics = best.(1) and t_trace = best.(2) in
-  let t_audit_off = best.(3) and t_audit_on = best.(4) in
-  B_util.note "flow, telemetry off:        %.3fs (best of %d interleaved)" t_off
-    reps;
+  let reps = Array.fold_left (fun n (_, r) -> n + r) 0 runs in
+  let med f = Numerics.Stats.median (Array.map (fun (best, _) -> f best) runs) in
+  let t_off = med (fun b -> b.(0)) and t_metrics = med (fun b -> b.(1)) in
+  let t_trace = med (fun b -> b.(2)) in
+  let t_audit_off = med (fun b -> b.(3)) and t_audit_on = med (fun b -> b.(4)) in
+  let metrics_on_ratio = med (fun b -> b.(1) /. b.(0)) in
+  let trace_on_ratio = med (fun b -> b.(2) /. b.(0)) in
+  let audit_overhead_ratio = med (fun b -> b.(4) /. b.(3)) in
+  let audit_disabled_ratio = med (fun b -> b.(3) /. b.(0)) in
+  B_util.note
+    "flow, telemetry off:        %.3fs (median of %d passes, %d interleaved \
+     repetitions)"
+    t_off passes reps;
   B_util.note "flow, metrics on:           %.3fs (%.2fx)" t_metrics
-    (t_metrics /. t_off);
+    metrics_on_ratio;
   B_util.note "flow, metrics + trace on:   %.3fs (%.2fx, %d spans)" t_trace
-    (t_trace /. t_off) !last_trace;
-  let audit_overhead_ratio = t_audit_on /. t_audit_off in
-  let audit_disabled_ratio = t_audit_off /. t_off in
+    trace_on_ratio !last_trace;
   B_util.note "flow, audit off:            %.3fs (%.2fx vs off — noise floor)"
     t_audit_off audit_disabled_ratio;
   B_util.note "flow, audit on:             %.3fs (%.2fx vs audit off)"
@@ -127,8 +142,9 @@ let run cfg =
          ("off_s", J.Float t_off);
          ("metrics_on_s", J.Float t_metrics);
          ("trace_on_s", J.Float t_trace);
-         ("metrics_on_ratio", J.Float (t_metrics /. t_off));
-         ("trace_on_ratio", J.Float (t_trace /. t_off));
+         ("passes", J.Int passes);
+         ("metrics_on_ratio", J.Float metrics_on_ratio);
+         ("trace_on_ratio", J.Float trace_on_ratio);
          ("trace_spans", J.Int !last_trace);
          ("audit_off_s", J.Float t_audit_off);
          ("audit_on_s", J.Float t_audit_on);

@@ -29,11 +29,14 @@ let run cfg =
       (fun size ->
         let scale = B_util.ibm_scale cfg size in
         let spec = Gg.ibm_preset ~scale size in
-        let (grid, r), total_t =
+        let (grid, v), total_t =
           B_util.wall (fun () ->
               let grid = Gg.generate spec in
-              (grid, Flow.run grid))
+              ( grid,
+                Flow.analyze_deck ~tech:grid.Gg.tech
+                  (Flow.of_netlist grid.Gg.netlist) ))
         in
+        let r = v.Flow.result in
         let c = r.Flow.counts in
         Rp.add_row ours
           [
@@ -47,7 +50,7 @@ let run cfg =
             Rp.seconds_cell (Flow.stage_wall r "solve");
             Rp.seconds_cell total_t;
           ];
-        (size, grid, r))
+        (size, grid, v))
       sizes
   in
   Rp.print ours;
@@ -62,7 +65,8 @@ let run cfg =
          ( "grids",
            J.List
              (List.map
-                (fun (size, grid, (r : Flow.result)) ->
+                (fun (size, grid, (v : Flow.verdict)) ->
+                  let r = v.Flow.result in
                   let analyze_wall =
                     Flow.stage_wall r "analyze" +. Flow.stage_wall r "classify"
                   in
@@ -111,9 +115,11 @@ let run cfg =
   B_util.note "runtimes stay in seconds-to-minutes at million-edge scale.";
   (* Per-layer view of the smallest grid: where the filter errors live. *)
   (match results with
-  | (_, _, r) :: _ ->
+  | (_, _, v) :: _ ->
     print_newline ();
     Printf.printf "Per-layer breakdown (ibmpg1-like):\n";
-    Rp.print (Emflow.Layer_report.to_table (Emflow.Layer_report.of_result r))
+    Rp.print
+      (Emflow.Layer_report.to_table
+         (Emflow.Layer_report.of_result v.Flow.compacts v.Flow.result))
   | [] -> ());
   results

@@ -472,7 +472,7 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
        else ""));
   (* The reports read the flow's own results; only --fix solves again,
      to verify the widened structures. *)
-  let layers = Emflow.Layer_report.of_result r in
+  let layers = Emflow.Layer_report.of_result compacts r in
   let plan = Emflow.Fixer.plan_of_result ~material compacts r in
   Printf.printf "Per-layer breakdown:\n";
   Emflow.Report.print (Emflow.Layer_report.to_table layers);

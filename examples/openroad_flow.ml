@@ -50,12 +50,15 @@ let () =
     (analysis.Ir.worst *. 1e3)
     (analysis.Ir.mean_drop *. 1e3);
 
-  let r = Flow.run scaled in
+  let v =
+    Flow.analyze_deck ~tech:scaled.Gg.tech (Flow.of_netlist scaled.Gg.netlist)
+  in
+  let r = v.Flow.result in
   let c = r.Flow.counts in
   Format.printf "Blech vs exact on %d segments: TP=%d TN=%d FP=%d FN=%d@.@."
     r.Flow.num_segments c.Cl.tp c.Cl.tn c.Cl.fp c.Cl.fn;
 
-  let points = Sc.of_result r in
+  let points = Sc.of_result v.Flow.compacts r in
   Format.printf "%s@.@." (Sc.summary points);
   print_string
     (Sc.ascii ~jl_crit:(M.jl_crit M.cu_dac21) points);

@@ -6,17 +6,6 @@ module Dg = Em_core.Diag
 module Au = Em_core.Audit
 module Maxpath = Em_core.Baseline_maxpath
 
-type segment_record = {
-  layer : int;
-  length : float;
-  j : float;
-  stress_tail : float;
-  stress_head : float;
-  blech_immortal : bool;
-  exact_immortal : bool;
-  maxpath_immortal : bool;
-}
-
 type structure_stat = {
   st_layer : int;
   st_nodes : int;
@@ -32,14 +21,22 @@ type structure_stat = {
 type result = {
   counts : Cl.counts;
   maxpath_counts : Cl.counts option;
-  segments : segment_record array;
+  node_stress : float array array;
+  verdicts : Bytes.t array;
   num_structures : int;
   num_segments : int;
   diags : Dg.t list;
   audits : Au.t option array;
   structure_stats : structure_stat array;
   stages : Pipeline.stage list;
+  peak_rss_mb : float option;
 }
+
+let blech_bit = 1
+let exact_bit = 2
+let maxpath_bit = 4
+
+let segment_verdict r i k = Char.code (Bytes.get r.verdicts.(i) k)
 
 (* Audit-residual diagnostics can be errors under a strict audit, but
    the structure's analysis still completed — only analysis-skip errors
@@ -120,6 +117,23 @@ let default_audit_config =
     audit_strict = false;
   }
 
+(* What one structure's analysis hands back: its node stresses (copied
+   out of the worker's workspace), one byte of verdict bits per segment,
+   and the confusion counts summed over its segments, so the classify
+   stage only adds per-structure totals. *)
+type analyzed = {
+  an_stress : float array;
+  an_verdicts : Bytes.t;
+  an_counts : Cl.counts;
+  an_maxpath_counts : Cl.counts;
+  an_audit : Au.t option;
+  an_stat : structure_stat;
+}
+
+(* Confusion counts from a histogram indexed by (predicted, actual) bits:
+   bit 0 the prediction, bit 1 the exact verdict. *)
+let counts_of_hist h = { Cl.tn = h.(0); fp = h.(1); fn = h.(2); tp = h.(3) }
+
 (* Per-structure analysis on the columnar representation: one
    [solve_compact] through the worker's workspace, then the Blech filter
    and the exact endpoint test read the flat columns directly. The
@@ -157,28 +171,31 @@ let analyze_one material with_maxpath ~audit ~index ws
           (Ss.Degenerate
              (Printf.sprintf "non-finite node stress %g" sigma)))
     stress;
-  let node_immortal i = stress.(i) < threshold in
   let maxpath =
     if with_maxpath then Maxpath.segment_immortal material (Cc.to_structure c)
     else [||]
   in
-  let records =
-    Array.init (Cc.num_segments c) (fun k ->
-        let l = c.Cc.length.(k) in
-        let j = c.Cc.j.(k) in
-        let tail = c.Cc.tail.(k) and head = c.Cc.head.(k) in
-        let exact = node_immortal tail && node_immortal head in
-        {
-          layer = cs.Extract.cs_layer_level;
-          length = l;
-          j;
-          stress_tail = stress.(tail);
-          stress_head = stress.(head);
-          blech_immortal = Float.abs j *. l <= jl_crit;
-          exact_immortal = exact;
-          maxpath_immortal = (if with_maxpath then maxpath.(k) else exact);
-        })
-  in
+  let nseg = Cc.num_segments c in
+  let verdicts = Bytes.create nseg in
+  let hist = Array.make 4 0 and maxpath_hist = Array.make 4 0 in
+  for k = 0 to nseg - 1 do
+    let exact =
+      stress.(c.Cc.tail.(k)) < threshold && stress.(c.Cc.head.(k)) < threshold
+    in
+    let blech = Float.abs c.Cc.j.(k) *. c.Cc.length.(k) <= jl_crit in
+    let mp = if with_maxpath then maxpath.(k) else exact in
+    let bits =
+      (if blech then blech_bit else 0)
+      lor (if exact then exact_bit else 0)
+      lor if mp then maxpath_bit else 0
+    in
+    (* [blech_bit] = 1 and [exact_bit] = 2 make the low bits the
+       histogram index; the max-path bit moves down to bit 0 for its own. *)
+    let i = bits land 3 and mi = (bits land exact_bit) lor (bits lsr 2) in
+    hist.(i) <- hist.(i) + 1;
+    maxpath_hist.(mi) <- maxpath_hist.(mi) + 1;
+    Bytes.unsafe_set verdicts k (Char.unsafe_chr bits)
+  done;
   (* Cheap per-structure aggregate for the run ledger and the reports:
      one O(nodes) scan for the peak and the first node that reaches it
      (as [Steady_state.max_stress] picks it). The signed margin is
@@ -195,7 +212,7 @@ let analyze_one material with_maxpath ~audit ~index ws
     {
       st_layer = cs.Extract.cs_layer_level;
       st_nodes = Cc.num_nodes c;
-      st_segments = Cc.num_segments c;
+      st_segments = nseg;
       st_ok = true;
       st_immortal = max_stress < threshold;
       st_max_stress = max_stress;
@@ -204,7 +221,14 @@ let analyze_one material with_maxpath ~audit ~index ws
       st_solve_s = 0.;
     }
   in
-  (records, audit_record, stat)
+  {
+    an_stress = Array.copy stress;
+    an_verdicts = verdicts;
+    an_counts = counts_of_hist hist;
+    an_maxpath_counts = counts_of_hist maxpath_hist;
+    an_audit = audit_record;
+    an_stat = stat;
+  }
 
 (* Telemetry wrapper around [analyze_one]: the whole per-structure unit
    of work becomes a "structure" span on the worker's track (nested under
@@ -232,9 +256,12 @@ let analyze_traced material with_maxpath ~audit ws index
     else run ()
   in
   let wall0 = Unix.gettimeofday () in
-  let records, audit_record, stat = traced () in
+  let an = traced () in
   Obs.Metrics.inc structures_analyzed;
-  (records, audit_record, { stat with st_solve_s = Unix.gettimeofday () -. wall0 })
+  {
+    an with
+    an_stat = { an.an_stat with st_solve_s = Unix.gettimeofday () -. wall0 };
+  }
 
 (* Fault isolation: one structure whose analysis threw (degenerate
    geometry, disconnected columns, a solver bug) is recorded as an error
@@ -298,29 +325,29 @@ let run_on_compact ?(material = M.cu_dac21) ?(with_maxpath = false) ?jobs
     }
   in
   let stats = Array.init nstruct failed_stat in
-  let per_structure =
-    Array.mapi
-      (fun i slot ->
-        match slot with
-        | Ok (records, audit_record, stat) ->
-          audits.(i) <- audit_record;
-          stats.(i) <- stat;
-          records
-        | Error (e, _bt) ->
-          Obs.Metrics.inc structures_failed;
-          let d = diag_of_failure i compacts_arr.(i) e in
-          Obs.Log.warn (fun () ->
-              ( "structure analysis failed; fault-isolated",
-                [
-                  ("structure", Obs.Trace.Int i);
-                  ( "layer",
-                    Obs.Trace.Int compacts_arr.(i).Extract.cs_layer_level );
-                  ("error", Obs.Trace.String (Printexc.to_string e));
-                ] ));
-          diags := d :: !diags;
-          [||])
-      slots
-  in
+  let node_stress = Array.make nstruct [||] in
+  let verdicts = Array.make nstruct Bytes.empty in
+  Array.iteri
+    (fun i slot ->
+      match slot with
+      | Ok an ->
+        audits.(i) <- an.an_audit;
+        stats.(i) <- an.an_stat;
+        node_stress.(i) <- an.an_stress;
+        verdicts.(i) <- an.an_verdicts
+      | Error (e, _bt) ->
+        Obs.Metrics.inc structures_failed;
+        let d = diag_of_failure i compacts_arr.(i) e in
+        Obs.Log.warn (fun () ->
+            ( "structure analysis failed; fault-isolated",
+              [
+                ("structure", Obs.Trace.Int i);
+                ( "layer",
+                  Obs.Trace.Int compacts_arr.(i).Extract.cs_layer_level );
+                ("error", Obs.Trace.String (Printexc.to_string e));
+              ] ));
+        diags := d :: !diags)
+    slots;
   (* Audit residuals out of tolerance become diagnostics of their own —
      warnings normally, errors under a strict audit — in structure
      order, after the fault-isolation errors. *)
@@ -341,27 +368,24 @@ let run_on_compact ?(material = M.cu_dac21) ?(with_maxpath = false) ?jobs
     Obs.Metrics.set_gauge g_min_margin su.Au.su_min_margin
   | None -> ());
   let diags = List.rev !diags in
-  let counts, maxpath_counts, segments =
+  let counts, maxpath_counts, num_segments =
     Pipeline.run p "classify" (fun () ->
-        let counts = ref Cl.empty in
-        let maxpath_counts = ref Cl.empty in
-        let n_immortal = ref 0 and n_mortal = ref 0 in
+        let counts = ref Cl.empty and maxpath_counts = ref Cl.empty in
+        let num_segments = ref 0 in
         Array.iter
-          (Array.iter (fun r ->
-               if r.exact_immortal then incr n_immortal else incr n_mortal;
-               counts :=
-                 Cl.add_pair !counts ~predicted_immortal:r.blech_immortal
-                   ~actual_immortal:r.exact_immortal;
-               if with_maxpath then
-                 maxpath_counts :=
-                   Cl.add_pair !maxpath_counts
-                     ~predicted_immortal:r.maxpath_immortal
-                     ~actual_immortal:r.exact_immortal))
-          per_structure;
-        Obs.Metrics.inc_by segments_immortal !n_immortal;
-        Obs.Metrics.inc_by segments_mortal !n_mortal;
-        let segments = Array.concat (Array.to_list per_structure) in
-        (!counts, (if with_maxpath then Some !maxpath_counts else None), segments))
+          (function
+            | Ok an ->
+              counts := Cl.merge !counts an.an_counts;
+              maxpath_counts := Cl.merge !maxpath_counts an.an_maxpath_counts;
+              num_segments := !num_segments + Bytes.length an.an_verdicts
+            | Error _ -> ())
+          slots;
+        let c = !counts in
+        Obs.Metrics.inc_by segments_immortal (c.Cl.tp + c.Cl.fn);
+        Obs.Metrics.inc_by segments_mortal (c.Cl.tn + c.Cl.fp);
+        ( c,
+          (if with_maxpath then Some !maxpath_counts else None),
+          !num_segments ))
   in
   if Obs.Metrics.is_enabled () then begin
     let sum f =
@@ -375,13 +399,15 @@ let run_on_compact ?(material = M.cu_dac21) ?(with_maxpath = false) ?jobs
     {
       counts;
       maxpath_counts;
-      segments;
+      node_stress;
+      verdicts;
       num_structures = nstruct;
-      num_segments = Array.length segments;
+      num_segments;
       diags;
       audits;
       structure_stats = stats;
       stages = Pipeline.stages p;
+      peak_rss_mb = Option.map (fun m -> m.Pipeline.hwm_mb) (Pipeline.memory ());
     }
   in
   Obs.Log.info (fun () ->
@@ -471,7 +497,14 @@ let of_netlist netlist =
 let analyze_deck ?material ?with_maxpath ?jobs ?audit ~tech deck =
   let p = deck.pipeline in
   let solution =
-    Pipeline.run p "solve" (fun () -> Spice.Mna.solve ?jobs deck.netlist)
+    Pipeline.run p "solve" (fun () ->
+        let solution = Spice.Mna.solve ?jobs deck.netlist in
+        (* The solve's orderings, factors and assembly scratch are dead
+           now, but no major cycle would reclaim them before extraction
+           and analysis allocate on top: one collection here returns
+           them and lowers the run's peak (DESIGN §14). *)
+        Gc.full_major ();
+        solution)
   in
   let compacts =
     Pipeline.run p "extract" (fun () -> Extract.extract_compact ~tech solution)
@@ -517,6 +550,9 @@ let pp_summary ppf r =
     (fun (s : Pipeline.stage) ->
       Format.fprintf ppf "@,  %a" Pipeline.pp_stage s)
     r.stages;
+  Option.iter
+    (fun mb -> Format.fprintf ppf "@,  %-10s %.1fMB peak rss" "process" mb)
+    r.peak_rss_mb;
   if r.diags <> [] then begin
     Format.fprintf ppf "@,diagnostics: %a" Dg.pp_summary r.diags;
     List.iter (fun d -> Format.fprintf ppf "@,  %a" Dg.pp d) r.diags

@@ -6,8 +6,11 @@
 
     The flow is organized as {!Pipeline} stages (parse -> lint in
     {!load_deck}, solve -> extract -> analyze -> classify in
-    {!analyze_deck}); each stage's wall/CPU time and GC allocation are
-    recorded in {!result.stages} and printed by {!pp_summary}.
+    {!analyze_deck}); each stage's wall/CPU time, GC allocation and
+    resident set are recorded in {!result.stages} and printed by
+    {!pp_summary}. Per segment the result keeps one byte of verdict
+    bits, per structure its node stresses: lengths and current
+    densities are read back from the compacts.
     Per-structure analysis runs on the columnar
     {!Em_core.Compact.t} path through per-domain
     {!Em_core.Steady_state.Workspace} scratch buffers, so it both
@@ -19,24 +22,13 @@
     an exception or a degenerate/non-finite stress result in one
     structure becomes an error {!Em_core.Diag.t} in {!result.diags}
     naming the offender (batch index, metal layer), contributes no
-    segments, and leaves every other structure's results bit-identical
+    segments or stresses, and leaves every other structure's results bit-identical
     to a run without the offender. The batch never aborts; callers that
     want strictness inspect [diags] (as `emcheck analyze --strict`
     does).
 
     The optional max-path heuristic (refs [12,13]) can be run
     side-by-side as an ablation. *)
-
-type segment_record = {
-  layer : int;         (** metal level *)
-  length : float;      (** m *)
-  j : float;           (** signed electron current density, A/m^2 *)
-  stress_tail : float; (** steady-state stress at the tail node, Pa *)
-  stress_head : float; (** steady-state stress at the head node, Pa *)
-  blech_immortal : bool;
-  exact_immortal : bool;
-  maxpath_immortal : bool; (** equals [exact] when the ablation is off *)
-}
 
 (** Per-structure aggregate recorded on every run (no [?audit] needed):
     one cheap O(nodes) scan per structure. The run ledger keys these by
@@ -66,7 +58,16 @@ type structure_stat = {
 type result = {
   counts : Em_core.Classify.counts;          (** Blech vs exact *)
   maxpath_counts : Em_core.Classify.counts option;
-  segments : segment_record array;
+  node_stress : float array array;
+      (** one slot per submitted structure, batch order: the steady-state
+          stress at each structure node, Pa ([[||]] when the structure
+          fault-isolated) *)
+  verdicts : Bytes.t array;
+      (** one slot per submitted structure, batch order: one byte of
+          verdict bits per segment, in the compact's segment order
+          ({!blech_bit}, {!exact_bit}, {!maxpath_bit}; empty when the
+          structure fault-isolated). Lengths and current densities stay
+          in the compacts the run analyzed. *)
   num_structures : int;  (** structures submitted, including failed ones *)
   num_segments : int;    (** segments of successfully analyzed structures *)
   diags : Em_core.Diag.t list;
@@ -81,8 +82,28 @@ type result = {
           populated, including for fault-isolated structures *)
   stages : Pipeline.stage list;
       (** per-stage instrumentation, execution order: the one timing
-          surface (wall and CPU seconds, words allocated) of the run *)
+          surface (wall and CPU seconds, words allocated, resident set)
+          of the run *)
+  peak_rss_mb : float option;
+      (** the process's resident high-water mark (VmHWM) when the run
+          finished, MB; [None] off Linux *)
 }
+
+val blech_bit : int
+(** Verdict bit: the traditional Blech filter clears the segment
+    ([|j| l <= (jl)_crit]). *)
+
+val exact_bit : int
+(** Verdict bit: the exact test finds the segment immortal (both end
+    nodes below the effective critical stress). *)
+
+val maxpath_bit : int
+(** Verdict bit: the max-path heuristic finds the segment immortal;
+    equal to {!exact_bit}'s verdict when the ablation is off. *)
+
+val segment_verdict : result -> int -> int -> int
+(** [segment_verdict r i k]: the verdict bits of segment [k] of
+    structure [i] (batch order). *)
 
 val failed_structures : result -> int
 (** Number of structures whose analysis was skipped: error diagnostics
@@ -160,7 +181,9 @@ val analyze_deck :
   verdict
 (** The ["solve"], ["extract"], ["analyze"] and ["classify"] stages on
     the deck's pipeline; raises {!Spice.Mna.Unsupported} on a deck the
-    solver cannot take. *)
+    solver cannot take. The ["solve"] stage ends with one full major
+    collection, which returns the solver's dead working set (orderings,
+    factors, assembly scratch) before extraction allocates. *)
 
 val run_deck :
   ?material:Em_core.Material.t ->
@@ -214,5 +237,6 @@ val ranking : result -> int list
 
 val pp_summary : Format.formatter -> result -> unit
 (** Totals, confusion counts, one indented line per pipeline stage
-    (wall, CPU, allocated words), and — when present — the diagnostic
+    (wall, CPU, allocated words, resident set and high-water growth), a
+    [process] line with {!result.peak_rss_mb}, and — when present — the diagnostic
     counts followed by one line per diagnostic. *)

@@ -97,10 +97,10 @@ let page ~title ?(material = M.cu_dac21) ~tech ~compacts (r : Em_flow.result) =
          y_label = "|j| (A/m^2, log)";
          jl_crit = Some (M.jl_crit material);
        }
-       (Scatter.of_result r));
+       (Scatter.of_result compacts r));
   (* Per-layer breakdown. *)
   Buffer.add_string buf "<h2>Per-layer breakdown</h2>";
-  let stats = Layer_report.of_result r in
+  let stats = Layer_report.of_result compacts r in
   table buf
     [ "layer"; "structures"; "segments"; "max |j| (A/m^2)"; "max jl (A/um)";
       "max stress (MPa)"; "mortal"; "FP"; "FN" ]

@@ -73,18 +73,23 @@ let of_counts (c : Cl.counts) =
       ("accuracy", Float (Cl.accuracy c));
     ]
 
+(* A measurement that is absent off Linux: the key is left out. *)
+let optional key = function Some x -> [ (key, Float x) ] | None -> []
+
 let of_stage (s : Pipeline.stage) =
   Obj
-    [
-      ("name", String s.Pipeline.name);
-      ("wall_s", Float s.Pipeline.wall_s);
-      ("cpu_s", Float s.Pipeline.cpu_s);
-      ("minor_words", Float s.Pipeline.minor_words);
-      ("major_words", Float s.Pipeline.major_words);
-      ("promoted_words", Float s.Pipeline.promoted_words);
-      ("allocated_words", Float (Pipeline.allocated_words s));
-      ("error", Bool s.Pipeline.error);
-    ]
+    ([
+       ("name", String s.Pipeline.name);
+       ("wall_s", Float s.Pipeline.wall_s);
+       ("cpu_s", Float s.Pipeline.cpu_s);
+       ("minor_words", Float s.Pipeline.minor_words);
+       ("major_words", Float s.Pipeline.major_words);
+       ("promoted_words", Float s.Pipeline.promoted_words);
+       ("allocated_words", Float (Pipeline.allocated_words s));
+     ]
+    @ optional "rss_mb" s.Pipeline.rss_mb
+    @ optional "hwm_growth_mb" s.Pipeline.hwm_growth_mb
+    @ [ ("error", Bool s.Pipeline.error) ])
 
 let of_stages stages = List (Stdlib.List.map of_stage stages)
 
@@ -256,7 +261,7 @@ let of_audit_report ~tol (audits : Au.t option array) =
 
 let of_flow_result (r : Em_flow.result) =
   Obj
-    [
+    ([
       ("structures", Int r.Em_flow.num_structures);
       ("failed_structures", Int (Em_flow.failed_structures r));
       ("segments", Int r.Em_flow.num_segments);
@@ -268,6 +273,7 @@ let of_flow_result (r : Em_flow.result) =
         | None -> Null );
       ("stages", of_stages r.Em_flow.stages);
     ]
+    @ optional "peak_rss_mb" r.Em_flow.peak_rss_mb)
 
 let of_variation (r : Variation.result) =
   Obj

@@ -22,8 +22,10 @@ val to_channel : out_channel -> t -> unit
 val of_counts : Em_core.Classify.counts -> t
 
 val of_stages : Pipeline.stage list -> t
-(** Per-stage wall/CPU/allocation stats, execution order; each stage
-    carries an [error] flag (true when the stage body raised). *)
+(** Per-stage wall/CPU/allocation stats, execution order, with
+    [rss_mb] and [hwm_growth_mb] where the platform reports them (left
+    out otherwise); each stage carries an [error] flag (true when the
+    stage body raised). *)
 
 val of_metrics : Obs.Metrics.sample list -> t
 (** Counters/gauges as [{name; kind; labels; value}]; histograms carry
@@ -51,9 +53,10 @@ val of_diags : Em_core.Diag.t list -> t
     uses the stable strings of {!Em_core.Diag.severity_to_string}. *)
 
 val of_flow_result : Em_flow.result -> t
-(** Confusion matrix, structure/segment counts and the stage table
-    (the report's one timing surface); the per-segment list is summarized (it can be millions long — use
-    {!Scatter.write_csv} for the raw series). *)
+(** Confusion matrix, structure/segment counts, the stage table (the
+    report's one timing surface) and [peak_rss_mb] where the platform
+    reports it; per-segment verdicts are summarized (they can be
+    millions long — use {!Scatter.write_csv} for the raw series). *)
 
 val of_variation : Variation.result -> t
 (** Per-structure Monte-Carlo mortality probabilities and stress

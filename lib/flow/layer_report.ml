@@ -3,6 +3,7 @@ module St = Em_core.Structure
 module Im = Em_core.Immortality
 module Bl = Em_core.Blech
 module Cl = Em_core.Classify
+module Cc = Em_core.Compact
 
 type layer_stats = {
   level : int;
@@ -29,29 +30,28 @@ let empty_stats level =
     counts = Cl.empty;
   }
 
-(* Fold one structure, its segments [segs.(lo .. lo + n - 1)], into its
-   layer's row. *)
-let add_structure by_level ~level ~max_stress (segs : Em_flow.segment_record array) lo n =
+(* Fold one structure into its layer's row: its segments' lengths and
+   current densities (columns) and verdicts, in segment order, so the
+   length total is summed in the same order on every path. *)
+let add_structure by_level ~level ~max_stress ~length ~j ~blech ~exact =
   let stats =
     match Hashtbl.find_opt by_level level with
     | Some st -> st
     | None -> empty_stats level
   in
+  let n = Array.length length in
   let counts = ref stats.counts in
   let mortal = ref stats.mortal_segments in
   let max_abs_j = ref stats.max_abs_j in
   let max_jl = ref stats.max_jl in
   let total_length = ref stats.total_length in
-  for k = lo to lo + n - 1 do
-    let seg = segs.(k) in
-    let exact = seg.Em_flow.exact_immortal in
-    counts :=
-      Cl.add_pair !counts ~predicted_immortal:seg.Em_flow.blech_immortal
-        ~actual_immortal:exact;
+  for k = 0 to n - 1 do
+    let exact = exact k in
+    counts := Cl.add_pair !counts ~predicted_immortal:(blech k) ~actual_immortal:exact;
     if not exact then incr mortal;
-    max_abs_j := Float.max !max_abs_j (Float.abs seg.Em_flow.j);
-    max_jl := Float.max !max_jl (Float.abs seg.Em_flow.j *. seg.Em_flow.length);
-    total_length := !total_length +. seg.Em_flow.length
+    max_abs_j := Float.max !max_abs_j (Float.abs j.(k));
+    max_jl := Float.max !max_jl (Float.abs j.(k) *. length.(k));
+    total_length := !total_length +. length.(k)
   done;
   let max_stress =
     if Float.is_nan stats.max_stress then max_stress
@@ -74,17 +74,19 @@ let rows by_level =
   Hashtbl.fold (fun _ st acc -> st :: acc) by_level []
   |> List.sort (fun a b -> compare a.level b.level)
 
-let of_result (r : Em_flow.result) =
-  let by_level = Hashtbl.create 8 and lo = ref 0 in
-  Array.iter
-    (fun (st : Em_flow.structure_stat) ->
+let of_result compacts (r : Em_flow.result) =
+  let by_level = Hashtbl.create 8 in
+  List.iteri
+    (fun i (cs : Extract.compact_structure) ->
+      let st = r.Em_flow.structure_stats.(i) in
       if st.Em_flow.st_ok then begin
+        let c = cs.Extract.compact in
+        let has bit k = Em_flow.segment_verdict r i k land bit <> 0 in
         add_structure by_level ~level:st.Em_flow.st_layer
-          ~max_stress:st.Em_flow.st_max_stress r.Em_flow.segments !lo
-          st.Em_flow.st_segments;
-        lo := !lo + st.Em_flow.st_segments
+          ~max_stress:st.Em_flow.st_max_stress ~length:c.Cc.length ~j:c.Cc.j
+          ~blech:(has Em_flow.blech_bit) ~exact:(has Em_flow.exact_bit)
       end)
-    r.Em_flow.structure_stats;
+    compacts;
   rows by_level
 
 let analyze ?(material = M.cu_dac21) structures =
@@ -94,24 +96,13 @@ let analyze ?(material = M.cu_dac21) structures =
       let s = es.Extract.structure in
       let report = Im.check material s in
       let blech = Bl.filter material s in
-      let stress = report.Im.solution.Em_core.Steady_state.node_stress in
-      let segs =
-        Array.init (St.num_segments s) (fun k ->
-            let seg = St.seg s k in
-            let tail, head = St.endpoints s k in
-            {
-              Em_flow.layer = es.Extract.layer_level;
-              length = seg.St.length;
-              j = seg.St.current_density;
-              stress_tail = stress.(tail);
-              stress_head = stress.(head);
-              blech_immortal = blech.(k);
-              exact_immortal = report.Im.segment_immortal.(k);
-              maxpath_immortal = report.Im.segment_immortal.(k);
-            })
-      in
+      let seg k = St.seg s k in
       add_structure by_level ~level:es.Extract.layer_level
-        ~max_stress:report.Im.max_stress segs 0 (Array.length segs))
+        ~max_stress:report.Im.max_stress
+        ~length:(Array.init (St.num_segments s) (fun k -> (seg k).St.length))
+        ~j:(Array.init (St.num_segments s) (fun k -> (seg k).St.current_density))
+        ~blech:(Array.get blech)
+        ~exact:(Array.get report.Im.segment_immortal))
     structures;
   rows by_level
 

@@ -16,10 +16,13 @@ type layer_stats = {
   counts : Em_core.Classify.counts; (** Blech vs exact, this layer only *)
 }
 
-val of_result : Em_flow.result -> layer_stats list
-(** The breakdown of a finished run, read from its segment records and
-    the stats of its successfully analyzed structures: no structure is
-    solved again. Ascending by level. *)
+val of_result :
+  Extract.compact_structure list -> Em_flow.result -> layer_stats list
+(** The breakdown of a finished run over the given structures: lengths
+    and current densities from the compact columns, verdicts from the
+    run's verdict bits, peak stresses from its structure stats. No
+    structure is solved again; fault-isolated structures are left out.
+    Ascending by level. *)
 
 val analyze :
   ?material:Em_core.Material.t -> Extract.em_structure list -> layer_stats list

@@ -5,8 +5,37 @@ type stage = {
   minor_words : float;
   major_words : float;
   promoted_words : float;
+  rss_mb : float option;
+  hwm_growth_mb : float option;
   error : bool;
 }
+
+type memory = { rss_mb : float; hwm_mb : float }
+
+(* The "VmRSS:" and "VmHWM:" lines of /proc/self/status, in kB. *)
+let memory () =
+  match open_in_bin "/proc/self/status" with
+  | exception Sys_error _ -> None
+  | ic ->
+    let kb line =
+      let rest = String.sub line 6 (String.length line - 6) in
+      match String.split_on_char ' ' (String.trim rest) with
+      | v :: _ -> float_of_string_opt v
+      | [] -> None
+    in
+    let rec scan rss hwm =
+      match (rss, hwm) with
+      | Some r, Some h -> Some { rss_mb = r /. 1024.; hwm_mb = h /. 1024. }
+      | _ -> (
+        match input_line ic with
+        | exception End_of_file -> None
+        | line when String.starts_with ~prefix:"VmRSS:" line ->
+          scan (kb line) hwm
+        | line when String.starts_with ~prefix:"VmHWM:" line ->
+          scan rss (kb line)
+        | _ -> scan rss hwm)
+    in
+    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> scan None None)
 
 let allocated_words st =
   (* Words promoted out of the minor heap would otherwise be counted
@@ -21,12 +50,14 @@ let run p name f =
   (* Exact per-domain counters plus the Parallel workers the stage
      waits for: one source, so every delta is >= 0 (Obs.Alloc). *)
   let a0 = Obs.Alloc.process () in
+  let m0 = memory () in
   let wall0 = Unix.gettimeofday () in
   let cpu0 = Sys.time () in
   let finish error =
     let cpu1 = Sys.time () in
     let wall1 = Unix.gettimeofday () in
     let a1 = Obs.Alloc.process () in
+    let m1 = memory () in
     let stage =
       {
         name;
@@ -35,6 +66,11 @@ let run p name f =
         minor_words = a1.Obs.Alloc.minor -. a0.Obs.Alloc.minor;
         major_words = a1.Obs.Alloc.major -. a0.Obs.Alloc.major;
         promoted_words = a1.Obs.Alloc.promoted -. a0.Obs.Alloc.promoted;
+        rss_mb = Option.map (fun (m : memory) -> m.rss_mb) m1;
+        hwm_growth_mb =
+          (match (m0, m1) with
+          | Some m0, Some m1 -> Some (m1.hwm_mb -. m0.hwm_mb)
+          | _ -> None);
         error;
       }
     in
@@ -77,6 +113,8 @@ let pp_words ppf w =
 let pp_stage ppf s =
   Fmt.pf ppf "%-10s %8.3fs wall  %8.3fs cpu  %a alloc" s.name s.wall_s s.cpu_s
     pp_words (allocated_words s);
+  Option.iter (Fmt.pf ppf "  %7.1fMB rss") s.rss_mb;
+  Option.iter (Fmt.pf ppf "  %+7.1fMB hwm") s.hwm_growth_mb;
   if s.error then Fmt.pf ppf "  FAILED"
 
 let pp ppf p =

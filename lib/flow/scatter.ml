@@ -1,14 +1,20 @@
 type point = { length_um : float; j : float; correct : bool }
 
-let of_result (r : Em_flow.result) =
-  Array.map
-    (fun (s : Em_flow.segment_record) ->
-      {
-        length_um = s.Em_flow.length *. 1e6;
-        j = s.Em_flow.j;
-        correct = s.Em_flow.blech_immortal = s.Em_flow.exact_immortal;
-      })
-    r.Em_flow.segments
+let of_result compacts (r : Em_flow.result) =
+  let correct bits =
+    (bits land Em_flow.blech_bit <> 0) = (bits land Em_flow.exact_bit <> 0)
+  in
+  List.mapi
+    (fun i (cs : Extract.compact_structure) ->
+      let c = cs.Extract.compact in
+      Array.init (Bytes.length r.Em_flow.verdicts.(i)) (fun k ->
+          {
+            length_um = c.Em_core.Compact.length.(k) *. 1e6;
+            j = c.Em_core.Compact.j.(k);
+            correct = correct (Em_flow.segment_verdict r i k);
+          }))
+    compacts
+  |> Array.concat
 
 let summary points =
   let total = Array.length points in

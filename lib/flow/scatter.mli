@@ -8,7 +8,10 @@ type point = {
   correct : bool;     (** traditional Blech agreed with the exact test *)
 }
 
-val of_result : Em_flow.result -> point array
+val of_result : Extract.compact_structure list -> Em_flow.result -> point array
+(** One point per segment of the run's successfully analyzed structures
+    (batch order): length and current density from the compacts the run
+    analyzed, correctness from its verdict bits. *)
 
 val summary : point array -> string
 (** One-line counts: total / correct / incorrect. *)

@@ -277,7 +277,7 @@ let test_flow_counts_sum () =
   Alcotest.(check int) "confusion total = segments" r.Flow.num_segments
     (Cl.total r.Flow.counts);
   Alcotest.(check int) "segments recorded" r.Flow.num_segments
-    (Array.length r.Flow.segments);
+    (Array.fold_left (fun n v -> n + Bytes.length v) 0 r.Flow.verdicts);
   Alcotest.(check int) "all wires analyzed" g.Gg.num_wires r.Flow.num_segments
 
 let test_flow_maxpath_ablation () =
@@ -317,8 +317,11 @@ let test_flow_zero_current_all_immortal () =
 let test_scatter_points () =
   let g = small_grid () in
   let scaled, _ = Ir.scale_to_ir g ~target:0.05 in
-  let r = Flow.run scaled in
-  let pts = Sc.of_result r in
+  let v =
+    Flow.analyze_deck ~tech:scaled.Gg.tech (Flow.of_netlist scaled.Gg.netlist)
+  in
+  let r = v.Flow.result in
+  let pts = Sc.of_result v.Flow.compacts r in
   Alcotest.(check int) "one point per segment" r.Flow.num_segments
     (Array.length pts);
   let ascii = Sc.ascii ~jl_crit:(M.jl_crit M.cu_dac21) pts in
@@ -1023,15 +1026,14 @@ let test_flow_parallel_matches_sequential () =
   Alcotest.(check int) "tp" seq.Flow.counts.Cl.tp par.Flow.counts.Cl.tp;
   Alcotest.(check int) "fp" seq.Flow.counts.Cl.fp par.Flow.counts.Cl.fp;
   Alcotest.(check int) "segments" seq.Flow.num_segments par.Flow.num_segments;
-  (* Same records in the same order. *)
-  Array.iteri
-    (fun i (r : Flow.segment_record) ->
-      let p = par.Flow.segments.(i) in
-      Alcotest.(check bool) "record equality" true
-        (r.Flow.layer = p.Flow.layer
-        && r.Flow.exact_immortal = p.Flow.exact_immortal
-        && r.Flow.blech_immortal = p.Flow.blech_immortal))
-    seq.Flow.segments
+  (* Same stresses and verdict bits, structure by structure. *)
+  let stress_bits (r : Flow.result) =
+    Array.map (Array.map Int64.bits_of_float) r.Flow.node_stress
+  in
+  Alcotest.(check bool) "node stresses bit-identical" true
+    (stress_bits seq = stress_bits par);
+  Alcotest.(check bool) "verdict bits identical" true
+    (seq.Flow.verdicts = par.Flow.verdicts)
 
 
 let test_fixer_iterate_converges () =
@@ -1183,24 +1185,24 @@ let insert_at k x xs =
 
 let bits = Int64.bits_of_float
 
-let check_segments_bit_identical clean dirty =
-  Alcotest.(check int) "same number of segment records" (Array.length clean)
-    (Array.length dirty);
-  Array.iteri
-    (fun i (c : Flow.segment_record) ->
-      let d = dirty.(i) in
-      let same =
-        c.Flow.layer = d.Flow.layer
-        && bits c.Flow.length = bits d.Flow.length
-        && bits c.Flow.j = bits d.Flow.j
-        && bits c.Flow.stress_tail = bits d.Flow.stress_tail
-        && bits c.Flow.stress_head = bits d.Flow.stress_head
-        && c.Flow.blech_immortal = d.Flow.blech_immortal
-        && c.Flow.exact_immortal = d.Flow.exact_immortal
-        && c.Flow.maxpath_immortal = d.Flow.maxpath_immortal
-      in
-      if not same then Alcotest.failf "segment record %d differs" i)
-    clean
+(* The analyzed structures of two runs, batch order with fault-isolated
+   slots dropped: same layers, node stresses bit for bit, same verdict
+   bits. *)
+let check_segments_bit_identical (clean : Flow.result) (dirty : Flow.result) =
+  let analyzed (r : Flow.result) =
+    List.filteri
+      (fun i _ -> r.Flow.structure_stats.(i).Flow.st_ok)
+      (List.init r.Flow.num_structures (fun i ->
+           ( r.Flow.structure_stats.(i).Flow.st_layer,
+             Array.map bits r.Flow.node_stress.(i),
+             r.Flow.verdicts.(i) )))
+  in
+  let c = analyzed clean and d = analyzed dirty in
+  Alcotest.(check int) "same number of analyzed structures" (List.length c)
+    (List.length d);
+  List.iteri
+    (fun i (a, b) -> if a <> b then Alcotest.failf "structure %d differs" i)
+    (List.combine c d)
 
 (* Shared across the cases below: the healthy batch and its clean-run
    baseline (solving the grid once keeps the suite fast). *)
@@ -1233,7 +1235,7 @@ let check_poisoned_batch ?jobs ~pos healthy (clean : Flow.result) =
     clean.Flow.num_segments dirty.Flow.num_segments;
   Alcotest.(check bool) "confusion counts unchanged" true
     (clean.Flow.counts = dirty.Flow.counts);
-  check_segments_bit_identical clean.Flow.segments dirty.Flow.segments
+  check_segments_bit_identical clean dirty
 
 let test_flow_fault_isolation () =
   let healthy, clean = Lazy.force fault_fixture in
@@ -1292,14 +1294,11 @@ let test_flow_large_mesh () =
   let batch = insert_at big_at big healthy in
   (* Reference: every structure through the plain solve on its own. *)
   let expected =
-    Array.concat
+    Array.of_list
       (List.map
          (fun (cs : Ex.compact_structure) ->
-           let c = cs.Ex.compact in
-           let sol = Em_core.Steady_state.solve_compact M.cu_dac21 c in
-           Array.init (Cc.num_segments c) (fun k ->
-               ( sol.Em_core.Steady_state.node_stress.(c.Cc.tail.(k)),
-                 sol.Em_core.Steady_state.node_stress.(c.Cc.head.(k)) )))
+           (Em_core.Steady_state.solve_compact M.cu_dac21 cs.Ex.compact)
+             .Em_core.Steady_state.node_stress)
          batch)
   in
   List.iter
@@ -1316,14 +1315,12 @@ let test_flow_large_mesh () =
             | (name, v) :: _ ->
               Alcotest.failf "structure %d: residual violation %s = %g" i name v)
         r.Flow.audits;
-      Alcotest.(check int) "every segment recorded" (Array.length expected)
-        (Array.length r.Flow.segments);
+      Alcotest.(check int) "every structure recorded" (Array.length expected)
+        (Array.length r.Flow.node_stress);
       Array.iteri
-        (fun i (tail, head) ->
-          let rc = r.Flow.segments.(i) in
-          if bits rc.Flow.stress_tail <> bits tail
-             || bits rc.Flow.stress_head <> bits head
-          then Alcotest.failf "jobs %d: segment record %d differs" jobs i)
+        (fun i stress ->
+          if Array.map bits r.Flow.node_stress.(i) <> Array.map bits stress
+          then Alcotest.failf "jobs %d: structure %d stresses differ" jobs i)
         expected)
     [ 1; 2 ];
   let clean = Flow.run_on_compact batch in
@@ -1365,7 +1362,7 @@ let test_flow_audit_end_to_end () =
   let healthy, clean = Lazy.force fault_fixture in
   let audited = Flow.run_on_compact ~audit:Flow.default_audit_config healthy in
   (* Auditing must be result-neutral... *)
-  check_segments_bit_identical clean.Flow.segments audited.Flow.segments;
+  check_segments_bit_identical clean audited;
   Alcotest.(check int) "no diagnostics" 0 (List.length audited.Flow.diags);
   (* ...and the un-audited run carries no records. *)
   Alcotest.(check bool) "clean run has empty audit slots" true
@@ -1465,7 +1462,7 @@ let check_reports_match name compacts =
       List.map bits [ st.Lr.total_length; st.Lr.max_abs_j; st.Lr.max_jl; st.Lr.max_stress ] )
   in
   same "layer statistics"
-    (List.map layer (Lr.of_result r) = List.map layer (Lr.analyze boxed));
+    (List.map layer (Lr.of_result compacts r) = List.map layer (Lr.analyze boxed));
   let plan (p : Fx.plan) =
     ( (p.Fx.mortal_structures, p.Fx.immortal_structures, bits p.Fx.total_extra_area),
       List.map
@@ -1510,6 +1507,34 @@ let test_reports_match_oracles () =
             (insert_at (List.length pg1 / 2) (poison_compact ()) pg1));
   Alcotest.(check bool) "pg2 has mortal structures" true
     (check_reports_match "pg2" (stressed_preset Gg.Pg2) > 0)
+
+(* The columnar layer table of a whole deck -> verdict run (verdict bits
+   plus compact columns, the solve's collection included) against the
+   boxed [Immortality.check] fold, every float bit for bit: the length
+   totals must be summed in segment order on both paths. *)
+let test_layer_report_columnar_matches_boxed () =
+  let grid, _ =
+    Ir.scale_to_ir (Gg.generate (Gg.ibm_preset Gg.Pg2)) ~target:0.05
+  in
+  let v =
+    Flow.analyze_deck ~jobs:2 ~tech:grid.Gg.tech (Flow.of_netlist grid.Gg.netlist)
+  in
+  let r = v.Flow.result in
+  let analyzed =
+    List.filteri (fun i _ -> r.Flow.structure_stats.(i).Flow.st_ok) v.Flow.compacts
+  in
+  let row (st : Lr.layer_stats) =
+    ( (st.Lr.level, st.Lr.structures, st.Lr.segments, st.Lr.mortal_segments,
+       st.Lr.counts),
+      List.map bits
+        [ st.Lr.total_length; st.Lr.max_abs_j; st.Lr.max_jl; st.Lr.max_stress ] )
+  in
+  let columnar = Lr.of_result v.Flow.compacts r in
+  Alcotest.(check int) "every segment in a row" r.Flow.num_segments
+    (List.fold_left (fun n st -> n + st.Lr.segments) 0 columnar);
+  Alcotest.(check bool) "rows equal the boxed fold, bit for bit" true
+    (List.map row columnar
+    = List.map row (Lr.analyze (List.map Ex.boxed_view analyzed)))
 
 (* The compact verification against the boxed oracle, fix by fix: the
    planned widening makes the structure immortal in both, and 1% short
@@ -1647,6 +1672,8 @@ let suites =
       [
         case "layers, fix plan and ranking match the boxed re-solves"
           test_reports_match_oracles;
+        case "pg2 deck -> verdict: columnar layer table equals the boxed one"
+          test_layer_report_columnar_matches_boxed;
       ] );
     ( "flow.audit",
       [

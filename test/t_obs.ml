@@ -856,24 +856,13 @@ let equiv_fixture =
 
 let bits = Int64.bits_of_float
 
-let check_segments_bit_identical clean dirty =
-  Alcotest.(check int) "same number of segment records" (Array.length clean)
-    (Array.length dirty);
-  Array.iteri
-    (fun i (c : Flow.segment_record) ->
-      let d = dirty.(i) in
-      let same =
-        c.Flow.layer = d.Flow.layer
-        && bits c.Flow.length = bits d.Flow.length
-        && bits c.Flow.j = bits d.Flow.j
-        && bits c.Flow.stress_tail = bits d.Flow.stress_tail
-        && bits c.Flow.stress_head = bits d.Flow.stress_head
-        && c.Flow.blech_immortal = d.Flow.blech_immortal
-        && c.Flow.exact_immortal = d.Flow.exact_immortal
-        && c.Flow.maxpath_immortal = d.Flow.maxpath_immortal
-      in
-      if not same then Alcotest.failf "segment record %d differs" i)
-    clean
+(* Node stresses bit for bit and verdict bits, structure by structure. *)
+let check_segments_bit_identical (clean : Flow.result) (traced : Flow.result) =
+  let stress_bits (r : Flow.result) = Array.map (Array.map bits) r.Flow.node_stress in
+  if stress_bits clean <> stress_bits traced then
+    Alcotest.fail "node stresses differ";
+  if clean.Flow.verdicts <> traced.Flow.verdicts then
+    Alcotest.fail "verdict bits differ"
 
 let test_telemetry_equivalence =
   qcheck ~count:8
@@ -899,7 +888,7 @@ let test_telemetry_equivalence =
       Fl.clear ();
       Alcotest.(check bool) "confusion counts identical" true
         (clean.Flow.counts = traced.Flow.counts);
-      check_segments_bit_identical clean.Flow.segments traced.Flow.segments;
+      check_segments_bit_identical clean traced;
       (* And the run actually got traced: one span per structure. *)
       let structure_spans =
         List.filter (fun (e : Tr.event) -> e.Tr.name = "structure") (Tr.events t)

@@ -622,6 +622,36 @@ let test_ibm_codec () =
        { Ibm.layer = 1; x = 0; y = 5 }
        { Ibm.layer = 1; x = 10; y = 0 })
 
+(* The split-and-[int_of_string_opt] decoding [Ibm.decode] reads plain
+   digits in place instead of; any name, digit runs past an int's
+   length, signs and [0x] prefixes included, must decode the same. *)
+let split_decode name =
+  let n = String.length name in
+  if n < 6 || name.[0] <> 'n' then None
+  else
+    match String.split_on_char '_' (String.sub name 1 (n - 1)) with
+    | [ l; x; y ] -> (
+      match (int_of_string_opt l, int_of_string_opt x, int_of_string_opt y) with
+      | Some layer, Some x, Some y -> Some { Ibm.layer; x; y }
+      | _ -> None)
+    | _ -> None
+
+let gen_ibm_name =
+  let open QCheck2.Gen in
+  let part =
+    oneof
+      [
+        map string_of_int (int_range 0 1_000_000);
+        string_size ~gen:(oneofl [ '0'; '7'; '9' ]) (int_range 17 21);
+        string_size ~gen:(oneofl [ '0'; '1'; '-'; '+'; 'x'; 'f' ]) (int_range 0 4);
+      ]
+  in
+  map
+    (fun parts -> "n" ^ String.concat "_" parts)
+    (list_size (int_range 1 4) part)
+
+let prop_ibm_decode_matches_split name = Ibm.decode name = split_decode name
+
 (* ---------------------------------------------------------------- *)
 (* MNA                                                               *)
 
@@ -1260,7 +1290,12 @@ let suites =
           QCheck2.Gen.(int_bound 1_000_000)
           prop_print_parse_fixpoint;
       ] );
-    ("spice.ibm_format", [ case "codec" test_ibm_codec ]);
+    ( "spice.ibm_format",
+      [
+        case "codec" test_ibm_codec;
+        qcheck ~count:1000 "decode matches the split parse" gen_ibm_name
+          prop_ibm_decode_matches_split;
+      ] );
     ( "spice.solution_file",
       [
         case "roundtrip" test_solution_roundtrip;
