@@ -1,8 +1,9 @@
-type t = { parent : int array; rank : int array; mutable count : int }
+(* A rank never exceeds log2 n, so one byte holds it. *)
+type t = { parent : int array; rank : Bytes.t; mutable count : int }
 
 let create n =
   if n < 0 then invalid_arg "Unionfind.create";
-  { parent = Array.init n (fun i -> i); rank = Array.make n 0; count = n }
+  { parent = Array.init n (fun i -> i); rank = Bytes.make n '\000'; count = n }
 
 let rec find t i =
   let p = t.parent.(i) in
@@ -18,11 +19,12 @@ let union t i j =
   if ri = rj then false
   else begin
     t.count <- t.count - 1;
-    if t.rank.(ri) < t.rank.(rj) then t.parent.(ri) <- rj
-    else if t.rank.(ri) > t.rank.(rj) then t.parent.(rj) <- ri
+    let rank_i = Bytes.get_uint8 t.rank ri and rank_j = Bytes.get_uint8 t.rank rj in
+    if rank_i < rank_j then t.parent.(ri) <- rj
+    else if rank_i > rank_j then t.parent.(rj) <- ri
     else begin
       t.parent.(rj) <- ri;
-      t.rank.(ri) <- t.rank.(ri) + 1
+      Bytes.set_uint8 t.rank ri (rank_i + 1)
     end;
     true
   end

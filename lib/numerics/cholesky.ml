@@ -3,9 +3,8 @@ type ordering = Natural | Amd
 exception Not_positive_definite of int
 
 type t = {
-  lo : int;             (* first row of the factored block *)
   n : int;
-  perm : int array;     (* perm.(new) = old, relative to [lo] *)
+  perm : int array;     (* perm.(new) = old *)
   inv_perm : int array; (* inv_perm.(old) = new *)
   lp : int array;       (* column pointers of L, length n+1 *)
   li : int array;       (* row indices of L *)
@@ -56,16 +55,15 @@ let tdfs ws j k ~head ~next ~post ~stack =
   done;
   !k
 
-let amd (a : Sparse.t) ~lo ~hi =
-  let n = hi - lo in
+let amd (a : Sparse.t) =
+  let n = a.Sparse.nrows in
   let row_ptr = a.Sparse.row_ptr and col_idx = a.Sparse.col_idx in
   (* The graph of A + A^T without the diagonal, read off the lower
-     triangle (the only part the factorization reads) of rows
-     [lo, hi), renumbered from 0. *)
+     triangle (the only part the factorization reads). *)
   let cnz0 = ref 0 in
   for i = 0 to n - 1 do
-    for p = row_ptr.(lo + i) to row_ptr.(lo + i + 1) - 1 do
-      if col_idx.(p) - lo < i then cnz0 := !cnz0 + 2
+    for p = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+      if col_idx.(p) < i then cnz0 := !cnz0 + 2
     done
   done;
   let cnz0 = !cnz0 in
@@ -76,8 +74,8 @@ let amd (a : Sparse.t) ~lo ~hi =
   and hhead = seg 8 and last = seg 9 in
   let ws = Array.make (seg 10) 0 in
   for i = 0 to n - 1 do
-    for p = row_ptr.(lo + i) to row_ptr.(lo + i + 1) - 1 do
-      let j = col_idx.(p) - lo in
+    for p = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+      let j = col_idx.(p) in
       if j < i then begin
         ws.(len + i) <- ws.(len + i) + 1;
         ws.(len + j) <- ws.(len + j) + 1
@@ -90,8 +88,8 @@ let amd (a : Sparse.t) ~lo ~hi =
     ws.(head + k) <- ws.(cp + k)
   done;
   for i = 0 to n - 1 do
-    for p = row_ptr.(lo + i) to row_ptr.(lo + i + 1) - 1 do
-      let j = col_idx.(p) - lo in
+    for p = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+      let j = col_idx.(p) in
       if j < i then begin
         ws.(ws.(head + i)) <- j;
         ws.(head + i) <- ws.(head + i) + 1;
@@ -407,46 +405,33 @@ let amd (a : Sparse.t) ~lo ~hi =
 (* ------------------------------------------------------------------ *)
 (* Up-looking LDL^T (after Davis' LDL).                                 *)
 
-let factorize ?(ordering = Amd) ?range (a : Sparse.t) =
-  let rows, cols = Sparse.dims a in
-  if rows <> cols then invalid_arg "Cholesky.factorize: non-square";
+let factorize ?(ordering = Amd) (a : Sparse.t) =
+  let n, cols = Sparse.dims a in
+  if n <> cols then invalid_arg "Cholesky.factorize: non-square";
   let row_ptr = a.Sparse.row_ptr
   and col_idx = a.Sparse.col_idx
   and values = a.Sparse.values in
-  let lo, hi =
-    match range with
-    | None -> (0, rows)
-    | Some (lo, hi) ->
-      if lo < 0 || hi > rows || lo > hi then
-        invalid_arg "Cholesky.factorize: bad row range";
-      for p = row_ptr.(lo) to row_ptr.(hi) - 1 do
-        if col_idx.(p) < lo || col_idx.(p) >= hi then
-          invalid_arg "Cholesky.factorize: an entry leaves the row range"
-      done;
-      (lo, hi)
-  in
-  let n = hi - lo in
   let t0 = Obs.Clock.now_us () in
   (* The ordering's workspace is garbage by the time L is allocated. *)
   let perm =
     match ordering with
     | Natural -> Array.init n (fun i -> i)
-    | Amd -> amd a ~lo ~hi
+    | Amd -> amd a
   in
   let t1 = Obs.Clock.now_us () in
   let inv_perm = Array.make n 0 in
   Array.iteri (fun new_pos old -> inv_perm.(old) <- new_pos) perm;
-  (* Row k of the permuted block is row lo + perm.(k); of it, the
-     entries whose new column is <= k form the lower triangle. *)
+  (* Row k of the permuted matrix is row perm.(k); of it, the entries
+     whose new column is <= k form the lower triangle. *)
   (* Symbolic: elimination tree + column counts. *)
   let parent = Array.make n (-1) in
   let flag = Array.make n (-1) in
   let lnz = Array.make n 0 in
   for k = 0 to n - 1 do
     flag.(k) <- k;
-    let old = lo + perm.(k) in
+    let old = perm.(k) in
     for p = row_ptr.(old) to row_ptr.(old + 1) - 1 do
-      let i = ref inv_perm.(col_idx.(p) - lo) in
+      let i = ref inv_perm.(col_idx.(p)) in
       if !i < k then
         while flag.(!i) <> k do
           if parent.(!i) = -1 then parent.(!i) <- k;
@@ -475,9 +460,9 @@ let factorize ?(ordering = Amd) ?range (a : Sparse.t) =
   for k = 0 to n - 1 do
     let top = ref n in
     flag.(k) <- k;
-    let old = lo + perm.(k) in
+    let old = perm.(k) in
     for p = row_ptr.(old) to row_ptr.(old + 1) - 1 do
-      let i = inv_perm.(col_idx.(p) - lo) in
+      let i = inv_perm.(col_idx.(p)) in
       if i <= k then begin
         y.(i) <- y.(i) +. values.(p);
         let len = ref 0 and i = ref i in
@@ -512,12 +497,11 @@ let factorize ?(ordering = Amd) ?range (a : Sparse.t) =
       fill.(i) <- slot + 1
     done;
     if not (!dk > 0. && Float.is_finite !dk) then
-      raise (Not_positive_definite (lo + perm.(k)));
+      raise (Not_positive_definite perm.(k));
     d.(k) <- !dk
   done;
   let t2 = Obs.Clock.now_us () in
   {
-    lo;
     n;
     perm;
     inv_perm;
@@ -539,14 +523,13 @@ let ordering_seconds f = f.ordering_s
 
 let factor_seconds f = f.factor_s
 
-let solve_into f b x =
-  let n = f.n and lo = f.lo and lp = f.lp and li = f.li and lx = f.lx in
-  if Array.length b < lo + n || Array.length x < lo + n then
-    invalid_arg "Cholesky.solve_into: vector shorter than the row range";
+let solve f b =
+  let n = f.n and lp = f.lp and li = f.li and lx = f.lx in
+  if Array.length b <> n then invalid_arg "Cholesky.solve: dimension mismatch";
   (* y (permuted) = P b *)
   let y = Array.make n 0. in
   for k = 0 to n - 1 do
-    y.(k) <- b.(lo + f.perm.(k))
+    y.(k) <- b.(f.perm.(k))
   done;
   (* Forward: L z = y (L unit-diagonal, stored by columns). *)
   for j = 0 to n - 1 do
@@ -569,14 +552,9 @@ let solve_into f b x =
     done;
     y.(j) <- !acc
   done;
-  (* Un-permute into the range's slice. *)
+  (* Un-permute. *)
+  let x = Array.make n 0. in
   for k = 0 to n - 1 do
-    x.(lo + f.perm.(k)) <- y.(k)
-  done
-
-let solve f b =
-  if f.lo <> 0 || Array.length b <> f.n then
-    invalid_arg "Cholesky.solve: dimension mismatch";
-  let x = Array.make f.n 0. in
-  solve_into f b x;
+    x.(f.perm.(k)) <- y.(k)
+  done;
   x

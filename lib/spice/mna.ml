@@ -103,6 +103,73 @@ let sort_row cols vals lo hi =
     Array.blit v 0 vals lo (hi - lo)
   end
 
+(* A symmetric CSR matrix stamped in two passes; {!assemble} and the
+   chain reduction both build theirs this way. The caller counts each
+   row's off-diagonal entries, or a bound on them, into
+   [row_ptr.(i + 1)]; [open_rows] reserves each row's diagonal as its
+   first slot, [stamp_diag] and [stamp_off] fill the rows, and
+   [close_rows] sorts each row and merges duplicate columns (parallel
+   resistors, or a chain beside a direct edge). *)
+type rows = {
+  row_ptr : int array;
+  cols : int array;
+  vals : float array;
+  next : int array;  (* per row: its next free slot *)
+}
+
+let open_rows row_ptr =
+  let n = Array.length row_ptr - 1 in
+  for i = 0 to n - 1 do
+    row_ptr.(i + 1) <- row_ptr.(i + 1) + row_ptr.(i) + 1
+  done;
+  let total = row_ptr.(n) in
+  let cols = Array.make total 0 and vals = Array.make total 0. in
+  let next = Array.make n 0 in
+  for i = 0 to n - 1 do
+    cols.(row_ptr.(i)) <- i;
+    next.(i) <- row_ptr.(i) + 1
+  done;
+  { row_ptr; cols; vals; next }
+
+let stamp_diag t r g =
+  let s = t.row_ptr.(r) in
+  t.vals.(s) <- t.vals.(s) +. g
+
+let stamp_off t r c v =
+  let s = t.next.(r) in
+  t.cols.(s) <- c;
+  t.vals.(s) <- v;
+  t.next.(r) <- s + 1
+
+(* Compacts in place: the write cursor never passes the read cursor. *)
+let close_rows { row_ptr; cols; vals; next } =
+  let n = Array.length next in
+  let out = ref 0 in
+  for i = 0 to n - 1 do
+    let lo = row_ptr.(i) and hi = next.(i) in
+    sort_row cols vals lo hi;
+    row_ptr.(i) <- !out;
+    let p = ref lo in
+    while !p < hi do
+      let c = cols.(!p) in
+      let acc = ref vals.(!p) in
+      incr p;
+      while !p < hi && cols.(!p) = c do
+        acc := !acc +. vals.(!p);
+        incr p
+      done;
+      cols.(!out) <- c;
+      vals.(!out) <- !acc;
+      incr out
+    done
+  done;
+  row_ptr.(n) <- !out;
+  let cols, vals =
+    if !out = Array.length cols then (cols, vals)
+    else (Array.sub cols 0 !out, Array.sub vals 0 !out)
+  in
+  Sp.of_csr ~ncols:n ~row_ptr ~col_idx:cols ~values:vals
+
 (* The block of row [r]: the [b] with [blocks.(b) <= r < blocks.(b + 1)]. *)
 let block_of_row blocks r =
   let rec find lo hi =
@@ -117,7 +184,7 @@ let block_of_row blocks r =
    floats. Undriven, its rows become identity rows (they read 0 V);
    driven, it is an error naming the group of the first driven row in
    node order of the representatives, by its first node and size. *)
-let pin_floating net uf ~row_of_node ~row_ptr ~cols ~vals ~rhs ~tied ~blocks =
+let pin_floating net uf ~row_of_node (m : Sp.t) ~rhs ~tied ~blocks =
   if Bytes.exists (fun c -> c = '\000') tied then begin
     let floating r = Bytes.get tied (block_of_row blocks r) = '\000' in
     Array.iteri
@@ -145,8 +212,8 @@ let pin_floating net uf ~row_of_node ~row_ptr ~cols ~vals ~rhs ~tied ~blocks =
       row_of_node;
     for i = 0 to Array.length rhs - 1 do
       if floating i then
-        for p = row_ptr.(i) to row_ptr.(i + 1) - 1 do
-          vals.(p) <- (if cols.(p) = i then 1. else 0.)
+        for p = m.Sp.row_ptr.(i) to m.Sp.row_ptr.(i + 1) - 1 do
+          m.Sp.values.(p) <- (if m.Sp.col_idx.(p) = i then 1. else 0.)
         done
     done
   end
@@ -225,26 +292,10 @@ let assemble net =
       end
     end
   done;
-  for i = 0 to nf - 1 do
-    row_ptr.(i + 1) <- row_ptr.(i + 1) + row_ptr.(i) + 1
-  done;
-  let total = row_ptr.(nf) in
-  let cols = Array.make total 0 and vals = Array.make total 0. in
-  let next = Array.make nf 0 in
-  for i = 0 to nf - 1 do
-    cols.(row_ptr.(i)) <- i;
-    next.(i) <- row_ptr.(i) + 1
-  done;
+  let t = open_rows row_ptr in
   (* Pass 2: stamp. *)
   let rhs = Array.make nf 0. in
   let tied = Bytes.make nb '\000' in
-  let stamp_diag r g = vals.(row_ptr.(r)) <- vals.(row_ptr.(r)) +. g in
-  let stamp_off r c g =
-    let s = next.(r) in
-    cols.(s) <- c;
-    vals.(s) <- -.g;
-    next.(r) <- s + 1
-  in
   for e = 0 to ne - 1 do
     let rp = row_of_node.(pos.(e)) and rq = row_of_node.(neg.(e)) in
     match Netlist.kind net e with
@@ -252,19 +303,19 @@ let assemble net =
       let g = 1. /. values.(e) in
       if rp >= 0 && rq >= 0 then begin
         if rp <> rq then begin
-          stamp_diag rp g;
-          stamp_diag rq g;
-          stamp_off rp rq g;
-          stamp_off rq rp g
+          stamp_diag t rp g;
+          stamp_diag t rq g;
+          stamp_off t rp rq (-.g);
+          stamp_off t rq rp (-.g)
         end
       end
       else if rp >= 0 then begin
-        stamp_diag rp g;
+        stamp_diag t rp g;
         rhs.(rp) <- rhs.(rp) +. (g *. fixed.(neg.(e)));
         Bytes.set tied (block_of_row blocks rp) '\001'
       end
       else if rq >= 0 then begin
-        stamp_diag rq g;
+        stamp_diag t rq g;
         rhs.(rq) <- rhs.(rq) +. (g *. fixed.(pos.(e)));
         Bytes.set tied (block_of_row blocks rq) '\001'
       end
@@ -275,35 +326,10 @@ let assemble net =
       if rq >= 0 then rhs.(rq) <- rhs.(rq) +. values.(e)
     | Voltage_source -> ()
   done;
-  (* Sort each row and merge parallel resistors, compacting in place:
-     the write cursor never passes the read cursor. *)
-  let out = ref 0 in
-  for i = 0 to nf - 1 do
-    let lo = row_ptr.(i) and hi = row_ptr.(i + 1) in
-    sort_row cols vals lo hi;
-    row_ptr.(i) <- !out;
-    let p = ref lo in
-    while !p < hi do
-      let c = cols.(!p) in
-      let acc = ref vals.(!p) in
-      incr p;
-      while !p < hi && cols.(!p) = c do
-        acc := !acc +. vals.(!p);
-        incr p
-      done;
-      cols.(!out) <- c;
-      vals.(!out) <- !acc;
-      incr out
-    done
-  done;
-  row_ptr.(nf) <- !out;
-  let cols, vals =
-    if !out = total then (cols, vals)
-    else (Array.sub cols 0 !out, Array.sub vals 0 !out)
-  in
-  pin_floating net uf ~row_of_node ~row_ptr ~cols ~vals ~rhs ~tied ~blocks;
+  let matrix = close_rows t in
+  pin_floating net uf ~row_of_node matrix ~rhs ~tied ~blocks;
   {
-    matrix = Sp.of_csr ~ncols:nf ~row_ptr ~col_idx:cols ~values:vals;
+    matrix;
     rhs;
     row_of_node;
     fixed;
@@ -329,12 +355,201 @@ let free_nodes_gauge =
     "mna_free_nodes"
 
 let factor_nnz_gauge =
-  Obs.Metrics.gauge ~help:"Nonzeros of the MNA L factor, over all blocks"
+  Obs.Metrics.gauge ~help:"Nonzeros of the MNA L factors (rows left after series-chain elimination), over all blocks"
     "mna_factor_nnz"
 
 let blocks_gauge =
   Obs.Metrics.gauge ~help:"Independent blocks (nets) of the MNA system"
     "mna_blocks"
+
+(* ------------------------------------------------------------------ *)
+(* Series chains. A row with exactly two off-diagonal entries (most of
+   a power grid's rows: the wire segments between vias) is a link of a
+   chain between two kept rows, or of a loop back to one. Gaussian
+   elimination along the chain, in order (a Thomas sweep), removes it
+   exactly and leaves its ends its Schur complement: a diagonal and a
+   right-hand side term each and one equivalent coupling. Only the
+   kept rows are ordered and factored; the chain voltages follow by
+   back-substitution. *)
+
+let degree (a : Sp.t) r = a.Sp.row_ptr.(r + 1) - a.Sp.row_ptr.(r) - 1
+
+(* Per block row: a kept row's index in the reduced system, or one of
+   these for a chain row. A chain is swept from the kept row that
+   reaches it first, walking kept rows in order and each row's entries
+   in column order; the back-substitution walks the same way and so
+   meets every chain from the same end. *)
+let pending = -1
+and swept = -2
+
+(* One chain's sweep, grow-only. After the rows before it are
+   eliminated, the chain's [j]-th row [rows.(j)] reads
+   [piv x_j + toa x_start + link x_(j+1) = carry], where row [j + 1]
+   after the last is the chain's far end. *)
+type chain = {
+  mutable len : int;
+  mutable rows : int array;
+  mutable piv : float array;
+  mutable toa : float array;
+  mutable link : float array;
+  mutable carry : float array;
+}
+
+let new_chain () =
+  let n = 16 in
+  {
+    len = 0;
+    rows = Array.make n 0;
+    piv = Array.make n 0.;
+    toa = Array.make n 0.;
+    link = Array.make n 0.;
+    carry = Array.make n 0.;
+  }
+
+let grow ch =
+  let n = 2 * Array.length ch.rows in
+  let ints a = Array.append a (Array.make (n - Array.length a) 0) in
+  let floats a = Array.append a (Array.make (n - Array.length a) 0.) in
+  ch.rows <- ints ch.rows;
+  ch.piv <- floats ch.piv;
+  ch.toa <- floats ch.toa;
+  ch.link <- floats ch.link;
+  ch.carry <- floats ch.carry
+
+(* Sweep the chain that leaves kept row [start] through its row [first]
+   ([coupling] is their entry), setting each chain row's mark to
+   [mark]; returns the far end. [index] is per row of the block that
+   starts at row [lo]. Raises [Ch.Not_positive_definite] with the row of a pivot that is
+   not positive and finite. *)
+let sweep (a : Sp.t) rhs index ~lo ch ~mark ~start ~first ~coupling =
+  let rp = a.Sp.row_ptr and ci = a.Sp.col_idx and av = a.Sp.values in
+  ch.len <- 0;
+  let prev = ref start and cur = ref first in
+  (* What eliminating the previous row took from this one. *)
+  let sub = ref 0. and toa = ref coupling and csub = ref 0. in
+  while index.(!cur - lo) < 0 do
+    let r = !cur in
+    let diag = ref 0. and next = ref r and link = ref 0. in
+    for p = rp.(r) to rp.(r + 1) - 1 do
+      let c = ci.(p) in
+      if c = r then diag := av.(p)
+      else if c <> !prev then begin
+        next := c;
+        link := av.(p)
+      end
+    done;
+    let piv = !diag -. !sub in
+    if not (piv > 0. && Float.is_finite piv) then
+      raise (Ch.Not_positive_definite r);
+    let carry = rhs.(r) -. !csub in
+    if ch.len = Array.length ch.rows then grow ch;
+    let j = ch.len in
+    ch.rows.(j) <- r;
+    ch.piv.(j) <- piv;
+    ch.toa.(j) <- !toa;
+    ch.link.(j) <- !link;
+    ch.carry.(j) <- carry;
+    ch.len <- j + 1;
+    index.(r - lo) <- mark;
+    let u = !link in
+    sub := u *. u /. piv;
+    csub := u *. carry /. piv;
+    toa := -.(u *. !toa /. piv);
+    prev := r;
+    cur := !next
+  done;
+  !cur
+
+(* Solve rows [\[lo, hi)] of [sys], a block, into [x]: sweep out its
+   series chains, factor and solve the kept rows' reduced system, then
+   back-substitute the chains. Returns the reduced factor. *)
+let solve_block sys x ~lo ~hi =
+  let a = sys.matrix and rhs = sys.rhs in
+  let rp = a.Sp.row_ptr and ci = a.Sp.col_idx and av = a.Sp.values in
+  (* Kept rows are those whose degree is not 2, numbered in row order.
+     A block whose rows all have degree 2 is a ring: its first row is
+     kept, and the rest is a loop back to it. *)
+  let index = Array.make (hi - lo) pending in
+  let m = ref 0 in
+  for r = lo to hi - 1 do
+    if degree a r <> 2 then begin
+      index.(r - lo) <- !m;
+      incr m
+    end
+  done;
+  if !m = 0 then begin
+    index.(0) <- 0;
+    m := 1
+  end;
+  let kept = Array.make !m 0 in
+  Array.iteri (fun i k -> if k >= 0 then kept.(k) <- lo + i) index;
+  (* A kept row gets at most one entry per neighbour: the neighbour
+     itself, or the far end of the chain through it. *)
+  let row_ptr = Array.make (!m + 1) 0 in
+  Array.iteri (fun k r -> row_ptr.(k + 1) <- degree a r) kept;
+  let t = open_rows row_ptr in
+  let reduced_rhs = Array.map (fun r -> rhs.(r)) kept in
+  let schur k g c piv =
+    stamp_diag t k (-.(g *. g /. piv));
+    reduced_rhs.(k) <- reduced_rhs.(k) -. (g *. c /. piv)
+  in
+  let ch = new_chain () in
+  Array.iteri
+    (fun k r ->
+      for p = rp.(r) to rp.(r + 1) - 1 do
+        let c = ci.(p) in
+        let i = index.(c - lo) in
+        if c = r then stamp_diag t k av.(p)
+        else if i >= 0 then stamp_off t k i av.(p)
+        else if i = pending then begin
+          let far =
+            sweep a rhs index ~lo ch ~mark:swept ~start:r ~first:c ~coupling:av.(p)
+          in
+          let last = ch.len - 1 in
+          for j = 0 to last - 1 do
+            schur k ch.toa.(j) ch.carry.(j) ch.piv.(j)
+          done;
+          let piv = ch.piv.(last) and toa = ch.toa.(last)
+          and link = ch.link.(last) and carry = ch.carry.(last) in
+          if far = r then schur k (toa +. link) carry piv
+          else begin
+            let kf = index.(far - lo) in
+            schur k toa carry piv;
+            schur kf link carry piv;
+            let g = -.(toa *. link /. piv) in
+            stamp_off t k kf g;
+            stamp_off t kf k g
+          end
+        end
+      done)
+    kept;
+  let f =
+    try Ch.factorize (close_rows t)
+    with Ch.Not_positive_definite k -> raise (Ch.Not_positive_definite kept.(k))
+  in
+  let xr = Ch.solve f reduced_rhs in
+  Array.iteri (fun k r -> x.(r) <- xr.(k)) kept;
+  Array.iter
+    (fun r ->
+      for p = rp.(r) to rp.(r + 1) - 1 do
+        let c = ci.(p) in
+        if c <> r && index.(c - lo) = swept then begin
+          let far =
+            sweep a rhs index ~lo ch ~mark:pending ~start:r ~first:c ~coupling:av.(p)
+          in
+          let next = ref x.(far) in
+          for j = ch.len - 1 downto 0 do
+            let v =
+              (ch.carry.(j) -. (ch.toa.(j) *. x.(r)) -. (ch.link.(j) *. !next))
+              /. ch.piv.(j)
+            in
+            x.(ch.rows.(j)) <- v;
+            next := v
+          done
+        end
+      done)
+    kept;
+  f
 
 let solve ?jobs net =
   let sys = assemble net in
@@ -350,14 +565,12 @@ let solve ?jobs net =
       ~attrs:[ ("rows", Obs.Trace.Int (size b)) ]
       ~result_attrs:(fun f ->
         [
+          ("reduced_rows", Obs.Trace.Int (Ch.dim f));
           ("nnz_l", Obs.Trace.Int (Ch.nnz_l f));
           ("ordering_s", Obs.Trace.Float (Ch.ordering_seconds f));
           ("factor_s", Obs.Trace.Float (Ch.factor_seconds f));
         ])
-      (fun () ->
-        let f = Ch.factorize ~range:(blocks.(b), blocks.(b + 1)) sys.matrix in
-        Ch.solve_into f sys.rhs x;
-        f)
+      (fun () -> solve_block sys x ~lo:blocks.(b) ~hi:blocks.(b + 1))
     |> Ch.nnz_l
   in
   let fill =

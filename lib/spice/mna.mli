@@ -16,16 +16,24 @@
 
     One direct path: two passes over the elements build the reduced
     free-node CSR matrix (count each row, stamp, then sort and merge each
-    short row in place), and {!Numerics.Cholesky} factors it as LDL^T
-    under an approximate minimum degree ordering and solves. *)
+    short row in place). Each net (block) then loses its series chains:
+    a row with exactly two neighbours (about 80% of a power grid's rows)
+    is eliminated exactly by Gaussian elimination along its chain, which
+    leaves the chain's two end rows a diagonal term, a right-hand side
+    term and one equivalent coupling. {!Numerics.Cholesky} factors the
+    remaining rows (built by the same count, stamp and merge code) as
+    LDL^T under an approximate minimum degree ordering and solves; the
+    chain voltages follow by back-substitution along each chain. *)
 
 type solution = {
   netlist : Netlist.t;
   voltages : float array;  (** per node, V *)
   cg_iterations : int;     (** always 0: the solve is direct *)
   residual : float;        (** relative residual [|b - A v|_2 / |b|_2] *)
-  free_nodes : int;        (** rows of the reduced system *)
-  fill : int;              (** nonzeros of the L factor *)
+  free_nodes : int;        (** rows of the free-node system *)
+  fill : int;
+      (** nonzeros of the L factors, which cover only the rows left
+          after the series chains are eliminated *)
 }
 
 exception Unsupported of string
@@ -62,13 +70,20 @@ val assemble : Netlist.t -> system
     Raises like {!solve}. *)
 
 val solve : ?jobs:int -> Netlist.t -> solution
-(** Factors and solves each block on its own, the largest first, on
-    [jobs] domains ({!Numerics.Parallel.map}'s default when omitted).
-    Each block's ordering and factor depend on that block alone, so
-    the voltages are bit-identical at every [jobs]. When tracing, each
-    block is a [spice.mna.block] span with its rows, nnz(L) and
-    ordering and factor seconds; the [mna_free_nodes],
-    [mna_factor_nnz] and [mna_blocks] gauges record the last solve.
+(** Solves each block on its own, the largest first, on [jobs]
+    domains ({!Numerics.Parallel.map}'s default when omitted): it
+    eliminates the block's series chains, factors the rows left, and
+    back-substitutes the chains. A block whose rows all have two
+    neighbours is a ring, and keeps its first row. Each block's
+    reduction, ordering and factor depend on that block alone, so the
+    voltages are bit-identical at every [jobs]. The [residual] is taken
+    over the whole assembled matrix, so it checks the reduction too.
+    When tracing, each block is a [spice.mna.block] span with its rows,
+    [reduced_rows] (the rows factored), nnz(L) and ordering and factor
+    seconds; the [mna_free_nodes], [mna_factor_nnz] (the reduced
+    factors' nonzeros) and [mna_blocks] gauges record the last solve.
+    A pivot that is not positive and finite, in a chain or in the
+    reduced factor, is {!Unsupported} naming the node of its row.
     Raises {!Unsupported}; [Invalid_argument] on an empty netlist. *)
 
 val resistor_current : solution -> int -> float

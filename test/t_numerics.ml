@@ -804,42 +804,6 @@ let test_cholesky_grounded_laplacian () =
   Alcotest.(check bool) "fill bounded on a path" true
     (Ch.nnz_l f <= 2 * n)
 
-let test_cholesky_row_ranges () =
-  (* A block-diagonal matrix: each block's range factor fills its slice
-     of one shared x, matching the whole-matrix solve. *)
-  let rng = Rng.create 71L in
-  let blocks = [ random_spd rng 17; random_spd rng 9; random_spd rng 24 ] in
-  let n = List.fold_left (fun acc m -> acc + fst (Sp.dims m)) 0 blocks in
-  let b = Sp.Builder.create n n in
-  let bounds =
-    List.fold_left
-      (fun (lo, acc) (m : Sp.t) ->
-        for i = 0 to m.Sp.nrows - 1 do
-          for p = m.Sp.row_ptr.(i) to m.Sp.row_ptr.(i + 1) - 1 do
-            Sp.Builder.add b (lo + i) (lo + m.Sp.col_idx.(p)) m.Sp.values.(p)
-          done
-        done;
-        (lo + m.Sp.nrows, (lo, lo + m.Sp.nrows) :: acc))
-      (0, []) blocks
-    |> snd |> List.rev
-  in
-  let a = Sp.Builder.to_csr b in
-  let rhs = Array.init n (fun i -> cos (float_of_int i)) in
-  let x = Array.make n nan in
-  List.iter (fun range -> Ch.solve_into (Ch.factorize ~range a) rhs x) bounds;
-  check_array_close ~rtol:1e-12 ~atol:1e-14 "blocks = whole"
-    (Ch.solve (Ch.factorize a) rhs) x;
-  (* In the natural order no fill crosses a block. *)
-  let natural ?range () = Ch.nnz_l (Ch.factorize ~ordering:Ch.Natural ?range a) in
-  Alcotest.(check int) "fill is the sum over blocks" (natural ())
-    (List.fold_left (fun acc range -> acc + natural ~range ()) 0 bounds);
-  List.iter
-    (fun range ->
-      match Ch.factorize ~range a with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail "a bad range must be rejected")
-    [ (-1, 5); (3, n + 1); (9, 4); (0, 10) (* cuts the first block *) ]
-
 let test_cholesky_amd_reduces_fill () =
   (* A 2-D grid Laplacian (+I) under a scrambled numbering: AMD must
      cut the fill of the natural (scrambled) order. *)
@@ -1125,7 +1089,6 @@ let suites =
         case "AMD fill on scrambled grid" test_cholesky_amd_reduces_fill;
         case "AMD on degenerate patterns" test_cholesky_amd_degenerate;
         case "ordering is a permutation" test_cholesky_permutation_is_permutation;
-        case "row ranges of a block-diagonal matrix" test_cholesky_row_ranges;
       ] );
     ( "numerics.stats",
       [

@@ -1109,6 +1109,18 @@ let random_islands seed =
   Array.iter (fun f -> f b) elements;
   N.Builder.finish b
 
+(* The node voltages of one factorization of the whole assembled
+   matrix agree with [sol]'s to 1e-12 of the largest. *)
+let matches_whole_factor (sys : Mna.system) sol =
+  let x = Numerics.Cholesky.(solve (factorize sys.Mna.matrix) sys.Mna.rhs) in
+  let whole =
+    Array.mapi (fun v r -> if r >= 0 then x.(r) else sys.Mna.fixed.(v)) sys.Mna.row_of_node
+  in
+  let scale = Array.fold_left (fun m v -> Float.max m (Float.abs v)) 0. whole in
+  Array.for_all2
+    (fun w v -> Float.abs (w -. v) <= 1e-12 *. scale)
+    whole sol.Mna.voltages
+
 let prop_blocks_solve_alike seed =
   let net = random_islands seed in
   let sys = Mna.assemble net in
@@ -1141,16 +1153,78 @@ let prop_blocks_solve_alike seed =
         bits s.Mna.voltages = bits first.Mna.voltages && s.Mna.fill = first.Mna.fill)
       sols
   in
-  (* One factorization of the whole matrix, mapped back to nodes. *)
-  let x = Numerics.Cholesky.(solve (factorize a) sys.Mna.rhs) in
-  let whole =
-    Array.mapi (fun v r -> if r >= 0 then x.(r) else sys.Mna.fixed.(v)) sys.Mna.row_of_node
+  partition && inside && alike && matches_whole_factor sys first
+
+(* A mesh whose edges are series chains of 1-8 resistors, plus every
+   shape the chain elimination meets: a dead-end chain, a loop chain
+   back to one junction, a chain beside a direct edge, and a second
+   net that is a ring of degree-2 rows. Loads and pad resistors sit on
+   chain nodes as well as on junctions. *)
+let random_chain_mesh seed =
+  let rng = Numerics.Rng.create (Int64.of_int (seed + 6151)) in
+  let rows = 2 + Numerics.Rng.int rng 4 and cols = 2 + Numerics.Rng.int rng 4 in
+  let ohms () = 0.01 +. Numerics.Rng.float rng 1. in
+  let b = N.Builder.create ~title:"chains" () in
+  let nodes = ref [] and fresh = ref 0 in
+  let new_node prefix =
+    incr fresh;
+    let n = Printf.sprintf "%s%d" prefix !fresh in
+    nodes := n :: !nodes;
+    n
   in
-  let scale = Array.fold_left (fun m v -> Float.max m (Float.abs v)) 0. whole in
-  partition && inside && alike
-  && Array.for_all2
-       (fun w v -> Float.abs (w -. v) <= 1e-12 *. scale)
-       whole first.Mna.voltages
+  (* [len] resistors in series from [a] to [z]. *)
+  let chain a z len =
+    let prev = ref a in
+    for _ = 2 to len do
+      let n = new_node "c" in
+      N.Builder.add_resistor b !prev n (ohms ());
+      prev := n
+    done;
+    N.Builder.add_resistor b !prev z (ohms ())
+  in
+  let junction r c = Printf.sprintf "j%d_%d" r c in
+  for r = 0 to rows - 1 do
+    for c = 0 to cols - 1 do
+      nodes := junction r c :: !nodes;
+      let len () = 1 + Numerics.Rng.int rng 8 in
+      if c + 1 < cols then chain (junction r c) (junction r (c + 1)) (len ());
+      if r + 1 < rows then chain (junction r c) (junction (r + 1) c) (len ())
+    done
+  done;
+  let j () = junction (Numerics.Rng.int rng rows) (Numerics.Rng.int rng cols) in
+  chain (j ()) (new_node "dead") (2 + Numerics.Rng.int rng 7);
+  let a = j () in
+  chain a a (3 + Numerics.Rng.int rng 6);
+  N.Builder.add_resistor b (junction 0 0) (junction 0 1) (ohms ());
+  chain (junction 0 0) (junction 0 1) (2 + Numerics.Rng.int rng 7);
+  let nodes = Array.of_list !nodes in
+  let any () = nodes.(Numerics.Rng.int rng (Array.length nodes)) in
+  for k = 0 to Numerics.Rng.int rng 3 do
+    let pad = Printf.sprintf "pad%d" k in
+    N.Builder.add_voltage_source b ~name:(Printf.sprintf "V%d" k) pad "0" 1.8;
+    N.Builder.add_resistor b pad (any ()) (ohms ())
+  done;
+  for _ = 1 to Array.length nodes / 3 do
+    N.Builder.add_current_source b (any ()) "0" (Numerics.Rng.float rng 1e-2)
+  done;
+  (* The ring: every row has degree 2, the pad's neighbour included. *)
+  let ring = Array.init (3 + Numerics.Rng.int rng 6) (Printf.sprintf "r%d") in
+  Array.iteri
+    (fun i n -> N.Builder.add_resistor b n ring.((i + 1) mod Array.length ring) (ohms ()))
+    ring;
+  N.Builder.add_voltage_source b ~name:"Vring" "vring" "0" 1.;
+  N.Builder.add_resistor b "vring" ring.(Numerics.Rng.int rng (Array.length ring)) (ohms ());
+  N.Builder.add_current_source b ring.(Numerics.Rng.int rng (Array.length ring)) "0" 1e-2;
+  N.Builder.finish b
+
+let prop_chains_solve_exactly seed =
+  let net = random_chain_mesh seed in
+  let bits v = Array.map Int64.bits_of_float v in
+  let sols = List.map (fun jobs -> Mna.solve ~jobs net) [ 1; 2; 3; 4 ] in
+  let first = List.hd sols in
+  List.for_all (fun s -> bits s.Mna.voltages = bits first.Mna.voltages) sols
+  && first.Mna.residual <= 1e-12
+  && matches_whole_factor (Mna.assemble net) first
 
 let test_mna_floating_first_driven () =
   (* Island a holds the first node, but island b's driven node comes
@@ -1192,6 +1266,25 @@ let test_mna_non_pd_second_block () =
       | exception Mna.Unsupported msg ->
         Alcotest.(check bool) ("names p: " ^ msg) true
           (contains msg "positive definite at node p ")
+      | _ -> Alcotest.fail "a non-finite conductance must be rejected")
+    [ 1; 2 ]
+
+let test_mna_non_pd_chain_row () =
+  (* b has two neighbours, so it is swept out as a chain row; its
+     infinite pivot must still be named by its node, at any jobs. *)
+  let b = N.Builder.create () in
+  N.Builder.add_voltage_source b "top" "0" 1.8;
+  N.Builder.add_resistor b "top" "a" 1.;
+  N.Builder.add_resistor b "a" "b" 1.;
+  N.Builder.add_resistor b "b" "c" 1e-320;
+  N.Builder.add_resistor b "c" "0" 1.;
+  let net = N.Builder.finish b in
+  List.iter
+    (fun jobs ->
+      match Mna.solve ~jobs net with
+      | exception Mna.Unsupported msg ->
+        Alcotest.(check bool) ("names b: " ^ msg) true
+          (contains msg "positive definite at node b ")
       | _ -> Alcotest.fail "a non-finite conductance must be rejected")
     [ 1; 2 ]
 
@@ -1331,8 +1424,12 @@ let suites =
           test_mna_floating_first_driven;
         case "non-PD conductance in the second block names its node"
           test_mna_non_pd_second_block;
+        case "non-PD conductance in a series chain names its node"
+          test_mna_non_pd_chain_row;
         qcheck ~count:200 "blocks: contiguous, same voltages at any jobs"
           QCheck2.Gen.(int_bound 1_000_000) prop_blocks_solve_alike;
+        qcheck ~count:200 "series chains: exact, same voltages at any jobs"
+          QCheck2.Gen.(int_bound 1_000_000) prop_chains_solve_exactly;
         qcheck ~count:200 "CSR assembly equals triplet assembly"
           QCheck2.Gen.(int_bound 1_000_000) prop_csr_matches_builder;
         qcheck ~count:200 "AMD order: permutation, on random meshes"
