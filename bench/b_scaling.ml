@@ -36,18 +36,6 @@ let best_of reps f =
   done;
   (result, !best)
 
-let bits_equal a b =
-  Array.length a = Array.length b
-  && begin
-       let ok = ref true in
-       Array.iteri
-         (fun i x ->
-           if not (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float b.(i)))
-           then ok := false)
-         a;
-       !ok
-     end
-
 let run cfg =
   B_util.heading
     "Runtime scaling: linear-time test vs naive Eq.(19) vs linear system";
@@ -65,12 +53,12 @@ let run cfg =
   let table =
     Rp.create
       [
-        "edges"; "convert"; "columnar"; "seg/s (col.)"; "reordered";
-        "naive O(VE)"; "lin. system (CG)";
+        "edges"; "convert"; "columnar"; "seg/s (col.)"; "naive O(VE)";
+        "lin. system (CG)";
       ]
   in
   let rows = ref [] in
-  let best_throughput = Hashtbl.create 8 in
+  let throughput = Hashtbl.create 8 in
   List.iter
     (fun n ->
       let s = tree_of_size n 17L in
@@ -80,25 +68,8 @@ let run cfg =
       in
       (* The workspace's buffers are reused by the next solve. *)
       let stress = Array.copy csol.Ss.node_stress in
-      (* Layout experiment, not a product route: relabel the nodes by
-         BFS discovery, then solve the permuted CSR. The solve timing
-         leaves the relabel out ([reorder_s] is reported apart).
-         Gathered back to original ids the stresses must again be
-         bit-identical — the permuted BFS replays the original one. *)
-      let reord, t_reorder = best_of (reps_for n) (fun () -> Cc.reorder c) in
-      let rsol, t_reordered =
-        best_of (reps_for n) (fun () -> Ss.solve_compact ~ws cu reord.Cc.compact)
-      in
-      let gathered = Array.map (fun _ -> 0.) stress in
-      Array.iteri
-        (fun nw old -> gathered.(old) <- rsol.Ss.node_stress.(nw))
-        reord.Cc.old_of_new;
-      assert (bits_equal gathered stress);
       let segs_per_s = float_of_int n /. t_compact in
-      let reordered_per_s = float_of_int n /. t_reordered in
-      (* Cliff metric: best columnar throughput (plain or relabelled
-         layout, relabel excluded). *)
-      Hashtbl.replace best_throughput n (Float.max segs_per_s reordered_per_s);
+      Hashtbl.replace throughput n segs_per_s;
       let naive =
         if n <= naive_cap then begin
           let sol', t = B_util.wall (fun () -> Naive.solve cu s) in
@@ -124,7 +95,6 @@ let run cfg =
           Rp.seconds_cell t_convert;
           Rp.seconds_cell t_compact;
           Printf.sprintf "%.2e" segs_per_s;
-          Rp.seconds_cell t_reordered;
           opt_cell naive;
           opt_cell linsys;
         ];
@@ -143,29 +113,26 @@ let run cfg =
             ("convert_s", J.Float t_convert);
             ("columnar_s", J.Float t_compact);
             ("columnar_segments_per_s", J.Float segs_per_s);
-            ("reorder_s", J.Float t_reorder);
-            ("reordered_solve_s", J.Float t_reordered);
-            ("reordered_segments_per_s", J.Float reordered_per_s);
             ("naive_s", opt_json naive);
             ("linsys_s", opt_json linsys);
           ]
         :: !rows)
     sizes;
   Rp.print table;
-  (* Cache cliff: best columnar throughput at 3k edges over the best at
-     30k (lower is better, 1.0 = no cliff). 30k nodes no longer fit in
-     L2, so this ratio tracks how well the columnar solve (in either
-     layout) holds throughput once the working set spills. *)
+  (* Cache cliff: columnar throughput at 3k edges over that at 30k
+     (lower is better, 1.0 = no cliff). 30k nodes no longer fit in L2,
+     so this ratio tracks how well the columnar solve holds throughput
+     once the working set spills. *)
   let cliff =
     match
-      ( Hashtbl.find_opt best_throughput 3_000,
-        Hashtbl.find_opt best_throughput 30_000 )
+      ( Hashtbl.find_opt throughput 3_000,
+        Hashtbl.find_opt throughput 30_000 )
     with
     | Some a, Some b when b > 0. -> Some (a /. b)
     | _ -> None
   in
   (match cliff with
-  | Some r -> B_util.note "Columnar throughput cliff (3k/30k, best path): %.2fx." r
+  | Some r -> B_util.note "Columnar throughput cliff (3k/30k): %.2fx." r
   | None -> ());
   B_util.ensure_out_dir cfg;
   let json_path = B_util.out_path cfg "BENCH_scaling.json" in

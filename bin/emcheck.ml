@@ -4,8 +4,6 @@
      analyze   parse a SPICE netlist, solve the DC operating point,
                extract per-layer structures and report immortality
      explain   one structure's audited margin and critical Blech path
-     diff      compare two recorded runs structure by structure
-     history   per-structure margin or solve-time trend across runs
      stats     the analysis with span, hot-path and metric tables
      wire      check a single multi-segment wire given on the command line
      verify    check the DC solver against a golden solution file
@@ -240,50 +238,6 @@ let audit_config_of ~audit ~audit_tol ~strict_audit ~audit_top =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Run-ledger plumbing (emcheck analyze --record-run, diff, history)   *)
-
-module Lg = Emflow.Ledger
-module Fp = Em_core.Fingerprint
-
-let record_run_arg =
-  Arg.(
-    value
-    & opt ~vopt:(Some Lg.default_dir) (some string) None
-    & info [ "record-run" ] ~docv:"DIR"
-        ~doc:
-          "Append this run to the persistent run ledger in $(docv) \
-           (default $(b,emcheck_runs)): one JSONL record carrying the \
-           deck hash, tech and worker count and, per structure, its \
-           content-addressed fingerprint, verdict, signed immortality \
-           margin, solve time and diagnostics. Compare archived runs \
-           with $(b,emcheck diff) and $(b,emcheck history). Recording \
-           never changes analysis results.")
-
-let iso8601_now () =
-  let tm = Unix.gmtime (Unix.gettimeofday ()) in
-  Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
-    (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
-    tm.Unix.tm_sec
-
-type recording = {
-  rc_dir : string;
-  rc_deck_hash : string;
-  rc_timestamp : string;
-  rc_run_id : string;
-}
-
-(* Start a recording: derive the run id. The ledger record itself is
-   appended once the analysis is done. *)
-let start_recording ~path = function
-  | None -> None
-  | Some dir ->
-    let deck_hash = Digest.to_hex (Digest.file path) in
-    let timestamp = iso8601_now () in
-    Some
-      { rc_dir = dir; rc_deck_hash = deck_hash; rc_timestamp = timestamp;
-        rc_run_id = Lg.fresh_run_id ~deck_hash ~timestamp }
-
-(* ------------------------------------------------------------------ *)
 (* Profile plumbing (emcheck analyze/stats --profile)                  *)
 
 let profile_arg =
@@ -430,7 +384,7 @@ let print_deck path (d : Flow.deck) =
 let analyze_netlist path tech sigma_t temperature with_maxpath top fix
     json_path html_path keep_going strict max_errors trace_path metrics_path
     profile_path profile_format jobs variation mc_samples mc_seed audit
-    audit_tol strict_audit audit_top record_run =
+    audit_tol strict_audit audit_top =
   let material = material_of ~sigma_t ~temperature in
   let audit_cfg = audit_config_of ~audit ~audit_tol ~strict_audit ~audit_top in
   (* Whether the user asked for telemetry in the report. *)
@@ -438,7 +392,6 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
     Option.is_some trace_path || Option.is_some metrics_path
     || Option.is_some profile_path
   in
-  let recording = start_recording ~path record_run in
   let trace = start_telemetry ~trace_path ~metrics_path ~profile_path in
   (* The deck is shown before the solve, so a refused solve still
      reports what was read. *)
@@ -556,46 +509,6 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
     | None -> []
   in
   let diags = v.Flow.diags @ blech_diags @ variation_diags in
-  (* Append the ledger record: fingerprint every extracted structure
-     (full list — failed structures are recorded too) and join with the
-     per-structure stats the flow always collects. *)
-  (match recording with
-  | None -> ()
-  | Some rc ->
-    let entries = Lg.entries_of_result ~material compacts r in
-    let stats = r.Flow.structure_stats in
-    let count p =
-      Array.fold_left (fun acc s -> if p s then acc + 1 else acc) 0 stats
-    in
-    let run =
-      {
-        Lg.rn_id = rc.rc_run_id;
-        rn_timestamp = rc.rc_timestamp;
-        rn_deck = path;
-        rn_deck_hash = rc.rc_deck_hash;
-        rn_tech = tech.Pdn.Tech.name;
-        rn_jobs =
-          (match jobs with
-          | Some j -> max 1 j
-          | None -> Numerics.Parallel.recommended_jobs ());
-        rn_audited = audit;
-        rn_sigma_th_pa = M.effective_critical_stress material;
-        rn_structures = r.Flow.num_structures;
-        rn_segments = r.Flow.num_segments;
-        rn_immortal = count (fun s -> s.Flow.st_ok && s.Flow.st_immortal);
-        rn_mortal = count (fun s -> s.Flow.st_ok && not s.Flow.st_immortal);
-        rn_failed = count (fun s -> not s.Flow.st_ok);
-        rn_analysis_s = Flow.stage_wall r "analyze";
-        rn_entries = entries;
-      }
-    in
-    (match Lg.append ~dir:rc.rc_dir run with
-    | Ok () ->
-      Printf.printf "Run %s recorded to %s (%d structures)\n"
-        (Fp.short rc.rc_run_id)
-        (Lg.ledger_path rc.rc_dir)
-        (List.length entries)
-    | Error msg -> failwith (Printf.sprintf "--record-run: %s" msg)));
   (match html_path with
   | None -> ()
   | Some out ->
@@ -748,7 +661,7 @@ let analyze_cmd =
         (const (fun path tech sigma_t temperature with_maxpath top fix json
                     html keep_going strict max_errors trace_path metrics_path
                     profile_path profile_format jobs variation mc_samples
-                    mc_seed audit audit_tol strict_audit audit_top record_run
+                    mc_seed audit audit_tol strict_audit audit_top
                     log_level log_json flight_dump ->
              let finish_log = start_logging ~log_level ~log_json in
              (* The flight recorder is always armed during analyze; its
@@ -772,7 +685,6 @@ let analyze_cmd =
                    top fix json html keep_going strict max_errors trace_path
                    metrics_path profile_path profile_format jobs variation
                    mc_samples mc_seed audit audit_tol strict_audit audit_top
-                   record_run
                with
                | `Ok n ->
                  if n <> 0 then dump_flight ~flight_dump ()
@@ -796,7 +708,7 @@ let analyze_cmd =
         $ fix $ json_path $ html_path $ keep_going $ strict $ max_errors
         $ trace_arg $ metrics_arg $ profile_arg $ profile_format_arg $ jobs_arg
         $ variation $ mc_samples $ mc_seed $ audit_arg $ audit_tol_arg
-        $ strict_audit_arg $ audit_top_arg $ record_run_arg $ log_level_arg
+        $ strict_audit_arg $ audit_top_arg $ log_level_arg
         $ log_json_arg $ flight_dump_arg))
   in
   Cmd.v
@@ -971,304 +883,6 @@ let explain_cmd =
              "$(b,0) on success; $(b,2) with a one-line diagnostic when the \
               deck is missing, unreadable or malformed, or the structure \
               index is out of range.";
-         ])
-    term
-
-(* ------------------------------------------------------------------ *)
-(* diff / history (cross-run ledger analysis)                          *)
-
-let ledger_dir_arg =
-  Arg.(
-    value
-    & opt string Lg.default_dir
-    & info [ "dir" ] ~docv:"DIR"
-        ~doc:
-          "Run-ledger directory — where $(b,analyze --record-run) \
-           appended (default $(b,emcheck_runs)).")
-
-let ledger_json_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:"Write the machine-readable result to $(docv).")
-
-let write_json_doc path doc =
-  Out_channel.with_open_text path (fun oc ->
-      Emflow.Json_out.to_channel oc doc;
-      output_char oc '\n');
-  Printf.printf "JSON written to %s\n" path
-
-let mpa_cell x =
-  if Float.is_finite x then Printf.sprintf "%+.4f" (U.pa_to_mpa x) else "-"
-
-let describe_run tag (r : Lg.run) =
-  Printf.printf "%s %s  %s  %s  (%d structures: %d immortal, %d mortal, %d \
-                 failed)\n"
-    tag (Fp.short r.Lg.rn_id) r.Lg.rn_timestamp r.Lg.rn_deck r.Lg.rn_structures
-    r.Lg.rn_immortal r.Lg.rn_mortal r.Lg.rn_failed
-
-let flip_cell = function
-  | `None -> "-"
-  | `To_mortal -> "immortal -> MORTAL"
-  | `To_immortal -> "mortal -> immortal"
-  | `To_failed -> "ok -> FAILED"
-  | `To_ok -> "failed -> ok"
-
-let diff_runs dir sel_a sel_b top json_path fail_on_regression =
-  let fail msg =
-    Printf.eprintf "emcheck diff: %s\n%!" msg;
-    `Ok 2
-  in
-  match Lg.load ~dir with
-  | Error msg -> fail msg
-  | Ok runs -> (
-    match (Lg.resolve runs sel_a, Lg.resolve runs sel_b) with
-    | Error msg, _ | _, Error msg -> fail msg
-    | Ok a, Ok b ->
-      let d = Lg.diff a b in
-      describe_run "A:" a;
-      describe_run "B:" b;
-      Printf.printf
-        "\nmatched %d by fingerprint; %d verdict flip(s), %d regression(s), \
-         %d changed, %d added, %d removed\n\
-         max |margin drift| %s MPa; solve total %.4fs -> %.4fs\n"
-        (List.length d.Lg.df_matched)
-        d.Lg.df_verdict_flips d.Lg.df_regressions
-        (List.length d.Lg.df_changed)
-        (List.length d.Lg.df_added)
-        (List.length d.Lg.df_removed)
-        (Printf.sprintf "%.6g" (U.pa_to_mpa d.Lg.df_max_abs_margin_drift))
-        d.Lg.df_total_solve_a d.Lg.df_total_solve_b;
-      let flips = List.filter (fun m -> m.Lg.dm_flip <> `None) d.Lg.df_matched in
-      if flips <> [] then begin
-        Printf.printf "\nVerdict flips:\n";
-        let table =
-          Rp.create [ "fp"; "layer"; "flip"; "margin A MPa"; "margin B MPa" ]
-        in
-        List.iter
-          (fun (m : Lg.matched) ->
-            Rp.add_row table
-              [
-                Fp.short m.Lg.dm_fp;
-                Printf.sprintf "M%d" m.Lg.dm_layer;
-                flip_cell m.Lg.dm_flip;
-                mpa_cell m.Lg.dm_margin_a;
-                mpa_cell m.Lg.dm_margin_b;
-              ])
-          flips;
-        Rp.print table
-      end;
-      (match Lg.top_movers ~k:top d with
-      | [] -> ()
-      | movers when d.Lg.df_max_abs_margin_drift > 0. ->
-        Printf.printf "\nTop margin movers:\n";
-        let table =
-          Rp.create
-            [ "fp"; "layer"; "margin A MPa"; "margin B MPa"; "drift MPa" ]
-        in
-        List.iter
-          (fun (m : Lg.matched) ->
-            Rp.add_row table
-              [
-                Fp.short m.Lg.dm_fp;
-                Printf.sprintf "M%d" m.Lg.dm_layer;
-                mpa_cell m.Lg.dm_margin_a;
-                mpa_cell m.Lg.dm_margin_b;
-                mpa_cell m.Lg.dm_margin_delta;
-              ])
-          movers;
-        Rp.print table
-      | _ -> ());
-      if d.Lg.df_changed <> [] then begin
-        Printf.printf "\nChanged structures (re-identified by shape):\n";
-        let table =
-          Rp.create
-            [ "layer"; "nodes"; "segs"; "fp A -> fp B"; "verdict";
-              "margin A MPa"; "margin B MPa" ]
-        in
-        List.iter
-          (fun (c : Lg.changed) ->
-            Rp.add_row table
-              [
-                Printf.sprintf "M%d" c.Lg.dc_layer;
-                Rp.int_cell c.Lg.dc_nodes;
-                Rp.int_cell c.Lg.dc_segments;
-                Printf.sprintf "%s -> %s" (Fp.short c.Lg.dc_fp_a)
-                  (Fp.short c.Lg.dc_fp_b);
-                Printf.sprintf "%s -> %s"
-                  (if c.Lg.dc_immortal_a then "immortal" else "mortal")
-                  (if c.Lg.dc_immortal_b then "immortal" else "mortal");
-                mpa_cell c.Lg.dc_margin_a;
-                mpa_cell c.Lg.dc_margin_b;
-              ])
-          d.Lg.df_changed;
-        Rp.print table
-      end;
-      List.iter
-        (fun (e : Lg.entry) ->
-          Printf.printf "added:   %s M%d (%d nodes, %d segments)\n"
-            (Fp.short e.Lg.en_fp) e.Lg.en_layer e.Lg.en_nodes e.Lg.en_segments)
-        d.Lg.df_added;
-      List.iter
-        (fun (e : Lg.entry) ->
-          Printf.printf "removed: %s M%d (%d nodes, %d segments)\n"
-            (Fp.short e.Lg.en_fp) e.Lg.en_layer e.Lg.en_nodes e.Lg.en_segments)
-        d.Lg.df_removed;
-      Option.iter (fun p -> write_json_doc p (Lg.diff_to_json d)) json_path;
-      if fail_on_regression && d.Lg.df_regressions > 0 then begin
-        Printf.printf "\nFAIL: %d regression(s) between %s and %s\n"
-          d.Lg.df_regressions (Fp.short a.Lg.rn_id) (Fp.short b.Lg.rn_id);
-        `Ok 1
-      end
-      else `Ok 0)
-
-let diff_cmd =
-  let run_a =
-    Arg.(
-      value
-      & pos 0 string "prev"
-      & info [] ~docv:"RUN_A"
-          ~doc:
-            "Baseline run: $(b,latest), $(b,prev) (default), a full run id \
-             or a unique id prefix (>= 4 chars).")
-  in
-  let run_b =
-    Arg.(
-      value
-      & pos 1 string "latest"
-      & info [] ~docv:"RUN_B" ~doc:"Run to compare against the baseline \
-                                    (default $(b,latest)).")
-  in
-  let top =
-    Arg.(
-      value & opt int 10
-      & info [ "top" ] ~docv:"K" ~doc:"Margin movers to list (default 10).")
-  in
-  let fail_on_regression =
-    Arg.(
-      value & flag
-      & info [ "fail-on-regression" ]
-          ~doc:
-            "Exit $(b,1) when any matched structure flipped to mortal or \
-             failed, or a re-identified edit went immortal to mortal.")
-  in
-  let term =
-    Term.(
-      ret
-        (const (fun dir run_a run_b top json fail_on_regression ->
-             diff_runs dir run_a run_b top json fail_on_regression)
-        $ ledger_dir_arg $ run_a $ run_b $ top $ ledger_json_arg
-        $ fail_on_regression))
-  in
-  Cmd.v
-    (Cmd.info "diff"
-       ~doc:
-         "Compare two recorded runs structure-by-structure (keyed by \
-          content fingerprint): verdict flips, margin and timing drift, \
-          added/removed/changed structures"
-       ~man:
-         [
-           `S Manpage.s_exit_status;
-           `P
-             "$(b,0) on a clean comparison; $(b,1) when \
-              $(b,--fail-on-regression) found regressions; $(b,2) with a \
-              one-line diagnostic when a run cannot be resolved or the \
-              ledger cannot be read.";
-         ])
-    term
-
-let history_runs dir metric top json_path =
-  let fail msg =
-    Printf.eprintf "emcheck history: %s\n%!" msg;
-    `Ok 2
-  in
-  match Lg.load ~dir with
-  | Error msg -> fail msg
-  | Ok [] ->
-    Printf.printf "run ledger %s is empty — record runs with \
-                   'emcheck analyze --record-run %s'\n"
-      (Lg.ledger_path dir) dir;
-    `Ok 0
-  | Ok runs ->
-    let trends = Lg.history ~metric runs in
-    let metric_name, cell =
-      match metric with
-      | `Margin -> ("margin MPa", mpa_cell)
-      | `Time -> ("solve ms", fun s -> Printf.sprintf "%.4f" (s *. 1e3))
-    in
-    Printf.printf "%d run(s), %d structure(s) tracked\n\n" (List.length runs)
-      (List.length trends);
-    let table =
-      Rp.create
-        [ "fp"; "layer"; "points"; "first " ^ metric_name;
-          "last " ^ metric_name; "drift" ]
-    in
-    List.iteri
-      (fun i (t : Lg.trend) ->
-        if i < top then
-          let first = List.nth_opt t.Lg.tr_points 0 in
-          let last =
-            match t.Lg.tr_points with
-            | [] -> None
-            | ps -> Some (List.nth ps (List.length ps - 1))
-          in
-          Rp.add_row table
-            [
-              Fp.short t.Lg.tr_fp;
-              Printf.sprintf "M%d" t.Lg.tr_layer;
-              Rp.int_cell (List.length t.Lg.tr_points);
-              (match first with Some (_, v) -> cell v | None -> "-");
-              (match last with Some (_, v) -> cell v | None -> "-");
-              (match (first, last) with
-              | Some (_, f), Some (_, l) -> cell (l -. f)
-              | _ -> "-");
-            ])
-      trends;
-    Rp.print table;
-    if List.length trends > top then
-      Printf.printf "(%d more; raise --top or use --json)\n"
-        (List.length trends - top);
-    Option.iter
-      (fun p -> write_json_doc p (Lg.history_to_json ~metric trends))
-      json_path;
-    `Ok 0
-
-let history_cmd =
-  let metric =
-    let metrics = [ ("margin", `Margin); ("time", `Time) ] in
-    Arg.(
-      value
-      & opt (enum metrics) `Margin
-      & info [ "metric" ] ~docv:"METRIC"
-          ~doc:
-            "Trend to report per structure: $(b,margin) (signed immortality \
-             margin) or $(b,time) (per-structure solve wall time).")
-  in
-  let top =
-    Arg.(
-      value & opt int 20
-      & info [ "top" ] ~docv:"N"
-          ~doc:"Structures to list (default 20; the JSON output is \
-                always complete).")
-  in
-  let term =
-    Term.(
-      ret
-        (const (fun dir metric top json -> history_runs dir metric top json)
-        $ ledger_dir_arg $ metric $ top $ ledger_json_arg))
-  in
-  Cmd.v
-    (Cmd.info "history"
-       ~doc:
-         "Per-structure trend of margin or solve time across every run \
-          recorded in the ledger"
-       ~man:
-         [
-           `S Manpage.s_exit_status;
-           `P
-             "$(b,0) on success (including an empty ledger); $(b,2) with a \
-              one-line diagnostic when the ledger cannot be read.";
          ])
     term
 
@@ -1527,6 +1141,6 @@ let () =
     (Cmd.eval'
        (Cmd.group info
           [
-            analyze_cmd; explain_cmd; diff_cmd; history_cmd; stats_cmd;
+            analyze_cmd; explain_cmd; stats_cmd;
             wire_cmd; verify_cmd; material_cmd;
           ]))

@@ -279,53 +279,6 @@ let total_length c =
   done;
   !acc
 
-(* ------------------------------------------------------------------ *)
-(* Cache-aware node reordering                                         *)
-
-type reordered = {
-  compact : t;
-  old_of_new : int array;
-  new_of_old : int array;
-}
-
-let permute c ~order =
-  let n = c.num_nodes in
-  if Array.length order <> n || not (Reorder.is_permutation order) then
-    invalid_arg "Compact.permute: order is not a permutation of the nodes";
-  let new_of_old = Reorder.inverse order in
-  let m = num_segments c in
-  let tail = Array.make m 0 and head = Array.make m 0 in
-  for k = 0 to m - 1 do
-    tail.(k) <- new_of_old.(c.tail.(k));
-    head.(k) <- new_of_old.(c.head.(k))
-  done;
-  let offsets, adj_edge, adj_nbr = build_csr ~num_nodes:n ~tail ~head in
-  (* Segment order is untouched, so the geometry columns are shared with
-     the original; only the node-indexed views are rebuilt. *)
-  let compact =
-    {
-      num_nodes = n;
-      tail;
-      head;
-      length = c.length;
-      width = c.width;
-      height = c.height;
-      wh = c.wh;
-      j = c.j;
-      offsets;
-      adj_edge;
-      adj_nbr;
-    }
-  in
-  { compact; old_of_new = order; new_of_old }
-
-let reorder ?root c =
-  let root = match root with Some r -> r | None -> default_reference c in
-  permute c
-    ~order:
-      (Reorder.bfs_order ~num_nodes:c.num_nodes ~offsets:c.offsets
-         ~neighbors:c.adj_nbr ~root)
-
 let is_connected c =
   let n = c.num_nodes in
   if n <= 1 then true

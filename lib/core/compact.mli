@@ -115,37 +115,3 @@ val volume : t -> float
 val total_length : t -> float
 
 val is_connected : t -> bool
-
-(** {1 Node relabeling}
-
-    Relabeling the nodes so memory order matches traversal order keeps
-    the solver's frontier expansions streaming through the [b]/[stress]
-    columns instead of striding across them. No product route relabels:
-    the scaling bench's [reordered] column times this layout experiment
-    against the plain solve, and the fingerprint tests use it to check
-    relabel invariance. The permutation is a pure relabeling: segment
-    ids and segment order never change, and the id maps translate
-    node-indexed results back to original ids. *)
-
-type reordered = {
-  compact : t;           (** the relabeled structure *)
-  old_of_new : int array; (** [old_of_new.(new_id) = old_id] *)
-  new_of_old : int array; (** [new_of_old.(old_id) = new_id] *)
-}
-
-val permute : t -> order:int array -> reordered
-(** Relabel nodes by [order] ([order.(new_id) = old_id]). Segment order
-    is preserved and the geometry columns are shared with the input;
-    [tail]/[head] are remapped and the CSR is rebuilt with the same
-    edge-order counting sort as {!make} (so per-node slot order stays
-    ascending by segment id). Raises [Invalid_argument] when [order] is
-    not a permutation of the node ids. *)
-
-val reorder : ?root:int -> t -> reordered
-(** {!permute} by {!Reorder.bfs_order} from [root] (default
-    {!default_reference}). On a connected structure,
-    [Steady_state.solve_compact (reorder c).compact] performs the exact
-    floating-point operation sequence of the unpermuted solve started
-    at [root] — bit-identical stresses after mapping node ids through
-    [old_of_new] — because the BFS from new node 0 replays the original
-    discovery order slot for slot. *)

@@ -25,20 +25,6 @@ let cu_dac21 =
     thermal_stress = 0.;
   }
 
-let al_legacy =
-  {
-    name = "Al (legacy)";
-    resistivity = 3.1e-8;
-    bulk_modulus = Units.gpa 76.;
-    atomic_volume = 1.66e-29;
-    d0 = 1.37e-5;
-    activation_energy = 0.6 *. Units.ev;
-    effective_charge = 4.;
-    critical_stress = Units.mpa 41.;
-    temperature = 378.;
-    thermal_stress = 0.;
-  }
-
 let with_temperature m temperature =
   if temperature <= 0. then invalid_arg "Material.with_temperature";
   { m with temperature }

@@ -32,11 +32,6 @@ val cu_dac21 : t
     sigma_T = 0 (the paper folds CTE stress into the critical-stress
     offset; see {!effective_critical_stress}). *)
 
-val al_legacy : t
-(** A legacy aluminum interconnect model (rho = 3.1e-8 Ohm*m, Z* = 4,
-    Ea = 0.6 eV, ...), provided because the IBM grids were designed for Al;
-    used by ablation benches only. *)
-
 val with_temperature : t -> float -> t
 (** Same material at a different operating temperature. *)
 

@@ -55,10 +55,7 @@ let scaling_metrics doc =
                   match Option.bind (Json_in.member key row) Json_in.number with
                   | Some f -> Some (key ^ tag, f)
                   | None -> None)
-                [
-                  "convert_s"; "columnar_s"; "columnar_segments_per_s";
-                  "reordered_solve_s"; "reordered_segments_per_s";
-                ]
+                [ "convert_s"; "columnar_s"; "columnar_segments_per_s" ]
             | None -> []
           end
           | None -> [])

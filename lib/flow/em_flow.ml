@@ -8,14 +8,12 @@ module Maxpath = Em_core.Baseline_maxpath
 
 type structure_stat = {
   st_layer : int;
-  st_nodes : int;
   st_segments : int;
   st_ok : bool;
   st_immortal : bool;
   st_max_stress : float;
   st_peak_node : int;
   st_margin : float;
-  st_solve_s : float;
 }
 
 type result = {
@@ -196,9 +194,9 @@ let analyze_one material with_maxpath ~audit ~index ws
     maxpath_hist.(mi) <- maxpath_hist.(mi) + 1;
     Bytes.unsafe_set verdicts k (Char.unsafe_chr bits)
   done;
-  (* Cheap per-structure aggregate for the run ledger and the reports:
-     one O(nodes) scan for the peak and the first node that reaches it
-     (as [Steady_state.max_stress] picks it). The signed margin is
+  (* Cheap per-structure aggregate for the reports: one O(nodes) scan
+     for the peak and the first node that reaches it (as
+     [Steady_state.max_stress] picks it). The signed margin is
      threshold - peak stress, positive iff every segment of the
      structure is exactly immortal. *)
   let max_stress = ref neg_infinity and peak = ref 0 in
@@ -211,14 +209,12 @@ let analyze_one material with_maxpath ~audit ~index ws
   let stat =
     {
       st_layer = cs.Extract.cs_layer_level;
-      st_nodes = Cc.num_nodes c;
       st_segments = nseg;
       st_ok = true;
       st_immortal = max_stress < threshold;
       st_max_stress = max_stress;
       st_peak_node = !peak;
       st_margin = threshold -. max_stress;
-      st_solve_s = 0.;
     }
   in
   {
@@ -255,13 +251,9 @@ let analyze_traced material with_maxpath ~audit ws index
         "structure" run
     else run ()
   in
-  let wall0 = Unix.gettimeofday () in
   let an = traced () in
   Obs.Metrics.inc structures_analyzed;
-  {
-    an with
-    an_stat = { an.an_stat with st_solve_s = Unix.gettimeofday () -. wall0 };
-  }
+  an
 
 (* Fault isolation: one structure whose analysis threw (degenerate
    geometry, disconnected columns, a solver bug) is recorded as an error
@@ -314,14 +306,12 @@ let run_on_compact ?(material = M.cu_dac21) ?(with_maxpath = false) ?jobs
     let c = compacts_arr.(i).Extract.compact in
     {
       st_layer = compacts_arr.(i).Extract.cs_layer_level;
-      st_nodes = Cc.num_nodes c;
       st_segments = Cc.num_segments c;
       st_ok = false;
       st_immortal = false;
       st_max_stress = Float.nan;
       st_peak_node = -1;
       st_margin = Float.nan;
-      st_solve_s = 0.;
     }
   in
   let stats = Array.init nstruct failed_stat in
@@ -502,7 +492,7 @@ let analyze_deck ?material ?with_maxpath ?jobs ?audit ~tech deck =
         (* The solve's orderings, factors and assembly scratch are dead
            now, but no major cycle would reclaim them before extraction
            and analysis allocate on top: one collection here returns
-           them and lowers the run's peak (DESIGN §14). *)
+           them and lowers the run's peak (DESIGN §13). *)
         Gc.full_major ();
         solution)
   in

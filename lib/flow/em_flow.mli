@@ -31,11 +31,10 @@
     side-by-side as an ablation. *)
 
 (** Per-structure aggregate recorded on every run (no [?audit] needed):
-    one cheap O(nodes) scan per structure. The run ledger keys these by
-    {!Em_core.Fingerprint} to track verdict and margin across runs. *)
+    one cheap O(nodes) scan per structure. The layer table, the fix
+    plan and the HTML report read these instead of re-solving. *)
 type structure_stat = {
   st_layer : int;     (** metal level *)
-  st_nodes : int;
   st_segments : int;
   st_ok : bool;       (** [false] iff the structure fault-isolated *)
   st_immortal : bool; (** every segment exactly immortal *)
@@ -50,9 +49,6 @@ type structure_stat = {
       (** signed immortality margin: effective critical stress minus
           [st_max_stress], Pa — positive iff [st_immortal]
           ([nan] when [st_ok = false]) *)
-  st_solve_s : float;
-      (** wall-clock time of this structure's analysis unit (solve +
-          verdicts + audit when enabled); [0.] when fault-isolated *)
 }
 
 type result = {

@@ -1,5 +1,9 @@
 (* Test entry point: every T_* module contributes a list of alcotest
-   suites; keep the registration here flat so `dune runtest` runs all. *)
+   suites; keep the registration here flat so `dune runtest` runs all.
+   Alcotest sizes its name column by the longest suite name (today the
+   24 characters of "cli.subcommand_inventory") and cuts test names to
+   fit 80 columns, so a longer or shorter longest name changes how every
+   test name prints. *)
 
 let () =
   Alcotest.run "blech"
@@ -16,7 +20,5 @@ let () =
          T_jsonx.suites;
          T_profile.suites;
          T_history.suites;
-         T_fingerprint.suites;
-         T_ledger.suites;
          T_cli.suites;
        ])

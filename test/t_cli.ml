@@ -298,107 +298,6 @@ let test_metrics_process_gauges () =
         [ "process_uptime_seconds"; "ocaml_gc_heap_words" ])
 
 (* ---------------------------------------------------------------- *)
-(* record-run -> diff -> history                                     *)
-
-let test_record_diff_history () =
-  let dir = tmp_name "ledger" in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
-      (* diff before anything is recorded: a one-line diagnostic, not a
-         crash or a usage error. *)
-      let r =
-        run_cmd (Printf.sprintf "%s diff --dir %s" emcheck (Filename.quote dir))
-      in
-      check_one_line_diagnostic ~prefix:"emcheck diff:" r;
-      (* history on an empty ledger is informative and exits 0. *)
-      let r =
-        run_cmd
-          (Printf.sprintf "%s history --dir %s" emcheck (Filename.quote dir))
-      in
-      Alcotest.(check int) "empty history exits 0" 0 r.code;
-      Alcotest.(check bool) "empty history says so" true
-        (T_obs.contains r.out "is empty");
-      (* Two identical recordings... *)
-      let analyze =
-        Printf.sprintf "%s analyze %s --record-run %s" emcheck deck
-          (Filename.quote dir)
-      in
-      let r1 = run_cmd analyze in
-      Alcotest.(check int) "first analyze exits 0" 0 r1.code;
-      Alcotest.(check bool) "recording is announced" true
-        (T_obs.contains r1.out "recorded to");
-      Alcotest.(check int) "second analyze exits 0" 0 (run_cmd analyze).code;
-      (* ...must diff clean, structure for structure. *)
-      let json = tmp_name "diff" ^ ".json" in
-      let r =
-        run_cmd
-          (Printf.sprintf
-             "%s diff prev latest --dir %s --json %s --fail-on-regression"
-             emcheck (Filename.quote dir) (Filename.quote json))
-      in
-      Fun.protect
-        ~finally:(fun () -> rm_f json)
-        (fun () ->
-          Alcotest.(check int) "identical runs diff clean" 0 r.code;
-          let summary = get "summary" (json_of_file json) in
-          Alcotest.(check bool) "every structure matched by fingerprint" true
-            (get_num "matched" summary > 0.);
-          List.iter
-            (fun field ->
-              Alcotest.(check (float 0.)) (field ^ " is zero") 0.
-                (get_num field summary))
-            [
-              "verdict_flips"; "regressions"; "added"; "removed"; "changed";
-              "max_abs_margin_drift_pa";
-            ]);
-      let r =
-        run_cmd
-          (Printf.sprintf "%s history --dir %s --metric margin" emcheck
-             (Filename.quote dir))
-      in
-      Alcotest.(check int) "history exits 0" 0 r.code;
-      Alcotest.(check bool) "history sees both runs" true
-        (T_obs.contains r.out "2 run(s)"))
-
-(* Without -j the solve and analysis run on every core, and the ledger
-   says so; its analysis time is the analyze stage's wall time. *)
-let test_record_run_default_jobs () =
-  let dir = tmp_name "ledger" and json = tmp_name "report" ^ ".json" in
-  Fun.protect
-    ~finally:(fun () ->
-      rm_rf dir;
-      rm_f json)
-    (fun () ->
-      let r =
-        run_cmd
-          (Printf.sprintf "%s analyze %s --record-run %s --json %s" emcheck
-             deck (Filename.quote dir) (Filename.quote json))
-      in
-      Alcotest.(check int) "exit 0" 0 r.code;
-      let run =
-        match
-          String.split_on_char '\n'
-            (read_file (Emflow.Ledger.ledger_path dir))
-        with
-        | line :: _ -> Ji.parse_exn line
-        | [] -> Alcotest.fail "empty ledger"
-      in
-      Alcotest.(check (float 0.)) "jobs = recommended domain count"
-        (float_of_int (Domain.recommended_domain_count ()))
-        (get_num "jobs" run);
-      let analyze =
-        match Ji.list_value (get "stages" (get "flow" (json_of_file json))) with
-        | Some stages ->
-          List.find
-            (fun s -> Ji.string_value (get "name" s) = Some "analyze")
-            stages
-        | None -> Alcotest.fail "flow.stages is not a list"
-      in
-      Alcotest.(check (float 0.)) "analysis_s = analyze stage wall_s"
-        (get_num "wall_s" analyze) (get_num "analysis_s" run))
-
-(* ---------------------------------------------------------------- *)
 (* bench compare: the no-history exit-0 path                         *)
 
 let test_bench_compare_no_history () =
@@ -430,6 +329,46 @@ let test_bench_compare_no_history () =
           (Filename.is_relative h)
       | None -> Alcotest.fail "verdict lacks the history path")
 
+(* ---------------------------------------------------------------- *)
+(* the subcommand set                                                *)
+
+(* The COMMANDS section of [--help=plain] lists one subcommand per
+   line at a 7-space indent, up to the next unindented heading; a
+   retired subcommand is a usage error. *)
+let test_subcommand_inventory () =
+  let r = run_cmd (emcheck ^ " --help=plain") in
+  Alcotest.(check int) "--help exits 0" 0 r.code;
+  let rec section = function
+    | [] -> []
+    | "COMMANDS" :: rest ->
+      let rec take = function
+        | line :: rest when line = "" || line.[0] = ' ' -> line :: take rest
+        | _ -> []
+      in
+      take rest
+    | _ :: rest -> section rest
+  in
+  let commands =
+    section (String.split_on_char '\n' r.out)
+    |> List.filter_map (fun line ->
+         let n = String.length line in
+         if n > 7 && String.sub line 0 7 = "       " && line.[7] <> ' ' then
+           match String.split_on_char ' ' (String.sub line 7 (n - 7)) with
+           | cmd :: _
+             when cmd <> "" && String.for_all (fun c -> c >= 'a' && c <= 'z') cmd ->
+             Some cmd
+           | _ -> None
+         else None)
+  in
+  Alcotest.(check (list string)) "subcommands"
+    [ "analyze"; "explain"; "material"; "stats"; "verify"; "wire" ]
+    (List.sort compare commands);
+  List.iter
+    (fun gone ->
+      let r = run_cmd (Printf.sprintf "%s %s" emcheck gone) in
+      Alcotest.(check int) (gone ^ " is a usage error") 124 r.code)
+    [ "diff"; "history" ]
+
 let suites =
   [
     ( "cli.explain",
@@ -448,12 +387,8 @@ let suites =
         case "stats lists metrics with data first" test_stats_metric_order;
         case "--metrics samples the process gauges" test_metrics_process_gauges;
       ] );
-    ( "cli.ledger",
-      [
-        slow_case "record-run, diff, history round trip" test_record_diff_history;
-        case "record-run without -j records every core"
-          test_record_run_default_jobs;
-      ] );
     ( "cli.bench",
       [ case "compare without history gates nothing" test_bench_compare_no_history ] );
+    ( "cli.subcommand_inventory",
+      [ case "help lists exactly the six subcommands" test_subcommand_inventory ] );
   ]

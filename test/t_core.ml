@@ -715,7 +715,7 @@ let test_compact_guards () =
            ~width:[| 1e-6 |] ~height:[| 2e-7 |] ~j:[| 0. |]))
 
 (* ---------------------------------------------------------------- *)
-(* Builder, node relabelling                                         *)
+(* Builder                                                           *)
 
 let float_bits_identical a b =
   Array.length a = Array.length b
@@ -778,34 +778,6 @@ let test_builder_guards () =
       ignore (Cc.Builder.finish b ~num_nodes:4));
   check_raises_invalid "empty builder" (fun () ->
       ignore (Cc.Builder.finish (Cc.Builder.create ()) ~num_nodes:2))
-
-(* Solve on the BFS-relabelled structure, gathered back to original
-   node ids: the invariant the scaling bench's [reordered] column
-   asserts. *)
-let reordered_stress c =
-  let r = Cc.reorder c in
-  let sol = Ss.solve_compact cu r.Cc.compact in
-  let gathered = Array.make (Cc.num_nodes c) 0. in
-  Array.iteri
-    (fun nw old -> gathered.(old) <- sol.Ss.node_stress.(nw))
-    r.Cc.old_of_new;
-  (r.Cc.old_of_new.(sol.Ss.reference), gathered)
-
-let prop_reordered_bit_identical (n, seed) =
-  let c = Cc.of_structure (make_tree (n, seed)) in
-  let sol = Ss.solve_compact cu c in
-  let plain = Array.copy sol.Ss.node_stress in
-  (* BFS replays the original discovery order on any connected graph. *)
-  let reference, gathered = reordered_stress c in
-  reference = sol.Ss.reference && float_bits_identical plain gathered
-
-let test_reordered_mesh_bit_identical () =
-  (* The relabelled solve replays bit for bit on a cyclic mesh too —
-     the chord handling rides on the same discovery order. *)
-  let c = Cc.of_structure (consistent_mesh ()) in
-  let plain = Array.copy (Ss.solve_compact cu c).Ss.node_stress in
-  Alcotest.(check bool) "mesh stresses bit-identical" true
-    (float_bits_identical plain (snd (reordered_stress c)))
 
 (* ---------------------------------------------------------------- *)
 (* Sensitivity                                                       *)
@@ -1288,9 +1260,6 @@ let suites =
       [
         case "Builder reproduces make (columns + CSR)" test_builder_matches_make;
         case "Builder guards" test_builder_guards;
-        qcheck "reordered solve bit-identical" tree_gen
-          prop_reordered_bit_identical;
-        case "mesh: reordered bit-identical" test_reordered_mesh_bit_identical;
       ] );
     ( "core.audit",
       [

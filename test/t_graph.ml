@@ -118,44 +118,6 @@ let test_csr_matches_incident () =
   done
 
 (* ---------------------------------------------------------------- *)
-(* Reorder                                                           *)
-
-let csr g = (Ugraph.csr_offsets g, Ugraph.csr_neighbors g)
-
-let test_reorder_bfs_path_identity () =
-  (* On a path already labeled in walk order, BFS discovery from node 0
-     is the identity permutation. *)
-  let g = Ugraph.create ~num_nodes:5 (Array.init 4 (fun i -> (i, i + 1, ()))) in
-  let offsets, neighbors = csr g in
-  let order = Reorder.bfs_order ~num_nodes:5 ~offsets ~neighbors ~root:0 in
-  Alcotest.(check (list int)) "identity" [ 0; 1; 2; 3; 4 ] (Array.to_list order)
-
-let test_reorder_bfs_discovery_order () =
-  let g = sample () in
-  let offsets, neighbors = csr g in
-  (* From 3 the CSR rows give 1 then 4 (edge-id order), then 0, 2 from
-     1's row; the isolated 5 arrives via the disconnected restart. *)
-  let order = Reorder.bfs_order ~num_nodes:6 ~offsets ~neighbors ~root:3 in
-  Alcotest.(check (list int)) "order" [ 3; 1; 4; 0; 2; 5 ] (Array.to_list order)
-
-let test_reorder_permutations_and_inverse () =
-  let g = sample () in
-  let offsets, neighbors = csr g in
-  List.iter
-    (fun root ->
-      let order = Reorder.bfs_order ~num_nodes:6 ~offsets ~neighbors ~root in
-      Alcotest.(check bool) "permutation" true (Reorder.is_permutation order);
-      let inv = Reorder.inverse order in
-      Array.iteri (fun nw old -> Alcotest.(check int) "inverse" nw inv.(old)) order)
-    [ 0; 3; 5 ]
-
-let test_reorder_inverse_rejects_non_permutation () =
-  check_raises_invalid "duplicate image" (fun () ->
-      ignore (Reorder.inverse [| 0; 0 |]));
-  check_raises_invalid "out of range" (fun () ->
-      ignore (Reorder.inverse [| 1; 2 |]))
-
-(* ---------------------------------------------------------------- *)
 (* Unionfind                                                         *)
 
 let test_unionfind () =
@@ -184,16 +146,6 @@ let suites =
       [
         case "bfs order and parents" test_bfs_order_and_parents;
         case "fold_tree_edges prefix property" test_fold_tree_edges_prefix;
-      ] );
-    ( "graph.reorder",
-      [
-        case "BFS on ordered path is identity" test_reorder_bfs_path_identity;
-        case "BFS discovery order (CSR slot order)"
-          test_reorder_bfs_discovery_order;
-        case "orders are permutations with exact inverses"
-          test_reorder_permutations_and_inverse;
-        case "inverse rejects non-permutations"
-          test_reorder_inverse_rejects_non_permutation;
       ] );
     ("graph.unionfind", [ case "union/find/count" test_unionfind ]);
   ]

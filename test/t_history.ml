@@ -125,19 +125,20 @@ let test_metrics_of_obs () =
 
 let test_metrics_of_scaling () =
   let ms = H.metrics_of_result (scaling_doc ()) in
-  (* 5 keys in the full first row + 2 in the second + the top-level
+  (* 3 keys in the full first row + 2 in the second + the top-level
      cliff ratio. Rows missing the newer keys (older results) still
-     extract what they have; the retired boxed-solve and parallel-solve
-     columns of older results are not metrics. *)
-  Alcotest.(check int) "per-size metrics plus cliff" 8 (List.length ms);
+     extract what they have; the retired boxed-solve, parallel-solve and
+     relabelled-solve columns of older results are not metrics. *)
+  Alcotest.(check int) "per-size metrics plus cliff" 6 (List.length ms);
   Alcotest.(check bool) "retired boxed column dropped" true
     (List.assoc_opt "boxed_s@1000" ms = None);
   check_close "per-size key" 2.0e-5 (List.assoc "columnar_s@1000" ms);
   check_close "second row keyed separately" 7.4e-5
     (List.assoc "columnar_s@3000" ms);
   check_close "convert extracted" 2.2e-5 (List.assoc "convert_s@1000" ms);
-  check_close "reordered throughput extracted" 5.5e7
-    (List.assoc "reordered_segments_per_s@1000" ms);
+  Alcotest.(check bool) "retired reordered columns ignored" true
+    (List.assoc_opt "reordered_solve_s@1000" ms = None
+    && List.assoc_opt "reordered_segments_per_s@1000" ms = None);
   Alcotest.(check bool) "retired par columns ignored" true
     (List.assoc_opt "par_solve_s@1000" ms = None
     && List.assoc_opt "par_segments_per_s@1000" ms = None);
@@ -152,7 +153,7 @@ let test_cliff_ratio_direction () =
   Alcotest.(check bool) "ratio is lower-better" true
     (H.direction_of_metric "columnar_throughput_cliff_ratio" = H.Lower_better);
   Alcotest.(check bool) "throughput is higher-better" true
-    (H.direction_of_metric "reordered_segments_per_s@30000" = H.Higher_better)
+    (H.direction_of_metric "columnar_segments_per_s@30000" = H.Higher_better)
 
 let test_metrics_generic () =
   let doc =
