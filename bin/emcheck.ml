@@ -445,7 +445,7 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
   let table =
     Rp.create [ "layer"; "segments"; "peak MPa"; "margin MPa"; "at node" ]
   in
-  let names = Array.of_list (List.map (fun c -> c.Emflow.Extract.cs_node_names) compacts) in
+  let structures = Array.of_list compacts in
   List.iteri
     (fun rank i ->
       let st = r.Flow.structure_stats.(i) in
@@ -456,7 +456,7 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
             Rp.int_cell st.Flow.st_segments;
             Printf.sprintf "%.2f" (U.pa_to_mpa st.Flow.st_max_stress);
             Printf.sprintf "%+.2f" (U.pa_to_mpa st.Flow.st_margin);
-            names.(i).(st.Flow.st_peak_node);
+            Emflow.Extract.node_name structures.(i) st.Flow.st_peak_node;
           ])
     (Flow.ranking r);
   Printf.printf "Most endangered structures:\n";
@@ -777,9 +777,11 @@ let explain_netlist path index tech sigma_t temperature audit_tol jobs =
     | vs ->
       Printf.printf "RESIDUAL VIOLATIONS (tol %g):\n" audit_tol;
       List.iter (fun (name, v) -> Printf.printf "  %s = %.6e\n" name v) vs);
-    let names = cs.Emflow.Extract.cs_node_names in
     let elements = cs.Emflow.Extract.cs_element_ids in
-    let name_of i = if i < Array.length names then names.(i) else string_of_int i in
+    let name_of i =
+      if i < Array.length cs.Emflow.Extract.cs_nodes then Emflow.Extract.node_name cs i
+      else string_of_int i
+    in
     let element_of k =
       if k < Array.length elements then
         Printf.sprintf "R%d (seg %d)" elements.(k) k

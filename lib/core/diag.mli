@@ -59,8 +59,6 @@ val count_warnings : t list -> int
 val worst : t list -> severity option
 (** Highest severity present, [None] on an empty list. *)
 
-val pp_source : Format.formatter -> source -> unit
-
 val pp : Format.formatter -> t -> unit
 (** One line: [severity[code] source: message]. *)
 

@@ -55,12 +55,6 @@ type direction = Lower_better | Higher_better
 
 val direction_of_metric : string -> direction
 
-val threshold_pct : bench:string -> metric:string -> float
-(** Allowed worsening in percent before a metric counts as a
-    regression: 20 by default; 15 for the [obs] on/off overhead ratios;
-    50 for [obs]'s nanosecond-scale disabled-path probes (noisy); 25
-    for [scaling] wall times. *)
-
 type status = Ok_ | Regression | Improvement | No_baseline
 
 val status_to_string : status -> string
@@ -73,7 +67,11 @@ type item = {
   delta_pct : float option;
       (** signed worsening vs baseline: positive = worse (slower /
           lower throughput), whatever the metric's direction *)
-  threshold : float;       (** {!threshold_pct} for this metric *)
+  threshold : float;
+      (** allowed worsening in percent before the metric counts as a
+          regression: 20 by default; 15 for the [obs] on/off overhead
+          ratios; 50 for [obs]'s nanosecond-scale disabled-path probes
+          (noisy); 25 for [scaling] wall times *)
   status : status;
 }
 

@@ -467,10 +467,16 @@ let load_deck ?jobs ?keep_going path =
   let pipeline = Pipeline.create () in
   let netlist, parse_errors =
     Pipeline.run pipeline "parse" (fun () ->
-        match keep_going with
-        | Some max_errors ->
-          Spice.Parser.parse_file_tolerant ?jobs ~max_errors path
-        | None -> (Spice.Parser.parse_file ?jobs path, []))
+        let parsed =
+          match keep_going with
+          | Some max_errors -> Spice.Parser.parse_file_tolerant ?jobs ~max_errors path
+          | None -> (Spice.Parser.parse_file ?jobs path, [])
+        in
+        (* The deck text and the scan's range columns and node tables
+           are dead now; as after the solve, one collection returns them
+           before the next stages allocate on top (DESIGN §13). *)
+        Gc.full_major ();
+        parsed)
   in
   Obs.Metrics.inc_by parse_recoveries (List.length parse_errors);
   let findings =

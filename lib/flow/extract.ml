@@ -13,9 +13,12 @@ type em_structure = {
 type compact_structure = {
   cs_layer_level : int;
   compact : Cc.t;
-  cs_node_names : string array;
+  cs_netlist : N.t;
+  cs_nodes : int array;
   cs_element_ids : int array;
 }
+
+let node_name cs i = N.node_name cs.cs_netlist cs.cs_nodes.(i)
 
 (* Tech layer by metal level, O(1) per lookup; later table entries win
    on duplicate levels. *)
@@ -164,11 +167,10 @@ let extract_compact ~tech (sol : Mna.solution) =
             elems.(i) <- e
           done;
           let compact = Cc.Builder.finish bld ~num_nodes:!nc in
-          let cs_node_names =
-            Array.init !nc (fun i -> net.N.node_names.(rev_local.(cnodes.(i))))
-          in
+          let cs_nodes = Array.init !nc (fun i -> rev_local.(cnodes.(i))) in
           out :=
-            { cs_layer_level = level; compact; cs_node_names; cs_element_ids = elems }
+            { cs_layer_level = level; compact; cs_netlist = net; cs_nodes;
+              cs_element_ids = elems }
             :: !out
         end
       done;
@@ -195,6 +197,6 @@ let boxed_view cs =
   {
     layer_level = cs.cs_layer_level;
     structure = Cc.to_structure cs.compact;
-    node_names = cs.cs_node_names;
+    node_names = Array.init (Array.length cs.cs_nodes) (node_name cs);
     element_ids = cs.cs_element_ids;
   }

@@ -21,9 +21,13 @@ type em_structure = {
 type compact_structure = {
   cs_layer_level : int;             (** metal level the structure lives on *)
   compact : Em_core.Compact.t;
-  cs_node_names : string array;     (** per structure node: netlist name *)
+  cs_netlist : Spice.Netlist.t;     (** the netlist it was extracted from *)
+  cs_nodes : int array;             (** per structure node: netlist node id *)
   cs_element_ids : int array;       (** per segment: netlist element index *)
 }
+
+val node_name : compact_structure -> int -> string
+(** Structure node [i]'s netlist name, formatted on demand. *)
 
 val extract_compact :
   tech:Pdn.Tech.t -> Spice.Mna.solution -> compact_structure list

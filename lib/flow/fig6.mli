@@ -8,10 +8,6 @@
     prescribed currents cycle-consistent (a requirement Theorem 1 imposes
     on any physical current assignment). *)
 
-val t_structure : Em_core.Structure.t
-(** Three segments meeting at a junction;
-    j = (6, -4, 3) x 1e10 A/m^2. *)
-
 val tree : Em_core.Structure.t
 (** Six segments, seven nodes;
     j = (-1, 5, -4, 2, 4, 2) x 1e10 A/m^2. *)

@@ -70,12 +70,6 @@ val to_table : plan -> Report.t
     plan, apply, repeat until no mortal structures remain (or the round
     budget runs out). *)
 
-val apply_to_netlist :
-  Pdn.Grid_gen.generated -> Extract.compact_structure list -> plan ->
-  Pdn.Grid_gen.generated
-(** Rescale the netlist resistors of every fixed structure by
-    [1 / widen] (width up, resistance down at fixed length). *)
-
 val iterate :
   ?material:Em_core.Material.t -> ?safety:float -> ?max_rounds:int ->
   Pdn.Grid_gen.generated -> Pdn.Grid_gen.generated * plan list

@@ -120,7 +120,7 @@ let page ~title ?(material = M.cu_dac21) ~tech ~compacts (r : Em_flow.result) =
        stats);
   (* Endangered structures. *)
   Buffer.add_string buf "<h2>Most endangered structures</h2>";
-  let names = Array.of_list (List.map (fun c -> c.Extract.cs_node_names) compacts) in
+  let structures = Array.of_list compacts in
   table buf
     [ "layer"; "segments"; "peak stress (MPa)"; "margin (MPa)"; "worst node" ]
     (List.filteri (fun i _ -> i < 12) (Em_flow.ranking r)
@@ -131,7 +131,7 @@ let page ~title ?(material = M.cu_dac21) ~tech ~compacts (r : Em_flow.result) =
              num (string_of_int st.Em_flow.st_segments);
              num (Printf.sprintf "%.2f" (U.pa_to_mpa st.Em_flow.st_max_stress));
              num (Printf.sprintf "%+.2f" (U.pa_to_mpa st.Em_flow.st_margin));
-             name names.(i).(st.Em_flow.st_peak_node);
+             name (Extract.node_name structures.(i) st.Em_flow.st_peak_node);
            ]));
   (* Repair plan. *)
   let plan = Fixer.plan_of_result ~material compacts r in

@@ -38,16 +38,10 @@ val mul_vec : t -> Vector.t -> Vector.t
 exception Singular
 (** Raised by the solvers when a pivot underflows. *)
 
-val lu_factor : t -> t * int array
-(** [lu_factor a] returns a packed LU factorization of a square [a] with a
-    row-permutation array. Raises {!Singular} on (numerically) singular
-    input. [a] is not modified. *)
-
-val lu_solve : t * int array -> Vector.t -> Vector.t
-(** Solve using a factorization from {!lu_factor}. *)
-
 val solve : t -> Vector.t -> Vector.t
-(** [solve a b] solves [a x = b] for square [a]. Raises {!Singular}. *)
+(** [solve a b] solves [a x = b] for square [a] by LU with partial
+    pivoting; [a] is not modified. Raises {!Singular} on (numerically)
+    singular input. *)
 
 val solve_least_squares : t -> Vector.t -> Vector.t
 (** Minimum-residual solution of an overdetermined system via normal

@@ -17,7 +17,7 @@
     bit, from every function here, and generated decks and recorded
     references depend on that. The raw words and the uniform draws
     ({!int64}, {!float}, {!int}, {!bool}, {!uniform}, {!exponential},
-    {!shuffle}, {!choose}, {!split}) are unchanged since the state was
+    {!shuffle}, {!split}) are unchanged since the state was
     a boxed [int64]. The normal draws ({!gaussian},
     {!gaussian_positive}, {!gaussian_positive_fill}) share one core and
     are versioned by {!stream_version}: version 3 is Doornik's ZIGNOR
@@ -87,5 +87,3 @@ val exponential : t -> rate:float -> float
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)

@@ -67,10 +67,6 @@ let xpay ~x ~a ~y =
     y.(i) <- x.(i) +. (a *. y.(i))
   done
 
-let mul_elementwise x y =
-  check_dims "mul_elementwise" x y;
-  Array.mapi (fun i xi -> xi *. y.(i)) x
-
 let max_abs_diff x y =
   check_dims "max_abs_diff" x y;
   let acc = ref 0. in

@@ -46,8 +46,6 @@ val axpy : a:float -> x:t -> y:t -> unit
 val xpay : x:t -> a:float -> y:t -> unit
 (** [xpay ~x ~a ~y] updates [y <- x + a*y] in place. *)
 
-val mul_elementwise : t -> t -> t
-
 val max_abs_diff : t -> t -> float
 (** [max_abs_diff x y] is [norm_inf (sub x y)] without allocating. *)
 

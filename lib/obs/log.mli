@@ -23,9 +23,6 @@
 
 type level = Debug | Info | Warn | Error
 
-val level_to_string : level -> string
-(** ["debug"] | ["info"] | ["warn"] | ["error"]. *)
-
 type output = Channel of out_channel | Buffer of Buffer.t
 (** Where a sink writes. Channels are flushed after every record (the
     stream must survive a crash); buffer sinks are for tests. *)

@@ -68,16 +68,13 @@ val gauge_value : gauge -> float
 
 type histogram
 
-val default_latency_buckets : float array
-(** [1us, 10us, 100us, 1ms, 10ms, 100ms, 1s, 10s] — upper bounds in
-    seconds for latency histograms. *)
-
 val histogram :
   ?registry:t -> ?labels:(string * string) list -> ?buckets:float array ->
   help:string -> string -> histogram
 (** Fixed cumulative-bucket histogram; [buckets] are the finite upper
     bounds (inclusive, strictly increasing; a [+Inf] overflow bucket is
-    implicit) and default to {!default_latency_buckets}. Raises
+    implicit) and default to the latency bounds [1us, 10us, 100us, 1ms,
+    10ms, 100ms, 1s, 10s] in seconds. Raises
     [Invalid_argument] on unsorted or non-finite bounds. *)
 
 val observe : histogram -> float -> unit

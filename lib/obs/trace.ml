@@ -245,8 +245,6 @@ let track_names t =
   Mutex.unlock t.mutex;
   List.rev ns
 
-let epoch_us t = t.epoch_us
-
 let allocated_words e =
   (* Words promoted out of the minor heap would otherwise be counted
      twice: once as minor allocation, once as major. *)

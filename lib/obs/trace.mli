@@ -139,10 +139,6 @@ val num_events : t -> int
 
 val track_names : t -> (int * string) list
 
-val epoch_us : t -> float
-(** {!Clock.now_us} when the trace was created; exported timestamps are
-    relative to it. *)
-
 type agg = {
   agg_name : string;
   count : int;
@@ -166,7 +162,7 @@ val to_chrome_json : t -> string
 (** The whole trace as a Chrome trace-event JSON object:
     [{"traceEvents": [...], "displayTimeUnit": "ms"}] with one complete
     ("ph":"X") event per span (timestamps in microseconds relative to
-    {!epoch_us}; [args] carries the attributes plus [span_id] /
+    the trace's creation; [args] carries the attributes plus [span_id] /
     [parent_id] / [error] and the [gc_*] deltas) and thread-name
     metadata records for named tracks. Strings are escaped and
     sanitized to valid UTF-8, so the output stays Perfetto-loadable

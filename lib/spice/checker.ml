@@ -5,29 +5,42 @@ type finding = { severity : severity; code : string; message : string }
 let finding severity code fmt =
   Printf.ksprintf (fun message -> { severity; code; message }) fmt
 
-(* Open addressing over element ids keyed by name, linear probing from
-   slot [i]: a slot holds id + 1, 0 when empty. [true] when an earlier
-   element already has [e]'s name; else [e] is recorded. *)
-let rec seen_name net slots e i =
-  let d = slots.(i) - 1 in
-  if d < 0 then begin
-    slots.(i) <- e + 1;
-    false
-  end
+(* The number in [s.[i .. stop - 1]]: decimal digits without a leading
+   zero, below [bound]; -1 for anything else. *)
+let rec number s i stop acc bound =
+  if i = stop then acc
   else
-    Netlist.same_name net d e
-    || seen_name net slots e ((i + 1) land (Array.length slots - 1))
+    match String.unsafe_get s i with
+    | '0' .. '9' as c
+      when (acc > 0 || c <> '0' || i = stop - 1) && (10 * acc) + Char.code c - 48 < bound ->
+      number s (i + 1) stop ((10 * acc) + Char.code c - 48) bound
+    | _ -> -1
 
 let check (net : Netlist.t) =
   let ne = Netlist.num_elements net and stats = Netlist.stats net in
-  let cap = ref 16 in
-  while !cap < 2 * ne do cap := 2 * !cap done;
-  let slots = Array.make !cap 0 in
+  let arena = net.Netlist.name_arena and ends = net.Netlist.name_end in
+  (* Duplicate names. A canonical one, a byte then a number below
+     [bound], is one bit of that byte's set; any other, a key of a hash
+     table. The two never meet. *)
+  let bound = (4 * ne) + 16 and sets = Array.make 256 Bytes.empty and others = Hashtbl.create 16 in
+  let duplicate e =
+    let st = if e = 0 then 0 else ends.(e - 1) in
+    match if ends.(e) - st < 2 then -1 else number arena (st + 1) ends.(e) 0 bound with
+    | -1 ->
+      let name = Netlist.element_name net e in
+      Hashtbl.mem others name || (Hashtbl.add others name (); false)
+    | n ->
+      let c = Char.code arena.[st] in
+      if sets.(c) == Bytes.empty then sets.(c) <- Bytes.make ((bound lsr 3) + 1) '\000';
+      let byte = Bytes.get_uint8 sets.(c) (n lsr 3) and bit = 1 lsl (n land 7) in
+      Bytes.set_uint8 sets.(c) (n lsr 3) (byte lor bit);
+      byte land bit <> 0
+  in
   let dups = ref [] and loads = ref [] and shorts = ref 0 in
   (* Conductive degree per node. *)
   let degree = Array.make (Netlist.num_nodes net) 0 in
   for e = 0 to ne - 1 do
-    if seen_name net slots e (Netlist.name_hash net e land (!cap - 1)) then
+    if duplicate e then
       dups :=
         finding Warning "duplicate-element" "element name %S reused"
           (Netlist.element_name net e)

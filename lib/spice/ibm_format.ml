@@ -2,55 +2,46 @@ type coords = { layer : int; x : int; y : int }
 
 let encode { layer; x; y } = Printf.sprintf "n%d_%d_%d" layer x y
 
-(* The general parse: any part [int_of_string_opt] accepts (signs,
-   [0x] prefixes, ...). *)
-let decode_general name =
-  let n = String.length name in
-  match String.split_on_char '_' (String.sub name 1 (n - 1)) with
-  | [ l; x; y ] -> begin
-    match (int_of_string_opt l, int_of_string_opt x, int_of_string_opt y) with
-    | Some layer, Some x, Some y -> Some { layer; x; y }
-    | _ -> None
-  end
-  | _ -> None
-
-(* Up to 18 decimal digits always fit an int, and read as
-   [int_of_string_opt] reads them. *)
+(* Up to 18 decimal digits always fit an int. *)
 let max_digits = 18
 
-(* The part [k] (0 layer, 1 x, 2 y) starting at [start], read in place
-   from [i] on with the value so far in [acc]; [l] and [x] hold the
-   parts already read. A part that is not 1 to [max_digits] plain digits
-   sends the whole name to [decode_general], so the coords are the same
-   either way. *)
-let rec decode_digits name n i start acc k l x =
-  if i = n || String.unsafe_get name i = '_' then begin
-    let len = i - start in
-    if len = 0 || len > max_digits then decode_general name
-    else if k = 2 then
-      if i = n then Some { layer = l; x; y = acc } else decode_general name
-    else if i = n then None
-    else if k = 0 then decode_digits name n (i + 1) (i + 1) 0 1 acc 0
-    else decode_digits name n (i + 1) (i + 1) 0 2 l acc
+let canonical s off len parts =
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Ibm_format.canonical: slice out of bounds";
+  let stop = off + len and i = ref (off + 1) and k = ref 0 in
+  len >= 6 && String.unsafe_get s off = 'n' && begin
+    (* Part [k] (0 layer, 1 x, 2 y) from [!i]: its digits, then ['_']
+       before the next part or the end after the last. *)
+    while
+      !k < 3
+      && begin
+        let first = !i and acc = ref 0 in
+        while !i < stop && String.unsafe_get s !i >= '0' && String.unsafe_get s !i <= '9' do
+          acc := (10 * !acc) + Char.code (String.unsafe_get s !i) - 48;
+          incr i
+        done;
+        let digits = !i - first in
+        digits > 0 && digits <= max_digits
+        && (digits = 1 || String.unsafe_get s first <> '0')
+        && (if !k < 2 then !i < stop && String.unsafe_get s !i = '_' else !i = stop)
+        && (parts.(!k) <- !acc; incr i; incr k; true)
+      end
+    do () done;
+    !k = 3
   end
-  else
-    match String.unsafe_get name i with
-    | '0' .. '9' as c ->
-      decode_digits name n (i + 1) start ((10 * acc) + Char.code c - 48) k l x
-    | _ -> decode_general name
 
+(* Other parts read as [int_of_string_opt] reads them (signs, leading
+   zeros, [0x] prefixes, ...). *)
 let decode name =
-  let n = String.length name in
-  if n < 6 || name.[0] <> 'n' then None
-  else decode_digits name n 1 1 0 0 0 0
+  let p = [| 0; 0; 0 |] and n = String.length name in
+  if canonical name 0 n p then Some { layer = p.(0); x = p.(1); y = p.(2) }
+  else if n < 6 || name.[0] <> 'n' then None
+  else
+    match String.split_on_char '_' (String.sub name 1 (n - 1)) with
+    | [ l; x; y ] -> (
+      match (int_of_string_opt l, int_of_string_opt x, int_of_string_opt y) with
+      | Some layer, Some x, Some y -> Some { layer; x; y }
+      | _ -> None)
+    | _ -> None
 
 let is_ground name = String.equal name "0"
-
-let layer_of name = Option.map (fun c -> c.layer) (decode name)
-
-let same_layer a b =
-  match (layer_of a, layer_of b) with
-  | Some la, Some lb -> la = lb
-  | _ -> false
-
-let manhattan_distance a b = abs (a.x - b.x) + abs (a.y - b.y)

@@ -7,14 +7,16 @@ type coords = { layer : int; x : int; y : int }
 
 val encode : coords -> string
 
+val canonical : string -> int -> int -> int array -> bool
+(** [canonical s off len parts]: whether [s.[off .. off + len - 1]] is
+    the {!encode}d form of its coordinates, [n] then three parts of 1 to
+    18 plain digits without a leading zero; if so its layer, x and y are
+    in [parts.(0 .. 2)]. Allocates nothing. Raises [Invalid_argument]
+    when the slice is not inside [s]. *)
+
 val decode : string -> coords option
-(** [None] for ground and non-geometric names. *)
+(** [None] for ground and non-geometric names. Parts other than plain
+    digits read as [int_of_string_opt] reads them (["n01_2_3"] and
+    ["n+1_2_3"] decode as ["n1_2_3"] does). *)
 
 val is_ground : string -> bool
-
-val layer_of : string -> int option
-
-val same_layer : string -> string -> bool
-(** True when both decode and share a layer. *)
-
-val manhattan_distance : coords -> coords -> int

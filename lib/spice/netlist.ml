@@ -2,9 +2,10 @@ type kind = Resistor | Current_source | Voltage_source
 
 type t = {
   title : string;
-  node_names : string array;
   coords : int array;
   index : int array;
+  node_end : int array;
+  node_arena : string;
   kinds : Bytes.t;
   pos : int array;
   neg : int array;
@@ -16,23 +17,19 @@ type t = {
 
 let no_layer = min_int
 
-let num_nodes t = Array.length t.node_names
+let num_nodes t = Array.length t.node_end
 
 let num_elements t = Array.length t.values
-
-let node_name t i =
-  if i < 0 || i >= num_nodes t then invalid_arg "Netlist.node_name";
-  t.node_names.(i)
 
 let code = function Resistor -> 'R' | Current_source -> 'I' | Voltage_source -> 'V'
 
 let kind t e =
   match Bytes.get t.kinds e with 'R' -> Resistor | 'I' -> Current_source | _ -> Voltage_source
 
-let name_start t e = if e = 0 then 0 else t.name_end.(e - 1)
+let start ends i = if i = 0 then 0 else ends.(i - 1)
 
 let element_name t e =
-  String.sub t.name_arena (name_start t e) (t.name_end.(e) - name_start t e)
+  String.sub t.name_arena (start t.name_end e) (t.name_end.(e) - start t.name_end e)
 
 let hash_slice s off len =
   let h = ref 0x0bf29ce484222325 in
@@ -47,47 +44,81 @@ let rec slice_equal a aoff b boff len =
   || String.unsafe_get a aoff = String.unsafe_get b boff
      && slice_equal a (aoff + 1) b (boff + 1) (len - 1)
 
-let name_hash t e =
-  hash_slice t.name_arena (name_start t e) (t.name_end.(e) - name_start t e)
+(* The interning table: open addressing over node ids, linear probing.
+   A slot holds [(id + 1) lsl 32] plus a 32-bit key, 0 when empty. A
+   canonical name's key is odd, a hash of its coordinates; any other
+   name's is even, a hash of its bytes. Equal keys so mean the same kind
+   of name, and nearly every mismatching probe is spared a look at the
+   coordinates or bytes. A key's first slot is the key scaled to the
+   table, so every table holds its nodes in key order up to
+   displacement, and two tables can be walked side by side. *)
+let key slot = slot land 0xffff_ffff
 
-let same_name t a b =
-  let sa = name_start t a and sb = name_start t b in
-  let len = t.name_end.(a) - sa in
-  t.name_end.(b) - sb = len && slice_equal t.name_arena sa t.name_arena sb len
+let coord_key l x y =
+  let h = ((((l * 0x2545f4914f6cdd1d) + x) * 0x2545f4914f6cdd1d) + y) * 0x2545f4914f6cdd1d in
+  ((h lxor (h lsr 29)) lsr 30) land 0xffff_ffff lor 1
 
-(* Open addressing over node ids, linear probing: a slot holds
-   [(id + 1) lsl 32] plus the low 32 bits of the name's hash (its key,
-   which spares nearly every mismatching probe a visit to the name), 0
-   when empty. A key's first slot is the key scaled to the table, so
-   every table holds its nodes in key order up to displacement, and two
-   tables can be walked side by side. [lookup] returns the slot that
-   holds the node named by the slice, or the empty one where it would
-   go. *)
-let key h = h land 0xffff_ffff
+let name_key s off len = hash_slice s off len land 0xffff_fffe
 
 let home slots k = (k * Array.length slots) lsr 32
 
 let next slots i = (i + 1) land (Array.length slots - 1)
 
-let rec probe slots names s off len k i =
+let id_at slots i = (slots.(i) lsr 32) - 1
+
+let rec probe_coords slots (coords : int array) (l : int) x y k i =
   let slot = slots.(i) in
   if slot = 0
      || key slot = k
-        && (let name = names.((slot lsr 32) - 1) in
-            String.length name = len && slice_equal name 0 s off len)
+        && (let v = 3 * id_at slots i in
+            coords.(v) = l && coords.(v + 1) = x && coords.(v + 2) = y)
   then i
-  else probe slots names s off len k (next slots i)
+  else probe_coords slots coords l x y k (next slots i)
 
-let lookup slots names s off len h = probe slots names s off len (key h) (home slots (key h))
+let rec probe_name slots ends arena s off len k i =
+  let slot = slots.(i) in
+  if slot = 0
+     || key slot = k
+        && (let v = id_at slots i in
+            ends.(v) - start ends v = len && slice_equal arena (start ends v) s off len)
+  then i
+  else probe_name slots ends arena s off len k (next slots i)
 
-let id_at slots i = (slots.(i) lsr 32) - 1
-
-let find_id slots names name =
-  let len = String.length name in
-  id_at slots (lookup slots names name 0 len (hash_slice name 0 len))
+(* The slot of the node named [s.[off .. off + len - 1]], or the empty
+   one where it would go, as [-slot - 1] for a name that is not
+   canonical; a canonical name's coordinates are left in [p]. *)
+let lookup slots coords ends arena p s off len =
+  if Ibm_format.canonical s off len p then
+    let k = coord_key p.(0) p.(1) p.(2) in
+    probe_coords slots coords p.(0) p.(1) p.(2) k (home slots k)
+  else
+    let k = name_key s off len in
+    -1 - probe_name slots ends arena s off len k (home slots k)
 
 let find_node t name =
-  match find_id t.index t.node_names name with -1 -> None | id -> Some id
+  let len = String.length name in
+  let i = lookup t.index t.coords t.node_end t.node_arena [| 0; 0; 0 |] name 0 len in
+  let i = if i < 0 then -1 - i else i in
+  if t.index.(i) = 0 then None else Some (id_at t.index i)
+
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+(* A canonical name is formatted from the coordinates. *)
+let add_node_name buf t v =
+  let st = start t.node_end v in
+  if t.node_end.(v) > st then Buffer.add_substring buf t.node_arena st (t.node_end.(v) - st)
+  else
+    for c = 0 to 2 do
+      Buffer.add_char buf (if c = 0 then 'n' else '_');
+      add_digits buf t.coords.((3 * v) + c)
+    done
+
+let node_name t v =
+  let buf = Buffer.create 24 in
+  add_node_name buf t v;
+  Buffer.contents buf
 
 let check_value kind value =
   if kind = Resistor && value < 0. then invalid_arg "Netlist: negative resistance"
@@ -97,76 +128,103 @@ module Builder = struct
 
   type t = {
     title : string;
-    mutable names : string array;
     mutable slots : int array;
     mutable num_nodes : int;
-    mutable coords : int array; (* the first [sealed] nodes' coordinates *)
-    mutable sealed : int;
+    mutable coords : int array;
+    mutable node_end : int array;
+    mutable node_arena : Bytes.t;
+    parts : int array; (* scratch for a canonical name's coordinates *)
     mutable kinds : Bytes.t;
     mutable pos : int array;
     mutable neg : int array;
     mutable values : float array;
     mutable name_end : int array;
-    base : int; (* column slot of this builder's first element *)
-    limit : int; (* column slot bound of a range builder, else [max_int] *)
-    nodes_hint : int; (* node capacity the table first grows to *)
     mutable num_elements : int;
     arena : Buffer.t;
     mutable auto_id : int;
     mutable finished : bool; (* the netlist now owns the arrays *)
   }
 
-  let create ?(title = "blech netlist") () =
-    { title; names = [||]; slots = Array.make 16 0; num_nodes = 0; coords = [||];
-      sealed = 0; kinds = Bytes.empty; pos = [||]; neg = [||]; values = [||];
-      name_end = [||]; base = 0; limit = max_int; nodes_hint = 0; num_elements = 0;
-      arena = Buffer.create 4096; auto_id = 0; finished = false }
-
   let check_open b = if b.finished then invalid_arg "Netlist.Builder: used after finish"
 
   let fit a n fill =
-    if n <= Array.length a then a else Array.append a (Array.make (n - Array.length a) fill)
+    if n <= Array.length a then a
+    else begin
+      let b = Array.make n fill in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    end
+
+  let rec free slots i = if slots.(i) = 0 then i else free slots (next slots i)
 
   (* Room for that many nodes in all, the table at most 3/4 full. *)
   let reserve_nodes b nodes =
     check_open b;
-    b.names <- fit b.names nodes "";
+    b.coords <- fit b.coords (3 * nodes) 0;
+    b.node_end <- fit b.node_end nodes 0;
     let cap = ref (Array.length b.slots) in
     while 4 * nodes > 3 * !cap do cap := 2 * !cap done;
     if !cap > Array.length b.slots then begin
       let slots = Array.make !cap 0 in
-      for id = 0 to b.num_nodes - 1 do
-        let s = b.names.(id) in
-        let h = hash_slice s 0 (String.length s) in
-        slots.(lookup slots b.names s 0 (String.length s) h) <- ((id + 1) lsl 32) lor key h
-      done;
+      Array.iter (fun slot -> if slot <> 0 then slots.(free slots (home slots (key slot))) <- slot)
+        b.slots;
       b.slots <- slots
     end
 
+  let create ?(title = "blech netlist") ?(elements = 0) ?(nodes = elements) () =
+    let elements = max 0 elements in
+    let b =
+      { title; slots = Array.make 16 0; num_nodes = 0; coords = [||]; node_end = [||];
+        node_arena = Bytes.empty; parts = [| 0; 0; 0 |]; kinds = Bytes.create elements;
+        pos = Array.make elements 0; neg = Array.make elements 0;
+        values = Array.create_float elements; name_end = Array.make elements 0;
+        num_elements = 0; arena = Buffer.create 4096; auto_id = 0; finished = false }
+    in
+    reserve_nodes b (max 0 nodes);
+    b
+
+  (* A new node: its coordinates, and its name's bytes unless the name
+     is canonical ([len] = 0). *)
+  let add_node b l x y s off len =
+    check_open b;
+    let v = b.num_nodes and at = start b.node_end b.num_nodes in
+    b.coords.(3 * v) <- l;
+    b.coords.((3 * v) + 1) <- x;
+    b.coords.((3 * v) + 2) <- y;
+    if at + len > Bytes.length b.node_arena then
+      b.node_arena <- Bytes.extend b.node_arena 0 (at + len + Bytes.length b.node_arena + 16);
+    if len > 0 then Bytes.blit_string s off b.node_arena at len;
+    b.node_end.(v) <- at + len;
+    b.num_nodes <- v + 1;
+    v
+
+  let set_slot b i k v =
+    b.slots.(i) <- ((v + 1) lsl 32) lor k;
+    v
+
   let intern b s off len =
-    if off < 0 || len < 0 || off > String.length s - len then
-      invalid_arg "Netlist.Builder.intern: slice out of bounds";
-    let id = b.num_nodes in
-    if id = Array.length b.names then reserve_nodes b (max b.nodes_hint ((2 * id) + 16));
-    let h = hash_slice s off len in
-    let i = lookup b.slots b.names s off len h in
-    if b.slots.(i) > 0 then id_at b.slots i
-    else begin
-      check_open b;
-      b.names.(id) <- (if off = 0 && len = String.length s then s else String.sub s off len);
-      b.slots.(i) <- ((id + 1) lsl 32) lor key h;
-      b.num_nodes <- id + 1;
-      id
-    end
+    if off < 0 || len <= 0 || off > String.length s - len then
+      invalid_arg "Netlist.Builder.intern: empty slice or out of bounds";
+    if b.num_nodes = Array.length b.node_end then reserve_nodes b ((2 * b.num_nodes) + 16);
+    let p = b.parts and arena = Bytes.unsafe_to_string b.node_arena in
+    let i = lookup b.slots b.coords b.node_end arena p s off len in
+    let slot = if i < 0 then -1 - i else i in
+    if b.slots.(slot) <> 0 then id_at b.slots slot
+    else if i >= 0 then
+      set_slot b i (coord_key p.(0) p.(1) p.(2)) (add_node b p.(0) p.(1) p.(2) s off 0)
+    else
+      set_slot b slot (name_key s off len)
+        (match Ibm_format.decode (String.sub s off len) with
+        | Some { Ibm_format.layer; x; y } -> add_node b layer x y s off len
+        | None -> add_node b no_layer 0 0 s off len)
 
   let node b name = intern b name 0 (String.length name)
 
   let push b kind s ~off ~len ~pos ~neg value =
     check_open b;
-    let i = b.base + b.num_elements in
-    if i = b.limit then invalid_arg "Netlist.Builder: range full";
+    let i = b.num_elements in
     if i = Array.length b.pos then begin
-      let n = (2 * i) + 16 in
+      let n = i + (i / 2) + 16 in
       b.kinds <- Bytes.extend b.kinds 0 (n - Bytes.length b.kinds);
       b.pos <- fit b.pos n 0;
       b.neg <- fit b.neg n 0;
@@ -179,7 +237,7 @@ module Builder = struct
     b.values.(i) <- value;
     Buffer.add_substring b.arena s off len;
     b.name_end.(i) <- Buffer.length b.arena;
-    b.num_elements <- b.num_elements + 1
+    b.num_elements <- i + 1
 
   let add b kind s ~off ~len ~pos ~neg value =
     if pos < 0 || pos >= b.num_nodes || neg < 0 || neg >= b.num_nodes then
@@ -211,161 +269,105 @@ module Builder = struct
 
   let num_nodes b = b.num_nodes
 
-  (* Ranges share one set of columns, exactly as long as their
-     capacities together, so a clean deck's columns go into the netlist
-     uncopied. Each range's node table is allocated by its first intern,
-     on the range's own domain, sized for as many nodes as elements (in
-     practice a bound, as in a one-range scan); the first range's for
-     every range's nodes. *)
-  let ranges ?title capacities =
-    let total = Array.fold_left ( + ) 0 capacities in
-    let kinds = Bytes.create total and pos = Array.make total 0
-    and neg = Array.make total 0 and values = Array.create_float total
-    and name_end = Array.make total 0 in
-    let base = ref 0 in
-    Array.mapi
-      (fun r capacity ->
-        if capacity < 0 then invalid_arg "Netlist.Builder.ranges: negative capacity";
-        let b =
-          { (create ?title ()) with kinds; pos; neg; values; name_end; base = !base;
-            limit = !base + capacity; nodes_hint = (if r = 0 then total else capacity) }
-        in
-        base := b.limit;
-        b)
-      capacities
-
-  let seal b =
-    if b.sealed < b.num_nodes then begin
-      let coords = Array.make (3 * b.num_nodes) 0 in
-      Array.blit b.coords 0 coords 0 (3 * b.sealed);
-      for v = b.sealed to b.num_nodes - 1 do
-        match Ibm_format.decode b.names.(v) with
-        | Some { Ibm_format.layer; x; y } ->
-          coords.(3 * v) <- layer;
-          coords.((3 * v) + 1) <- x;
-          coords.((3 * v) + 2) <- y
-        | None -> coords.(3 * v) <- no_layer
-      done;
-      b.coords <- coords;
-      b.sealed <- b.num_nodes
-    end
-
   (* The ids in [b0] of [b]'s nodes, -1 for a node [b0] lacks. [b]'s
      table is walked in slot order, in runs spread over [jobs] domains,
      so the probes of [b0]'s table (in key order too) move forward
-     through it, and names are read only on a key match. *)
+     through it. *)
   let resolve ~jobs b0 b =
-    let size = Array.length b.slots in
-    let ids = Array.make b.num_nodes (-1) in
+    let size = Array.length b.slots and ids = Array.make b.num_nodes (-1) in
     let runs = max 1 (min (8 * jobs) (size / 65536)) in
+    let arena0 = Bytes.unsafe_to_string b0.node_arena
+    and arena = Bytes.unsafe_to_string b.node_arena in
     ignore
       (Numerics.Parallel.map ~jobs
          (fun r ->
            for i = r * size / runs to ((r + 1) * size / runs) - 1 do
-             let slot = b.slots.(i) in
-             if slot <> 0 then begin
-               let l = (slot lsr 32) - 1 and k = key slot in
-               let rec find j =
-                 let slot0 = b0.slots.(j) in
-                 if slot0 = 0 then -1
-                 else if key slot0 = k && String.equal b0.names.((slot0 lsr 32) - 1) b.names.(l)
-                 then (slot0 lsr 32) - 1
-                 else find (next b0.slots j)
+             if b.slots.(i) <> 0 then begin
+               let l = id_at b.slots i and k = key b.slots.(i) in
+               let c = 3 * l and st = start b.node_end l in
+               let j =
+                 if k land 1 = 1 then
+                   probe_coords b0.slots b0.coords b.coords.(c) b.coords.(c + 1)
+                     b.coords.(c + 2) k (home b0.slots k)
+                 else
+                   probe_name b0.slots b0.node_end arena0 arena st (b.node_end.(l) - st) k
+                     (home b0.slots k)
                in
-               ids.(l) <- find (home b0.slots k)
+               if b0.slots.(j) <> 0 then ids.(l) <- id_at b0.slots j
              end
            done)
          (Array.init runs Fun.id));
     ids
 
-  (* Later ranges join the first in place. A later range's new nodes
-     take the next ids in its local order (a one-range scan meets them
-     in that order too) and enter the first range's table in key order;
-     its elements move down over any unused capacity, node ids remapped
-     and name ends shifted past the arenas before them. The netlist
-     takes over the arrays: exact-size ones are not copied. *)
-  let merge ?(jobs = 1) bs : netlist =
-    let b0 = if bs = [||] then invalid_arg "Netlist.Builder.merge: no builder" else bs.(0) in
-    if b0.base <> 0 then invalid_arg "Netlist.Builder.merge: not the first range";
+  (* A later range joins the first: its new nodes take the next ids in
+     its local order (a one-range scan meets them in that order too)
+     and enter [b0]'s table in key order. Returns its local-to-merged id
+     map. *)
+  let join ~jobs b0 b =
+    let ids = resolve ~jobs b0 b and fresh = b0.num_nodes in
+    reserve_nodes b0 (fresh + Array.fold_left (fun n id -> if id < 0 then n + 1 else n) 0 ids);
+    let arena = Bytes.unsafe_to_string b.node_arena in
     Array.iteri
-      (fun r b ->
-        check_open b;
-        if r > 0 && (b.pos != b0.pos || b.base <> bs.(r - 1).limit) then
-          invalid_arg "Netlist.Builder.merge: not consecutive ranges of one set")
-      bs;
-    Array.iter seal bs;
-    let fresh = Array.make (Array.length bs) 0 in
-    let maps =
-      Array.mapi
-        (fun r b ->
-          fresh.(r) <- b0.num_nodes;
-          if r = 0 then [||]
-          else begin
-            let ids = resolve ~jobs b0 b in
-            let added = Array.fold_left (fun n id -> if id < 0 then n + 1 else n) 0 ids in
-            reserve_nodes b0 (max b0.nodes_hint (b0.num_nodes + added));
-            Array.iteri
-              (fun l id ->
-                if id < 0 then begin
-                  ids.(l) <- b0.num_nodes;
-                  b0.names.(b0.num_nodes) <- b.names.(l);
-                  b0.num_nodes <- b0.num_nodes + 1
-                end)
-              ids;
-            Array.iter
-              (fun slot ->
-                let v = if slot = 0 then -1 else ids.((slot lsr 32) - 1) in
-                if v >= fresh.(r) then begin
-                  let rec free i = if b0.slots.(i) = 0 then i else free (next b0.slots i) in
-                  b0.slots.(free (home b0.slots (key slot))) <- ((v + 1) lsl 32) lor key slot
-                end)
-              b.slots;
-            ids
-          end)
-        bs
-    in
-    let coords =
-      if b0.sealed = b0.num_nodes then b0.coords
-      else begin
-        let coords = Array.make (3 * b0.num_nodes) 0 in
-        Array.blit b0.coords 0 coords 0 (3 * b0.sealed);
-        coords
-      end
-    in
-    let arena = Bytes.create (Array.fold_left (fun n b -> n + Buffer.length b.arena) 0 bs) in
-    let dst = ref 0 and shift = ref 0 in
-    Array.iteri
-      (fun r b ->
-        let map = maps.(r) in
-        if r > 0 then begin
-          Array.iteri
-            (fun l v ->
-              if v >= fresh.(r) then
-                for c = 0 to 2 do
-                  coords.((3 * v) + c) <- b.coords.((3 * l) + c)
-                done)
-            map;
+      (fun l id ->
+        if id < 0 then begin
+          let c = 3 * l and st = start b.node_end l in
+          ids.(l) <-
+            add_node b0 b.coords.(c) b.coords.(c + 1) b.coords.(c + 2) arena st
+              (b.node_end.(l) - st)
+        end)
+      ids;
+    Array.iter
+      (fun slot ->
+        let v = if slot = 0 then -1 else ids.((slot lsr 32) - 1) in
+        if v >= fresh then
+          ignore (set_slot b0 (free b0.slots (home b0.slots (key slot))) (key slot) v))
+      b.slots;
+    ids
+
+  let cut a n = if Array.length a = n then a else Array.sub a 0 n
+
+  (* The builders' elements, one after another, copied into exact-size
+     columns and one name arena, one range per task on [jobs] domains
+     (node ids remapped through [maps], name ends shifted past the
+     arenas before); the first, the lightest, also cuts the node ones. *)
+  let columns ~jobs bs maps =
+    let before f = Array.fold_left_map (fun sum b -> (sum + f b, sum)) 0 bs in
+    let ne, first = before (fun b -> b.num_elements)
+    and size, shift = before (fun b -> Buffer.length b.arena) in
+    let kinds = Bytes.create ne and pos = Array.make ne 0 and neg = Array.make ne 0
+    and values = Array.create_float ne and name_end = Array.make ne 0
+    and arena = Bytes.create size in
+    let nodes =
+      Numerics.Parallel.map ~jobs
+        (fun r ->
+          let b = bs.(r) and d = first.(r) and map = maps.(r) in
+          Bytes.blit b.kinds 0 kinds d b.num_elements;
+          Array.blit b.values 0 values d b.num_elements;
+          Buffer.blit b.arena 0 arena shift.(r) (Buffer.length b.arena);
           for e = 0 to b.num_elements - 1 do
-            let s = b.base + e and d = !dst + e in
-            Bytes.unsafe_set b0.kinds d (Bytes.unsafe_get b0.kinds s);
-            b0.pos.(d) <- map.(b0.pos.(s));
-            b0.neg.(d) <- map.(b0.neg.(s));
-            b0.values.(d) <- b0.values.(s);
-            b0.name_end.(d) <- b0.name_end.(s) + !shift
-          done
-        end;
-        Buffer.blit b.arena 0 arena !shift (Buffer.length b.arena);
-        dst := !dst + b.num_elements;
-        shift := !shift + Buffer.length b.arena;
-        b.finished <- true)
-      bs;
-    let cut a n = if Array.length a = n then a else Array.sub a 0 n in
-    let ne = !dst in
-    { title = b0.title; node_names = cut b0.names b0.num_nodes; coords; index = b0.slots;
-      kinds = Bytes.sub b0.kinds 0 ne; pos = cut b0.pos ne; neg = cut b0.neg ne;
-      values = cut b0.values ne; name_arena = Bytes.unsafe_to_string arena;
-      name_end = cut b0.name_end ne;
-      ground = (match find_id b0.slots b0.names "0" with -1 -> None | id -> Some id) }
+            pos.(d + e) <- (if r = 0 then b.pos.(e) else map.(b.pos.(e)));
+            neg.(d + e) <- (if r = 0 then b.neg.(e) else map.(b.neg.(e)));
+            name_end.(d + e) <- b.name_end.(e) + shift.(r)
+          done;
+          if r > 0 then ([||], [||])
+          else (cut b.coords (3 * b.num_nodes), cut b.node_end b.num_nodes))
+        (Array.init (Array.length bs) Fun.id)
+    in
+    (kinds, pos, neg, values, name_end, Bytes.unsafe_to_string arena, nodes.(0))
+
+  let merge ?(jobs = 1) bs : netlist =
+    if bs = [||] then invalid_arg "Netlist.Builder.merge: no builder";
+    Array.iter check_open bs;
+    let b0 = bs.(0) in
+    let maps = Array.mapi (fun r b -> if r = 0 then [||] else join ~jobs b0 b) bs in
+    let kinds, pos, neg, values, name_end, arena, (coords, node_end) = columns ~jobs bs maps in
+    Array.iter (fun b -> b.finished <- true) bs;
+    let net =
+      { title = b0.title; coords; index = b0.slots; node_end; kinds; pos; neg; values;
+        node_arena = Bytes.sub_string b0.node_arena 0 (start node_end b0.num_nodes);
+        name_arena = arena; name_end; ground = None }
+    in
+    { net with ground = find_node net "0" }
 
   let finish b = merge [| b |]
 end
@@ -393,19 +395,24 @@ let pp_stats ppf t =
   Format.fprintf ppf "%s: %d nodes, %d R, %d I, %d V" t.title s.nodes
     s.resistors s.current_sources s.voltage_sources
 
-let iter_lines t line =
-  for e = 0 to num_elements t - 1 do
-    line (element_name t e) t.node_names.(t.pos.(e)) t.node_names.(t.neg.(e)) t.values.(e)
-  done
+external format_float : string -> float -> string = "caml_format_float"
 
-let output oc t =
-  Printf.fprintf oc "* %s\n" t.title;
-  iter_lines t (Printf.fprintf oc "%s %s %s %.10g\n");
-  output_string oc ".op\n.end\n"
-
+(* Values as [%.10g] prints them. *)
 let to_string t =
-  let buf = Buffer.create 4096 in
-  Printf.bprintf buf "* %s\n" t.title;
-  iter_lines t (Printf.bprintf buf "%s %s %s %.10g\n");
+  let buf = Buffer.create (64 + (56 * num_elements t)) in
+  Buffer.add_string buf ("* " ^ t.title ^ "\n");
+  for e = 0 to num_elements t - 1 do
+    let st = start t.name_end e in
+    Buffer.add_substring buf t.name_arena st (t.name_end.(e) - st);
+    Buffer.add_char buf ' ';
+    add_node_name buf t t.pos.(e);
+    Buffer.add_char buf ' ';
+    add_node_name buf t t.neg.(e);
+    Buffer.add_char buf ' ';
+    Buffer.add_string buf (format_float "%.10g" t.values.(e));
+    Buffer.add_char buf '\n'
+  done;
   Buffer.add_string buf ".op\n.end\n";
   Buffer.contents buf
+
+let output oc t = output_string oc (to_string t)

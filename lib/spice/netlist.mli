@@ -12,8 +12,12 @@
     [neg.(e)], with value [values.(e)] (ohms, amperes or volts). Names are
     slices of one arena string: element [e]'s ends at [name_end.(e)] and
     starts where element [e - 1]'s ends; it becomes a [string] only
-    through {!element_name}. Node names are interned once, their IBM
-    coordinates decoded beside them.
+    through {!element_name}. A node with a canonical name
+    ({!Ibm_format.canonical}: [n<layer>_<x>_<y>]) is stored as its
+    coordinates alone and {!node_name} formats it back; any other name
+    (["0"], ["n01_2_3"], ["X12"]) is a slice of a node arena, as element
+    names are. [n1_2_3] and [n01_2_3] are two nodes; node names are not
+    empty.
 
     Numbering: node ids are dense, by first appearance, each element
     introducing its {e second} node before its first. {!Builder} and the
@@ -23,11 +27,14 @@ type kind = Resistor | Current_source | Voltage_source
 
 type t = private {
   title : string;
-  node_names : string array;
   coords : int array;
-      (** node [v]'s IBM layer, x, y at [3v .. 3v + 2] ({!Ibm_format});
+      (** node [v]'s IBM layer, x, y at [3v .. 3v + 2] ({!Ibm_format.decode});
           the layer is {!no_layer} for a name without geometry *)
   index : int array;  (** the interning table behind {!find_node} *)
+  node_end : int array;
+      (** node [v]'s name ends at [node_end.(v)] in [node_arena] and
+          starts where node [v - 1]'s ends; empty for a canonical name *)
+  node_arena : string;
   kinds : Bytes.t;
   pos : int array;
   neg : int array;
@@ -45,6 +52,8 @@ val num_nodes : t -> int
 val num_elements : t -> int
 
 val node_name : t -> int -> string
+(** The name as the deck spelled it; a canonical one is formatted from
+    its coordinates. *)
 
 val find_node : t -> string -> int option
 (** O(1): one probe of the interning table. *)
@@ -52,12 +61,6 @@ val find_node : t -> string -> int option
 val kind : t -> int -> kind
 
 val element_name : t -> int -> string
-
-val name_hash : t -> int -> int
-(** A hash of element [e]'s name, read in place. *)
-
-val same_name : t -> int -> int -> bool
-(** Whether two elements share a name, compared in place. *)
 
 val with_values : t -> float array -> t
 (** The same netlist and node ids with a new value column. Raises
@@ -70,15 +73,18 @@ module Builder : sig
 
   type t
 
-  val create : ?title:string -> unit -> t
+  val create : ?title:string -> ?elements:int -> ?nodes:int -> unit -> t
+  (** Room first for [elements] elements (default 0) and [nodes] nodes
+      (default [elements]); both grow as needed. *)
 
   val node : t -> string -> int
   (** Intern a node name (idempotent). *)
 
   val intern : t -> string -> int -> int -> int
-  (** [intern b s off len]: {!node} of [s.[off .. off + len - 1]];
-      allocates only for a new node. Raises [Invalid_argument] when the
-      slice is not inside [s]. *)
+  (** [intern b s off len]: {!node} of [s.[off .. off + len - 1]],
+      decoded in place; allocates nothing for a canonical name, and for
+      another only when it is new. Raises [Invalid_argument] when the
+      slice is empty or not inside [s]. *)
 
   val add :
     t -> kind -> string -> off:int -> len:int -> pos:int -> neg:int -> float -> unit
@@ -102,39 +108,17 @@ module Builder : sig
   (** The netlist takes over the builder's storage; adding to the builder
       afterwards raises [Invalid_argument]. *)
 
-  (** {2 Ranges}
-
-      A deck cut into consecutive line ranges is scanned one builder per
-      range, each on its own domain, then merged into the netlist a
-      single builder would have produced from the whole deck: same node
-      ids, names, coordinates, columns, name arena and [ground], and the
-      same {!find_node} answers (the interning table may hold colliding
-      names in another order). Each range numbers its nodes from 0 by
-      first appearance; the merge gives a later range's new names the
-      next ids in that local order, so a node keeps the id of its first
-      appearance in the deck. *)
-
-  val ranges : ?title:string -> int array -> t array
-  (** [ranges capacities]: one builder per range, builder [r] taking at
-      most [capacities.(r)] elements (more raises [Invalid_argument]).
-      They write into one shared set of columns, so {!merge} copies no
-      element column when every range fills its capacity. Builders of
-      one set may be filled concurrently, each by one domain. *)
-
-  val seal : t -> unit
-  (** Decode the IBM coordinates of the nodes interned so far, in the
-      calling domain (a range's worker), so that {!merge} and {!finish}
-      only copy them. Optional; nodes added later are decoded when the
-      netlist is built. *)
-
   val merge : ?jobs:int -> t array -> netlist
-  (** The netlist of a whole {!ranges} set, passed in order; it takes
-      over the storage of every builder, as {!finish} does. The lookups
-      of a later range's names in the first range's table run on [jobs]
-      domains (default 1); the rest of the merge is sequential.
-      [merge [| b |]] is [finish b]. Raises [Invalid_argument] when the
-      builders are not consecutive ranges of one set, or one was
-      already finished. *)
+  (** The netlist of a deck's consecutive line ranges, one builder each
+      (filled on its own domain), passed in order: the one a single
+      builder would have made of the whole deck, with the same
+      {!find_node} answers (the table may hold colliding names in
+      another order). A later range's new nodes take the next ids in its
+      local order of first appearance. Its nodes are looked up on [jobs]
+      domains (default 1), and its columns copied once. Takes over every
+      builder's storage as {!finish} does; [merge [| b |]] is
+      [finish b]. Raises [Invalid_argument] on no builder or a finished
+      one. *)
 end
 
 (** {1 Statistics and output} *)
@@ -152,6 +136,7 @@ val pp_stats : Format.formatter -> t -> unit
 
 val output : out_channel -> t -> unit
 (** Write in IBM-power-grid-benchmark SPICE style ([.op] / [.end]
-    trailer); {!Parser.parse_string} inverts it. *)
+    trailer), values as [%.10g] prints them; {!Parser.parse_string}
+    inverts it. *)
 
 val to_string : t -> string

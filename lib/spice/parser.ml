@@ -6,8 +6,6 @@ let default_max_errors = 20
 
 let is_blank = function ' ' | '\t' | '\n' | '\r' | '\012' -> true | _ -> false
 
-let is_separator c = c = ' ' || c = '\t'
-
 let is_digit c = '0' <= c && c <= '9'
 
 let is_letter c = ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z')
@@ -101,20 +99,25 @@ let plain_decimal s lo hi =
 
 (* The SPICE literal in [s.[lo .. hi - 1]], blanks trimmed: a number,
    then letters ("1.2ku", "15.6ma", "3.3megohm", "5v"). Nan when
-   malformed; an overflow reads as an infinity. *)
+   malformed; an overflow reads as an infinity. A plain decimal, the
+   common case, is read in one pass. *)
 let literal s lo hi =
-  let lo = ref lo and hi = ref hi in
-  while !lo < !hi && is_blank s.[!lo] do incr lo done;
-  while !hi > !lo && is_blank s.[!hi - 1] do decr hi done;
-  let lo = !lo and hi = !hi in
-  let split = numeric s lo hi lo in
-  if not (letters s split hi) then Float.nan
-  else
-    let v = plain_decimal s lo split in
-    (if Float.is_nan v then
-       Option.value (float_of_string_opt (String.sub s lo (split - lo))) ~default:Float.nan
-     else v)
-    *. scale s split hi
+  let plain = plain_decimal s lo hi in
+  if not (Float.is_nan plain) then plain
+  else begin
+    let lo = ref lo and hi = ref hi in
+    while !lo < !hi && is_blank s.[!lo] do incr lo done;
+    while !hi > !lo && is_blank s.[!hi - 1] do decr hi done;
+    let lo = !lo and hi = !hi in
+    let split = numeric s lo hi lo in
+    if not (letters s split hi) then Float.nan
+    else
+      let v = plain_decimal s lo split in
+      (if Float.is_nan v then
+         Option.value (float_of_string_opt (String.sub s lo (split - lo))) ~default:Float.nan
+       else v)
+      *. scale s split hi
+  end
 
 let value_error raw v =
   Printf.sprintf "%s numeric literal %S" (if Float.is_nan v then "malformed" else "non-finite") raw
@@ -126,50 +129,80 @@ let parse_value raw =
 
 let field text fields i = String.sub text fields.(2 * i) (fields.((2 * i) + 1) - fields.(2 * i))
 
-(* One deck line, [text.[lo .. hi - 1]] without its newline and inline
-   comment: [None] when it is blank, a comment, a dot-card or a
-   well-formed element (then added to [b]), else the reason it is
-   malformed. [fields] is scratch for the first four fields' bounds. *)
-let scan_line b fields text lo hi =
-  let lo = ref lo and hi = ref hi in
-  while !lo < !hi && is_blank (String.unsafe_get text !lo) do incr lo done;
-  while !hi > !lo && is_blank (String.unsafe_get text (!hi - 1)) do decr hi done;
-  let lo = !lo and hi = !hi in
-  if lo = hi || text.[lo] = '*' || text.[lo] = '.' then None
-  else begin
-    let count = ref 0 and k = ref lo in
-    while !k < hi do
-      if is_separator (String.unsafe_get text !k) then incr k
-      else begin
-        if !count < 4 then fields.(2 * !count) <- !k;
-        while !k < hi && not (is_separator (String.unsafe_get text !k)) do incr k done;
-        if !count < 4 then fields.((2 * !count) + 1) <- !k;
-        incr count
+(* What a byte is to {!split_line}: ['s'] separates fields, ['e'] ends
+   a line's content, ['t'] is a blank trimmed from a field's end. *)
+let classes =
+  String.init 256 (fun c ->
+      match Char.chr c with
+      | ' ' | '\t' -> 's'
+      | '\n' | '$' -> 'e'
+      | '\r' | '\012' -> 't'
+      | _ -> 'f')
+
+let class_of text k = String.unsafe_get classes (Char.code (String.unsafe_get text k))
+
+(* The deck line from [lo]: everything up to its first ['\n'] or ['$'],
+   trimmed of blanks, split into fields on space and tab. Returns the
+   field count, 0 for a blank line, a comment or a dot-card; the first
+   four fields' bounds go to [fields.(0 .. 7)], and the offset of the
+   line's ['\n'] (or of the text's end) to [fields.(8)]. One pass: the
+   count and the last field's end are those of the last field with a
+   byte that is not blank. *)
+let split_line fields text lo =
+  let n = String.length text and k = ref lo in
+  while !k < n && (class_of text !k = 's' || class_of text !k = 't') do incr k done;
+  let count = ref 0 and last = ref 0 and last_end = ref 0 in
+  if !k < n && (String.unsafe_get text !k = '*' || String.unsafe_get text !k = '.') then
+    last := -1;
+  while !last >= 0 && !k < n && class_of text !k <> 'e' do
+    if class_of text !k = 's' then incr k
+    else begin
+      let first = !k in
+      while !k < n && (class_of text !k = 'f' || class_of text !k = 't') do incr k done;
+      let e = ref !k in
+      while !e > first && class_of text (!e - 1) = 't' do decr e done;
+      incr count;
+      if !count <= 4 then begin
+        fields.(2 * (!count - 1)) <- first;
+        fields.((2 * !count) - 1) <- !k
+      end;
+      if !e > first then begin
+        last := !count;
+        last_end := !e
       end
-    done;
-    if !count <> 4 then Some (Printf.sprintf "expected 4 fields, found %d" !count)
-    else
-      let v = literal text fields.(6) fields.(7) and letter = low text fields.(0) in
-      if not (Float.is_finite v) then Some (value_error (field text fields 3) v)
-      else if not (String.contains "riv" letter) then
-        Some (Printf.sprintf "unsupported element %S" (field text fields 0))
-      else if letter = 'r' && v < 0. then Some "negative resistance"
-      else begin
-        let neg = Netlist.Builder.intern b text fields.(4) (fields.(5) - fields.(4)) in
-        let pos = Netlist.Builder.intern b text fields.(2) (fields.(3) - fields.(2)) in
-        let kind : Netlist.kind =
-          if letter = 'r' then Resistor else if letter = 'i' then Current_source else Voltage_source
-        in
-        Netlist.Builder.add b kind text ~off:fields.(0) ~len:(fields.(1) - fields.(0)) ~pos ~neg v;
-        None
-      end
-  end
+    end
+  done;
+  if !last >= 1 && !last <= 4 then fields.((2 * !last) - 1) <- !last_end;
+  fields.(8) <- (match String.index_from_opt text !k '\n' with Some i -> i | None -> n);
+  max 0 !last
+
+(* A line of [count] fields split by {!split_line}: [None] when it is
+   blank, a comment, a dot-card or a well-formed element (then added to
+   [b]), else the reason it is malformed. *)
+let element b fields text count =
+  if count = 0 then None
+  else if count <> 4 then Some (Printf.sprintf "expected 4 fields, found %d" count)
+  else
+    let v = literal text fields.(6) fields.(7) and letter = low text fields.(0) in
+    if not (Float.is_finite v) then Some (value_error (field text fields 3) v)
+    else if not (String.contains "riv" letter) then
+      Some (Printf.sprintf "unsupported element %S" (field text fields 0))
+    else if letter = 'r' && v < 0. then Some "negative resistance"
+    else begin
+      let neg = Netlist.Builder.intern b text fields.(4) (fields.(5) - fields.(4)) in
+      let pos = Netlist.Builder.intern b text fields.(2) (fields.(3) - fields.(2)) in
+      let kind : Netlist.kind =
+        if letter = 'r' then Resistor else if letter = 'i' then Current_source else Voltage_source
+      in
+      Netlist.Builder.add b kind text ~off:fields.(0) ~len:(fields.(1) - fields.(0)) ~pos ~neg v;
+      None
+    end
 
 (* Decks shorter than two ranges of this many bytes are scanned in one.
    A 256 KiB range scans in 3-4 ms on one core of a 2-vCPU host; a
-   split adds three parallel sections (count, scan, merge lookups) at
-   0.1-0.5 ms each to spawn and join, plus the merge, and decks under
-   512 KiB measured no faster in two ranges than in one. *)
+   split adds two parallel sections (scan, merge lookups) at 0.1-0.5 ms
+   each to spawn and join, plus the merge, and decks under 512 KiB
+   measured no faster in two ranges than in one. *)
 let min_range_bytes = 1 lsl 18
 
 (* [k + 1] offsets cutting [text] into [k] ranges of about equal size,
@@ -186,50 +219,27 @@ let cuts ~jobs text =
   done;
   bounds
 
-(* The first ['\n'] or [stop] byte in [text.[k .. hi - 1]], else [hi]. *)
-let rec eol text ~stop k hi =
-  if k < hi && String.unsafe_get text k <> '\n' && String.unsafe_get text k <> stop then
-    eol text ~stop (k + 1) hi
-  else k
-
-(* Lines of [text.[lo .. hi - 1]] whose first non-blank byte is an
-   element letter: an upper bound on the range's elements, exact for a
-   clean deck, so the shared columns are sized once. *)
-let candidates text lo hi =
-  let rec line k count =
-    if k >= hi then count
-    else
-      match String.unsafe_get text k with
-      | ' ' | '\t' | '\r' | '\012' -> line (k + 1) count
-      | 'r' | 'R' | 'i' | 'I' | 'v' | 'V' -> line (eol text ~stop:'\n' k hi + 1) (count + 1)
-      | _ -> line (eol text ~stop:'\n' k hi + 1) count
-  in
-  line lo 0
-
 (* The lines of one range into [b]: those starting in [lo .. hi - 1],
    and the empty one at [hi] too for the deck's last range. Stops after
    more than [budget] malformed lines. Returns the number of lines
    scanned and the malformed ones, last first, numbered from 1 within
    the range. *)
 let scan_range ~budget b text lo hi ~last =
-  let fields = Array.make 8 0 and n = String.length text in
+  let fields = Array.make 9 0 in
   let stop = if last then hi + 1 else hi in
   let errors = ref [] and count = ref 0 in
   let rec lines lineno lo =
     if lo >= stop || !count > budget then lineno - 1
     else begin
-      let cut = eol text ~stop:'$' lo n in
-      let hi = if cut < n && text.[cut] = '$' then eol text ~stop:'\n' cut n else cut in
-      (match scan_line b fields text lo cut with
+      (match element b fields text (split_line fields text lo) with
       | None -> ()
       | Some message ->
         incr count;
         errors := (lineno, message) :: !errors);
-      lines (lineno + 1) (hi + 1)
+      lines (lineno + 1) (fields.(8) + 1)
     end
   in
   let lines = lines 1 lo in
-  Netlist.Builder.seal b;
   (lines, !errors)
 
 (* The deck on up to [jobs] domains, one range and one builder each.
@@ -238,15 +248,19 @@ let scan_range ~budget b text lo hi ~last =
    must raise once it has seen that many. *)
 let scan ~jobs ~title ~budget ~check text =
   let bounds = cuts ~jobs text in
-  let each f =
-    Numerics.Parallel.map ~jobs
-      (fun r -> f r bounds.(r) bounds.(r + 1))
-      (Array.init (Array.length bounds - 1) Fun.id)
-  in
-  let builders = Netlist.Builder.ranges ~title (each (fun _ lo hi -> candidates text lo hi)) in
-  let last = Array.length builders - 1 in
+  let last = Array.length bounds - 2 in
   let scans =
-    each (fun r lo hi -> scan_range ~budget builders.(r) text lo hi ~last:(r = last))
+    Numerics.Parallel.map ~jobs
+      (fun r ->
+        let lo = bounds.(r) and hi = bounds.(r + 1) in
+        (* First sizes from the generated decks: 42-55 bytes a line, 66-73
+           a node, 43-63 a node within a range (a node counts in every
+           range that names it). The first range's table takes every
+           node. *)
+        let nodes = if r = 0 then String.length text / 60 else (hi - lo) / 55 in
+        let b = Netlist.Builder.create ~title ~elements:((hi - lo) / 40) ~nodes () in
+        (b, scan_range ~budget b text lo hi ~last:(r = last)))
+      (Array.init (last + 1) Fun.id)
   in
   let errors = ref [] and first = ref 1 in
   Array.iter
@@ -255,10 +269,10 @@ let scan ~jobs ~title ~budget ~check text =
         (fun (l, message) -> errors := { line = !first + l - 1; message } :: !errors)
         (List.rev errs);
       first := !first + lines)
-    scans;
+    (Array.map snd scans);
   let errors = List.rev !errors in
   check errors;
-  (Netlist.Builder.merge ~jobs builders, errors)
+  (Netlist.Builder.merge ~jobs (Array.map fst scans), errors)
 
 let strict = function
   | [] -> ()

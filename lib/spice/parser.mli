@@ -20,19 +20,17 @@
 
     Nodes are interned straight from the deck bytes, numbered by first
     appearance with each element's second node before its first (the
-    rule {!Netlist.Builder} follows); a repeated node costs a hash probe
-    and no allocation.
+    rule {!Netlist.Builder} follows). A canonical name
+    ([n<layer>_<x>_<y>]) is decoded once, in place, and looked up by its
+    coordinates; nothing is allocated for it.
 
     With [jobs > 1] the deck is cut at line boundaries into up to
-    [jobs] ranges of about equal size, and each range is scanned by its
-    own {!Netlist.Builder} on its own domain ({!Numerics.Parallel.map}):
-    first a count of its candidate elements, which sizes the shared
-    columns, then the scan itself. The ranges then merge
-    ({!Netlist.Builder.merge}) into the netlist a one-range scan
-    produces, at any [jobs]: same node ids, columns, names and errors.
-    A deck shorter than two ranges of 256 KiB is scanned in one range:
-    below that, spawning domains costs a visible share of the scan.
-    [jobs] defaults to 1; [jobs < 1] raises [Invalid_argument].
+    [jobs] ranges of about equal size (at least 256 KiB each), each
+    scanned in one pass by its own {!Netlist.Builder} on its own domain
+    ({!Numerics.Parallel.map}), then merged ({!Netlist.Builder.merge})
+    into the netlist a one-range scan produces: same node ids, columns,
+    names and errors. [jobs] defaults to 1; [jobs < 1] raises
+    [Invalid_argument].
 
     Two parsing modes:
     - strict ({!parse_string} / {!parse_file}): the first malformed

@@ -17,11 +17,7 @@ let to_string t =
     t;
   Buffer.contents buf
 
-let write path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string t))
+let write path t = Out_channel.with_open_text path (fun oc -> output_string oc (to_string t))
 
 let parse_string text =
   let out = ref [] in
@@ -50,13 +46,7 @@ let parse_string text =
     (String.split_on_char '\n' text);
   List.rev !out
 
-let parse_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      parse_string (really_input_string ic len))
+let parse_file path = parse_string (In_channel.with_open_text path In_channel.input_all)
 
 type comparison = {
   common : int;

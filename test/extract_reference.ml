@@ -33,8 +33,9 @@ type wire = {
 
 let extract ~tech (sol : Mna.solution) =
   let net = sol.Mna.netlist in
-  (* Decode every node name once. *)
-  let coords = Array.map Ibm.decode net.N.node_names in
+  (* Spell and decode every node name once. *)
+  let node_names = Array.init (N.num_nodes net) (N.node_name net) in
+  let coords = Array.map Ibm.decode node_names in
   let lut = layer_of_level tech in
   (* Pass 1: collect intra-layer wires grouped by metal level. *)
   let wires_by_level : (int, wire list ref) Hashtbl.t = Hashtbl.create 8 in
@@ -48,7 +49,7 @@ let extract ~tech (sol : Mna.solution) =
         | None -> ()
         | Some layer ->
           let length =
-            float_of_int (Ibm.manhattan_distance ca cb) *. nm
+            float_of_int (abs (ca.Ibm.x - cb.Ibm.x) + abs (ca.Ibm.y - cb.Ibm.y)) *. nm
           in
           if length > 0. then begin
             (* Width from the resistor value (w = rho l / (R h)): equals
@@ -109,7 +110,7 @@ let extract ~tech (sol : Mna.solution) =
         | None ->
           let i = !n_local in
           Hashtbl.add local id i;
-          names := net.N.node_names.(id) :: !names;
+          names := node_names.(id) :: !names;
           incr n_local;
           i
       in

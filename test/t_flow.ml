@@ -126,17 +126,31 @@ let segment_multiset_compact css =
       List.init (Cc.num_segments c) (fun k ->
           ( cs.Ex.cs_layer_level,
             cs.Ex.cs_element_ids.(k),
-            cs.Ex.cs_node_names.(c.Cc.tail.(k)),
-            cs.Ex.cs_node_names.(c.Cc.head.(k)),
+            Ex.node_name cs c.Cc.tail.(k),
+            Ex.node_name cs c.Cc.head.(k),
             (c.Cc.length.(k), c.Cc.width.(k), c.Cc.height.(k), c.Cc.j.(k)) )))
     css
   |> List.sort compare
 
-let compact_of_boxed (es : Ex.em_structure) =
+(* A netlist of just [names], and their ids in it. *)
+let netlist_of_names names =
+  let b = N.Builder.create () in
+  let nodes = Array.map (N.Builder.node b) names in
+  (N.Builder.finish b, nodes)
+
+(* A structure of the fused path made from a boxed one: its node names
+   looked up in [net], or interned into a netlist of their own. *)
+let compact_of_boxed ?net (es : Ex.em_structure) =
+  let net, nodes =
+    match net with
+    | Some net -> (net, Array.map (fun n -> Option.get (N.find_node net n)) es.Ex.node_names)
+    | None -> netlist_of_names es.Ex.node_names
+  in
   {
     Ex.cs_layer_level = es.Ex.layer_level;
     compact = Cc.of_structure es.Ex.structure;
-    cs_node_names = es.Ex.node_names;
+    cs_netlist = net;
+    cs_nodes = nodes;
     cs_element_ids = es.Ex.element_ids;
   }
 
@@ -153,7 +167,9 @@ let check_extraction_equivalence ~tech sol =
   Alcotest.(check int) "same segment count" (List.length old_ms)
     (List.length new_ms);
   Alcotest.(check bool) "identical segment multisets" true (old_ms = new_ms);
-  let r_old = Flow.run_on_compact (List.map compact_of_boxed boxed) in
+  let r_old =
+    Flow.run_on_compact (List.map (compact_of_boxed ~net:sol.Spice.Mna.netlist) boxed)
+  in
   let r_new = Flow.run_on_compact fused in
   Alcotest.(check bool) "identical confusion counts" true
     (r_old.Flow.counts = r_new.Flow.counts);
@@ -441,14 +457,6 @@ let test_layer_report_mortal_consistency () =
 
 module Fx = Emflow.Fixer
 
-let compact_of (es : Ex.em_structure) =
-  {
-    Ex.cs_layer_level = es.Ex.layer_level;
-    compact = Cc.of_structure es.Ex.structure;
-    cs_node_names = es.Ex.node_names;
-    cs_element_ids = es.Ex.element_ids;
-  }
-
 let stressed_structures () =
   let g = small_grid () in
   let scaled, _ = Ir.scale_to_ir g ~target:0.05 in
@@ -471,7 +479,7 @@ let test_fixer_plan_and_verify () =
       Alcotest.(check bool) "positive cost" true (f.Fx.extra_area > 0.))
     plan.Fx.fixes;
   Alcotest.(check bool) "plan verifies" true
-    (Fx.verify (List.map compact_of structures) plan);
+    (Fx.verify (List.map compact_of_boxed structures) plan);
   (* Costliest first. *)
   let rec sorted = function
     | a :: (b :: _ as rest) -> a.Fx.extra_area >= b.Fx.extra_area && sorted rest
@@ -615,10 +623,12 @@ let stressed_compacts () =
   Ex.extract_compact ~tech:scaled.Gg.tech sol
 
 let cs_of_compact ?(layer = 1) c =
+  let net, nodes = netlist_of_names (Array.init (Cc.num_nodes c) (Printf.sprintf "x%d")) in
   {
     Ex.cs_layer_level = layer;
     compact = c;
-    cs_node_names = Array.make (Cc.num_nodes c) "";
+    cs_netlist = net;
+    cs_nodes = nodes;
     cs_element_ids = Array.init (Cc.num_segments c) Fun.id;
   }
 
@@ -1168,12 +1178,9 @@ let poison_compact () =
   let s =
     St.line [ St.segment ~height:1e-200 ~length:1e-6 ~width:1e-200 ~j:1e10 () ]
   in
-  {
-    Ex.cs_layer_level = 9;
-    compact = Cc.of_structure s;
-    cs_node_names = [| "poison:a"; "poison:b" |];
-    cs_element_ids = [| 0 |];
-  }
+  compact_of_boxed
+    { Ex.layer_level = 9; structure = s; node_names = [| "poison:a"; "poison:b" |];
+      element_ids = [| 0 |] }
 
 let insert_at k x xs =
   let rec go i = function
@@ -1473,14 +1480,14 @@ let check_reports_match name compacts =
   in
   let expected = Fx.plan boxed in
   same "fix plans" (plan (Fx.plan_of_result compacts r) = plan expected);
-  let names = Array.of_list (List.map (fun c -> c.Ex.cs_node_names) compacts) in
+  let structures = Array.of_list compacts in
   let ranked =
     List.map
       (fun i ->
         let st = r.Flow.structure_stats.(i) in
         ( bits st.Flow.st_margin,
           bits (Em_core.Units.pa_to_mpa st.Flow.st_max_stress),
-          names.(i).(st.Flow.st_peak_node) ))
+          Ex.node_name structures.(i) st.Flow.st_peak_node ))
       (Flow.ranking r)
   in
   let oracle =

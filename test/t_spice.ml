@@ -301,9 +301,11 @@ let random_deck seed =
   String.concat (pick rng [| "\n"; "\n"; "\r\n" |])
     (List.init (1 + Numerics.Rng.int rng 30) (random_line rng))
 
+let node_names net = Array.init (N.num_nodes net) (N.node_name net)
+
 let same_netlist (a : N.t) (b : N.t) =
   let bits v = Array.map Int64.bits_of_float v in
-  a.N.node_names = b.N.node_names
+  node_names a = node_names b
   && Bytes.equal a.N.kinds b.N.kinds
   && a.N.pos = b.N.pos && a.N.neg = b.N.neg
   && bits a.N.values = bits b.N.values
@@ -447,12 +449,12 @@ let prop_fuzz_mini_grid seed =
 let test_node_numbering () =
   (* Each element numbers its second node before its first. *)
   let net = P.parse_string "R1 a b 1\nR2 c a 2\n" in
-  Alcotest.(check (array string)) "node order" [| "b"; "a"; "c" |] net.N.node_names;
+  Alcotest.(check (array string)) "node order" [| "b"; "a"; "c" |] (node_names net);
   let b = N.Builder.create () in
   N.Builder.add_resistor b "a" "b" 1.;
   N.Builder.add_resistor b "c" "a" 2.;
   Alcotest.(check (array string)) "builder order" [| "b"; "a"; "c" |]
-    (N.Builder.finish b).N.node_names;
+    (node_names (N.Builder.finish b));
   Alcotest.(check (option int)) "find_node" (Some 2) (N.find_node net "c");
   Alcotest.(check (option int)) "unknown node" None (N.find_node net "d")
 
@@ -484,8 +486,10 @@ let check_identical msg (a : N.t) (b : N.t) =
   let bits v = Array.map Int64.bits_of_float v in
   let same what ok = if not ok then Alcotest.failf "%s: %s differ" msg what in
   same "titles" (a.N.title = b.N.title);
-  same "node names" (a.N.node_names = b.N.node_names);
+  same "node names" (node_names a = node_names b);
   same "coordinates" (a.N.coords = b.N.coords);
+  same "node name ends" (a.N.node_end = b.N.node_end);
+  same "node arenas" (String.equal a.N.node_arena b.N.node_arena);
   same "kinds" (Bytes.equal a.N.kinds b.N.kinds);
   same "pos" (a.N.pos = b.N.pos);
   same "neg" (a.N.neg = b.N.neg);
@@ -495,7 +499,7 @@ let check_identical msg (a : N.t) (b : N.t) =
   same "ground" (a.N.ground = b.N.ground);
   Array.iteri
     (fun v name -> same ("find_node " ^ name) (N.find_node b name = Some v))
-    a.N.node_names;
+    (node_names a);
   same "find_node of a missing name" (N.find_node b "no such node" = None)
 
 let data_decks () =
@@ -510,6 +514,29 @@ let pg1_deck =
   lazy
     (N.to_string
        (Pdn.Grid_gen.generate (Pdn.Grid_gen.ibm_preset Pdn.Grid_gen.Pg1)).Pdn.Grid_gen.netlist)
+
+(* The generated pg1 deck is pinned byte for byte: the MD5 that
+   [bench/e2e/reference.json]'s decks rest on, from a netlist that
+   formats canonical names from their coordinates. Written to a
+   channel, and parsed then written again at 1 and 4 jobs, it gives the
+   same bytes. *)
+let test_pg1_deck_bytes () =
+  let deck = Lazy.force pg1_deck in
+  Alcotest.(check string) "pg1 deck MD5" "7c8cf0a2e7c0ee15efa120d1ae2bfb6e"
+    (Digest.to_hex (Digest.string deck));
+  let path = Filename.temp_file "pg1" ".sp" in
+  Out_channel.with_open_bin path (fun oc ->
+      let g = Pdn.Grid_gen.generate (Pdn.Grid_gen.ibm_preset Pdn.Grid_gen.Pg1) in
+      N.output oc g.Pdn.Grid_gen.netlist);
+  let written = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  Alcotest.(check bool) "output writes the same bytes" true (String.equal written deck);
+  let title = String.sub deck 2 (String.index deck '\n' - 2) in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check bool) (Printf.sprintf "parse then write at -j %d" jobs) true
+        (String.equal (N.to_string (P.parse_string ~jobs ~title deck)) deck))
+    [ 1; 4 ]
 
 let test_ranges_same_netlist () =
   let decks =
@@ -601,6 +628,130 @@ let test_ranges_same_errors () =
     | Ok _ -> false)
 
 (* ---------------------------------------------------------------- *)
+(* Canonical names against string keys                               *)
+
+(* A deck whose node names mix canonical ones with names that are not
+   (ground, leading zeros, signs, [N], four parts, 19-digit parts,
+   pads), several of them decoding to a canonical name's coordinates,
+   and whose element names repeat, canonical or not, within a range and
+   across range cuts. A comment pads each line, so the deck spans four
+   256 KiB ranges. Returns the deck and its elements. *)
+let random_named_deck seed =
+  let rng = Numerics.Rng.create (Int64.of_int (seed + 35)) in
+  let int n = Numerics.Rng.int rng n in
+  let node () =
+    let l = 1 + int 3 and x = int 4 and y = int 4 in
+    match int 14 with
+    | 0 -> "0"
+    | 1 -> Printf.sprintf "n0%d_%d_%d" l x y
+    | 2 -> Printf.sprintf "n+%d_%d_%d" l x y
+    | 3 -> Printf.sprintf "n%d_-%d_%d" l x y
+    | 4 -> Printf.sprintf "N%d_%d_%d" l x y
+    | 5 -> Printf.sprintf "n%d_%d_%d_%d" l x y x
+    | 6 -> Printf.sprintf "n%d_%d_1%018d" l x y
+    | 7 -> Printf.sprintf "X%d" x
+    | _ -> Printf.sprintf "n%d_%d_%d" l x y
+  in
+  let name letter =
+    match int 6 with
+    | 0 -> Printf.sprintf "%c0%d" letter (int 30)
+    | 1 -> Printf.sprintf "%c_%d" letter (int 30)
+    | 2 -> Printf.sprintf "%c%d" (Char.lowercase_ascii letter) (int 30)
+    | _ -> Printf.sprintf "%c%d" letter (int 3000)
+  in
+  let elements =
+    List.init 2000 (fun _ ->
+        let letter = pick rng [| 'R'; 'R'; 'R'; 'I'; 'V' |] in
+        (name letter, node (), node (), pick rng [| "1"; "0"; "2.5"; "1e-3" |]))
+  in
+  let line (e, a, b, v) =
+    Printf.sprintf "%s %s %s %s $ %s\n" e a b v (String.make (450 + int 300) '.')
+  in
+  (String.concat "" (List.map line elements), elements)
+
+(* The string-keyed rules: node ids by first appearance, second node
+   first; every finding of [Checker.check], in its order and words. *)
+let string_keyed elements =
+  let ids = Hashtbl.create 64 and names = ref [] in
+  let intern s =
+    match Hashtbl.find_opt ids s with
+    | Some v -> v
+    | None ->
+      Hashtbl.add ids s (Hashtbl.length ids);
+      names := s :: !names;
+      Hashtbl.length ids - 1
+  in
+  let ends = List.map (fun (_, a, b, _) -> let neg = intern b in (intern a, neg)) elements in
+  let names = Array.of_list (List.rev !names) in
+  let degree = Array.make (Array.length names) 0 and seen = Hashtbl.create 64 in
+  let dups = ref [] and loads = ref [] and shorts = ref 0 and rs = ref 0 and vs = ref 0 in
+  List.iter2
+    (fun (e, _, _, v) (p, q) ->
+      if Hashtbl.mem seen e then
+        dups := ("duplicate-element", Printf.sprintf "element name %S reused" e) :: !dups
+      else Hashtbl.add seen e ();
+      match Char.lowercase_ascii e.[0] with
+      | 'i' ->
+        if float_of_string v = 0. then
+          loads := ("zero-current-load", Printf.sprintf "current source %S is 0 A" e) :: !loads
+      | c ->
+        if c = 'r' then begin
+          incr rs;
+          if float_of_string v = 0. then incr shorts
+        end
+        else incr vs;
+        degree.(p) <- degree.(p) + 1;
+        degree.(q) <- degree.(q) + 1)
+    elements ends;
+  let isolated =
+    List.filter_map
+      (fun v ->
+        if degree.(v) > 0 then None
+        else
+          Some ("isolated-node", Printf.sprintf "node %S has no conductive element" names.(v)))
+      (List.init (Array.length names) Fun.id)
+  in
+  let summary =
+    (if !rs = 0 then [ ("no-resistors", "netlist contains no resistors") ] else [])
+    @ (if !vs = 0 then [ ("no-supply", "netlist contains no voltage sources") ] else [])
+    @
+    if !shorts = 0 then []
+    else [ ("short", Printf.sprintf "%d zero-ohm resistor(s) will be merged as shorts" !shorts) ]
+  in
+  (ids, names, Array.of_list ends, List.rev !dups @ List.rev !loads @ isolated @ summary)
+
+(* Node ids, [node_name] byte for byte, [coords], [find_node] and the
+   lint findings follow the string-keyed rules at 1 to 4 jobs. *)
+let prop_canonical_names_match_strings seed =
+  let deck, elements = random_named_deck seed in
+  let ids, names, ends, findings = string_keyed elements in
+  let absent = [ "n9_9_9"; "n09_9_9"; "n1_1"; "Y1"; "" ] in
+  let coords v =
+    match Ibm.decode names.(v) with
+    | Some c -> [| c.Ibm.layer; c.Ibm.x; c.Ibm.y |]
+    | None -> [| N.no_layer |]
+  in
+  String.length deck >= 4 lsl 18
+  && List.for_all
+       (fun jobs ->
+         let net = P.parse_string ~jobs deck in
+         let same_ends e (p, q) = net.N.pos.(e) = p && net.N.neg.(e) = q in
+         let same_node v name =
+           String.equal (N.node_name net v) name
+           && coords v = Array.sub net.N.coords (3 * v) (Array.length (coords v))
+         in
+         N.num_nodes net = Array.length names
+         && Array.for_all Fun.id (Array.mapi same_ends ends)
+         && Array.for_all Fun.id (Array.mapi same_node names)
+         && Hashtbl.fold (fun name v ok -> ok && N.find_node net name = Some v) ids true
+         && List.for_all (fun name -> N.find_node net name = Hashtbl.find_opt ids name) absent
+         && List.map
+              (fun (f : Spice.Checker.finding) -> (f.Spice.Checker.code, f.Spice.Checker.message))
+              (Spice.Checker.check net)
+            = findings)
+       [ 1; 2; 3; 4 ]
+
+(* ---------------------------------------------------------------- *)
 (* IBM format                                                        *)
 
 let test_ibm_codec () =
@@ -615,12 +766,14 @@ let test_ibm_codec () =
   Alcotest.(check bool) "ground" true (Ibm.is_ground "0");
   Alcotest.(check bool) "ground not decoded" true (Ibm.decode "0" = None);
   Alcotest.(check bool) "pad name not decoded" true (Ibm.decode "X17" = None);
-  Alcotest.(check bool) "same layer" true (Ibm.same_layer "n2_0_0" "n2_9_9");
-  Alcotest.(check bool) "diff layer" false (Ibm.same_layer "n2_0_0" "n3_0_0");
-  Alcotest.(check int) "manhattan" 15
-    (Ibm.manhattan_distance
-       { Ibm.layer = 1; x = 0; y = 5 }
-       { Ibm.layer = 1; x = 10; y = 0 })
+  let parts = [| 0; 0; 0 |] in
+  Alcotest.(check bool) "canonical in place" true
+    (Ibm.canonical "R1 n3_1500_0 0" 3 9 parts && parts = [| 3; 1500; 0 |]);
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " is not canonical") false
+        (Ibm.canonical name 0 (String.length name) parts))
+    [ "n03_1500_0"; "n3_+1500_0"; "N3_1500_0"; "n3_1500_0_1"; "n3_1500_1234567890123456789"; "0" ]
 
 (* The split-and-[int_of_string_opt] decoding [Ibm.decode] reads plain
    digits in place instead of; any name, digit runs past an int's
@@ -1365,8 +1518,12 @@ let suites =
         case "node numbering: second node first" test_node_numbering;
         case "non-finite values are line errors" test_non_finite_values;
         case "sample deck parses as the oracle does" test_data_decks_match_oracle;
+        case "pg1 deck bytes are pinned" test_pg1_deck_bytes;
         case "range count does not change the netlist" test_ranges_same_netlist;
         case "range count does not change the errors" test_ranges_same_errors;
+        qcheck ~count:25 "canonical names follow the string-keyed rules at -j 1..4"
+          QCheck2.Gen.(int_bound 1_000_000)
+          prop_canonical_names_match_strings;
         qcheck ~count:500 "literals match the line-parser oracle"
           QCheck2.Gen.(int_bound 1_000_000)
           prop_values_match_oracle;
