@@ -1,15 +1,14 @@
 (* Telemetry overhead guard: the obs subsystem must be effectively free
    when disabled (<2% on the analysis flow) and cheap enough to leave on
    for profiling runs. Flow timings on the largest synthetic grid
-   (telemetry off / metrics on / metrics+trace on / audit off / audit on)
-   plus micro-benchmarks of the disabled fast paths, written to
+   (telemetry off / trace on / audit off / audit on) plus a
+   micro-benchmark of the disabled span guard, written to
    BENCH_obs.json so CI can watch the ratios drift. *)
 
 module Gg = Pdn.Grid_gen
 module Flow = Emflow.Em_flow
 module J = Emflow.Json_out
 module Tr = Obs.Trace
-module Mx = Obs.Metrics
 
 (* Best wall time of each arm, with the arms run back to back within
    every repetition so all of them sample the same machine conditions
@@ -74,10 +73,9 @@ let run cfg =
         interleaved_best
           [|
             plain;
-            (fun () -> Mx.with_enabled true plain);
             (fun () ->
               let t = Tr.create () in
-              Mx.with_enabled true (fun () -> Tr.with_enabled t plain);
+              Tr.with_enabled t plain;
               last_trace := Tr.num_events t);
             plain;
             (fun () ->
@@ -87,41 +85,32 @@ let run cfg =
   in
   let reps = Array.fold_left (fun n (_, r) -> n + r) 0 runs in
   let med f = Numerics.Stats.median (Array.map (fun (best, _) -> f best) runs) in
-  let t_off = med (fun b -> b.(0)) and t_metrics = med (fun b -> b.(1)) in
-  let t_trace = med (fun b -> b.(2)) in
-  let t_audit_off = med (fun b -> b.(3)) and t_audit_on = med (fun b -> b.(4)) in
-  let metrics_on_ratio = med (fun b -> b.(1) /. b.(0)) in
-  let trace_on_ratio = med (fun b -> b.(2) /. b.(0)) in
-  let audit_overhead_ratio = med (fun b -> b.(4) /. b.(3)) in
-  let audit_disabled_ratio = med (fun b -> b.(3) /. b.(0)) in
+  let t_off = med (fun b -> b.(0)) and t_trace = med (fun b -> b.(1)) in
+  let t_audit_off = med (fun b -> b.(2)) and t_audit_on = med (fun b -> b.(3)) in
+  let trace_on_ratio = med (fun b -> b.(1) /. b.(0)) in
+  let audit_overhead_ratio = med (fun b -> b.(3) /. b.(2)) in
+  let audit_disabled_ratio = med (fun b -> b.(2) /. b.(0)) in
   B_util.note
     "flow, telemetry off:        %.3fs (median of %d passes, %d interleaved \
      repetitions)"
     t_off passes reps;
-  B_util.note "flow, metrics on:           %.3fs (%.2fx)" t_metrics
-    metrics_on_ratio;
-  B_util.note "flow, metrics + trace on:   %.3fs (%.2fx, %d spans)" t_trace
+  B_util.note "flow, trace on:             %.3fs (%.2fx, %d spans)" t_trace
     trace_on_ratio !last_trace;
   B_util.note "flow, audit off:            %.3fs (%.2fx vs off — noise floor)"
     t_audit_off audit_disabled_ratio;
   B_util.note "flow, audit on:             %.3fs (%.2fx vs audit off)"
     t_audit_on audit_overhead_ratio;
-  (* The disabled fast paths, measured directly: one flag load + branch. *)
-  let c = Mx.counter ~help:"bench guard probe" "bench_obs_probe_total" in
+  (* The disabled fast path, measured directly: one flag load + branch. *)
   let sink = ref 0 in
-  let inc_ns = ns_per_op 10_000_000 (fun () -> Mx.inc c) in
   let span_ns =
     ns_per_op 1_000_000 (fun () -> Tr.with_span "probe" (fun () -> incr sink))
   in
-  B_util.note "disabled Counter.inc:       %.1f ns/op" inc_ns;
   B_util.note "disabled with_span:         %.1f ns/op" span_ns;
-  (* Per structure the disabled run pays roughly one span guard and a
-     couple of counter guards; anything else is shared per run. This
-     estimates the guard cost as a fraction of the real flow — the <2%
-     target the design promises. *)
+  (* Per structure the disabled run pays roughly one span guard; anything
+     else is shared per run. This estimates the guard cost as a fraction
+     of the real flow — the <2% target the design promises. *)
   let estimated_pct =
-    float_of_int n_structures *. ((span_ns +. (2. *. inc_ns)) *. 1e-9)
-    /. t_off *. 100.
+    float_of_int n_structures *. (span_ns *. 1e-9) /. t_off *. 100.
   in
   B_util.note "estimated disabled overhead: %.4f%% of the flow (<2%% target)"
     estimated_pct;
@@ -140,17 +129,14 @@ let run cfg =
          ("segments", J.Int n_segments);
          ("repetitions", J.Int reps);
          ("off_s", J.Float t_off);
-         ("metrics_on_s", J.Float t_metrics);
          ("trace_on_s", J.Float t_trace);
          ("passes", J.Int passes);
-         ("metrics_on_ratio", J.Float metrics_on_ratio);
          ("trace_on_ratio", J.Float trace_on_ratio);
          ("trace_spans", J.Int !last_trace);
          ("audit_off_s", J.Float t_audit_off);
          ("audit_on_s", J.Float t_audit_on);
          ("audit_overhead_ratio", J.Float audit_overhead_ratio);
          ("audit_disabled_ratio", J.Float audit_disabled_ratio);
-         ("disabled_counter_inc_ns", J.Float inc_ns);
          ("disabled_span_ns", J.Float span_ns);
          ("estimated_disabled_overhead_pct", J.Float estimated_pct);
        ]);

@@ -23,7 +23,7 @@ let usage () =
     \  scaling   linear-time vs naive vs linear-system runtimes\n\
     \  ablation  max-path jl heuristic comparison\n\
     \  variation process-variation Monte Carlo (extension)\n\
-    \  obs       telemetry overhead guard (off vs metrics vs trace)\n\
+    \  obs       telemetry overhead guard (off vs trace vs audit)\n\
     \  bechamel  micro-benchmarks of each experiment kernel\n\
     \  all       everything above (default)\n\n\
      options:\n\

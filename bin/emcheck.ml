@@ -4,7 +4,7 @@
      analyze   parse a SPICE netlist, solve the DC operating point,
                extract per-layer structures and report immortality
      explain   one structure's audited margin and critical Blech path
-     stats     the analysis with span, hot-path and metric tables
+     stats     the analysis with span and hot-path tables
      wire      check a single multi-segment wire given on the command line
      verify    check the DC solver against a golden solution file
      material  print the material model and derived constants
@@ -85,16 +85,6 @@ let trace_arg =
            per-structure spans, worker lanes) and write it to $(docv) in \
            Chrome trace-event JSON; open it in Perfetto \
            (https://ui.perfetto.dev) or chrome://tracing.")
-
-let metrics_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics" ] ~docv:"FILE"
-        ~doc:
-          "Collect pipeline metrics (solve/classification counters, latency \
-           histogram, GC gauges) and write them to $(docv) in Prometheus \
-           text exposition format.")
 
 let log_level_arg =
   let levels =
@@ -266,11 +256,7 @@ let profile_format_arg =
 (* Install the requested sinks; returns the trace buffer the caller
    exports once the run is over. --profile implies a trace: the profile
    is computed from its completed spans. *)
-let start_telemetry ~trace_path ~metrics_path ~profile_path =
-  if
-    Option.is_some metrics_path || Option.is_some trace_path
-    || Option.is_some profile_path
-  then Obs.Metrics.set_enabled true;
+let start_telemetry ~trace_path ~profile_path =
   if Option.is_some trace_path || Option.is_some profile_path then begin
     let t = Obs.Trace.create () in
     Obs.Trace.enable t;
@@ -301,12 +287,7 @@ let export_profile ~profile_path ~profile_format trace =
       | `Folded -> "; render with flamegraph.pl")
   | _ -> ()
 
-let export_telemetry ~trace_path ~metrics_path trace =
-  (match metrics_path with
-  | None -> ()
-  | Some out ->
-    write_file out (Obs.Metrics.to_prometheus ());
-    Printf.printf "Metrics written to %s\n" out);
+let export_telemetry ~trace_path trace =
   match (trace_path, trace) with
   | Some out, Some t ->
     Obs.Trace.disable ();
@@ -382,17 +363,12 @@ let print_deck path (d : Flow.deck) =
     d.Flow.findings
 
 let analyze_netlist path tech sigma_t temperature with_maxpath top fix
-    json_path html_path keep_going strict max_errors trace_path metrics_path
-    profile_path profile_format jobs variation mc_samples mc_seed audit
-    audit_tol strict_audit audit_top =
+    json_path html_path keep_going strict max_errors trace_path profile_path
+    profile_format jobs variation mc_samples mc_seed audit audit_tol
+    strict_audit audit_top =
   let material = material_of ~sigma_t ~temperature in
   let audit_cfg = audit_config_of ~audit ~audit_tol ~strict_audit ~audit_top in
-  (* Whether the user asked for telemetry in the report. *)
-  let telemetry_requested =
-    Option.is_some trace_path || Option.is_some metrics_path
-    || Option.is_some profile_path
-  in
-  let trace = start_telemetry ~trace_path ~metrics_path ~profile_path in
+  let trace = start_telemetry ~trace_path ~profile_path in
   (* The deck is shown before the solve, so a refused solve still
      reports what was read. *)
   let keep_going = if keep_going then Some max_errors else None in
@@ -516,9 +492,6 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
       ~title:(Printf.sprintf "EM sign-off: %s" (Filename.basename path))
       ~material ~tech ~compacts r;
     Printf.printf "HTML report written to %s\n" out);
-  (* The process gauges are sampled when read: here for the --json
-     telemetry object and the --metrics file. *)
-  if telemetry_requested then Obs.Runtime.sample_now ();
   (match json_path with
   | None -> ()
   | Some out ->
@@ -528,6 +501,7 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
            ("netlist", Emflow.Json_out.String path);
            ("diagnostics", Emflow.Json_out.of_diags diags);
            ("flow", Emflow.Json_out.of_flow_result r);
+           ("mna", Emflow.Json_out.of_mna sol);
            ("layers", Emflow.Json_out.of_layer_stats layers);
            ("fix_plan", Emflow.Json_out.of_fixer_plan plan);
          ]
@@ -544,16 +518,16 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
           | None -> [])
         @
         (* Embed the run's telemetry when the user asked for it
-           (--trace/--metrics/--profile), so one JSON file carries both
-           the verdicts and the run profile. *)
-        if telemetry_requested then
-          [ ("telemetry", Emflow.Json_out.of_telemetry ()) ]
-        else [])
+           (--trace/--profile), so one JSON file carries both the
+           verdicts and the run profile. *)
+        match trace with
+        | Some t -> [ ("telemetry", Emflow.Json_out.of_telemetry t) ]
+        | None -> [])
     in
     Out_channel.with_open_text out (fun oc ->
         Emflow.Json_out.to_channel oc doc);
     Printf.printf "JSON report written to %s\n" out);
-  export_telemetry ~trace_path ~metrics_path trace;
+  export_telemetry ~trace_path trace;
   export_profile ~profile_path ~profile_format trace;
   if diags <> [] then begin
     Format.printf "Diagnostics (%a):@." Dg.pp_summary diags;
@@ -659,7 +633,7 @@ let analyze_cmd =
     Term.(
       ret
         (const (fun path tech sigma_t temperature with_maxpath top fix json
-                    html keep_going strict max_errors trace_path metrics_path
+                    html keep_going strict max_errors trace_path
                     profile_path profile_format jobs variation mc_samples
                     mc_seed audit audit_tol strict_audit audit_top
                     log_level log_json flight_dump ->
@@ -683,8 +657,8 @@ let analyze_cmd =
                match
                  analyze_netlist path tech sigma_t temperature with_maxpath
                    top fix json html keep_going strict max_errors trace_path
-                   metrics_path profile_path profile_format jobs variation
-                   mc_samples mc_seed audit audit_tol strict_audit audit_top
+                   profile_path profile_format jobs variation mc_samples
+                   mc_seed audit audit_tol strict_audit audit_top
                with
                | `Ok n ->
                  if n <> 0 then dump_flight ~flight_dump ()
@@ -706,7 +680,7 @@ let analyze_cmd =
              r)
         $ path $ tech_arg $ sigma_t_arg $ temperature_arg $ with_maxpath $ top
         $ fix $ json_path $ html_path $ keep_going $ strict $ max_errors
-        $ trace_arg $ metrics_arg $ profile_arg $ profile_format_arg $ jobs_arg
+        $ trace_arg $ profile_arg $ profile_format_arg $ jobs_arg
         $ variation $ mc_samples $ mc_seed $ audit_arg $ audit_tol_arg
         $ strict_audit_arg $ audit_top_arg $ log_level_arg
         $ log_json_arg $ flight_dump_arg))
@@ -891,17 +865,16 @@ let explain_cmd =
 (* ------------------------------------------------------------------ *)
 (* stats                                                               *)
 
-(* Run the full pipeline with telemetry forced on and print the span,
-   hot-path and metric rollups as tables (each bounded to --top rows) —
-   the terminal-only view of what --trace / --metrics / --profile export
-   for external tools. *)
+(* Run the full pipeline with tracing forced on and print the span and
+   hot-path rollups as tables (each bounded to --top rows) — the
+   terminal-only view of what --trace / --profile export for external
+   tools. *)
 let stats_netlist path tech sigma_t temperature jobs top trace_path
-    metrics_path profile_path profile_format =
+    profile_path profile_format =
   if top < 1 then invalid_arg "stats: --top must be at least 1";
   let material = material_of ~sigma_t ~temperature in
   let trace = Obs.Trace.create () in
   Obs.Trace.enable trace;
-  Obs.Metrics.set_enabled true;
   let _, v = Flow.run_deck ~material ?jobs ~tech path in
   Format.printf "%a@.@." Flow.pp_summary v.Flow.result;
   let bounded name xs =
@@ -935,38 +908,10 @@ let stats_netlist path tech sigma_t temperature jobs top trace_path
            ]);
   Rp.print span_table;
   print_hot_paths ~top trace;
-  Obs.Runtime.sample_now ();
-  let metric_table = Rp.create [ "metric"; "labels"; "value" ] in
-  print_newline ();
-  (* Metrics with data first (a nonzero value, or a histogram with
-     observations), each group in registration order, so the --top cut
-     drops the idle ones rather than whatever registered last. *)
-  let live, idle =
-    List.partition
-      (fun (s : Obs.Metrics.sample) ->
-        s.Obs.Metrics.s_value <> 0. || s.Obs.Metrics.s_count > 0)
-      (Obs.Metrics.snapshot ())
-  in
-  bounded "Metrics" (live @ idle)
-  |> List.iter (fun (s : Obs.Metrics.sample) ->
-         let labels =
-           String.concat ","
-             (List.map (fun (k, v) -> k ^ "=" ^ v) s.Obs.Metrics.s_labels)
-         in
-         let value =
-           match s.Obs.Metrics.s_kind with
-           | "histogram" ->
-             Printf.sprintf "count=%d sum=%.6gs" s.Obs.Metrics.s_count
-               s.Obs.Metrics.s_value
-           | _ -> Printf.sprintf "%.6g" s.Obs.Metrics.s_value
-         in
-         Rp.add_row metric_table [ s.Obs.Metrics.s_name; labels; value ]);
-  Rp.print metric_table;
-  export_telemetry ~trace_path ~metrics_path (Some trace);
+  export_telemetry ~trace_path (Some trace);
   export_profile ~profile_path ~profile_format (Some trace);
-  (* stats forced the collectors on; don't leak that past the command. *)
+  (* stats forced tracing on; don't leak that past the command. *)
   Obs.Trace.disable ();
-  Obs.Metrics.set_enabled false;
   `Ok 0
 
 let stats_cmd =
@@ -981,20 +926,19 @@ let stats_cmd =
       value & opt int 20
       & info [ "top" ] ~docv:"N"
           ~doc:
-            "Bound every aggregate table (span summary, hot paths, metrics) \
-             to its $(docv) most significant rows (default 20).")
+            "Bound each table (span summary, hot paths) to its $(docv) most \
+             significant rows (default 20).")
   in
   let term =
     Term.(
       ret
         (const (fun path tech sigma_t temperature jobs top trace_path
-                    metrics_path profile_path profile_format log_level
-                    log_json ->
+                    profile_path profile_format log_level log_json ->
              let finish_log = start_logging ~log_level ~log_json in
              let r =
                match
                  stats_netlist path tech sigma_t temperature jobs top
-                   trace_path metrics_path profile_path profile_format
+                   trace_path profile_path profile_format
                with
                | `Ok n -> `Ok n
                | exception e -> (
@@ -1005,12 +949,12 @@ let stats_cmd =
              finish_log ();
              r)
         $ path $ tech_arg $ sigma_t_arg $ temperature_arg $ jobs_arg $ top
-        $ trace_arg $ metrics_arg $ profile_arg $ profile_format_arg
+        $ trace_arg $ profile_arg $ profile_format_arg
         $ log_level_arg $ log_json_arg))
   in
   Cmd.v
     (Cmd.info "stats"
-       ~doc:"Profile a netlist analysis: span and metric summary tables")
+       ~doc:"Profile a netlist analysis: span and hot-path summary tables")
     term
 
 (* ------------------------------------------------------------------ *)

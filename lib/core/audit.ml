@@ -212,38 +212,6 @@ let violation_diag ~strict ~tol t =
          (Printf.sprintf
             "numerical audit residual out of bounds (tol %.1e): %s" tol detail))
 
-(* ------------------------------------------------------------------ *)
-(* Observability                                                       *)
-
-(* Residuals live on a log scale pinned at exact 0 (first bucket);
-   margins are relative slack, signed — negative buckets hold the
-   mortal side. *)
-let residual_buckets = [| 1e-18; 1e-15; 1e-12; 1e-9; 1e-6; 1e-3; 1. |]
-
-let margin_buckets =
-  [| -1.; -0.5; -0.2; -0.1; -0.05; 0.; 0.05; 0.1; 0.2; 0.5; 1. |]
-
-let residual_hist =
-  Obs.Metrics.histogram ~buckets:residual_buckets
-    ~help:"Worst relative audit residual per audited structure"
-    "em_audit_residual"
-
-let margin_hist =
-  Obs.Metrics.histogram ~buckets:margin_buckets
-    ~help:
-      "Relative immortality margin (sigma_th - max sigma)/sigma_th per \
-       audited structure"
-    "em_margin_slack"
-
-let audited_total =
-  Obs.Metrics.counter ~help:"Structures numerically audited"
-    "em_structures_audited_total"
-
-let violations_total =
-  Obs.Metrics.counter
-    ~help:"Audited structures with at least one residual out of bounds"
-    "em_audit_violations_total"
-
 type summary = {
   su_audited : int;
   su_violations : int;
@@ -284,12 +252,6 @@ let summarize ~tol audits =
       su_min_margin_index = -1;
     }
     audits
-
-let publish ~tol t =
-  Obs.Metrics.inc audited_total;
-  if violations ~tol t <> [] then Obs.Metrics.inc violations_total;
-  Obs.Metrics.observe residual_hist (worst_residual t);
-  Obs.Metrics.observe margin_hist t.au_rel_margin
 
 let pp ppf t =
   let r = t.au_residuals in

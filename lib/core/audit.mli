@@ -109,12 +109,6 @@ type summary = {
 
 val summarize : tol:float -> t option array -> summary
 (** Fold a batch's records ([None] slots skipped) in array order. The
-    CLI's audit line, the [--json] [audit] object and the
-    [em_audit_worst_residual] / [em_margin_min_pa] gauges all read it. *)
-
-val publish : tol:float -> t -> unit
-(** Aggregate one record into the shared observability state: the
-    [em_audit_residual] / [em_margin_slack] histograms and the audit
-    counters. No-ops while {!Obs.Metrics} is disabled. *)
+    CLI's audit line and the [--json] [audit] object both read it. *)
 
 val pp : Format.formatter -> t -> unit

@@ -13,23 +13,7 @@ type t = {
   message : string;
 }
 
-(* Severity-labelled emission counters: a long robustness run can report
-   "how noisy was this deck" without anyone retaining the diagnostics. *)
-let diags_emitted severity =
-  Obs.Metrics.counter
-    ~labels:[ ("severity", severity) ]
-    ~help:"Diagnostics emitted by the EM pipeline" "em_diags_total"
-
-let diags_info = diags_emitted "info"
-let diags_warning = diags_emitted "warning"
-let diags_error = diags_emitted "error"
-
 let make ?(source = Global) severity ~code message =
-  Obs.Metrics.inc
-    (match severity with
-    | Info -> diags_info
-    | Warning -> diags_warning
-    | Error -> diags_error);
   { severity; code; source; message }
 
 let error ?source ~code message = make ?source Error ~code message

@@ -1,13 +1,5 @@
 exception Degenerate of string
 
-let solves_total =
-  Obs.Metrics.counter ~help:"Steady-state solves completed" "em_solves_total"
-
-let degenerate_total =
-  Obs.Metrics.counter
-    ~help:"Steady-state solves rejected as degenerate (non-finite Q/A)"
-    "em_degenerate_solves_total"
-
 (* A structure whose total volume underflows to 0 (e.g. sub-femtometer
    cross-sections from a damaged extraction) makes Q/A = 0/0 = nan, and
    every downstream stress silently nan — which the classifiers would
@@ -16,7 +8,6 @@ let degenerate_total =
 let check_normalization ~volume ~q =
   let q_over_a = q /. volume in
   if not (Float.is_finite q_over_a) then begin
-    Obs.Metrics.inc degenerate_total;
     Obs.Log.warn (fun () ->
         ( "steady-state solve rejected: non-finite normalization",
           [ ("q", Obs.Trace.Float q); ("volume", Obs.Trace.Float volume) ] ));
@@ -196,7 +187,6 @@ let solve_compact ?reference ?ws material (c : Compact.t) =
   for i = 0 to n - 1 do
     stress.(i) <- beta *. (q_over_a -. b.(i))
   done;
-  Obs.Metrics.inc solves_total;
   { reference; node_stress = stress; blech_sum = b; volume = !volume; q = !q; beta }
 
 let solve ?reference material s =

@@ -71,8 +71,8 @@ let obs_metrics doc =
       | Some f -> Some (key, f)
       | None -> None)
     [
-      "off_s"; "metrics_on_ratio"; "trace_on_ratio"; "audit_overhead_ratio";
-      "audit_disabled_ratio"; "disabled_counter_inc_ns"; "disabled_span_ns";
+      "off_s"; "trace_on_ratio"; "audit_overhead_ratio";
+      "audit_disabled_ratio"; "disabled_span_ns";
       "estimated_disabled_overhead_pct";
     ]
 

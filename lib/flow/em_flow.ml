@@ -52,54 +52,6 @@ let stage_wall r name =
       else acc)
     0. r.stages
 
-(* Flow-level telemetry handles. All updates sit behind the global
-   enabled flags (one atomic load + branch each when off). *)
-let structures_analyzed =
-  Obs.Metrics.counter ~help:"EM structures analyzed successfully"
-    "em_structures_analyzed_total"
-
-let structures_failed =
-  Obs.Metrics.counter
-    ~help:"EM structures whose analysis raised and was fault-isolated"
-    "em_structures_failed_total"
-
-let segments_classified verdict =
-  Obs.Metrics.counter
-    ~labels:[ ("verdict", verdict) ]
-    ~help:"EM segments classified by the exact immortality test"
-    "em_segments_classified_total"
-
-let segments_immortal = segments_classified "immortal"
-let segments_mortal = segments_classified "mortal"
-
-(* Per-structure solve latencies sit well below the generic latency
-   ladder's first bound (a compact solve of a few hundred segments runs
-   in hundreds of nanoseconds), so the buckets start sub-microsecond. *)
-let structure_solve_seconds =
-  Obs.Metrics.histogram
-    ~buckets:[| 1e-7; 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1. |]
-    ~help:"Per-structure analysis latency (solve + segment verdicts)"
-    "em_structure_solve_seconds"
-
-let gc_gauge which =
-  Obs.Metrics.gauge
-    ~help:"GC words allocated across the last run's pipeline stages"
-    ("em_gc_" ^ which ^ "_words")
-
-let gc_minor = gc_gauge "minor"
-let gc_major = gc_gauge "major"
-let gc_promoted = gc_gauge "promoted"
-
-let g_worst_residual =
-  Obs.Metrics.gauge
-    ~help:"Largest relative audit residual seen in the current run"
-    "em_audit_worst_residual"
-
-let g_min_margin =
-  Obs.Metrics.gauge
-    ~help:"Smallest immortality margin seen in the current run (Pa)"
-    "em_margin_min_pa"
-
 (* Numerical-audit configuration ([None] = auditing off, the default:
    the per-structure cost is then one [Option] branch). *)
 type audit_config = {
@@ -149,12 +101,9 @@ let analyze_one material with_maxpath ~audit ~index ws
     match audit with
     | None -> None
     | Some cfg ->
-      let a =
-        Au.check ~index ~layer:cs.Extract.cs_layer_level
-          ~top_k:cfg.audit_top_k material c sol
-      in
-      Au.publish ~tol:cfg.audit_tol a;
-      Some a
+      Some
+        (Au.check ~index ~layer:cs.Extract.cs_layer_level
+           ~top_k:cfg.audit_top_k material c sol)
   in
   let threshold = M.effective_critical_stress material in
   let jl_crit = M.jl_crit material in
@@ -228,32 +177,23 @@ let analyze_one material with_maxpath ~audit ~index ws
 
 (* Telemetry wrapper around [analyze_one]: the whole per-structure unit
    of work becomes a "structure" span on the worker's track (nested under
-   its "parallel.chunk" span) and one observation in the latency
-   histogram. The trace branch is guarded explicitly so the attrs list
-   is never allocated when tracing is off. *)
+   its "parallel.chunk" span). The trace branch is guarded explicitly so
+   the attrs list is never allocated when tracing is off. *)
 let analyze_traced material with_maxpath ~audit ws index
     (cs : Extract.compact_structure) =
-  let run () =
-    Obs.Metrics.time structure_solve_seconds (fun () ->
-        analyze_one material with_maxpath ~audit ~index ws cs)
-  in
-  let traced () =
-    if Obs.Trace.enabled () then
-      let c = cs.Extract.compact in
-      Obs.Trace.with_span
-        ~attrs:
-          [
-            ("structure", Obs.Trace.Int index);
-            ("layer", Obs.Trace.Int cs.Extract.cs_layer_level);
-            ("nodes", Obs.Trace.Int (Cc.num_nodes c));
-            ("segments", Obs.Trace.Int (Cc.num_segments c));
-          ]
-        "structure" run
-    else run ()
-  in
-  let an = traced () in
-  Obs.Metrics.inc structures_analyzed;
-  an
+  let run () = analyze_one material with_maxpath ~audit ~index ws cs in
+  if Obs.Trace.enabled () then
+    let c = cs.Extract.compact in
+    Obs.Trace.with_span
+      ~attrs:
+        [
+          ("structure", Obs.Trace.Int index);
+          ("layer", Obs.Trace.Int cs.Extract.cs_layer_level);
+          ("nodes", Obs.Trace.Int (Cc.num_nodes c));
+          ("segments", Obs.Trace.Int (Cc.num_segments c));
+        ]
+      "structure" run
+  else run ()
 
 (* Fault isolation: one structure whose analysis threw (degenerate
    geometry, disconnected columns, a solver bug) is recorded as an error
@@ -326,7 +266,6 @@ let run_on_compact ?(material = M.cu_dac21) ?(with_maxpath = false) ?jobs
         node_stress.(i) <- an.an_stress;
         verdicts.(i) <- an.an_verdicts
       | Error (e, _bt) ->
-        Obs.Metrics.inc structures_failed;
         let d = diag_of_failure i compacts_arr.(i) e in
         Obs.Log.warn (fun () ->
             ( "structure analysis failed; fault-isolated",
@@ -352,10 +291,7 @@ let run_on_compact ?(material = M.cu_dac21) ?(with_maxpath = false) ?jobs
           | Some d -> diags := d :: !diags
           | None -> ())
         | None -> ())
-      audits;
-    let su = Au.summarize ~tol:cfg.audit_tol audits in
-    Obs.Metrics.set_gauge g_worst_residual su.Au.su_worst_residual;
-    Obs.Metrics.set_gauge g_min_margin su.Au.su_min_margin
+      audits
   | None -> ());
   let diags = List.rev !diags in
   let counts, maxpath_counts, num_segments =
@@ -370,21 +306,10 @@ let run_on_compact ?(material = M.cu_dac21) ?(with_maxpath = false) ?jobs
               num_segments := !num_segments + Bytes.length an.an_verdicts
             | Error _ -> ())
           slots;
-        let c = !counts in
-        Obs.Metrics.inc_by segments_immortal (c.Cl.tp + c.Cl.fn);
-        Obs.Metrics.inc_by segments_mortal (c.Cl.tn + c.Cl.fp);
-        ( c,
+        ( !counts,
           (if with_maxpath then Some !maxpath_counts else None),
           !num_segments ))
   in
-  if Obs.Metrics.is_enabled () then begin
-    let sum f =
-      List.fold_left (fun acc s -> acc +. f s) 0. (Pipeline.stages p)
-    in
-    Obs.Metrics.set_gauge gc_minor (sum (fun s -> s.Pipeline.minor_words));
-    Obs.Metrics.set_gauge gc_major (sum (fun s -> s.Pipeline.major_words));
-    Obs.Metrics.set_gauge gc_promoted (sum (fun s -> s.Pipeline.promoted_words))
-  end;
   let r =
     {
       counts;
@@ -446,10 +371,6 @@ type verdict = {
 
 exception Lint_abort of deck
 
-let parse_recoveries =
-  Obs.Metrics.counter ~help:"Malformed netlist lines skipped in recovery mode"
-    "em_parse_recoveries_total"
-
 let diag_of_parse_error (e : Spice.Parser.line_error) =
   Dg.error
     ~source:(Dg.Netlist_line e.Spice.Parser.line)
@@ -478,7 +399,6 @@ let load_deck ?jobs ?keep_going path =
         Gc.full_major ();
         parsed)
   in
-  Obs.Metrics.inc_by parse_recoveries (List.length parse_errors);
   let findings =
     Pipeline.run pipeline "lint" (fun () -> Spice.Checker.check netlist)
   in

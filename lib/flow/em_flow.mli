@@ -120,11 +120,9 @@ val mna_diags : Spice.Mna.solution -> Em_core.Diag.t list
 
 (** Numerical-audit configuration. Passing [?audit] turns on
     per-structure {!Em_core.Audit} checks: each successfully analyzed
-    structure gets an audit record in {!result.audits}, aggregated into
-    the [em_audit_*] / [em_margin_*] metrics (the two worst-case gauges
-    are set once per run from {!Em_core.Audit.summarize}); residuals
-    out of tolerance become ["audit-residual"] diagnostics. When omitted (the default) the
-    per-structure cost is a single branch. *)
+    structure gets an audit record in {!result.audits}; residuals out
+    of tolerance become ["audit-residual"] diagnostics. When omitted
+    (the default) the per-structure cost is a single branch. *)
 type audit_config = {
   audit_tol : float;
       (** relative gate for the flux and mass residuals *)

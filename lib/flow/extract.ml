@@ -33,14 +33,6 @@ let lut_find lut level =
 
 let nm = 1e-9
 
-let structures_extracted =
-  Obs.Metrics.counter ~help:"EM structures emitted by extraction"
-    "em_structures_extracted_total"
-
-let segments_extracted =
-  Obs.Metrics.counter ~help:"EM segments emitted by extraction"
-    "em_segments_extracted_total"
-
 let manhattan coords p q =
   abs (coords.((3 * p) + 1) - coords.((3 * q) + 1))
   + abs (coords.((3 * p) + 2) - coords.((3 * q) + 2))
@@ -181,11 +173,7 @@ let extract_compact ~tech (sol : Mna.solution) =
       done
     end
   done;
-  let structures = List.rev !out in
-  Obs.Metrics.inc_by structures_extracted (List.length structures);
-  Obs.Metrics.inc_by segments_extracted
-    (List.fold_left (fun acc s -> acc + Cc.num_segments s.compact) 0 structures);
-  structures
+  List.rev !out
 
 let total_compact_segments structures =
   List.fold_left (fun acc s -> acc + Cc.num_segments s.compact) 0 structures

@@ -96,41 +96,6 @@ let of_stages stages = List (Stdlib.List.map of_stage stages)
 (* -------------------------------------------------------------------- *)
 (* Telemetry                                                            *)
 
-let of_metric (s : Obs.Metrics.sample) =
-  let base =
-    [
-      ("name", String s.Obs.Metrics.s_name);
-      ("kind", String s.Obs.Metrics.s_kind);
-      ( "labels",
-        Obj (List.map (fun (k, v) -> (k, String v)) s.Obs.Metrics.s_labels) );
-    ]
-  in
-  let value =
-    match s.Obs.Metrics.s_kind with
-    | "histogram" ->
-      [
-        ("sum", Float s.Obs.Metrics.s_value);
-        ("count", Int s.Obs.Metrics.s_count);
-        ( "buckets",
-          List
-            (List.map
-               (fun (le, cum) ->
-                 Obj
-                   [
-                     (* +Inf has no JSON literal; emit it as a string. *)
-                     ( "le",
-                       if le = Float.infinity then String "+Inf" else Float le
-                     );
-                     ("count", Int cum);
-                   ])
-               s.Obs.Metrics.s_buckets) );
-      ]
-    | _ -> [ ("value", Float s.Obs.Metrics.s_value) ]
-  in
-  Obj (base @ value)
-
-let of_metrics samples = List (Stdlib.List.map of_metric samples)
-
 let of_trace_summary trace =
   List
     (Stdlib.List.map
@@ -161,20 +126,15 @@ let of_hot_paths hs = List (Stdlib.List.map of_hot_path hs)
 let take n xs =
   Stdlib.List.filteri (fun i _ -> i < n) xs
 
-let of_telemetry ?(top = 20) () =
+let of_telemetry ?(top = 20) trace =
   Obj
-    (("metrics", of_metrics (Obs.Metrics.snapshot ()))
-    ::
-    (match Obs.Trace.current () with
-    | Some trace ->
-      [
-        ("spans", Int (Obs.Trace.num_events trace));
-        ("dropped_spans", Int (Obs.Trace.dropped_spans trace));
-        ("span_summary", of_trace_summary trace);
-        ("span_wall_us", Float (Obs.Profile.span_wall_us trace));
-        ("hot_paths", of_hot_paths (take top (Obs.Profile.attribute trace)));
-      ]
-    | None -> []))
+    [
+      ("spans", Int (Obs.Trace.num_events trace));
+      ("dropped_spans", Int (Obs.Trace.dropped_spans trace));
+      ("span_summary", of_trace_summary trace);
+      ("span_wall_us", Float (Obs.Profile.span_wall_us trace));
+      ("hot_paths", of_hot_paths (take top (Obs.Profile.attribute trace)));
+    ]
 
 let of_diag_source = function
   | Dg.Global -> Obj [ ("kind", String "global") ]
@@ -257,6 +217,15 @@ let of_audit_report ~tol (audits : Au.t option array) =
       ("min_margin_rel", Float su.Au.su_min_rel_margin);
       ("min_margin_structure", Int su.Au.su_min_margin_index);
       ("structures", List (Stdlib.List.map (of_audit ~tol) recs));
+    ]
+
+let of_mna (sol : Spice.Mna.solution) =
+  Obj
+    [
+      ("free_nodes", Int sol.Spice.Mna.free_nodes);
+      ("nnz_l", Int sol.Spice.Mna.fill);
+      ("nets", Int sol.Spice.Mna.nets);
+      ("residual", Float sol.Spice.Mna.residual);
     ]
 
 let of_flow_result (r : Em_flow.result) =

@@ -27,14 +27,8 @@ val of_stages : Pipeline.stage list -> t
     out otherwise); each stage carries an [error] flag (true when the
     stage body raised). *)
 
-val of_metrics : Obs.Metrics.sample list -> t
-(** Counters/gauges as [{name; kind; labels; value}]; histograms carry
-    [sum] / [count] / cumulative [buckets] ([le] is a number, or the
-    string ["+Inf"] for the overflow bucket). *)
-
-val of_telemetry : ?top:int -> unit -> t
-(** Snapshot of the default metrics registry plus, when a trace sink is
-    installed, its span count (and drops), per-name rollups
+val of_telemetry : ?top:int -> Obs.Trace.t -> t
+(** A trace's span count (and drops), per-name rollups
     ({!Obs.Trace.aggregate}), root wall time, and the top [top]
     (default 20) hot paths by exact self-time ([path] as an array of
     span names, count, total/self microseconds, allocation) — embedded
@@ -51,6 +45,11 @@ val of_audit_report : tol:float -> Em_core.Audit.t option array -> t
 val of_diags : Em_core.Diag.t list -> t
 (** Objects with [severity] / [code] / [source] / [message]; [severity]
     uses the stable strings of {!Em_core.Diag.severity_to_string}. *)
+
+val of_mna : Spice.Mna.solution -> t
+(** The DC solve's size and health: [free_nodes] (rows of the reduced
+    system), [nnz_l] (nonzeros of the L factors), [nets] (independent
+    blocks) and the relative [residual]. *)
 
 val of_flow_result : Em_flow.result -> t
 (** Confusion matrix, structure/segment counts, the stage table (the

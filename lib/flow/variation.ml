@@ -39,24 +39,6 @@ type result = {
   mc_time : float;
 }
 
-let samples_total =
-  Obs.Metrics.counter ~help:"Monte-Carlo variation samples evaluated"
-    "em_variation_samples_total"
-
-let samples_degenerate =
-  Obs.Metrics.counter
-    ~help:"Monte-Carlo variation samples rejected as degenerate"
-    "em_variation_degenerate_samples_total"
-
-let structures_total =
-  Obs.Metrics.counter ~help:"Structures run through the variation engine"
-    "em_variation_structures_total"
-
-let structure_seconds =
-  Obs.Metrics.histogram
-    ~help:"Per-structure Monte-Carlo variation latency (all samples)"
-    "em_variation_structure_seconds"
-
 let factor rng sigma =
   if sigma <= 0. then 1. else Rng.gaussian_positive rng ~mean:1. ~stddev:sigma
 
@@ -231,8 +213,6 @@ let mc_structure material spec sc rng ~index (cs : Extract.compact_structure) =
     else incr failed
   done;
   flush !pending;
-  Obs.Metrics.inc_by samples_total spec.samples;
-  Obs.Metrics.inc_by samples_degenerate !failed;
   let ok = spec.samples - !failed in
   {
     index;
@@ -250,13 +230,11 @@ let mc_structure material spec sc rng ~index (cs : Extract.compact_structure) =
   }
 
 let run_one material spec sc seed ~index (cs : Extract.compact_structure) =
-  Obs.Metrics.inc structures_total;
   let work () =
-    Obs.Metrics.time structure_seconds (fun () ->
-        (* The stream is created here, on the worker that draws from
-           it: states allocated side by side by one domain would share
-           cache lines that every draw writes. *)
-        mc_structure material spec sc (Rng.create seed) ~index cs)
+    (* The stream is created here, on the worker that draws from it:
+       states allocated side by side by one domain would share cache
+       lines that every draw writes. *)
+    mc_structure material spec sc (Rng.create seed) ~index cs
   in
   if Obs.Trace.enabled () then
     Obs.Trace.with_span "variation.structure"

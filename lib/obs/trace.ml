@@ -56,8 +56,6 @@ let state : t option Atomic.t = Atomic.make None
 
 let enabled () = Atomic.get state <> None
 
-let current () = Atomic.get state
-
 (* The worker slot a [Parallel] section gave the calling domain, if
    any. Sections spawn fresh domains, so keying a worker's spans by its
    slot rather than its domain id keeps every worker-N on one lane. *)
@@ -119,11 +117,6 @@ let drop_warner : (int -> unit) ref = ref (fun _capacity -> ())
 
 let set_drop_warner f = drop_warner := f
 
-let dropped_counter =
-  Metrics.counter
-    ~help:"Completed spans dropped because the trace span buffer was full"
-    "obs_trace_dropped_spans_total"
-
 let record t e =
   Mutex.lock t.mutex;
   if t.n_events >= t.buf_capacity then begin
@@ -131,7 +124,6 @@ let record t e =
     let first = not t.drop_warned in
     t.drop_warned <- true;
     Mutex.unlock t.mutex;
-    Metrics.inc dropped_counter;
     if first then !drop_warner t.buf_capacity
   end
   else begin

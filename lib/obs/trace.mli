@@ -56,9 +56,8 @@ type t
 val create : ?capacity:int -> unit -> t
 (** [capacity] bounds the completed-span buffer (default 1,000,000 — a
     few hundred MB of events at most). Once full, further spans are
-    {e dropped}, counted in {!dropped_spans} and the
-    [obs_trace_dropped_spans_total] metric, with one {!Log} warning the
-    first time; timing and nesting keep working (a kept span whose
+    {e dropped}, counted in {!dropped_spans}, with one {!Log} warning
+    the first time; timing and nesting keep working (a kept span whose
     parent was dropped counts as a root in {!Profile}). Raises
     [Invalid_argument] when [capacity < 1]. *)
 
@@ -75,9 +74,6 @@ val disable : unit -> unit
 (** Remove the sink; {!with_span} returns to its no-op fast path. *)
 
 val enabled : unit -> bool
-
-val current : unit -> t option
-(** The installed sink, if any. *)
 
 val with_enabled : t -> (unit -> 'a) -> 'a
 (** [with_enabled t f] runs [f] with [t] installed, restoring the

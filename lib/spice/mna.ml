@@ -8,6 +8,7 @@ type solution = {
   residual : float;
   free_nodes : int;
   fill : int;
+  nets : int;
 }
 
 exception Unsupported of string
@@ -350,18 +351,6 @@ let relative_residual (a : Sp.t) x b =
   done;
   if !den = 0. then sqrt !num else sqrt (!num /. !den)
 
-let free_nodes_gauge =
-  Obs.Metrics.gauge ~help:"Rows of the reduced MNA system (free nodes)"
-    "mna_free_nodes"
-
-let factor_nnz_gauge =
-  Obs.Metrics.gauge ~help:"Nonzeros of the MNA L factors (rows left after series-chain elimination), over all blocks"
-    "mna_factor_nnz"
-
-let blocks_gauge =
-  Obs.Metrics.gauge ~help:"Independent blocks (nets) of the MNA system"
-    "mna_blocks"
-
 (* ------------------------------------------------------------------ *)
 (* Series chains. A row with exactly two off-diagonal entries (most of
    a power grid's rows: the wire segments between vias) is a link of a
@@ -586,9 +575,6 @@ let solve ?jobs net =
                (non-finite or non-physical resistance?)"
               (Netlist.node_name net !node)))
   in
-  Obs.Metrics.set_gauge free_nodes_gauge (float_of_int nf);
-  Obs.Metrics.set_gauge factor_nnz_gauge (float_of_int fill);
-  Obs.Metrics.set_gauge blocks_gauge (float_of_int (Array.length order));
   let n = Netlist.num_nodes net in
   let voltages = Array.make n 0. in
   for v = 0 to n - 1 do
@@ -602,6 +588,7 @@ let solve ?jobs net =
     residual = relative_residual sys.matrix x sys.rhs;
     free_nodes = nf;
     fill;
+    nets = Array.length order;
   }
 
 let resistor_current sol e =

@@ -34,6 +34,7 @@ type solution = {
   fill : int;
       (** nonzeros of the L factors, which cover only the rows left
           after the series chains are eliminated *)
+  nets : int;              (** independent blocks of the system *)
 }
 
 exception Unsupported of string
@@ -80,8 +81,8 @@ val solve : ?jobs:int -> Netlist.t -> solution
     over the whole assembled matrix, so it checks the reduction too.
     When tracing, each block is a [spice.mna.block] span with its rows,
     [reduced_rows] (the rows factored), nnz(L) and ordering and factor
-    seconds; the [mna_free_nodes], [mna_factor_nnz] (the reduced
-    factors' nonzeros) and [mna_blocks] gauges record the last solve.
+    seconds. [free_nodes], [fill], [nets] and [residual] are the
+    [mna] object of [emcheck analyze --json].
     A pivot that is not positive and finite, in a chain or in the
     reduced factor, is {!Unsupported} naming the node of its row.
     Raises {!Unsupported}; [Invalid_argument] on an empty netlist. *)

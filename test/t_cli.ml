@@ -125,6 +125,28 @@ let test_analyze_solver_line () =
         Alcotest.(check bool) "no mna-residual" false
           (List.mem "mna-residual" codes))
 
+(* The report's [mna] object carries the solve's own size and health
+   figures: the same as solving the parsed deck directly. *)
+let test_analyze_mna_object () =
+  let json = tmp_name "report" ^ ".json" in
+  Fun.protect
+    ~finally:(fun () -> rm_f json)
+    (fun () ->
+      let r = run_cmd (Printf.sprintf "%s analyze %s --json %s" emcheck deck json) in
+      Alcotest.(check int) "exit 0" 0 r.code;
+      let mna = get "mna" (json_of_file json) in
+      let sol = Spice.Mna.solve (Spice.Parser.parse_file deck) in
+      let int_of name = int_of_float (get_num name mna) in
+      Alcotest.(check int) "free_nodes" sol.Spice.Mna.free_nodes
+        (int_of "free_nodes");
+      Alcotest.(check int) "nnz_l" sol.Spice.Mna.fill (int_of "nnz_l");
+      Alcotest.(check int) "nets" sol.Spice.Mna.nets (int_of "nets");
+      Alcotest.(check int) "two nets (VDD, GND)" 2 (int_of "nets");
+      Alcotest.(check (float 0.)) "residual" sol.Spice.Mna.residual
+        (get_num "residual" mna);
+      Alcotest.(check bool) "residual below 1e-12" true
+        (get_num "residual" mna < 1e-12))
+
 let test_analyze_hostile_solve () =
   (* A conductance that overflows to infinity, and a floating island a
      current source drives: each ends in one diagnostic, not a crash. *)
@@ -225,25 +247,6 @@ let test_analyze_stages () =
         [ "parse"; "lint"; "solve"; "extract"; "analyze"; "classify" ]
         stage_lines)
 
-(* The stats metric table lists metrics with data before idle ones, so
-   the default --top 20 keeps the solve's gauges, registered late. *)
-let test_stats_metric_order () =
-  let r = run_cmd (Printf.sprintf "%s stats %s" emcheck deck) in
-  Alcotest.(check int) "stats exit 0" 0 r.code;
-  (* The rows after the "Metrics (top 20 of N):" heading. *)
-  let rec after = function
-    | [] -> []
-    | l :: rest when String.starts_with ~prefix:"Metrics" l -> rest
-    | _ :: rest -> after rest
-  in
-  let metrics = after (String.split_on_char '\n' r.out) in
-  List.iter
-    (fun gauge ->
-      Alcotest.(check bool)
-        (gauge ^ " in the metric table") true
-        (List.exists (fun l -> T_obs.contains l ("| " ^ gauge ^ " ")) metrics))
-    [ "mna_factor_nnz"; "mna_blocks" ]
-
 (* A deck without supplies fails lint: explain and stats refuse it the
    way analyze does, in one line naming the failing check. *)
 let test_lint_refusal () =
@@ -268,34 +271,6 @@ let test_lint_refusal () =
             true
             (T_obs.contains err "no-supply" && not (String.contains err '\n')))
         [ ("analyze", "", None); ("explain", " 0", Some 2); ("stats", "", None) ])
-
-(* Process gauges are sampled when read: a --metrics file carries the
-   uptime and heap size, not the zeros of a never-run sampler. *)
-let test_metrics_process_gauges () =
-  let prom = tmp_name "metrics" ^ ".prom" in
-  Fun.protect
-    ~finally:(fun () -> rm_f prom)
-    (fun () ->
-      let r =
-        run_cmd (Printf.sprintf "%s analyze %s --metrics %s" emcheck deck prom)
-      in
-      Alcotest.(check int) "exit 0" 0 r.code;
-      let value name =
-        List.find_map
-          (fun l ->
-            match String.split_on_char ' ' l with
-            | [ n; v ] when n = name -> float_of_string_opt v
-            | _ -> None)
-          (String.split_on_char '\n' (read_file prom))
-      in
-      List.iter
-        (fun name ->
-          match value name with
-          | Some v when v > 0. -> ()
-          | v ->
-            Alcotest.failf "%s: expected a positive sample, got %s" name
-              (match v with Some v -> string_of_float v | None -> "none"))
-        [ "process_uptime_seconds"; "ocaml_gc_heap_words" ])
 
 (* ---------------------------------------------------------------- *)
 (* bench compare: the no-history exit-0 path                         *)
@@ -380,12 +355,11 @@ let suites =
     ( "cli.analyze",
       [
         case "DC solve line and no residual diagnostic" test_analyze_solver_line;
+        case "--json mna object matches the solve" test_analyze_mna_object;
         case "hostile solves end in one diagnostic" test_analyze_hostile_solve;
         case "overflowing value: a line error" test_analyze_non_finite_value;
         case "parse, lint and solve are pipeline stages" test_analyze_stages;
         case "lint refusal names the failing check" test_lint_refusal;
-        case "stats lists metrics with data first" test_stats_metric_order;
-        case "--metrics samples the process gauges" test_metrics_process_gauges;
       ] );
     ( "cli.bench",
       [ case "compare without history gates nothing" test_bench_compare_no_history ] );

@@ -75,9 +75,7 @@ let obs_doc =
       ("bench", J.String "obs");
       ("full", J.Bool false);
       ("off_s", J.Float 0.002);
-      ("metrics_on_ratio", J.Float 1.1);
       ("trace_on_ratio", J.Float 1.2);
-      ("disabled_counter_inc_ns", J.Float 3.0);
       ("disabled_span_ns", J.Float 6.0);
       ("estimated_disabled_overhead_pct", J.Float 0.06);
       ("iterations", J.Int 64); (* not a measurement: must not appear *)
@@ -118,8 +116,8 @@ let scaling_doc ?(columnar1000 = 2.0e-5) () =
 
 let test_metrics_of_obs () =
   let ms = H.metrics_of_result obs_doc in
-  Alcotest.(check int) "six obs metrics" 6 (List.length ms);
-  check_close "ratio extracted" 1.1 (List.assoc "metrics_on_ratio" ms);
+  Alcotest.(check int) "four obs metrics" 4 (List.length ms);
+  check_close "ratio extracted" 1.2 (List.assoc "trace_on_ratio" ms);
   Alcotest.(check bool) "iteration count is not a metric" true
     (List.assoc_opt "iterations" ms = None)
 
@@ -180,7 +178,7 @@ let entry bench metrics =
     full = false; metrics }
 
 let test_entry_roundtrip () =
-  let e = entry "obs" [ ("off_s", 0.002); ("metrics_on_ratio", 1.1) ] in
+  let e = entry "obs" [ ("off_s", 0.002); ("trace_on_ratio", 1.1) ] in
   let line = J.to_string (H.entry_to_json e) in
   match Ji.parse line with
   | Error msg -> Alcotest.failf "entry line unreadable: %s" msg
@@ -193,7 +191,7 @@ let test_entry_roundtrip () =
       Alcotest.(check string) "timestamp" e.H.timestamp e'.H.timestamp;
       Alcotest.(check bool) "full" e.H.full e'.H.full;
       Alcotest.(check int) "metrics" 2 (List.length e'.H.metrics);
-      check_close "metric value" 1.1 (List.assoc "metrics_on_ratio" e'.H.metrics)
+      check_close "metric value" 1.1 (List.assoc "trace_on_ratio" e'.H.metrics)
   end
 
 let test_history_file_io () =

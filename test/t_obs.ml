@@ -1,6 +1,5 @@
 open T_helpers
 module Tr = Obs.Trace
-module Mx = Obs.Metrics
 module Gg = Pdn.Grid_gen
 module Ex = Emflow.Extract
 module Flow = Emflow.Em_flow
@@ -533,301 +532,6 @@ let test_span_gc_attribution () =
     [ {|"gc_minor_words"|}; {|"gc_minor_collections"|} ]
 
 (* ---------------------------------------------------------------- *)
-(* Metrics                                                           *)
-
-let test_counter_basics () =
-  let r = Mx.create () in
-  let c = Mx.counter ~registry:r ~help:"h" "t_obs_c_total" in
-  Mx.inc c;
-  Alcotest.(check int) "disabled inc is a no-op" 0 (Mx.counter_value c);
-  Mx.with_enabled true (fun () ->
-      Mx.inc c;
-      Mx.inc_by c 4;
-      Mx.inc_by c (-3));
-  Alcotest.(check int) "inc + inc_by, negative ignored" 5 (Mx.counter_value c);
-  (* Same (name, labels) returns the same handle. *)
-  let c' = Mx.counter ~registry:r ~help:"h" "t_obs_c_total" in
-  Mx.with_enabled true (fun () -> Mx.inc c');
-  Alcotest.(check int) "idempotent registration" 6 (Mx.counter_value c);
-  (* Same name as a different kind is a registration error. *)
-  check_raises_invalid "kind mismatch" (fun () ->
-      Mx.gauge ~registry:r ~help:"h" "t_obs_c_total")
-
-let test_gauge_basics () =
-  let r = Mx.create () in
-  let g = Mx.gauge ~registry:r ~help:"h" "t_obs_g" in
-  Mx.set_gauge g 3.5;
-  Alcotest.(check (float 0.)) "disabled set is a no-op" 0. (Mx.gauge_value g);
-  Mx.with_enabled true (fun () -> Mx.set_gauge g 3.5);
-  Alcotest.(check (float 0.)) "set" 3.5 (Mx.gauge_value g)
-
-let test_histogram_buckets () =
-  let r = Mx.create () in
-  let h =
-    Mx.histogram ~registry:r ~buckets:[| 1.; 2.; 5. |] ~help:"h" "t_obs_h"
-  in
-  Mx.with_enabled true (fun () ->
-      List.iter (Mx.observe h) [ 0.5; 1.0; 1.5; 2.0; 5.0; 7.0 ]);
-  Alcotest.(check int) "count" 6 (Mx.histogram_count h);
-  Alcotest.(check (float 1e-12)) "sum" 17.0 (Mx.histogram_sum h);
-  match Mx.snapshot ~registry:r () with
-  | [ s ] ->
-    (* Upper bounds are inclusive and cumulative: 1.0 lands in le=1. *)
-    Alcotest.(check (list (pair (float 0.) int)))
-      "cumulative buckets"
-      [ (1., 2); (2., 4); (5., 5); (Float.infinity, 6) ]
-      s.Mx.s_buckets;
-    Alcotest.(check int) "sample count" 6 s.Mx.s_count
-  | ss -> Alcotest.failf "expected 1 sample, got %d" (List.length ss)
-
-let test_histogram_bad_buckets () =
-  let r = Mx.create () in
-  check_raises_invalid "unsorted" (fun () ->
-      Mx.histogram ~registry:r ~buckets:[| 2.; 1. |] ~help:"h" "t_obs_bad");
-  check_raises_invalid "non-finite" (fun () ->
-      Mx.histogram ~registry:r
-        ~buckets:[| 1.; Float.infinity |]
-        ~help:"h" "t_obs_bad2")
-
-let test_prometheus_exposition () =
-  let r = Mx.create () in
-  let c =
-    Mx.counter ~registry:r
-      ~labels:[ ("verdict", {|a"b\c|} ^ "\nd") ]
-      ~help:"Help with \\ backslash\nand newline" "t_obs_esc_total"
-  in
-  let h =
-    Mx.histogram ~registry:r ~buckets:[| 1.; 2.; 5. |] ~help:"lat" "t_obs_h"
-  in
-  Mx.with_enabled true (fun () ->
-      Mx.inc c;
-      List.iter (Mx.observe h) [ 0.5; 1.0; 1.5; 2.0; 5.0; 7.0 ]);
-  let text = Mx.to_prometheus ~registry:r () in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) ("contains " ^ String.escaped needle) true
-        (contains text needle))
-    [
-      "# TYPE t_obs_esc_total counter";
-      "# HELP t_obs_esc_total Help with \\\\ backslash\\nand newline";
-      {|t_obs_esc_total{verdict="a\"b\\c\nd"} 1|};
-      "# TYPE t_obs_h histogram";
-      {|t_obs_h_bucket{le="1"} 2|};
-      {|t_obs_h_bucket{le="2"} 4|};
-      {|t_obs_h_bucket{le="5"} 5|};
-      {|t_obs_h_bucket{le="+Inf"} 6|};
-      "t_obs_h_sum 17";
-      "t_obs_h_count 6";
-    ];
-  (* Exposition ends with a newline (required by the format). *)
-  Alcotest.(check bool) "trailing newline" true
-    (String.length text > 0 && text.[String.length text - 1] = '\n')
-
-(* ---------------------------------------------------------------- *)
-(* Prometheus exposition conformance                                  *)
-
-(* The exposition is line-oriented; comments start with '#'. *)
-let expo_sample_lines text =
-  String.split_on_char '\n' text
-  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
-
-let expo_find_line text prefix =
-  match
-    List.find_opt
-      (fun l ->
-        String.length l >= String.length prefix
-        && String.sub l 0 (String.length prefix) = prefix)
-      (expo_sample_lines text)
-  with
-  | Some l -> l
-  | None -> Alcotest.failf "no sample line starting with %S" prefix
-
-let expo_value line =
-  match String.rindex_opt line ' ' with
-  | Some i -> begin
-    let v = String.sub line (i + 1) (String.length line - i - 1) in
-    match float_of_string_opt v with
-    | Some f -> f
-    | None -> Alcotest.failf "unparseable sample value %S in %S" v line
-  end
-  | None -> Alcotest.failf "no value in sample line %S" line
-
-(* Test-side unescaper for quoted label values: the spec escapes
-   backslash, double-quote and newline; everything else passes through
-   verbatim. Returns the decoded value of the first quoted string in
-   [line]. *)
-let expo_label_value line =
-  match String.index_opt line '"' with
-  | None -> Alcotest.failf "no quoted label value in %S" line
-  | Some start ->
-    let buf = Buffer.create 16 in
-    let n = String.length line in
-    let rec go i =
-      if i >= n then Alcotest.failf "unterminated label value in %S" line
-      else
-        match line.[i] with
-        | '\\' when i + 1 < n ->
-          (match line.[i + 1] with
-          | 'n' -> Buffer.add_char buf '\n'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '"' -> Buffer.add_char buf '"'
-          | c -> Alcotest.failf "invalid escape \\%c in %S" c line);
-          go (i + 2)
-        | '"' -> Buffer.contents buf
-        | c ->
-          Buffer.add_char buf c;
-          go (i + 1)
-    in
-    go (start + 1)
-
-(* HELP text escapes only backslash and newline (no quoting). *)
-let expo_unescape_help s =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let rec go i =
-    if i < n then
-      match s.[i] with
-      | '\\' when i + 1 < n && s.[i + 1] = 'n' ->
-        Buffer.add_char buf '\n';
-        go (i + 2)
-      | '\\' when i + 1 < n && s.[i + 1] = '\\' ->
-        Buffer.add_char buf '\\';
-        go (i + 2)
-      | c ->
-        Buffer.add_char buf c;
-        go (i + 1)
-  in
-  go 0;
-  Buffer.contents buf
-
-let test_prom_inf_bucket_always_present () =
-  (* An unobserved histogram still exposes the implicit +Inf overflow
-     bucket plus _sum and _count, all zero — scrapers treat a missing
-     +Inf series as a format error. *)
-  let r = Mx.create () in
-  let h =
-    Mx.histogram ~registry:r ~buckets:[| 0.5 |] ~help:"empty" "t_obs_conf_e"
-  in
-  let text = Mx.to_prometheus ~registry:r () in
-  Alcotest.(check (float 0.)) "+Inf bucket present at zero" 0.
-    (expo_value (expo_find_line text {|t_obs_conf_e_bucket{le="+Inf"}|}));
-  Alcotest.(check (float 0.)) "zero sum" 0.
-    (expo_value (expo_find_line text "t_obs_conf_e_sum"));
-  Alcotest.(check (float 0.)) "zero count" 0.
-    (expo_value (expo_find_line text "t_obs_conf_e_count"));
-  (* Still there, and consistent, once observed. *)
-  Mx.with_enabled true (fun () -> Mx.observe h 9.);
-  let text = Mx.to_prometheus ~registry:r () in
-  Alcotest.(check (float 0.)) "overflow observation lands in +Inf" 1.
-    (expo_value (expo_find_line text {|t_obs_conf_e_bucket{le="+Inf"}|}))
-
-let test_prom_sum_count_consistency =
-  qcheck ~count:50 "exposition _sum/_count agree with the observations"
-    QCheck2.Gen.(list_size (int_range 0 40) (float_range 0. 10.))
-    (fun obs ->
-      let r = Mx.create () in
-      let h =
-        Mx.histogram ~registry:r ~buckets:[| 1.; 2.; 5. |] ~help:"c"
-          "t_obs_conf_h"
-      in
-      Mx.with_enabled true (fun () -> List.iter (Mx.observe h) obs);
-      let text = Mx.to_prometheus ~registry:r () in
-      let bucket le =
-        expo_value
-          (expo_find_line text
-             (Printf.sprintf {|t_obs_conf_h_bucket{le="%s"}|} le))
-      in
-      let count = expo_value (expo_find_line text "t_obs_conf_h_count") in
-      let sum = expo_value (expo_find_line text "t_obs_conf_h_sum") in
-      (* _count equals the +Inf cumulative bucket equals the number of
-         observations; _sum equals their total; cumulative buckets are
-         monotone in le. *)
-      Alcotest.(check (float 0.)) "count = observations"
-        (float_of_int (List.length obs))
-        count;
-      Alcotest.(check (float 0.)) "+Inf bucket = count" count (bucket "+Inf");
-      check_close ~rtol:1e-9 "sum matches" (List.fold_left ( +. ) 0. obs) sum;
-      let cumulative = List.map bucket [ "1"; "2"; "5"; "+Inf" ] in
-      let rec monotone = function
-        | a :: (b :: _ as rest) -> a <= b && monotone rest
-        | _ -> true
-      in
-      Alcotest.(check bool) "buckets cumulative-monotone" true
-        (monotone cumulative);
-      true)
-
-let test_prom_help_type_escaping () =
-  let help = "line one\nline \\ two\\n not an escape" in
-  let r = Mx.create () in
-  ignore (Mx.counter ~registry:r ~help "t_obs_conf_help_total");
-  let text = Mx.to_prometheus ~registry:r () in
-  let help_line =
-    match
-      List.find_opt
-        (fun l ->
-          String.length l >= 7 && String.sub l 0 7 = "# HELP ")
-        (String.split_on_char '\n' text)
-    with
-    | Some l -> l
-    | None -> Alcotest.fail "no HELP line"
-  in
-  (* "# HELP <name> <escaped help>" — the payload must unescape back to
-     the original, multibyte-newline-and-backslash text included. *)
-  let payload =
-    let prefix = "# HELP t_obs_conf_help_total " in
-    Alcotest.(check bool) "HELP names the metric" true
-      (String.length help_line > String.length prefix
-      && String.sub help_line 0 (String.length prefix) = prefix);
-    String.sub help_line (String.length prefix)
-      (String.length help_line - String.length prefix)
-  in
-  Alcotest.(check bool) "escaped HELP is one line" false
-    (String.contains payload '\n');
-  Alcotest.(check string) "HELP round-trips" help
-    (expo_unescape_help payload);
-  Alcotest.(check bool) "TYPE line present" true
-    (contains text "# TYPE t_obs_conf_help_total counter")
-
-let gen_hostile_label =
-  (* Favor the characters the escaper must handle. *)
-  QCheck2.Gen.(
-    string_size ~gen:(oneofl [ 'a'; 'z'; ' '; '"'; '\\'; '\n'; '{'; '}'; '=' ])
-      (int_range 0 24))
-
-let test_prom_label_roundtrip =
-  qcheck ~count:100 "label values escape and unescape to the original"
-    gen_hostile_label
-    (fun value ->
-      let r = Mx.create () in
-      let c =
-        Mx.counter ~registry:r
-          ~labels:[ ("verdict", value) ]
-          ~help:"h" "t_obs_conf_lbl_total"
-      in
-      Mx.with_enabled true (fun () -> Mx.inc c);
-      let text = Mx.to_prometheus ~registry:r () in
-      let line = expo_find_line text "t_obs_conf_lbl_total{" in
-      (* The sample line must be a single physical line whose decoded
-         label value equals what was registered. *)
-      Alcotest.(check string) "round-trip" value (expo_label_value line);
-      Alcotest.(check (float 0.)) "value survives the labels" 1.
-        (expo_value line);
-      true)
-
-let test_metrics_json () =
-  let r = Mx.create () in
-  let h = Mx.histogram ~registry:r ~buckets:[| 1. |] ~help:"h" "t_obs_jh" in
-  Mx.with_enabled true (fun () -> Mx.observe h 0.5);
-  let json =
-    Emflow.Json_out.to_string (Emflow.Json_out.of_metrics (Mx.snapshot ~registry:r ()))
-  in
-  Alcotest.(check bool) "valid json" true (json_accepts json);
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) ("contains " ^ needle) true (contains json needle))
-    [ {|"name":"t_obs_jh"|}; {|"kind":"histogram"|}; {|"le":"+Inf"|}; {|"count":1|} ]
-
-(* ---------------------------------------------------------------- *)
 (* Equivalence: telemetry on leaves analysis results bit-identical    *)
 
 let small_grid () =
@@ -866,7 +570,7 @@ let check_segments_bit_identical (clean : Flow.result) (traced : Flow.result) =
 
 let test_telemetry_equivalence =
   qcheck ~count:8
-    "tracing + metrics + logging + flight leave analysis results bit-identical"
+    "tracing + logging + flight leave analysis results bit-identical"
     QCheck2.Gen.(int_range 1 4)
     (fun jobs ->
       let compacts, clean = Lazy.force equiv_fixture in
@@ -879,11 +583,10 @@ let test_telemetry_equivalence =
       in
       Fl.clear ();
       let traced =
-        Mx.with_enabled true (fun () ->
-            Tr.with_enabled t (fun () ->
-                Lg.with_enabled sink (fun () ->
-                    Fl.with_enabled true (fun () ->
-                        Flow.run_on_compact ~jobs compacts))))
+        Tr.with_enabled t (fun () ->
+            Lg.with_enabled sink (fun () ->
+                Fl.with_enabled true (fun () ->
+                    Flow.run_on_compact ~jobs compacts)))
       in
       Fl.clear ();
       Alcotest.(check bool) "confusion counts identical" true
@@ -928,21 +631,5 @@ let suites =
         case "JSON dump is valid line-by-line" test_flight_dump_json;
       ] );
     ("obs.gc", [ case "span GC deltas attributed" test_span_gc_attribution ]);
-    ( "obs.metrics",
-      [
-        case "counter gating and idempotence" test_counter_basics;
-        case "gauge gating" test_gauge_basics;
-        case "histogram bucket boundaries" test_histogram_buckets;
-        case "histogram rejects bad bounds" test_histogram_bad_buckets;
-        case "prometheus exposition and escaping" test_prometheus_exposition;
-        case "metrics JSON snapshot" test_metrics_json;
-      ] );
-    ( "obs.prometheus",
-      [
-        case "+Inf bucket always present" test_prom_inf_bucket_always_present;
-        test_prom_sum_count_consistency;
-        case "HELP/TYPE escaping round-trips" test_prom_help_type_escaping;
-        test_prom_label_roundtrip;
-      ] );
     ("obs.equivalence", [ test_telemetry_equivalence ]);
   ]
