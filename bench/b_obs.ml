@@ -10,30 +10,52 @@ module Flow = Emflow.Em_flow
 module J = Emflow.Json_out
 module Tr = Obs.Trace
 
-(* Best wall time of each arm, with the arms run back to back within
-   every repetition so all of them sample the same machine conditions
-   (a load spike slows one repetition of every arm, not one arm). One
-   untimed pass warms the heap and the worker domains; the starting arm
-   rotates so none always follows the allocation-heavy audit arm, and a
-   full major GC before each timed run leaves no arm paying for the
-   previous one's garbage. A flow run lasts milliseconds at the default
-   scale, so repetitions continue until every arm has run for
-   [min_arm_s] in total, and at least [min_reps] times. *)
+(* Best per-run wall time of each arm, with the arms run back to back
+   within every repetition so all of them sample the same machine
+   conditions (a load spike slows one repetition of every arm, not one
+   arm). A flow run lasts milliseconds at the default scale, so a
+   sample times a batch of [batch.(i)] runs of arm [i] and counts their
+   mean. A sample shorter than [min_sample_s] is dropped and its arm's
+   batch grown to fit, so every counted sample lasts that long. One
+   untimed run per arm warms the heap and the worker domains; the
+   starting arm rotates so none always follows the allocation-heavy
+   audit arm, and one full major GC before each sample leaves no arm
+   paying for the previous one's garbage. Samples continue until every
+   arm has run for [min_arm_s] in total, and at least [min_reps]
+   times. *)
 let min_reps = 5
 and min_arm_s = 1.
+and min_sample_s = 0.02
 
-let interleaved_best arms =
+let interleaved_best arms batch =
   let n = Array.length arms in
   let best = Array.make n infinity and total = Array.make n 0. in
+  let counted = Array.make n 0 in
   Array.iter (fun arm -> arm ()) arms;
   let reps = ref 0 in
-  while !reps < min_reps || Array.exists (fun t -> t < min_arm_s) total do
+  while
+    Array.exists (fun c -> c < min_reps) counted
+    || Array.exists (fun t -> t < min_arm_s) total
+  do
     for k = 0 to n - 1 do
       let i = (k + !reps) mod n in
+      let b = batch.(i) in
       Gc.full_major ();
-      let (), t = B_util.wall arms.(i) in
-      total.(i) <- total.(i) +. t;
-      if t < best.(i) then best.(i) <- t
+      let (), t =
+        B_util.wall (fun () ->
+            for _ = 1 to b do
+              arms.(i) ()
+            done)
+      in
+      if t < min_sample_s then
+        batch.(i) <-
+          max (b + 1)
+            (int_of_float (Float.ceil (1.1 *. float_of_int b *. min_sample_s /. t)))
+      else begin
+        total.(i) <- total.(i) +. t;
+        counted.(i) <- counted.(i) + 1;
+        best.(i) <- Float.min best.(i) (t /. float_of_int b)
+      end
     done;
     incr reps
   done;
@@ -68,21 +90,20 @@ let run cfg =
      from 1.0 is timer noise. Enabled, every structure's solver output is
      replayed expression-by-expression (Blech sums, norms, telescoping,
      flux/mass balances) — roughly a second pass over the CSR. *)
-  let runs =
-    Array.init passes (fun _ ->
-        interleaved_best
-          [|
-            plain;
-            (fun () ->
-              let t = Tr.create () in
-              Tr.with_enabled t plain;
-              last_trace := Tr.num_events t);
-            plain;
-            (fun () ->
-              ignore
-                (Flow.run_on_compact ~audit:Flow.default_audit_config compacts));
-          |])
+  let arms =
+    [|
+      plain;
+      (fun () ->
+        let t = Tr.create () in
+        Tr.with_enabled t plain;
+        last_trace := Tr.num_events t);
+      plain;
+      (fun () ->
+        ignore (Flow.run_on_compact ~audit:Flow.default_audit_config compacts));
+    |]
   in
+  let batch = Array.make (Array.length arms) 1 in
+  let runs = Array.init passes (fun _ -> interleaved_best arms batch) in
   let reps = Array.fold_left (fun n (_, r) -> n + r) 0 runs in
   let med f = Numerics.Stats.median (Array.map (fun (best, _) -> f best) runs) in
   let t_off = med (fun b -> b.(0)) and t_trace = med (fun b -> b.(1)) in
@@ -92,8 +113,9 @@ let run cfg =
   let audit_disabled_ratio = med (fun b -> b.(2) /. b.(0)) in
   B_util.note
     "flow, telemetry off:        %.3fs (median of %d passes, %d interleaved \
-     repetitions)"
-    t_off passes reps;
+     repetitions, batches of %s runs)"
+    t_off passes reps
+    (String.concat "/" (Array.to_list (Array.map string_of_int batch)));
   B_util.note "flow, trace on:             %.3fs (%.2fx, %d spans)" t_trace
     trace_on_ratio !last_trace;
   B_util.note "flow, audit off:            %.3fs (%.2fx vs off — noise floor)"
@@ -128,6 +150,12 @@ let run cfg =
          ("structures", J.Int n_structures);
          ("segments", J.Int n_segments);
          ("repetitions", J.Int reps);
+         ("min_sample_s", J.Float min_sample_s);
+         ( "batch_runs",
+           J.Obj
+             (List.mapi
+                (fun i arm -> (arm, J.Int batch.(i)))
+                [ "off"; "trace_on"; "audit_off"; "audit_on" ]) );
          ("off_s", J.Float t_off);
          ("trace_on_s", J.Float t_trace);
          ("passes", J.Int passes);

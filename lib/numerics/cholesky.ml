@@ -4,12 +4,13 @@ exception Not_positive_definite of int
 
 type t = {
   n : int;
-  perm : int array;     (* perm.(new) = old *)
-  inv_perm : int array; (* inv_perm.(old) = new *)
-  lp : int array;       (* column pointers of L, length n+1 *)
-  li : int array;       (* row indices of L *)
-  lx : float array;     (* values of L *)
-  d : float array;      (* diagonal of D *)
+  perm : int array;   (* perm.(new) = old *)
+  nnz : int;          (* structural nonzeros of L below the diagonal *)
+  super : int array;  (* columns of supernode s: [super.(s), super.(s+1)) *)
+  rp : int array;     (* rows of supernode s: ri.(rp.(s)) .. ri.(rp.(s+1) - 1) *)
+  ri : int array;     (* row indices, each supernode's own columns first *)
+  xp : int array;     (* block of supernode s: lx.(xp.(s)) onwards *)
+  lx : float array;   (* column-major blocks of L, D on their diagonals *)
   ordering_s : float;
   factor_s : float;
 }
@@ -403,7 +404,68 @@ let amd (a : Sparse.t) =
   Array.sub ws last n
 
 (* ------------------------------------------------------------------ *)
-(* Up-looking LDL^T (after Davis' LDL).                                 *)
+(* Left-looking supernodal LDL^T (after Ng & Peyton, and CHOLMOD).     *)
+
+(* [acc.(r) <- sum over k < nk of l(row + r, k) * l(row, k) * d(k)] for
+   [r < len], where column k of a block starts at [lx.(b + k * ld)] and
+   holds d(k) on its diagonal: the update that the first [nk] columns
+   of a supernode make to column [row] of L. With [two], [acc2.(r)]
+   gets the same for column [row + 1] from the same loads (its entry 0
+   lies above that column's diagonal); without, [acc2] is scratch. The
+   [nk mod 4] leading columns go one at a time, the rest four per
+   pass. *)
+let block_update lx b ld nk row len ~two acc acc2 =
+  if
+    b < 0 || len < 1 || row < nk || Array.length acc < len
+    || Array.length acc2 < len
+    || (nk > 0 && b + ((nk - 1) * ld) + row + len > Array.length lx)
+    || (two && len < 2)
+  then invalid_arg "Cholesky: block out of bounds";
+  Array.fill acc 0 len 0.;
+  if two then Array.fill acc2 0 len 0.;
+  (* [l(row + o, k) * d(k)] for column k at [c], with [o] = 1 only for
+     the second column ([z] = 0 zeroes its weights otherwise). *)
+  let o = if two then 1 else 0 and z = if two then 1. else 0. in
+  let lead = nk land 3 in
+  for k = 0 to lead - 1 do
+    let c = b + (k * ld) in
+    let d = Array.unsafe_get lx (c + k) and c = c + row in
+    let w = Array.unsafe_get lx c *. d and v = Array.unsafe_get lx (c + o) *. d *. z in
+    if two then
+      for r = 0 to len - 1 do
+        let x = Array.unsafe_get lx (c + r) in
+        Array.unsafe_set acc r (Array.unsafe_get acc r +. (x *. w));
+        Array.unsafe_set acc2 r (Array.unsafe_get acc2 r +. (x *. v))
+      done
+    else
+      for r = 0 to len - 1 do
+        Array.unsafe_set acc r (Array.unsafe_get acc r +. (Array.unsafe_get lx (c + r) *. w))
+      done
+  done;
+  for g = 0 to (nk / 4) - 1 do
+    let k = lead + (4 * g) in
+    let c0 = b + (k * ld) in
+    let c1 = c0 + ld in
+    let c2 = c1 + ld in
+    let c3 = c2 + ld in
+    let d0 = Array.unsafe_get lx (c0 + k) and d1 = Array.unsafe_get lx (c1 + k + 1)
+    and d2 = Array.unsafe_get lx (c2 + k + 2) and d3 = Array.unsafe_get lx (c3 + k + 3) in
+    let c0 = c0 + row and c1 = c1 + row and c2 = c2 + row and c3 = c3 + row in
+    let w0 = Array.unsafe_get lx c0 *. d0 and w1 = Array.unsafe_get lx c1 *. d1
+    and w2 = Array.unsafe_get lx c2 *. d2 and w3 = Array.unsafe_get lx c3 *. d3 in
+    let v0 = Array.unsafe_get lx (c0 + o) *. d0 *. z
+    and v1 = Array.unsafe_get lx (c1 + o) *. d1 *. z
+    and v2 = Array.unsafe_get lx (c2 + o) *. d2 *. z
+    and v3 = Array.unsafe_get lx (c3 + o) *. d3 *. z in
+    for r = 0 to len - 1 do
+      let x0 = Array.unsafe_get lx (c0 + r) and x1 = Array.unsafe_get lx (c1 + r)
+      and x2 = Array.unsafe_get lx (c2 + r) and x3 = Array.unsafe_get lx (c3 + r) in
+      Array.unsafe_set acc r
+        (Array.unsafe_get acc r +. (x0 *. w0) +. (x1 *. w1) +. (x2 *. w2) +. (x3 *. w3));
+      Array.unsafe_set acc2 r
+        (Array.unsafe_get acc2 r +. (x0 *. v0) +. (x1 *. v1) +. (x2 *. v2) +. (x3 *. v3))
+    done
+  done
 
 let factorize ?(ordering = Amd) (a : Sparse.t) =
   let n, cols = Sparse.dims a in
@@ -441,81 +503,180 @@ let factorize ?(ordering = Amd) (a : Sparse.t) =
         done
     done
   done;
-  let lp = Array.make (n + 1) 0 in
-  for k = 0 to n - 1 do
-    lp.(k + 1) <- lp.(k) + lnz.(k)
+  let nnz = Array.fold_left ( + ) 0 lnz in
+  (* Supernodes: column j joins column j + 1's when j's structure is
+     j + 1's plus row j + 1, that is when j's parent is j + 1 and j has
+     one more entry. [last.(j)] is the last column of j's supernode. *)
+  let last = Array.make n 0 in
+  let ns = ref 0 in
+  for j = n - 1 downto 0 do
+    if j < n - 1 && parent.(j) = j + 1 && lnz.(j) = lnz.(j + 1) + 1 then
+      last.(j) <- last.(j + 1)
+    else begin
+      last.(j) <- j;
+      incr ns
+    end
   done;
-  let total = lp.(n) in
-  let li = Array.make (max 1 total) 0 in
-  let lx = Array.make (max 1 total) 0. in
-  let d = Array.make n 0. in
-  (* Numeric pass: row k of L from a sparse triangular solve along the
-     elimination tree. [lnz] is reused as the next free slot of each
-     column. *)
-  let y = Array.make n 0. in
-  let pattern = Array.make n 0 in
-  let fill = lnz in
-  Array.blit lp 0 fill 0 n;
+  let ns = !ns in
+  let super = Array.make (ns + 1) n in
+  let s = ref 0 in
+  for j = 0 to n - 1 do
+    if j = 0 || last.(j - 1) = j - 1 then begin
+      super.(!s) <- j;
+      incr s
+    end
+  done;
+  (* Supernode s lists its rows at ri.(rp.(s)), its own columns first,
+     and holds its columns as one dense column-major block at
+     lx.(xp.(s)), D on the block's diagonal. *)
+  let rp = Array.make (ns + 1) 0 and xp = Array.make (ns + 1) 0 in
+  let max_rows = ref 1 in
+  for s = 0 to ns - 1 do
+    let nc = super.(s + 1) - super.(s) in
+    let nr = nc + lnz.(super.(s + 1) - 1) in
+    rp.(s + 1) <- rp.(s) + nr;
+    xp.(s + 1) <- xp.(s) + (nr * nc);
+    max_rows := max !max_rows nr
+  done;
+  let ri = Array.make (max 1 rp.(ns)) 0 in
+  (* [lnz] is reused as the next free row slot, by last column. *)
+  let cursor = lnz in
+  for s = 0 to ns - 1 do
+    let c0 = super.(s) and c1 = super.(s + 1) in
+    for j = c0 to c1 - 1 do
+      ri.(rp.(s) + j - c0) <- j
+    done;
+    cursor.(c1 - 1) <- rp.(s) + c1 - c0
+  done;
+  (* Row k lies below a supernode when k's row subtree reaches it; the
+     walk up the elimination tree steps a supernode at a time and
+     stops at k's own. *)
   Array.fill flag 0 n (-1);
   for k = 0 to n - 1 do
-    let top = ref n in
-    flag.(k) <- k;
     let old = perm.(k) in
     for p = row_ptr.(old) to row_ptr.(old + 1) - 1 do
-      let i = inv_perm.(col_idx.(p)) in
-      if i <= k then begin
-        y.(i) <- y.(i) +. values.(p);
-        let len = ref 0 and i = ref i in
-        while flag.(!i) <> k do
-          pattern.(!len) <- !i;
-          incr len;
-          flag.(!i) <- k;
-          i := parent.(!i)
-        done;
-        while !len > 0 do
-          decr len;
-          decr top;
-          pattern.(!top) <- pattern.(!len)
-        done
-      end
+      let i = ref inv_perm.(col_idx.(p)) in
+      while last.(!i) < k && flag.(last.(!i)) <> k do
+        let e = last.(!i) in
+        flag.(e) <- k;
+        ri.(cursor.(e)) <- k;
+        cursor.(e) <- cursor.(e) + 1;
+        i := parent.(e)
+      done
+    done
+  done;
+  (* Numeric pass, a supernode at a time: scatter A's columns, subtract
+     each descendant's update, factor the block. Descendant d waits,
+     from its row [pos.(d)] on, in the list of the supernode holding
+     that row, headed at the supernode's last column. Row indices and
+     [map] entries are in range by construction, so the scatter loops
+     go unchecked. *)
+  let lx = Array.make (max 1 xp.(ns)) 0. in
+  let map = flag and pos = cursor and head = parent in
+  Array.fill head 0 n (-1);
+  let next = Array.make (max 1 ns) (-1) in
+  let acc = Array.make !max_rows 0. and acc2 = Array.make !max_rows 0. in
+  let link d p =
+    pos.(d) <- p;
+    let t = last.(ri.(rp.(d) + p)) in
+    next.(d) <- head.(t);
+    head.(t) <- d
+  in
+  for s = 0 to ns - 1 do
+    let c0 = super.(s) and c1 = super.(s + 1) in
+    let r0 = rp.(s) and x0 = xp.(s) in
+    let nr = rp.(s + 1) - r0 in
+    for q = 0 to nr - 1 do
+      map.(ri.(r0 + q)) <- q
     done;
-    let dk = ref y.(k) in
-    y.(k) <- 0.;
-    for s = !top to n - 1 do
-      let i = pattern.(s) in
-      let yi = y.(i) in
-      y.(i) <- 0.;
-      for p = lp.(i) to fill.(i) - 1 do
-        let r = li.(p) in
-        y.(r) <- y.(r) -. (lx.(p) *. yi)
+    for j = c0 to c1 - 1 do
+      let old = perm.(j) and col = x0 + ((j - c0) * nr) in
+      for p = row_ptr.(old) to row_ptr.(old + 1) - 1 do
+        let i = inv_perm.(col_idx.(p)) in
+        if i >= j then begin
+          let t = col + map.(i) in
+          lx.(t) <- lx.(t) +. values.(p)
+        end
+      done
+    done;
+    let e = ref head.(c1 - 1) in
+    while !e >= 0 do
+      let d = !e in
+      e := next.(d);
+      let dr0 = rp.(d) and dnr = rp.(d + 1) - rp.(d) in
+      let p1 = pos.(d) in
+      let p2 = ref p1 in
+      while !p2 < dnr && ri.(dr0 + !p2) < c1 do
+        incr p2
       done;
-      let l_ki = yi /. d.(i) in
-      dk := !dk -. (l_ki *. yi);
-      let slot = fill.(i) in
-      li.(slot) <- k;
-      lx.(slot) <- l_ki;
-      fill.(i) <- slot + 1
+      (* Two target columns per pass over the descendant's block. *)
+      let q = ref p1 in
+      while !q < !p2 do
+        let q0 = !q and two = !q + 1 < !p2 in
+        let len = dnr - q0 and rq = dr0 + q0 in
+        block_update lx xp.(d) dnr (super.(d + 1) - super.(d)) q0 len ~two acc acc2;
+        for u = 0 to Bool.to_int two do
+          let a = if u = 0 then acc else acc2 and col = x0 + ((ri.(rq + u) - c0) * nr) in
+          for r = u to len - 1 do
+            let t = col + Array.unsafe_get map (Array.unsafe_get ri (rq + r)) in
+            Array.unsafe_set lx t (Array.unsafe_get lx t -. Array.unsafe_get a r)
+          done
+        done;
+        q := q0 + 1 + Bool.to_int two
+      done;
+      if !p2 < dnr then link d !p2
     done;
-    if not (!dk > 0. && Float.is_finite !dk) then
-      raise (Not_positive_definite perm.(k));
-    d.(k) <- !dk
+    (* The block's own columns, left-looking and two at a time: both
+       take the earlier columns' update in one pass, then the first is
+       finished and its part of the second subtracted. A pivot is final
+       once its column has taken every update, so the first bad one in
+       elimination order raises. *)
+    let j = ref 0 in
+    while !j < c1 - c0 do
+      let j0 = !j and two = !j + 1 < c1 - c0 in
+      block_update lx x0 nr j0 j0 (nr - j0) ~two acc acc2;
+      for jj = j0 to j0 + Bool.to_int two do
+        let col = x0 + (jj * nr) and a = if jj = j0 then acc else acc2 in
+        for r = jj to nr - 1 do
+          lx.(col + r) <- lx.(col + r) -. a.(r - j0)
+        done;
+        if jj > j0 then begin
+          let prev = col - nr in
+          let f = lx.(prev + jj) *. lx.(prev + j0) in
+          for r = jj to nr - 1 do
+            lx.(col + r) <- lx.(col + r) -. (lx.(prev + r) *. f)
+          done
+        end;
+        let dj = lx.(col + jj) in
+        if not (dj > 0. && Float.is_finite dj) then
+          raise (Not_positive_definite perm.(c0 + jj));
+        for t = col + jj + 1 to col + nr - 1 do
+          lx.(t) <- lx.(t) /. dj
+        done
+      done;
+      j := j0 + 1 + Bool.to_int two
+    done;
+    if c1 - c0 < nr then link s (c1 - c0)
   done;
   let t2 = Obs.Clock.now_us () in
   {
     n;
     perm;
-    inv_perm;
-    lp;
-    li;
+    nnz;
+    super;
+    rp;
+    ri;
+    xp;
     lx;
-    d;
     ordering_s = (t1 -. t0) *. 1e-6;
     factor_s = (t2 -. t1) *. 1e-6;
   }
 
 let dim f = f.n
 
-let nnz_l f = f.lp.(f.n)
+let nnz_l f = f.nnz
+
+let supernodes f = Array.length f.super - 1
 
 let ordering_permutation f = Array.copy f.perm
 
@@ -524,33 +685,49 @@ let ordering_seconds f = f.ordering_s
 let factor_seconds f = f.factor_s
 
 let solve f b =
-  let n = f.n and lp = f.lp and li = f.li and lx = f.lx in
+  let n = f.n and super = f.super and rp = f.rp and ri = f.ri and xp = f.xp
+  and lx = f.lx in
   if Array.length b <> n then invalid_arg "Cholesky.solve: dimension mismatch";
   (* y (permuted) = P b *)
   let y = Array.make n 0. in
   for k = 0 to n - 1 do
     y.(k) <- b.(f.perm.(k))
   done;
-  (* Forward: L z = y (L unit-diagonal, stored by columns). *)
-  for j = 0 to n - 1 do
-    let yj = y.(j) in
-    if yj <> 0. then
-      for p = lp.(j) to lp.(j + 1) - 1 do
-        let r = li.(p) in
-        y.(r) <- y.(r) -. (lx.(p) *. yj)
-      done
-  done;
-  (* Diagonal. *)
-  for j = 0 to n - 1 do
-    y.(j) <- y.(j) /. f.d.(j)
+  (* Forward, L z = y, then D: a supernode at a time, down its columns
+     (L is unit-diagonal, D sits on the blocks' diagonals). Every row
+     index is below n by construction, so the one check per block is
+     of the block's extent. *)
+  for s = 0 to supernodes f - 1 do
+    let c0 = super.(s) and r0 = rp.(s) and x0 = xp.(s) in
+    let nc = super.(s + 1) - c0 and nr = rp.(s + 1) - r0 in
+    if r0 + nr > Array.length ri || x0 + (nr * nc) > Array.length lx then
+      invalid_arg "Cholesky.solve: corrupt factor";
+    for j = 0 to nc - 1 do
+      let col = x0 + (j * nr) in
+      let yj = y.(c0 + j) in
+      if yj <> 0. then
+        for r = j + 1 to nr - 1 do
+          let i = Array.unsafe_get ri (r0 + r) in
+          Array.unsafe_set y i
+            (Array.unsafe_get y i -. (Array.unsafe_get lx (col + r) *. yj))
+        done;
+      y.(c0 + j) <- yj /. lx.(col + j)
+    done
   done;
   (* Backward: L^T w = y. *)
-  for j = n - 1 downto 0 do
-    let acc = ref y.(j) in
-    for p = lp.(j) to lp.(j + 1) - 1 do
-      acc := !acc -. (lx.(p) *. y.(li.(p)))
-    done;
-    y.(j) <- !acc
+  for s = supernodes f - 1 downto 0 do
+    let c0 = super.(s) and r0 = rp.(s) and x0 = xp.(s) in
+    let nc = super.(s + 1) - c0 and nr = rp.(s + 1) - r0 in
+    for j = nc - 1 downto 0 do
+      let col = x0 + (j * nr) in
+      let acc = ref y.(c0 + j) in
+      for r = j + 1 to nr - 1 do
+        acc :=
+          !acc
+          -. (Array.unsafe_get lx (col + r) *. Array.unsafe_get y (Array.unsafe_get ri (r0 + r)))
+      done;
+      y.(c0 + j) <- !acc
+    done
   done;
   (* Un-permute. *)
   let x = Array.make n 0. in

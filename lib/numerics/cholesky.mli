@@ -1,15 +1,26 @@
 (** Sparse LDL^T (Cholesky) factorization for symmetric positive-definite
-    systems, in the style of Davis' LDL: an up-looking factorization
-    driven by the elimination tree, under an approximate minimum degree
-    (AMD) preordering that keeps fill low on power-grid conductance
-    matrices.
+    systems: left-looking and supernodal (after Ng and Peyton, SIAM J.
+    Sci. Comput. 1993, and CHOLMOD, ACM TOMS 35(3), 2008), under an
+    approximate minimum degree (AMD) preordering that keeps fill low on
+    power-grid conductance matrices.
 
     The ordering follows Davis' [cs_amd] (quotient graph,
     supervariables, element absorption, approximate external degrees)
     and runs in one flat int workspace of [O(nnz(A) + n)] words, which
-    is garbage before the factor is allocated. The factor itself takes
-    [nnz(L)] ints and floats plus a few [n]-long arrays, and its inner
-    loops work on unboxed floats.
+    is garbage before the factor is allocated.
+
+    The symbolic pass finds the elimination tree, the column counts and
+    from them the fundamental supernodes: runs of consecutive columns
+    whose structures nest. A supernode keeps one row-index list and one
+    dense column-major block of unboxed floats, D on its diagonal. The
+    numeric pass scatters A into each block, subtracts each descendant
+    supernode's update as a dense product (two target columns per pass)
+    through relative row indices, and factors the block's own columns;
+    [solve] goes a supernode at a time. On the pg6-0.42 benchmark deck
+    (2 vCPUs) one net's factor took about 0.05 s, where the up-looking
+    factor it replaced took 0.08 s at [-j 1] and 0.11 s at [-j 2]: two
+    up-looking factors running at once slowed each other 2-3x, two
+    supernodal ones barely do.
 
     This is the solver behind {!Spice.Mna}, which hands it one net's
     system at a time, after eliminating its series chains; the
@@ -23,8 +34,8 @@ type ordering =
 
 exception Not_positive_definite of int
 (** Raised during factorization with the offending pivot's row (in the
-    matrix's own numbering, before the ordering): a pivot that is not
-    positive, or not finite.
+    matrix's own numbering, before the ordering): the first pivot in
+    elimination order that is not positive, or not finite.
     Semidefinite systems (grid Laplacians without a ground connection)
     raise this: pin a reference first. *)
 
@@ -43,7 +54,13 @@ val dim : t -> int
 (** Rows of the factored matrix. *)
 
 val nnz_l : t -> int
-(** Nonzeros of the L factor (excluding the unit diagonal): the fill. *)
+(** Structural nonzeros of the L factor (excluding the unit diagonal):
+    the fill. The explicit zeros of the dense supernode blocks do not
+    count. *)
+
+val supernodes : t -> int
+(** Supernodes of the factor: maximal runs of consecutive columns that
+    share one row structure below their diagonal block. *)
 
 val ordering_permutation : t -> int array
 (** The row/column permutation used, as [perm.(new_pos) = old_index]. *)

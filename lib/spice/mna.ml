@@ -556,6 +556,7 @@ let solve ?jobs net =
         [
           ("reduced_rows", Obs.Trace.Int (Ch.dim f));
           ("nnz_l", Obs.Trace.Int (Ch.nnz_l f));
+          ("supernodes", Obs.Trace.Int (Ch.supernodes f));
           ("ordering_s", Obs.Trace.Float (Ch.ordering_seconds f));
           ("factor_s", Obs.Trace.Float (Ch.factor_seconds f));
         ])

@@ -885,6 +885,189 @@ let test_cholesky_permutation_is_permutation () =
   Alcotest.(check int) "dim" 30 (Ch.dim f)
 
 
+(* Supernodal shapes. An independent symbolic factorization under the
+   factor's own ordering: each column's structure below the diagonal,
+   as the union of its lower-triangle entries and its children's
+   structures (a column's parent is its structure's first row), and
+   the runs of columns that share one structure. Returns the structural
+   nonzeros and the supernode sizes in column order. *)
+module Iset = Set.Make (Int)
+
+let symbolic_oracle a perm =
+  let n = Array.length perm in
+  let inv = Array.make n 0 in
+  Array.iteri (fun k old -> inv.(old) <- k) perm;
+  let cols = Array.make n Iset.empty in
+  for k = 0 to n - 1 do
+    let old = perm.(k) in
+    for p = a.Sp.row_ptr.(old) to a.Sp.row_ptr.(old + 1) - 1 do
+      let i = inv.(a.Sp.col_idx.(p)) in
+      if i > k then cols.(k) <- Iset.add i cols.(k)
+    done
+  done;
+  for j = 0 to n - 1 do
+    match Iset.min_elt_opt cols.(j) with
+    | Some p -> cols.(p) <- Iset.union cols.(p) (Iset.remove p cols.(j))
+    | None -> ()
+  done;
+  let nnz = Array.fold_left (fun t c -> t + Iset.cardinal c) 0 cols in
+  let sizes = ref [] and run = ref 1 in
+  for j = 0 to n - 1 do
+    if
+      j + 1 < n
+      && Iset.mem (j + 1) cols.(j)
+      && Iset.equal (Iset.remove (j + 1) cols.(j)) cols.(j + 1)
+    then incr run
+    else begin
+      sizes := !run :: !sizes;
+      run := 1
+    end
+  done;
+  (nnz, List.rev !sizes)
+
+(* A [side] x [side] grid of unit conductances, its first row grounded
+   through unit conductances. *)
+let grounded_grid side =
+  let n = side * side in
+  let b = Sp.Builder.create n n in
+  let couple i j =
+    Sp.Builder.add b i i 1.;
+    Sp.Builder.add b j j 1.;
+    Sp.Builder.add b i j (-1.);
+    Sp.Builder.add b j i (-1.)
+  in
+  for r = 0 to side - 1 do
+    for c = 0 to side - 1 do
+      let i = (r * side) + c in
+      if c + 1 < side then couple i (i + 1);
+      if r + 1 < side then couple i (i + side);
+      if r = 0 then Sp.Builder.add b i i 1.
+    done
+  done;
+  Sp.Builder.to_csr b
+
+(* Dense diagonally dominant blocks of the given sizes along the
+   diagonal; one size gives a dense matrix. *)
+let dense_blocks sizes =
+  let n = List.fold_left ( + ) 0 sizes in
+  let b = Sp.Builder.create n n in
+  ignore
+    (List.fold_left
+       (fun lo m ->
+         for i = lo to lo + m - 1 do
+           for j = lo to lo + m - 1 do
+             Sp.Builder.add b i j
+               (if i = j then float_of_int (2 * m) else 1. /. float_of_int (1 + i + j))
+           done
+         done;
+         lo + m)
+       0 sizes);
+  Sp.Builder.to_csr b
+
+let tridiagonal n =
+  let b = Sp.Builder.create n n in
+  for i = 0 to n - 1 do
+    Sp.Builder.add b i i 4.;
+    if i + 1 < n then begin
+      Sp.Builder.add b i (i + 1) (-1.);
+      Sp.Builder.add b (i + 1) i (-1.)
+    end
+  done;
+  Sp.Builder.to_csr b
+
+(* Row and column 0 full, the rest diagonal: the natural order fills
+   L completely, AMD orders the hub last and fills nothing. *)
+let arrowhead n =
+  let b = Sp.Builder.create n n in
+  Sp.Builder.add b 0 0 (float_of_int (2 * n));
+  for i = 1 to n - 1 do
+    Sp.Builder.add b i i 2.;
+    Sp.Builder.add b 0 i 0.5;
+    Sp.Builder.add b i 0 0.5
+  done;
+  Sp.Builder.to_csr b
+
+(* Each shape at both orderings: the solve against the dense solver (or
+   a known x on the grid, too large for it) at rtol 1e-10, nnz(L)
+   against the figure the up-looking factor gave for the same matrix,
+   and nnz(L) and the supernode count against the oracle. [shape]
+   checks the supernode sizes. *)
+let test_cholesky_supernodal_shapes () =
+  let cases =
+    [
+      ( "grid 40x40", grounded_grid 40, (62439, 19171),
+        fun o sizes ->
+          (* Under AMD the top separators are supernodes of 32+ columns. *)
+          o = Ch.Natural || List.exists (fun m -> m >= 32) sizes );
+      ("dense 60", dense_blocks [ 60 ], (1770, 1770), fun _ sizes -> sizes = [ 60 ]);
+      ( "tridiagonal 50", tridiagonal 50, (49, 49),
+        fun o sizes ->
+          (* Singletons, but for the last pair when nothing is reordered. *)
+          o = Ch.Amd || sizes = List.init 48 (fun _ -> 1) @ [ 2 ] );
+      ( "arrowhead 50", arrowhead 50, (1225, 49),
+        fun o sizes -> if o = Ch.Natural then sizes = [ 50 ] else List.length sizes = 49 );
+      ( "block diagonal", dense_blocks [ 1; 7; 20; 3; 12 ], (280, 280),
+        fun _ sizes -> List.sort compare sizes = [ 1; 3; 7; 12; 20 ] );
+    ]
+  in
+  List.iter
+    (fun (name, a, (nnz_natural, nnz_amd), shape) ->
+      List.iter
+        (fun (oname, ordering, nnz) ->
+          let name = Printf.sprintf "%s, %s" name oname in
+          let f = Ch.factorize ~ordering a in
+          let n = Ch.dim f in
+          Alcotest.(check int) (name ^ ": nnz(L)") nnz (Ch.nnz_l f);
+          let onnz, sizes = symbolic_oracle a (Ch.ordering_permutation f) in
+          Alcotest.(check int) (name ^ ": oracle nnz(L)") onnz (Ch.nnz_l f);
+          Alcotest.(check int) (name ^ ": supernodes") (List.length sizes)
+            (Ch.supernodes f);
+          Alcotest.(check bool) (name ^ ": supernode sizes") true (shape ordering sizes);
+          if n <= 100 then begin
+            let b = Array.init n (fun i -> cos (float_of_int (3 * i))) in
+            check_array_close ~rtol:1e-10 ~atol:0. name (D.solve (Sp.to_dense a) b)
+              (Ch.solve f b)
+          end
+          else begin
+            let x = Array.init n (fun i -> 2. +. sin (float_of_int i)) in
+            check_array_close ~rtol:1e-10 ~atol:0. name x (Ch.solve f (Sp.mul_vec a x))
+          end)
+        [ ("natural", Ch.Natural, nnz_natural); ("AMD", Ch.Amd, nnz_amd) ])
+    cases
+
+(* A pivot that turns non-positive inside a large supernode raises with
+   the row the up-looking factor named: a node of the top separator
+   made negative, and the whole grid shifted below its smallest
+   eigenvalue (the first bad pivot then comes from the updates). *)
+let test_cholesky_supernodal_not_pd () =
+  let a = grounded_grid 40 in
+  let n = 1600 in
+  let expect name ordering row m =
+    match Ch.factorize ~ordering m with
+    | exception Ch.Not_positive_definite r -> Alcotest.(check int) name row r
+    | _ -> Alcotest.failf "%s: not rejected" name
+  in
+  List.iter
+    (fun (oname, ordering, node_row, shift_rows) ->
+      let perm = Ch.ordering_permutation (Ch.factorize ~ordering a) in
+      let v = perm.(n - 10) in
+      Alcotest.(check int) (oname ^ ": separator node") node_row v;
+      let _, sizes = symbolic_oracle a perm in
+      Alcotest.(check bool) (oname ^ ": inside a 32+ supernode") true
+        (List.nth sizes (List.length sizes - 1) >= 32);
+      expect (oname ^ ": negative node") ordering node_row
+        (Sp.add_diagonal a (Array.init n (fun i -> if i = v then -10. else 0.)));
+      List.iter2
+        (fun sigma row ->
+          expect (Printf.sprintf "%s: shift %g" oname sigma) ordering row
+            (Sp.add_diagonal a (Array.make n (-.sigma))))
+        [ 0.01; 0.05; 0.2; 1.0 ] shift_rows)
+    [
+      ("natural", Ch.Natural, 1590, [ 1216; 521; 232; 79 ]);
+      ("AMD", Ch.Amd, 830, [ 1577; 549; 242; 92 ]);
+    ]
+
+
 (* ---------------------------------------------------------------- *)
 (* Parallel                                                          *)
 
@@ -1089,6 +1272,8 @@ let suites =
         case "AMD fill on scrambled grid" test_cholesky_amd_reduces_fill;
         case "AMD on degenerate patterns" test_cholesky_amd_degenerate;
         case "ordering is a permutation" test_cholesky_permutation_is_permutation;
+        case "supernodal shapes, both orderings" test_cholesky_supernodal_shapes;
+        case "non-PD pivot inside a large supernode" test_cholesky_supernodal_not_pd;
       ] );
     ( "numerics.stats",
       [
