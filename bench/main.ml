@@ -11,8 +11,8 @@
      main.exe compare [BENCH...]   gate current results against the
                                    rolling baseline (exit 1 on regression) *)
 
-let usage () =
-  print_string
+let usage oc =
+  output_string oc
     "usage: main.exe [experiment ...] [options]\n\n\
      experiments:\n\
     \  fig6      closed form vs numerical Korhonen solver (Fig. 6)\n\
@@ -40,61 +40,57 @@ let usage () =
     \          compare current results to the rolling baseline; exit 1 \
      on regression\n"
 
+(* In the order [all] runs them. *)
+let experiments =
+  [
+    ("fig6", B_fig6.run);
+    ("table2", fun cfg -> ignore (B_table2.run cfg));
+    ("fig7", B_fig7.run);
+    ("table3", fun cfg -> ignore (B_table3.run cfg));
+    ("fig8", B_fig8.run);
+    ("scaling", B_scaling.run);
+    ("ablation", B_ablation.run);
+    ("variation", B_variation.run);
+    ("obs", B_obs.run);
+    ("bechamel", B_bechamel.run);
+  ]
+
+(* Every argument is checked before any experiment runs: a mistyped
+   name or flag costs nothing and writes nothing. *)
+let refuse fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_string ("main.exe: " ^ msg ^ "\n\n");
+      usage stderr;
+      exit 2)
+    fmt
+
 let () =
   (match Array.to_list Sys.argv with
   | _ :: "record" :: rest -> exit (B_history.record rest)
   | _ :: "compare" :: rest -> exit (B_history.compare rest)
   | _ -> ());
-  let experiments = ref [] in
-  let cfg = ref B_util.default_config in
-  let rec parse = function
-    | [] -> ()
-    | "--full" :: rest ->
-      cfg := { !cfg with B_util.full = true };
-      parse rest
-    | "--scale" :: x :: rest ->
-      cfg := { !cfg with B_util.scale = Some (float_of_string x) };
-      parse rest
-    | "--out" :: dir :: rest ->
-      cfg := { !cfg with B_util.out_dir = dir };
-      parse rest
+  let rec parse cfg names = function
+    | [] -> (cfg, List.rev names)
+    | "--full" :: rest -> parse { cfg with B_util.full = true } names rest
+    | "--scale" :: x :: rest -> (
+      match float_of_string_opt x with
+      | Some scale when Float.is_finite scale && scale > 0. ->
+        parse { cfg with B_util.scale = Some scale } names rest
+      | _ -> refuse "--scale wants a positive number, not %S" x)
+    | "--out" :: dir :: rest -> parse { cfg with B_util.out_dir = dir } names rest
     | ("--help" | "-h") :: _ ->
-      usage ();
+      usage stdout;
       exit 0
-    | name :: rest ->
-      experiments := name :: !experiments;
-      parse rest
+    | [ ("--scale" | "--out") as flag ] -> refuse "%s wants a value" flag
+    | name :: rest when name = "all" || List.mem_assoc name experiments ->
+      parse cfg (name :: names) rest
+    | arg :: _ when String.starts_with ~prefix:"-" arg -> refuse "unknown option %S" arg
+    | name :: _ -> refuse "unknown experiment %S" name
   in
-  parse (List.tl (Array.to_list Sys.argv));
-  let experiments =
-    match List.rev !experiments with [] | [ "all" ] -> [ "all" ] | es -> es
+  let cfg, names = parse B_util.default_config [] (List.tl (Array.to_list Sys.argv)) in
+  let runs =
+    if names = [] || List.mem "all" names then List.map snd experiments
+    else List.map (fun name -> List.assoc name experiments) names
   in
-  let cfg = !cfg in
-  let run_one = function
-    | "fig6" -> B_fig6.run cfg
-    | "table2" -> ignore (B_table2.run cfg)
-    | "fig7" -> B_fig7.run cfg
-    | "table3" -> ignore (B_table3.run cfg)
-    | "fig8" -> B_fig8.run cfg
-    | "scaling" -> B_scaling.run cfg
-    | "ablation" -> B_ablation.run cfg
-    | "variation" -> B_variation.run cfg
-    | "obs" -> B_obs.run cfg
-    | "bechamel" -> B_bechamel.run cfg
-    | "all" ->
-      B_fig6.run cfg;
-      ignore (B_table2.run cfg);
-      B_fig7.run cfg;
-      ignore (B_table3.run cfg);
-      B_fig8.run cfg;
-      B_scaling.run cfg;
-      B_ablation.run cfg;
-      B_variation.run cfg;
-      B_obs.run cfg;
-      B_bechamel.run cfg
-    | other ->
-      Printf.eprintf "unknown experiment %S\n\n" other;
-      usage ();
-      exit 2
-  in
-  List.iter run_one experiments
+  List.iter (fun run -> run cfg) runs

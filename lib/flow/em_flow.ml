@@ -423,7 +423,7 @@ let analyze_deck ?material ?with_maxpath ?jobs ?audit ~tech deck =
         solution)
   in
   let compacts =
-    Pipeline.run p "extract" (fun () -> Extract.extract_compact ~tech solution)
+    Pipeline.run p "extract" (fun () -> Extract.extract_compact ?jobs ~tech solution)
   in
   let result =
     run_on_compact ?material ?with_maxpath ?jobs ?audit ~pipeline:p compacts

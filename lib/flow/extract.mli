@@ -30,15 +30,21 @@ val node_name : compact_structure -> int -> string
 (** Structure node [i]'s netlist name, formatted on demand. *)
 
 val extract_compact :
-  tech:Pdn.Tech.t -> Spice.Mna.solution -> compact_structure list
-(** Wires counting-sorted by metal level, then per level one
-    interning pass, a counting sort by connected component, and no
-    per-wire records or [Structure.t] boxes. Geometry comes from the coordinates the
-    netlist decoded once ({!Spice.Netlist.t.coords}). Skips resistors
-    that are vias (endpoints on different layers), shorts (zero ohms),
-    or touch non-geometric nodes (pads/package). Segments are ascending
-    by netlist element, nodes numbered by first appearance. The tests
-    compare it with an independent boxed reference. *)
+  ?jobs:int -> tech:Pdn.Tech.t -> Spice.Mna.solution -> compact_structure list
+(** One serial pass sorts the wires by metal level and by group: the
+    solve's nets ({!Spice.Mna.solution.net_of_node}), joined where
+    wires meet at a pinned pad, so every structure lies in one group.
+    Each group is one task on [jobs] domains ({!Numerics.Parallel.map}'s
+    default when omitted), the largest first: per level, an interning
+    pass, a union-find and a counting sort by component, with no
+    per-wire records. Geometry comes from {!Spice.Netlist.t.coords}.
+    Skips vias (endpoints on different layers), shorts (zero ohms) and
+    resistors touching non-geometric nodes (pads/package). Structures
+    come by level, then by where the component's union-find root first
+    appears among the level's wires (element order, tail before head),
+    which depends on the component's own wires alone: the list is the
+    same at any [jobs]. Segments ascend by element; nodes are numbered
+    by first appearance. The tests compare it with a boxed reference. *)
 
 val total_compact_segments : compact_structure list -> int
 

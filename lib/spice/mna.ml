@@ -9,75 +9,207 @@ type solution = {
   free_nodes : int;
   fill : int;
   nets : int;
+  net_of_node : int array;
 }
 
 exception Unsupported of string
 
 let max_residual = 1e-9
 
-(* Representatives after merging zero-ohm shorts. *)
-let short_representatives net =
+(* Merge zero-ohm shorts, then propagate pinned voltages through
+   voltage sources until fixpoint: a representative [r] is pinned when
+   [pinned.[r]] is set, at [volts.(r)] volts. *)
+let pinned_voltages net =
   let n = Netlist.num_nodes net in
-  let uf = Unionfind.create n in
+  let uf = Unionfind.create n and sources = ref [] in
   for e = 0 to Netlist.num_elements net - 1 do
-    if Netlist.kind net e = Resistor && net.Netlist.values.(e) = 0. then
+    match Netlist.kind net e with
+    | Resistor when net.Netlist.values.(e) = 0. ->
       ignore (Unionfind.union uf net.Netlist.pos.(e) net.Netlist.neg.(e))
+    | Voltage_source -> sources := e :: !sources
+    | Resistor | Current_source -> ()
   done;
-  uf
-
-(* Propagate pinned voltages through voltage sources until fixpoint. *)
-let pinned_voltages net uf =
-  let n = Netlist.num_nodes net in
-  let pinned : float option array = Array.make n None in
-  (match net.Netlist.ground with
-  | Some g -> pinned.(Unionfind.find uf g) <- Some 0.
-  | None -> ());
-  let sources = ref [] and find = Unionfind.find uf in
-  for e = Netlist.num_elements net - 1 downto 0 do
-    if Netlist.kind net e = Voltage_source then
-      sources := (find net.Netlist.pos.(e), find net.Netlist.neg.(e), net.Netlist.values.(e), e) :: !sources
-  done;
-  let sources = !sources in
+  let volts = Array.make n 0. and pinned = Bytes.make n '\000' in
+  let is_pinned r = Bytes.get pinned r <> '\000' in
+  let pin r v =
+    volts.(r) <- v;
+    Bytes.set pinned r '\001'
+  in
+  Option.iter (fun g -> pin (Unionfind.find uf g) 0.) net.Netlist.ground;
+  let find = Unionfind.find uf in
+  let sources =
+    List.rev_map
+      (fun e -> (find net.Netlist.pos.(e), find net.Netlist.neg.(e), net.Netlist.values.(e), e))
+      !sources
+  in
   if sources <> [] && net.Netlist.ground = None then
     raise (Unsupported "voltage sources without a ground node");
   let changed = ref true in
   while !changed do
     changed := false;
     List.iter
-      (fun (p, q, volts, e) ->
-        match (pinned.(p), pinned.(q)) with
-        | Some vp, Some vq ->
-          if Float.abs (vp -. vq -. volts) > 1e-9 *. (Float.abs volts +. 1.) then
+      (fun (p, q, dv, e) ->
+        match (is_pinned p, is_pinned q) with
+        | true, true ->
+          if Float.abs (volts.(p) -. volts.(q) -. dv) > 1e-9 *. (Float.abs dv +. 1.) then
             raise
               (Unsupported
                  (Printf.sprintf "conflicting voltage constraints at %s"
                     (Netlist.element_name net e)))
-        | Some vp, None ->
-          pinned.(q) <- Some (vp -. volts);
+        | true, false ->
+          pin q (volts.(p) -. dv);
           changed := true
-        | None, Some vq ->
-          pinned.(p) <- Some (vq +. volts);
+        | false, true ->
+          pin p (volts.(q) +. dv);
           changed := true
-        | None, None -> ())
+        | false, false -> ())
       sources
   done;
   List.iter
     (fun (p, q, _, e) ->
-      if pinned.(p) = None || pinned.(q) = None then
+      if not (is_pinned p && is_pinned q) then
         raise
           (Unsupported
              (Printf.sprintf "floating voltage source %s (not pinned to ground)"
                 (Netlist.element_name net e))))
     sources;
-  pinned
+  (uf, volts, pinned)
 
-type system = {
-  matrix : Sp.t;
-  rhs : float array;
-  row_of_node : int array;
-  fixed : float array;
-  blocks : int array;
+(* The deck cut into nets. A net is a group of free representatives
+   joined through positive resistors, with its shorts, its resistors to
+   pinned pads and the current sources that touch it; no resistor joins
+   two nets, and a current source between two is listed in both. Nets
+   are numbered in the order of their first representative, and a net's
+   rows are its representatives in node order. *)
+type nets = {
+  count : int;
+  net_of : int array;     (* per node: its net, or -1 when pinned *)
+  row_of : int array;     (* per node: its representative's row in its net, or -1 *)
+  rows : int array;       (* per net: its row count *)
+  elem_start : int array;
+  elems : int array;
+      (* net [k]'s elements, ascending:
+         [elems.(elem_start.(k)) .. elems.(elem_start.(k + 1) - 1)] *)
+  volts : float array;    (* per node: its pinned voltage, else 0 *)
 }
+
+(* The one serial pass: shorts, the pinned fixpoint, the nets and a
+   counting sort of the elements by net. *)
+let partition net =
+  let n = Netlist.num_nodes net in
+  if n = 0 then invalid_arg "Mna.solve: empty netlist";
+  let uf, volts, pinned = pinned_voltages net in
+  if not (Bytes.contains pinned '\001') then
+    raise (Unsupported "no ground or voltage source to set a reference");
+  let is_pinned r = Bytes.get pinned r <> '\000' in
+  let ne = Netlist.num_elements net in
+  let pos = net.Netlist.pos and neg = net.Netlist.neg in
+  let values = net.Netlist.values in
+  (* [row_of] holds each node's representative until the rows are
+     numbered; the same union-find then joins the free representatives
+     into nets. *)
+  let row_of = Array.init n (Unionfind.find uf) in
+  for e = 0 to ne - 1 do
+    if Netlist.kind net e = Resistor && values.(e) > 0. then begin
+      let p = row_of.(pos.(e)) and q = row_of.(neg.(e)) in
+      if p <> q && not (is_pinned p || is_pinned q) then ignore (Unionfind.union uf p q)
+    end
+  done;
+  (* Number the nets by their first representative; until every
+     representative has its own, [net_of] of a net's root holds its
+     number. *)
+  let net_of = Array.make n (-1) and count = ref 0 in
+  for v = 0 to n - 1 do
+    if row_of.(v) = v && not (is_pinned v) then begin
+      let root = Unionfind.find uf v in
+      if net_of.(root) < 0 then begin
+        net_of.(root) <- !count;
+        incr count
+      end;
+      net_of.(v) <- net_of.(root)
+    end
+  done;
+  let count = !count in
+  let rows = Array.make count 0 in
+  for v = 0 to n - 1 do
+    let k = net_of.(v) in
+    if k >= 0 then begin
+      row_of.(v) <- rows.(k);
+      rows.(k) <- rows.(k) + 1
+    end
+  done;
+  (* Every other node takes its representative's net, row or pinned
+     voltage. *)
+  for v = 0 to n - 1 do
+    if is_pinned v then row_of.(v) <- -1
+    else if net_of.(v) < 0 then begin
+      let r = row_of.(v) in
+      net_of.(v) <- net_of.(r);
+      row_of.(v) <- (if is_pinned r then -1 else row_of.(r));
+      volts.(v) <- volts.(r)
+    end
+  done;
+  let elem_start = Array.make (count + 1) 0 in
+  for e = 0 to ne - 1 do
+    let a = net_of.(pos.(e)) and b = net_of.(neg.(e)) in
+    if a >= 0 then elem_start.(a + 1) <- elem_start.(a + 1) + 1;
+    if b >= 0 && b <> a then elem_start.(b + 1) <- elem_start.(b + 1) + 1
+  done;
+  for k = 0 to count - 1 do
+    elem_start.(k + 1) <- elem_start.(k + 1) + elem_start.(k)
+  done;
+  let elems = Array.make elem_start.(count) 0 in
+  let next = Array.sub elem_start 0 count in
+  let put k e =
+    elems.(next.(k)) <- e;
+    next.(k) <- next.(k) + 1
+  in
+  for e = 0 to ne - 1 do
+    let a = net_of.(pos.(e)) and b = net_of.(neg.(e)) in
+    if a >= 0 then put a e;
+    if b >= 0 && b <> a then put b e
+  done;
+  { count; net_of; row_of; rows; elem_start; elems; volts }
+
+(* Node [v]'s row when it lies in net [k], else -1 (pinned, or another
+   net's end of a current source). *)
+let[@inline] row p k v = if p.net_of.(v) = k then p.row_of.(v) else -1
+
+(* Net [k]'s share of the KCL residual [|b - A v|_2 / |b|_2], as its
+   squared numerator and denominator. The numerator comes from the
+   elements alone: per row, what its sources inject less what its
+   resistors carry away at [voltages] (shorts carry no observable
+   current), summed into [res], scratch of the net's row count. [b] is
+   the net's right-hand side, what the sources and the pinned ends
+   inject. *)
+let kcl_share net p k voltages ~res ~b =
+  let pos = net.Netlist.pos and neg = net.Netlist.neg in
+  let values = net.Netlist.values in
+  Array.fill res 0 p.rows.(k) 0.;
+  for i = p.elem_start.(k) to p.elem_start.(k + 1) - 1 do
+    let e = p.elems.(i) in
+    let rp = row p k pos.(e) and rq = row p k neg.(e) in
+    let amps =
+      match Netlist.kind net e with
+      | Resistor when values.(e) > 0. && rp <> rq ->
+        (voltages.(pos.(e)) -. voltages.(neg.(e))) /. values.(e)
+      | Current_source -> values.(e)
+      | Resistor | Voltage_source -> 0.
+    in
+    if rp >= 0 then res.(rp) <- res.(rp) -. amps;
+    if rq >= 0 then res.(rq) <- res.(rq) +. amps
+  done;
+  let num = ref 0. and den = ref 0. in
+  for r = 0 to p.rows.(k) - 1 do
+    num := !num +. (res.(r) *. res.(r));
+    den := !den +. (b.(r) *. b.(r))
+  done;
+  (!num, !den)
+
+(* The shares summed in net order; the absolute norm when b = 0. *)
+let combine shares =
+  let num, den = Array.fold_left (fun (n, d) (r, b) -> (n +. r, d +. b)) (0., 0.) shares in
+  if den = 0. then sqrt num else sqrt (num /. den)
 
 (* Sort one row's (column, value) pairs by column, in place. Rows are
    short (a grid node has a handful of neighbours), so insertion sort;
@@ -104,8 +236,8 @@ let sort_row cols vals lo hi =
     Array.blit v 0 vals lo (hi - lo)
   end
 
-(* A symmetric CSR matrix stamped in two passes; {!assemble} and the
-   chain reduction both build theirs this way. The caller counts each
+(* A symmetric CSR matrix stamped in two passes; a net's rows and its
+   chain-reduced rows are both built this way. The caller counts each
    row's off-diagonal entries, or a bound on them, into
    [row_ptr.(i + 1)]; [open_rows] reserves each row's diagonal as its
    first slot, [stamp_diag] and [stamp_off] fill the rows, and
@@ -132,11 +264,11 @@ let open_rows row_ptr =
   done;
   { row_ptr; cols; vals; next }
 
-let stamp_diag t r g =
+let[@inline] stamp_diag t r g =
   let s = t.row_ptr.(r) in
   t.vals.(s) <- t.vals.(s) +. g
 
-let stamp_off t r c v =
+let[@inline] stamp_off t r c v =
   let s = t.next.(r) in
   t.cols.(s) <- c;
   t.vals.(s) <- v;
@@ -171,122 +303,23 @@ let close_rows { row_ptr; cols; vals; next } =
   in
   Sp.of_csr ~ncols:n ~row_ptr ~col_idx:cols ~values:vals
 
-(* The block of row [r]: the [b] with [blocks.(b) <= r < blocks.(b + 1)]. *)
-let block_of_row blocks r =
-  let rec find lo hi =
-    if hi - lo = 1 then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if blocks.(mid) <= r then find mid hi else find lo mid
-  in
-  find 0 (Array.length blocks - 1)
-
-(* A block with no conductance to a pinned node ([tied] is per block)
-   floats. Undriven, its rows become identity rows (they read 0 V);
-   driven, it is an error naming the group of the first driven row in
-   node order of the representatives, by its first node and size. *)
-let pin_floating net uf ~row_of_node (m : Sp.t) ~rhs ~tied ~blocks =
-  if Bytes.exists (fun c -> c = '\000') tied then begin
-    let floating r = Bytes.get tied (block_of_row blocks r) = '\000' in
-    Array.iteri
-      (fun v r ->
-        if r >= 0 && rhs.(r) <> 0. && Unionfind.find uf v = v && floating r
-        then begin
-          let b = block_of_row blocks r in
-          let lo = blocks.(b) and hi = blocks.(b + 1) in
-          let size = ref 0 and first = ref (-1) in
-          Array.iteri
-            (fun v r ->
-              if r >= lo && r < hi then begin
-                if !first < 0 then first := v;
-                incr size
-              end)
-            row_of_node;
-          raise
-            (Unsupported
-               (Printf.sprintf
-                  "floating subnetwork of %d nodes at %s carries a current \
-                   source but has no conductive path to ground or a supply"
-                  !size
-                  (Netlist.node_name net !first)))
-        end)
-      row_of_node;
-    for i = 0 to Array.length rhs - 1 do
-      if floating i then
-        for p = m.Sp.row_ptr.(i) to m.Sp.row_ptr.(i + 1) - 1 do
-          m.Sp.values.(p) <- (if m.Sp.col_idx.(p) = i then 1. else 0.)
-        done
-    done
-  end
-
-let assemble net =
-  let n = Netlist.num_nodes net in
-  if n = 0 then invalid_arg "Mna.solve: empty netlist";
-  let uf = short_representatives net in
-  let pinned = pinned_voltages net uf in
-  if not (Array.exists Option.is_some pinned) then
-    raise (Unsupported "no ground or voltage source to set a reference");
-  let ne = Netlist.num_elements net in
+(* Net [k]'s rows: its conductance matrix, right-hand side, and whether
+   any resistor ties it to a pinned node. Elements stamp in element
+   order, so a row's sums do not depend on how the deck splits into
+   nets. *)
+let assemble_net net p k =
+  let m = p.rows.(k) and lo = p.elem_start.(k) and hi = p.elem_start.(k + 1) in
   let pos = net.Netlist.pos and neg = net.Netlist.neg in
-  let values = net.Netlist.values in
-  (* Blocks: free representatives joined through positive resistors,
-     i.e. the connected components of the reduced matrix (one per net
-     of a grid). *)
-  let joined = Unionfind.create n in
-  for e = 0 to ne - 1 do
-    if Netlist.kind net e = Resistor && values.(e) > 0. then begin
-      let p = Unionfind.find uf pos.(e) and q = Unionfind.find uf neg.(e) in
-      if p <> q && pinned.(p) = None && pinned.(q) = None then
-        ignore (Unionfind.union joined p q)
-    end
-  done;
-  (* Rows are the free representatives, block by block (blocks in order
-     of their first node, node order inside a block), so each block is
-     a contiguous row range. Every node maps to its representative's
-     row, or carries its pinned voltage. [row_of_node] holds each
-     representative's block until the rows are numbered. *)
-  let row_of_node = Array.make n (-1) and fixed = Array.make n 0. in
-  let block_of_root = Array.make n (-1) and bounds = Array.make (n + 1) 0 in
-  let nb = ref 0 in
-  for v = 0 to n - 1 do
-    if Unionfind.find uf v = v && pinned.(v) = None then begin
-      let root = Unionfind.find joined v in
-      if block_of_root.(root) < 0 then begin
-        block_of_root.(root) <- !nb;
-        incr nb
-      end;
-      let b = block_of_root.(root) in
-      row_of_node.(v) <- b;
-      bounds.(b + 1) <- bounds.(b + 1) + 1
-    end
-  done;
-  let nb = !nb in
-  for b = 0 to nb - 1 do
-    bounds.(b + 1) <- bounds.(b + 1) + bounds.(b)
-  done;
-  let blocks = Array.sub bounds 0 (nb + 1) in
-  (* [bounds] becomes each block's next row. *)
-  for v = 0 to n - 1 do
-    let b = row_of_node.(v) in
-    if b >= 0 then begin
-      row_of_node.(v) <- bounds.(b);
-      bounds.(b) <- bounds.(b) + 1
-    end
-  done;
-  let nf = blocks.(nb) in
-  for v = 0 to n - 1 do
-    let r = Unionfind.find uf v in
-    match pinned.(r) with
-    | Some volts -> fixed.(v) <- volts
-    | None -> row_of_node.(v) <- row_of_node.(r)
-  done;
+  let values = net.Netlist.values and row_of = p.row_of in
   (* Pass 1: row lengths. Every row reserves its diagonal slot first;
-     each resistor between two distinct free rows adds one entry to
-     each. *)
-  let row_ptr = Array.make (nf + 1) 0 in
-  for e = 0 to ne - 1 do
+     each resistor between two distinct rows adds one entry to each.
+     A resistor's ends are in this net or pinned, so [row_of] alone
+     places them. *)
+  let row_ptr = Array.make (m + 1) 0 in
+  for i = lo to hi - 1 do
+    let e = p.elems.(i) in
     if Netlist.kind net e = Resistor && values.(e) > 0. then begin
-      let rp = row_of_node.(pos.(e)) and rq = row_of_node.(neg.(e)) in
+      let rp = row_of.(pos.(e)) and rq = row_of.(neg.(e)) in
       if rp >= 0 && rq >= 0 && rp <> rq then begin
         row_ptr.(rp + 1) <- row_ptr.(rp + 1) + 1;
         row_ptr.(rq + 1) <- row_ptr.(rq + 1) + 1
@@ -295,12 +328,12 @@ let assemble net =
   done;
   let t = open_rows row_ptr in
   (* Pass 2: stamp. *)
-  let rhs = Array.make nf 0. in
-  let tied = Bytes.make nb '\000' in
-  for e = 0 to ne - 1 do
-    let rp = row_of_node.(pos.(e)) and rq = row_of_node.(neg.(e)) in
+  let rhs = Array.make m 0. and tied = ref false in
+  for i = lo to hi - 1 do
+    let e = p.elems.(i) in
     match Netlist.kind net e with
     | Resistor when values.(e) > 0. ->
+      let rp = row_of.(pos.(e)) and rq = row_of.(neg.(e)) in
       let g = 1. /. values.(e) in
       if rp >= 0 && rq >= 0 then begin
         if rp <> rq then begin
@@ -312,44 +345,24 @@ let assemble net =
       end
       else if rp >= 0 then begin
         stamp_diag t rp g;
-        rhs.(rp) <- rhs.(rp) +. (g *. fixed.(neg.(e)));
-        Bytes.set tied (block_of_row blocks rp) '\001'
+        rhs.(rp) <- rhs.(rp) +. (g *. p.volts.(neg.(e)));
+        tied := true
       end
-      else if rq >= 0 then begin
+      else begin
         stamp_diag t rq g;
-        rhs.(rq) <- rhs.(rq) +. (g *. fixed.(pos.(e)));
-        Bytes.set tied (block_of_row blocks rq) '\001'
+        rhs.(rq) <- rhs.(rq) +. (g *. p.volts.(pos.(e)));
+        tied := true
       end
     | Resistor -> () (* shorts already merged *)
     | Current_source ->
-      (* The value flows out of [pos] into [neg] through the source. *)
+      (* The value flows out of [pos] into [neg] through the source,
+         whose other end may lie in another net. *)
+      let rp = row p k pos.(e) and rq = row p k neg.(e) in
       if rp >= 0 then rhs.(rp) <- rhs.(rp) -. values.(e);
       if rq >= 0 then rhs.(rq) <- rhs.(rq) +. values.(e)
     | Voltage_source -> ()
   done;
-  let matrix = close_rows t in
-  pin_floating net uf ~row_of_node matrix ~rhs ~tied ~blocks;
-  {
-    matrix;
-    rhs;
-    row_of_node;
-    fixed;
-    blocks;
-  }
-
-(* |b - A x|_2 / |b|_2, or the absolute norm when b = 0. *)
-let relative_residual (a : Sp.t) x b =
-  let num = ref 0. and den = ref 0. in
-  for i = 0 to a.Sp.nrows - 1 do
-    let acc = ref 0. in
-    for p = a.Sp.row_ptr.(i) to a.Sp.row_ptr.(i + 1) - 1 do
-      acc := !acc +. (a.Sp.values.(p) *. x.(a.Sp.col_idx.(p)))
-    done;
-    let r = b.(i) -. !acc in
-    num := !num +. (r *. r);
-    den := !den +. (b.(i) *. b.(i))
-  done;
-  if !den = 0. then sqrt !num else sqrt (!num /. !den)
+  (close_rows t, rhs, !tied)
 
 (* ------------------------------------------------------------------ *)
 (* Series chains. A row with exactly two off-diagonal entries (most of
@@ -363,7 +376,7 @@ let relative_residual (a : Sp.t) x b =
 
 let degree (a : Sp.t) r = a.Sp.row_ptr.(r + 1) - a.Sp.row_ptr.(r) - 1
 
-(* Per block row: a kept row's index in the reduced system, or one of
+(* Per row: a kept row's index in the reduced system, or one of
    these for a chain row. A chain is swept from the kept row that
    reaches it first, walking kept rows in order and each row's entries
    in column order; the back-substitution walks the same way and so
@@ -407,16 +420,15 @@ let grow ch =
 
 (* Sweep the chain that leaves kept row [start] through its row [first]
    ([coupling] is their entry), setting each chain row's mark to
-   [mark]; returns the far end. [index] is per row of the block that
-   starts at row [lo]. Raises [Ch.Not_positive_definite] with the row of a pivot that is
-   not positive and finite. *)
-let sweep (a : Sp.t) rhs index ~lo ch ~mark ~start ~first ~coupling =
+   [mark]; returns the far end. Raises [Ch.Not_positive_definite] with
+   the row of a pivot that is not positive and finite. *)
+let sweep (a : Sp.t) rhs index ch ~mark ~start ~first ~coupling =
   let rp = a.Sp.row_ptr and ci = a.Sp.col_idx and av = a.Sp.values in
   ch.len <- 0;
   let prev = ref start and cur = ref first in
   (* What eliminating the previous row took from this one. *)
   let sub = ref 0. and toa = ref coupling and csub = ref 0. in
-  while index.(!cur - lo) < 0 do
+  while index.(!cur) < 0 do
     let r = !cur in
     let diag = ref 0. and next = ref r and link = ref 0. in
     for p = rp.(r) to rp.(r + 1) - 1 do
@@ -439,7 +451,7 @@ let sweep (a : Sp.t) rhs index ~lo ch ~mark ~start ~first ~coupling =
     ch.link.(j) <- !link;
     ch.carry.(j) <- carry;
     ch.len <- j + 1;
-    index.(r - lo) <- mark;
+    index.(r) <- mark;
     let u = !link in
     sub := u *. u /. piv;
     csub := u *. carry /. piv;
@@ -449,20 +461,20 @@ let sweep (a : Sp.t) rhs index ~lo ch ~mark ~start ~first ~coupling =
   done;
   !cur
 
-(* Solve rows [\[lo, hi)] of [sys], a block, into [x]: sweep out its
-   series chains, factor and solve the kept rows' reduced system, then
+(* Solve one net's system [a x = rhs] into [x]: sweep out its series
+   chains, factor and solve the kept rows' reduced system, then
    back-substitute the chains. Returns the reduced factor. *)
-let solve_block sys x ~lo ~hi =
-  let a = sys.matrix and rhs = sys.rhs in
+let solve_block (a : Sp.t) rhs x =
   let rp = a.Sp.row_ptr and ci = a.Sp.col_idx and av = a.Sp.values in
+  let n = a.Sp.nrows in
   (* Kept rows are those whose degree is not 2, numbered in row order.
-     A block whose rows all have degree 2 is a ring: its first row is
+     A net whose rows all have degree 2 is a ring: its first row is
      kept, and the rest is a loop back to it. *)
-  let index = Array.make (hi - lo) pending in
+  let index = Array.make n pending in
   let m = ref 0 in
-  for r = lo to hi - 1 do
+  for r = 0 to n - 1 do
     if degree a r <> 2 then begin
-      index.(r - lo) <- !m;
+      index.(r) <- !m;
       incr m
     end
   done;
@@ -471,14 +483,14 @@ let solve_block sys x ~lo ~hi =
     m := 1
   end;
   let kept = Array.make !m 0 in
-  Array.iteri (fun i k -> if k >= 0 then kept.(k) <- lo + i) index;
+  Array.iteri (fun r k -> if k >= 0 then kept.(k) <- r) index;
   (* A kept row gets at most one entry per neighbour: the neighbour
      itself, or the far end of the chain through it. *)
   let row_ptr = Array.make (!m + 1) 0 in
   Array.iteri (fun k r -> row_ptr.(k + 1) <- degree a r) kept;
   let t = open_rows row_ptr in
   let reduced_rhs = Array.map (fun r -> rhs.(r)) kept in
-  let schur k g c piv =
+  let[@inline] schur k g c piv =
     stamp_diag t k (-.(g *. g /. piv));
     reduced_rhs.(k) <- reduced_rhs.(k) -. (g *. c /. piv)
   in
@@ -487,12 +499,12 @@ let solve_block sys x ~lo ~hi =
     (fun k r ->
       for p = rp.(r) to rp.(r + 1) - 1 do
         let c = ci.(p) in
-        let i = index.(c - lo) in
+        let i = index.(c) in
         if c = r then stamp_diag t k av.(p)
         else if i >= 0 then stamp_off t k i av.(p)
         else if i = pending then begin
           let far =
-            sweep a rhs index ~lo ch ~mark:swept ~start:r ~first:c ~coupling:av.(p)
+            sweep a rhs index ch ~mark:swept ~start:r ~first:c ~coupling:av.(p)
           in
           let last = ch.len - 1 in
           for j = 0 to last - 1 do
@@ -502,7 +514,7 @@ let solve_block sys x ~lo ~hi =
           and link = ch.link.(last) and carry = ch.carry.(last) in
           if far = r then schur k (toa +. link) carry piv
           else begin
-            let kf = index.(far - lo) in
+            let kf = index.(far) in
             schur k toa carry piv;
             schur kf link carry piv;
             let g = -.(toa *. link /. piv) in
@@ -522,9 +534,9 @@ let solve_block sys x ~lo ~hi =
     (fun r ->
       for p = rp.(r) to rp.(r + 1) - 1 do
         let c = ci.(p) in
-        if c <> r && index.(c - lo) = swept then begin
+        if c <> r && index.(c) = swept then begin
           let far =
-            sweep a rhs index ~lo ch ~mark:pending ~start:r ~first:c ~coupling:av.(p)
+            sweep a rhs index ch ~mark:pending ~start:r ~first:c ~coupling:av.(p)
           in
           let next = ref x.(far) in
           for j = ch.len - 1 downto 0 do
@@ -540,57 +552,130 @@ let solve_block sys x ~lo ~hi =
     kept;
   f
 
+(* What one net's task ends with. A net that no resistor ties to a
+   pinned node floats: undriven, its rows become identity rows (they
+   read 0 V); driven, its first row with a nonzero right-hand side is
+   reported. *)
+type 'f outcome =
+  | Solved of 'f * (float * float)  (* the factor, or its nnz(L); the residual share *)
+  | Driven of int
+  | Not_pd of int  (* the row of a pivot that is not positive and finite *)
+
+(* Net [k], start to end: assemble, solve, write its nodes' voltages
+   into [p.volts] (no other net writes them), and take its residual
+   share. *)
+let solve_net net p k =
+  let a, rhs, tied = assemble_net net p k in
+  let driven = if tied then None else Array.find_index (fun b -> b <> 0.) rhs in
+  match driven with
+  | Some r -> Driven r
+  | None -> (
+    if not tied then
+      for i = 0 to a.Sp.nrows - 1 do
+        for q = a.Sp.row_ptr.(i) to a.Sp.row_ptr.(i + 1) - 1 do
+          a.Sp.values.(q) <- (if a.Sp.col_idx.(q) = i then 1. else 0.)
+        done
+      done;
+    let x = Array.make p.rows.(k) 0. in
+    match solve_block a rhs x with
+    | exception Ch.Not_positive_definite r -> Not_pd r
+    | factor ->
+      let pos = net.Netlist.pos and neg = net.Netlist.neg in
+      for i = p.elem_start.(k) to p.elem_start.(k + 1) - 1 do
+        let e = p.elems.(i) in
+        let r = row p k pos.(e) in
+        if r >= 0 then p.volts.(pos.(e)) <- x.(r);
+        let r = row p k neg.(e) in
+        if r >= 0 then p.volts.(neg.(e)) <- x.(r)
+      done;
+      (* [x] is free again: the share's scratch. *)
+      Solved (factor, kcl_share net p k p.volts ~res:x ~b:rhs))
+
 let solve ?jobs net =
-  let sys = assemble net in
-  let nf = Array.length sys.rhs and blocks = sys.blocks in
-  let x = Array.make nf 0. in
-  (* Every block fills its own slice of [x]; largest first, so the
-     longest factorization starts at once. *)
-  let size b = blocks.(b + 1) - blocks.(b) in
-  let order = Array.init (Array.length blocks - 1) Fun.id in
-  Array.stable_sort (fun a b -> Int.compare (size b) (size a)) order;
-  let factor_block b =
-    Obs.Trace.with_span "spice.mna.block"
-      ~attrs:[ ("rows", Obs.Trace.Int (size b)) ]
-      ~result_attrs:(fun f ->
-        [
-          ("reduced_rows", Obs.Trace.Int (Ch.dim f));
-          ("nnz_l", Obs.Trace.Int (Ch.nnz_l f));
-          ("supernodes", Obs.Trace.Int (Ch.supernodes f));
-          ("ordering_s", Obs.Trace.Float (Ch.ordering_seconds f));
-          ("factor_s", Obs.Trace.Float (Ch.factor_seconds f));
-        ])
-      (fun () -> solve_block sys x ~lo:blocks.(b) ~hi:blocks.(b + 1))
-    |> Ch.nnz_l
+  let p = partition net in
+  (* Largest net first, so the longest factorization starts at once;
+     a task keeps nnz(L) of its factor, not the factor. *)
+  let order = Array.init p.count Fun.id in
+  Array.stable_sort (fun a b -> Int.compare p.rows.(b) p.rows.(a)) order;
+  let task k =
+    match
+      Obs.Trace.with_span "spice.mna.block"
+        ~attrs:[ ("rows", Obs.Trace.Int p.rows.(k)) ]
+        ~result_attrs:(function
+          | Solved (f, _) ->
+            [
+              ("reduced_rows", Obs.Trace.Int (Ch.dim f));
+              ("nnz_l", Obs.Trace.Int (Ch.nnz_l f));
+              ("supernodes", Obs.Trace.Int (Ch.supernodes f));
+              ("ordering_s", Obs.Trace.Float (Ch.ordering_seconds f));
+              ("factor_s", Obs.Trace.Float (Ch.factor_seconds f));
+            ]
+          | Driven _ | Not_pd _ -> [])
+        (fun () -> solve_net net p k)
+    with
+    | Solved (f, share) -> Solved (Ch.nnz_l f, share)
+    | (Driven _ | Not_pd _) as o -> o
   in
-  let fill =
-    match Numerics.Parallel.map ?jobs factor_block order with
-    | fills -> Array.fold_left ( + ) 0 fills
-    | exception Ch.Not_positive_definite row ->
-      let node = ref 0 in
-      Array.iteri (fun v r -> if r = row then node := v) sys.row_of_node;
-      raise
-        (Unsupported
-           (Printf.sprintf
-              "conductance matrix is not positive definite at node %s \
-               (non-finite or non-physical resistance?)"
-              (Netlist.node_name net !node)))
+  let outcomes = Array.to_list (Numerics.Parallel.map ?jobs task order) in
+  (* Errors: a driven floating net first, the one whose driven row's
+     first node comes first, named by its own first node and size; then
+     the first bad pivot in task order, named by the last node of its
+     row. *)
+  let nodes () = List.init (Netlist.num_nodes net) Fun.id in
+  let in_row k r v = p.net_of.(v) = k && p.row_of.(v) = r in
+  let fail fmt = Printf.ksprintf (fun msg -> raise (Unsupported msg)) fmt in
+  let driven =
+    List.concat
+      (List.mapi
+         (fun i -> function
+           | Driven r -> [ (List.find (in_row order.(i) r) (nodes ()), order.(i)) ]
+           | Solved _ | Not_pd _ -> [])
+         outcomes)
   in
-  let n = Netlist.num_nodes net in
-  let voltages = Array.make n 0. in
-  for v = 0 to n - 1 do
-    let r = sys.row_of_node.(v) in
-    voltages.(v) <- (if r >= 0 then x.(r) else sys.fixed.(v))
-  done;
+  (match List.sort compare driven with
+  | (_, k) :: _ ->
+    let group = List.filter (fun v -> p.net_of.(v) = k) (nodes ()) in
+    fail
+      "floating subnetwork of %d nodes at %s carries a current source but has \
+       no conductive path to ground or a supply"
+      (List.length group)
+      (Netlist.node_name net (List.hd group))
+  | [] -> ());
+  let shares = Array.make p.count (0., 0.) and fill = ref 0 in
+  List.iteri
+    (fun i -> function
+      | Solved (nnz_l, share) ->
+        shares.(order.(i)) <- share;
+        fill := !fill + nnz_l
+      | Not_pd r ->
+        let row = List.filter (in_row order.(i) r) (nodes ()) in
+        fail
+          "conductance matrix is not positive definite at node %s (non-finite \
+           or non-physical resistance?)"
+          (Netlist.node_name net (List.nth row (List.length row - 1)))
+      | Driven _ -> ())
+    outcomes;
   {
     netlist = net;
-    voltages;
+    voltages = p.volts;
     cg_iterations = 0;
-    residual = relative_residual sys.matrix x sys.rhs;
-    free_nodes = nf;
-    fill;
-    nets = Array.length order;
+    residual = combine shares;
+    free_nodes = Array.fold_left ( + ) 0 p.rows;
+    fill = !fill;
+    nets = p.count;
+    net_of_node = p.net_of;
   }
+
+let residual net voltages =
+  if Array.length voltages <> Netlist.num_nodes net then
+    invalid_arg "Mna.residual: one voltage per node";
+  let p = partition net in
+  (* Pinned nodes read the deck's pinned voltages. *)
+  let v = Array.mapi (fun i x -> if p.net_of.(i) >= 0 then x else p.volts.(i)) voltages in
+  combine
+    (Array.init p.count (fun k ->
+         let _, b, _ = assemble_net net p k in
+         kcl_share net p k v ~res:(Array.make p.rows.(k) 0.) ~b))
 
 let resistor_current sol e =
   let net = sol.netlist in

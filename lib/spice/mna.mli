@@ -14,16 +14,23 @@
       pinned node reads 0 V when nothing drives it, and is rejected
       when a current source does.
 
-    One direct path: two passes over the elements build the reduced
-    free-node CSR matrix (count each row, stamp, then sort and merge each
-    short row in place). Each net (block) then loses its series chains:
-    a row with exactly two neighbours (about 80% of a power grid's rows)
-    is eliminated exactly by Gaussian elimination along its chain, which
-    leaves the chain's two end rows a diagonal term, a right-hand side
-    term and one equivalent coupling. {!Numerics.Cholesky} factors the
-    remaining rows (built by the same count, stamp and merge code) as
-    LDL^T under an approximate minimum degree ordering and solves; the
-    chain voltages follow by back-substitution along each chain. *)
+    One direct path, one task per net. A serial pass over the elements
+    merges shorts, propagates pinned voltages, joins the free
+    representatives into nets (VDD, GND, …) and counting-sorts the
+    elements by net; no matrix spans the deck. Each net then assembles
+    its own free-node CSR rows from its elements, in element order
+    (count each row, stamp, then sort and merge each short row in
+    place), and loses its series chains: a row with exactly two neighbours (about 80% of
+    a power grid's rows) is eliminated exactly by Gaussian elimination
+    along its chain, which leaves the chain's two end rows a diagonal
+    term, a right-hand side term and one equivalent coupling.
+    {!Numerics.Cholesky} factors the remaining rows (built by the same
+    count, stamp and merge code) as LDL^T under an approximate minimum
+    degree ordering and solves; the chain voltages follow by
+    back-substitution along each chain. The residual is Kirchhoff's
+    current law checked element by element: per row, what the sources
+    inject less what the resistors carry away at the solved voltages
+    (see {!residual}). *)
 
 type solution = {
   netlist : Netlist.t;
@@ -34,7 +41,11 @@ type solution = {
   fill : int;
       (** nonzeros of the L factors, which cover only the rows left
           after the series chains are eliminated *)
-  nets : int;              (** independent blocks of the system *)
+  nets : int;
+      (** nets: groups of free nodes joined through positive resistors,
+          each an independent block of the system *)
+  net_of_node : int array;
+      (** per node: its net, in [\[0, nets)], or [-1] when pinned *)
 }
 
 exception Unsupported of string
@@ -46,46 +57,32 @@ val max_residual : float
 (** [1e-9]: a relative residual above this means the node voltages, and
     so the currents fed to the EM check, cannot be trusted. *)
 
-type system = {
-  matrix : Numerics.Sparse.t;
-      (** symmetric conductance matrix over the free rows; every row
-          holds its diagonal *)
-  rhs : Numerics.Vector.t;  (** injected currents, plus pinned neighbours *)
-  row_of_node : int array;  (** per node: its row, or [-1] when pinned *)
-  fixed : float array;      (** per node: the pinned voltage, else 0 *)
-  blocks : int array;
-      (** row boundaries of the independent blocks: block [b] is rows
-          [\[blocks.(b), blocks.(b+1))], and no entry of the matrix
-          joins two blocks. [blocks.(0) = 0]; the last is the row
-          count. *)
-}
-
-val assemble : Netlist.t -> system
-(** The reduced system {!solve} factors. Rows are the free
-    representatives of merged shorts. Representatives joined through
-    positive resistors form a block (one per net: VDD, GND, …); rows
-    are numbered block by block, blocks in the order of their first
-    node and node order inside a block, so the matrix is block
-    diagonal with contiguous blocks. A block with no conductance to a
-    pinned node floats: undriven, its rows are identity rows.
-    Raises like {!solve}. *)
-
 val solve : ?jobs:int -> Netlist.t -> solution
-(** Solves each block on its own, the largest first, on [jobs]
-    domains ({!Numerics.Parallel.map}'s default when omitted): it
-    eliminates the block's series chains, factors the rows left, and
-    back-substitutes the chains. A block whose rows all have two
-    neighbours is a ring, and keeps its first row. Each block's
-    reduction, ordering and factor depend on that block alone, so the
-    voltages are bit-identical at every [jobs]. The [residual] is taken
-    over the whole assembled matrix, so it checks the reduction too.
-    When tracing, each block is a [spice.mna.block] span with its rows,
-    [reduced_rows] (the rows factored), nnz(L) and ordering and factor
-    seconds. [free_nodes], [fill], [nets] and [residual] are the
-    [mna] object of [emcheck analyze --json].
-    A pivot that is not positive and finite, in a chain or in the
-    reduced factor, is {!Unsupported} naming the node of its row.
-    Raises {!Unsupported}; [Invalid_argument] on an empty netlist. *)
+(** Runs each net as one task, the largest first, on [jobs] domains
+    ({!Numerics.Parallel.map}'s default when omitted). A net's rows are
+    its free representatives in node order; a net whose rows all have
+    two neighbours is a ring, and keeps its first row. Each net's rows,
+    reduction, ordering and factor depend on that net alone, so the
+    voltages are bit-identical at every [jobs]. [residual] is
+    {!residual} of the solved voltages. When tracing, each net is a
+    [spice.mna.block] span with its rows, [reduced_rows] (the rows
+    factored), nnz(L) and ordering and factor seconds. [free_nodes],
+    [fill], [nets] and [residual] are the [mna] object of
+    [emcheck analyze --json]. A pivot that is not positive and finite,
+    in a chain or in the reduced factor, is {!Unsupported} naming the
+    node of its row. Raises {!Unsupported}; [Invalid_argument] on an
+    empty netlist. *)
+
+val residual : Netlist.t -> float array -> float
+(** [residual net voltages]: the relative KCL residual
+    [|b - A v|_2 / |b|_2] of per-node [voltages] (the absolute norm
+    when [b = 0]), computed from the elements with no matrix: each row
+    (a group of shorted free nodes) gets what its current sources
+    inject less what its resistors carry away; [b] is what the sources
+    and the resistors to pinned nodes inject. Pinned nodes read the
+    voltage the deck's sources pin them to, whatever [voltages] says.
+    Raises like {!solve}, and [Invalid_argument] unless there is one
+    voltage per node. *)
 
 val resistor_current : solution -> int -> float
 (** [resistor_current sol e]: conventional current through element [e]

@@ -4,7 +4,10 @@
    the extraction-equivalence tests compare it against.
 
    Skips resistors that are vias (endpoints on different layers), shorts
-   (zero ohms), or touch non-geometric nodes (pads/package). *)
+   (zero ohms), or touch non-geometric nodes (pads/package). Structures
+   come by level, then by where the component's union-find root first
+   appears among the level's wires (element order, tail before head);
+   segments ascend by element, nodes by first appearance. *)
 
 module N = Spice.Netlist
 module Mna = Spice.Mna
@@ -99,7 +102,8 @@ let extract ~tech (sol : Mna.solution) =
   in
   List.iter
     (fun level ->
-      let wires = Array.of_list !(Hashtbl.find wires_by_level level) in
+      (* The buckets were built by prepending: back to element order. *)
+      let wires = Array.of_list (List.rev !(Hashtbl.find wires_by_level level)) in
       (* Local dense numbering of the nodes this level touches. *)
       let local : (int, int) Hashtbl.t = Hashtbl.create (Array.length wires) in
       let names = ref [] in
@@ -141,7 +145,7 @@ let extract ~tech (sol : Mna.solution) =
       in
       List.iter
         (fun (_, comp) ->
-          let comp = Array.of_list comp in
+          let comp = Array.of_list (List.rev comp) in
           (* Dense numbering within the component. *)
           let cl : (int, int) Hashtbl.t = Hashtbl.create (Array.length comp) in
           let cnames = ref [] in

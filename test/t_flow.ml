@@ -218,6 +218,106 @@ let test_extract_compact_mini_grid () =
     check_extraction_equivalence ~tech:Pdn.Tech.ibm_like sol
   end
 
+(* A deck for the per-net split: 2-3 padded nets, each a mesh of M1
+   (horizontal) and M3 (vertical) wires joined by vias in its own x
+   range, with a short to an off-grid load node; an M1 rail from net 0
+   through a pinned pad into net 1; a current source between two nets;
+   an undriven floating M1 mesh. Elements are shuffled, so node order
+   interleaves the nets. *)
+let random_split_deck seed =
+  let rng = Numerics.Rng.create (Int64.of_int (seed + 7321)) in
+  let padded = 2 + Numerics.Rng.int rng 2 in
+  let elements = ref [] in
+  let push f = elements := f :: !elements in
+  let ohms () = 0.05 +. Numerics.Rng.float rng 1. in
+  let node layer x y = Printf.sprintf "n%d_%d_%d" layer x y in
+  let resistor a b r = push (fun bld -> N.Builder.add_resistor bld a b r) in
+  let mesh ~x0 ~rows ~cols =
+    for r = 0 to rows - 1 do
+      for c = 0 to cols - 1 do
+        let x = x0 + (c * 1000) and y = r * 1000 in
+        if c + 1 < cols then resistor (node 1 x y) (node 1 (x + 1000) y) (ohms ());
+        if r + 1 < rows then resistor (node 3 x y) (node 3 x (y + 1000)) (ohms ());
+        resistor (node 1 x y) (node 3 x y) 0.5
+      done
+    done
+  in
+  let size () = 2 + Numerics.Rng.int rng 3 in
+  let meshes = Array.init padded (fun _ -> (size (), size ())) in
+  Array.iteri
+    (fun k (rows, cols) ->
+      let x0 = k * 100_000 in
+      mesh ~x0 ~rows ~cols;
+      let vdd = if k mod 2 = 0 then 1.8 else 0. in
+      push (fun bld ->
+          N.Builder.add_voltage_source bld ~name:(Printf.sprintf "V%d" k)
+            (node 3 x0 ((rows - 1) * 1000)) "0" vdd);
+      for _ = 1 to rows * cols / 2 do
+        let x = x0 + (1000 * Numerics.Rng.int rng cols)
+        and y = 1000 * Numerics.Rng.int rng rows in
+        let amps = Numerics.Rng.float rng 1e-2 in
+        push (fun bld -> N.Builder.add_current_source bld (node 1 x y) "0" amps)
+      done;
+      let load = Printf.sprintf "load%d" k in
+      resistor (node 3 x0 0) load 0.;
+      push (fun bld -> N.Builder.add_current_source bld load "0" 1e-3))
+    meshes;
+  (* The rail: net 0's last M1 column, row 0, through pad p to net 1's
+     first. *)
+  let _, cols0 = meshes.(0) in
+  let p = node 1 50_000 0 in
+  resistor (node 1 ((cols0 - 1) * 1000) 0) p (ohms ());
+  resistor p (node 1 100_000 0) (ohms ());
+  push (fun bld -> N.Builder.add_voltage_source bld ~name:"Vrail" p "0" 1.2);
+  push (fun bld -> N.Builder.add_current_source bld (node 3 0 0) (node 3 100_000 0) 2e-3);
+  mesh ~x0:500_000 ~rows:(size ()) ~cols:(size ());
+  let elements = Array.of_list !elements in
+  Numerics.Rng.shuffle rng elements;
+  let bld = N.Builder.create ~title:"split" () in
+  Array.iter (fun f -> f bld) elements;
+  N.Builder.finish bld
+
+(* Per-net solve and extraction against the whole-deck references:
+   the nets are the reference assembly's blocks; the voltages are
+   bit-identical at every jobs and agree with one factorization of the
+   whole reference matrix; the structures, their order included, are
+   the reference extraction's at every jobs. *)
+let prop_split_matches_references seed =
+  let net = random_split_deck seed in
+  let sys = Mna_reference.assemble net in
+  let nb = Array.length sys.Mna_reference.blocks - 1 in
+  let bits v = Array.map Int64.bits_of_float v in
+  let sols = List.map (fun jobs -> Spice.Mna.solve ~jobs net) [ 1; 2; 3; 4 ] in
+  let sol = List.hd sols in
+  let whole = Mna_reference.whole_factor_voltages sys in
+  let scale = Array.fold_left (fun m v -> Float.max m (Float.abs v)) 0. whole in
+  let tech = Pdn.Tech.ibm_like in
+  let expected = Extract_reference.extract ~tech sol in
+  let same_structure (a : Ex.em_structure) (b : Ex.em_structure) =
+    let sa = a.Ex.structure and sb = b.Ex.structure in
+    a.Ex.layer_level = b.Ex.layer_level
+    && a.Ex.node_names = b.Ex.node_names
+    && a.Ex.element_ids = b.Ex.element_ids
+    && St.num_segments sa = St.num_segments sb
+    && List.for_all
+         (fun k -> St.endpoints sa k = St.endpoints sb k && St.seg sa k = St.seg sb k)
+         (List.init (St.num_segments sa) Fun.id)
+  in
+  let extracted jobs =
+    List.map Ex.boxed_view (Ex.extract_compact ~jobs ~tech sol)
+  in
+  nb >= 3
+  && sol.Spice.Mna.nets = nb
+  && sol.Spice.Mna.free_nodes = sys.Mna_reference.blocks.(nb)
+  && sol.Spice.Mna.residual < 1e-12
+  && List.for_all (fun s -> bits s.Spice.Mna.voltages = bits sol.Spice.Mna.voltages) sols
+  && Array.for_all2 (fun w v -> Float.abs (w -. v) <= 1e-12 *. scale) whole sol.Spice.Mna.voltages
+  && List.for_all
+       (fun jobs ->
+         let got = extracted jobs in
+         List.length got = List.length expected && List.for_all2 same_structure expected got)
+       [ 1; 2; 3; 4 ]
+
 let test_flow_stages_recorded () =
   let g = small_grid () in
   let r = Flow.run g in
@@ -1626,6 +1726,8 @@ let suites =
         case "streaming path equivalent on a full pg2 grid"
           test_extract_compact_equivalent_pg2;
         case "columnar path on sample deck" test_extract_compact_mini_grid;
+        qcheck ~count:100 "per-net solve and extraction match the whole-deck references"
+          QCheck2.Gen.(int_bound 1_000_000) prop_split_matches_references;
       ] );
     ( "flow.em_flow",
       [

@@ -1004,14 +1004,13 @@ let prop_print_parse_fixpoint seed =
   String.equal text (N.to_string reparsed)
 
 
+module Ref = Mna_reference
+
 (* Independent oracle for the direct solve: Jacobi-CG at a tight
-   tolerance on the same assembled system, mapped back to nodes. *)
+   tolerance on the reference assembly, mapped back to nodes. *)
 let cg_voltages net =
-  let sys = Mna.assemble net in
-  let x = (Numerics.Cg.solve ~tol:1e-13 sys.Mna.matrix sys.Mna.rhs).Numerics.Cg.x in
-  Array.mapi
-    (fun v r -> if r >= 0 then x.(r) else sys.Mna.fixed.(v))
-    sys.Mna.row_of_node
+  let sys = Ref.assemble net in
+  Ref.voltages sys (Numerics.Cg.solve ~tol:1e-13 sys.Ref.matrix sys.Ref.rhs).Numerics.Cg.x
 
 let test_mna_cholesky_matches_cg () =
   (* The LDL^T solve and the CG oracle give the same voltages. *)
@@ -1082,61 +1081,46 @@ let random_mesh seed =
   done;
   N.Builder.finish b
 
-(* The triplet assembly Mna used before the direct CSR build, on the
-   same row numbering. *)
-let builder_assembly net (sys : Mna.system) =
-  let nf = Array.length sys.Mna.rhs in
-  let b = Numerics.Sparse.Builder.create nf nf in
-  let add = Numerics.Sparse.Builder.add b in
-  let rhs = Array.make nf 0. in
-  let row v = sys.Mna.row_of_node.(v) in
-  for e = 0 to N.num_elements net - 1 do
-    let pos = net.N.pos.(e) and neg = net.N.neg.(e) and v = net.N.values.(e) in
-    match N.kind net e with
-    | N.Resistor when v > 0. ->
-      let fp = row pos and fq = row neg and g = 1. /. v in
-      if fp >= 0 && fq >= 0 then begin
-        if fp <> fq then begin
-          add fp fp g;
-          add fq fq g;
-          add fp fq (-.g);
-          add fq fp (-.g)
-        end
-      end
-      else if fp >= 0 then begin
-        add fp fp g;
-        rhs.(fp) <- rhs.(fp) +. (g *. sys.Mna.fixed.(neg))
-      end
-      else if fq >= 0 then begin
-        add fq fq g;
-        rhs.(fq) <- rhs.(fq) +. (g *. sys.Mna.fixed.(pos))
-      end
-    | N.Resistor | N.Voltage_source -> ()
-    | N.Current_source ->
-      if row pos >= 0 then rhs.(row pos) <- rhs.(row pos) -. v;
-      if row neg >= 0 then rhs.(row neg) <- rhs.(row neg) +. v
-  done;
-  (Numerics.Sparse.Builder.to_csr b, rhs)
-
-let prop_csr_matches_builder seed =
+(* The element-level KCL residual equals the reference assembly's
+   matrix residual |b - A v| / |b| at arbitrary row voltages, so the
+   element sums cover the same stamps as the matrix. *)
+let prop_kcl_residual_matches_assembly seed =
   let net = random_mesh seed in
-  let sys = Mna.assemble net in
-  let m, rhs = builder_assembly net sys in
-  let a = sys.Mna.matrix in
-  (* Duplicates may be summed in another order: a few ulps apart. *)
-  let close x y =
-    Float.abs (x -. y) <= 4. *. epsilon_float *. Float.max (Float.abs x) (Float.abs y)
+  let sys = Ref.assemble net in
+  let rng = Numerics.Rng.create (Int64.of_int (seed + 31)) in
+  let v =
+    Ref.voltages sys
+      (Array.init (Array.length sys.Ref.rhs) (fun _ -> Numerics.Rng.uniform rng 0. 2.))
   in
-  let n = Array.length rhs in
-  n > 0
-  && Numerics.Sparse.dims a = Numerics.Sparse.dims m
-  && a.Numerics.Sparse.row_ptr = m.Numerics.Sparse.row_ptr
-  && a.Numerics.Sparse.col_idx = m.Numerics.Sparse.col_idx
-  && Array.for_all2 close a.Numerics.Sparse.values m.Numerics.Sparse.values
-  && sys.Mna.rhs = rhs
+  let expected = Ref.residual sys v and got = Mna.residual net v in
+  Float.abs (expected -. got) <= 1e-9 *. expected
+
+(* The residual is computed from the elements, so it sees an error in
+   the system itself: a resistor at 1e30 ohm has in effect lost its
+   stamp. That deck solves to its own tiny residual, but its voltages
+   break KCL on the real deck, at the rows the resistor joins. *)
+let test_kcl_residual_sees_a_dropped_stamp () =
+  (* Element 0 of a mesh is the grid edge n1_0_0 - n1_0_100, which lies
+     on a grid cycle: without it the mesh stays connected. *)
+  let net = random_mesh 7 in
+  let sol = Mna.solve net in
+  Alcotest.(check bool) "it carries current" true
+    (Float.abs (Mna.resistor_current sol 0) > 1e-6);
+  let values = Array.copy net.N.values in
+  values.(0) <- 1e30;
+  let dropped = Mna.solve (N.with_values net values) in
+  Alcotest.(check bool)
+    (Printf.sprintf "own residual %.2e < 1e-12" dropped.Mna.residual)
+    true (dropped.Mna.residual < 1e-12);
+  let r = Mna.residual net dropped.Mna.voltages in
+  Alcotest.(check bool)
+    (Printf.sprintf "residual on the real deck %.2e > %.0e" r Mna.max_residual)
+    true (r > Mna.max_residual);
+  Alcotest.(check bool) "the real solution's residual" true
+    (Mna.residual net sol.Mna.voltages = sol.Mna.residual)
 
 let prop_amd_permutation seed =
-  let a = (Mna.assemble (random_mesh seed)).Mna.matrix in
+  let a = (Ref.assemble (random_mesh seed)).Ref.matrix in
   let n = fst (Numerics.Sparse.dims a) in
   let p = Numerics.Cholesky.ordering_permutation (Numerics.Cholesky.factorize a) in
   Array.sort compare p;
@@ -1148,7 +1132,7 @@ let prop_amd_permutation seed =
 let test_amd_fill_realistic () =
   List.iter
     (fun (name, net) ->
-      let a = (Mna.assemble net).Mna.matrix in
+      let a = (Ref.assemble net).Ref.matrix in
       let nnz ordering = Numerics.Cholesky.nnz_l (Numerics.Cholesky.factorize ~ordering a) in
       let amd = nnz Numerics.Cholesky.Amd and natural = nnz Numerics.Cholesky.Natural in
       if not (amd < natural) then
@@ -1262,13 +1246,12 @@ let random_islands seed =
   Array.iter (fun f -> f b) elements;
   N.Builder.finish b
 
-(* The node voltages of one factorization of the whole assembled
-   matrix agree with [sol]'s to 1e-12 of the largest. *)
-let matches_whole_factor (sys : Mna.system) sol =
-  let x = Numerics.Cholesky.(solve (factorize sys.Mna.matrix) sys.Mna.rhs) in
-  let whole =
-    Array.mapi (fun v r -> if r >= 0 then x.(r) else sys.Mna.fixed.(v)) sys.Mna.row_of_node
-  in
+(* The node voltages of one factorization of the whole reference
+   matrix agree with [sol]'s to 1e-12 of the largest. (Bit-identity
+   cannot hold: the solve eliminates series chains before its
+   ordering, so its operations run in another order.) *)
+let matches_whole_factor (sys : Ref.t) sol =
+  let whole = Ref.whole_factor_voltages sys in
   let scale = Array.fold_left (fun m v -> Float.max m (Float.abs v)) 0. whole in
   Array.for_all2
     (fun w v -> Float.abs (w -. v) <= 1e-12 *. scale)
@@ -1276,13 +1259,13 @@ let matches_whole_factor (sys : Mna.system) sol =
 
 let prop_blocks_solve_alike seed =
   let net = random_islands seed in
-  let sys = Mna.assemble net in
-  let a = sys.Mna.matrix and blocks = sys.Mna.blocks in
+  let sys = Ref.assemble net in
+  let a = sys.Ref.matrix and blocks = sys.Ref.blocks in
   let nb = Array.length blocks - 1 in
   let partition =
     nb >= 1
     && blocks.(0) = 0
-    && blocks.(nb) = Array.length sys.Mna.rhs
+    && blocks.(nb) = Array.length sys.Ref.rhs
     && List.for_all (fun b -> blocks.(b) < blocks.(b + 1)) (List.init nb Fun.id)
   in
   let inside =
@@ -1306,7 +1289,10 @@ let prop_blocks_solve_alike seed =
         bits s.Mna.voltages = bits first.Mna.voltages && s.Mna.fill = first.Mna.fill)
       sols
   in
-  partition && inside && alike && matches_whole_factor sys first
+  partition && inside && alike
+  && first.Mna.nets = nb
+  && first.Mna.free_nodes = blocks.(nb)
+  && matches_whole_factor sys first
 
 (* A mesh whose edges are series chains of 1-8 resistors, plus every
    shape the chain elimination meets: a dead-end chain, a loop chain
@@ -1377,7 +1363,7 @@ let prop_chains_solve_exactly seed =
   let first = List.hd sols in
   List.for_all (fun s -> bits s.Mna.voltages = bits first.Mna.voltages) sols
   && first.Mna.residual <= 1e-12
-  && matches_whole_factor (Mna.assemble net) first
+  && matches_whole_factor (Ref.assemble net) first
 
 let test_mna_floating_first_driven () =
   (* Island a holds the first node, but island b's driven node comes
@@ -1412,7 +1398,7 @@ let test_mna_non_pd_second_block () =
   N.Builder.add_resistor b "p" "q" 1e-320;
   N.Builder.add_resistor b "q" "0" 1.;
   let net = N.Builder.finish b in
-  Alcotest.(check (array int)) "two blocks" [| 0; 3; 5 |] (Mna.assemble net).Mna.blocks;
+  Alcotest.(check (array int)) "two blocks" [| 0; 3; 5 |] (Ref.assemble net).Ref.blocks;
   List.iter
     (fun jobs ->
       match Mna.solve ~jobs net with
@@ -1587,8 +1573,9 @@ let suites =
           QCheck2.Gen.(int_bound 1_000_000) prop_blocks_solve_alike;
         qcheck ~count:200 "series chains: exact, same voltages at any jobs"
           QCheck2.Gen.(int_bound 1_000_000) prop_chains_solve_exactly;
-        qcheck ~count:200 "CSR assembly equals triplet assembly"
-          QCheck2.Gen.(int_bound 1_000_000) prop_csr_matches_builder;
+        qcheck ~count:200 "KCL residual equals the triplet assembly's"
+          QCheck2.Gen.(int_bound 1_000_000) prop_kcl_residual_matches_assembly;
+        case "KCL residual sees a dropped stamp" test_kcl_residual_sees_a_dropped_stamp;
         qcheck ~count:200 "AMD order: permutation, on random meshes"
           QCheck2.Gen.(int_bound 1_000_000) prop_amd_permutation;
         case "AMD fill below natural on realistic grids" test_amd_fill_realistic;
