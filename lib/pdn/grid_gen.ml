@@ -1,4 +1,5 @@
-module NB = Spice.Netlist.Builder
+module N = Spice.Netlist
+module NB = N.Builder
 module Rng = Numerics.Rng
 
 type net = Vdd | Vss
@@ -12,10 +13,10 @@ type stripe = {
 }
 
 type generated = {
-  netlist : Spice.Netlist.t;
+  netlist : N.t;
   tech : Tech.t;
-  node_net : (string, net) Hashtbl.t;
-  vdd_supply_of : string -> float;
+  node_net : net option array;
+  vdd_supply_of : int -> float;
   num_wires : int;
   num_vias : int;
   num_pads : int;
@@ -24,55 +25,46 @@ type generated = {
 
 let nm = 1e-9
 
-(* Mutable per-stripe state during meshing: the sorted-later list of node
-   positions along the stripe. *)
-type stripe_state = {
-  stripe : stripe;
-  mutable nodes : (int * string) list; (* (position along stripe, node name) *)
-}
-
-let crossing_point ~(a_layer : Tech.layer) a b =
-  (* [a] horizontal: its coord is y and the partner's is x. *)
-  match a_layer.Tech.direction with
-  | Tech.Horizontal -> (b.coord_nm, a.coord_nm)
-  | Tech.Vertical -> (a.coord_nm, b.coord_nm)
-
 let of_stripes ?(bottom_taps_nm = 0) ?supply_at ~tech ~stripes ~pad_every
     ~floorplan ~load_fraction ~rng ~current_per_net () =
-  if Array.length stripes = 0 then invalid_arg "Grid_gen.of_stripes: no stripes";
+  let n = Array.length stripes and num_layers = Array.length tech.Tech.layers in
+  if n = 0 then invalid_arg "Grid_gen.of_stripes: no stripes";
   if pad_every < 1 then invalid_arg "Grid_gen.of_stripes: pad_every < 1";
   if load_fraction < 0. || load_fraction > 1. then
     invalid_arg "Grid_gen.of_stripes: load_fraction outside [0,1]";
   Array.iter
     (fun s ->
-      if s.layer_pos < 0 || s.layer_pos >= Array.length tech.Tech.layers then
+      if s.layer_pos < 0 || s.layer_pos >= num_layers then
         invalid_arg "Grid_gen.of_stripes: stripe layer out of range";
+      if s.coord_nm < 0 || s.lo_nm < 0 then
+        invalid_arg "Grid_gen.of_stripes: negative stripe coordinate";
       if s.hi_nm <= s.lo_nm then
         invalid_arg "Grid_gen.of_stripes: empty stripe extent")
     stripes;
-  let num_layers = Array.length tech.Tech.layers in
   let builder = NB.create ~title:"synthetic power grid" () in
-  let node_net : (string, net) Hashtbl.t = Hashtbl.create 4096 in
+  let add kind ~pos ~neg value = NB.add builder kind "" ~off:0 ~len:0 ~pos ~neg value in
   let num_wires = ref 0 and num_vias = ref 0 in
   let num_pads = ref 0 and num_loads = ref 0 in
-  (* Resistor endpoint ids for the connectivity pass. *)
-  let resistor_edges = ref [] in
-  let register_resistor n1 n2 ohms =
-    NB.add_resistor builder n1 n2 ohms;
-    resistor_edges := (NB.node builder n1, NB.node builder n2) :: !resistor_edges
+  (* A node is a stripe and a position along it: the stripe's layer and
+     perpendicular coordinate give the rest. *)
+  let point i pos =
+    let s = stripes.(i) in
+    match (Tech.layer_at tech s.layer_pos).Tech.direction with
+    | Tech.Horizontal -> (pos, s.coord_nm)
+    | Tech.Vertical -> (s.coord_nm, pos)
   in
-  (* Group stripes by layer, as mutable states sorted by coordinate. *)
-  let states = Array.map (fun s -> { stripe = s; nodes = [] }) stripes in
+  let node_at i pos =
+    let x, y = point i pos in
+    NB.node_at builder ~layer:(Tech.layer_at tech stripes.(i).layer_pos).Tech.level ~x ~y
+  in
+  (* Each layer's stripes, sorted by coordinate. *)
   let by_layer = Array.make num_layers [] in
-  Array.iter
-    (fun st ->
-      by_layer.(st.stripe.layer_pos) <- st :: by_layer.(st.stripe.layer_pos))
-    states;
+  Array.iteri (fun i s -> by_layer.(s.layer_pos) <- i :: by_layer.(s.layer_pos)) stripes;
   let by_layer =
     Array.map
       (fun l ->
         let a = Array.of_list l in
-        Array.sort (fun s1 s2 -> compare s1.stripe.coord_nm s2.stripe.coord_nm) a;
+        Array.sort (fun i j -> Int.compare stripes.(i).coord_nm stripes.(j).coord_nm) a;
         a)
       by_layer
   in
@@ -81,156 +73,121 @@ let of_stripes ?(bottom_taps_nm = 0) ?supply_at ~tech ~stripes ~pad_every
     let lo = ref 0 and hi = ref (Array.length arr) in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if arr.(mid).stripe.coord_nm < x then lo := mid + 1 else hi := mid
+      if stripes.(arr.(mid)).coord_nm < x then lo := mid + 1 else hi := mid
     done;
     !lo
   in
-  let node_name layer_pos (x, y) =
-    Spice.Ibm_format.encode
-      { Spice.Ibm_format.layer = (Tech.layer_at tech layer_pos).Tech.level; x; y }
-  in
-  (* Crossings between adjacent layers: vias + node registration. *)
+  (* Node positions along each stripe, and the stripes vias join. *)
+  let positions = Array.make n [] and joined = Unionfind.create n in
+  (* Crossings between adjacent layers: vias. A crossing lies at the
+     upper stripe's coordinate along the lower one, and the other way. *)
   for p = 0 to num_layers - 2 do
     let lower = by_layer.(p) in
-    let a_layer = Tech.layer_at tech p in
     Array.iter
-      (fun upper_state ->
-        let b = upper_state.stripe in
-        let first = lower_bound lower b.lo_nm in
-        let i = ref first in
-        while
-          !i < Array.length lower && lower.(!i).stripe.coord_nm <= b.hi_nm
-        do
-          let lower_state = lower.(!i) in
-          let a = lower_state.stripe in
-          if a.net = b.net && b.coord_nm >= a.lo_nm && b.coord_nm <= a.hi_nm
-          then begin
-            let x, y = crossing_point ~a_layer a b in
-            let na = node_name p (x, y) in
-            let nb = node_name (p + 1) (x, y) in
-            if not (Hashtbl.mem node_net na) then Hashtbl.add node_net na a.net;
-            if not (Hashtbl.mem node_net nb) then Hashtbl.add node_net nb b.net;
-            register_resistor na nb tech.Tech.via_resistance;
+      (fun j ->
+        let b = stripes.(j) in
+        let k = ref (lower_bound lower b.lo_nm) in
+        while !k < Array.length lower && stripes.(lower.(!k)).coord_nm <= b.hi_nm do
+          let i = lower.(!k) in
+          let a = stripes.(i) in
+          if a.net = b.net && b.coord_nm >= a.lo_nm && b.coord_nm <= a.hi_nm then begin
+            let neg = node_at j a.coord_nm in
+            add N.Resistor ~pos:(node_at i b.coord_nm) ~neg tech.Tech.via_resistance;
             incr num_vias;
-            (* Positions along each stripe: a horizontal stripe runs in x. *)
-            let pos_a, pos_b =
-              match a_layer.Tech.direction with
-              | Tech.Horizontal -> (x, y)
-              | Tech.Vertical -> (y, x)
-            in
-            lower_state.nodes <- (pos_a, na) :: lower_state.nodes;
-            upper_state.nodes <- (pos_b, nb) :: upper_state.nodes
+            ignore (Unionfind.union joined i j);
+            positions.(i) <- b.coord_nm :: positions.(i);
+            positions.(j) <- a.coord_nm :: positions.(j)
           end;
-          incr i
+          incr k
         done)
       by_layer.(p + 1)
   done;
   (* Load taps on bottom-layer rails: plain nodes between crossings. *)
-  if bottom_taps_nm > 0 then begin
-    let bottom_layer = Tech.layer_at tech 0 in
-    Array.iter
-      (fun st ->
-        if st.stripe.layer_pos = 0 && st.nodes <> [] then begin
-          let s = st.stripe in
+  if bottom_taps_nm > 0 then
+    Array.iteri
+      (fun i s ->
+        if s.layer_pos = 0 && positions.(i) <> [] then begin
           let pos = ref (s.lo_nm + (bottom_taps_nm / 2)) in
           while !pos < s.hi_nm do
-            let x, y =
-              match bottom_layer.Tech.direction with
-              | Tech.Horizontal -> (!pos, s.coord_nm)
-              | Tech.Vertical -> (s.coord_nm, !pos)
-            in
-            let name = node_name 0 (x, y) in
-            if not (Hashtbl.mem node_net name) then
-              Hashtbl.add node_net name s.net;
-            st.nodes <- (!pos, name) :: st.nodes;
+            positions.(i) <- !pos :: positions.(i);
             pos := !pos + bottom_taps_nm
           done
         end)
-      states
-  end;
-  (* Wires: connect consecutive distinct positions along each stripe. *)
-  let sorted_nodes st =
-    let arr = Array.of_list st.nodes in
-    Array.sort compare arr;
-    (* Dedupe equal positions (a node can register once per neighbour
-       layer). *)
-    let out = ref [] in
-    Array.iter
-      (fun (pos, name) ->
-        match !out with
-        | (p, _) :: _ when p = pos -> ()
-        | _ -> out := (pos, name) :: !out)
-      arr;
-    Array.of_list (List.rev !out)
+      stripes;
+  (* Wires between consecutive positions along each stripe (a crossing
+     registers once per neighbour layer). Each wire interns its far end
+     first, so a tap gets its id from its first wire. *)
+  let positions = Array.map (fun l -> Array.of_list (List.sort_uniq Int.compare l)) positions in
+  let ids =
+    Array.mapi
+      (fun i at ->
+        let ids = Array.make (Array.length at) (-1) in
+        let id k =
+          if ids.(k) < 0 then ids.(k) <- node_at i at.(k);
+          ids.(k)
+        in
+        let layer = Tech.layer_at tech stripes.(i).layer_pos in
+        for k = 1 to Array.length at - 1 do
+          let neg = id k in
+          let length = float_of_int (at.(k) - at.(k - 1)) *. nm in
+          add N.Resistor ~pos:(id (k - 1)) ~neg (Tech.wire_resistance layer ~length);
+          incr num_wires
+        done;
+        (* A lone crossing has no wire; its via interned it. *)
+        if Array.length at = 1 then ignore (id 0);
+        ids)
+      positions
   in
-  let stripe_nodes = Array.make (Array.length states) [||] in
-  Array.iteri
-    (fun i st ->
-      let nodes = sorted_nodes st in
-      stripe_nodes.(i) <- nodes;
-      let layer = Tech.layer_at tech st.stripe.layer_pos in
-      for k = 1 to Array.length nodes - 1 do
-        let pos0, name0 = nodes.(k - 1) and pos1, name1 = nodes.(k) in
-        let length = float_of_int (pos1 - pos0) *. nm in
-        register_resistor name0 name1 (Tech.wire_resistance layer ~length);
-        incr num_wires
-      done)
-    states;
   (* Pads on the top layer. *)
-  let supply_of_name name =
-    match supply_at with
-    | None -> tech.Tech.supply_voltage
-    | Some f -> begin
-      match Spice.Ibm_format.decode name with
-      | Some c -> f ~x_nm:c.Spice.Ibm_format.x ~y_nm:c.Spice.Ibm_format.y
-      | None -> tech.Tech.supply_voltage
-    end
+  let ground = NB.node builder "0" in
+  let supply ~x_nm ~y_nm =
+    match supply_at with None -> tech.Tech.supply_voltage | Some f -> f ~x_nm ~y_nm
   in
-  let pad_ids = ref [] in
   Array.iteri
-    (fun i st ->
-      if st.stripe.layer_pos = num_layers - 1 then begin
-        let nodes = stripe_nodes.(i) in
+    (fun i s ->
+      if s.layer_pos = num_layers - 1 then begin
         let k = ref 0 in
-        while !k < Array.length nodes do
-          let _, name = nodes.(!k) in
-          let volts =
-            match st.stripe.net with
-            | Vdd -> supply_of_name name
-            | Vss -> 0.
-          in
-          NB.add_voltage_source builder name "0" volts;
-          pad_ids := NB.node builder name :: !pad_ids;
+        while !k < Array.length ids.(i) do
+          let x_nm, y_nm = point i positions.(i).(!k) in
+          let volts = match s.net with Vdd -> supply ~x_nm ~y_nm | Vss -> 0. in
+          add N.Voltage_source ~pos:ids.(i).(!k) ~neg:ground volts;
           incr num_pads;
           k := !k + pad_every
         done
       end)
-    states;
+    stripes;
   if !num_pads = 0 then
     invalid_arg "Grid_gen.of_stripes: plan yields no pads (top layer empty)";
-  (* Connectivity: loads may only attach to pad-connected nodes. *)
-  ignore (NB.node builder "0");
-  let n_ids = NB.num_nodes builder in
-  let uf = Unionfind.create n_ids in
-  List.iter (fun (a, b) -> ignore (Unionfind.union uf a b)) !resistor_edges;
-  let pad_connected = Hashtbl.create 64 in
-  List.iter (fun id -> Hashtbl.replace pad_connected (Unionfind.find uf id) ()) !pad_ids;
+  (* A node's net is its first stripe's; a node on two stripes joins
+     them. Loads may only attach to pad-connected stripes. *)
+  let owner = Array.make (NB.num_nodes builder) (-1) in
+  Array.iteri
+    (fun i ->
+      Array.iter (fun v ->
+          if owner.(v) < 0 then owner.(v) <- i
+          else ignore (Unionfind.union joined i owner.(v))))
+    ids;
+  let node_net = Array.map (fun i -> if i < 0 then None else Some stripes.(i).net) owner in
+  let padded = Array.make n false in
+  Array.iteri
+    (fun i s ->
+      if s.layer_pos = num_layers - 1 && ids.(i) <> [||] then
+        padded.(Unionfind.find joined i) <- true)
+    stripes;
   (* Candidate load nodes: bottom-layer, pad-connected. *)
   let candidates_vdd = ref [] and candidates_vss = ref [] in
   Array.iteri
-    (fun i st ->
-      if st.stripe.layer_pos = 0 then
-        Array.iter
-          (fun (_, name) ->
-            let id = NB.node builder name in
-            if Hashtbl.mem pad_connected (Unionfind.find uf id) then begin
-              match Hashtbl.find_opt node_net name with
-              | Some Vdd -> candidates_vdd := name :: !candidates_vdd
-              | Some Vss -> candidates_vss := name :: !candidates_vss
-              | None -> ()
-            end)
-          stripe_nodes.(i))
-    states;
+    (fun i s ->
+      if s.layer_pos = 0 && padded.(Unionfind.find joined i) then
+        Array.iteri
+          (fun k v ->
+            let c = (v, point i positions.(i).(k)) in
+            match node_net.(v) with
+            | Some Vdd -> candidates_vdd := c :: !candidates_vdd
+            | Some Vss -> candidates_vss := c :: !candidates_vss
+            | None -> ())
+          ids.(i))
+    stripes;
   let place_loads candidates net =
     let all = Array.of_list candidates in
     Rng.shuffle rng all;
@@ -240,34 +197,29 @@ let of_stripes ?(bottom_taps_nm = 0) ?supply_at ~tech ~stripes ~pad_every
     in
     let chosen = Array.sub all 0 (min take (Array.length all)) in
     let points =
-      Array.map
-        (fun name ->
-          match Spice.Ibm_format.decode name with
-          | Some c ->
-            (float_of_int c.Spice.Ibm_format.x *. nm,
-             float_of_int c.Spice.Ibm_format.y *. nm)
-          | None -> (0., 0.))
-        chosen
+      Array.map (fun (_, (x, y)) -> (float_of_int x *. nm, float_of_int y *. nm)) chosen
     in
     let fp = { floorplan with Floorplan.total_current = current_per_net } in
     let weights = Floorplan.sample_weights fp points in
     Array.iteri
-      (fun k name ->
+      (fun k (v, _) ->
         if weights.(k) > 0. then begin
           (match net with
-          | Vdd -> NB.add_current_source builder name "0" weights.(k)
-          | Vss -> NB.add_current_source builder "0" name weights.(k));
+          | Vdd -> add N.Current_source ~pos:v ~neg:ground weights.(k)
+          | Vss -> add N.Current_source ~pos:ground ~neg:v weights.(k));
           incr num_loads
         end)
       chosen
   in
   place_loads !candidates_vdd Vdd;
   place_loads !candidates_vss Vss;
+  let netlist = NB.finish builder in
+  let coords = netlist.N.coords in
   {
-    netlist = NB.finish builder;
+    netlist;
     tech;
     node_net;
-    vdd_supply_of = supply_of_name;
+    vdd_supply_of = (fun v -> supply ~x_nm:coords.((3 * v) + 1) ~y_nm:coords.((3 * v) + 2));
     num_wires = !num_wires;
     num_vias = !num_vias;
     num_pads = !num_pads;
@@ -394,16 +346,6 @@ let estimate_edges spec =
     in
     acc := !acc + (s.(0) * int_of_float (along /. pitch)));
   !acc
-
-let scale_spec spec factor =
-  if factor <= 0. then invalid_arg "Grid_gen.scale_spec";
-  {
-    spec with
-    stripe_counts =
-      Array.map
-        (fun c -> max 2 (int_of_float (Float.round (float_of_int c *. factor))))
-        spec.stripe_counts;
-  }
 
 type ibm_size = Pg1 | Pg2 | Pg3 | Pg6
 

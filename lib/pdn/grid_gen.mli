@@ -5,9 +5,12 @@
     into an IBM-benchmark-style netlist: wire resistors along each stripe
     between crossings, via resistors at same-net crossings of adjacent
     layers, voltage-source pads on the top layer, and floorplan-weighted
-    current loads on pad-connected bottom-layer nodes. Node names follow
-    {!Spice.Ibm_format} with nanometre coordinates, so EM extraction can
-    recover the full geometry from the netlist alone.
+    current loads on pad-connected bottom-layer nodes. Every node is
+    interned by its layer level and nanometre coordinates
+    ({!Spice.Netlist.Builder.node_at}); the deck names it
+    [n<level>_<x>_<y>] ({!Spice.Ibm_format}), so EM extraction can
+    recover the full geometry from the netlist alone. Element names are
+    the builder's automatic ones.
 
     {!generate} builds full-die interleaved Vdd/Vss stripe plans (the
     IBM-benchmark-like workloads of Table II); {!Openpdn} builds
@@ -27,9 +30,10 @@ type stripe = {
 type generated = {
   netlist : Spice.Netlist.t;
   tech : Tech.t;
-  node_net : (string, net) Hashtbl.t; (** net of every geometric node *)
-  vdd_supply_of : string -> float;
-      (** nominal supply of a Vdd-net node (varies across voltage
+  node_net : net option array;
+      (** by node id: the net of every geometric node, [None] for ground *)
+  vdd_supply_of : int -> float;
+      (** nominal supply of a Vdd-net node, by id (varies across voltage
           domains; constant on single-domain grids) *)
   num_wires : int;
   num_vias : int;
@@ -66,7 +70,13 @@ val of_stripes :
     (default: the tech's supply everywhere); Vss pads are always pinned
     to 0 V.
 
-    Raises [Invalid_argument] on empty or degenerate stripe plans. *)
+    Elements come in a fixed order (vias, wires stripe by stripe, pads,
+    Vdd loads, Vss loads) and each interns its second node before its
+    first, as {!Spice.Netlist}'s numbering rule has it: the netlist is
+    the one the deck scanner reads back from its deck.
+
+    Raises [Invalid_argument] on empty or degenerate stripe plans and on
+    negative coordinates. *)
 
 (** {1 Full-die (IBM-like) plans} *)
 
@@ -90,10 +100,6 @@ val generate : spec -> generated
 val estimate_edges : spec -> int
 (** Closed-form resistor-count estimate (wires + vias) of {!generate};
     within a few percent, used to scale workloads to paper sizes. *)
-
-val scale_spec : spec -> float -> spec
-(** Multiply all stripe counts (keeping the die), i.e. densify the grid
-    by [factor]; edge counts scale roughly with [factor^2]. *)
 
 type ibm_size = Pg1 | Pg2 | Pg3 | Pg6
 

@@ -2,7 +2,6 @@ module N = Spice.Netlist
 module Mna = Spice.Mna
 
 type analysis = {
-  solution : Mna.solution;
   worst_vdd_drop : float;
   worst_vss_rise : float;
   worst : float;
@@ -10,28 +9,22 @@ type analysis = {
 }
 
 let analyze (grid : Grid_gen.generated) =
-  let sol = Mna.solve grid.Grid_gen.netlist in
+  let volts = (Mna.solve grid.Grid_gen.netlist).Mna.voltages in
   let worst_vdd = ref 0. and worst_vss = ref 0. in
   let sum = ref 0. and count = ref 0 in
-  Hashtbl.iter
-    (fun name net ->
-      match N.find_node grid.Grid_gen.netlist name with
-      | None -> ()
-      | Some i ->
-        let v = sol.Mna.voltages.(i) in
-        let drop =
-          match net with
-          | Grid_gen.Vdd -> grid.Grid_gen.vdd_supply_of name -. v
-          | Grid_gen.Vss -> v
-        in
-        (match net with
-        | Grid_gen.Vdd -> worst_vdd := Float.max !worst_vdd drop
-        | Grid_gen.Vss -> worst_vss := Float.max !worst_vss drop);
-        sum := !sum +. drop;
-        incr count)
+  let drop worst d =
+    worst := Float.max !worst d;
+    sum := !sum +. d;
+    incr count
+  in
+  Array.iteri
+    (fun v net ->
+      match net with
+      | Some Grid_gen.Vdd -> drop worst_vdd (grid.Grid_gen.vdd_supply_of v -. volts.(v))
+      | Some Grid_gen.Vss -> drop worst_vss volts.(v)
+      | None -> ())
     grid.Grid_gen.node_net;
   {
-    solution = sol;
     worst_vdd_drop = !worst_vdd;
     worst_vss_rise = !worst_vss;
     worst = Float.max !worst_vdd !worst_vss;

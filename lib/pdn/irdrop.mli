@@ -10,7 +10,6 @@
     solve). *)
 
 type analysis = {
-  solution : Spice.Mna.solution;
   worst_vdd_drop : float;  (** V *)
   worst_vss_rise : float;  (** V *)
   worst : float;           (** max of the two *)
@@ -18,6 +17,8 @@ type analysis = {
 }
 
 val analyze : Grid_gen.generated -> analysis
+(** One DC solve; the drops are read over {!Grid_gen.generated.node_net}
+    in node-id order. *)
 
 val scale_loads : Spice.Netlist.t -> float -> Spice.Netlist.t
 (** Multiply every current source by the factor. *)

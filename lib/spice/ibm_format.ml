@@ -1,7 +1,5 @@
 type coords = { layer : int; x : int; y : int }
 
-let encode { layer; x; y } = Printf.sprintf "n%d_%d_%d" layer x y
-
 (* Up to 18 decimal digits always fit an int. *)
 let max_digits = 18
 

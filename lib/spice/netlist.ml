@@ -84,22 +84,17 @@ let rec probe_name slots ends arena s off len k i =
   then i
   else probe_name slots ends arena s off len k (next slots i)
 
-(* The slot of the node named [s.[off .. off + len - 1]], or the empty
-   one where it would go, as [-slot - 1] for a name that is not
-   canonical; a canonical name's coordinates are left in [p]. *)
-let lookup slots coords ends arena p s off len =
-  if Ibm_format.canonical s off len p then
-    let k = coord_key p.(0) p.(1) p.(2) in
-    probe_coords slots coords p.(0) p.(1) p.(2) k (home slots k)
-  else
-    let k = name_key s off len in
-    -1 - probe_name slots ends arena s off len k (home slots k)
-
 let find_node t name =
-  let len = String.length name in
-  let i = lookup t.index t.coords t.node_end t.node_arena [| 0; 0; 0 |] name 0 len in
-  let i = if i < 0 then -1 - i else i in
-  if t.index.(i) = 0 then None else Some (id_at t.index i)
+  let p = [| 0; 0; 0 |] and len = String.length name and slots = t.index in
+  let i =
+    if Ibm_format.canonical name 0 len p then
+      let k = coord_key p.(0) p.(1) p.(2) in
+      probe_coords slots t.coords p.(0) p.(1) p.(2) k (home slots k)
+    else
+      let k = name_key name 0 len in
+      probe_name slots t.node_end t.node_arena name 0 len k (home slots k)
+  in
+  if slots.(i) = 0 then None else Some (id_at slots i)
 
 let rec add_digits buf n =
   if n >= 10 then add_digits buf (n / 10);
@@ -202,23 +197,42 @@ module Builder = struct
     b.slots.(i) <- ((v + 1) lsl 32) lor k;
     v
 
+  let room b =
+    if b.num_nodes = Array.length b.node_end then reserve_nodes b ((2 * b.num_nodes) + 16)
+
+  let coord_node b l x y =
+    room b;
+    let k = coord_key l x y in
+    let i = probe_coords b.slots b.coords l x y k (home b.slots k) in
+    if b.slots.(i) <> 0 then id_at b.slots i else set_slot b i k (add_node b l x y "" 0 0)
+
   let intern b s off len =
     if off < 0 || len <= 0 || off > String.length s - len then
       invalid_arg "Netlist.Builder.intern: empty slice or out of bounds";
-    if b.num_nodes = Array.length b.node_end then reserve_nodes b ((2 * b.num_nodes) + 16);
-    let p = b.parts and arena = Bytes.unsafe_to_string b.node_arena in
-    let i = lookup b.slots b.coords b.node_end arena p s off len in
-    let slot = if i < 0 then -1 - i else i in
-    if b.slots.(slot) <> 0 then id_at b.slots slot
-    else if i >= 0 then
-      set_slot b i (coord_key p.(0) p.(1) p.(2)) (add_node b p.(0) p.(1) p.(2) s off 0)
-    else
-      set_slot b slot (name_key s off len)
-        (match Ibm_format.decode (String.sub s off len) with
-        | Some { Ibm_format.layer; x; y } -> add_node b layer x y s off len
-        | None -> add_node b no_layer 0 0 s off len)
+    let p = b.parts in
+    if Ibm_format.canonical s off len p then coord_node b p.(0) p.(1) p.(2)
+    else begin
+      room b;
+      let k = name_key s off len in
+      let arena = Bytes.unsafe_to_string b.node_arena in
+      let i = probe_name b.slots b.node_end arena s off len k (home b.slots k) in
+      if b.slots.(i) <> 0 then id_at b.slots i
+      else
+        set_slot b i k
+          (match Ibm_format.decode (String.sub s off len) with
+          | Some { Ibm_format.layer; x; y } -> add_node b layer x y s off len
+          | None -> add_node b no_layer 0 0 s off len)
+    end
 
   let node b name = intern b name 0 (String.length name)
+
+  (* What a canonical name's part can hold: 1 to 18 digits. *)
+  let part v = v >= 0 && v < 1_000_000_000_000_000_000
+
+  let node_at b ~layer ~x ~y =
+    if not (part layer && part x && part y) then
+      invalid_arg "Netlist.Builder.node_at: coordinate negative or past 18 digits";
+    coord_node b layer x y
 
   let push b kind s ~off ~len ~pos ~neg value =
     check_open b;
@@ -235,7 +249,12 @@ module Builder = struct
     b.pos.(i) <- pos;
     b.neg.(i) <- neg;
     b.values.(i) <- value;
-    Buffer.add_substring b.arena s off len;
+    if len > 0 then Buffer.add_substring b.arena s off len
+    else begin
+      b.auto_id <- b.auto_id + 1;
+      Buffer.add_char b.arena (code kind);
+      add_digits b.arena b.auto_id
+    end;
     b.name_end.(i) <- Buffer.length b.arena;
     b.num_elements <- i + 1
 
@@ -245,15 +264,8 @@ module Builder = struct
     check_value kind value;
     push b kind s ~off ~len ~pos ~neg value
 
-  let add_named b kind prefix name n1 n2 value =
+  let add_named b kind ?(name = "") n1 n2 value =
     check_value kind value;
-    let name =
-      match name with
-      | Some n -> n
-      | None ->
-        b.auto_id <- b.auto_id + 1;
-        Printf.sprintf "%s%d" prefix b.auto_id
-    in
     (* The second node is interned before the first: node ids feed the
        solver's ordering tie-breaks, and so the last bits of every
        result, and the deck scanner numbers nodes the same way. *)
@@ -261,11 +273,11 @@ module Builder = struct
     let pos = node b n1 in
     push b kind name ~off:0 ~len:(String.length name) ~pos ~neg value
 
-  let add_resistor b ?name n1 n2 ohms = add_named b Resistor "R" name n1 n2 ohms
+  let add_resistor b ?name n1 n2 ohms = add_named b Resistor ?name n1 n2 ohms
 
-  let add_current_source b ?name n1 n2 amps = add_named b Current_source "I" name n1 n2 amps
+  let add_current_source b ?name n1 n2 amps = add_named b Current_source ?name n1 n2 amps
 
-  let add_voltage_source b ?name n1 n2 volts = add_named b Voltage_source "V" name n1 n2 volts
+  let add_voltage_source b ?name n1 n2 volts = add_named b Voltage_source ?name n1 n2 volts
 
   let num_nodes b = b.num_nodes
 

@@ -86,16 +86,26 @@ module Builder : sig
       another only when it is new. Raises [Invalid_argument] when the
       slice is empty or not inside [s]. *)
 
+  val node_at : t -> layer:int -> x:int -> y:int -> int
+  (** {!node} of the canonical name [n<layer>_<x>_<y>], from its
+      coordinates: no name is formatted or read. Raises
+      [Invalid_argument] when a coordinate is negative or longer than 18
+      digits (a name {!Ibm_format.canonical} does not accept). *)
+
   val add :
     t -> kind -> string -> off:int -> len:int -> pos:int -> neg:int -> float -> unit
-  (** An element named [s.[off .. off + len - 1]] between interned nodes.
-      Raises [Invalid_argument] when [pos] or [neg] is not an interned
-      node id, on a negative resistance, or when the slice is not inside
-      [s]. *)
+  (** An element named [s.[off .. off + len - 1]] between interned nodes;
+      an empty name ([len = 0]) takes the next automatic one, [R<n>],
+      [I<n>] or [V<n>] by kind, [n] counting the builder's unnamed
+      elements from 1. Raises [Invalid_argument] when [pos] or [neg] is
+      not an interned node id, on a negative resistance, or when the
+      slice is not inside [s]. *)
 
   val add_resistor : t -> ?name:string -> string -> string -> float -> unit
-  (** [add_resistor b n1 n2 ohms]; negative resistance is rejected, zero
-      is allowed (short, merged during analysis). *)
+  (** [add_resistor b n1 n2 ohms]: {!add} between [node b n1] and
+      [node b n2], [n2] interned first; without [name] (or with [""]) the
+      element is named automatically. Negative resistance is rejected,
+      zero is allowed (short, merged during analysis). *)
 
   val add_current_source : t -> ?name:string -> string -> string -> float -> unit
 

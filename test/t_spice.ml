@@ -755,8 +755,15 @@ let prop_canonical_names_match_strings seed =
 (* IBM format                                                        *)
 
 let test_ibm_codec () =
-  let c = { Ibm.layer = 3; x = 1500; y = 280000 } in
-  Alcotest.(check string) "encode" "n3_1500_280000" (Ibm.encode c);
+  let b = N.Builder.create () in
+  let v = N.Builder.node_at b ~layer:3 ~x:1500 ~y:280000 in
+  Alcotest.(check int) "interned once" v (N.Builder.node b "n3_1500_280000");
+  check_raises_invalid "negative coordinate" (fun () ->
+      ignore (N.Builder.node_at b ~layer:3 ~x:(-1) ~y:0));
+  N.Builder.add b N.Resistor "" ~off:0 ~len:0 ~pos:v ~neg:(N.Builder.node b "0") 1.;
+  let net = N.Builder.finish b in
+  Alcotest.(check string) "node_name" "n3_1500_280000" (N.node_name net v);
+  Alcotest.(check string) "automatic element name" "R1" (N.element_name net 0);
   (match Ibm.decode "n3_1500_280000" with
   | Some c' ->
     Alcotest.(check int) "layer" 3 c'.Ibm.layer;
