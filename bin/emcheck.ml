@@ -4,13 +4,13 @@
      analyze   parse a SPICE netlist, solve the DC operating point,
                extract per-layer structures and report immortality
      explain   one structure's audited margin and critical Blech path
-     stats     the analysis with span and hot-path tables
      wire      check a single multi-segment wire given on the command line
      verify    check the DC solver against a golden solution file
      material  print the material model and derived constants
 
-   analyze, explain and stats run the deck -> verdict stages through
-   Em_flow.run_deck and differ only in what they print.
+   analyze and explain run the same deck -> verdict stages
+   (Em_flow.load_deck, then Em_flow.analyze_deck) and differ only in
+   what they print.
 
    The netlist analysis assumes IBM-benchmark node naming
    (n<layer>_<x>_<y> with nm coordinates) and takes wire geometry from
@@ -73,7 +73,7 @@ let jobs_arg =
            and analysis on every core.")
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry plumbing shared by analyze and stats                      *)
+(* Telemetry plumbing (emcheck analyze)                                *)
 
 let trace_arg =
   Arg.(
@@ -85,48 +85,6 @@ let trace_arg =
            per-structure spans, worker lanes) and write it to $(docv) in \
            Chrome trace-event JSON; open it in Perfetto \
            (https://ui.perfetto.dev) or chrome://tracing.")
-
-let log_level_arg =
-  let levels =
-    [ ("debug", Obs.Log.Debug); ("info", Obs.Log.Info);
-      ("warn", Obs.Log.Warn); ("error", Obs.Log.Error) ]
-  in
-  Arg.(
-    value
-    & opt (some (enum levels)) None
-    & info [ "log-level" ] ~docv:"LEVEL"
-        ~doc:
-          "Print structured log records at $(docv) and above \
-           ($(b,debug), $(b,info), $(b,warn), $(b,error)) to standard \
-           error, correlated with the trace span open at each call.")
-
-let log_json_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "log-json" ] ~docv:"FILE"
-        ~doc:
-          "Also write the structured log as JSON lines to $(docv) \
-           (records filtered by $(b,--log-level), default info).")
-
-(* Install the structured-log sink requested by --log-level/--log-json;
-   returns a closer that uninstalls it and closes the JSON file. *)
-let start_logging ~log_level ~log_json =
-  match (log_level, log_json) with
-  | None, None -> fun () -> ()
-  | _ ->
-    let json_oc = Option.map open_out log_json in
-    let sink =
-      Obs.Log.create
-        ?min_level:log_level
-        ?text:(Option.map (fun _ -> Obs.Log.Channel stderr) log_level)
-        ?json:(Option.map (fun oc -> Obs.Log.Channel oc) json_oc)
-        ()
-    in
-    Obs.Log.enable sink;
-    fun () ->
-      Obs.Log.disable ();
-      Option.iter close_out_noerr json_oc
 
 let flight_dump_arg =
   Arg.(
@@ -227,8 +185,21 @@ let audit_config_of ~audit ~audit_tol ~strict_audit ~audit_top =
       }
   end
 
+(* Checked before the deck is read, like the audit options. *)
+let variation_spec_of ~variation ~mc_samples ~mc_seed =
+  if not variation then None
+  else begin
+    if mc_samples < 1 then failwith "--samples: expected at least 1 sample";
+    Some
+      {
+        Emflow.Variation.default_spec with
+        Emflow.Variation.samples = mc_samples;
+        seed = Int64.of_int mc_seed;
+      }
+  end
+
 (* ------------------------------------------------------------------ *)
-(* Profile plumbing (emcheck analyze/stats --profile)                  *)
+(* Profile plumbing (emcheck analyze --profile)                        *)
 
 let profile_arg =
   Arg.(
@@ -236,22 +207,12 @@ let profile_arg =
     & opt (some string) None
     & info [ "profile" ] ~docv:"FILE"
         ~doc:
-          "Write the run's exact span profile to $(docv): every span's \
-           self-time (its duration minus its direct children's) summed \
-           per lane and span path, in microseconds — speedscope JSON by \
-           default (https://www.speedscope.app), or folded stacks for \
-           flamegraph.pl with $(b,--profile-format folded). Implies span \
-           tracing for the run even without $(b,--trace).")
-
-let profile_format_arg =
-  let formats = [ ("speedscope", `Speedscope); ("folded", `Folded) ] in
-  Arg.(
-    value
-    & opt (enum formats) `Speedscope
-    & info [ "profile-format" ] ~docv:"FORMAT"
-        ~doc:
-          "Profile output format: $(b,speedscope) (JSON, one lane per \
-           domain) or $(b,folded) (flamegraph.pl folded stacks).")
+          "Write the run's exact span profile to $(docv) as folded \
+           stacks: every span's self-time (its duration minus its direct \
+           children's) summed per lane and span path, in microseconds. \
+           flamegraph.pl renders the file and https://www.speedscope.app \
+           imports it. Implies span tracing for the run even without \
+           $(b,--trace).")
 
 (* Install the requested sinks; returns the trace buffer the caller
    exports once the run is over. --profile implies a trace: the profile
@@ -264,27 +225,19 @@ let start_telemetry ~trace_path ~profile_path =
   end
   else None
 
-let write_file path contents =
-  Out_channel.with_open_text path (fun oc -> output_string oc contents)
-
-let export_profile ~profile_path ~profile_format trace =
+let export_profile ~profile_path trace =
   match (profile_path, trace) with
   | Some out, Some t ->
-    let track_names = Obs.Trace.track_names t in
-    let stacks = Obs.Profile.stacks t in
-    write_file out
-      (match profile_format with
-      | `Folded -> Obs.Profile.to_folded ~track_names stacks
-      | `Speedscope ->
-        Obs.Profile.to_speedscope ~name:(Filename.basename out) ~track_names
-          stacks);
-    Printf.printf "Profile (%d spans, %.3fs span wall) written to %s%s\n"
+    Out_channel.with_open_text out (fun oc ->
+        output_string oc
+          (Obs.Profile.to_folded ~track_names:(Obs.Trace.track_names t)
+             (Obs.Profile.stacks t)));
+    Printf.printf
+      "Profile (%d spans, %.3fs span wall) written to %s; render with \
+       flamegraph.pl\n"
       (Obs.Trace.num_events t)
       (Obs.Profile.span_wall_us t /. 1e6)
       out
-      (match profile_format with
-      | `Speedscope -> "; open in https://www.speedscope.app"
-      | `Folded -> "; render with flamegraph.pl")
   | _ -> ()
 
 let export_telemetry ~trace_path trace =
@@ -296,39 +249,6 @@ let export_telemetry ~trace_path trace =
                    https://ui.perfetto.dev\n"
       (Obs.Trace.num_events t) out
   | _ -> ()
-
-(* Top-K hot-path table: exact self-time attribution from the completed
-   spans. *)
-let print_hot_paths ~top trace =
-  match Obs.Profile.attribute trace with
-  | [] -> ()
-  | paths ->
-    let wall_us = Obs.Profile.span_wall_us trace in
-    let table =
-      Rp.create
-        [ "hot path"; "count"; "self ms"; "total ms"; "% wall";
-          "self alloc Mw" ]
-    in
-    List.iteri
-      (fun i (h : Obs.Profile.hot_path) ->
-        if i < top then
-          Rp.add_row table
-            [
-              Obs.Profile.path_to_string h.Obs.Profile.hp_path;
-              Rp.int_cell h.Obs.Profile.hp_count;
-              Printf.sprintf "%.3f" (h.Obs.Profile.hp_self_us /. 1e3);
-              Printf.sprintf "%.3f" (h.Obs.Profile.hp_total_us /. 1e3);
-              (if wall_us > 0. then
-                 Printf.sprintf "%.1f"
-                   (100. *. h.Obs.Profile.hp_self_us /. wall_us)
-               else "-");
-              Printf.sprintf "%.2f" (h.Obs.Profile.hp_self_alloc_words /. 1e6);
-            ])
-      paths;
-    Printf.printf "\nHot paths (top %d of %d by self-time):\n"
-      (min top (List.length paths))
-      (List.length paths);
-    Rp.print table
 
 (* ------------------------------------------------------------------ *)
 (* analyze                                                             *)
@@ -364,10 +284,10 @@ let print_deck path (d : Flow.deck) =
 
 let analyze_netlist path tech sigma_t temperature with_maxpath top fix
     json_path html_path keep_going strict max_errors trace_path profile_path
-    profile_format jobs variation mc_samples mc_seed audit audit_tol
-    strict_audit audit_top =
+    jobs variation mc_samples mc_seed audit audit_tol strict_audit audit_top =
   let material = material_of ~sigma_t ~temperature in
   let audit_cfg = audit_config_of ~audit ~audit_tol ~strict_audit ~audit_top in
+  let mc_spec = variation_spec_of ~variation ~mc_samples ~mc_seed in
   let trace = start_telemetry ~trace_path ~profile_path in
   (* The deck is shown before the solve, so a refused solve still
      reports what was read. *)
@@ -456,14 +376,9 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
      itself, and keeping the input order makes its diagnostics index
      the same structures as the flow's. *)
   let variation_result =
-    if not variation then None
-    else begin
-      let spec =
-        { Emflow.Variation.default_spec with
-          Emflow.Variation.samples = mc_samples;
-          seed = Int64.of_int mc_seed;
-        }
-      in
+    match mc_spec with
+    | None -> None
+    | Some spec ->
       (* CPU time and allocation of every domain the engine runs on, so
          the header says where the phase's time and memory went. *)
       let cpu0 = Sys.time () and a0 = Obs.Alloc.process () in
@@ -477,7 +392,6 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
         (Format.asprintf "%a" Emflow.Pipeline.pp_words words);
       Rp.print (Emflow.Variation.to_table vr.Emflow.Variation.stats);
       Some vr
-    end
   in
   let variation_diags =
     match variation_result with
@@ -528,7 +442,7 @@ let analyze_netlist path tech sigma_t temperature with_maxpath top fix
         Emflow.Json_out.to_channel oc doc);
     Printf.printf "JSON report written to %s\n" out);
   export_telemetry ~trace_path trace;
-  export_profile ~profile_path ~profile_format trace;
+  export_profile ~profile_path trace;
   if diags <> [] then begin
     Format.printf "Diagnostics (%a):@." Dg.pp_summary diags;
     List.iter (fun d -> Format.printf "  %a@." Dg.pp d) diags
@@ -634,10 +548,8 @@ let analyze_cmd =
       ret
         (const (fun path tech sigma_t temperature with_maxpath top fix json
                     html keep_going strict max_errors trace_path
-                    profile_path profile_format jobs variation mc_samples
-                    mc_seed audit audit_tol strict_audit audit_top
-                    log_level log_json flight_dump ->
-             let finish_log = start_logging ~log_level ~log_json in
+                    profile_path jobs variation mc_samples mc_seed audit
+                    audit_tol strict_audit audit_top flight_dump ->
              (* The flight recorder is always armed during analyze; its
                 ring surfaces on stderr on failure and is archived to
                 --flight-dump on any exit. *)
@@ -657,8 +569,8 @@ let analyze_cmd =
                match
                  analyze_netlist path tech sigma_t temperature with_maxpath
                    top fix json html keep_going strict max_errors trace_path
-                   profile_path profile_format jobs variation mc_samples
-                   mc_seed audit audit_tol strict_audit audit_top
+                   profile_path jobs variation mc_samples mc_seed audit
+                   audit_tol strict_audit audit_top
                with
                | `Ok n ->
                  if n <> 0 then dump_flight ~flight_dump ()
@@ -676,14 +588,12 @@ let analyze_cmd =
                  | None -> raise e)
              in
              Obs.Flight.set_enabled false;
-             finish_log ();
              r)
         $ path $ tech_arg $ sigma_t_arg $ temperature_arg $ with_maxpath $ top
         $ fix $ json_path $ html_path $ keep_going $ strict $ max_errors
-        $ trace_arg $ profile_arg $ profile_format_arg $ jobs_arg
-        $ variation $ mc_samples $ mc_seed $ audit_arg $ audit_tol_arg
-        $ strict_audit_arg $ audit_top_arg $ log_level_arg
-        $ log_json_arg $ flight_dump_arg))
+        $ trace_arg $ profile_arg $ jobs_arg $ variation $ mc_samples
+        $ mc_seed $ audit_arg $ audit_tol_arg $ strict_audit_arg
+        $ audit_top_arg $ flight_dump_arg))
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -863,101 +773,6 @@ let explain_cmd =
     term
 
 (* ------------------------------------------------------------------ *)
-(* stats                                                               *)
-
-(* Run the full pipeline with tracing forced on and print the span and
-   hot-path rollups as tables (each bounded to --top rows) — the
-   terminal-only view of what --trace / --profile export for external
-   tools. *)
-let stats_netlist path tech sigma_t temperature jobs top trace_path
-    profile_path profile_format =
-  if top < 1 then invalid_arg "stats: --top must be at least 1";
-  let material = material_of ~sigma_t ~temperature in
-  let trace = Obs.Trace.create () in
-  Obs.Trace.enable trace;
-  let _, v = Flow.run_deck ~material ?jobs ~tech path in
-  Format.printf "%a@.@." Flow.pp_summary v.Flow.result;
-  let bounded name xs =
-    let n = List.length xs in
-    if n > top then Printf.printf "%s (top %d of %d):\n" name top n
-    else Printf.printf "%s:\n" name;
-    List.filteri (fun i _ -> i < top) xs
-  in
-  (* The deck's own stages are spans, so neither table is ever empty. *)
-  let span_table =
-    Rp.create
-      [ "span"; "count"; "total ms"; "max ms"; "alloc Mw"; "minor/major GCs";
-        "errors" ]
-  in
-  (* Busiest spans first so the --top cut keeps the interesting rows. *)
-  Obs.Trace.aggregate trace
-  |> List.sort (fun (a : Obs.Trace.agg) (b : Obs.Trace.agg) ->
-         Float.compare b.Obs.Trace.total_us a.Obs.Trace.total_us)
-  |> bounded "Span summary"
-  |> List.iter (fun (a : Obs.Trace.agg) ->
-         Rp.add_row span_table
-           [
-             a.Obs.Trace.agg_name;
-             Rp.int_cell a.Obs.Trace.count;
-             Printf.sprintf "%.3f" (a.Obs.Trace.total_us /. 1e3);
-             Printf.sprintf "%.3f" (a.Obs.Trace.max_us /. 1e3);
-             Printf.sprintf "%.2f" (a.Obs.Trace.total_allocated_words /. 1e6);
-             Printf.sprintf "%d/%d" a.Obs.Trace.total_minor_collections
-               a.Obs.Trace.total_major_collections;
-             Rp.int_cell a.Obs.Trace.errors;
-           ]);
-  Rp.print span_table;
-  print_hot_paths ~top trace;
-  export_telemetry ~trace_path (Some trace);
-  export_profile ~profile_path ~profile_format (Some trace);
-  (* stats forced tracing on; don't leak that past the command. *)
-  Obs.Trace.disable ();
-  `Ok 0
-
-let stats_cmd =
-  let path =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"NETLIST" ~doc:"SPICE power-grid netlist to profile.")
-  in
-  let top =
-    Arg.(
-      value & opt int 20
-      & info [ "top" ] ~docv:"N"
-          ~doc:
-            "Bound each table (span summary, hot paths) to its $(docv) most \
-             significant rows (default 20).")
-  in
-  let term =
-    Term.(
-      ret
-        (const (fun path tech sigma_t temperature jobs top trace_path
-                    profile_path profile_format log_level log_json ->
-             let finish_log = start_logging ~log_level ~log_json in
-             let r =
-               match
-                 stats_netlist path tech sigma_t temperature jobs top
-                   trace_path profile_path profile_format
-               with
-               | `Ok n -> `Ok n
-               | exception e -> (
-                 match error_of_exn ~path e with
-                 | Some (`Refused msg | `Failed msg) -> `Error (false, msg)
-                 | None -> raise e)
-             in
-             finish_log ();
-             r)
-        $ path $ tech_arg $ sigma_t_arg $ temperature_arg $ jobs_arg $ top
-        $ trace_arg $ profile_arg $ profile_format_arg
-        $ log_level_arg $ log_json_arg))
-  in
-  Cmd.v
-    (Cmd.info "stats"
-       ~doc:"Profile a netlist analysis: span and hot-path summary tables")
-    term
-
-(* ------------------------------------------------------------------ *)
 (* wire                                                                *)
 
 let check_wire segments sigma_t temperature =
@@ -1087,6 +902,5 @@ let () =
     (Cmd.eval'
        (Cmd.group info
           [
-            analyze_cmd; explain_cmd; stats_cmd;
-            wire_cmd; verify_cmd; material_cmd;
+            analyze_cmd; explain_cmd; wire_cmd; verify_cmd; material_cmd;
           ]))

@@ -96,20 +96,6 @@ let of_stages stages = List (Stdlib.List.map of_stage stages)
 (* -------------------------------------------------------------------- *)
 (* Telemetry                                                            *)
 
-let of_trace_summary trace =
-  List
-    (Stdlib.List.map
-       (fun (a : Obs.Trace.agg) ->
-         Obj
-           [
-             ("name", String a.Obs.Trace.agg_name);
-             ("count", Int a.Obs.Trace.count);
-             ("total_us", Float a.Obs.Trace.total_us);
-             ("max_us", Float a.Obs.Trace.max_us);
-             ("errors", Int a.Obs.Trace.errors);
-           ])
-       (Obs.Trace.aggregate trace))
-
 let of_hot_path (h : Obs.Profile.hot_path) =
   Obj
     [
@@ -131,7 +117,6 @@ let of_telemetry ?(top = 20) trace =
     [
       ("spans", Int (Obs.Trace.num_events trace));
       ("dropped_spans", Int (Obs.Trace.dropped_spans trace));
-      ("span_summary", of_trace_summary trace);
       ("span_wall_us", Float (Obs.Profile.span_wall_us trace));
       ("hot_paths", of_hot_paths (take top (Obs.Profile.attribute trace)));
     ]

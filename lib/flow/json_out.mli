@@ -28,12 +28,11 @@ val of_stages : Pipeline.stage list -> t
     stage body raised). *)
 
 val of_telemetry : ?top:int -> Obs.Trace.t -> t
-(** A trace's span count (and drops), per-name rollups
-    ({!Obs.Trace.aggregate}), root wall time, and the top [top]
-    (default 20) hot paths by exact self-time ([path] as an array of
-    span names, count, total/self microseconds, allocation) — embedded
-    in analyze reports so one JSON file carries results and run
-    telemetry. *)
+(** A trace's span count (and drops), root wall time, and the top
+    [top] (default 20) hot paths by exact self-time ([path] as an array
+    of span names, count, total/self microseconds, allocation) —
+    embedded in analyze reports so one JSON file carries results and
+    run telemetry. *)
 
 val of_audit_report : tol:float -> Em_core.Audit.t option array -> t
 (** The ["audit"] object of an audited analyze report: run-level

@@ -1,13 +1,15 @@
 (** Crash flight recorder: a fixed-size ring buffer of recent
     observability events per domain.
 
-    When enabled, {!Log} pushes every log record (regardless of the
-    sink's level filter) and {!Trace.with_span} pushes every completed
-    span into the calling domain's ring — even when no log sink or
-    trace buffer is installed. Each ring holds the last {!capacity}
-    events; older ones are overwritten. On a failure (an analysis
-    raising, a non-zero exit) the accumulated rings are dumped, so a
-    fault-isolated error arrives with the events that led up to it.
+    When enabled, every {!Log} record (at every level) and every span
+    {!Trace.with_span} completes land in the calling domain's ring,
+    traced or not; the ring is the log's only destination. [emcheck
+    analyze] arms it on every run, so records are formatted on every
+    run. Each ring holds the last {!capacity} events; older ones are
+    overwritten. On a failure (an analysis raising, a non-zero exit)
+    the accumulated rings are dumped, so a fault-isolated error
+    arrives with the events that led up to it; [--flight-dump] writes
+    them as JSON lines on any exit.
 
     Concurrency: each ring has a single writer (its owning domain) and
     is published through atomics, so recording is lock-free; only ring

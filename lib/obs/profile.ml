@@ -2,7 +2,7 @@
    self = duration - sum of direct children, which telescopes so the
    self-times of a trace sum to exactly the durations of its roots.
    [attribute] groups spans by name path; [stacks] by (lane, path) for
-   the folded and speedscope exports. *)
+   the folded export. *)
 
 type hot_path = {
   hp_path : string list;
@@ -123,10 +123,8 @@ let attribute t =
          | 0 -> compare a.hp_path b.hp_path
          | c -> c)
 
-let path_to_string path = String.concat ";" path
-
 (* ------------------------------------------------------------------ *)
-(* Per-lane stacks and their exports                                   *)
+(* Per-lane stacks and the folded export                              *)
 
 let stacks t =
   let tbl = Hashtbl.create 64 in
@@ -158,73 +156,4 @@ let to_folded ?(track_names = []) stacks =
         Buffer.add_string buf (Printf.sprintf " %.0f\n" us)
       end)
     (List.sort compare stacks);
-  Buffer.contents buf
-
-(* One "sampled" profile per lane; frames are shared across profiles
-   and indexed in first-appearance order over the sorted stacks. *)
-let to_speedscope ?(name = "emcheck profile") ?(track_names = []) stacks =
-  let stacks = List.sort compare stacks in
-  let frames = Hashtbl.create 64 in
-  let rev_frame_names = ref [] in
-  let frame_idx fname =
-    match Hashtbl.find_opt frames fname with
-    | Some i -> i
-    | None ->
-      let i = Hashtbl.length frames in
-      Hashtbl.add frames fname i;
-      rev_frame_names := fname :: !rev_frame_names;
-      i
-  in
-  let per_lane =
-    List.sort_uniq compare (List.map (fun s -> s.sk_track) stacks)
-    |> List.map (fun track ->
-           ( lane_name track_names track,
-             List.filter_map
-               (fun s ->
-                 if s.sk_track = track then
-                   Some (List.map frame_idx s.sk_path, s.sk_self_us)
-                 else None)
-               stacks ))
-  in
-  let buf = Buffer.create 4096 in
-  let add_list add xs =
-    List.iteri
-      (fun i x ->
-        if i > 0 then Buffer.add_char buf ',';
-        add x)
-      xs
-  in
-  Buffer.add_string buf
-    "{\"$schema\":\"https://www.speedscope.app/file-format-schema.json\",\
-     \"exporter\":\"emcheck\",\"name\":";
-  Jsonx.add_string buf name;
-  Buffer.add_string buf ",\"activeProfileIndex\":0,\"shared\":{\"frames\":[";
-  add_list
-    (fun fname ->
-      Buffer.add_string buf "{\"name\":";
-      Jsonx.add_string buf fname;
-      Buffer.add_char buf '}')
-    (List.rev !rev_frame_names);
-  Buffer.add_string buf "]},\"profiles\":[";
-  let add_profile (lane, weighted) =
-    Buffer.add_string buf "{\"type\":\"sampled\",\"name\":";
-    Jsonx.add_string buf lane;
-    Buffer.add_string buf
-      ",\"unit\":\"microseconds\",\"startValue\":0,\"endValue\":";
-    Jsonx.add_float buf (List.fold_left (fun acc (_, w) -> acc +. w) 0. weighted);
-    Buffer.add_string buf ",\"samples\":[";
-    add_list
-      (fun (stack, _) ->
-        Buffer.add_char buf '[';
-        add_list (fun i -> Buffer.add_string buf (string_of_int i)) stack;
-        Buffer.add_char buf ']')
-      weighted;
-    Buffer.add_string buf "],\"weights\":[";
-    add_list (fun (_, w) -> Jsonx.add_float buf w) weighted;
-    Buffer.add_string buf "]}"
-  in
-  (* Speedscope requires at least one profile; an empty trace exports
-     one empty lane rather than an unloadable file. *)
-  add_list add_profile (if per_lane = [] then [ ("main", []) ] else per_lane);
-  Buffer.add_string buf "]}";
   Buffer.contents buf

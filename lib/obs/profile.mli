@@ -12,11 +12,10 @@
 
     {ul
     {- {!attribute}: per span-name path (lanes merged), self vs total
-       time and allocation — the hot-path table and the report's
-       [telemetry.hot_paths];}
-    {- {!stacks}: self-time per (lane, path), exported as
-       [flamegraph.pl] folded stacks ({!to_folded}) or speedscope JSON
-       ({!to_speedscope}).}}
+       time and allocation — the report's [telemetry.hot_paths];}
+    {- {!stacks}: self-time per (lane, path), exported as folded
+       stacks ({!to_folded}), which [flamegraph.pl] renders and
+       speedscope imports.}}
 
     Both read only the trace, so profiling costs nothing beyond
     tracing the run. *)
@@ -42,9 +41,6 @@ val span_wall_us : Trace.t -> float
     "% of wall"; equals Σ self-time over all spans up to float
     rounding. *)
 
-val path_to_string : string list -> string
-(** [";"]-joined rendering used by tables and reports. *)
-
 (** {1 Per-lane profile} *)
 
 type stack = {
@@ -65,12 +61,3 @@ val to_folded : ?track_names:(int * string) list -> stack list -> string
     lines total the rounded sum of all self-times. A line that would
     read 0 is left out. Lanes use [track_names] (e.g.
     {!Trace.track_names}) and fall back to [track-N]. *)
-
-val to_speedscope :
-  ?name:string -> ?track_names:(int * string) list -> stack list -> string
-(** The stacks as a speedscope JSON document
-    ({:https://www.speedscope.app}): shared frame table plus one
-    ["sampled"] profile per lane whose weights are the self-times, in
-    ["microseconds"]. Always emits at least one profile so the file
-    loads even for an empty trace. Strings are escaped/sanitized via
-    {!Jsonx}. *)

@@ -102,21 +102,6 @@ let with_enabled t f =
 let stack_key : int list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
-let current_span_id () =
-  match Atomic.get state with
-  | None -> None
-  | Some _ -> begin
-    match !(Domain.DLS.get stack_key) with
-    | [] -> None
-    | id :: _ -> Some id
-  end
-
-(* [Log] installs the real warner at initialization ([Trace] is below
-   [Log] in the module order, so it cannot call it directly). *)
-let drop_warner : (int -> unit) ref = ref (fun _capacity -> ())
-
-let set_drop_warner f = drop_warner := f
-
 let record t e =
   Mutex.lock t.mutex;
   if t.n_events >= t.buf_capacity then begin
@@ -124,7 +109,10 @@ let record t e =
     let first = not t.drop_warned in
     t.drop_warned <- true;
     Mutex.unlock t.mutex;
-    if first then !drop_warner t.buf_capacity
+    if first then
+      Flight.record ~track:(track ()) ~kind:"log" ~level:"warn"
+        ~name:"trace span buffer full; dropping further spans"
+        [ ("capacity", string_of_int t.buf_capacity) ]
   end
   else begin
     t.rev_events <- e :: t.rev_events;
@@ -241,61 +229,6 @@ let allocated_words e =
   (* Words promoted out of the minor heap would otherwise be counted
      twice: once as minor allocation, once as major. *)
   e.gc_minor_words +. e.gc_major_words -. e.gc_promoted_words
-
-type agg = {
-  agg_name : string;
-  count : int;
-  total_us : float;
-  max_us : float;
-  errors : int;
-  total_minor_words : float;
-  total_major_words : float;
-  total_allocated_words : float;
-  total_minor_collections : int;
-  total_major_collections : int;
-}
-
-let aggregate t =
-  let tbl = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun e ->
-      let a =
-        match Hashtbl.find_opt tbl e.name with
-        | Some a -> a
-        | None ->
-          order := e.name :: !order;
-          {
-            agg_name = e.name;
-            count = 0;
-            total_us = 0.;
-            max_us = 0.;
-            errors = 0;
-            total_minor_words = 0.;
-            total_major_words = 0.;
-            total_allocated_words = 0.;
-            total_minor_collections = 0;
-            total_major_collections = 0;
-          }
-      in
-      Hashtbl.replace tbl e.name
-        {
-          a with
-          count = a.count + 1;
-          total_us = a.total_us +. e.dur_us;
-          max_us = Float.max a.max_us e.dur_us;
-          errors = (a.errors + (if e.error then 1 else 0));
-          total_minor_words = a.total_minor_words +. e.gc_minor_words;
-          total_major_words = a.total_major_words +. e.gc_major_words;
-          total_allocated_words = a.total_allocated_words +. allocated_words e;
-          total_minor_collections =
-            a.total_minor_collections + e.gc_minor_collections;
-          total_major_collections =
-            a.total_major_collections + e.gc_major_collections;
-        })
-    (events t);
-  List.rev_map (Hashtbl.find tbl) !order
-  |> List.sort (fun a b -> Float.compare b.total_us a.total_us)
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event export (JSON emission via Jsonx: escaped and

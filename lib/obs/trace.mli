@@ -9,7 +9,7 @@
     lanes in a trace viewer. The exporter writes the Chrome trace-event JSON format,
     loadable in Perfetto ({:https://ui.perfetto.dev}) or
     [chrome://tracing]. {!Profile} derives exact per-path self-times
-    and the folded/speedscope profiles from the same buffer.
+    and the folded-stack profile from the same buffer.
 
     Tracing is off by default and gated by one global flag: with no
     trace installed, {!with_span} costs a single atomic load and branch
@@ -56,10 +56,10 @@ type t
 val create : ?capacity:int -> unit -> t
 (** [capacity] bounds the completed-span buffer (default 1,000,000 — a
     few hundred MB of events at most). Once full, further spans are
-    {e dropped}, counted in {!dropped_spans}, with one {!Log} warning
-    the first time; timing and nesting keep working (a kept span whose
-    parent was dropped counts as a root in {!Profile}). Raises
-    [Invalid_argument] when [capacity < 1]. *)
+    {e dropped}, counted in {!dropped_spans}, with one [warn] event on
+    the {!Flight} ring the first time; timing and nesting keep working
+    (a kept span whose parent was dropped counts as a root in
+    {!Profile}). Raises [Invalid_argument] when [capacity < 1]. *)
 
 val capacity : t -> int
 
@@ -99,10 +99,6 @@ val with_span :
     When tracing and the flight recorder are both disabled this is
     [f ()] plus two flag loads. *)
 
-val current_span_id : unit -> int option
-(** The innermost open span on the calling domain, when tracing is
-    enabled — what {!Log} stamps log records with for correlation. *)
-
 val track : unit -> int
 (** The calling domain's track (lane) id: its worker slot [w >= 1]
     after {!set_worker_lane}, otherwise minus its [Domain.self] id, so
@@ -120,12 +116,6 @@ val name_track : string -> unit
 (** Label the calling domain's track in the exported trace (e.g.
     ["worker-3"]). First call wins; no-op when tracing is disabled. *)
 
-val set_drop_warner : (int -> unit) -> unit
-(** Install the callback invoked (with the buffer capacity) the first
-    time a trace buffer drops a span. {!Log} installs one at
-    initialization that emits a [warn] record; not for application
-    use. *)
-
 (** {1 Inspection} *)
 
 val events : t -> event list
@@ -134,23 +124,6 @@ val events : t -> event list
 val num_events : t -> int
 
 val track_names : t -> (int * string) list
-
-type agg = {
-  agg_name : string;
-  count : int;
-  total_us : float;
-  max_us : float;
-  errors : int;
-  total_minor_words : float;
-  total_major_words : float;
-  total_allocated_words : float;  (** minor + major - promoted *)
-  total_minor_collections : int;
-  total_major_collections : int;
-}
-
-val aggregate : t -> agg list
-(** Per-span-name totals (time and GC), ordered by descending
-    [total_us]. *)
 
 (** {1 Export} *)
 

@@ -409,9 +409,13 @@ let pp_stats ppf t =
 
 external format_float : string -> float -> string = "caml_format_float"
 
-(* Values as [%.10g] prints them. *)
-let to_string t =
-  let buf = Buffer.create (64 + (56 * num_elements t)) in
+(* Values as [%.10g] prints them. The deck goes through one chunk
+   buffer that [emit] drains whenever it fills, so a writer never holds
+   more than a chunk of the formatted deck. *)
+let chunk = 65536
+
+let format emit t =
+  let buf = Buffer.create (2 * chunk) in
   Buffer.add_string buf ("* " ^ t.title ^ "\n");
   for e = 0 to num_elements t - 1 do
     let st = start t.name_end e in
@@ -422,9 +426,18 @@ let to_string t =
     add_node_name buf t t.neg.(e);
     Buffer.add_char buf ' ';
     Buffer.add_string buf (format_float "%.10g" t.values.(e));
-    Buffer.add_char buf '\n'
+    Buffer.add_char buf '\n';
+    if Buffer.length buf >= chunk then begin
+      emit buf;
+      Buffer.clear buf
+    end
   done;
   Buffer.add_string buf ".op\n.end\n";
-  Buffer.contents buf
+  emit buf
 
-let output oc t = output_string oc (to_string t)
+let to_string t =
+  let out = Buffer.create (64 + (56 * num_elements t)) in
+  format (Buffer.add_buffer out) t;
+  Buffer.contents out
+
+let output oc t = format (Buffer.output_buffer oc) t

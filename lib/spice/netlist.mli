@@ -147,6 +147,8 @@ val pp_stats : Format.formatter -> t -> unit
 val output : out_channel -> t -> unit
 (** Write in IBM-power-grid-benchmark SPICE style ([.op] / [.end]
     trailer), values as [%.10g] prints them; {!Parser.parse_string}
-    inverts it. *)
+    inverts it. The text streams to the channel in 64 KiB chunks, so
+    the formatted deck is never held whole. *)
 
 val to_string : t -> string
+(** The bytes {!output} writes. *)

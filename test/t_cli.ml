@@ -231,9 +231,7 @@ let test_analyze_stages () =
            stages);
       Alcotest.(check bool) "solve span traced" true
         (T_obs.contains (read_file trace) {|"name":"solve"|});
-      (* stats runs the same stages, so its stage lines name them all. *)
-      let r = run_cmd (Printf.sprintf "%s stats %s" emcheck deck) in
-      Alcotest.(check int) "stats exit 0" 0 r.code;
+      (* The stdout stage lines name the same stages. *)
       let stage_lines =
         List.filter_map
           (fun l ->
@@ -243,12 +241,12 @@ let test_analyze_stages () =
           (String.split_on_char '\n' r.out)
       in
       Alcotest.(check (list string))
-        "stats stage lines"
+        "stage lines"
         [ "parse"; "lint"; "solve"; "extract"; "analyze"; "classify" ]
         stage_lines)
 
-(* A deck without supplies fails lint: explain and stats refuse it the
-   way analyze does, in one line naming the failing check. *)
+(* A deck without supplies fails lint: explain refuses it the way
+   analyze does, in one line naming the failing check. *)
 let test_lint_refusal () =
   let lines = String.split_on_char '\n' (read_file deck) in
   let bad = tmp_name "nosupply" ^ ".sp" in
@@ -270,7 +268,23 @@ let test_lint_refusal () =
             (Printf.sprintf "%s: one line naming no-supply: %S" cmd err)
             true
             (T_obs.contains err "no-supply" && not (String.contains err '\n')))
-        [ ("analyze", "", None); ("explain", " 0", Some 2); ("stats", "", None) ])
+        [ ("analyze", "", None); ("explain", " 0", Some 2) ])
+
+(* A sample count below 1 is refused before the deck is read: one
+   stderr line naming the option, and no stage runs. *)
+let test_analyze_samples_floor () =
+  let r =
+    run_cmd
+      (Printf.sprintf "%s analyze %s -t ibm --variation --samples 0" emcheck
+         deck)
+  in
+  let err = String.trim r.err in
+  Alcotest.(check bool) "nonzero exit" true (r.code <> 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "one line naming --samples: %S" err)
+    true
+    (T_obs.contains err "--samples" && not (String.contains err '\n'));
+  Alcotest.(check bool) "no DC solve line" false (T_obs.contains r.out "DC solve:")
 
 (* ---------------------------------------------------------------- *)
 (* bench compare: the no-history exit-0 path                         *)
@@ -336,13 +350,27 @@ let test_subcommand_inventory () =
          else None)
   in
   Alcotest.(check (list string)) "subcommands"
-    [ "analyze"; "explain"; "material"; "stats"; "verify"; "wire" ]
+    [ "analyze"; "explain"; "material"; "verify"; "wire" ]
     (List.sort compare commands);
   List.iter
     (fun gone ->
       let r = run_cmd (Printf.sprintf "%s %s" emcheck gone) in
       Alcotest.(check int) (gone ^ " is a usage error") 124 r.code)
     [ "diff"; "history" ]
+
+(* The telemetry surfaces the flight ring, the report and the folded
+   profile replaced: each is a usage error now. *)
+let test_retired_telemetry () =
+  List.iter
+    (fun args ->
+      let r = run_cmd (Printf.sprintf "%s %s" emcheck args) in
+      Alcotest.(check int) (args ^ " is a usage error") 124 r.code)
+    [
+      "stats " ^ deck;
+      Printf.sprintf "analyze %s --log-level debug" deck;
+      Printf.sprintf "analyze %s --log-json log.jsonl" deck;
+      Printf.sprintf "analyze %s --profile-format folded" deck;
+    ]
 
 let suites =
   [
@@ -360,9 +388,13 @@ let suites =
         case "overflowing value: a line error" test_analyze_non_finite_value;
         case "parse, lint and solve are pipeline stages" test_analyze_stages;
         case "lint refusal names the failing check" test_lint_refusal;
+        case "--samples below 1 refused before the deck" test_analyze_samples_floor;
       ] );
     ( "cli.bench",
       [ case "compare without history gates nothing" test_bench_compare_no_history ] );
     ( "cli.subcommand_inventory",
-      [ case "help lists exactly the six subcommands" test_subcommand_inventory ] );
+      [
+        case "help lists exactly the five subcommands" test_subcommand_inventory;
+        case "retired telemetry surfaces are usage errors" test_retired_telemetry;
+      ] );
   ]

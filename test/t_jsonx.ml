@@ -3,9 +3,9 @@ module Jx = Obs.Jsonx
 module Jin = Emflow.Json_in
 module Jout = Emflow.Json_out
 
-(* The observability exporters (Chrome traces, speedscope profiles, log
-   JSON) build documents with Obs.Jsonx from hostile inputs: span names
-   out of netlists, error messages, raw bytes. Property: whatever goes
+(* The observability exporters (Chrome traces, flight dumps) build
+   documents with Obs.Jsonx from hostile inputs: span names out of
+   netlists, error messages, raw bytes. Property: whatever goes
    in, the emission is JSON our own reader accepts, and the sanitizer is
    a retraction (sanitizing twice = sanitizing once). *)
 

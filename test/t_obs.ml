@@ -74,10 +74,7 @@ let test_span_error_flag () =
   Alcotest.(check int) "both spans recorded" 2 (List.length evs);
   Alcotest.(check bool) "inner flagged" true (find_span evs "boom").Tr.error;
   (* The outer span did not catch, so it raised too. *)
-  Alcotest.(check bool) "outer flagged" true (find_span evs "outer").Tr.error;
-  let aggs = Tr.aggregate t in
-  let boom = List.find (fun (a : Tr.agg) -> a.Tr.agg_name = "boom") aggs in
-  Alcotest.(check int) "aggregate counts the error" 1 boom.Tr.errors
+  Alcotest.(check bool) "outer flagged" true (find_span evs "outer").Tr.error
 
 let test_parallel_tracks () =
   let t = Tr.create () in
@@ -314,95 +311,28 @@ module Lg = Obs.Log
 module Fl = Obs.Flight
 
 let test_log_disabled_noop () =
-  Lg.disable ();
   Fl.set_enabled false;
-  Alcotest.(check bool) "no sink installed" false (Lg.enabled ());
   let ran = ref false in
   Lg.info (fun () ->
       ran := true;
       ("should not run", []));
-  Alcotest.(check bool) "thunk never runs when all off" false !ran
+  Alcotest.(check bool) "thunk never runs with the ring disarmed" false !ran
 
-let log_lines buf =
-  String.split_on_char '\n' (Buffer.contents buf)
-  |> List.filter (fun l -> String.trim l <> "")
-
-let test_log_level_filter () =
-  Fl.set_enabled false;
-  let buf = Buffer.create 256 in
-  let sink = Lg.create ~min_level:Lg.Warn ~text:(Lg.Buffer buf) () in
-  Lg.with_enabled sink (fun () ->
-      Lg.debug (fun () -> ("too quiet", []));
-      Lg.info (fun () -> ("still too quiet", []));
-      Lg.warn (fun () -> ("loud enough", [ ("k", Tr.String "v") ]));
-      Lg.error (fun () -> ("very loud", [ ("n", Tr.Int 3) ])));
-  Alcotest.(check bool) "sink uninstalled afterwards" false (Lg.enabled ());
-  match log_lines buf with
-  | [ w; e ] ->
-    Alcotest.(check bool) "warn line has level" true (contains w "WARN");
-    Alcotest.(check bool) "warn line has message" true
-      (contains w "loud enough");
-    Alcotest.(check bool) "warn line has field" true (contains w "k=v");
-    Alcotest.(check bool) "error line has level" true (contains e "ERROR");
-    Alcotest.(check bool) "error line has field" true (contains e "n=3")
-  | ls -> Alcotest.failf "expected 2 lines above Warn, got %d" (List.length ls)
-
-let test_log_json_sink () =
-  Fl.set_enabled false;
-  let buf = Buffer.create 256 in
-  let sink = Lg.create ~min_level:Lg.Debug ~json:(Lg.Buffer buf) () in
-  Lg.with_enabled sink (fun () ->
-      Lg.info (fun () ->
-          ( "json record",
-            [
-              ("f", Tr.Float 0.5); ("b", Tr.Bool true);
-              ("s", Tr.String "quote\" \xffbad");
-            ] )));
-  match log_lines buf with
-  | [ line ] ->
-    Alcotest.(check bool) "line is valid JSON" true (json_accepts line);
-    List.iter
-      (fun needle ->
-        Alcotest.(check bool)
-          ("contains " ^ String.escaped needle)
-          true (contains line needle))
-      [
-        {|"level":"info"|}; {|"msg":"json record"|}; {|"f":0.5|}; {|"b":true|};
-        (* Hostile bytes in a field value sanitize, stay valid JSON. *)
-        "quote\\\" \xef\xbf\xbdbad";
-      ]
-  | ls -> Alcotest.failf "expected 1 JSON line, got %d" (List.length ls)
-
-let test_log_span_correlation () =
-  Fl.set_enabled false;
-  let buf = Buffer.create 256 in
-  let jbuf = Buffer.create 256 in
-  let sink = Lg.create ~text:(Lg.Buffer buf) ~json:(Lg.Buffer jbuf) () in
-  let t = Tr.create () in
-  Tr.with_enabled t (fun () ->
-      Lg.with_enabled sink (fun () ->
-          Tr.with_span "enclosing" (fun () ->
-              Lg.info (fun () -> ("from inside", [])));
-          Lg.info (fun () -> ("from outside", []))));
-  let span_id =
-    match Tr.events t with
-    | [ e ] -> e.Tr.id
-    | es -> Alcotest.failf "expected 1 span, got %d" (List.length es)
-  in
-  (match log_lines buf with
-  | [ inside; outside ] ->
-    Alcotest.(check bool) "inside stamped with span id" true
-      (contains inside (Printf.sprintf "(span %d)" span_id));
-    Alcotest.(check bool) "outside has no span stamp" false
-      (contains outside "(span ")
-  | ls -> Alcotest.failf "expected 2 text lines, got %d" (List.length ls));
-  match log_lines jbuf with
-  | [ inside; outside ] ->
-    Alcotest.(check bool) "json inside has span" true
-      (contains inside (Printf.sprintf {|"span":%d|} span_id));
-    Alcotest.(check bool) "json outside omits span" false
-      (contains outside {|"span":|})
-  | ls -> Alcotest.failf "expected 2 JSON lines, got %d" (List.length ls)
+let test_log_lands_in_ring () =
+  Fl.clear ();
+  Fl.with_enabled true (fun () ->
+      Lg.warn (fun () ->
+          ("ringed record", [ ("n", Tr.Int 3); ("s", Tr.String "v") ])));
+  (match Fl.events () with
+  | [ e ] ->
+    Alcotest.(check string) "message" "ringed record" e.Fl.fl_name;
+    Alcotest.(check string) "kind" "log" e.Fl.fl_kind;
+    Alcotest.(check string) "level" "warn" e.Fl.fl_level;
+    Alcotest.(check int) "caller's lane" (Tr.track ()) e.Fl.fl_track;
+    Alcotest.(check (list (pair string string)))
+      "fields rendered" [ ("n", "3"); ("s", "v") ] e.Fl.fl_detail
+  | es -> Alcotest.failf "expected 1 flight event, got %d" (List.length es));
+  Fl.clear ()
 
 (* ---------------------------------------------------------------- *)
 (* Flight recorder                                                   *)
@@ -437,13 +367,11 @@ let test_flight_wraparound () =
 
 let test_flight_captures_spans_and_low_logs () =
   Fl.clear ();
-  (* No trace sink, and a log sink that filters everything below Error:
-     the ring still sees both the span and the debug record. *)
-  let sink = Lg.create ~min_level:Lg.Error () in
+  (* No trace sink: the ring still sees both the span and the debug
+     record. *)
   Fl.with_enabled true (fun () ->
-      Lg.with_enabled sink (fun () ->
-          Tr.with_span "ringed" ~attrs:[ ("k", Tr.Int 7) ] (fun () ->
-              Lg.debug (fun () -> ("below the sink level", [])))));
+      Tr.with_span "ringed" ~attrs:[ ("k", Tr.Int 7) ] (fun () ->
+          Lg.debug (fun () -> ("a debug record", []))));
   let evs = Fl.events () in
   let find name =
     match List.find_opt (fun e -> e.Fl.fl_name = name) evs with
@@ -454,7 +382,7 @@ let test_flight_captures_spans_and_low_logs () =
   Alcotest.(check string) "span kind" "span" span.Fl.fl_kind;
   Alcotest.(check (option string)) "span attr rendered" (Some "7")
     (List.assoc_opt "k" span.Fl.fl_detail);
-  let low = find "below the sink level" in
+  let low = find "a debug record" in
   Alcotest.(check string) "log kind" "log" low.Fl.fl_kind;
   Alcotest.(check string) "level preserved" "debug" low.Fl.fl_level;
   Fl.clear ()
@@ -517,12 +445,6 @@ let test_span_gc_attribution () =
     (Tr.allocated_words e > 0.);
   Alcotest.(check bool) "gc counters non-negative" true
     (e.Tr.gc_minor_collections >= 0 && e.Tr.gc_major_collections >= 0);
-  (* The aggregate rolls the same numbers up. *)
-  let agg =
-    List.find (fun (a : Tr.agg) -> a.Tr.agg_name = "alloc-heavy") (Tr.aggregate t)
-  in
-  Alcotest.(check bool) "aggregate allocation positive" true
-    (agg.Tr.total_allocated_words > 0.);
   (* And the exporter surfaces them as args. *)
   let json = Tr.to_chrome_json t in
   List.iter
@@ -575,18 +497,11 @@ let test_telemetry_equivalence =
     (fun jobs ->
       let compacts, clean = Lazy.force equiv_fixture in
       let t = Tr.create () in
-      let sink =
-        Lg.create ~min_level:Lg.Debug
-          ~text:(Lg.Buffer (Buffer.create 4096))
-          ~json:(Lg.Buffer (Buffer.create 4096))
-          ()
-      in
       Fl.clear ();
+      (* The armed ring is where every log record goes. *)
       let traced =
         Tr.with_enabled t (fun () ->
-            Lg.with_enabled sink (fun () ->
-                Fl.with_enabled true (fun () ->
-                    Flow.run_on_compact ~jobs compacts)))
+            Fl.with_enabled true (fun () -> Flow.run_on_compact ~jobs compacts))
       in
       Fl.clear ();
       Alcotest.(check bool) "confusion counts identical" true
@@ -618,9 +533,7 @@ let suites =
     ( "obs.log",
       [
         case "disabled never runs the thunk" test_log_disabled_noop;
-        case "level filtering and text format" test_log_level_filter;
-        case "JSON sink emits valid lines" test_log_json_sink;
-        case "records correlate with the open span" test_log_span_correlation;
+        case "armed ring receives the record" test_log_lands_in_ring;
       ] );
     ( "obs.flight",
       [

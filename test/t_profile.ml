@@ -1,7 +1,6 @@
 open T_helpers
 module Tr = Obs.Trace
 module Pf = Obs.Profile
-module Lg = Obs.Log
 module Jin = Emflow.Json_in
 module Jout = Emflow.Json_out
 
@@ -65,60 +64,7 @@ let folded_total folded =
          acc + v)
        0
 
-(* ---------------------------------------------------------------- *)
-(* Speedscope export: parse back and validate the structure          *)
-
 let get = function Some v -> v | None -> Alcotest.fail "missing JSON member"
-
-let validate_speedscope json_text =
-  let doc = Jin.parse_exn json_text in
-  Alcotest.(check (option string))
-    "$schema" (Some "https://www.speedscope.app/file-format-schema.json")
-    (Option.bind (Jin.member "$schema" doc) Jin.string_value);
-  let frames =
-    get
-      (Option.bind (Jin.member "shared" doc) (fun s ->
-           Option.bind (Jin.member "frames" s) Jin.list_value))
-  in
-  List.iter
-    (fun f ->
-      match Option.bind (Jin.member "name" f) Jin.string_value with
-      | Some _ -> ()
-      | None -> Alcotest.fail "frame without a name")
-    frames;
-  let n_frames = List.length frames in
-  let profiles = get (Option.bind (Jin.member "profiles" doc) Jin.list_value) in
-  Alcotest.(check bool) "at least one profile" true (profiles <> []);
-  List.iter
-    (fun p ->
-      Alcotest.(check (option string))
-        "sampled type" (Some "sampled")
-        (Option.bind (Jin.member "type" p) Jin.string_value);
-      Alcotest.(check (option string))
-        "microsecond weights" (Some "microseconds")
-        (Option.bind (Jin.member "unit" p) Jin.string_value);
-      let samples = get (Option.bind (Jin.member "samples" p) Jin.list_value) in
-      let weights = get (Option.bind (Jin.member "weights" p) Jin.list_value) in
-      Alcotest.(check int) "samples and weights same length"
-        (List.length samples) (List.length weights);
-      List.iter
-        (fun stack ->
-          List.iter
-            (fun idx ->
-              let i = int_of_float (get (Jin.number idx)) in
-              Alcotest.(check bool) "frame index in range" true
-                (i >= 0 && i < n_frames))
-            (get (Jin.list_value stack)))
-        samples;
-      let weight_sum =
-        List.fold_left (fun acc w -> acc +. get (Jin.number w)) 0. weights
-      in
-      Alcotest.(check (float 0.)) "startValue is 0" 0.
-        (get (Option.bind (Jin.member "startValue" p) Jin.number));
-      check_close ~rtol:1e-12 "endValue is the weight sum" weight_sum
-        (get (Option.bind (Jin.member "endValue" p) Jin.number)))
-    profiles;
-  (frames, profiles)
 
 (* ---------------------------------------------------------------- *)
 (* Exact attribution invariants                                      *)
@@ -143,10 +89,12 @@ let nested_trace () =
       Tr.with_span "report" (fun () -> spin ()));
   t
 
+let path_to_string = String.concat ";"
+
 let find_path paths p =
   match List.find_opt (fun (h : Pf.hot_path) -> h.Pf.hp_path = p) paths with
   | Some h -> h
-  | None -> Alcotest.failf "path %s missing" (Pf.path_to_string p)
+  | None -> Alcotest.failf "path %s missing" (path_to_string p)
 
 let test_attribution_invariants () =
   let t = nested_trace () in
@@ -156,11 +104,11 @@ let test_attribution_invariants () =
   List.iter
     (fun (h : Pf.hot_path) ->
       Alcotest.(check bool)
-        (Pf.path_to_string h.Pf.hp_path ^ ": 0 <= self <= total")
+        (path_to_string h.Pf.hp_path ^ ": 0 <= self <= total")
         true
         (h.Pf.hp_self_us >= 0. && h.Pf.hp_self_us <= h.Pf.hp_total_us +. 1e-9);
       Alcotest.(check bool)
-        (Pf.path_to_string h.Pf.hp_path ^ ": self alloc within alloc")
+        (path_to_string h.Pf.hp_path ^ ": self alloc within alloc")
         true
         (h.Pf.hp_self_alloc_words >= 0.
         && h.Pf.hp_self_alloc_words <= h.Pf.hp_alloc_words +. 1e-9))
@@ -305,7 +253,7 @@ let test_flow_identity () =
   in
   List.iter
     (fun (h : Pf.hot_path) ->
-      let name = Pf.path_to_string h.Pf.hp_path in
+      let name = path_to_string h.Pf.hp_path in
       Alcotest.(check bool) (name ^ ": 0 <= self <= total") true
         (h.Pf.hp_self_us >= 0. && h.Pf.hp_self_us <= h.Pf.hp_total_us);
       (* Direct children: one more path element. *)
@@ -331,20 +279,11 @@ let test_flow_identity () =
      each spawns its own domain. *)
   Alcotest.(check int) "two lanes" 2
     (List.length (List.sort_uniq compare (List.map (fun s -> s.Pf.sk_track) stacks)));
-  (* Both exports total the same wall: folded to the rounded µs,
-     speedscope to float rounding. *)
+  (* The folded export totals the wall, to the rounded µs. *)
   Alcotest.(check int) "folded totals the wall" (int_of_float (Float.round wall))
     (folded_total (Pf.to_folded stacks));
-  let _, profiles = validate_speedscope (Pf.to_speedscope stacks) in
-  let weights =
-    List.fold_left
-      (fun acc p ->
-        acc +. get (Option.bind (Jin.member "endValue" p) Jin.number))
-      0. profiles
-  in
-  check_close ~rtol:1e-9 "speedscope totals the wall" wall weights;
   (* The report's telemetry carries the same wall and a bounded hot-path
-     table, and no sampler summary. *)
+     table, and no sampler summary or per-name rollup. *)
   let json = Jout.to_string (Jout.of_telemetry ~top:5 t) in
   Alcotest.(check bool) "telemetry JSON well-formed" true
     (T_obs.json_accepts json);
@@ -354,37 +293,9 @@ let test_flow_identity () =
   let hot = get (Option.bind (Jin.member "hot_paths" doc) Jin.list_value) in
   Alcotest.(check int) "hot paths bounded by top" 5 (List.length hot);
   Alcotest.(check bool) "no profile summary" true
-    (Jin.member "profile" doc = None)
-
-let test_speedscope_roundtrip () =
-  let json =
-    Pf.to_speedscope ~name:"unit" ~track_names:[ (0, "main"); (1, "w1") ]
-      synthetic_stacks
-  in
-  Alcotest.(check bool) "well-formed JSON" true (T_obs.json_accepts json);
-  let frames, profiles = validate_speedscope json in
-  Alcotest.(check int) "three distinct frames" 3 (List.length frames);
-  Alcotest.(check int) "one profile per track" 2 (List.length profiles);
-  let names =
-    List.map
-      (fun p -> get (Option.bind (Jin.member "name" p) Jin.string_value))
-      profiles
-  in
-  Alcotest.(check (list string)) "lane names" [ "main"; "w1" ] names
-
-let test_speedscope_empty_profile () =
-  let _, profiles = validate_speedscope (Pf.to_speedscope []) in
-  (* An empty trace still exports a loadable single empty lane. *)
-  Alcotest.(check int) "one empty profile" 1 (List.length profiles)
-
-let test_speedscope_hostile_names () =
-  let stacks =
-    [ stack 0 [ "bad\xffutf"; "ctrl\x01\"quote\\" ] 1.; stack 0 [ "λ→∞" ] 2. ]
-  in
-  let json = Pf.to_speedscope ~name:"hostile \xfe name" stacks in
-  Alcotest.(check bool) "hostile export is well-formed JSON" true
-    (T_obs.json_accepts json);
-  ignore (validate_speedscope json)
+    (Jin.member "profile" doc = None);
+  Alcotest.(check bool) "no span summary" true
+    (Jin.member "span_summary" doc = None)
 
 (* ---------------------------------------------------------------- *)
 (* Span-buffer cap                                                   *)
@@ -395,9 +306,8 @@ let test_trace_capacity_cap () =
   Alcotest.(check int) "default capacity is generous" 1_000_000
     (Tr.capacity (Tr.create ()));
   let t = Tr.create ~capacity:3 () in
-  let log_buf = Buffer.create 256 in
-  let sink = Lg.create ~min_level:Lg.Warn ~text:(Lg.Buffer log_buf) () in
-  Lg.with_enabled sink (fun () ->
+  Obs.Flight.clear ();
+  Obs.Flight.with_enabled true (fun () ->
       Tr.with_enabled t (fun () ->
           for i = 1 to 8 do
             Tr.with_span (Printf.sprintf "s%d" i) (fun () -> ())
@@ -409,14 +319,19 @@ let test_trace_capacity_cap () =
     "first-in kept"
     [ "s1"; "s2"; "s3" ]
     (List.map (fun (e : Tr.event) -> e.Tr.name) (Tr.events t));
-  (* One warning, not five. *)
+  (* One drop event in the ring, not five. *)
   let warnings =
-    String.split_on_char '\n' (Buffer.contents log_buf)
-    |> List.filter (fun l -> String.trim l <> "")
+    List.filter
+      (fun e -> e.Obs.Flight.fl_level = "warn")
+      (Obs.Flight.events ())
   in
+  Obs.Flight.clear ();
   Alcotest.(check int) "warn-once on first drop" 1 (List.length warnings);
+  let w = List.hd warnings in
   Alcotest.(check bool) "warning names the condition" true
-    (T_obs.contains (List.hd warnings) "trace span buffer full")
+    (T_obs.contains w.Obs.Flight.fl_name "trace span buffer full");
+  Alcotest.(check (option string)) "warning carries the capacity" (Some "3")
+    (List.assoc_opt "capacity" w.Obs.Flight.fl_detail)
 
 let test_trace_cap_orphan_root () =
   (* The child completes first and is kept; its parent is dropped. The
@@ -447,12 +362,6 @@ let suites =
         case "one lane per worker slot" test_worker_lanes;
         case "flight events carry the trace lane"
           test_flight_lanes_are_trace_lanes;
-      ] );
-    ( "profile.speedscope",
-      [
-        case "export parses and validates" test_speedscope_roundtrip;
-        case "empty profile still loads" test_speedscope_empty_profile;
-        case "hostile frame names sanitize" test_speedscope_hostile_names;
       ] );
     ( "profile.cap",
       [
