@@ -28,10 +28,7 @@ let add_rows table name (r : Flow.result) =
 
 let add_jmax_row table name grid =
   let sol = Spice.Mna.solve grid.Pdn.Grid_gen.netlist in
-  let structures =
-    List.map Emflow.Extract.boxed_view
-      (Emflow.Extract.extract_compact ~tech:grid.Pdn.Grid_gen.tech sol)
-  in
+  let structures = Emflow.Extract.extract_compact ~tech:grid.Pdn.Grid_gen.tech sol in
   let c =
     Emflow.Jmax.compare_against_exact ~tech:grid.Pdn.Grid_gen.tech structures
   in

@@ -4,7 +4,6 @@
    random currents (trees impose no cycle-consistency constraint). *)
 
 module St = Em_core.Structure
-module Cc = Em_core.Compact
 module Ss = Em_core.Steady_state
 module Naive = Em_core.Baseline_naive
 module Linsys = Em_core.Baseline_linsys
@@ -53,8 +52,7 @@ let run cfg =
   let table =
     Rp.create
       [
-        "edges"; "convert"; "columnar"; "seg/s (col.)"; "naive O(VE)";
-        "lin. system (CG)";
+        "edges"; "columnar"; "seg/s (col.)"; "naive O(VE)"; "lin. system (CG)";
       ]
   in
   let rows = ref [] in
@@ -62,10 +60,7 @@ let run cfg =
   List.iter
     (fun n ->
       let s = tree_of_size n 17L in
-      let c, t_convert = best_of (reps_for n) (fun () -> Cc.of_structure s) in
-      let csol, t_compact =
-        best_of (reps_for n) (fun () -> Ss.solve_compact ~ws cu c)
-      in
+      let csol, t_compact = best_of (reps_for n) (fun () -> Ss.solve ~ws cu s) in
       (* The workspace's buffers are reused by the next solve. *)
       let stress = Array.copy csol.Ss.node_stress in
       let segs_per_s = float_of_int n /. t_compact in
@@ -92,7 +87,6 @@ let run cfg =
       Rp.add_row table
         [
           Rp.int_cell n;
-          Rp.seconds_cell t_convert;
           Rp.seconds_cell t_compact;
           Printf.sprintf "%.2e" segs_per_s;
           opt_cell naive;
@@ -106,11 +100,9 @@ let run cfg =
             ( "stages",
               J.List
                 [
-                  J.Obj [ ("name", J.String "convert"); ("wall_s", J.Float t_convert) ];
                   J.Obj
                     [ ("name", J.String "solve_columnar"); ("wall_s", J.Float t_compact) ];
                 ] );
-            ("convert_s", J.Float t_convert);
             ("columnar_s", J.Float t_compact);
             ("columnar_segments_per_s", J.Float segs_per_s);
             ("naive_s", opt_json naive);

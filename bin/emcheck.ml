@@ -798,14 +798,13 @@ let check_wire segments sigma_t temperature =
     let s = St.line parsed in
     let report = Im.check material s in
     Format.printf "%a@.@." St.pp s;
-    List.iteri
-      (fun k seg ->
-        Format.printf "segment %d: jl = %.4f A/um -> traditional Blech says %s@."
-          k
-          (U.a_per_m_to_a_per_um (Em_core.Blech.product seg))
-          (if Em_core.Blech.segment_immortal material seg then "immortal"
-           else "potentially mortal"))
-      parsed;
+    for k = 0 to St.num_segments s - 1 do
+      Format.printf "segment %d: jl = %.4f A/um -> traditional Blech says %s@."
+        k
+        (U.a_per_m_to_a_per_um (Em_core.Blech.product s k))
+        (if Em_core.Blech.segment_immortal material s k then "immortal"
+         else "potentially mortal")
+    done;
     Format.printf "@.%a@." Im.pp report;
     `Ok 0
 

@@ -41,7 +41,11 @@ let () =
     (analysis.Ir.mean_drop *. 1e3);
 
   (* Full flow: solve, extract, classify. *)
-  let r = Flow.run ~with_maxpath:true scaled in
+  let v =
+    Flow.analyze_deck ~with_maxpath:true ~tech:scaled.Gg.tech
+      (Flow.of_netlist scaled.Gg.netlist)
+  in
+  let r = v.Flow.result in
   Format.printf "%a@.@." Flow.pp_summary r;
 
   let c = r.Flow.counts in
@@ -62,32 +66,23 @@ let () =
   Rp.print table;
 
   (* Rank structures by stress margin to find the most endangered nets. *)
-  let sol = Spice.Mna.solve scaled.Gg.netlist in
-  let structures =
-    List.map Ex.boxed_view (Ex.extract_compact ~tech:scaled.Gg.tech sol)
-  in
-  let ranked =
-    structures
-    |> List.map (fun es ->
-           let report = Im.check M.cu_dac21 es.Ex.structure in
-           (es, report))
-    |> List.sort (fun (_, a) (_, b) -> compare (Im.margin a) (Im.margin b))
-  in
+  let structures = Array.of_list v.Flow.compacts in
   Format.printf "@.Most endangered structures (smallest stress margin):@.";
   List.iteri
-    (fun i (es, report) ->
-      if i < 5 then
+    (fun rank i ->
+      if rank < 5 then begin
+        let cs = structures.(i) and st = r.Flow.structure_stats.(i) in
         Format.printf
           "  M%d component, %3d segments: peak %.2f MPa (margin %+.2f MPa) at %s@."
-          es.Ex.layer_level
-          (Em_core.Structure.num_segments es.Ex.structure)
-          (U.pa_to_mpa report.Im.max_stress)
-          (U.pa_to_mpa (Im.margin report))
-          es.Ex.node_names.(report.Im.max_node))
-    ranked;
+          cs.Ex.cs_layer_level st.Flow.st_segments
+          (U.pa_to_mpa st.Flow.st_max_stress)
+          (U.pa_to_mpa st.Flow.st_margin)
+          (Ex.node_name cs st.Flow.st_peak_node)
+      end)
+    (Flow.ranking r);
 
   (* And the repair price for everything mortal. *)
-  let plan = Emflow.Fixer.plan structures in
+  let plan = Emflow.Fixer.plan_of_result v.Flow.compacts r in
   Format.printf
     "@.Fixing all %d mortal structures by uniform widening costs %.1f \
      um^2 of metal.@."

@@ -36,11 +36,10 @@ let () =
   (* Stage 1: the traditional per-segment Blech filter. *)
   Array.iteri
     (fun k immortal ->
-      let seg = St.seg line k in
       Format.printf
         "traditional Blech, segment %d: jl = %.3f A/um vs %.3f critical -> %s@."
         k
-        (U.a_per_m_to_a_per_um (Bl.product seg))
+        (U.a_per_m_to_a_per_um (Bl.product line k))
         (U.a_per_m_to_a_per_um jl_crit)
         (if immortal then "immortal" else "potentially mortal"))
     (Bl.filter cu line);

@@ -6,7 +6,7 @@
    The schedule is built only to walk the critical Blech path. *)
 
 module Ss = Steady_state
-module Cc = Compact
+module St = Structure
 
 type contribution = {
   ct_seg : int;
@@ -54,14 +54,14 @@ let rel diff scale = Float.abs diff /. Float.max scale tiny
    sigma_head - sigma_tail + beta j l = 0 — up to rounding on tree
    segments, and up to the cycle consistency of the currents on mesh
    chords. Worst relative residual over the segments. *)
-let flux_residual (c : Cc.t) (sol : Ss.solution) =
-  let m = Cc.num_segments c in
+let flux_residual (c : St.t) (sol : Ss.solution) =
+  let m = St.num_segments c in
   let beta = sol.Ss.beta in
   let stress = sol.Ss.node_stress in
   let worst = ref 0. in
   for k = 0 to m - 1 do
-    let st = stress.(c.Cc.tail.(k)) and sh = stress.(c.Cc.head.(k)) in
-    let drop = beta *. c.Cc.j.(k) *. c.Cc.length.(k) in
+    let st = stress.(c.St.tail.(k)) and sh = stress.(c.St.head.(k)) in
+    let drop = beta *. c.St.j.(k) *. c.St.length.(k) in
     let scale =
       Float.max (Float.abs drop) (Float.max (Float.abs st) (Float.abs sh))
     in
@@ -72,13 +72,13 @@ let flux_residual (c : Cc.t) (sol : Ss.solution) =
 (* Lemma 3: integral of sigma over the structure is 0. Trapezoid per
    segment (exact — sigma is linear in x), normalized by
    [A * max |sigma|]. *)
-let mass_residual (c : Cc.t) (sol : Ss.solution) =
-  let m = Cc.num_segments c in
+let mass_residual (c : St.t) (sol : Ss.solution) =
+  let m = St.num_segments c in
   let stress = sol.Ss.node_stress in
   let acc = ref 0. and sigma_scale = ref 0. in
   for k = 0 to m - 1 do
-    let st = stress.(c.Cc.tail.(k)) and sh = stress.(c.Cc.head.(k)) in
-    acc := !acc +. (c.Cc.wh.(k) *. c.Cc.length.(k) *. (st +. sh) /. 2.);
+    let st = stress.(c.St.tail.(k)) and sh = stress.(c.St.head.(k)) in
+    acc := !acc +. (c.St.wh.(k) *. c.St.length.(k) *. (st +. sh) /. 2.);
     sigma_scale :=
       Float.max !sigma_scale (Float.max (Float.abs st) (Float.abs sh))
   done;
@@ -88,18 +88,18 @@ let mass_residual (c : Cc.t) (sol : Ss.solution) =
    [I = j * wh] over the incident slots. Only interior (degree >= 2)
    nodes are scanned, and even they legitimately carry via taps on a
    power grid — informational, never gated. *)
-let kcl_residual (c : Cc.t) =
-  let n = Cc.num_nodes c in
-  let offsets = c.Cc.offsets in
+let kcl_residual (c : St.t) =
+  let n = St.num_nodes c in
+  let offsets = c.St.offsets in
   let worst = ref 0. in
   for v = 0 to n - 1 do
     let lo = offsets.(v) and hi = offsets.(v + 1) in
     if hi - lo >= 2 then begin
       let acc = ref 0. and scale = ref 0. in
       for slot = lo to hi - 1 do
-        let e = c.Cc.adj_edge.(slot) in
-        let flow = c.Cc.j.(e) *. c.Cc.wh.(e) in
-        let signed = if c.Cc.tail.(e) = v then flow else -.flow in
+        let e = c.St.adj_edge.(slot) in
+        let flow = c.St.j.(e) *. c.St.wh.(e) in
+        let signed = if c.St.tail.(e) = v then flow else -.flow in
         acc := !acc +. signed;
         scale := Float.max !scale (Float.abs flow)
       done;
@@ -112,8 +112,8 @@ let kcl_residual (c : Cc.t) =
    stressed node. Each step's contribution to the peak is
    sigma(child) - sigma(parent) = -beta * (b_child - b_parent)
                                 = -beta * sign * j * l. *)
-let critical_path (sched : Ss.Schedule.t) (c : Cc.t) ~beta ~max_node =
-  let n = Cc.num_nodes c in
+let critical_path (sched : Ss.Schedule.t) (c : St.t) ~beta ~max_node =
+  let n = St.num_nodes c in
   let pnode = Array.make n (-1) in
   let pedge = Array.make n (-1) in
   let psign = Array.make n 0. in
@@ -133,7 +133,7 @@ let critical_path (sched : Ss.Schedule.t) (c : Cc.t) ~beta ~max_node =
         ct_seg = e;
         ct_parent = pnode.(!v);
         ct_node = !v;
-        ct_delta = -.beta *. psign.(!v) *. c.Cc.j.(e) *. c.Cc.length.(e);
+        ct_delta = -.beta *. psign.(!v) *. c.St.j.(e) *. c.St.length.(e);
       }
       :: !steps;
     v := pnode.(!v)
@@ -151,7 +151,7 @@ let top_contributions path k =
   Array.sub sorted 0 (min k (Array.length sorted))
 
 let check ?(index = -1) ?(layer = -1) ?(top_k = default_top_k)
-    material (c : Cc.t) (sol : Ss.solution) =
+    material (c : St.t) (sol : Ss.solution) =
   if top_k < 0 then invalid_arg "Audit.check: top_k < 0";
   let sched = Ss.Schedule.make ~reference:sol.Ss.reference c in
   let residuals =
@@ -170,8 +170,8 @@ let check ?(index = -1) ?(layer = -1) ?(top_k = default_top_k)
   {
     au_index = index;
     au_layer = layer;
-    au_nodes = Cc.num_nodes c;
-    au_segments = Cc.num_segments c;
+    au_nodes = St.num_nodes c;
+    au_segments = St.num_segments c;
     au_threshold = threshold;
     au_max_stress = max_stress;
     au_max_node = max_node;

@@ -71,7 +71,7 @@ val check :
   ?layer:int ->
   ?top_k:int ->
   Material.t ->
-  Compact.t ->
+  Structure.t ->
   Steady_state.solution ->
   t
 (** Audit one solution against the structure it was solved from. Reads

@@ -20,10 +20,9 @@ let structure_immortal material s =
 let segment_immortal material s =
   if not (Structure.is_connected s) then
     invalid_arg "Baseline_maxpath.segment_immortal: disconnected structure";
-  let g = Structure.graph s in
   let n = Structure.num_nodes s in
   let b = blech_sums s in
-  let tree = Traversal.bfs g ~root:0 in
+  let tree = Traversal.bfs s ~root:0 in
   let order = tree.Traversal.order in
   let parent = tree.Traversal.parent_node in
   (* Subtree extremes by reverse-BFS (children before parents). *)
@@ -75,7 +74,7 @@ let segment_immortal material s =
   let whole = max_path_jl s in
   Array.init (Structure.num_segments s) (fun e ->
       (* Identify the child endpoint when e is a tree edge. *)
-      let { Ugraph.tail; head; _ } = Ugraph.edge g e in
+      let tail = s.Structure.tail.(e) and head = s.Structure.head.(e) in
       let child =
         if tree.Traversal.parent_edge.(head) = e then Some head
         else if tree.Traversal.parent_edge.(tail) = e then Some tail

@@ -1,38 +1,32 @@
 (* Walk parent pointers from [node] to the root, accumulating the signed
    jl sum; O(depth) per call, deliberately memoless. *)
-let blech_by_walking s (tree : Traversal.tree) node =
-  let g = Structure.graph s in
+let blech_by_walking (s : Structure.t) (tree : Traversal.tree) node =
   let b = ref 0. in
   let v = ref node in
   while tree.Traversal.parent_edge.(!v) >= 0 do
     let edge_id = tree.Traversal.parent_edge.(!v) in
     let parent = tree.Traversal.parent_node.(!v) in
-    let seg = Structure.seg s edge_id in
-    let e = Ugraph.edge g edge_id in
-    let jhat =
-      if e.Ugraph.tail = parent then seg.Structure.current_density
-      else -.seg.Structure.current_density
-    in
-    b := !b +. (jhat *. seg.Structure.length);
+    let j = s.Structure.j.(edge_id) in
+    let jhat = if s.Structure.tail.(edge_id) = parent then j else -.j in
+    b := !b +. (jhat *. s.Structure.length.(edge_id));
     v := parent
   done;
   !b
 
-let solve ?reference material s =
+let solve ?reference material (s : Structure.t) =
   if not (Structure.is_connected s) then
     invalid_arg "Baseline_naive.solve: disconnected structure";
-  let g = Structure.graph s in
+  let n = Structure.num_nodes s in
   let reference =
     match reference with
     | Some r ->
-      if r < 0 || r >= Structure.num_nodes s then
+      if r < 0 || r >= n then
         invalid_arg "Baseline_naive.solve: reference out of range";
       r
-    | None -> ( match Ugraph.termini g with v :: _ -> v | [] -> 0)
+    | None -> Structure.default_reference s
   in
   let beta = Material.beta material in
-  let tree = Traversal.bfs g ~root:reference in
-  let n = Structure.num_nodes s in
+  let tree = Traversal.bfs s ~root:reference in
   let m = Structure.num_segments s in
   (* Eq. (19), recomputed from scratch for every node: the A and Q sums
      below are (intentionally) inside the per-node loop. *)
@@ -42,12 +36,10 @@ let solve ?reference material s =
   for i = 0 to n - 1 do
     let volume = ref 0. and q = ref 0. in
     for k = 0 to m - 1 do
-      let seg = Structure.seg s k in
-      let e = Ugraph.edge g k in
-      let wh = Structure.cross_section seg in
-      let l = seg.Structure.length in
-      let j = seg.Structure.current_density in
-      let b_tail = blech_by_walking s tree e.Ugraph.tail in
+      let wh = s.Structure.width.(k) *. s.Structure.height.(k) in
+      let l = s.Structure.length.(k) in
+      let j = s.Structure.j.(k) in
+      let b_tail = blech_by_walking s tree s.Structure.tail.(k) in
       volume := !volume +. (wh *. l);
       q := !q +. (wh *. ((j *. l *. l /. 2.) +. (b_tail *. l)))
     done;

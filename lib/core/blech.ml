@@ -1,11 +1,9 @@
-let product (s : Structure.segment) =
-  Float.abs s.Structure.current_density *. s.Structure.length
+let product (s : Structure.t) k = Float.abs s.Structure.j.(k) *. s.Structure.length.(k)
 
-let segment_immortal material s = product s <= Material.jl_crit material
+let segment_immortal material s k = product s k <= Material.jl_crit material
 
 let filter material s =
-  Array.init (Structure.num_segments s) (fun k ->
-      segment_immortal material (Structure.seg s k))
+  Array.init (Structure.num_segments s) (segment_immortal material s)
 
 let count_immortal material s =
   Array.fold_left

@@ -6,11 +6,11 @@
     on multi-segment structures; it is implemented here as the baseline
     against which {!Immortality} is compared in Tables II/III. *)
 
-val product : Structure.segment -> float
-(** [|j| * l], A/m. *)
+val product : Structure.t -> int -> float
+(** [product s k]: segment [k]'s [|j| * l], A/m. *)
 
-val segment_immortal : Material.t -> Structure.segment -> bool
-(** [product s <= Material.jl_crit m]. *)
+val segment_immortal : Material.t -> Structure.t -> int -> bool
+(** [product s k <= Material.jl_crit m]. *)
 
 val filter : Material.t -> Structure.t -> bool array
 (** Per-segment traditional-Blech verdicts ([true] = immortal). *)

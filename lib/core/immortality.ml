@@ -8,7 +8,7 @@ type report = {
   node_immortal : bool array;
 }
 
-let of_solution material s solution =
+let of_solution material (s : Structure.t) solution =
   let threshold = Material.effective_critical_stress material in
   let max_stress, max_node = Steady_state.max_stress solution in
   let node_immortal =
@@ -18,8 +18,7 @@ let of_solution material s solution =
   in
   let segment_immortal =
     Array.init (Structure.num_segments s) (fun k ->
-        let tail, head = Structure.endpoints s k in
-        node_immortal.(tail) && node_immortal.(head))
+        node_immortal.(s.Structure.tail.(k)) && node_immortal.(s.Structure.head.(k)))
   in
   {
     solution;

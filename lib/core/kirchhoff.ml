@@ -1,6 +1,6 @@
 type solution = { voltages : float array; structure : Structure.t }
 
-let solve ?(tol = 1e-12) material s ~injections =
+let solve ?(tol = 1e-12) material (s : Structure.t) ~injections =
   if not (Structure.is_connected s) then
     invalid_arg "Kirchhoff.solve: disconnected structure";
   let n = Structure.num_nodes s in
@@ -12,15 +12,14 @@ let solve ?(tol = 1e-12) material s ~injections =
   in
   if Float.abs total > 1e-9 *. scale then
     invalid_arg "Kirchhoff.solve: injections do not sum to zero";
-  let g = Structure.graph s in
   let rho = material.Material.resistivity in
   let m = Structure.num_segments s in
   let builder = Numerics.Sparse.Builder.create ~expected_nnz:(4 * m) n n in
   for k = 0 to m - 1 do
-    let e = Ugraph.edge g k in
-    let seg = Structure.seg s k in
-    let cond = Structure.cross_section seg /. (rho *. seg.Structure.length) in
-    let t = e.Ugraph.tail and h = e.Ugraph.head in
+    let cond =
+      s.Structure.width.(k) *. s.Structure.height.(k) /. (rho *. s.Structure.length.(k))
+    in
+    let t = s.Structure.tail.(k) and h = s.Structure.head.(k) in
     Numerics.Sparse.Builder.add builder t t cond;
     Numerics.Sparse.Builder.add builder h h cond;
     Numerics.Sparse.Builder.add builder t h (-.cond);
@@ -34,9 +33,8 @@ let solve ?(tol = 1e-12) material s ~injections =
   let v = result.Numerics.Cg.x in
   let js =
     Array.init m (fun k ->
-        let e = Ugraph.edge g k in
-        let seg = Structure.seg s k in
-        (v.(e.Ugraph.head) -. v.(e.Ugraph.tail)) /. (rho *. seg.Structure.length))
+        (v.(s.Structure.head.(k)) -. v.(s.Structure.tail.(k)))
+        /. (rho *. s.Structure.length.(k)))
   in
   { voltages = v; structure = Structure.with_current_densities s js }
 

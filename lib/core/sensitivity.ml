@@ -20,17 +20,13 @@ let width_slack material s =
                tails inside subtree(c_k)),
      dB_i/dj_k = sign_k l_k iff k lies on the tree path root -> i.
    Chords only contribute their own Q term. *)
-let stress_gradient material s ~node =
+let stress_gradient material (s : Structure.t) ~node =
   if not (Structure.is_connected s) then
     invalid_arg "Sensitivity.stress_gradient: disconnected structure";
   if node < 0 || node >= Structure.num_nodes s then
     invalid_arg "Sensitivity.stress_gradient: node out of range";
-  let g = Structure.graph s in
   let beta = Material.beta material in
-  let reference =
-    match Ugraph.termini g with v :: _ -> v | [] -> 0
-  in
-  let tree = Traversal.bfs g ~root:reference in
+  let tree = Traversal.bfs s ~root:(Structure.default_reference s) in
   let n = Structure.num_nodes s in
   let m = Structure.num_segments s in
   (* Edge-volume of each node's outgoing (reference-tail) edges, then
@@ -38,10 +34,9 @@ let stress_gradient material s ~node =
   let volume_at = Array.make n 0. in
   let total_volume = ref 0. in
   for k = 0 to m - 1 do
-    let seg = Structure.seg s k in
-    let v = Structure.cross_section seg *. seg.Structure.length in
-    let e = Ugraph.edge g k in
-    volume_at.(e.Ugraph.tail) <- volume_at.(e.Ugraph.tail) +. v;
+    let v = s.Structure.width.(k) *. s.Structure.height.(k) *. s.Structure.length.(k) in
+    let t = s.Structure.tail.(k) in
+    volume_at.(t) <- volume_at.(t) +. v;
     total_volume := !total_volume +. v
   done;
   let sub_volume = Array.copy volume_at in
@@ -59,33 +54,31 @@ let stress_gradient material s ~node =
     v := tree.Traversal.parent_node.(!v)
   done;
   Array.init m (fun k ->
-      let seg = Structure.seg s k in
-      let e = Ugraph.edge g k in
-      let wh = Structure.cross_section seg in
-      let l = seg.Structure.length in
+      let wh = s.Structure.width.(k) *. s.Structure.height.(k) in
+      let l = s.Structure.length.(k) in
+      let tail = s.Structure.tail.(k) and head = s.Structure.head.(k) in
       let own_q = wh *. l *. l /. 2. in
       (* Identify the child endpoint when k is a tree edge. *)
       let child =
-        if tree.Traversal.parent_edge.(e.Ugraph.head) = k then Some e.Ugraph.head
-        else if tree.Traversal.parent_edge.(e.Ugraph.tail) = k then
-          Some e.Ugraph.tail
+        if tree.Traversal.parent_edge.(head) = k then Some head
+        else if tree.Traversal.parent_edge.(tail) = k then Some tail
         else None
       in
       match child with
       | None -> beta *. own_q /. !total_volume (* chord *)
       | Some c ->
-        let sign = if e.Ugraph.head = c then 1. else -1. in
+        let sign = if head = c then 1. else -1. in
         let dq = own_q +. (sign *. l *. sub_volume.(c)) in
         let db = if on_path.(k) then sign *. l else 0. in
         beta *. ((dq /. !total_volume) -. db))
 
-let most_influential material s ~node n =
+let most_influential material (s : Structure.t) ~node n =
   let grad = stress_gradient material s ~node in
   let scored =
     Array.to_list
       (Array.mapi
          (fun k dg ->
-           (k, Float.abs (dg *. (Structure.seg s k).Structure.current_density)))
+           (k, Float.abs (dg *. s.Structure.j.(k))))
          grad)
   in
   let sorted = List.sort (fun (_, a) (_, b) -> compare b a) scored in

@@ -56,7 +56,7 @@ module Workspace = struct
 end
 
 module Schedule = struct
-  (* The BFS discovery order of [solve_compact] depends only on the
+  (* The BFS discovery order of [solve] depends only on the
      topology (CSR slot order), never on the geometry columns — so it
      can be recorded once per structure and replayed against thousands
      of perturbed geometry samples. Event [i] discovers [node.(i)] from
@@ -67,7 +67,7 @@ module Schedule = struct
        b.(node.(i)) <- b.(parent.(i)) +. sign.(i) *. j.(edge.(i)) *. l.(edge.(i))
 
      evaluates, for any geometry sharing this topology, the exact
-     floating-point expressions [solve_compact] would: [sign *. j]
+     floating-point expressions [solve] would: [sign *. j]
      reproduces the [jhat] branch bit-for-bit ([1. *. x = x] and
      [-1. *. x = -.x] exactly). *)
   type t = {
@@ -80,19 +80,19 @@ module Schedule = struct
 
   let reference t = t.reference
 
-  let make ?reference (c : Compact.t) =
-    let n = Compact.num_nodes c in
+  let make ?reference (c : Structure.t) =
+    let n = Structure.num_nodes c in
     let reference =
       match reference with
       | Some r ->
         if r < 0 || r >= n then
           invalid_arg "Steady_state.Schedule.make: reference out of range";
         r
-      | None -> Compact.default_reference c
+      | None -> Structure.default_reference c
     in
-    let tails = c.Compact.tail in
-    let offsets = c.Compact.offsets in
-    let adj_edge = c.Compact.adj_edge and adj_nbr = c.Compact.adj_nbr in
+    let tails = c.Structure.tail in
+    let offsets = c.Structure.offsets in
+    let adj_edge = c.Structure.adj_edge and adj_nbr = c.Structure.adj_nbr in
     let queue = Array.make n 0 and reached = Array.make n false in
     let node = Array.make (n - 1) 0 and parent = Array.make (n - 1) 0 in
     let edge = Array.make (n - 1) 0 and sign = Array.make (n - 1) 1. in
@@ -129,17 +129,17 @@ end
    a segment is orientation-independent, so each is integrated from its
    reference tail with its own j), then one sweep over the nodes
    evaluates the stresses. *)
-let solve_compact ?reference ?ws material (c : Compact.t) =
-  let n = Compact.num_nodes c in
-  let m = Compact.num_segments c in
+let solve ?reference ?ws material (c : Structure.t) =
+  let n = Structure.num_nodes c in
+  let m = Structure.num_segments c in
   let beta = Material.beta material in
   let reference =
     match reference with
     | Some r ->
       if r < 0 || r >= n then
-        invalid_arg "Steady_state.solve_compact: reference out of range";
+        invalid_arg "Steady_state.solve: reference out of range";
       r
-    | None -> Compact.default_reference c
+    | None -> Structure.default_reference c
   in
   let queue, reached, b, stress =
     match ws with
@@ -147,10 +147,10 @@ let solve_compact ?reference ?ws material (c : Compact.t) =
     | None -> (Array.make n 0, Array.make n false, Array.make n 0., Array.make n 0.)
   in
   (* Step 1: Blech sums along the BFS tree, computed at discovery. *)
-  let tails = c.Compact.tail in
-  let lengths = c.Compact.length and js = c.Compact.j in
-  let offsets = c.Compact.offsets in
-  let adj_edge = c.Compact.adj_edge and adj_nbr = c.Compact.adj_nbr in
+  let tails = c.Structure.tail in
+  let lengths = c.Structure.length and js = c.Structure.j in
+  let offsets = c.Structure.offsets in
+  let adj_edge = c.Structure.adj_edge and adj_nbr = c.Structure.adj_nbr in
   b.(reference) <- 0.;
   reached.(reference) <- true;
   queue.(0) <- reference;
@@ -171,9 +171,9 @@ let solve_compact ?reference ?ws material (c : Compact.t) =
     done
   done;
   if !qtail <> n then
-    invalid_arg "Steady_state.solve_compact: structure is disconnected";
+    invalid_arg "Steady_state.solve: structure is disconnected";
   (* Step 2: A and Q over every segment column. *)
-  let whs = c.Compact.wh in
+  let whs = c.Structure.wh in
   let volume = ref 0. and q = ref 0. in
   for k = 0 to m - 1 do
     let wh = whs.(k) in
@@ -188,9 +188,6 @@ let solve_compact ?reference ?ws material (c : Compact.t) =
     stress.(i) <- beta *. (q_over_a -. b.(i))
   done;
   { reference; node_stress = stress; blech_sum = b; volume = !volume; q = !q; beta }
-
-let solve ?reference material s =
-  solve_compact ?reference material (Compact.of_structure s)
 
 let extreme_stress cmp sol =
   let best = ref (-1) in

@@ -6,10 +6,9 @@ type tree = {
   reached : bool array;
 }
 
-let bfs g ~root =
-  if root < 0 || root >= Ugraph.num_nodes g then
-    invalid_arg "Traversal: root out of range";
-  let n = Ugraph.num_nodes g in
+let bfs (s : Structure.t) ~root =
+  let n = s.Structure.num_nodes in
+  if root < 0 || root >= n then invalid_arg "Traversal: root out of range";
   let parent_node = Array.make n (-1) and parent_edge = Array.make n (-1) in
   let reached = Array.make n false and queue = Array.make n 0 in
   reached.(root) <- true;
@@ -18,14 +17,16 @@ let bfs g ~root =
   while !qhead < !qtail do
     let v = queue.(!qhead) in
     incr qhead;
-    Ugraph.iter_incident g v (fun ~edge_id ~neighbor ->
-        if not reached.(neighbor) then begin
-          reached.(neighbor) <- true;
-          parent_node.(neighbor) <- v;
-          parent_edge.(neighbor) <- edge_id;
-          queue.(!qtail) <- neighbor;
-          incr qtail
-        end)
+    for slot = s.Structure.offsets.(v) to s.Structure.offsets.(v + 1) - 1 do
+      let u = s.Structure.adj_nbr.(slot) in
+      if not reached.(u) then begin
+        reached.(u) <- true;
+        parent_node.(u) <- v;
+        parent_edge.(u) <- s.Structure.adj_edge.(slot);
+        queue.(!qtail) <- u;
+        incr qtail
+      end
+    done
   done;
   (* The queue holds every reached node exactly once, in visit order. *)
   let order = if !qtail = n then queue else Array.sub queue 0 !qtail in

@@ -1,10 +1,13 @@
-(** Breadth-first traversal.
+(** Breadth-first traversal for the oracles.
 
     [bfs] produces a [tree] record: a visit order, and for every reached
-    node the edge and node through which it was first discovered. This
-    is the "standard traversal" of the paper's §IV step 1, from which
-    Blech sums are accumulated; on a mesh its parent edges form the
-    spanning tree of Theorem 1 and the remaining edges are the chords. *)
+    node the segment and node through which it was first discovered.
+    This is the "standard traversal" of the paper's §IV step 1, from
+    which Blech sums are accumulated; on a mesh its parent edges form
+    the spanning tree of Theorem 1 and the remaining edges are the
+    chords. {!Steady_state.solve} runs its own BFS fused with the Blech
+    sums; the oracles build their spanning tree here, so they share no
+    traversal code with the solver they check. *)
 
 type tree = {
   root : int;
@@ -14,9 +17,9 @@ type tree = {
   reached : bool array;
 }
 
-val bfs : _ Ugraph.t -> root:int -> tree
+val bfs : Structure.t -> root:int -> tree
 (** Raises [Invalid_argument] when [root] is out of range. Neighbors are
-    visited in {!Ugraph.iter_incident} (edge-id) order. *)
+    visited in CSR slot (segment-id) order. *)
 
 val fold_tree_edges :
   tree -> init:'acc -> f:('acc -> node:int -> parent:int -> edge_id:int -> 'acc) -> 'acc

@@ -55,7 +55,7 @@ let scaling_metrics doc =
                   match Option.bind (Json_in.member key row) Json_in.number with
                   | Some f -> Some (key ^ tag, f)
                   | None -> None)
-                [ "convert_s"; "columnar_s"; "columnar_segments_per_s" ]
+                [ "columnar_s"; "columnar_segments_per_s" ]
             | None -> []
           end
           | None -> [])

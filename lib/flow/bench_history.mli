@@ -26,8 +26,8 @@ type entry = {
 
 val metrics_of_result : Json_out.t -> (string * float) list
 (** Reduce a [BENCH_*.json] document to named metrics. Schema-aware for
-    [scaling] (per-row [convert_s@N] / [columnar_s@N] /
-    [columnar_segments_per_s@N]) and [obs] (the overhead ratios and
+    [scaling] (per-row [columnar_s@N] / [columnar_segments_per_s@N])
+    and [obs] (the overhead ratios and
     disabled-path costs); any other bench keeps its numeric
     top-level fields that look like measurements ([*_s], [*_ratio],
     [*_ns], [*_pct], [*_per_s], [speedup]). *)

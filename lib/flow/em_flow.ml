@@ -1,6 +1,6 @@
 module M = Em_core.Material
 module Ss = Em_core.Steady_state
-module Cc = Em_core.Compact
+module St = Em_core.Structure
 module Cl = Em_core.Classify
 module Dg = Em_core.Diag
 module Au = Em_core.Audit
@@ -84,16 +84,16 @@ type analyzed = {
    bit 0 the prediction, bit 1 the exact verdict. *)
 let counts_of_hist h = { Cl.tn = h.(0); fp = h.(1); fn = h.(2); tp = h.(3) }
 
-(* Per-structure analysis on the columnar representation: one
-   [solve_compact] through the worker's workspace, then the Blech filter
-   and the exact endpoint test read the flat columns directly. The
-   classification matches [Immortality.check] + [Blech.filter] on a
-   boxed structure expression for expression (both solve through
-   [solve_compact]), so the confusion counts are bit-identical. *)
+(* Per-structure analysis: one [Steady_state.solve] through the
+   worker's workspace, then the Blech filter and the exact endpoint
+   test read the flat columns directly. The classification matches
+   [Immortality.check] + [Blech.filter] expression for expression (both
+   solve through [Steady_state.solve]), so the confusion counts are
+   bit-identical. *)
 let analyze_one material with_maxpath ~audit ~index ws
     (cs : Extract.compact_structure) =
   let c = cs.Extract.compact in
-  let sol = Ss.solve_compact ~ws material c in
+  let sol = Ss.solve ~ws material c in
   (* The audit must run before the finiteness scan can throw and, more
      importantly, before the next solve through the same workspace
      overwrites the aliased solution arrays. *)
@@ -108,7 +108,7 @@ let analyze_one material with_maxpath ~audit ~index ws
   let threshold = M.effective_critical_stress material in
   let jl_crit = M.jl_crit material in
   let stress = sol.Ss.node_stress in
-  (* [solve_compact] rejects a vanished volume; inf from overflowing
+  (* [Steady_state.solve] rejects a vanished volume; inf from overflowing
      currents or geometry can still slip through, and a non-finite
      stress must become a diagnostic rather than a silent verdict. *)
   Array.iter
@@ -119,17 +119,17 @@ let analyze_one material with_maxpath ~audit ~index ws
              (Printf.sprintf "non-finite node stress %g" sigma)))
     stress;
   let maxpath =
-    if with_maxpath then Maxpath.segment_immortal material (Cc.to_structure c)
+    if with_maxpath then Maxpath.segment_immortal material c
     else [||]
   in
-  let nseg = Cc.num_segments c in
+  let nseg = St.num_segments c in
   let verdicts = Bytes.create nseg in
   let hist = Array.make 4 0 and maxpath_hist = Array.make 4 0 in
   for k = 0 to nseg - 1 do
     let exact =
-      stress.(c.Cc.tail.(k)) < threshold && stress.(c.Cc.head.(k)) < threshold
+      stress.(c.St.tail.(k)) < threshold && stress.(c.St.head.(k)) < threshold
     in
-    let blech = Float.abs c.Cc.j.(k) *. c.Cc.length.(k) <= jl_crit in
+    let blech = Float.abs c.St.j.(k) *. c.St.length.(k) <= jl_crit in
     let mp = if with_maxpath then maxpath.(k) else exact in
     let bits =
       (if blech then blech_bit else 0)
@@ -189,8 +189,8 @@ let analyze_traced material with_maxpath ~audit ws index
         [
           ("structure", Obs.Trace.Int index);
           ("layer", Obs.Trace.Int cs.Extract.cs_layer_level);
-          ("nodes", Obs.Trace.Int (Cc.num_nodes c));
-          ("segments", Obs.Trace.Int (Cc.num_segments c));
+          ("nodes", Obs.Trace.Int (St.num_nodes c));
+          ("segments", Obs.Trace.Int (St.num_segments c));
         ]
       "structure" run
   else run ()
@@ -218,8 +218,8 @@ let diag_of_failure i (cs : Extract.compact_structure) e =
     ~source:(Dg.Structure { index = i; layer = cs.Extract.cs_layer_level })
     ~code
     (Printf.sprintf "analysis skipped (%d nodes, %d segments): %s"
-       (Cc.num_nodes cs.Extract.compact)
-       (Cc.num_segments cs.Extract.compact)
+       (St.num_nodes cs.Extract.compact)
+       (St.num_segments cs.Extract.compact)
        detail)
 
 (* Analyze + classify on already-columnar structures, recording stages
@@ -246,7 +246,7 @@ let run_on_compact ?(material = M.cu_dac21) ?(with_maxpath = false) ?jobs
     let c = compacts_arr.(i).Extract.compact in
     {
       st_layer = compacts_arr.(i).Extract.cs_layer_level;
-      st_segments = Cc.num_segments c;
+      st_segments = St.num_segments c;
       st_ok = false;
       st_immortal = false;
       st_max_stress = Float.nan;

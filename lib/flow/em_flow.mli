@@ -11,12 +11,10 @@
     {!pp_summary}. Per segment the result keeps one byte of verdict
     bits, per structure its node stresses: lengths and current
     densities are read back from the compacts.
-    Per-structure analysis runs on the columnar
-    {!Em_core.Compact.t} path through per-domain
-    {!Em_core.Steady_state.Workspace} scratch buffers, so it both
-    parallelizes over domains and allocates (near) nothing per
-    structure. Every structure takes
-    {!Em_core.Steady_state.solve_compact}.
+    Every structure takes {!Em_core.Steady_state.solve} on its
+    columns through per-domain {!Em_core.Steady_state.Workspace}
+    scratch buffers, so the analysis both parallelizes over domains
+    and allocates (near) nothing per structure.
 
     Fault isolation: analysis failures are captured {e per structure} —
     an exception or a degenerate/non-finite stress result in one

@@ -1,7 +1,6 @@
 module N = Spice.Netlist
 module Mna = Spice.Mna
 module St = Em_core.Structure
-module Cc = Em_core.Compact
 
 type em_structure = {
   layer_level : int;
@@ -12,7 +11,7 @@ type em_structure = {
 
 type compact_structure = {
   cs_layer_level : int;
-  compact : Cc.t;
+  compact : St.t;
   cs_netlist : N.t;
   cs_nodes : int array;
   cs_element_ids : int array;
@@ -98,7 +97,7 @@ let extract_run (sol : Mna.solution) layer local ws first nw =
   done;
   (* Per component ([comp_node] needs no reset: components partition
      the level's nodes), segments go into a pre-sized
-     [Compact.Builder]. Width from the resistance (w = rho l / (R h))
+     [Structure.Builder]. Width from the resistance (w = rho l / (R h))
      tracks repairs that rescale it; electron current flows towards
      higher potential. *)
   let comp_node = Array.make n_local (-1) in
@@ -106,7 +105,7 @@ let extract_run (sol : Mna.solution) layer local ws first nw =
   for r = 0 to n_local - 1 do
     let m = count.(r) in
     if m > 0 then begin
-      let bld = Cc.Builder.create ~expected_segments:m () in
+      let bld = St.Builder.create ~expected_segments:m () in
       let elems = Array.make m 0 in
       let cnodes = Array.make (m + 1) 0 in
       let nc = ref 0 in
@@ -130,10 +129,10 @@ let extract_run (sol : Mna.solution) layer local ws first nw =
         in
         let tail = cintern local.(pos.(e)) in
         let head = cintern local.(neg.(e)) in
-        Cc.Builder.add_segment bld ~tail ~head ~length ~width ~height:thickness ~j;
+        St.Builder.add_segment bld ~tail ~head ~length ~width ~height:thickness ~j;
         elems.(i) <- e
       done;
-      let compact = Cc.Builder.finish bld ~num_nodes:!nc in
+      let compact = St.Builder.finish bld ~num_nodes:!nc in
       let cs_nodes = Array.init !nc (fun i -> rev_local.(cnodes.(i))) in
       out :=
         ( first_at.(r),
@@ -227,15 +226,12 @@ let extract_compact ?jobs ~tech (sol : Mna.solution) =
   |> List.map snd
 
 let total_compact_segments structures =
-  List.fold_left (fun acc s -> acc + Cc.num_segments s.compact) 0 structures
+  List.fold_left (fun acc s -> acc + St.num_segments s.compact) 0 structures
 
-(* Boxed view of a fused-path structure, for the ancillary consumers
-   (layer report, fix planner, PDE layer) that still read [Structure.t].
-   Node ids, names, segment order and element ids carry over unchanged. *)
 let boxed_view cs =
   {
     layer_level = cs.cs_layer_level;
-    structure = Cc.to_structure cs.compact;
+    structure = cs.compact;
     node_names = Array.init (Array.length cs.cs_nodes) (node_name cs);
     element_ids = cs.cs_element_ids;
   }

@@ -11,7 +11,7 @@ let seg ~l ~j = St.segment ~height:(0.5 *. um) ~length:(l *. um) ~width:um ~j ()
    2 ------'   '------ 3
    (j2 = -4e10)  (j3 = 3e10)  *)
 let t_structure =
-  St.make ~num_nodes:4
+  St.of_segments ~num_nodes:4
     [|
       (0, 1, seg ~l:20. ~j:6e10);
       (1, 2, seg ~l:10. ~j:(-4e10));
@@ -25,7 +25,7 @@ let t_structure =
             |
      4 -e4- 3 -e5- 5 -e6- 6 *)
 let tree =
-  St.make ~num_nodes:7
+  St.of_segments ~num_nodes:7
     [|
       (0, 1, seg ~l:10. ~j:(-1e10));
       (1, 2, seg ~l:12. ~j:5e10);
@@ -39,7 +39,7 @@ let tree =
    around the cycle; lengths satisfy sum(j l) = 0:
    1e10*20 + 1.5e10*16 - 2e10*10 - 3e10*8 = 0 (per um). *)
 let mesh =
-  St.make ~num_nodes:4
+  St.of_segments ~num_nodes:4
     [|
       (0, 1, seg ~l:20. ~j:1e10);
       (1, 2, seg ~l:16. ~j:1.5e10);

@@ -2,7 +2,6 @@ module M = Em_core.Material
 module St = Em_core.Structure
 module Im = Em_core.Immortality
 module Sens = Em_core.Sensitivity
-module Cc = Em_core.Compact
 module Ss = Em_core.Steady_state
 
 type fix = {
@@ -21,11 +20,10 @@ type plan = {
   immortal_structures : int;
 }
 
-let footprint s =
+let footprint (s : St.t) =
   let acc = ref 0. in
   for k = 0 to St.num_segments s - 1 do
-    let seg = St.seg s k in
-    acc := !acc +. (seg.St.width *. seg.St.length)
+    acc := !acc +. (s.St.width.(k) *. s.St.length.(k))
   done;
   !acc
 
@@ -85,11 +83,6 @@ let plan_of_result ?(material = M.cu_dac21) ?(safety = 1.1) compacts
           else Float.max 0. (st.Em_flow.st_max_stress /. threshold)
         in
         let widen = safety *. slack in
-        let c = cs.Extract.compact in
-        let area = ref 0. in
-        for k = 0 to Cc.num_segments c - 1 do
-          area := !area +. (c.Cc.width.(k) *. c.Cc.length.(k))
-        done;
         fixes :=
           {
             index = !mortal + !immortal;
@@ -97,7 +90,7 @@ let plan_of_result ?(material = M.cu_dac21) ?(safety = 1.1) compacts
             segments = st.Em_flow.st_segments;
             max_stress = st.Em_flow.st_max_stress;
             widen;
-            extra_area = (widen -. 1.) *. !area;
+            extra_area = (widen -. 1.) *. footprint cs.Extract.compact;
           }
           :: !fixes;
         incr mortal
@@ -107,10 +100,10 @@ let plan_of_result ?(material = M.cu_dac21) ?(safety = 1.1) compacts
 
 let apply_widening c alpha =
   if alpha <= 0. then invalid_arg "Fixer.apply_widening";
-  Cc.with_geometry c
-    ~width:(Array.map (fun w -> w *. alpha) c.Cc.width)
-    ~height:c.Cc.height
-    ~j:(Array.map (fun j -> j /. alpha) c.Cc.j)
+  St.with_geometry c
+    ~width:(Array.map (fun w -> w *. alpha) c.St.width)
+    ~height:c.St.height
+    ~j:(Array.map (fun j -> j /. alpha) c.St.j)
 
 let verify ?(material = M.cu_dac21) compacts plan =
   let arr = Array.of_list compacts in
@@ -118,7 +111,7 @@ let verify ?(material = M.cu_dac21) compacts plan =
   List.for_all
     (fun f ->
       let c = apply_widening arr.(f.index).Extract.compact f.widen in
-      fst (Ss.max_stress (Ss.solve_compact material c)) < threshold)
+      fst (Ss.max_stress (Ss.solve material c)) < threshold)
     plan.fixes
 
 module N = Spice.Netlist

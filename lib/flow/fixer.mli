@@ -34,8 +34,9 @@ val plan :
   ?material:Em_core.Material.t -> ?safety:float ->
   Extract.em_structure list -> plan
 (** [safety] (default 1.1) multiplies the minimum widening factor.
-    Solves every boxed structure again: the reference
-    {!plan_of_result} is tested against. *)
+    Solves every structure again: the reference {!plan_of_result} is
+    tested against. It takes the named view, {!Extract.em_structure},
+    and goes with it. *)
 
 val plan_of_result :
   ?material:Em_core.Material.t -> ?safety:float ->
@@ -47,16 +48,16 @@ val plan_of_result :
     the run fault-isolated are left out, and [index] counts the others
     only, so it indexes the list of analyzed structures. *)
 
-val apply_widening : Em_core.Compact.t -> float -> Em_core.Compact.t
+val apply_widening : Em_core.Structure.t -> float -> Em_core.Structure.t
 (** Widen every segment by the factor at fixed currents (widths scale up,
-    current densities scale down, {!Em_core.Compact.with_geometry});
+    current densities scale down, {!Em_core.Structure.with_geometry});
     used to verify plans. *)
 
 val verify :
   ?material:Em_core.Material.t -> Extract.compact_structure list -> plan ->
   bool
 (** True when applying every fix makes its structure immortal: the peak
-    of {!Em_core.Steady_state.solve_compact} on the widened structure
+    of {!Em_core.Steady_state.solve} on the widened structure
     lies below the effective critical stress. The list is the one the
     plan indexes. *)
 

@@ -10,21 +10,21 @@ let limit_of tech level =
     tech.Pdn.Tech.layers;
   !found
 
-let filter ~tech (es : Extract.em_structure) =
-  let s = es.Extract.structure in
-  match limit_of tech es.Extract.layer_level with
+let filter ~tech (cs : Extract.compact_structure) =
+  let s = cs.Extract.compact in
+  match limit_of tech cs.Extract.cs_layer_level with
   | None -> Array.make (St.num_segments s) false
   | Some limit ->
     Array.init (St.num_segments s) (fun k ->
-        Float.abs (St.seg s k).St.current_density <= limit)
+        Float.abs s.St.j.(k) <= limit)
 
 let compare_against_exact ?(material = Em_core.Material.cu_dac21) ~tech
     structures =
   List.fold_left
-    (fun counts (es : Extract.em_structure) ->
-      let s = es.Extract.structure in
+    (fun counts (cs : Extract.compact_structure) ->
+      let s = cs.Extract.compact in
       let report = Im.check material s in
-      let pass = filter ~tech es in
+      let pass = filter ~tech cs in
       let counts = ref counts in
       for k = 0 to St.num_segments s - 1 do
         counts :=

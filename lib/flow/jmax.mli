@@ -8,7 +8,7 @@
     structure's stress coupling; running it against the exact analysis
     quantifies a second industry-standard screen. *)
 
-val filter : tech:Pdn.Tech.t -> Extract.em_structure -> bool array
+val filter : tech:Pdn.Tech.t -> Extract.compact_structure -> bool array
 (** Per-segment verdict ([true] = within the layer's limit). Segments on
     levels absent from the tech (cannot happen for extracted structures)
     fail closed. *)
@@ -16,7 +16,7 @@ val filter : tech:Pdn.Tech.t -> Extract.em_structure -> bool array
 val compare_against_exact :
   ?material:Em_core.Material.t ->
   tech:Pdn.Tech.t ->
-  Extract.em_structure list ->
+  Extract.compact_structure list ->
   Em_core.Classify.counts
 (** Confusion matrix with the exact test as truth and "within the j
     limit" as the positive (immortal) prediction. *)

@@ -3,7 +3,6 @@ module St = Em_core.Structure
 module Im = Em_core.Immortality
 module Bl = Em_core.Blech
 module Cl = Em_core.Classify
-module Cc = Em_core.Compact
 
 type layer_stats = {
   level : int;
@@ -83,7 +82,7 @@ let of_result compacts (r : Em_flow.result) =
         let c = cs.Extract.compact in
         let has bit k = Em_flow.segment_verdict r i k land bit <> 0 in
         add_structure by_level ~level:st.Em_flow.st_layer
-          ~max_stress:st.Em_flow.st_max_stress ~length:c.Cc.length ~j:c.Cc.j
+          ~max_stress:st.Em_flow.st_max_stress ~length:c.St.length ~j:c.St.j
           ~blech:(has Em_flow.blech_bit) ~exact:(has Em_flow.exact_bit)
       end)
     compacts;
@@ -96,11 +95,8 @@ let analyze ?(material = M.cu_dac21) structures =
       let s = es.Extract.structure in
       let report = Im.check material s in
       let blech = Bl.filter material s in
-      let seg k = St.seg s k in
       add_structure by_level ~level:es.Extract.layer_level
-        ~max_stress:report.Im.max_stress
-        ~length:(Array.init (St.num_segments s) (fun k -> (seg k).St.length))
-        ~j:(Array.init (St.num_segments s) (fun k -> (seg k).St.current_density))
+        ~max_stress:report.Im.max_stress ~length:s.St.length ~j:s.St.j
         ~blech:(Array.get blech)
         ~exact:(Array.get report.Im.segment_immortal))
     structures;

@@ -26,9 +26,10 @@ val of_result :
 
 val analyze :
   ?material:Em_core.Material.t -> Extract.em_structure list -> layer_stats list
-(** The same breakdown by solving every boxed structure again
+(** The same breakdown by solving every structure again
     ({!Em_core.Immortality.check} and {!Em_core.Blech.filter}): the
-    reference {!of_result} is tested against. Ascending by level. *)
+    reference {!of_result} is tested against. It takes the named view,
+    {!Extract.em_structure}, and goes with it. Ascending by level. *)
 
 val to_table : layer_stats list -> Report.t
 

@@ -9,8 +9,8 @@ let of_result compacts (r : Em_flow.result) =
       let c = cs.Extract.compact in
       Array.init (Bytes.length r.Em_flow.verdicts.(i)) (fun k ->
           {
-            length_um = c.Em_core.Compact.length.(k) *. 1e6;
-            j = c.Em_core.Compact.j.(k);
+            length_um = c.Em_core.Structure.length.(k) *. 1e6;
+            j = c.Em_core.Structure.j.(k);
             correct = correct (Em_flow.segment_verdict r i k);
           }))
     compacts

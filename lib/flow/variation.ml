@@ -1,6 +1,6 @@
 module M = Em_core.Material
 module Ss = Em_core.Steady_state
-module Cc = Em_core.Compact
+module St = Em_core.Structure
 module Dg = Em_core.Diag
 module Rng = Numerics.Rng
 module Stats = Numerics.Stats
@@ -50,17 +50,17 @@ let[@inline] factor_fill rng sigma dst off len =
 
 (* One sample's geometry draws: all [m] width factors, then all [m]
    thickness factors. *)
-let perturb_compact rng spec (c : Cc.t) =
-  let m = Cc.num_segments c in
+let perturb_compact rng spec (c : St.t) =
+  let m = St.num_segments c in
   let fw = Array.make m 0. and ft = Array.make m 0. in
   factor_fill rng spec.width_sigma fw 0 m;
   factor_fill rng spec.thickness_sigma ft 0 m;
-  let width = Array.init m (fun k -> c.Cc.width.(k) *. fw.(k)) in
-  let height = Array.init m (fun k -> c.Cc.height.(k) *. ft.(k)) in
+  let width = Array.init m (fun k -> c.St.width.(k) *. fw.(k)) in
+  let height = Array.init m (fun k -> c.St.height.(k) *. ft.(k)) in
   (* Fixed current through the segment: j scales inversely with the
      sampled cross-section. *)
-  let j = Array.init m (fun k -> c.Cc.j.(k) /. (fw.(k) *. ft.(k))) in
-  Cc.with_geometry c ~width ~height ~j
+  let j = Array.init m (fun k -> c.St.j.(k) /. (fw.(k) *. ft.(k))) in
+  St.with_geometry c ~width ~height ~j
 
 (* ------------------------------------------------------------------ *)
 (* Sampling kernel                                                     *)
@@ -97,16 +97,16 @@ let grown a len = if Array.length a >= len then a else Array.make len 0.
    schedule is recorded once (topology only) and replayed per sample;
    every floating-point expression and summation order is the scalar
    solver's, so each peak is bit-identical to [perturb_compact] then
-   [solve_compact]. Raises only on structural problems (disconnected
+   [Steady_state.solve]. Raises only on structural problems (disconnected
    topology); a degenerate *sample* is counted and skipped. *)
 let mc_structure material spec sc rng ~index (cs : Extract.compact_structure) =
   let c = cs.Extract.compact in
-  let n = Cc.num_nodes c and m = Cc.num_segments c in
+  let n = St.num_nodes c and m = St.num_segments c in
   let beta = M.beta material in
   let sigma_c = M.effective_critical_stress material in
   let sched = Ss.Schedule.make c in
   let nominal_immortal =
-    match Ss.solve_compact ~ws:sc.ws material c with
+    match Ss.solve ~ws:sc.ws material c with
     | sol -> fst (Ss.max_stress sol) < sigma_c
     | exception Ss.Degenerate _ -> false
   in
@@ -125,9 +125,9 @@ let mc_structure material spec sc rng ~index (cs : Extract.compact_structure) =
     Stats.P2.add_slice q90 peak 0 len;
     Stats.P2.add_slice q99 peak 0 len
   in
-  let widths = c.Cc.width and heights = c.Cc.height in
-  let lengths = c.Cc.length and js = c.Cc.j in
-  let tails = c.Cc.tail in
+  let widths = c.St.width and heights = c.St.height in
+  let lengths = c.St.length and js = c.St.j in
+  let tails = c.St.tail in
   let s_node = sched.Ss.Schedule.node in
   let s_parent = sched.Ss.Schedule.parent in
   let s_edge = sched.Ss.Schedule.edge in
@@ -136,7 +136,7 @@ let mc_structure material spec sc rng ~index (cs : Extract.compact_structure) =
   (* The one length check the unchecked loops below rely on. The
      schedule's columns hold [n - 1] entries, and the index columns
      ([tails], the schedule's nodes and edges) were validated by
-     [Compact.make] and [Schedule.make]. *)
+     [Structure.make] and [Schedule.make]. *)
   if
     Array.length widths < m || Array.length heights < m
     || Array.length lengths < m || Array.length js < m
@@ -242,7 +242,7 @@ let run_one material spec sc seed ~index (cs : Extract.compact_structure) =
         [
           ("structure", Obs.Trace.Int index);
           ("layer", Obs.Trace.Int cs.Extract.cs_layer_level);
-          ("segments", Obs.Trace.Int (Cc.num_segments cs.Extract.compact));
+          ("segments", Obs.Trace.Int (St.num_segments cs.Extract.compact));
           ("samples", Obs.Trace.Int spec.samples);
         ]
       work

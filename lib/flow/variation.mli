@@ -24,8 +24,8 @@
     segments again (the integral [Q]). Every floating-point expression
     and summation order is the scalar solver's, so every per-sample
     peak stress is bit-identical to a
-    [perturb_compact]-then-[solve_compact] oracle. Finite peaks reach
-    Welford / P{^2} estimators ({!Numerics.Stats.Online} /
+    [perturb_compact]-then-[Steady_state.solve] oracle. Finite peaks
+    reach Welford / P{^2} estimators ({!Numerics.Stats.Online} /
     {!Numerics.Stats.P2}) through a fixed 256-slot chunk, so memory is
     independent of the sample count.
 
@@ -111,14 +111,14 @@ val factor : Numerics.Rng.t -> float -> float
     truncation bias for practical sigmas). *)
 
 val perturb_compact :
-  Numerics.Rng.t -> spec -> Em_core.Compact.t -> Em_core.Compact.t
-(** One columnar geometry sample via {!Em_core.Compact.with_geometry}
+  Numerics.Rng.t -> spec -> Em_core.Structure.t -> Em_core.Structure.t
+(** One columnar geometry sample via {!Em_core.Structure.with_geometry}
     (no CSR rebuild): widths and thicknesses scaled by {!factor} draws,
     current densities rescaled to preserve each segment's current.
     Consumes the stream exactly as the engine does for one sample —
     every segment's width factor, then every segment's thickness
-    factor — so [perturb_compact]-then-[solve_compact] is the engine's
-    scalar oracle (the per-sample critical-stress factor is
+    factor — so [perturb_compact]-then-[Steady_state.solve] is the
+    engine's scalar oracle (the per-sample critical-stress factor is
     drawn after the geometry, by the caller). *)
 
 val to_table : structure_stats list -> Report.t

@@ -20,11 +20,10 @@ let build material mesh =
   let builder = Sp.Builder.create ~expected_nnz:expected n n in
   let drift = Array.make n 0. in
   for k = 0 to St.num_segments s - 1 do
-    let seg = St.seg s k in
-    let wh = St.cross_section seg in
+    let wh = s.St.width.(k) *. s.St.height.(k) in
     let dx = mesh.Mesh1d.dx.(k) in
     let c = wh *. kappa /. dx in
-    let d = wh *. kappa *. beta *. seg.St.current_density in
+    let d = wh *. kappa *. beta *. s.St.j.(k) in
     let cells = Mesh1d.num_cells mesh ~seg:k in
     (* One face between consecutive points; the face flux
        G = wh kappa ((sigma_b - sigma_a)/dx + beta j) enters cell [a]

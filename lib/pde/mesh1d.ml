@@ -9,7 +9,7 @@ type t = {
   control_volume : float array;
 }
 
-let discretize ?(target_dx = 0.5e-6) ?(min_cells = 4) s =
+let discretize ?(target_dx = 0.5e-6) ?(min_cells = 4) (s : St.t) =
   if target_dx <= 0. then invalid_arg "Mesh1d.discretize: target_dx <= 0";
   if min_cells < 1 then invalid_arg "Mesh1d.discretize: min_cells < 1";
   let n_nodes = St.num_nodes s in
@@ -19,22 +19,18 @@ let discretize ?(target_dx = 0.5e-6) ?(min_cells = 4) s =
   let dx = Array.make m 0. in
   let next = ref n_nodes in
   for k = 0 to m - 1 do
-    let seg = St.seg s k in
-    let cells =
-      max min_cells
-        (int_of_float (Float.round (seg.St.length /. target_dx)))
-    in
+    let length = s.St.length.(k) in
+    let cells = max min_cells (int_of_float (Float.round (length /. target_dx))) in
     points_per_segment.(k) <- cells - 1;
     interior_offset.(k) <- !next;
     next := !next + (cells - 1);
-    dx.(k) <- seg.St.length /. float_of_int cells
+    dx.(k) <- length /. float_of_int cells
   done;
   let control_volume = Array.make !next 0. in
   for k = 0 to m - 1 do
-    let seg = St.seg s k in
-    let tail, head = St.endpoints s k in
+    let tail = s.St.tail.(k) and head = s.St.head.(k) in
     let cells = points_per_segment.(k) + 1 in
-    let half = St.cross_section seg *. dx.(k) /. 2. in
+    let half = s.St.width.(k) *. s.St.height.(k) *. dx.(k) /. 2. in
     control_volume.(tail) <- control_volume.(tail) +. half;
     control_volume.(head) <- control_volume.(head) +. half;
     for i = 0 to cells - 2 do
@@ -56,9 +52,8 @@ let num_cells t ~seg = t.points_per_segment.(seg) + 1
 let point t ~seg ~idx =
   let cells = num_cells t ~seg in
   if idx < 0 || idx > cells then invalid_arg "Mesh1d.point: idx out of range";
-  let tail, head = St.endpoints t.structure seg in
-  if idx = 0 then tail
-  else if idx = cells then head
+  if idx = 0 then t.structure.St.tail.(seg)
+  else if idx = cells then t.structure.St.head.(seg)
   else t.interior_offset.(seg) + idx - 1
 
 let position t ~seg ~idx = float_of_int idx *. t.dx.(seg)
@@ -66,8 +61,7 @@ let position t ~seg ~idx = float_of_int idx *. t.dx.(seg)
 let total_volume t = Array.fold_left ( +. ) 0. t.control_volume
 
 let interpolate t u ~seg ~x =
-  let s = St.seg t.structure seg in
-  if x < 0. || x > s.St.length then
+  if x < 0. || x > t.structure.St.length.(seg) then
     invalid_arg "Mesh1d.interpolate: x outside the segment";
   let cells = num_cells t ~seg in
   let pos = x /. t.dx.(seg) in

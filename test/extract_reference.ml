@@ -171,7 +171,7 @@ let extract ~tech (sol : Mna.solution) =
                     ~j:w.j () ))
               comp
           in
-          let structure = St.make ~num_nodes:!nc segs in
+          let structure = St.of_segments ~num_nodes:!nc segs in
           out :=
             {
               layer_level = level;

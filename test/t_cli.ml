@@ -372,6 +372,29 @@ let test_retired_telemetry () =
       Printf.sprintf "analyze %s --profile-format folded" deck;
     ]
 
+(* ---------------------------------------------------------------- *)
+(* wire                                                              *)
+
+(* The two-segment wire's whole report, byte for byte: the structure
+   listing, the per-segment traditional Blech verdicts and the exact
+   test's verdict. *)
+let wire_golden =
+  "graph: 3 nodes, 2 edges\n\
+  \  e0: 0 -> 1  l=10um w=1um h=0.2um j=1e+10A/m2\n\
+  \  e1: 1 -> 2  l=20um w=1um h=0.2um j=-5e+09A/m2\n\
+   \n\
+   segment 0: jl = 0.1000 A/um -> traditional Blech says immortal\n\
+   segment 1: jl = 0.1000 A/um -> traditional Blech says immortal\n\
+   \n\
+   IMMORTAL: max stress 15.275 MPa at node 0 (threshold 41.000 MPa, margin \
+   +25.725 MPa)\n\
+   2/2 segments immortal\n"
+
+let test_wire_golden () =
+  let r = run_cmd (Printf.sprintf "%s wire 10,1,1e10 20,1,-5e9" emcheck) in
+  Alcotest.(check int) "exit code" 0 r.code;
+  Alcotest.(check string) "stdout" wire_golden r.out
+
 let suites =
   [
     ( "cli.explain",
@@ -390,6 +413,7 @@ let suites =
         case "lint refusal names the failing check" test_lint_refusal;
         case "--samples below 1 refused before the deck" test_analyze_samples_floor;
       ] );
+    ("cli.wire", [ case "two-segment report is byte-identical" test_wire_golden ]);
     ( "cli.bench",
       [ case "compare without history gates nothing" test_bench_compare_no_history ] );
     ( "cli.subcommand_inventory",

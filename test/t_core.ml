@@ -12,15 +12,24 @@ module Linsys = Em_core.Baseline_linsys
 module Maxpath = Em_core.Baseline_maxpath
 module Kcl = Em_core.Kirchhoff
 module Rng = Numerics.Rng
+module Traversal = Em_core.Traversal
 
 let cu = M.cu_dac21
 
 let seg ?(h = 2e-7) ~l ~w ~j () = St.segment ~height:h ~length:l ~width:w ~j ()
 
+(* Segment [k] of [s] as a builder input: for rebuilding a structure
+   with its segments renumbered or reversed. *)
+let seg_of ?j (s : St.t) k =
+  let j = Option.value j ~default:s.St.j.(k) in
+  St.segment ~height:s.St.height.(k) ~length:s.St.length.(k) ~width:s.St.width.(k) ~j ()
+
+let is_tree s = St.is_connected s && St.num_segments s = St.num_nodes s - 1
+
 (* Lemma 3's conservation integral as the audit computes it, normalized
    by [A * max |sigma|]. *)
 let mass_rel s sol =
-  let a = Em_core.Audit.check cu (Em_core.Compact.of_structure s) sol in
+  let a = Em_core.Audit.check cu s sol in
   a.Em_core.Audit.au_residuals.Em_core.Audit.mass_rel
 
 (* ---------------------------------------------------------------- *)
@@ -63,34 +72,34 @@ let test_structure_basics () =
                     seg ~l:(U.um 20.) ~w:(U.um 0.5) ~j:(-2e10) () ] in
   Alcotest.(check int) "nodes" 3 (St.num_nodes s);
   Alcotest.(check int) "segments" 2 (St.num_segments s);
-  Alcotest.(check (pair int int)) "endpoints" (1, 2) (St.endpoints s 1);
+  Alcotest.(check (pair int int)) "endpoints" (1, 2) (s.St.tail.(1), s.St.head.(1));
   check_close ~rtol:1e-12 "volume"
     ((U.um 10. *. U.um 1. *. 2e-7) +. (U.um 20. *. U.um 0.5 *. 2e-7))
     (St.volume s);
-  check_close ~rtol:1e-12 "total length" (U.um 30.) (St.total_length s);
-  Alcotest.(check bool) "tree" true (St.is_tree s);
-  check_close ~rtol:1e-12 "jl" (1e10 *. U.um 10.) (St.jl (St.seg s 0))
+  check_close ~rtol:1e-12 "total length" (U.um 30.) (Array.fold_left ( +. ) 0. s.St.length);
+  Alcotest.(check bool) "tree" true (is_tree s);
+  check_close ~rtol:1e-12 "jl" (1e10 *. U.um 10.) (s.St.j.(0) *. s.St.length.(0))
 
 let test_structure_guards () =
-  check_raises_invalid "empty" (fun () -> St.make ~num_nodes:1 [||]);
+  check_raises_invalid "empty" (fun () -> St.of_segments ~num_nodes:1 [||]);
   check_raises_invalid "zero length" (fun () ->
-      St.make ~num_nodes:2 [| (0, 1, seg ~l:0. ~w:1e-6 ~j:0. ()) |]);
+      St.of_segments ~num_nodes:2 [| (0, 1, seg ~l:0. ~w:1e-6 ~j:0. ()) |]);
   check_raises_invalid "nan current" (fun () ->
-      St.make ~num_nodes:2 [| (0, 1, seg ~l:1e-6 ~w:1e-6 ~j:Float.nan ()) |])
+      St.of_segments ~num_nodes:2 [| (0, 1, seg ~l:1e-6 ~w:1e-6 ~j:Float.nan ()) |])
 
 let test_structure_current_and_kcl () =
   (* A T junction with consistent currents: 2e10 in, 1e10 + 1e10 out
      (equal cross-sections). Node 1 is the junction. *)
   let w = U.um 1. and h = 2e-7 in
   let s =
-    St.make ~num_nodes:4
+    St.of_segments ~num_nodes:4
       [|
         (0, 1, seg ~h ~l:(U.um 10.) ~w ~j:2e10 ());
         (1, 2, seg ~h ~l:(U.um 8.) ~w ~j:1e10 ());
         (1, 3, seg ~h ~l:(U.um 6.) ~w ~j:1e10 ());
       |]
   in
-  check_close ~rtol:1e-12 "current" (2e10 *. w *. h) (St.current s 0);
+  check_close ~rtol:1e-12 "current" (2e10 *. w *. h) (s.St.j.(0) *. s.St.wh.(0));
   check_close ~atol:1e-18 "junction KCL" 0. (St.kcl_imbalance s 1);
   (* Termini exchange current with the outside world. *)
   check_close ~rtol:1e-12 "terminus imbalance" (2e10 *. w *. h)
@@ -104,7 +113,7 @@ let test_structure_validate_connected_tree () =
 
 let test_structure_validate_disconnected () =
   let s =
-    St.make ~num_nodes:4
+    St.of_segments ~num_nodes:4
       [|
         (0, 1, seg ~l:(U.um 5.) ~w:(U.um 1.) ~j:1e10 ());
         (2, 3, seg ~l:(U.um 5.) ~w:(U.um 1.) ~j:1e10 ());
@@ -116,7 +125,7 @@ let test_structure_validate_disconnected () =
 
 let triangle j01 j12 j20 =
   let w = U.um 1. in
-  St.make ~num_nodes:3
+  St.of_segments ~num_nodes:3
     [|
       (0, 1, seg ~l:(U.um 10.) ~w ~j:j01 ());
       (1, 2, seg ~l:(U.um 10.) ~w ~j:j12 ());
@@ -139,7 +148,7 @@ let test_structure_validate_cycle () =
 let test_with_current_densities () =
   let s = St.line [ seg ~l:(U.um 5.) ~w:(U.um 1.) ~j:1e10 () ] in
   let s' = St.with_current_densities s [| -3e10 |] in
-  check_close "replaced j" (-3e10) (St.seg s' 0).St.current_density;
+  check_close "replaced j" (-3e10) s'.St.j.(0);
   check_raises_invalid "wrong length" (fun () ->
       St.with_current_densities s [| 1.; 2. |])
 
@@ -147,15 +156,18 @@ let test_builders () =
   let st = St.star ~center_degree:3 (fun i -> seg ~l:(U.um (float_of_int (i + 1))) ~w:(U.um 1.) ~j:1e10 ()) in
   Alcotest.(check int) "star nodes" 4 (St.num_nodes st);
   Alcotest.(check int) "star termini" 3
-    (List.length (Ugraph.termini (St.graph st)));
+    (List.length
+       (List.filter
+          (fun v -> st.St.offsets.(v + 1) - st.St.offsets.(v) = 1)
+          (List.init (St.num_nodes st) Fun.id)));
   let mesh = St.grid_mesh ~rows:3 ~cols:4 (fun ~horizontal:_ _ _ -> seg ~l:(U.um 2.) ~w:(U.um 1.) ~j:0. ()) in
   Alcotest.(check int) "mesh nodes" 12 (St.num_nodes mesh);
   (* 3 rows x 3 horizontal + 2 x 4 vertical = 17 edges. *)
   Alcotest.(check int) "mesh edges" 17 (St.num_segments mesh);
-  Alcotest.(check bool) "mesh not a tree" false (St.is_tree mesh);
+  Alcotest.(check bool) "mesh not a tree" false (is_tree mesh);
   let rng = Rng.create 3L in
   let tree = St.random_tree rng ~num_nodes:30 (fun _ -> seg ~l:(U.um 1.) ~w:(U.um 1.) ~j:0. ()) in
-  Alcotest.(check bool) "random tree is a tree" true (St.is_tree tree)
+  Alcotest.(check bool) "random tree is a tree" true (is_tree tree)
 
 (* ---------------------------------------------------------------- *)
 (* Steady state: closed forms                                        *)
@@ -181,7 +193,7 @@ let test_single_segment_blech_equivalence () =
       let j = frac *. jl_crit /. l in
       let s = St.single (seg ~l ~w ~j ()) in
       let report = Im.check cu s in
-      let blech = Bl.segment_immortal cu (St.seg s 0) in
+      let blech = Bl.segment_immortal cu s 0 in
       Alcotest.(check bool)
         (Printf.sprintf "agreement at %.2f x critical" frac)
         blech report.Im.structure_immortal)
@@ -256,7 +268,7 @@ let test_mass_conservation () =
 
 let test_disconnected_rejected () =
   let s =
-    St.make ~num_nodes:4
+    St.of_segments ~num_nodes:4
       [|
         (0, 1, seg ~l:(U.um 5.) ~w:(U.um 1.) ~j:1e10 ());
         (2, 3, seg ~l:(U.um 5.) ~w:(U.um 1.) ~j:1e10 ());
@@ -279,7 +291,7 @@ let test_degenerate_volume_rejected () =
   Alcotest.(check bool) "connected" true (St.is_connected s);
   Alcotest.(check (float 0.)) "volume underflows" 0. (St.volume s);
   (* ...but the solver must refuse to emit nan stresses. *)
-  match Ss.solve_compact cu (Em_core.Compact.of_structure s) with
+  match Ss.solve cu s with
   | exception Ss.Degenerate _ -> ()
   | exception e ->
     Alcotest.failf "expected Degenerate, got %s" (Printexc.to_string e)
@@ -328,12 +340,8 @@ let test_mesh_validates_and_solves () =
   let sol = Ss.solve cu s in
   check_close ~atol:1e-9 "mesh mass conservation" 0. (mass_rel s sol);
   (* Chords count in A and Q: the solver's A is the whole volume. *)
-  let c = Em_core.Compact.of_structure s in
   check_close ~rtol:1e-12 "volume" (St.volume s) sol.Ss.volume;
-  check_close ~rtol:1e-12 "columnar volume" (St.volume s) (Em_core.Compact.volume c);
-  check_close ~rtol:1e-12 "total length" (St.total_length s)
-    (Em_core.Compact.total_length c);
-  Alcotest.(check bool) "connected" true (Em_core.Compact.is_connected c);
+  Alcotest.(check bool) "connected" true (St.is_connected s);
   (* Against the independent linear-system solver. *)
   let ls = Linsys.solve cu s in
   check_array_close ~rtol:1e-6 ~atol:1e2 "mesh vs linsys" ls.Ss.node_stress
@@ -379,8 +387,8 @@ let test_kirchhoff_two_resistor_divider () =
   let i0 = 5e-4 in
   let sol = Kcl.solve cu geom ~injections:[| i0; 0.; -.i0 |] in
   let s = sol.Kcl.structure in
-  check_close ~rtol:1e-9 "j1 = I/(w1 h)" (i0 /. (w1 *. h)) (St.seg s 0).St.current_density;
-  check_close ~rtol:1e-9 "j2 = I/(w2 h)" (i0 /. (w2 *. h)) (St.seg s 1).St.current_density
+  check_close ~rtol:1e-9 "j1 = I/(w1 h)" (i0 /. (w1 *. h)) s.St.j.(0);
+  check_close ~rtol:1e-9 "j2 = I/(w2 h)" (i0 /. (w2 *. h)) s.St.j.(1)
 
 (* ---------------------------------------------------------------- *)
 (* Baselines                                                         *)
@@ -431,7 +439,7 @@ let test_maxpath_single_segment () =
   let s = St.single (seg ~l ~w:(U.um 1.) ~j ()) in
   check_close ~rtol:1e-12 "maxpath jl" (j *. l) (Maxpath.max_path_jl s);
   Alcotest.(check bool) "maxpath == blech on single segment"
-    (Bl.segment_immortal cu (St.seg s 0))
+    (Bl.segment_immortal cu s 0)
     (Maxpath.structure_immortal cu s)
 
 let test_maxpath_is_wrong_sometimes () =
@@ -474,10 +482,9 @@ let test_maxpath_segment_vs_bruteforce () =
     let dp = Maxpath.segment_immortal cu s in
     (* Brute force: for every ordered pair (a, b), accumulate the path jl
        and mark the edges it crosses with the extreme |sum|. *)
-    let g = St.graph s in
     let worst = Array.make (St.num_segments s) 0. in
     for a = 0 to n - 1 do
-      let tree = Traversal.bfs g ~root:a in
+      let tree = Traversal.bfs s ~root:a in
       let b_sums = Bs.to_all_nodes s ~reference:a in
       for b = 0 to n - 1 do
         if b <> a then begin
@@ -512,7 +519,7 @@ let test_blech_filter () =
   in
   Alcotest.(check (array bool)) "filter" [| true; false |] (Bl.filter cu s);
   Alcotest.(check int) "count" 1 (Bl.count_immortal cu s);
-  check_close ~rtol:1e-12 "product uses |j|" (over *. l) (Bl.product (St.seg s 1))
+  check_close ~rtol:1e-12 "product uses |j|" (over *. l) (Bl.product s 1)
 
 let test_classify () =
   Alcotest.(check bool) "tp" true
@@ -558,7 +565,7 @@ let test_blech_sum_values () =
      flip the sign. *)
   let l = U.um 10. in
   let s =
-    St.make ~num_nodes:3
+    St.of_segments ~num_nodes:3
       [|
         (0, 1, seg ~l ~w:(U.um 1.) ~j:2e10 ());
         (2, 1, seg ~l ~w:(U.um 1.) ~j:1e10 ()) (* reference points 2 -> 1 *);
@@ -584,8 +591,7 @@ let make_tree (n, seed) =
 let prop_linear_in_current (n, seed) =
   let s = make_tree (n, seed) in
   let alpha = 3.7 in
-  let js = Array.init (St.num_segments s) (fun k -> (St.seg s k).St.current_density) in
-  let s_scaled = St.with_current_densities s (Array.map (fun j -> alpha *. j) js) in
+  let s_scaled = St.with_current_densities s (Array.map (fun j -> alpha *. j) s.St.j) in
   let sol = Ss.solve cu s and sol' = Ss.solve cu s_scaled in
   Array.for_all2
     (fun a b -> Float.abs ((alpha *. a) -. b) <= 1e-9 *. (Float.abs b +. 1e6))
@@ -595,15 +601,10 @@ let prop_reversal_invariance (n, seed) =
   (* Reversing every reference direction and negating j is the same
      physical structure. *)
   let s = make_tree (n, seed) in
-  let g = St.graph s in
   let flipped =
-    St.make ~num_nodes:(St.num_nodes s)
+    St.of_segments ~num_nodes:(St.num_nodes s)
       (Array.init (St.num_segments s) (fun k ->
-           let e = Ugraph.edge g k in
-           let sg = St.seg s k in
-           ( e.Ugraph.head,
-             e.Ugraph.tail,
-             { sg with St.current_density = -.sg.St.current_density } )))
+           (s.St.head.(k), s.St.tail.(k), seg_of ~j:(-.s.St.j.(k)) s k)))
   in
   let a = (Ss.solve ~reference:0 cu s).Ss.node_stress in
   let b = (Ss.solve ~reference:0 cu flipped).Ss.node_stress in
@@ -621,14 +622,11 @@ let prop_max_at_node (n, seed) =
   let hi, _ = Ss.max_stress sol and lo, _ = Ss.min_stress sol in
   let ok = ref true in
   for k = 0 to St.num_segments s - 1 do
-    let sg = St.seg s k in
-    let tail, _ = St.endpoints s k in
+    let tail = s.St.tail.(k) in
     for i = 1 to 9 do
       (* Lemma 1: sigma(x) = sigma_tail - beta j x along the segment. *)
-      let x = sg.St.length *. float_of_int i /. 10. in
-      let v =
-        sol.Ss.node_stress.(tail) -. (sol.Ss.beta *. sg.St.current_density *. x)
-      in
+      let x = s.St.length.(k) *. float_of_int i /. 10. in
+      let v = sol.Ss.node_stress.(tail) -. (sol.Ss.beta *. s.St.j.(k) *. x) in
       if v > hi +. 1e-3 || v < lo -. 1e-3 then ok := false
     done
   done;
@@ -649,69 +647,46 @@ let prop_zero_current_zero_stress (n, seed) =
   Array.for_all (fun v -> Float.abs v < 1e-9) sol.Ss.node_stress
 
 (* ---------------------------------------------------------------- *)
-(* Columnar (Compact) path                                           *)
-
-module Cc = Em_core.Compact
+(* Columnar path                                                    *)
 
 (* One workspace shared across every columnar test: qcheck feeds it
    structures of many different sizes, exercising the grow/reuse paths. *)
 let compact_ws = Ss.Workspace.create ()
 
 let prop_compact_reference_invariance (n, seed) =
-  let s = make_tree (n, seed) in
-  let c = Cc.of_structure s in
+  let c = make_tree (n, seed) in
   (* The first solution aliases the workspace buffers: copy before the
      second solve overwrites them. *)
   let a =
-    Array.copy (Ss.solve_compact ~reference:0 ~ws:compact_ws cu c).Ss.node_stress
+    Array.copy (Ss.solve ~reference:0 ~ws:compact_ws cu c).Ss.node_stress
   in
   let b =
-    (Ss.solve_compact ~reference:(Cc.num_nodes c - 1) ~ws:compact_ws cu c)
+    (Ss.solve ~reference:(St.num_nodes c - 1) ~ws:compact_ws cu c)
       .Ss.node_stress
   in
   Array.for_all2 (fun x y -> Float.abs (x -. y) <= 1e-6 *. (Float.abs x +. 1e3)) a b
 
-let test_compact_roundtrip () =
-  let s = make_tree (23, 5) in
-  let c = Cc.of_structure s in
-  let s' = Cc.to_structure c in
-  Alcotest.(check int) "nodes" (St.num_nodes s) (St.num_nodes s');
-  Alcotest.(check int) "segments" (St.num_segments s) (St.num_segments s');
-  for k = 0 to St.num_segments s - 1 do
-    Alcotest.(check (pair int int))
-      "endpoints" (St.endpoints s k) (St.endpoints s' k);
-    let a = St.seg s k and b = St.seg s' k in
-    Alcotest.(check bool) "segment bits" true
-      (a.St.length = b.St.length && a.St.width = b.St.width
-      && a.St.height = b.St.height
-      && a.St.current_density = b.St.current_density)
-  done;
-  (* And the exact solver agrees bit for bit through the roundtrip. *)
-  let sol = Ss.solve cu s and sol' = Ss.solve cu s' in
-  Alcotest.(check bool) "stresses identical" true
-    (sol.Ss.node_stress = sol'.Ss.node_stress)
-
 let test_compact_guards () =
-  let c = Cc.of_structure (make_tree (8, 3)) in
+  let c = make_tree (8, 3) in
   check_raises_invalid "reference out of range" (fun () ->
-      ignore (Ss.solve_compact ~reference:99 cu c));
+      ignore (Ss.solve ~reference:99 cu c));
   let uniform v = Array.make 2 v in
   let disconnected =
-    Cc.make ~num_nodes:4 ~tail:[| 0; 2 |] ~head:[| 1; 3 |]
+    St.make ~num_nodes:4 ~tail:[| 0; 2 |] ~head:[| 1; 3 |]
       ~length:(uniform (U.um 10.)) ~width:(uniform (U.um 1.))
       ~height:(uniform 2e-7) ~j:(uniform 1e10)
   in
   Alcotest.(check bool) "disconnected detected" false
-    (Cc.is_connected disconnected);
-  check_raises_invalid "solve_compact on disconnected" (fun () ->
-      ignore (Ss.solve_compact cu disconnected));
+    (St.is_connected disconnected);
+  check_raises_invalid "solve on disconnected" (fun () ->
+      ignore (Ss.solve cu disconnected));
   check_raises_invalid "self loop" (fun () ->
       ignore
-        (Cc.make ~num_nodes:2 ~tail:[| 0 |] ~head:[| 0 |] ~length:[| 1e-6 |]
+        (St.make ~num_nodes:2 ~tail:[| 0 |] ~head:[| 0 |] ~length:[| 1e-6 |]
            ~width:[| 1e-6 |] ~height:[| 2e-7 |] ~j:[| 0. |]));
   check_raises_invalid "bad geometry" (fun () ->
       ignore
-        (Cc.make ~num_nodes:2 ~tail:[| 0 |] ~head:[| 1 |] ~length:[| 0. |]
+        (St.make ~num_nodes:2 ~tail:[| 0 |] ~head:[| 1 |] ~length:[| 0. |]
            ~width:[| 1e-6 |] ~height:[| 2e-7 |] ~j:[| 0. |]))
 
 (* ---------------------------------------------------------------- *)
@@ -733,51 +708,51 @@ let float_bits_identical a b =
 
 let test_builder_matches_make () =
   (* Streaming the same columns through the Builder must reproduce
-     [of_structure]'s compact exactly — every column and the CSR. The
-     tiny [expected_segments] forces the growth path. *)
-  let c = Cc.of_structure (make_tree (31, 11)) in
-  let b = Cc.Builder.create ~expected_segments:2 () in
-  for k = 0 to Cc.num_segments c - 1 do
-    Cc.Builder.add_segment b ~tail:c.Cc.tail.(k) ~head:c.Cc.head.(k)
-      ~length:c.Cc.length.(k) ~width:c.Cc.width.(k) ~height:c.Cc.height.(k)
-      ~j:c.Cc.j.(k)
+     [make]'s structure exactly — every column and the CSR. The tiny
+     [expected_segments] forces the growth path. *)
+  let c = make_tree (31, 11) in
+  let b = St.Builder.create ~expected_segments:2 () in
+  for k = 0 to St.num_segments c - 1 do
+    St.Builder.add_segment b ~tail:c.St.tail.(k) ~head:c.St.head.(k)
+      ~length:c.St.length.(k) ~width:c.St.width.(k) ~height:c.St.height.(k)
+      ~j:c.St.j.(k)
   done;
-  Alcotest.(check int) "segment_count" (Cc.num_segments c)
-    (Cc.Builder.segment_count b);
-  let c' = Cc.Builder.finish b ~num_nodes:(Cc.num_nodes c) in
-  Alcotest.(check int) "num_nodes" c.Cc.num_nodes c'.Cc.num_nodes;
-  Alcotest.(check (list int)) "tail" (Array.to_list c.Cc.tail)
-    (Array.to_list c'.Cc.tail);
-  Alcotest.(check (list int)) "head" (Array.to_list c.Cc.head)
-    (Array.to_list c'.Cc.head);
+  Alcotest.(check int) "segment_count" (St.num_segments c)
+    (St.Builder.segment_count b);
+  let c' = St.Builder.finish b ~num_nodes:(St.num_nodes c) in
+  Alcotest.(check int) "num_nodes" c.St.num_nodes c'.St.num_nodes;
+  Alcotest.(check (list int)) "tail" (Array.to_list c.St.tail)
+    (Array.to_list c'.St.tail);
+  Alcotest.(check (list int)) "head" (Array.to_list c.St.head)
+    (Array.to_list c'.St.head);
   Alcotest.(check bool) "length bits" true
-    (float_bits_identical c.Cc.length c'.Cc.length);
-  Alcotest.(check bool) "wh bits" true (float_bits_identical c.Cc.wh c'.Cc.wh);
-  Alcotest.(check bool) "j bits" true (float_bits_identical c.Cc.j c'.Cc.j);
-  Alcotest.(check (list int)) "offsets" (Array.to_list c.Cc.offsets)
-    (Array.to_list c'.Cc.offsets);
-  Alcotest.(check (list int)) "adj_edge" (Array.to_list c.Cc.adj_edge)
-    (Array.to_list c'.Cc.adj_edge);
-  Alcotest.(check (list int)) "adj_nbr" (Array.to_list c.Cc.adj_nbr)
-    (Array.to_list c'.Cc.adj_nbr)
+    (float_bits_identical c.St.length c'.St.length);
+  Alcotest.(check bool) "wh bits" true (float_bits_identical c.St.wh c'.St.wh);
+  Alcotest.(check bool) "j bits" true (float_bits_identical c.St.j c'.St.j);
+  Alcotest.(check (list int)) "offsets" (Array.to_list c.St.offsets)
+    (Array.to_list c'.St.offsets);
+  Alcotest.(check (list int)) "adj_edge" (Array.to_list c.St.adj_edge)
+    (Array.to_list c'.St.adj_edge);
+  Alcotest.(check (list int)) "adj_nbr" (Array.to_list c.St.adj_nbr)
+    (Array.to_list c'.St.adj_nbr)
 
 let test_builder_guards () =
-  let b = Cc.Builder.create () in
+  let b = St.Builder.create () in
   check_raises_invalid "self loop" (fun () ->
-      Cc.Builder.add_segment b ~tail:3 ~head:3 ~length:1e-6 ~width:1e-6
+      St.Builder.add_segment b ~tail:3 ~head:3 ~length:1e-6 ~width:1e-6
         ~height:2e-7 ~j:0.);
   check_raises_invalid "bad geometry" (fun () ->
-      Cc.Builder.add_segment b ~tail:0 ~head:1 ~length:0. ~width:1e-6
+      St.Builder.add_segment b ~tail:0 ~head:1 ~length:0. ~width:1e-6
         ~height:2e-7 ~j:0.);
   check_raises_invalid "negative endpoint" (fun () ->
-      Cc.Builder.add_segment b ~tail:(-1) ~head:1 ~length:1e-6 ~width:1e-6
+      St.Builder.add_segment b ~tail:(-1) ~head:1 ~length:1e-6 ~width:1e-6
         ~height:2e-7 ~j:0.);
-  Cc.Builder.add_segment b ~tail:0 ~head:5 ~length:1e-6 ~width:1e-6
+  St.Builder.add_segment b ~tail:0 ~head:5 ~length:1e-6 ~width:1e-6
     ~height:2e-7 ~j:0.;
   check_raises_invalid "endpoint past num_nodes at finish" (fun () ->
-      ignore (Cc.Builder.finish b ~num_nodes:4));
+      ignore (St.Builder.finish b ~num_nodes:4));
   check_raises_invalid "empty builder" (fun () ->
-      ignore (Cc.Builder.finish (Cc.Builder.create ()) ~num_nodes:2))
+      ignore (St.Builder.finish (St.Builder.create ()) ~num_nodes:2))
 
 (* ---------------------------------------------------------------- *)
 (* Sensitivity                                                       *)
@@ -809,9 +784,7 @@ let test_sensitivity_gradient_fd () =
     let s = random_tree_structure rng (3 + Rng.int rng 12) in
     let node = Rng.int rng (St.num_nodes s) in
     let grad = Sens.stress_gradient cu s ~node in
-    let js =
-      Array.init (St.num_segments s) (fun k -> (St.seg s k).St.current_density)
-    in
+    let js = s.St.j in
     Array.iteri
       (fun k dg ->
         let h = 1e6 +. (1e-6 *. Float.abs js.(k)) in
@@ -834,9 +807,7 @@ let test_sensitivity_gradient_mesh () =
   let s = consistent_mesh () in
   let node = 4 in
   let grad = Sens.stress_gradient cu s ~node in
-  let js =
-    Array.init (St.num_segments s) (fun k -> (St.seg s k).St.current_density)
-  in
+  let js = s.St.j in
   let eps = 1e-4 in
   let predicted =
     Array.to_list (Array.mapi (fun k dg -> dg *. (eps *. js.(k))) grad)
@@ -866,7 +837,7 @@ let test_sensitivity_most_influential () =
 
 let test_sensitivity_guards () =
   let s =
-    St.make ~num_nodes:4
+    St.of_segments ~num_nodes:4
       [|
         (0, 1, seg ~l:(U.um 5.) ~w:(U.um 1.) ~j:1e10 ());
         (2, 3, seg ~l:(U.um 5.) ~w:(U.um 1.) ~j:1e10 ());
@@ -883,16 +854,15 @@ let prop_edge_permutation_invariance (n, seed) =
   (* Renumbering segments (which changes BFS adjacency order and hence
      the spanning tree exploration) must not change node stresses. *)
   let s = make_tree (n, seed) in
-  let g = St.graph s in
   let m = St.num_segments s in
   let rng = Rng.create (Int64.of_int (seed * 3 + 1)) in
   let perm = Array.init m (fun k -> k) in
   Rng.shuffle rng perm;
   let permuted =
-    St.make ~num_nodes:(St.num_nodes s)
+    St.of_segments ~num_nodes:(St.num_nodes s)
       (Array.init m (fun k ->
-           let e = Ugraph.edge g perm.(k) in
-           (e.Ugraph.tail, e.Ugraph.head, St.seg s perm.(k))))
+           let e = perm.(k) in
+           (s.St.tail.(e), s.St.head.(e), seg_of s e)))
   in
   let a = (Ss.solve ~reference:0 cu s).Ss.node_stress in
   let b = (Ss.solve ~reference:0 cu permuted).Ss.node_stress in
@@ -911,15 +881,14 @@ let prop_mesh_chord_choice_invariance (seed_int : int) =
   inj.(0) <- 1e-3;
   inj.(St.num_nodes geom - 1) <- -1e-3;
   let s = (Kcl.solve cu geom ~injections:inj).Kcl.structure in
-  let g = St.graph s in
   let m = St.num_segments s in
   let perm = Array.init m (fun k -> k) in
   Rng.shuffle rng perm;
   let permuted =
-    St.make ~num_nodes:(St.num_nodes s)
+    St.of_segments ~num_nodes:(St.num_nodes s)
       (Array.init m (fun k ->
-           let e = Ugraph.edge g perm.(k) in
-           (e.Ugraph.tail, e.Ugraph.head, St.seg s perm.(k))))
+           let e = perm.(k) in
+           (s.St.tail.(e), s.St.head.(e), seg_of s e)))
   in
   let a = (Ss.solve ~reference:0 cu s).Ss.node_stress in
   let b = (Ss.solve ~reference:0 cu permuted).Ss.node_stress in
@@ -940,9 +909,7 @@ let prop_kirchhoff_superposition (seed_int : int) =
   let s12 = solve (Array.init n (fun i -> inj1.(i) +. inj2.(i))) in
   let ok = ref true in
   for k = 0 to St.num_segments geom - 1 do
-    let j1 = (St.seg s1 k).St.current_density in
-    let j2 = (St.seg s2 k).St.current_density in
-    let j12 = (St.seg s12 k).St.current_density in
+    let j1 = s1.St.j.(k) and j2 = s2.St.j.(k) and j12 = s12.St.j.(k) in
     if Float.abs (j1 +. j2 -. j12) > 1e-6 *. (Float.abs j12 +. 1e3) then
       ok := false
   done;
@@ -1052,8 +1019,7 @@ let test_duty_cycles () =
   (* Full activity: unchanged. A 25% duty signal wire sees a quarter of
      the stress and may flip to immortal. *)
   let full = St.with_duty_cycles s [| 1.; 1. |] in
-  check_close ~rtol:1e-12 "duty 1 is identity" (St.seg s 0).St.current_density
-    (St.seg full 0).St.current_density;
+  check_close ~rtol:1e-12 "duty 1 is identity" s.St.j.(0) full.St.j.(0);
   let quiet = St.with_duty_cycles s [| 0.2; 0.2 |] in
   let stress_full, _ = Ss.max_stress (Ss.solve cu s) in
   let stress_quiet, _ = Ss.max_stress (Ss.solve cu quiet) in
@@ -1096,18 +1062,17 @@ let make_mesh (n, seed) =
    clean at the default gate. Workspace-aliased solutions are checked
    before the next solve overwrites the shared buffers. *)
 let prop_solver_contract (mesh, tree) =
-  let s = if mesh then make_mesh tree else make_tree tree in
-  let c = Cc.of_structure s in
+  let c = if mesh then make_mesh tree else make_tree tree in
   let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
   let check_path sol =
     let sched = Ss.Schedule.make ~reference:sol.Ss.reference c in
-    let b = Array.make (Cc.num_nodes c) 0. in
+    let b = Array.make (St.num_nodes c) 0. in
     Array.iteri
       (fun i v ->
         let e = sched.Ss.Schedule.edge.(i) in
         b.(v) <-
           b.(sched.Ss.Schedule.parent.(i))
-          +. (sched.Ss.Schedule.sign.(i) *. c.Cc.j.(e) *. c.Cc.length.(e)))
+          +. (sched.Ss.Schedule.sign.(i) *. c.St.j.(e) *. c.St.length.(e)))
       sched.Ss.Schedule.node;
     let q_over_a = sol.Ss.q /. sol.Ss.volume in
     Array.for_all2 same b sol.Ss.blech_sum
@@ -1116,18 +1081,15 @@ let prop_solver_contract (mesh, tree) =
          sol.Ss.blech_sum sol.Ss.node_stress
     && Au.violations ~tol:Au.default_tol (Au.check cu c sol) = []
   in
-  check_path (Ss.solve cu s)
-  && check_path (Ss.solve_compact cu c)
-  && check_path (Ss.solve_compact ~ws:compact_ws cu c)
+  check_path (Ss.solve cu c) && check_path (Ss.solve ~ws:compact_ws cu c)
 
 (* Margin bookkeeping and the critical-path attribution: the peak node
    really is the max, the margin is the signed slack to the threshold,
    and the path's per-step contributions telescope to
    sigma(peak) - sigma(reference). *)
 let prop_audit_margin_and_path (n, seed) =
-  let s = make_tree (n, seed) in
-  let c = Cc.of_structure s in
-  let sol = Ss.solve_compact cu c in
+  let c = make_tree (n, seed) in
+  let sol = Ss.solve cu c in
   let a = Au.check cu c sol in
   let stress = sol.Ss.node_stress in
   let threshold = M.effective_critical_stress cu in
@@ -1145,9 +1107,8 @@ let prop_audit_margin_and_path (n, seed) =
   && Array.length a.Au.au_top <= Array.length a.Au.au_path
 
 let test_audit_violation_diag () =
-  let s = make_tree (17, 42) in
-  let c = Cc.of_structure s in
-  let sol = Ss.solve_compact cu c in
+  let c = make_tree (17, 42) in
+  let sol = Ss.solve cu c in
   let a = Au.check ~index:3 ~layer:5 cu c sol in
   Alcotest.(check (option string)) "clean solution: no diagnostic" None
     (Option.map
@@ -1249,9 +1210,10 @@ let suites =
         case "most influential segments" test_sensitivity_most_influential;
         case "guards" test_sensitivity_guards;
       ] );
+    (* The structure's compact (columnar) form: the solver's guards and
+       the streaming Builder. *)
     ( "core.compact",
       [
-        case "roundtrip is lossless" test_compact_roundtrip;
         case "guards" test_compact_guards;
         qcheck "columnar reference invariance" tree_gen
           prop_compact_reference_invariance;

@@ -57,13 +57,12 @@ let test_extract_geometry_matches_tech () =
     (fun es ->
       let s = es.Ex.structure in
       for k = 0 to St.num_segments s - 1 do
-        let seg = St.seg s k in
         (* Each segment's width matches its layer's tech entry. *)
         let matching =
           Array.exists
             (fun (l : Pdn.Tech.layer) ->
               l.Pdn.Tech.level = es.Ex.layer_level
-              && Float.abs (l.Pdn.Tech.width -. seg.St.width)
+              && Float.abs (l.Pdn.Tech.width -. s.St.width.(k))
                  < 1e-6 *. l.Pdn.Tech.width)
             g.Gg.tech.Pdn.Tech.layers
         in
@@ -85,7 +84,7 @@ let test_extract_current_matches_mna () =
       let s = es.Ex.structure in
       Array.iteri
         (fun k elem ->
-          let i_electron = St.current s k in
+          let i_electron = s.St.j.(k) *. s.St.wh.(k) in
           let i_conventional = Spice.Mna.resistor_current sol elem in
           let scale = Float.max 1e-12 (Float.abs i_conventional) in
           if Float.abs (i_electron +. i_conventional) > 1e-6 *. scale then
@@ -99,8 +98,6 @@ let test_extract_current_matches_mna () =
 (* ---------------------------------------------------------------- *)
 (* Streaming columnar extraction                                     *)
 
-module Cc = Em_core.Compact
-
 (* Canonical per-segment view, independent of structure order and local
    node numbering: identify nodes by their netlist names. *)
 let segment_multiset_old structures =
@@ -108,14 +105,11 @@ let segment_multiset_old structures =
     (fun es ->
       let s = es.Ex.structure in
       List.init (St.num_segments s) (fun k ->
-          let tail, head = St.endpoints s k in
-          let seg = St.seg s k in
           ( es.Ex.layer_level,
             es.Ex.element_ids.(k),
-            es.Ex.node_names.(tail),
-            es.Ex.node_names.(head),
-            (seg.St.length, seg.St.width, seg.St.height, seg.St.current_density)
-          )))
+            es.Ex.node_names.(s.St.tail.(k)),
+            es.Ex.node_names.(s.St.head.(k)),
+            (s.St.length.(k), s.St.width.(k), s.St.height.(k), s.St.j.(k)) )))
     structures
   |> List.sort compare
 
@@ -123,12 +117,12 @@ let segment_multiset_compact css =
   List.concat_map
     (fun cs ->
       let c = cs.Ex.compact in
-      List.init (Cc.num_segments c) (fun k ->
+      List.init (St.num_segments c) (fun k ->
           ( cs.Ex.cs_layer_level,
             cs.Ex.cs_element_ids.(k),
-            Ex.node_name cs c.Cc.tail.(k),
-            Ex.node_name cs c.Cc.head.(k),
-            (c.Cc.length.(k), c.Cc.width.(k), c.Cc.height.(k), c.Cc.j.(k)) )))
+            Ex.node_name cs c.St.tail.(k),
+            Ex.node_name cs c.St.head.(k),
+            (c.St.length.(k), c.St.width.(k), c.St.height.(k), c.St.j.(k)) )))
     css
   |> List.sort compare
 
@@ -138,7 +132,7 @@ let netlist_of_names names =
   let nodes = Array.map (N.Builder.node b) names in
   (N.Builder.finish b, nodes)
 
-(* A structure of the fused path made from a boxed one: its node names
+(* A structure of the fused path made from a named one: its node names
    looked up in [net], or interned into a netlist of their own. *)
 let compact_of_boxed ?net (es : Ex.em_structure) =
   let net, nodes =
@@ -148,7 +142,7 @@ let compact_of_boxed ?net (es : Ex.em_structure) =
   in
   {
     Ex.cs_layer_level = es.Ex.layer_level;
-    compact = Cc.of_structure es.Ex.structure;
+    compact = es.Ex.structure;
     cs_netlist = net;
     cs_nodes = nodes;
     cs_element_ids = es.Ex.element_ids;
@@ -300,7 +294,10 @@ let prop_split_matches_references seed =
     && a.Ex.element_ids = b.Ex.element_ids
     && St.num_segments sa = St.num_segments sb
     && List.for_all
-         (fun k -> St.endpoints sa k = St.endpoints sb k && St.seg sa k = St.seg sb k)
+         (fun k ->
+           sa.St.tail.(k) = sb.St.tail.(k) && sa.St.head.(k) = sb.St.head.(k)
+           && sa.St.length.(k) = sb.St.length.(k) && sa.St.width.(k) = sb.St.width.(k)
+           && sa.St.height.(k) = sb.St.height.(k) && sa.St.j.(k) = sb.St.j.(k))
          (List.init (St.num_segments sa) Fun.id)
   in
   let extracted jobs =
@@ -403,6 +400,33 @@ let test_flow_maxpath_ablation () =
   | None -> Alcotest.fail "maxpath counts missing"
   | Some c ->
     Alcotest.(check int) "ablation total" r.Flow.num_segments (Cl.total c)
+
+(* The independent oracles on the extraction's own structures: on every
+   structure of the grid, the linear system's node stresses match the
+   flow's (the tolerance of [Baseline_linsys] on random trees), and the
+   max-path verdict bits are [Baseline_maxpath]'s. *)
+let test_flow_oracles_on_extracted () =
+  let g = small_grid () in
+  let v =
+    Flow.analyze_deck ~with_maxpath:true ~tech:g.Gg.tech (Flow.of_netlist g.Gg.netlist)
+  in
+  let r = v.Flow.result in
+  Alcotest.(check bool) "several structures" true (List.length v.Flow.compacts > 1);
+  List.iteri
+    (fun i (cs : Ex.compact_structure) ->
+      let s = cs.Ex.compact in
+      let ls = Em_core.Baseline_linsys.solve M.cu_dac21 s in
+      check_array_close ~rtol:1e-6 ~atol:1e3
+        (Printf.sprintf "structure %d: linsys" i)
+        ls.Em_core.Steady_state.node_stress r.Flow.node_stress.(i);
+      Array.iteri
+        (fun k immortal ->
+          Alcotest.(check bool)
+            (Printf.sprintf "structure %d segment %d: maxpath bit" i k)
+            immortal
+            (Flow.segment_verdict r i k land Flow.maxpath_bit <> 0))
+        (Em_core.Baseline_maxpath.segment_immortal M.cu_dac21 s))
+    v.Flow.compacts
 
 let test_flow_blech_disagrees_after_ir_scaling () =
   (* Scale to a realistic stress level: currents scaled so IR drop is
@@ -589,23 +613,22 @@ let test_fixer_plan_and_verify () =
 
 let test_fixer_widening_semantics () =
   (* Widening preserves currents and scales stress down by alpha. *)
-  let s =
-    St.make ~num_nodes:3
-      [|
-        (0, 1, St.segment ~length:30e-6 ~width:1e-6 ~j:2e10 ());
-        (1, 2, St.segment ~length:20e-6 ~width:1e-6 ~j:2e10 ());
-      |]
+  let c =
+    St.line
+      [
+        St.segment ~length:30e-6 ~width:1e-6 ~j:2e10 ();
+        St.segment ~length:20e-6 ~width:1e-6 ~j:2e10 ();
+      ]
   in
   let alpha = 2.5 in
-  let c = Cc.of_structure s in
   let widened = Fx.apply_widening c alpha in
-  let current (c : Cc.t) k = c.Cc.j.(k) *. c.Cc.wh.(k) in
-  for k = 0 to Cc.num_segments c - 1 do
+  let current (c : St.t) k = c.St.j.(k) *. c.St.wh.(k) in
+  for k = 0 to St.num_segments c - 1 do
     T_helpers.check_close ~rtol:1e-12 "current preserved" (current c k)
       (current widened k)
   done;
-  let before = Em_core.Steady_state.solve_compact M.cu_dac21 c in
-  let after = Em_core.Steady_state.solve_compact M.cu_dac21 widened in
+  let before = Em_core.Steady_state.solve M.cu_dac21 c in
+  let after = Em_core.Steady_state.solve M.cu_dac21 widened in
   Array.iteri
     (fun v sigma ->
       T_helpers.check_close ~rtol:1e-9 ~atol:1e0 "stress scaled"
@@ -723,17 +746,17 @@ let stressed_compacts () =
   Ex.extract_compact ~tech:scaled.Gg.tech sol
 
 let cs_of_compact ?(layer = 1) c =
-  let net, nodes = netlist_of_names (Array.init (Cc.num_nodes c) (Printf.sprintf "x%d")) in
+  let net, nodes = netlist_of_names (Array.init (St.num_nodes c) (Printf.sprintf "x%d")) in
   {
     Ex.cs_layer_level = layer;
     compact = c;
     cs_netlist = net;
     cs_nodes = nodes;
-    cs_element_ids = Array.init (Cc.num_segments c) Fun.id;
+    cs_element_ids = Array.init (St.num_segments c) Fun.id;
   }
 
 let healthy_line_compact () =
-  Cc.make ~num_nodes:3 ~tail:[| 0; 1 |] ~head:[| 1; 2 |]
+  St.make ~num_nodes:3 ~tail:[| 0; 1 |] ~head:[| 1; 2 |]
     ~length:[| 30e-6; 20e-6 |] ~width:[| 1e-6; 1e-6 |]
     ~height:[| 1e-6; 1e-6 |] ~j:[| 2e10; 2e10 |]
 
@@ -823,7 +846,7 @@ let mesh_compact () =
   done;
   let edges = Array.of_list !edges in
   let m = Array.length edges in
-  Cc.make ~num_nodes:(side * side) ~tail:(Array.map fst edges)
+  St.make ~num_nodes:(side * side) ~tail:(Array.map fst edges)
     ~head:(Array.map snd edges)
     ~length:(Array.init m (fun k -> float_of_int (10 + (k mod 7)) *. 1e-6))
     ~width:(Array.init m (fun k -> if k mod 3 = 0 then 0.5e-6 else 1e-6))
@@ -854,7 +877,7 @@ let check_variation_oracle spec compacts =
       for s = 0 to nsamples - 1 do
         let c' = Va.perturb_compact rng spec cs.Ex.compact in
         let thr = sigma_c *. Va.factor rng spec.Va.crit_sigma in
-        let mx, _ = Vss.max_stress (Vss.solve_compact material c') in
+        let mx, _ = Vss.max_stress (Vss.solve material c') in
         maxes.(s) <- mx;
         Numerics.Stats.Online.add online mx;
         List.iter (fun q -> Numerics.Stats.P2.add q mx) qs;
@@ -925,7 +948,7 @@ let test_variation_partial_degenerate_isolated () =
   let j = 0.98 *. Float.max_float /. beta in
   let risky =
     cs_of_compact ~layer:2
-      (Cc.make ~num_nodes:3 ~tail:[| 0; 1 |] ~head:[| 1; 2 |]
+      (St.make ~num_nodes:3 ~tail:[| 0; 1 |] ~head:[| 1; 2 |]
          ~length:[| 1.; 1. |] ~width:[| 1.; 1. |] ~height:[| 1.; 1. |]
          ~j:[| j; j |])
   in
@@ -968,7 +991,7 @@ let test_variation_partial_degenerate_isolated () =
 let test_variation_all_degenerate () =
   let degenerate =
     cs_of_compact ~layer:3
-      (Cc.make ~num_nodes:2 ~tail:[| 0 |] ~head:[| 1 |] ~length:[| 1e-6 |]
+      (St.make ~num_nodes:2 ~tail:[| 0 |] ~head:[| 1 |] ~length:[| 1e-6 |]
          ~width:[| 1e-170 |] ~height:[| 1e-170 |] ~j:[| 1e10 |])
   in
   let healthy = cs_of_compact (healthy_line_compact ()) in
@@ -1000,7 +1023,7 @@ let test_variation_all_degenerate () =
 let test_variation_allocation_free () =
   let m = 400 in
   let line =
-    Cc.make ~num_nodes:(m + 1) ~tail:(Array.init m Fun.id)
+    St.make ~num_nodes:(m + 1) ~tail:(Array.init m Fun.id)
       ~head:(Array.init m (fun k -> k + 1))
       ~length:(Array.make m 10e-6) ~width:(Array.make m 1e-6)
       ~height:(Array.make m 1e-6)
@@ -1032,29 +1055,28 @@ let test_variation_allocation_free () =
    lanes consume the stream in. *)
 let test_variation_perturbation_preserves_current () =
   let c =
-    Cc.of_structure
-      (St.line
-         [ St.segment ~length:30e-6 ~width:1e-6 ~j:2e10 ();
-           St.segment ~length:20e-6 ~width:0.5e-6 ~j:1e10 ();
-           St.segment ~length:10e-6 ~width:0.8e-6 ~j:(-5e9) () ])
+    St.line
+      [ St.segment ~length:30e-6 ~width:1e-6 ~j:2e10 ();
+        St.segment ~length:20e-6 ~width:0.5e-6 ~j:1e10 ();
+        St.segment ~length:10e-6 ~width:0.8e-6 ~j:(-5e9) () ]
   in
   let spec = Va.default_spec in
   let c' = Va.perturb_compact (Numerics.Rng.create 3L) spec c in
   let replay = Numerics.Rng.create 3L in
-  let m = Cc.num_segments c in
+  let m = St.num_segments c in
   let fw = Array.init m (fun _ -> Va.factor replay spec.Va.width_sigma) in
   let ft = Array.init m (fun _ -> Va.factor replay spec.Va.thickness_sigma) in
   let bits = Int64.bits_of_float in
   for k = 0 to m - 1 do
-    let current (c : Cc.t) = c.Cc.j.(k) *. c.Cc.width.(k) *. c.Cc.height.(k) in
+    let current (c : St.t) = c.St.j.(k) *. c.St.width.(k) *. c.St.height.(k) in
     T_helpers.check_close ~rtol:1e-12 "current preserved" (current c)
       (current c');
     Alcotest.(check bool) "geometry changed" true
-      (c'.Cc.width.(k) <> c.Cc.width.(k));
+      (c'.St.width.(k) <> c.St.width.(k));
     Alcotest.(check bool) "widths take the first m factors" true
-      (bits c'.Cc.width.(k) = bits (c.Cc.width.(k) *. fw.(k)));
+      (bits c'.St.width.(k) = bits (c.St.width.(k) *. fw.(k)));
     Alcotest.(check bool) "thicknesses take the next m" true
-      (bits c'.Cc.height.(k) = bits (c.Cc.height.(k) *. ft.(k)))
+      (bits c'.St.height.(k) = bits (c.St.height.(k) *. ft.(k)))
   done
 
 (* The clamp-free factor: strictly positive always, mean preserved at
@@ -1102,10 +1124,10 @@ let test_jmax_filter_semantics () =
   let structures = Extract_reference.extract ~tech:g.Gg.tech sol in
   List.iter
     (fun es ->
-      let pass = Jm.filter ~tech:g.Gg.tech es in
+      let pass = Jm.filter ~tech:g.Gg.tech (compact_of_boxed es) in
       Array.iteri
         (fun k ok ->
-          let seg = St.seg es.Ex.structure k in
+          let s = es.Ex.structure in
           let limit =
             let found = ref 0. in
             Array.iter
@@ -1116,14 +1138,17 @@ let test_jmax_filter_semantics () =
             !found
           in
           Alcotest.(check bool) "threshold semantics"
-            (Float.abs seg.St.current_density <= limit)
+            (Float.abs s.St.j.(k) <= limit)
             ok)
         pass)
     structures
 
 let test_jmax_counts_total () =
   let structures = stressed_structures () in
-  let c = Jm.compare_against_exact ~tech:Pdn.Tech.ibm_like structures in
+  let c =
+    Jm.compare_against_exact ~tech:Pdn.Tech.ibm_like
+      (List.map compact_of_boxed structures)
+  in
   Alcotest.(check int) "covers every segment"
     (Extract_reference.total_segments structures)
     (Cl.total c)
@@ -1382,16 +1407,16 @@ let big_mesh_compact () =
           ~j:(Numerics.Rng.uniform rng (-5e10) 5e10)
           ())
   in
-  let c = Cc.of_structure tree in
-  let k = Cc.num_segments c / 2 in
+  let c = tree in
+  let k = St.num_segments c / 2 in
   let chord col x = Array.append col [| x |] in
-  Cc.make ~num_nodes:n
-    ~tail:(chord c.Cc.tail c.Cc.tail.(k))
-    ~head:(chord c.Cc.head c.Cc.head.(k))
-    ~length:(chord c.Cc.length c.Cc.length.(k))
-    ~width:(chord c.Cc.width (2. *. c.Cc.width.(k)))
-    ~height:(chord c.Cc.height c.Cc.height.(k))
-    ~j:(chord c.Cc.j c.Cc.j.(k))
+  St.make ~num_nodes:n
+    ~tail:(chord c.St.tail c.St.tail.(k))
+    ~head:(chord c.St.head c.St.head.(k))
+    ~length:(chord c.St.length c.St.length.(k))
+    ~width:(chord c.St.width (2. *. c.St.width.(k)))
+    ~height:(chord c.St.height c.St.height.(k))
+    ~j:(chord c.St.j c.St.j.(k))
 
 let test_flow_large_mesh () =
   let module Au = Em_core.Audit in
@@ -1404,7 +1429,7 @@ let test_flow_large_mesh () =
     Array.of_list
       (List.map
          (fun (cs : Ex.compact_structure) ->
-           (Em_core.Steady_state.solve_compact M.cu_dac21 cs.Ex.compact)
+           (Em_core.Steady_state.solve M.cu_dac21 cs.Ex.compact)
              .Em_core.Steady_state.node_stress)
          batch)
   in
@@ -1622,18 +1647,13 @@ let test_layer_report_columnar_matches_boxed () =
    planned widening makes the structure immortal in both, and 1% short
    of the bare slack (0.99 x peak / sigma_crit) leaves it mortal in
    both, so such a plan is rejected. *)
-let widen_boxed s alpha =
-  St.make ~num_nodes:(St.num_nodes s)
+let widen_boxed (s : St.t) alpha =
+  St.of_segments ~num_nodes:(St.num_nodes s)
     (Array.init (St.num_segments s) (fun k ->
-         let tail, head = St.endpoints s k in
-         let seg = St.seg s k in
-         ( tail,
-           head,
-           {
-             seg with
-             St.width = seg.St.width *. alpha;
-             St.current_density = seg.St.current_density /. alpha;
-           } )))
+         ( s.St.tail.(k),
+           s.St.head.(k),
+           St.segment ~height:s.St.height.(k) ~length:s.St.length.(k)
+             ~width:(s.St.width.(k) *. alpha) ~j:(s.St.j.(k) /. alpha) () )))
 
 let check_verify_matches_oracle name compacts =
   let r = Flow.run_on_compact compacts in
@@ -1733,6 +1753,8 @@ let suites =
       [
         case "confusion totals" test_flow_counts_sum;
         case "maxpath ablation" test_flow_maxpath_ablation;
+        case "linsys and maxpath oracles on extracted structures"
+          test_flow_oracles_on_extracted;
         case "blech errs after IR scaling" test_flow_blech_disagrees_after_ir_scaling;
         case "zero current => all immortal" test_flow_zero_current_all_immortal;
         case "parallel matches sequential" test_flow_parallel_matches_sequential;

@@ -1,63 +1,65 @@
 open T_helpers
 
-(* A small labelled test graph used across cases:
+module St = Em_core.Structure
+module Traversal = Em_core.Traversal
 
-       0 --a-- 1 --b-- 2
+(* A structure is an undirected multigraph on its CSR columns. A small
+   test graph used across cases; segment k is (k + 1) um long, so the
+   length column labels it:
+
+       0 --0-- 1 --1-- 2
                |       |
-               c       d
+               2       3
                |       |
-               3 --e-- 4      5 (isolated)
+               3 --4-- 4      5 (isolated)
 *)
+let um = 1e-6
+
+let wire k = St.segment ~length:(float_of_int (k + 1) *. um) ~width:um ~j:0. ()
+
+let of_edges ~num_nodes edges =
+  St.of_segments ~num_nodes (Array.mapi (fun k (t, h) -> (t, h, wire k)) edges)
+
 let sample () =
-  Ugraph.create ~num_nodes:6
-    [| (0, 1, "a"); (1, 2, "b"); (1, 3, "c"); (2, 4, "d"); (3, 4, "e") |]
+  of_edges ~num_nodes:6 [| (0, 1); (1, 2); (1, 3); (2, 4); (3, 4) |]
 
 let test_construction () =
   let g = sample () in
-  Alcotest.(check int) "nodes" 6 (Ugraph.num_nodes g);
-  Alcotest.(check int) "edges" 5 (Ugraph.num_edges g);
-  let e = Ugraph.edge g 3 in
-  Alcotest.(check int) "tail" 2 e.Ugraph.tail;
-  Alcotest.(check int) "head" 4 e.Ugraph.head;
-  Alcotest.(check string) "attr" "d" (Ugraph.attr g 3)
+  Alcotest.(check int) "nodes" 6 (St.num_nodes g);
+  Alcotest.(check int) "edges" 5 (St.num_segments g);
+  Alcotest.(check int) "tail" 2 g.St.tail.(3);
+  Alcotest.(check int) "head" 4 g.St.head.(3);
+  Alcotest.(check (float 0.)) "length column" (4. *. um) g.St.length.(3)
 
 let test_construction_errors () =
-  check_raises_invalid "self loop" (fun () ->
-      Ugraph.create ~num_nodes:2 [| (0, 0, ()) |]);
-  check_raises_invalid "bad endpoint" (fun () ->
-      Ugraph.create ~num_nodes:2 [| (0, 2, ()) |]);
+  check_raises_invalid "self loop" (fun () -> of_edges ~num_nodes:2 [| (0, 0) |]);
+  check_raises_invalid "bad endpoint" (fun () -> of_edges ~num_nodes:2 [| (0, 2) |]);
   check_raises_invalid "negative nodes" (fun () ->
-      Ugraph.create ~num_nodes:(-1) [||])
+      of_edges ~num_nodes:(-1) [| (0, 1) |]);
+  check_raises_invalid "no segments" (fun () -> of_edges ~num_nodes:1 [||])
 
 (* Length of [v]'s incidence range. *)
-let degree g v =
-  let d = ref 0 in
-  Ugraph.iter_incident g v (fun ~edge_id:_ ~neighbor:_ -> incr d);
-  !d
+let degree g v = g.St.offsets.(v + 1) - g.St.offsets.(v)
 
 let test_degrees_and_termini () =
   let g = sample () in
   Alcotest.(check int) "deg 0" 1 (degree g 0);
   Alcotest.(check int) "deg 1" 3 (degree g 1);
   Alcotest.(check int) "deg 5" 0 (degree g 5);
-  Alcotest.(check (list int)) "termini" [ 0 ] (Ugraph.termini g)
+  Alcotest.(check int) "lowest terminus" 0 (St.default_reference g);
+  let cycle = of_edges ~num_nodes:3 [| (0, 1); (1, 2); (2, 0) |] in
+  Alcotest.(check int) "no terminus: node 0" 0 (St.default_reference cycle);
+  let hooked = of_edges ~num_nodes:4 [| (0, 1); (1, 2); (2, 0); (2, 3) |] in
+  Alcotest.(check int) "terminus past node 0" 3 (St.default_reference hooked)
 
 let test_parallel_edges_allowed () =
-  let g = Ugraph.create ~num_nodes:2 [| (0, 1, "x"); (1, 0, "y") |] in
+  let g = of_edges ~num_nodes:2 [| (0, 1); (1, 0) |] in
   Alcotest.(check int) "deg with parallel" 2 (degree g 0)
 
-let test_mapi_attr () =
-  let g = sample () in
-  let g' = Ugraph.mapi_attr (fun e a -> Printf.sprintf "%s%d" a e.Ugraph.id) g in
-  Alcotest.(check string) "mapi" "b1" (Ugraph.attr g' 1);
-  Alcotest.(check int) "endpoints kept" 4 (Ugraph.head g' 3)
-
 let test_is_connected () =
-  Alcotest.(check bool) "sample disconnected" false (Ugraph.is_connected (sample ()));
-  let g = Ugraph.create ~num_nodes:3 [| (0, 1, ()); (1, 2, ()) |] in
-  Alcotest.(check bool) "path connected" true (Ugraph.is_connected g);
-  let single = Ugraph.create ~num_nodes:1 [||] in
-  Alcotest.(check bool) "singleton" true (Ugraph.is_connected single)
+  Alcotest.(check bool) "sample disconnected" false (St.is_connected (sample ()));
+  let g = of_edges ~num_nodes:3 [| (0, 1); (1, 2) |] in
+  Alcotest.(check bool) "path connected" true (St.is_connected g)
 
 (* ---------------------------------------------------------------- *)
 (* Traversal                                                         *)
@@ -87,28 +89,22 @@ let test_fold_tree_edges_prefix () =
 
 let test_csr_matches_incident () =
   let g = sample () in
-  let offsets = Ugraph.csr_offsets g in
-  Alcotest.(check int) "offsets length" (Ugraph.num_nodes g + 1)
+  let offsets = g.St.offsets in
+  Alcotest.(check int) "offsets length" (St.num_nodes g + 1)
     (Array.length offsets);
-  Alcotest.(check int) "2m slots" (2 * Ugraph.num_edges g)
-    offsets.(Ugraph.num_nodes g);
-  for v = 0 to Ugraph.num_nodes g - 1 do
-    (* iter_incident walks the CSR row in slot order, and a row lists
-       the node's edges in ascending id order, each towards its other
-       endpoint. *)
-    let via_iter = ref [] in
-    Ugraph.iter_incident g v (fun ~edge_id ~neighbor ->
-        via_iter := (edge_id, neighbor) :: !via_iter);
+  Alcotest.(check int) "2m slots" (2 * St.num_segments g)
+    offsets.(St.num_nodes g);
+  for v = 0 to St.num_nodes g - 1 do
+    (* A row lists the node's segments in ascending id order, each
+       towards its other endpoint. *)
     let row =
-      List.init (offsets.(v + 1) - offsets.(v)) (fun k ->
+      List.init (degree g v) (fun k ->
           let slot = offsets.(v) + k in
-          ((Ugraph.csr_edges g).(slot), (Ugraph.csr_neighbors g).(slot)))
+          (g.St.adj_edge.(slot), g.St.adj_nbr.(slot)))
     in
-    Alcotest.(check (list (pair int int)))
-      (Printf.sprintf "incident %d" v) row (List.rev !via_iter);
     List.iter
       (fun (e, u) ->
-        let { Ugraph.tail; head; _ } = Ugraph.edge g e in
+        let tail = g.St.tail.(e) and head = g.St.head.(e) in
         Alcotest.(check bool) "edge joins v and u" true
           ((tail = v && head = u) || (tail = u && head = v)))
       row;
@@ -132,13 +128,14 @@ let test_unionfind () =
 
 let suites =
   [
+    (* A structure as an undirected multigraph ("ugraph"): construction,
+       degrees, parallel segments, connectivity and the CSR rows. *)
     ( "graph.ugraph",
       [
         case "construction" test_construction;
         case "construction errors" test_construction_errors;
         case "degrees and termini" test_degrees_and_termini;
         case "parallel edges" test_parallel_edges_allowed;
-        case "mapi_attr" test_mapi_attr;
         case "is_connected" test_is_connected;
         case "CSR adjacency matches incident" test_csr_matches_incident;
       ] );

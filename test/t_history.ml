@@ -123,17 +123,17 @@ let test_metrics_of_obs () =
 
 let test_metrics_of_scaling () =
   let ms = H.metrics_of_result (scaling_doc ()) in
-  (* 3 keys in the full first row + 2 in the second + the top-level
-     cliff ratio. Rows missing the newer keys (older results) still
-     extract what they have; the retired boxed-solve, parallel-solve and
-     relabelled-solve columns of older results are not metrics. *)
-  Alcotest.(check int) "per-size metrics plus cliff" 6 (List.length ms);
+  (* 2 keys in each row + the top-level cliff ratio. The retired
+     boxed-solve, conversion, parallel-solve and relabelled-solve
+     columns of older results are not metrics. *)
+  Alcotest.(check int) "per-size metrics plus cliff" 5 (List.length ms);
   Alcotest.(check bool) "retired boxed column dropped" true
     (List.assoc_opt "boxed_s@1000" ms = None);
   check_close "per-size key" 2.0e-5 (List.assoc "columnar_s@1000" ms);
   check_close "second row keyed separately" 7.4e-5
     (List.assoc "columnar_s@3000" ms);
-  check_close "convert extracted" 2.2e-5 (List.assoc "convert_s@1000" ms);
+  Alcotest.(check bool) "retired convert column dropped" true
+    (List.assoc_opt "convert_s@1000" ms = None);
   Alcotest.(check bool) "retired reordered columns ignored" true
     (List.assoc_opt "reordered_solve_s@1000" ms = None
     && List.assoc_opt "reordered_segments_per_s@1000" ms = None);
@@ -141,9 +141,7 @@ let test_metrics_of_scaling () =
     (List.assoc_opt "par_solve_s@1000" ms = None
     && List.assoc_opt "par_segments_per_s@1000" ms = None);
   check_close "top-level cliff ratio extracted" 2.1
-    (List.assoc "columnar_throughput_cliff_ratio" ms);
-  Alcotest.(check bool) "absent keys stay absent" true
-    (List.assoc_opt "convert_s@3000" ms = None)
+    (List.assoc "columnar_throughput_cliff_ratio" ms)
 
 let test_cliff_ratio_direction () =
   (* The cliff ratio carries the [_ratio] suffix: lower is better, so an

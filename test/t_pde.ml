@@ -102,7 +102,7 @@ let test_steady_two_segment () =
 
 let test_steady_t_junction () =
   check_against_closed_form "T"
-    (St.make ~num_nodes:4
+    (St.of_segments ~num_nodes:4
        [|
          (0, 1, seg ~l:(U.um 20.) ~w:(U.um 1.) ~j:6e10 ());
          (1, 2, seg ~l:(U.um 10.) ~w:(U.um 1.) ~j:(-4e10) ());
